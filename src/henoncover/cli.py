@@ -22,7 +22,7 @@ from . import verification
 from .cover import build_chart, save_chart
 from .filtration import filtration_radius
 from .green import escape_time_grid, green_minus, green_plus, green_plus_grid
-from .henon import HenonError, HenonMap, Point, make_henon
+from .henon import HenonError, HenonMap, Point, _c2l, make_henon
 from .shortc2 import classify_sublevel
 from .symmetry import compute_d0, find_affine_symmetries, save_report
 
@@ -131,10 +131,6 @@ def parse_spec_file(path) -> MapSpec:
     except json.JSONDecodeError as exc:
         raise SpecError("<json>", f"line {exc.lineno}: {exc.msg}") from exc
     return parse_spec(data)
-
-
-def _c2l(c: complex):
-    return [float(np.real(c)), float(np.imag(c))]
 
 
 def canonical_spec(spec: MapSpec) -> dict:
@@ -267,14 +263,12 @@ def write_csv(path, values: np.ndarray):
 def _cmd_info(args) -> int:
     spec = parse_spec_file(args.spec)
     H = spec.henon
-    R = filtration_radius(H)
     info = {
         "name": spec.name,
         "d": H.d,
         "d_prime": H.d_prime,
         "jacobian": _c2l(H.jacobian),
-        "filtration_radius": R.R,
-        "filtration_samples": R.certification_samples,
+        "filtration_radius": filtration_radius(H).R,
         "d0": compute_d0(H.d, H.d_prime),
         "symmetry_order_bound": (H.d + H.d_prime) * (H.d - 1),
     }
@@ -303,9 +297,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = parse_spec_file(args.spec)
-    results = verification.run_suite(
-        spec.henon, level=args.level, threads=args.threads
-    )
+    results = verification.run_suite(spec.henon, level=args.level)
     failed = verification.print_results(results)
     return 0 if failed == 0 else 1
 
@@ -388,49 +380,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--spec", required=True, help="map spec JSON path")
-        p.add_argument("--out", required=out_required, help="output path")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--budget", type=int, default=64)
-        p.add_argument("--threads", type=int, default=1)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("info", help="degrees, Jacobian, radii, order bounds")
-    common(p)
-    p.set_defaults(func=_cmd_info)
+    p = command("info", _cmd_info, "degrees, Jacobian, radii, order bounds")
+    p.add_argument("--out", help="output path")
 
-    p = sub.add_parser("render", help="render a grid quantity to PGM")
-    common(p, out_required=True)
+    p = command("render", _cmd_render, "render a grid quantity to PGM")
+    p.add_argument("--out", required=True, help="output path")
     p.add_argument("--job", required=True, help="grid job JSON path")
     p.add_argument("--csv", help="optional raw CSV dump path")
-    p.set_defaults(func=_cmd_render)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--threads", type=int, default=1)
 
-    p = sub.add_parser("verify", help="run the invariant suite")
-    common(p)
+    p = command("verify", _cmd_verify, "run the invariant suite")
     p.add_argument(
         "--level", choices=("fast", "full"), default="fast", help="sample scale"
     )
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("cover", help="build and persist a covering chart")
-    common(p, out_required=True)
-    p.set_defaults(func=_cmd_cover, tol=1e-12)
+    p = command("cover", _cmd_cover, "build and persist a covering chart")
+    p.add_argument("--out", required=True, help="output path")
+    p.add_argument("--tol", type=float, default=1e-12)
 
-    p = sub.add_parser("symmetries", help="search affine symmetries")
-    common(p, out_required=True)
-    p.set_defaults(func=_cmd_symmetries, budget=200)
+    p = command("symmetries", _cmd_symmetries, "search affine symmetries")
+    p.add_argument("--out", required=True, help="output path")
+    p.add_argument("--budget", type=int, default=200)
 
-    p = sub.add_parser("classify", help="sub-level classification of one point")
-    common(p)
+    p = command("classify", _cmd_classify, "sub-level classification of one point")
     p.add_argument("--point", required=True, help="re(x),im(x),re(y),im(y)")
     p.add_argument("--c", type=float, required=True, help="sub-level threshold")
-    p.set_defaults(func=_cmd_classify, budget=256)
+    p.add_argument("--budget", type=int, default=256)
 
-    p = sub.add_parser("green", help="Green's function at one point")
-    common(p)
+    p = command("green", _cmd_green, "Green's function at one point")
     p.add_argument("--point", required=True, help="re(x),im(x),re(y),im(y)")
     p.add_argument("--direction", choices=("plus", "minus"), default="plus")
-    p.set_defaults(func=_cmd_green, budget=256)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--budget", type=int, default=256)
 
     return ap
 

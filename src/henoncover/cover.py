@@ -41,6 +41,7 @@ from .henon import (
     HenonError,
     HenonMap,
     Point,
+    _c2l,
     first_component_axis_poly,
     iterate,
     make_henon,
@@ -532,10 +533,6 @@ def covering_map(chart: CoverChart, w: CoverPoint, budget: int = 20) -> Point:
 # ---------------------------------------------------------------------------
 # persistence
 
-def _c2l(c: complex):
-    return [float(np.real(c)), float(np.imag(c))]
-
-
 def _l2c(v) -> complex:
     return complex(v[0], v[1])
 
@@ -552,7 +549,6 @@ def chart_to_dict(chart: CoverChart) -> dict:
         "region": {
             "M": chart.region.M,
             "R": chart.region.R.R,
-            "R_samples": chart.region.R.certification_samples,
             "epsilon": chart.region.epsilon,
             "samples": chart.region.certification_samples,
         },
@@ -579,7 +575,7 @@ def chart_from_dict(data: dict) -> CoverChart:
     reg = data["region"]
     region = BoettcherRegion(
         reg["M"],
-        FiltrationRadius(reg["R"], reg["R_samples"]),
+        FiltrationRadius(reg["R"]),
         reg["epsilon"],
         reg["samples"],
     )

@@ -1,33 +1,47 @@
-"""Filtration of C^2 into V, V+ and V-, certified radius, escape classes.
+"""Filtration of C^2 into V, V+ and V-, its proved radius, escape classes.
 
 V_R = {|x|,|y| <= R},  V+_R = {|y| >= max(|x|, R)},  V-_R = {|x| >= max(|y|, R)}.
-A filtration radius makes V+ forward-invariant and V- backward-invariant; it is
-found by doubling from a coefficient bound and certified on boundary samples.
+
+The radius is R = max over the factors of 2 + |a| + S, where S is the
+sum of |c_k| over the non-leading coefficients of the factor's p (Hubbard &
+Oberste-Vorth, Henon mappings in the complex domain I, 1994; Bedford &
+Smillie, 1991).  It makes V+ forward- and V- backward-invariant under every
+factor (x, y) -> (y, p(y) - a x), hence under H: if |y| >= max(|x|, R) then
+|y| >= 2, |c_k y^k| <= |c_k| |y|^(d-1) for k < d and |a x| <= |a| |y|^(d-1),
+so
+
+    |p(y) - a x| >= |y|^(d-1) (|y| - S - |a|) >= 2 |y|,
+
+and the image (y, p(y) - a x) lies in V+.  For the inverse factor
+(x, y) -> ((p(x) - y)/a, x) on V-, the same estimate with |y| <= |x| gives
+
+    |(p(x) - y)/a| >= |x|^(d-1) (|x| - S - 1) / |a| >= |x|^(d-1) (1 + |a|)/|a| > |x|,
+
+so the image ((p(x) - y)/a, x) lies in V-.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-import functools
 
-import numpy as np
-
-from .henon import HenonError, HenonMap, Point, apply_inverse_xy, apply_xy
+from .henon import HenonMap, Point, apply_inverse_xy, apply_xy
 
 __all__ = [
     "Region",
     "FiltrationRadius",
     "OrbitTag",
     "OrbitClass",
-    "CertificationFailed",
     "region_of",
     "filtration_radius",
+    "escape_orbit",
     "classify_point",
 ]
 
 # escape requires V+ membership *and* this multiple of R as a margin
 ESCAPE_MARGIN = 2.0
+# an orbit with a coordinate past this bound is given up on, unclassified
+BAIL_OUT = 1e150
 
 
 class Region(Enum):
@@ -45,7 +59,6 @@ class OrbitTag(Enum):
 @dataclass(frozen=True)
 class FiltrationRadius:
     R: float
-    certification_samples: int
 
     def __post_init__(self):
         if not self.R > 1.0:
@@ -62,12 +75,6 @@ class OrbitClass:
         return self.tag is not OrbitTag.BOUNDED_UP_TO
 
 
-class CertificationFailed(HenonError):
-    def __init__(self, budget: float):
-        self.budget = budget
-        super().__init__(f"no radius up to {budget} certified the filtration")
-
-
 def region_of(z: Point, R: float) -> Region:
     """Ties resolved in the order Vplus, Vminus, V (deterministic)."""
     ax, ay = abs(z.x), abs(z.y)
@@ -81,54 +88,36 @@ def region_of(z: Point, R: float) -> Region:
 def _coefficient_floor(H: HenonMap) -> float:
     worst = 2.0
     for f in H.factors:
+        # the sum over all of p counts the monic leading 1: this is 2 + |a| + S
         worst = max(worst, 1.0 + abs(f.a) + sum(abs(c) for c in f.p.coeffs))
     return worst
 
 
-def _boundary_samples(R: float, n: int, rng) -> tuple:
-    """Sample points on {|y| = max(|x|, R)}; swap coords for the V- boundary."""
-    n_flat = n // 2
-    th1 = rng.uniform(0.0, 2 * np.pi, n)
-    th2 = rng.uniform(0.0, 2 * np.pi, n)
-    # piece with |x| <= R, |y| = R
-    rx_flat = rng.uniform(0.0, R, n_flat)
-    ry_flat = np.full(n_flat, R)
-    # piece with |x| = |y| >= R, log-spread outward
-    r_out = R * np.exp(rng.uniform(0.0, np.log(50.0), n - n_flat))
-    rx = np.concatenate([rx_flat, r_out])
-    ry = np.concatenate([ry_flat, r_out])
-    return rx * np.exp(1j * th1), ry * np.exp(1j * th2)
+def filtration_radius(H: HenonMap) -> FiltrationRadius:
+    """The coefficient bound of the module docstring, a proved radius."""
+    return FiltrationRadius(_coefficient_floor(H))
 
 
-def _certifies(H: HenonMap, R: float, n_samples: int, margin: float) -> bool:
-    rng = np.random.default_rng(20240617)
-    x, y = _boundary_samples(R, n_samples, rng)
-    fx, fy = apply_xy(H, x, y)
-    fwd_ok = np.abs(fy) >= (1.0 + margin) * np.maximum(np.abs(fx), R)
-    # backward invariance of V-: boundary has the roles of x and y swapped
-    bx, by = _boundary_samples(R, n_samples, rng)
-    gx, gy = apply_inverse_xy(H, by, bx)
-    bwd_ok = np.abs(gx) >= (1.0 + margin) * np.maximum(np.abs(gy), R)
-    return bool(np.all(fwd_ok) and np.all(bwd_ok))
+def escape_orbit(H: HenonMap, x, y, r: float, N_max: int, forward: bool = True):
+    """First n <= N_max whose iterate lies in the escape region, with the iterate.
 
-
-@functools.lru_cache(maxsize=64)
-def filtration_radius(
-    H: HenonMap, n_samples: int = 2048, margin: float = 1e-6
-) -> FiltrationRadius:
-    """Doubling search from the coefficient floor, sample-certified.
-
-    Certification checks that images of boundary samples of V+ stay in V+
-    with a strict relative margin (and the mirror statement for H^{-1} on
-    V-).  Raises CertificationFailed past 2^20 times the floor.
+    Forward escape is V+ membership with |y| > 2r along the orbit of H;
+    backward escape is V- membership with |x| > 2r along the orbit of
+    H^{-1}.  Returns (n, x_n, y_n), or None when the orbit misses the region
+    for N_max steps or a coordinate passes BAIL_OUT first.
     """
-    R = _coefficient_floor(H)
-    budget = R * 2.0**20
-    while R <= budget:
-        if _certifies(H, R, n_samples, margin):
-            return FiltrationRadius(R, 2 * n_samples)
-        R *= 2.0
-    raise CertificationFailed(budget)
+    step = apply_xy if forward else apply_inverse_xy
+    cutoff = ESCAPE_MARGIN * r
+    for n in range(N_max + 1):
+        ax, ay = abs(x), abs(y)
+        far, near = (ay, ax) if forward else (ax, ay)
+        if far >= max(near, r) and far > cutoff:
+            return n, x, y
+        if max(ax, ay) > BAIL_OUT:
+            return None
+        if n < N_max:
+            x, y = step(H, x, y)
+    return None
 
 
 def classify_point(
@@ -140,25 +129,12 @@ def classify_point(
 ) -> OrbitClass:
     """First n <= N_max with H^n(z) in the escape region, else bounded.
 
-    Forward escape means V+ membership with |y| > 2R; the backward variant
-    iterates H^{-1} and tests V- with |x| > 2R.
+    The backward variant iterates H^{-1} and tests V-.  An orbit that passes
+    BAIL_OUT without escaping in the requested direction is reported as
+    bounded up to the budget.
     """
-    x, y = complex(z.x), complex(z.y)
-    r = R.R
-    cutoff = ESCAPE_MARGIN * r
-    for n in range(N_max + 1):
-        ax, ay = abs(x), abs(y)
-        if forward:
-            if ay >= max(ax, r) and ay > cutoff:
-                return OrbitClass(OrbitTag.ESCAPED_FORWARD, n)
-        else:
-            if ax >= max(ay, r) and ax > cutoff:
-                return OrbitClass(OrbitTag.ESCAPED_BACKWARD, n)
-        if max(ax, ay) > 1e150:
-            # cannot be classified in the requested direction; treat as
-            # bounded-budget (the other direction's escape test missed it)
-            return OrbitClass(OrbitTag.BOUNDED_UP_TO, N_max)
-        if n == N_max:
-            break
-        x, y = apply_xy(H, x, y) if forward else apply_inverse_xy(H, x, y)
-    return OrbitClass(OrbitTag.BOUNDED_UP_TO, N_max)
+    hit = escape_orbit(H, complex(z.x), complex(z.y), R.R, N_max, forward)
+    if hit is None:
+        return OrbitClass(OrbitTag.BOUNDED_UP_TO, N_max)
+    tag = OrbitTag.ESCAPED_FORWARD if forward else OrbitTag.ESCAPED_BACKWARD
+    return OrbitClass(tag, hit[0])

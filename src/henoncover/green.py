@@ -18,10 +18,12 @@ import numpy as np
 
 from .boettcher import phi_series
 from .filtration import (
+    BAIL_OUT,
     ESCAPE_MARGIN,
     FiltrationRadius,
     OrbitTag,
     classify_point,
+    escape_orbit,
     filtration_radius,
 )
 from .henon import (
@@ -38,6 +40,7 @@ __all__ = [
     "green_plus",
     "green_minus",
     "membership",
+    "escaping_samples",
     "green_plus_grid",
     "escape_time_grid",
 ]
@@ -68,6 +71,35 @@ def _bounded_value(H: HenonMap, R: float, N_max: int) -> GreenValue:
     return GreenValue(0.0, err, N_max)
 
 
+def _refine_plus(H: HenonMap, x, y, steps, tol: float):
+    """G+ at escaped orbit points as (values, error_bounds, depths).
+
+    x[i], y[i] is the orbit of point i at its escape step steps[i].  The
+    value is d^-depth (log|y| + log-product tail) once phi_series bounds
+    the tail; a point whose bound fails is pushed one more step, at most
+    MAX_PUSH times, and then keeps the raw logarithm (a zero tail) with a
+    FALLBACK_TAIL error.  x and y are updated in place.
+    """
+    depths = steps.copy()
+    tail = np.zeros(x.size)
+    errs = np.full(x.size, FALLBACK_TAIL)
+    todo = np.arange(x.size)
+    for push in range(MAX_PUSH + 1):
+        if todo.size == 0:
+            break
+        if push:
+            x[todo], y[todo] = apply_xy(H, x[todo], y[todo])
+            depths[todo] += 1
+        S, perr, ok, _ = phi_series(H, x[todo], y[todo], tol)
+        done = todo[ok]
+        tail[done] = S[ok].real
+        errs[done] = perr[ok]
+        todo = todo[~ok]
+    scale = float(H.d) ** (-depths.astype(float))
+    vals = np.maximum(scale * (np.log(np.abs(y)) + tail), 0.0)
+    return vals, scale * errs, depths
+
+
 def green_plus(
     H: HenonMap,
     z: Point,
@@ -78,35 +110,14 @@ def green_plus(
     """G+(z) with a reported error bound and the orbit depth used."""
     if R is None:
         R = filtration_radius(H)
-    r = R.R
-    cutoff = ESCAPE_MARGIN * r
-    d = H.d
-    x, y = complex(z.x), complex(z.y)
-    for n in range(N_max + 1):
-        if abs(y) >= max(abs(x), r) and abs(y) > cutoff:
-            break
-        if max(abs(x), abs(y)) > 1e150:
-            return _bounded_value(H, r, N_max)
-        if n == N_max:
-            return _bounded_value(H, r, N_max)
-        x, y = apply_xy(H, x, y)
-    else:  # pragma: no cover
-        return _bounded_value(H, r, N_max)
-
-    for push in range(MAX_PUSH + 1):
-        S, err, ok, _ = phi_series(H, np.array([x]), np.array([y]), tol)
-        depth = n + push
-        scale = float(d) ** -depth
-        if ok[0]:
-            value = scale * (np.log(abs(y)) + S[0].real)
-            return GreenValue(max(value, 0.0), scale * float(err[0]), depth)
-        x, y = apply_xy(H, x, y)
-    # product bound kept failing: raw logarithm with a conservative tail
-    depth = n + MAX_PUSH
-    scale = float(d) ** -depth
-    return GreenValue(
-        max(scale * np.log(abs(y)), 0.0), scale * FALLBACK_TAIL, depth
+    hit = escape_orbit(H, complex(z.x), complex(z.y), R.R, N_max)
+    if hit is None:
+        return _bounded_value(H, R.R, N_max)
+    n, x, y = hit
+    vals, errs, depths = _refine_plus(
+        H, np.array([x]), np.array([y]), np.array([n]), tol
     )
+    return GreenValue(float(vals[0]), float(errs[0]), int(depths[0]))
 
 
 def _backward_series(H: HenonMap, x: complex, y: complex, tol: float, max_steps: int = 64):
@@ -148,33 +159,21 @@ def green_minus(
     """G-(z): the mirror of green_plus under H^{-1} and V-."""
     if R is None:
         R = filtration_radius(H)
-    r = R.R
-    cutoff = ESCAPE_MARGIN * r
+    hit = escape_orbit(H, complex(z.x), complex(z.y), R.R, N_max, forward=False)
+    if hit is None:
+        return _bounded_value(H, R.R, N_max)
+    n, x, y = hit
     d = H.d
-    kappa = inverse_leading_constant(H)
-    x, y = complex(z.x), complex(z.y)
-    for n in range(N_max + 1):
-        if abs(x) >= max(abs(y), r) and abs(x) > cutoff:
-            break
-        if max(abs(x), abs(y)) > 1e150:
-            return _bounded_value(H, r, N_max)
-        if n == N_max:
-            return _bounded_value(H, r, N_max)
-        x, y = apply_inverse_xy(H, x, y)
-    else:  # pragma: no cover
-        return _bounded_value(H, r, N_max)
-
-    offset = -np.log(abs(kappa)) / (d - 1.0)
+    offset = -np.log(abs(inverse_leading_constant(H))) / (d - 1.0)
     for push in range(MAX_PUSH + 1):
+        if push:
+            x, y = apply_inverse_xy(H, x, y)
         tail, err, ok = _backward_series(H, x, y, tol)
         depth = n + push
         scale = float(d) ** -depth
         if ok:
             value = scale * (np.log(abs(x)) + offset + tail)
             return GreenValue(max(value, 0.0), scale * err, depth)
-        x, y = apply_inverse_xy(H, x, y)
-    depth = n + MAX_PUSH
-    scale = float(d) ** -depth
     return GreenValue(
         max(scale * np.log(abs(x)), 0.0),
         scale * (FALLBACK_TAIL + abs(offset)),
@@ -191,30 +190,57 @@ def membership(H: HenonMap, z: Point, budget: int = 256) -> Membership:
     return Membership.NON_ESCAPING_UP_TO_BUDGET
 
 
-# ---------------------------------------------------------------------------
-# Vector grid evaluation (renderer backend).  Same formulas as green_plus,
-# run over flat arrays with masks; deterministic for a fixed input order.
+def escaping_samples(
+    H: HenonMap, count: int, seed: int, N_max: int, forward: bool = True
+):
+    """count seeded (z, G(z)) with G = G+ (or G-) > 0.01, z uniform in the 2R box."""
+    rng = np.random.default_rng(seed)
+    R = filtration_radius(H).R
+    green = green_plus if forward else green_minus
+    out = []
+    while len(out) < count:
+        z = Point(
+            2.0 * R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            2.0 * R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+        )
+        g = green(H, z, N_max=N_max)
+        if g.value > 0.01:
+            out.append((z, g.value))
+    return out
 
-def escape_time_grid(H: HenonMap, xs, ys, R: float, N_max: int):
-    """First escape step per point (N_max where the budget ran out)."""
-    x = np.asarray(xs, dtype=complex).ravel().copy()
-    y = np.asarray(ys, dtype=complex).ravel().copy()
-    n_pts = x.size
-    steps = np.full(n_pts, N_max, dtype=np.int64)
-    alive = np.arange(n_pts)
+
+# ---------------------------------------------------------------------------
+# Vector grid evaluation (renderer backend).  The forward escape test of
+# escape_orbit and the refinement of green_plus, run over flat arrays with
+# masks; deterministic for a fixed input order.
+
+def _escape_steps(H: HenonMap, x, y, R: float, N_max: int):
+    """First escape step per point of the flat arrays x, y, or -1.
+
+    Iterates the points still in play in place; an escaped point is never
+    touched again, so x and y hold its escape coordinates on return.
+    """
+    steps = np.full(x.size, -1, dtype=np.int64)
+    alive = np.arange(x.size)
     cutoff = ESCAPE_MARGIN * R
     for n in range(N_max + 1):
-        if alive.size == 0:
-            break
         ax, ay = np.abs(x[alive]), np.abs(y[alive])
         esc = (ay >= np.maximum(ax, R)) & (ay > cutoff)
-        blown = ~esc & (np.maximum(ax, ay) > 1e150)
+        blown = np.maximum(ax, ay) > BAIL_OUT
         steps[alive[esc]] = n
         alive = alive[~esc & ~blown]
         if n == N_max or alive.size == 0:
             break
         x[alive], y[alive] = apply_xy(H, x[alive], y[alive])
-    return steps.reshape(np.asarray(xs).shape)
+    return steps
+
+
+def escape_time_grid(H: HenonMap, xs, ys, R: float, N_max: int):
+    """First escape step per point (N_max where the budget ran out)."""
+    x = np.asarray(xs, dtype=complex).ravel().copy()
+    y = np.asarray(ys, dtype=complex).ravel().copy()
+    steps = _escape_steps(H, x, y, R, N_max)
+    return np.where(steps < 0, N_max, steps).reshape(np.asarray(xs).shape)
 
 
 def green_plus_grid(H: HenonMap, xs, ys, R: float, N_max: int, tol: float = 1e-10):
@@ -222,55 +248,10 @@ def green_plus_grid(H: HenonMap, xs, ys, R: float, N_max: int, tol: float = 1e-1
     shape = np.asarray(xs).shape
     x = np.asarray(xs, dtype=complex).ravel().copy()
     y = np.asarray(ys, dtype=complex).ravel().copy()
-    n_pts = x.size
-    d = H.d
-    vals = np.zeros(n_pts)
-    errs = np.full(n_pts, float(d) ** -N_max * max(1.0, np.log(ESCAPE_MARGIN * R)))
-    depths = np.full(n_pts, N_max, dtype=np.int64)
-    esc_step = np.full(n_pts, -1, dtype=np.int64)
-    ex = np.zeros(n_pts, dtype=complex)
-    ey = np.zeros(n_pts, dtype=complex)
-
-    cutoff = ESCAPE_MARGIN * R
-    alive = np.arange(n_pts)
-    for n in range(N_max + 1):
-        if alive.size == 0:
-            break
-        ax, ay = np.abs(x[alive]), np.abs(y[alive])
-        esc = (ay >= np.maximum(ax, R)) & (ay > cutoff)
-        if esc.any():
-            eidx = alive[esc]
-            esc_step[eidx] = n
-            ex[eidx] = x[eidx]
-            ey[eidx] = y[eidx]
-        blown = ~esc & (np.maximum(ax, ay) > 1e150)
-        alive = alive[~esc & ~blown]
-        if n == N_max or alive.size == 0:
-            break
-        x[alive], y[alive] = apply_xy(H, x[alive], y[alive])
-
-    todo = np.flatnonzero(esc_step >= 0)
-    for push in range(MAX_PUSH + 1):
-        if todo.size == 0:
-            break
-        S, perr, ok, _ = phi_series(H, ex[todo], ey[todo], tol)
-        good = ok
-        gidx = todo[good]
-        depth = esc_step[gidx] + push
-        scale = float(d) ** (-depth.astype(float))
-        vals[gidx] = np.maximum(
-            scale * (np.log(np.abs(ey[gidx])) + S[good].real), 0.0
-        )
-        errs[gidx] = scale * perr[good]
-        depths[gidx] = depth
-        todo = todo[~good]
-        if todo.size and push < MAX_PUSH:
-            ex[todo], ey[todo] = apply_xy(H, ex[todo], ey[todo])
-    if todo.size:
-        depth = esc_step[todo] + MAX_PUSH
-        scale = float(d) ** (-depth.astype(float))
-        vals[todo] = np.maximum(scale * np.log(np.abs(ey[todo])), 0.0)
-        errs[todo] = scale * FALLBACK_TAIL
-        depths[todo] = depth
-
+    steps = _escape_steps(H, x, y, R, N_max)
+    vals = np.zeros(x.size)
+    errs = np.full(x.size, _bounded_value(H, R, N_max).error_bound)
+    depths = np.full(x.size, N_max, dtype=np.int64)
+    esc = np.flatnonzero(steps >= 0)
+    vals[esc], errs[esc], depths[esc] = _refine_plus(H, x[esc], y[esc], steps[esc], tol)
     return vals.reshape(shape), errs.reshape(shape), depths.reshape(shape)

@@ -183,6 +183,11 @@ def apply_inverse(H: HenonMap, z: Point) -> Point:
     return Point(*apply_inverse_xy(H, z.x, z.y))
 
 
+def _c2l(c: complex):
+    """A complex number as the [re, im] pair of the JSON formats."""
+    return [float(np.real(c)), float(np.imag(c))]
+
+
 def _finite(x: complex, y: complex) -> bool:
     return (
         np.isfinite(x.real) and np.isfinite(x.imag)
@@ -301,14 +306,15 @@ class BivariatePoly:
 
 
 @functools.lru_cache(maxsize=64)
-def component_polynomials(H: HenonMap):
-    """(pi_1 H, pi_2 H) as expanded bivariate polynomials."""
+def component_polynomials(H: HenonMap, power: int = 1):
+    """(pi_1 H^power, pi_2 H^power) as expanded bivariate polynomials."""
     cur_x = BivariatePoly.var_x()
     cur_y = BivariatePoly.var_y()
-    for f in H.factors:
-        new_x = cur_y
-        new_y = cur_y.compose_univariate(f.p) - cur_x * f.a
-        cur_x, cur_y = new_x, new_y.trim()
+    for _ in range(power):
+        for f in H.factors:
+            cur_x, cur_y = cur_y, (
+                cur_y.compose_univariate(f.p) - cur_x * f.a
+            ).trim()
     return cur_x.trim(), cur_y.trim()
 
 

@@ -20,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .filtration import filtration_radius
-from .green import green_minus, green_plus
+from .green import escaping_samples, green_minus, green_plus
 from .henon import (
     BivariatePoly,
     HenonError,
     HenonMap,
     Point,
+    _c2l,
     apply_xy,
     component_polynomials,
 )
@@ -137,18 +138,6 @@ def compute_d0(d: int, d_prime: int) -> int:
 # ---------------------------------------------------------------------------
 # symbolic composition helpers
 
-def _symbolic_power(H: HenonMap, k: int):
-    """(pi_1 H^k, pi_2 H^k) as bivariate polynomials."""
-    cur_x = BivariatePoly.var_x()
-    cur_y = BivariatePoly.var_y()
-    for _ in range(k):
-        for fct in H.factors:
-            cur_x, cur_y = cur_y, (
-                cur_y.compose_univariate(fct.p) - cur_x * fct.a
-            ).trim()
-    return cur_x.trim(), cur_y.trim()
-
-
 def _compose_bivariate(P: BivariatePoly, A: BivariatePoly, B: BivariatePoly):
     acc = None
     for i in range(P.c.shape[0] - 1, -1, -1):
@@ -175,7 +164,7 @@ def commutes_with_power(H: HenonMap, L: AffineMap, k: int, tol: float = 1e-9):
     if k < 1:
         raise ValueError("k must be >= 1")
     if H.d**k <= SYMBOLIC_DEGREE_CAP:
-        p1, p2 = _symbolic_power(H, k)
+        p1, p2 = component_polynomials(H, k)
         lhs1 = (p1 * L.e + BivariatePoly.const(L.f)).trim()
         lhs2 = (p2 * L.e_prime + BivariatePoly.const(L.f_prime)).trim()
         ax = (BivariatePoly.var_x() * L.e + BivariatePoly.const(L.f)).trim()
@@ -275,21 +264,6 @@ def fixed_points(
 # ---------------------------------------------------------------------------
 # the finder
 
-def _escaping_samples(H: HenonMap, count: int, forward: bool, seed: int):
-    rng = np.random.default_rng(seed)
-    R = filtration_radius(H)
-    out = []
-    green = green_plus if forward else green_minus
-    while len(out) < count:
-        x = 2.0 * R.R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        y = 2.0 * R.R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        z = Point(x, y)
-        g = green(H, z, N_max=64)
-        if g.value > 0.01:
-            out.append((z, g.value))
-    return out
-
-
 def _permutes(L: AffineMap, pts, tol: float) -> bool:
     if not pts:
         return True
@@ -345,8 +319,8 @@ def find_affine_symmetries(
                         add(L)
             break  # e is determined by the smallest consistent k
 
-    fw = _escaping_samples(H, budget, True, 52815621)
-    bw = _escaping_samples(H, budget, False, 96025233)
+    fw = escaping_samples(H, budget, 52815621, N_max=64)
+    bw = escaping_samples(H, budget, 96025233, N_max=64, forward=False)
 
     verified = []
     max_green = 0.0
@@ -435,10 +409,6 @@ def verify_cyclic(report: SymmetryReport):
 
 # ---------------------------------------------------------------------------
 # persistence
-
-def _c2l(c: complex):
-    return [float(np.real(c)), float(np.imag(c))]
-
 
 def report_to_dict(report: SymmetryReport) -> dict:
     return {

@@ -19,6 +19,7 @@ from .boettcher import bottcher_phi, certify_region
 from .cover import (
     CoverPoint,
     DeckLabel,
+    _qminus_eval,
     build_chart,
     covering_map,
     deck,
@@ -26,9 +27,8 @@ from .cover import (
     psi_tilde,
     r_series,
 )
-from .cover import _qminus_eval  # noqa: F401  (used by the series check)
 from .filtration import filtration_radius
-from .green import green_minus, green_plus
+from .green import escaping_samples, green_minus, green_plus
 from .henon import HenonMap, Point, apply, apply_inverse, apply_xy, iterate
 from .shortc2 import annulus_coordinate, classify_sublevel
 from .symmetry import compute_d0, find_affine_symmetries, verify_cyclic
@@ -51,21 +51,6 @@ def _timed(fn):
     t0 = time.perf_counter()
     out = fn()
     return out, time.perf_counter() - t0
-
-
-def _escaping_points(H: HenonMap, n: int, seed: int, g_min: float = 0.01):
-    rng = np.random.default_rng(seed)
-    R = filtration_radius(H).R
-    pts = []
-    while len(pts) < n:
-        z = Point(
-            2.0 * R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            2.0 * R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-        )
-        g = green_plus(H, z, N_max=96)
-        if g.value > g_min:
-            pts.append((z, g.value))
-    return pts
 
 
 def _region_points(H: HenonMap, region, n: int, seed: int, depth=(1.5, 8.0)):
@@ -139,7 +124,7 @@ def check_filtration_invariance(H: HenonMap, n: int = 10000, seed: int = 13):
 
 def check_green_functorial(H: HenonMap, n: int = 200, seed: int = 17):
     def run():
-        pts = _escaping_points(H, n, seed)
+        pts = escaping_samples(H, n, seed, N_max=96)
         worst = 0.0
         for z, g in pts:
             g2 = green_plus(H, apply(H, z), N_max=96)
@@ -286,16 +271,19 @@ def check_deck(H: HenonMap, chart, pts: int = 20, seed: int = 37):
     return _record("cover.deck_relation", worst, 1e-10, dt)
 
 
-def check_deck_additivity(H: HenonMap, chart, seed: int = 41):
+def check_deck_additivity(
+    H: HenonMap, chart, seed: int = 41, levels: int = 2, zeta_range=(1.2, 2.2)
+):
+    """Deck labels add: k1/d^n then k2/d^n equals (k1 + k2)/d^n, for n <= levels."""
     d = H.d
 
     def run():
         rng = np.random.default_rng(seed)
         worst = 0.0
-        for n in (1, 2):
+        for n in range(1, levels + 1):
             for k1 in range(d**n):
                 for k2 in range(d**n):
-                    zeta = rng.uniform(1.2, 2.2) * np.exp(
+                    zeta = rng.uniform(*zeta_range) * np.exp(
                         1j * rng.uniform(0, 2 * np.pi)
                     )
                     w = CoverPoint(complex(rng.normal(), rng.normal()), zeta)
@@ -356,36 +344,40 @@ def check_r_series(H: HenonMap, chart, n: int = 50, seed: int = 47):
     return _record("cover.series_identity", worst, 1e-8, dt, note=f"{n} points")
 
 
+def brute_force_d0(d: int, d_prime: int) -> int:
+    """Oracle for compute_d0: min (d + d') / q over divisors q built from d's primes."""
+    primes = []
+    m = d
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    combos = [()]
+    for _ in primes:
+        combos = [c + (e,) for c in combos for e in range(11)]
+    best = None
+    for combo in combos:
+        denom = 1
+        for p_, e_ in zip(primes, combo):
+            denom *= p_**e_
+        if (d + d_prime) % denom == 0:
+            val = (d + d_prime) // denom
+            best = val if best is None else min(best, val)
+    return best
+
+
 def check_d0():
     def run():
         if compute_d0(2, 1) != 3 or compute_d0(3, 1) != 4:
             return 1.0
-        # brute-force oracle: minimize (d+d') / (product of prime powers of d)
         for d in range(2, 31):
-            primes = []
-            m = d
-            p = 2
-            while p * p <= m:
-                if m % p == 0:
-                    primes.append(p)
-                    while m % p == 0:
-                        m //= p
-                p += 1
-            if m > 1:
-                primes.append(m)
             for dp in range(1, d + 1):
-                best = None
-                combos = [()]
-                for _ in primes:
-                    combos = [c + (e,) for c in combos for e in range(11)]
-                for combo in combos:
-                    denom = 1
-                    for p_, e_ in zip(primes, combo):
-                        denom *= p_**e_
-                    if (d + dp) % denom == 0:
-                        val = (d + dp) // denom
-                        best = val if best is None else min(best, val)
-                if best != compute_d0(d, dp):
+                if brute_force_d0(d, dp) != compute_d0(d, dp):
                     return 1.0
         return 0.0
 
@@ -409,16 +401,23 @@ def check_symmetry_structure(H: HenonMap, budget: int = 60):
     return _record("symmetry.group_structure", worst, 0.0, dt, note=note)
 
 
-def check_sublevel_equivariance(H: HenonMap, n: int = 100, c: float = 0.8, seed: int = 53):
+def check_sublevel_equivariance(
+    H: HenonMap, n: int = 100, c: float = 0.8, seed: int = 53, half_width=None
+):
+    """z and H(z) fall on the same side of {G+ < c} and {G+ < d c}.
+
+    Samples are uniform in the box |Re|, |Im| <= half_width (default 1.5 R).
+    """
+
     def run():
         rng = np.random.default_rng(seed)
-        R = filtration_radius(H).R
+        h = 1.5 * filtration_radius(H).R if half_width is None else half_width
         mismatches = 0
         used = 0
         while used < n:
             z = Point(
-                1.5 * R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                1.5 * R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                h * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                h * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
             )
             c1 = classify_sublevel(H, c, z, budget=128)
             c2 = classify_sublevel(H, H.d * c, apply(H, z), budget=128)
@@ -435,7 +434,7 @@ def check_sublevel_equivariance(H: HenonMap, n: int = 100, c: float = 0.8, seed:
 
 def check_annulus_modulus(H: HenonMap, chart, n: int = 100, seed: int = 59):
     def run():
-        pts = _escaping_points(H, n, seed)
+        pts = escaping_samples(H, n, seed, N_max=96)
         worst = 0.0
         for z, _ in pts:
             z1 = annulus_coordinate(chart, z)
@@ -508,7 +507,7 @@ def check_iterate_roundtrip(H: HenonMap, seed: int = 61):
 
 # ---------------------------------------------------------------------------
 
-def run_suite(H: HenonMap, level: str = "fast", threads: int = 1):
+def run_suite(H: HenonMap, level: str = "fast"):
     """All checks at the requested scale; 'full' builds the cover chart."""
     fast = level != "full"
     k = 2 if fast else 1  # sample divisor

@@ -1,38 +1,30 @@
 """Acceptance suite: the headline identities at their contract tolerances.
 
-Reference map: H(x, y) = (y, y^2 - 1.1 - 0.8 x).  Each criterion prints
-one PASS/FAIL line (run with -s to see them inline).
+Reference map: H(x, y) = (y, y^2 - 1.1 - 0.8 x).  Each criterion runs the
+matching checks of `henoncover.verification` on its own seeds and sample
+domains and prints one PASS/FAIL line (run with -s to see them inline).
 """
 
 import time
 
 import numpy as np
 
-from henoncover import (
-    AffineMap,
-    CoverPoint,
-    DeckLabel,
-    Point,
-    annulus_coordinate,
-    apply,
-    bottcher_phi,
-    build_chart,
-    certify_region,
-    classify_sublevel,
-    compute_d0,
-    covering_map,
-    deck,
-    find_affine_symmetries,
-    green_plus,
-    lift_H,
-    make_henon,
-    psi_tilde,
-    r_series,
-    verify_cyclic,
+from henoncover import AffineMap, build_chart, find_affine_symmetries, make_henon
+from henoncover.verification import (
+    check_annulus_modulus,
+    check_boettcher,
+    check_chart_semiconjugacy,
+    check_covering_map,
+    check_d0,
+    check_deck,
+    check_deck_additivity,
+    check_green_functorial,
+    check_q_structure,
+    check_r_series,
+    check_render_determinism,
+    check_sublevel_equivariance,
+    check_symmetry_structure,
 )
-from henoncover.cli import GridJob, quantize, render_grid
-from henoncover.cover import _qminus_eval
-from henoncover.verification import _escaping_points, _region_points
 
 H_REF = make_henon([([-1.1, 0, 1], 0.8)])
 
@@ -47,206 +39,94 @@ def reference_chart():
     return _chart_cache["chart"], _chart_cache["build_seconds"]
 
 
-def criterion(num, name, defect, tol, seconds=None, limit=None):
-    ok = defect <= tol and (limit is None or seconds <= limit)
-    t = f", {seconds:.2f}s" + (f" (limit {limit:g}s)" if limit else "") if seconds is not None else ""
-    print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'}  {name}: "
-          f"defect={defect:.3e} tol={tol:.1e}{t}")
-    assert defect <= tol, f"criterion {num} defect {defect:.3e} > {tol:.1e}"
+def criterion(num, name, *records, seconds=None, limit=None):
+    """Print one line for the check records; each must pass, within limit seconds."""
+    if seconds is None:
+        seconds = sum(r["seconds"] for r in records)
+    ok = all(r["passed"] for r in records) and (limit is None or seconds <= limit)
+    defects = ", ".join(
+        f"{r['name']}={r['defect']:.3e} (tol {r['tol']:.1e})" for r in records
+    )
+    t = f" (limit {limit:g}s)" if limit else ""
+    print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'}  {name}: {defects}, {seconds:.2f}s{t}")
+    for r in records:
+        assert r["passed"], f"criterion {num}: {r['name']} defect {r['defect']:.3e} > {r['tol']:.1e}"
     if limit is not None:
         assert seconds <= limit, f"criterion {num} took {seconds:.1f}s > {limit}s"
 
 
 def test_criterion_1_green_functorial():
-    t0 = time.perf_counter()
-    pts = _escaping_points(H_REF, 200, seed=101)
-    worst = 0.0
-    for z, g in pts:
-        g2 = green_plus(H_REF, apply(H_REF, z), N_max=96)
-        worst = max(worst, abs(g2.value - H_REF.d * g) / max(1.0, H_REF.d * g))
-    criterion(1, "Green functorial law", worst, 1e-6,
-              time.perf_counter() - t0, 5.0)
+    criterion(1, "Green functorial law",
+              check_green_functorial(H_REF, n=200, seed=101), limit=5.0)
 
 
 def test_criterion_2_boettcher_consistency():
-    region = certify_region(H_REF)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for z in _region_points(H_REF, region, 100, seed=103):
-        p = bottcher_phi(H_REF, z)
-        p2 = bottcher_phi(H_REF, apply(H_REF, z))
-        worst = max(worst, abs(p2 - p**H_REF.d) / abs(p) ** H_REF.d)
-        g = green_plus(H_REF, z, N_max=96)
-        worst = max(worst, abs(np.log(abs(p)) - g.value))
-    criterion(2, "Bottcher semiconjugacy and potential", worst, 1e-8,
-              time.perf_counter() - t0, 5.0)
+    criterion(2, "Bottcher semiconjugacy and potential",
+              check_boettcher(H_REF, n=100, seed=103), limit=5.0)
 
 
 def test_criterion_3_chart_semiconjugacy():
     chart, build_s = reference_chart()
-    rng = np.random.default_rng(107)
-    worst = 0.0
-    for _ in range(50):
-        y = 2 * chart.inner_radius * rng.uniform(1, 4) * np.exp(2j * np.pi * rng.uniform())
-        x = rng.uniform(0, abs(y) / (3 * chart.region.M)) * np.exp(2j * np.pi * rng.uniform())
-        z = Point(x, y)
-        w1 = psi_tilde(chart, apply(H_REF, z))
-        w2 = lift_H(chart, psi_tilde(chart, z))
-        worst = max(worst,
-                    abs(w1.z - w2.z) / max(1.0, abs(w2.z)),
-                    abs(w1.zeta - w2.zeta) / max(1.0, abs(w2.zeta)))
-    criterion(3, "chart semiconjugacy", worst, 1e-6, build_s, 60.0)
+    criterion(3, "chart semiconjugacy",
+              check_chart_semiconjugacy(H_REF, chart, n=50, seed=107),
+              seconds=build_s, limit=60.0)
 
 
 def test_criterion_4_q_structure():
     chart, _ = reference_chart()
-    deg_ok = chart.Q.degree == H_REF.d + H_REF.d_prime
-    monic = abs(chart.Q.coeffs[-1] - 1.0)
-    agree = chart.meta["two_radius_agreement"]
-    defect = max(0.0 if deg_ok else 1.0, monic / 1e-6, agree / 1e-7)
-    criterion(4, "lift polynomial structure", defect, 1.0)
+    criterion(4, "lift polynomial structure", check_q_structure(H_REF, chart))
 
 
 def test_criterion_5_deck_algebra():
     chart, _ = reference_chart()
-    d = H_REF.d
-    rng = np.random.default_rng(109)
-    worst = 0.0
-    for n in (1, 2, 3):
-        for k in range(1, d**n):
-            for _ in range(20):
-                zeta = rng.uniform(1.2, 2.5) * np.exp(2j * np.pi * rng.uniform())
-                w = CoverPoint(complex(*rng.normal(size=2)), zeta)
-                l1 = lift_H(chart, deck(chart, DeckLabel.reduced(k, n, d), w))
-                l2 = deck(chart, DeckLabel.reduced(k, n - 1, d), lift_H(chart, w))
-                worst = max(worst,
-                            abs(l1.z - l2.z) / max(1.0, abs(l2.z)),
-                            abs(l1.zeta - l2.zeta) / max(1.0, abs(l2.zeta)))
+    rng = np.random.default_rng(109)  # one stream through both checks
     # additivity defects scale like |zeta|^((d+d')d^(n-1)) * eps through the
     # exactly-cancelling monomials, so sample where the cover lives, near
     # the unit circle
-    for n in (1, 2, 3):
-        for k1 in range(d**n):
-            for k2 in range(d**n):
-                zeta = rng.uniform(1.05, 1.7) * np.exp(2j * np.pi * rng.uniform())
-                w = CoverPoint(complex(*rng.normal(size=2)), zeta)
-                l1 = deck(chart, DeckLabel.reduced(k1, n, d),
-                          deck(chart, DeckLabel.reduced(k2, n, d), w))
-                l2 = deck(chart, DeckLabel.reduced(k1 + k2, n, d), w)
-                worst = max(worst,
-                            abs(l1.z - l2.z) / max(1.0, abs(l2.z)),
-                            abs(l1.zeta - l2.zeta) / max(1.0, abs(l2.zeta)))
-    criterion(5, "deck relations and additivity", worst, 1e-10)
+    criterion(5, "deck relations and additivity",
+              check_deck(H_REF, chart, pts=20, seed=rng),
+              check_deck_additivity(H_REF, chart, seed=rng, levels=3,
+                                    zeta_range=(1.05, 1.7)))
 
 
 def test_criterion_6_covering_map():
     chart, _ = reference_chart()
-    rng = np.random.default_rng(113)
-    worst = 0.0
-    for _ in range(30):
-        zeta = rng.uniform(1.15, 2.0) * np.exp(2j * np.pi * rng.uniform())
-        w = CoverPoint(0.4 * complex(*rng.normal(size=2)), zeta)
-        p1 = covering_map(chart, lift_H(chart, w), 20)
-        p2 = apply(H_REF, covering_map(chart, w, 20))
-        scale = max(1.0, abs(p2.x), abs(p2.y))
-        worst = max(worst, max(abs(p1.x - p2.x), abs(p1.y - p2.y)) / scale)
-        q1 = covering_map(chart, deck(chart, DeckLabel.reduced(1, 1, H_REF.d), w), 20)
-        q2 = covering_map(chart, w, 20)
-        scale = max(1.0, abs(q2.x), abs(q2.y))
-        worst = max(worst, max(abs(q1.x - q2.x), abs(q1.y - q2.y)) / scale)
-    criterion(6, "covering equivariance and fibers", worst, 1e-6)
+    criterion(6, "covering equivariance and fibers",
+              check_covering_map(H_REF, chart, n=30, budget=20, seed=113))
 
 
 def test_criterion_7_series_identity():
     chart, _ = reference_chart()
-    rng = np.random.default_rng(127)
-    worst = 0.0
-    for _ in range(50):
-        z = 2 * chart.inner_radius * rng.uniform(1, 3) * np.exp(2j * np.pi * rng.uniform())
-        lhs = (H_REF.jacobian / H_REF.d) * r_series(chart, z) - r_series(chart, z**H_REF.d)
-        worst = max(worst, abs(lhs - _qminus_eval(chart, z)))
-    criterion(7, "correction-series identity", worst, 1e-8)
+    criterion(7, "correction-series identity",
+              check_r_series(H_REF, chart, n=50, seed=127))
 
 
 def test_criterion_8_d0_arithmetic():
-    t0 = time.perf_counter()
-    defect = 0.0
-    if compute_d0(2, 1) != 3 or compute_d0(3, 1) != 4:
-        defect = 1.0
-    for d in range(2, 31):
-        primes = []
-        m, p = d, 2
-        while p * p <= m:
-            if m % p == 0:
-                primes.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            primes.append(m)
-        for dp in range(1, d + 1):
-            combos = [()]
-            for _ in primes:
-                combos = [c + (e,) for c in combos for e in range(11)]
-            best = None
-            for combo in combos:
-                denom = 1
-                for p_, e_ in zip(primes, combo):
-                    denom *= p_**e_
-                if (d + dp) % denom == 0:
-                    val = (d + dp) // denom
-                    best = val if best is None else min(best, val)
-            if best != compute_d0(d, dp):
-                defect = 1.0
-    criterion(8, "d0 arithmetic vs brute force", defect, 0.0,
-              time.perf_counter() - t0, 1.0)
+    criterion(8, "d0 arithmetic vs brute force", check_d0(), limit=1.0)
 
 
 def test_criterion_9_symmetry_finder():
     t0 = time.perf_counter()
     cubic = make_henon([([0, 0, 0, 1], 0.5)])
+    records = [check_symmetry_structure(H, budget=200) for H in (cubic, H_REF)]
+    # the odd cubic commutes with (x, y) -> (-x, -y); the reference map
+    # has no symmetry but the identity
     rep = find_affine_symmetries(cubic, budget=200)
-    defect = 0.0
-    if not any(L.distance(AffineMap(-1, 0, -1, 0)) <= 1e-9 for L in rep.generators):
-        defect = 1.0
-    cyclic, order = verify_cyclic(rep)
-    if not cyclic or (3 + 1) * (3 - 1) % order != 0:
-        defect = 1.0
-    rep2 = find_affine_symmetries(H_REF, budget=200)
-    if rep2.order != 1 or not rep2.generators[0].is_identity():
-        defect = 1.0
-    criterion(9, "affine symmetry finder", defect, 0.0,
-              time.perf_counter() - t0, 120.0)
+    assert any(L.distance(AffineMap(-1, 0, -1, 0)) <= 1e-9 for L in rep.generators)
+    rep = find_affine_symmetries(H_REF, budget=200)
+    assert rep.order == 1 and rep.generators[0].is_identity()
+    criterion(9, "affine symmetry finder", *records,
+              seconds=time.perf_counter() - t0, limit=120.0)
 
 
 def test_criterion_10_short_c2_laws():
     chart, _ = reference_chart()
-    worst = 0.0
-    for z, _g in _escaping_points(H_REF, 100, seed=131):
-        z1 = annulus_coordinate(chart, z)
-        z2 = annulus_coordinate(chart, apply(H_REF, z))
-        worst = max(worst, abs(abs(z2) - abs(z1) ** H_REF.d) / abs(z1) ** H_REF.d)
-    rng = np.random.default_rng(137)
-    c = 0.8
-    used = 0
-    while used < 100:
-        z = Point(complex(*rng.uniform(-6, 6, 2)), complex(*rng.uniform(-6, 6, 2)))
-        c1 = classify_sublevel(H_REF, c, z, budget=128)
-        c2 = classify_sublevel(H_REF, H_REF.d * c, apply(H_REF, z), budget=128)
-        if c1.ambiguous or c2.ambiguous:
-            continue
-        used += 1
-        if c1.tag is not c2.tag:
-            worst = max(worst, 1.0)
-    criterion(10, "sub-level power laws", worst, 1e-8)
+    criterion(10, "sub-level power laws",
+              check_annulus_modulus(H_REF, chart, n=100, seed=131),
+              check_sublevel_equivariance(H_REF, n=100, c=0.8, seed=137,
+                                          half_width=6.0))
 
 
 def test_criterion_11_render_determinism():
-    job = GridJob(plane="real_slice", anchor=0j, center=(0.0, 0.0),
-                  width=4.0, height=4.0, nx=256, ny=256,
-                  quantity="green_plus", c=0.0, clamp=3.0)
-    b1 = quantize(job, render_grid(H_REF, job, budget=48, threads=1)).tobytes()
-    b2 = quantize(job, render_grid(H_REF, job, budget=48, threads=1)).tobytes()
-    b3 = quantize(job, render_grid(H_REF, job, budget=48, threads=8)).tobytes()
-    defect = 0.0 if (b1 == b2 == b3) else 1.0
-    criterion(11, "render determinism (256x256, 1 vs 8 threads)", defect, 0.0)
+    criterion(11, "render determinism (256x256, 1 vs 8 threads)",
+              check_render_determinism(H_REF, size=256))

@@ -376,6 +376,9 @@ def test_chart_dict_format(href_chart):
     text = json.dumps(doc)
     again = chart_from_dict(json.loads(text))
     assert again.Q.coeffs == href_chart.Q.coeffs
+    # charts saved with a sampled radius carry its sample count; it is ignored
+    doc["region"]["R_samples"] = 4096
+    assert chart_from_dict(doc).region == href_chart.region
 
 
 def test_cover_point_validates():

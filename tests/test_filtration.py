@@ -1,3 +1,10 @@
+import cmath
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from henoncover import (
     OrbitTag,
     Point,
@@ -8,7 +15,7 @@ from henoncover import (
     make_henon,
     region_of,
 )
-from henoncover.filtration import _certifies
+from henoncover.henon import apply_inverse_xy, apply_xy
 
 
 def test_region_examples(href_radius):
@@ -26,20 +33,46 @@ def test_region_tie_break(href_radius):
 
 
 def test_radius_exceeds_one(href_radius, hcubic, htwo):
-    assert href_radius.R > 1
-    assert filtration_radius(hcubic).R > 1
-    assert filtration_radius(htwo).R > 1
+    assert href_radius.R == pytest.approx(3.9)
+    assert filtration_radius(hcubic).R == pytest.approx(2.5)
+    assert filtration_radius(htwo).R == pytest.approx(3.1)
 
 
-def test_radius_recertifies_with_denser_sampling(href, href_radius):
-    assert _certifies(href, href_radius.R, 20480, 1e-6)
+# a coefficient or Jacobian factor with modulus in [1e-2, 1e2] and any phase
+_coefficient = st.builds(
+    lambda e, t: cmath.rect(10.0**e, t), st.floats(-2, 2), st.floats(0, 2 * np.pi)
+)
+_factor = st.integers(2, 3).flatmap(
+    lambda deg: st.tuples(st.lists(_coefficient, min_size=deg, max_size=deg), _coefficient)
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(_factor, min_size=1, max_size=2), st.integers(0, 2**32 - 1))
+def test_proved_radius_is_a_filtration(factors, seed):
+    H = make_henon([(cs + [1.0], a) for cs, a in factors])
+    R = filtration_radius(H).R
+    rng = np.random.default_rng(seed)
+    n = 512
+    # the boundary of V+: |y| = R with |x| <= R, and |x| = |y| >= R
+    r_out = R * np.exp(rng.uniform(0.0, np.log(50.0), n))
+    r_near = np.concatenate([rng.uniform(0.0, R, n), r_out])
+    r_far = np.concatenate([np.full(n, R), r_out])
+    near = r_near * np.exp(2j * np.pi * rng.uniform(size=2 * n))
+    far = r_far * np.exp(2j * np.pi * rng.uniform(size=2 * n))
+    margin = 1.0 + 1e-6
+    fx, fy = apply_xy(H, near, far)
+    assert np.all(np.abs(fy) >= margin * np.maximum(np.abs(fx), R))
+    # the boundary of V- is the same set with x and y swapped
+    bx, by = apply_inverse_xy(H, far, near)
+    assert np.all(np.abs(bx) >= margin * np.maximum(np.abs(by), R))
 
 
 def test_radius_grows_with_coefficient_size():
     small = filtration_radius(make_henon([([-1.1, 0, 1], 0.8)]))
     big = filtration_radius(make_henon([([-400.0, 0, 1], 0.8)]))
-    assert big.R > small.R
-    assert _certifies(make_henon([([-400.0, 0, 1], 0.8)]), big.R, 20480, 1e-6)
+    # 2 + |a| + the sum of the non-leading |c_k|
+    assert small.R == pytest.approx(3.9) and big.R == pytest.approx(402.8)
 
 
 def test_classify_deep_point_escapes_immediately(href, href_radius):

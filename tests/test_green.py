@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from henoncover import (
     Membership,
@@ -6,12 +7,14 @@ from henoncover import (
     apply,
     apply_inverse,
     bottcher_phi,
+    classify_point,
+    filtration_radius,
     green_minus,
     green_plus,
     make_henon,
     membership,
 )
-from henoncover.green import green_plus_grid
+from henoncover.green import escape_time_grid, green_plus_grid
 from henoncover.henon import inverse_leading_constant
 
 
@@ -118,3 +121,19 @@ def test_grid_matches_scalar(rng, href, href_radius):
     for x, y, v in zip(xs, ys, vals):
         g = green_plus(href, Point(x, y), N_max=96)
         assert abs(g.value - v) <= 1e-9 * max(1.0, v)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_escape_time_grid_matches_classify_point(request, rng, name):
+    H = request.getfixturevalue(name)
+    R = filtration_radius(H)
+    shape = (15, 20)
+    xs = 0.5 * R.R * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    ys = 0.5 * R.R * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    steps = escape_time_grid(H, xs, ys, R.R, 64)
+    want = [
+        classify_point(H, Point(x, y), R, 64).n for x, y in zip(xs.flat, ys.flat)
+    ]
+    assert steps.shape == shape
+    assert steps.ravel().tolist() == want
+    assert 0 < sum(n == 64 for n in want) < len(want)  # both kinds of orbit

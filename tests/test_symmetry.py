@@ -19,33 +19,7 @@ from henoncover.symmetry import (
     report_to_dict,
     save_report,
 )
-
-
-def brute_force_d0(d, dp):
-    primes = set()
-    m = d
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.add(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.add(m)
-    primes = sorted(primes)
-    best = None
-    combos = [()]
-    for _ in primes:
-        combos = [c + (e,) for c in combos for e in range(11)]
-    for combo in combos:
-        denom = 1
-        for p_, e_ in zip(primes, combo):
-            denom *= p_**e_
-        if (d + dp) % denom == 0:
-            val = (d + dp) // denom
-            best = val if best is None else min(best, val)
-    return best
+from henoncover.verification import brute_force_d0
 
 
 def test_d0_paper_values():
