@@ -10,8 +10,10 @@ q = pi_2(H) - y^d, with principal logarithms (each factor satisfies
 |q/y^d| <= 1/2 inside the working region, enforced step by step).
 
 All kernels operate on numpy arrays; the public single-point API wraps
-them.  The working region is W+_M = {|y| > M*max(|x|, R)} with M doubled
-until sampled bounds certify |phi/y - 1| and |dphi/dy - 1| below epsilon.
+them.  dphi/dy comes from the same product loop, which can carry the
+tangent of the orbit in y alongside phi (forward-mode differentiation).
+The working region is W+_M = {|y| > M*max(|x|, R)} with M doubled until
+sampled bounds certify |phi/y - 1| and |dphi/dy - 1| below epsilon.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "in_region_xy",
 ]
 
-CAUCHY_NODES = 32
 PRODUCT_BOUND = 0.5  # enforced per-factor bound on |q/y^d|
 
 
@@ -95,12 +96,21 @@ def _q_coeff_bound(H: HenonMap) -> float:
     return 1.0 + float(np.abs(q.c).sum())
 
 
-def phi_series(H: HenonMap, x, y, tol: float = 1e-12, max_steps: int = 64):
+def phi_series(
+    H: HenonMap, x, y, tol: float = 1e-12, max_steps: int = 64, dy: bool = False
+):
     """Accumulated log-product S with phi = y * exp(S).
 
     Returns (S, err, ok, bad_step) as arrays matching x/y.  err bounds the
     truncation tail of S; ok is False where some factor violated
     |q/y^d| <= 1/2 (bad_step records the first offending step, -1 if none).
+
+    With dy=True the tangent (dx, dy) of the orbit in the initial y is
+    pushed through each factor as (dx, dy) -> (dy, p'(y) dy - a dx), and a
+    fifth array dS = dS/dy is accumulated over the same factors, so that
+    dphi/dy = exp(S) * (1 + y dS) (forward-mode differentiation).  It is
+    off by default: the tangent adds 50-100 % to the cost, and the Green's
+    function and render paths need S alone.
     """
     x_in = np.asarray(x, dtype=complex)
     shape = x_in.shape
@@ -116,6 +126,11 @@ def phi_series(H: HenonMap, x, y, tol: float = 1e-12, max_steps: int = 64):
     ycap = 10.0 ** (280.0 / d)
     c0 = _q_coeff_bound(H)
     c_est = np.full(n, c0)
+    if dy:
+        tx = np.zeros(n, dtype=complex)
+        ty = np.ones(n, dtype=complex)
+        dS = np.zeros(n, dtype=complex)
+        slopes = [f.p.derivative() for f in H.factors]
 
     for j in range(max_steps):
         if alive.size == 0:
@@ -134,7 +149,13 @@ def phi_series(H: HenonMap, x, y, tol: float = 1e-12, max_steps: int = 64):
             if alive.size == 0:
                 break
 
-        nx, ny = apply_xy(H, ax, ay)
+        if dy:
+            nx, ny, ntx, nty = ax, ay, tx[alive], ty[alive]
+            for f, dp in zip(H.factors, slopes):
+                nx, ny = ny, f.p(ny) - f.a * nx
+                ntx, nty = nty, dp(nx) * nty - f.a * ntx
+        else:
+            nx, ny = apply_xy(H, ax, ay)
         w = ny / ay**d - 1.0
         aw = np.abs(w)
 
@@ -149,6 +170,8 @@ def phi_series(H: HenonMap, x, y, tol: float = 1e-12, max_steps: int = 64):
         term = scale * np.log(1.0 + w[good])
         S[gidx] += term
         c_est[gidx] = np.maximum(aw[good] * mag[good], 1e-300)
+        if dy:
+            dS[gidx] += scale * (nty[good] / ny[good] - d * ty[gidx] / ay[good])
 
         # terms shrink at least geometrically (|w| ~ C/|y| and |y| blows up
         # doubly exponentially); once below tol, twice the current term
@@ -159,17 +182,21 @@ def phi_series(H: HenonMap, x, y, tol: float = 1e-12, max_steps: int = 64):
         keep = gidx[~done]
         x[keep] = nx[good][~done]
         y[keep] = ny[good][~done]
+        if dy:
+            tx[keep] = ntx[good][~done]
+            ty[keep] = nty[good][~done]
         alive = keep
 
     if alive.size:
         err[alive] += float(d) ** -(max_steps + 1)
 
-    return (
+    out = (
         S.reshape(shape),
         err.reshape(shape),
         ok.reshape(shape),
         bad_step.reshape(shape),
     )
+    return out + (dS.reshape(shape),) if dy else out
 
 
 def phi_vec(H: HenonMap, x, y, tol: float = 1e-12):
@@ -229,12 +256,10 @@ def certify_region(
             ratio = np.abs(phi / y - 1.0)
             eps_obs = float(ratio.max())
             if eps_obs <= eps:
-                region = BoettcherRegion(M, fr, eps, n_boundary)
-                # derivative and inverse bounds on subsamples, slightly
-                # inside so the Cauchy circle fits
-                xs, ys = x[:200], y[:200] * 1.1
-                dp, dok = dphi_dy_vec(H, xs, ys, region)
-                lam, lok = lambda_vec(H, xs, ys, region)
+                # derivative and inverse bounds on a subsample
+                xs, ys = x[:200], y[:200]
+                dp, dok = dphi_dy_vec(H, xs, ys)
+                lam, lok = lambda_vec(H, xs, ys)
                 if (
                     dok.all()
                     and lok.all()
@@ -251,95 +276,51 @@ def certify_region(
     raise OutsideRegion(detail="no M up to 2^20 certified the region bounds")
 
 
-def dphi_dy_vec(
-    H: HenonMap,
-    x,
-    y,
-    region: BoettcherRegion,
-    tol: float = 1e-12,
-    cap_radius: bool = False,
-):
-    """Cauchy-circle derivative of phi in y, vectorized.
-
-    Circle radius |y|/(4M) with 32 nodes; rounding noise of the node sum is
-    then eps*4M independent of |y|.  cap_radius additionally caps the
-    radius at 1 (the single-point contract of dphi_dy), which is fine for
-    moderate |y| but loses absolute accuracy like eps*|y| far out, so the
-    batched chart pipeline leaves it off.  Returns (dphi, ok).
-    """
-    x = np.asarray(x, dtype=complex)
+def dphi_dy_vec(H: HenonMap, x, y, tol: float = 1e-12):
+    """dphi/dy from the tangent pass of phi_series; returns (dphi, ok)."""
     y = np.asarray(y, dtype=complex)
-    r = np.abs(y) / (4.0 * region.M)
-    if cap_radius:
-        r = np.minimum(1.0, r)
-    theta = 2.0 * np.pi * np.arange(CAUCHY_NODES) / CAUCHY_NODES
-    rot = np.exp(1j * theta)
-    nodes = y[..., None] + r[..., None] * rot
-    xn = np.broadcast_to(x[..., None], nodes.shape)
-    phi, _, okn, _ = phi_vec(H, xn.ravel(), nodes.ravel(), tol)
-    phi = phi.reshape(nodes.shape)
-    okn = okn.reshape(nodes.shape).all(axis=-1)
-    deriv = (phi * np.conj(rot)).sum(axis=-1) / (CAUCHY_NODES * r)
-    return deriv, okn
+    S, _, ok, _, dS = phi_series(H, x, y, tol, dy=True)
+    return np.exp(S) * (1.0 + y * dS), ok
 
 
 def dphi_dy(H: HenonMap, z: Point, region: BoettcherRegion | None = None) -> complex:
-    """Derivative of phi in y over a circle of radius min(1, |y|/(4M))."""
+    """Derivative of phi in y at a point of W+_M."""
     if region is None:
         region = certify_region(H)
     if not in_region_xy(np.asarray(z.x), np.asarray(z.y), region.M, region.R.R):
         raise OutsideRegion(detail="center outside W+_M")
-    d, ok = dphi_dy_vec(H, [z.x], [z.y], region, cap_radius=True)
+    d, ok = dphi_dy_vec(H, [z.x], [z.y])
     if not ok[0]:
-        raise OutsideRegion(detail="Cauchy node outside product region")
+        raise OutsideRegion(detail="orbit left the product region")
     return complex(d[0])
 
 
-def lambda_vec(
-    H: HenonMap,
-    x,
-    w,
-    region: BoettcherRegion,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-):
+def lambda_vec(H: HenonMap, x, w, tol: float = 1e-12, max_iter: int = 50):
     """Solve phi(x, y) = w for y, vectorized Newton from y = w.
 
-    The slope dphi/dy is evaluated at the initial guess and refreshed only
-    when progress stalls (it is within epsilon of 1 across the region).
-    Returns (y, ok).
+    Each step takes phi and its exact slope dphi/dy from one tangent pass
+    of phi_series.  Returns (y, ok).
     """
     x = np.asarray(x, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    y = w.astype(complex).copy()
-    slope, sok = dphi_dy_vec(H, x, y, region)
-    slope = np.where(sok, slope, 1.0)
+    y = w.copy()
     ok = np.ones(w.shape, dtype=bool)
     active = np.ones(w.shape, dtype=bool)
-    prev_res = np.full(w.shape, np.inf)
-    stall = np.zeros(w.shape, dtype=int)
-    for it in range(max_iter):
+    for _ in range(max_iter):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        phi, _, pok, _ = phi_vec(H, x[idx], y[idx], tol)
-        f = phi - w[idx]
+        yi = y[idx]
+        S, _, pok, _, dS = phi_series(H, x[idx], yi, tol, dy=True)
+        e = np.exp(S)
+        f = yi * e - w[idx]
         res = np.abs(f) / np.maximum(np.abs(w[idx]), 1e-300)
         conv = res <= tol
         bad = ~pok
         ok[idx[bad]] = False
         active[idx[bad | conv]] = False
         upd = ~(bad | conv)
-        uidx = idx[upd]
-        y[uidx] = y[uidx] - f[upd] / slope[uidx]
-        slow = res[upd] > 0.5 * prev_res[uidx]
-        stall[uidx[slow]] += 1
-        prev_res[uidx] = res[upd]
-        refresh = uidx[stall[uidx] >= 3]
-        if refresh.size:
-            s2, s2ok = dphi_dy_vec(H, x[refresh], y[refresh], region)
-            slope[refresh] = np.where(s2ok, s2, slope[refresh])
-            stall[refresh] = 0
+        y[idx[upd]] = yi[upd] - f[upd] / (e[upd] * (1.0 + yi[upd] * dS[upd]))
     ok &= ~active
     return y, ok
 
@@ -357,16 +338,16 @@ def lambda_inverse(
         region = certify_region(H)
     if not in_region_xy(np.asarray(x), np.asarray(w), region.M, region.R.R):
         raise OutsideRegion(detail="(x, w) outside W+_M")
-    y, ok = lambda_vec(H, [x], [w], region, tol, max_iter)
+    y, ok = lambda_vec(H, [x], [w], tol, max_iter)
     if not ok[0]:
         raise NoConvergence(max_iter)
     return complex(y[0])
 
 
-def dlambda_dy_vec(H: HenonMap, x, w, region: BoettcherRegion, tol: float = 1e-12):
+def dlambda_dy_vec(H: HenonMap, x, w, tol: float = 1e-12):
     """1 / dphi_dy at the matched point (x, lambda(x, w))."""
-    y, ok = lambda_vec(H, x, w, region, tol)
-    d, dok = dphi_dy_vec(H, x, y, region, tol)
+    y, ok = lambda_vec(H, x, w, tol)
+    d, dok = dphi_dy_vec(H, x, y, tol)
     return 1.0 / d, ok & dok
 
 

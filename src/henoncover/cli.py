@@ -22,7 +22,7 @@ from . import verification
 from .cover import build_chart, save_chart
 from .filtration import filtration_radius
 from .green import escape_time_grid, green_minus, green_plus, green_plus_grid
-from .henon import HenonError, HenonMap, Point, _c2l, make_henon
+from .henon import HenonError, HenonMap, Point, _c2l, _factors_json, make_henon
 from .shortc2 import classify_sublevel
 from .symmetry import compute_d0, find_affine_symmetries, save_report
 
@@ -136,10 +136,7 @@ def parse_spec_file(path) -> MapSpec:
 def canonical_spec(spec: MapSpec) -> dict:
     return {
         "name": spec.name,
-        "factors": [
-            {"p": [_c2l(c) for c in f.p.coeffs], "a": _c2l(f.a)}
-            for f in spec.henon.factors
-        ],
+        "factors": _factors_json(spec.henon),
     }
 
 

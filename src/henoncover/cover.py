@@ -42,6 +42,8 @@ from .henon import (
     HenonMap,
     Point,
     _c2l,
+    _factors_json,
+    _l2c,
     first_component_axis_poly,
     iterate,
     make_henon,
@@ -163,7 +165,7 @@ class CoverChart:
 _GL_NODES = 24
 _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
 
-# inner solves (lambda Newton, phi series, Cauchy derivative) run far below
+# inner solves (lambda Newton, phi series and its tangent) run far below
 # the quadrature target; sample noise otherwise scales with the integrand
 # magnitude and poisons the Fourier coefficients of Qtilde.  Kept a factor
 # above the double rounding floor so the Newton residual test stays reachable.
@@ -203,7 +205,7 @@ def _psi_batch(
         s, wts = _composite_nodes(panels)
         T = X[:, None] * s[None, :]
         Wb = np.broadcast_to(W[:, None], T.shape)
-        F, ok = dlambda_dy_vec(H, T.ravel(), Wb.ravel(), region, _INNER_TOL)
+        F, ok = dlambda_dy_vec(H, T.ravel(), Wb.ravel(), _INNER_TOL)
         if not ok.all():
             raise SegmentOutsideRegion("integrand node failed region solve")
         F = F.reshape(T.shape)
@@ -239,7 +241,7 @@ def psi_integral(
 def _qtilde_batch(H: HenonMap, region: BoettcherRegion, zetas, tol: float = 1e-11):
     """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d) on an array of zetas."""
     zetas = np.asarray(zetas, dtype=complex)
-    lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, region, _INNER_TOL, 100)
+    lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL, 100)
     if not ok.all():
         raise NoConvergence(100)
     p1 = first_component_axis_poly(H)
@@ -455,7 +457,7 @@ def psi_tilde_inverse(
         f = val - z_target
         if abs(f) <= tol * scale:
             break
-        slope, ok = dlambda_dy_vec(chart.H, [x], [zeta], chart.region)
+        slope, ok = dlambda_dy_vec(chart.H, [x], [zeta])
         if not ok[0]:
             raise NewtonNoConvergence(max_iter)
         x = x - f / (zeta * complex(slope[0]))
@@ -533,19 +535,10 @@ def covering_map(chart: CoverChart, w: CoverPoint, budget: int = 20) -> Point:
 # ---------------------------------------------------------------------------
 # persistence
 
-def _l2c(v) -> complex:
-    return complex(v[0], v[1])
-
-
 def chart_to_dict(chart: CoverChart) -> dict:
     return {
         "format": "henoncover-chart-v1",
-        "map": {
-            "factors": [
-                {"p": [_c2l(c) for c in f.p.coeffs], "a": _c2l(f.a)}
-                for f in chart.H.factors
-            ]
-        },
+        "map": {"factors": _factors_json(chart.H)},
         "region": {
             "M": chart.region.M,
             "R": chart.region.R.R,

@@ -188,6 +188,16 @@ def _c2l(c: complex):
     return [float(np.real(c)), float(np.imag(c))]
 
 
+def _l2c(v) -> complex:
+    """The inverse of _c2l."""
+    return complex(v[0], v[1])
+
+
+def _factors_json(H: HenonMap) -> list:
+    """The map's factors as [{"p": [[re, im], ...], "a": [re, im]}, ...]."""
+    return [{"p": [_c2l(c) for c in f.p.coeffs], "a": _c2l(f.a)} for f in H.factors]
+
+
 def _finite(x: complex, y: complex) -> bool:
     return (
         np.isfinite(x.real) and np.isfinite(x.imag)

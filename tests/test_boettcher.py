@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henoncover import (
     Point,
     alpha_of_loop,
     apply,
     bottcher_phi,
+    certify_region,
     dlambda_dy,
     dphi_dy,
     green_plus,
@@ -15,8 +18,10 @@ from henoncover import (
     make_henon,
     q_correction,
 )
-from henoncover.boettcher import NoConvergence, OutsideRegion
+from henoncover.boettcher import NoConvergence, OutsideRegion, dphi_dy_vec, phi_vec
 from henoncover.henon import apply_xy, second_component_correction
+
+from strategies import henon_maps
 
 
 def region_samples(rng, region, n):
@@ -139,8 +144,39 @@ def test_derivative_matches_finite_difference(rng, href, href_region):
         assert abs(dp - fd) <= 1e-6 * abs(fd)
 
 
+def cauchy_dphi_dy(H, x, y, M):
+    """dphi/dy as the 32-node Cauchy sum over the circle of radius |y|/(4M)."""
+    r = np.abs(y) / (4.0 * M)
+    rot = np.exp(2j * np.pi * np.arange(32) / 32)
+    circle = y[:, None] + r[:, None] * rot
+    phi, _, ok, _ = phi_vec(H, np.broadcast_to(x[:, None], circle.shape), circle)
+    return (phi * np.conj(rot)).mean(axis=1) / r, ok.all(axis=1)
+
+
+def assert_tangent_matches_cauchy(H, n, seed):
+    region = certify_region(H)
+    pts = region_samples(np.random.default_rng(seed), region, n)
+    x = np.array([z.x for z in pts], dtype=complex)
+    y = np.array([z.y for z in pts], dtype=complex)
+    dp, ok = dphi_dy_vec(H, x, y)
+    ref, ref_ok = cauchy_dphi_dy(H, x, y, region.M)
+    assert ok.all() and ref_ok.all()
+    assert np.max(np.abs(dp - ref) / np.abs(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_tangent_derivative_matches_cauchy_oracle(name, request):
+    assert_tangent_matches_cauchy(request.getfixturevalue(name), 500, 31)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_tangent_derivative_matches_cauchy_on_random_maps(H, seed):
+    assert_tangent_matches_cauchy(H, 50, seed)
+
+
 def test_region_epsilon_certified_on_boundary(rng, href, href_region):
-    from henoncover.boettcher import _region_boundary_samples, phi_vec
+    from henoncover.boettcher import _region_boundary_samples
 
     assert href_region.epsilon < 0.5
     x, y = _region_boundary_samples(href_region.R.R, href_region.M, 500, rng)

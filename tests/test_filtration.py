@@ -1,5 +1,3 @@
-import cmath
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +14,8 @@ from henoncover import (
     region_of,
 )
 from henoncover.henon import apply_inverse_xy, apply_xy
+
+from strategies import henon_maps
 
 
 def test_region_examples(href_radius):
@@ -38,19 +38,9 @@ def test_radius_exceeds_one(href_radius, hcubic, htwo):
     assert filtration_radius(htwo).R == pytest.approx(3.1)
 
 
-# a coefficient or Jacobian factor with modulus in [1e-2, 1e2] and any phase
-_coefficient = st.builds(
-    lambda e, t: cmath.rect(10.0**e, t), st.floats(-2, 2), st.floats(0, 2 * np.pi)
-)
-_factor = st.integers(2, 3).flatmap(
-    lambda deg: st.tuples(st.lists(_coefficient, min_size=deg, max_size=deg), _coefficient)
-)
-
-
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(st.lists(_factor, min_size=1, max_size=2), st.integers(0, 2**32 - 1))
-def test_proved_radius_is_a_filtration(factors, seed):
-    H = make_henon([(cs + [1.0], a) for cs, a in factors])
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_proved_radius_is_a_filtration(H, seed):
     R = filtration_radius(H).R
     rng = np.random.default_rng(seed)
     n = 512
