@@ -295,15 +295,18 @@ def dphi_dy(H: HenonMap, z: Point, region: BoettcherRegion | None = None) -> com
     return complex(d[0])
 
 
-def lambda_vec(H: HenonMap, x, w, tol: float = 1e-12, max_iter: int = 50):
+def _lambda_newton(H: HenonMap, x, w, tol: float, max_iter: int = 50):
     """Solve phi(x, y) = w for y, vectorized Newton from y = w.
 
-    Each step takes phi and its exact slope dphi/dy from one tangent pass
-    of phi_series.  Returns (y, ok).
+    Each round takes phi and its exact slope dphi/dy from one tangent pass
+    of phi_series.  Returns (y, ok, dphi), where dphi is the slope from the
+    last round that evaluated each point; at a converged point that round
+    evaluated exactly the returned y.
     """
     x = np.asarray(x, dtype=complex)
     w = np.asarray(w, dtype=complex)
     y = w.copy()
+    dphi = np.full_like(y, np.nan)
     ok = np.ones(w.shape, dtype=bool)
     active = np.ones(w.shape, dtype=bool)
     for _ in range(max_iter):
@@ -313,6 +316,8 @@ def lambda_vec(H: HenonMap, x, w, tol: float = 1e-12, max_iter: int = 50):
         yi = y[idx]
         S, _, pok, _, dS = phi_series(H, x[idx], yi, tol, dy=True)
         e = np.exp(S)
+        slope = e * (1.0 + yi * dS)
+        dphi[idx] = slope
         f = yi * e - w[idx]
         res = np.abs(f) / np.maximum(np.abs(w[idx]), 1e-300)
         conv = res <= tol
@@ -320,8 +325,14 @@ def lambda_vec(H: HenonMap, x, w, tol: float = 1e-12, max_iter: int = 50):
         ok[idx[bad]] = False
         active[idx[bad | conv]] = False
         upd = ~(bad | conv)
-        y[idx[upd]] = yi[upd] - f[upd] / (e[upd] * (1.0 + yi[upd] * dS[upd]))
+        y[idx[upd]] = yi[upd] - f[upd] / slope[upd]
     ok &= ~active
+    return y, ok, dphi
+
+
+def lambda_vec(H: HenonMap, x, w, tol: float = 1e-12, max_iter: int = 50):
+    """Solve phi(x, y) = w for y by Newton from y = w; returns (y, ok)."""
+    y, ok, _ = _lambda_newton(H, x, w, tol, max_iter)
     return y, ok
 
 
@@ -345,10 +356,13 @@ def lambda_inverse(
 
 
 def dlambda_dy_vec(H: HenonMap, x, w, tol: float = 1e-12):
-    """1 / dphi_dy at the matched point (x, lambda(x, w))."""
-    y, ok = lambda_vec(H, x, w, tol)
-    d, dok = dphi_dy_vec(H, x, y, tol)
-    return 1.0 / d, ok & dok
+    """1 / dphi_dy at the matched point (x, lambda(x, w)); returns (dl, ok).
+
+    The slope is the one from the Newton round that converged, which
+    evaluated dphi/dy at exactly the returned y.
+    """
+    _, ok, dphi = _lambda_newton(H, x, w, tol)
+    return 1.0 / dphi, ok
 
 
 def dlambda_dy(

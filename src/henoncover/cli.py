@@ -2,8 +2,9 @@
 
 Subcommands: info, render, verify, cover, symmetries, classify, green.
 All persisted artifacts are JSON (complex numbers as [re, im] pairs);
-images are binary PGM (P5, maxval 65535) built row by row into a
-preallocated buffer so bytes are independent of the worker count.
+images are binary PGM (P5, maxval 65535) built tile by tile (blocks of
+whole rows, one grid-kernel call each) into a preallocated buffer, so
+bytes are independent of the worker count.
 Exit codes: 0 ok, 1 verification failure, 2 input error.
 """
 
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 MAX_PIXELS = 16384 * 16384
+# pixels per render tile: one grid-kernel call covers this many points
+TILE_POINTS = 16384
 SUBLEVEL_SHADES = {"k_plus": 0, "omega_prime": 32768, "outside": 65535}
 
 
@@ -179,15 +182,21 @@ def parse_grid_job(data) -> GridJob:
     )
 
 
-def _row_points(job: GridJob, j: int):
+def _tile_points(job: GridJob, j0: int, j1: int):
+    """Pixel centres of rows j0..j1-1 as two (j1 - j0, nx) complex arrays."""
     i = np.arange(job.nx)
+    j = np.arange(j0, j1)
     u = job.center[0] - 0.5 * job.width + (i + 0.5) * (job.width / job.nx)
     v = job.center[1] + 0.5 * job.height - (j + 0.5) * (job.height / job.ny)
+    shape = (j1 - j0, job.nx)
     if job.plane == "fix_x":
-        return np.full(job.nx, job.anchor, dtype=complex), u + 1j * v
+        return np.full(shape, job.anchor, dtype=complex), u + 1j * v[:, None]
     if job.plane == "fix_y":
-        return u + 1j * v, np.full(job.nx, job.anchor, dtype=complex)
-    return u.astype(complex), np.full(job.nx, complex(v), dtype=complex)
+        return u + 1j * v[:, None], np.full(shape, job.anchor, dtype=complex)
+    return (
+        np.broadcast_to(u.astype(complex), shape),
+        np.broadcast_to(v[:, None].astype(complex), shape),
+    )
 
 
 def render_grid(
@@ -195,40 +204,44 @@ def render_grid(
 ):
     """Raw quantity values, row-major float array of shape (ny, nx).
 
-    Rows are computed independently (vectorized over columns) so the
-    result does not depend on how rows are distributed over workers.
+    The rows are cut into tiles of TILE_POINTS // nx whole rows (at least
+    one), and each tile is one call of the elementwise grid kernels.  A
+    pixel's value depends only on its own coordinates, and the tiles are
+    fixed by the job alone, so the result is the same for any number of
+    worker threads.
     """
     R = filtration_radius(H).R
     out = np.empty((job.ny, job.nx), dtype=float)
+    rows = max(1, TILE_POINTS // job.nx)
 
-    def fill_row(j: int):
-        xs, ys = _row_points(job, j)
+    def fill_tile(j0: int):
+        j1 = min(j0 + rows, job.ny)
+        xs, ys = _tile_points(job, j0, j1)
         if job.quantity == "escape_time":
-            out[j, :] = escape_time_grid(H, xs, ys, R, budget).astype(float)
-        else:
-            vals, errs, depths = green_plus_grid(H, xs, ys, R, budget, tol)
-            if job.quantity == "green_plus":
-                out[j, :] = vals
-            else:
-                bounded = (vals == 0.0) & (depths == budget)
-                shades = np.where(
-                    bounded,
-                    float(SUBLEVEL_SHADES["k_plus"]),
-                    np.where(
-                        vals < job.c,
-                        float(SUBLEVEL_SHADES["omega_prime"]),
-                        float(SUBLEVEL_SHADES["outside"]),
-                    ),
-                )
-                out[j, :] = shades
+            out[j0:j1] = escape_time_grid(H, xs, ys, R, budget)
+            return
+        vals, _, depths = green_plus_grid(H, xs, ys, R, budget, tol)
+        if job.quantity == "green_plus":
+            out[j0:j1] = vals
+            return
+        bounded = (vals == 0.0) & (depths == budget)
+        out[j0:j1] = np.where(
+            bounded,
+            float(SUBLEVEL_SHADES["k_plus"]),
+            np.where(
+                vals < job.c,
+                float(SUBLEVEL_SHADES["omega_prime"]),
+                float(SUBLEVEL_SHADES["outside"]),
+            ),
+        )
 
-    rows = range(job.ny)
+    tiles = range(0, job.ny, rows)
     if threads <= 1:
-        for j in rows:
-            fill_row(j)
+        for j0 in tiles:
+            fill_tile(j0)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, rows))
+            list(pool.map(fill_tile, tiles))
     return out
 
 

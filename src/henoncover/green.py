@@ -217,21 +217,27 @@ def escaping_samples(
 def _escape_steps(H: HenonMap, x, y, R: float, N_max: int):
     """First escape step per point of the flat arrays x, y, or -1.
 
-    Iterates the points still in play in place; an escaped point is never
-    touched again, so x and y hold its escape coordinates on return.
+    Iterates compact copies of the points still in play and writes each
+    escaped point's coordinates back into x and y at its escape step, so
+    x and y hold the escape coordinates of every escaped point on return
+    (the other entries are left as given).
     """
     steps = np.full(x.size, -1, dtype=np.int64)
-    alive = np.arange(x.size)
+    idx = np.arange(x.size)
+    cx, cy = x, y
     cutoff = ESCAPE_MARGIN * R
     for n in range(N_max + 1):
-        ax, ay = np.abs(x[alive]), np.abs(y[alive])
+        ax, ay = np.abs(cx), np.abs(cy)
         esc = (ay >= np.maximum(ax, R)) & (ay > cutoff)
-        blown = np.maximum(ax, ay) > BAIL_OUT
-        steps[alive[esc]] = n
-        alive = alive[~esc & ~blown]
-        if n == N_max or alive.size == 0:
+        if esc.any():
+            hit = idx[esc]
+            steps[hit] = n
+            x[hit], y[hit] = cx[esc], cy[esc]
+        keep = ~esc & (np.maximum(ax, ay) <= BAIL_OUT)
+        if n == N_max or not keep.any():
             break
-        x[alive], y[alive] = apply_xy(H, x[alive], y[alive])
+        idx = idx[keep]
+        cx, cy = apply_xy(H, cx[keep], cy[keep])
     return steps
 
 

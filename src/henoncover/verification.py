@@ -385,20 +385,22 @@ def check_d0():
     return _record("symmetry.d0", worst, 0.0, dt, note="oracle sweep d<=30")
 
 
-def check_symmetry_structure(H: HenonMap, budget: int = 60):
-    def run():
-        rep = find_affine_symmetries(H, budget=budget)
-        cyclic, order = verify_cyclic(rep)
-        bound = (H.d + H.d_prime) * (H.d - 1)
-        bad = 0.0
-        if not cyclic:
-            bad = 1.0
-        if order < 1 or bound % order != 0:
-            bad = 1.0
-        return bad, f"order={order}, bound={bound}, green={rep.max_green_defect:.1e}"
+def symmetry_structure_record(H: HenonMap, report, seconds: float = 0.0):
+    """Group-structure test of a symmetry report as a check record.
 
-    (worst, note), dt = _timed(run)
-    return _record("symmetry.group_structure", worst, 0.0, dt, note=note)
+    The verified group must be cyclic with an order dividing the bound
+    (d + d')(d - 1).
+    """
+    cyclic, order = verify_cyclic(report)
+    bound = (H.d + H.d_prime) * (H.d - 1)
+    bad = 0.0 if cyclic and order >= 1 and bound % order == 0 else 1.0
+    note = f"order={order}, bound={bound}, green={report.max_green_defect:.1e}"
+    return _record("symmetry.group_structure", bad, 0.0, seconds, note=note)
+
+
+def check_symmetry_structure(H: HenonMap, budget: int = 60):
+    rep, dt = _timed(lambda: find_affine_symmetries(H, budget=budget))
+    return symmetry_structure_record(H, rep, dt)
 
 
 def check_sublevel_equivariance(

@@ -5,6 +5,7 @@ import pytest
 
 from henoncover import CoverPoint, DeckLabel, deck, lift_H, load_chart
 from henoncover.cli import (
+    TILE_POINTS,
     GridJob,
     SpecError,
     canonical_spec,
@@ -15,6 +16,7 @@ from henoncover.cli import (
     render_grid,
     write_pgm,
 )
+from henoncover.green import escape_time_grid, green_plus_grid
 
 QUADRATIC = {
     "name": "reference quadratic",
@@ -102,6 +104,38 @@ def test_render_deterministic_across_runs_and_threads(tmp_path):
     b = quantize(job, render_grid(spec.henon, job, budget=48, threads=1)).tobytes()
     c = quantize(job, render_grid(spec.henon, job, budget=48, threads=8)).tobytes()
     assert a == b == c
+
+
+@pytest.mark.parametrize("plane", ["fix_x", "fix_y", "real_slice"])
+def test_render_tiles_match_one_kernel_call(href, href_radius, plane):
+    # 600 rows of 64 pixels: two full 256-row tiles and a ragged 88-row one
+    nx, ny, budget = 64, 600, 32
+    assert ny % max(1, TILE_POINTS // nx) != 0 < ny // max(1, TILE_POINTS // nx)
+    center, width, height, anchor = (0.1, -0.2), 5.0, 4.0, 0.3 + 0.2j
+    u = center[0] - 0.5 * width + (np.arange(nx) + 0.5) * (width / nx)
+    v = center[1] + 0.5 * height - (np.arange(ny) + 0.5) * (height / ny)
+    uv = u[None, :] + 1j * v[:, None]
+    xs, ys = {
+        "fix_x": (np.full(uv.shape, anchor), uv),
+        "fix_y": (uv, np.full(uv.shape, anchor)),
+        "real_slice": (uv.real + 0j, uv.imag + 0j),
+    }[plane]
+    R = href_radius.R
+    vals, _, depths = green_plus_grid(href, xs, ys, R, budget)
+    c = 0.5
+    want = {
+        "green_plus": vals,
+        "escape_time": escape_time_grid(href, xs, ys, R, budget).astype(float),
+        "sublevel": np.select(
+            [(vals == 0.0) & (depths == budget), vals < c], [0.0, 32768.0], 65535.0
+        ),
+    }
+    assert 0 < np.count_nonzero(depths == budget) < depths.size
+    for quantity, expected in want.items():
+        job = GridJob(plane, anchor, center, width, height, nx, ny, quantity, c, 3.0)
+        for threads in (1, 3):
+            got = render_grid(href, job, budget=budget, threads=threads)
+            assert got.tobytes() == expected.tobytes(), (quantity, threads)
 
 
 def test_render_cli_writes_pgm_and_csv(tmp_path, capsys):

@@ -114,13 +114,29 @@ def test_membership(href, href_radius):
     assert membership(H, Point(0, 0)) is Membership.NON_ESCAPING_UP_TO_BUDGET
 
 
-def test_grid_matches_scalar(rng, href, href_radius):
-    xs = rng.uniform(-8, 8, 40) + 1j * rng.uniform(-8, 8, 40)
-    ys = rng.uniform(-8, 8, 40) + 1j * rng.uniform(-8, 8, 40)
-    vals, errs, depths = green_plus_grid(href, xs, ys, href_radius.R, 96)
-    for x, y, v in zip(xs, ys, vals):
-        g = green_plus(href, Point(x, y), N_max=96)
-        assert abs(g.value - v) <= 1e-9 * max(1.0, v)
+def test_grid_matches_scalar(request, rng):
+    budget = 24
+    for name in ("href", "htwo", "hcubic"):
+        H = request.getfixturevalue(name)
+        R = filtration_radius(H).R
+        # boxes of half-width 0.3 R and R, plus points past the 1e150
+        # bail-out: one escapes at step 0, the others are given up on
+        box = np.repeat([0.3 * R, R], [60, 20])
+        xs = box * (rng.uniform(-1, 1, 80) + 1j * rng.uniform(-1, 1, 80))
+        ys = box * (rng.uniform(-1, 1, 80) + 1j * rng.uniform(-1, 1, 80))
+        xs = np.append(xs, [0.0, 1e160, 1e200j])
+        ys = np.append(ys, [1e200, 1e155, 1.0])
+        vals, _, depths = green_plus_grid(H, xs, ys, R, budget)
+        bounded = 0
+        for x, y, v, n in zip(xs, ys, vals, depths):
+            g = green_plus(H, Point(x, y), N_max=budget)
+            assert n == g.depth
+            # the scalar orbit runs in Python complex arithmetic and the
+            # grid in numpy, which may round the last bits differently
+            assert abs(g.value - v) <= g.error_bound + 1e-15 * max(1.0, v)
+            bounded += g.depth == budget and g.value == 0.0
+        assert depths[-3] == 0 and depths[-1] == depths[-2] == budget
+        assert 3 <= bounded < xs.size - 20, name  # every kind of orbit
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
