@@ -110,7 +110,8 @@ def test_render_deterministic_across_runs_and_threads(tmp_path):
 def test_render_tiles_match_one_kernel_call(href, href_radius, plane):
     # 600 rows of 64 pixels: two full 256-row tiles and a ragged 88-row one
     nx, ny, budget = 64, 600, 32
-    assert ny % max(1, TILE_POINTS // nx) != 0 < ny // max(1, TILE_POINTS // nx)
+    rows = TILE_POINTS // nx
+    assert ny > rows and ny % rows != 0
     center, width, height, anchor = (0.1, -0.2), 5.0, 4.0, 0.3 + 0.2j
     u = center[0] - 0.5 * width + (np.arange(nx) + 0.5) * (width / nx)
     v = center[1] + 0.5 * height - (np.arange(ny) + 0.5) * (height / ny)
