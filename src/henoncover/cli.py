@@ -261,10 +261,7 @@ def write_pgm(path, pixels: np.ndarray):
 
 
 def write_csv(path, values: np.ndarray):
-    lines = [
-        ",".join("%.17g" % v for v in row) for row in np.asarray(values, dtype=float)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, values, fmt="%.17g", delimiter=",")
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +322,11 @@ def _cmd_cover(args) -> int:
 
 def _cmd_symmetries(args) -> int:
     spec = parse_spec_file(args.spec)
-    report = find_affine_symmetries(spec.henon, budget=args.budget)
+    report = find_affine_symmetries(spec.henon)
     save_report(report, args.out)
     print(
         f"wrote {args.out} (order {report.order}, "
-        f"max Green defect {report.max_green_defect:.3e})"
+        f"max commutation defect {report.max_commutation_defect:.3e})"
     )
     return 0
 
@@ -418,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("symmetries", _cmd_symmetries, "search affine symmetries")
     p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--budget", type=int, default=200)
 
     p = command("classify", _cmd_classify, "sub-level classification of one point")
     p.add_argument("--point", required=True, help="re(x),im(x),re(y),im(y)")

@@ -96,8 +96,6 @@ class ComplexPolynomial:
 
     def __call__(self, y):
         acc = self.coeffs[-1]
-        if isinstance(y, np.ndarray):
-            acc = np.full_like(y, acc, dtype=complex)
         for c in self.coeffs[-2::-1]:
             acc = acc * y + c
         return acc

@@ -4,10 +4,25 @@ An affine map L(x, y) = (e*x + f, e'*y + f') preserving both non-escaping
 sets must commute with some iterate of H, which pins e' to a root of unity
 of order dividing (d + d')(d - 1) and e to a power of e'.  The finder
 sweeps those roots, derives translations by matching fixed points of H,
-and keeps candidates that verify commutation (symbolically when the
-degree allows) together with Green-function invariance on sampled
-escaping points.  The verified set is closed under composition; passing
-groups are cyclic of order dividing (d + d')(d - 1).
+and keeps the candidates that commute with some H^k, checked
+symbolically when the degree allows.  The kept set is closed under
+composition; passing groups are cyclic of order dividing (d + d')(d - 1).
+
+Commutation is the whole test, because it implies Green invariance.
+Suppose L.H^k = H^k.L.  Then H^(kn)(Lz) = L(H^(kn) z) for every n >= 0.
+An invertible affine map moves log+|.| by at most a constant C: with A
+its linear part, |Lz| <= (|A| + |L(0)|) max(1, |z|), and likewise for
+L^-1.  G+ is the normalised escape rate (Bedford & Smillie, Invent.
+Math. 103, 1991), so
+
+    G+(Lz) = lim d^(-kn) log+|H^(kn)(Lz)|
+           = lim d^(-kn) log+|L(H^(kn) z)| = G+(z),
+
+the constant C vanishing under d^(-kn).  L also commutes with H^-k, and
+the same limit along backward orbits gives G-.L = G-.  So L maps each
+of U+ = {G+ > 0}, K+ = {G+ = 0}, U- and K- onto itself.  Where
+commutes_with_power decides by sampling (d^k above SYMBOLIC_DEGREE_CAP),
+invariance holds to that same evidence.
 """
 
 from __future__ import annotations
@@ -20,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from .filtration import filtration_radius
-from .green import escaping_samples, green_minus, green_plus
 from .henon import (
     BivariatePoly,
     HenonError,
@@ -106,8 +120,6 @@ class AffineMap:
 class SymmetryReport:
     generators: list
     order: int
-    verified_points: int
-    max_green_defect: float
     max_commutation_defect: float = 0.0
     details: dict = field(default_factory=dict)
 
@@ -136,17 +148,7 @@ def compute_d0(d: int, d_prime: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# symbolic composition helpers
-
-def _compose_bivariate(P: BivariatePoly, A: BivariatePoly, B: BivariatePoly):
-    acc = None
-    for i in range(P.c.shape[0] - 1, -1, -1):
-        row = BivariatePoly.const(P.c[i, -1])
-        for j in range(P.c.shape[1] - 2, -1, -1):
-            row = row * B + BivariatePoly.const(P.c[i, j])
-        acc = row if acc is None else (acc * A + row)
-    return acc.trim()
-
+# commutation
 
 def _coeff_defect(P: BivariatePoly, Q: BivariatePoly) -> float:
     a, b = P._padded_pair(Q)
@@ -169,8 +171,8 @@ def commutes_with_power(H: HenonMap, L: AffineMap, k: int, tol: float = 1e-9):
         lhs2 = (p2 * L.e_prime + BivariatePoly.const(L.f_prime)).trim()
         ax = (BivariatePoly.var_x() * L.e + BivariatePoly.const(L.f)).trim()
         by = (BivariatePoly.var_y() * L.e_prime + BivariatePoly.const(L.f_prime)).trim()
-        rhs1 = _compose_bivariate(p1, ax, by)
-        rhs2 = _compose_bivariate(p2, ax, by)
+        rhs1 = p1(ax, by).trim()
+        rhs2 = p2(ax, by).trim()
         defect = max(_coeff_defect(lhs1, rhs1), _coeff_defect(lhs2, rhs2))
         return defect <= tol, defect
 
@@ -277,19 +279,14 @@ def _permutes(L: AffineMap, pts, tol: float) -> bool:
     return True
 
 
-def find_affine_symmetries(
-    H: HenonMap,
-    budget: int = 200,
-    green_tol: float = 1e-6,
-    comm_tol: float = 1e-9,
-) -> SymmetryReport:
+def find_affine_symmetries(H: HenonMap, comm_tol: float = 1e-9) -> SymmetryReport:
     """Search L(x,y) = (e x + f, e' y + f') preserving both escaping sets.
 
     e' sweeps the roots of unity of order dividing (d + d')(d - 1); e and
     the translation part follow from commutation degree-matching and from
     requiring L to permute the fixed points of H.  Survivors are verified
-    by commutation with some H^k and by sampled invariance of both Green's
-    functions, then closed under composition.
+    by commutation with some H^k, which implies G+.L = G+ and G-.L = G-
+    (see the module docstring), then closed under composition.
     """
     N = (H.d + H.d_prime) * (H.d - 1)
     fixed = fixed_points(H)
@@ -319,41 +316,15 @@ def find_affine_symmetries(
                         add(L)
             break  # e is determined by the smallest consistent k
 
-    fw = escaping_samples(H, budget, 52815621, N_max=64)
-    bw = escaping_samples(H, budget, 96025233, N_max=64, forward=False)
-
     verified = []
-    max_green = 0.0
     max_comm = 0.0
     for L in candidates:
-        ok_k = None
-        defect_k = np.inf
         for k in range(1, N + 1):
             flag, defect = commutes_with_power(H, L, k, comm_tol)
             if flag:
-                ok_k, defect_k = k, defect
+                verified.append(L)
+                max_comm = max(max_comm, defect)
                 break
-        if ok_k is None:
-            continue
-        g_defect = 0.0
-        good = True
-        for z, g in fw:
-            g2 = green_plus(H, L(z), N_max=64)
-            g_defect = max(g_defect, abs(g2.value - g) / max(1.0, g))
-            if g_defect > green_tol:
-                good = False
-                break
-        if good:
-            for z, g in bw:
-                g2 = green_minus(H, L(z), N_max=64)
-                g_defect = max(g_defect, abs(g2.value - g) / max(1.0, g))
-                if g_defect > green_tol:
-                    good = False
-                    break
-        if good:
-            verified.append(L)
-            max_green = max(max_green, g_defect)
-            max_comm = max(max_comm, defect_k)
 
     # close under composition and check the group axioms numerically
     def find_in(L, group):
@@ -381,8 +352,6 @@ def find_affine_symmetries(
     return SymmetryReport(
         generators=verified,
         order=order,
-        verified_points=len(fw) + len(bw),
-        max_green_defect=max_green,
         max_commutation_defect=max_comm,
         details={"order_bound": N, "fixed_points": len(fixed)},
     )
@@ -423,8 +392,6 @@ def report_to_dict(report: SymmetryReport) -> dict:
             for L in report.generators
         ],
         "order": report.order,
-        "verified_points": report.verified_points,
-        "max_green_defect": report.max_green_defect,
         "max_commutation_defect": report.max_commutation_defect,
         "details": report.details,
     }
@@ -445,8 +412,6 @@ def report_from_dict(data: dict) -> SymmetryReport:
     return SymmetryReport(
         generators=gens,
         order=data["order"],
-        verified_points=data["verified_points"],
-        max_green_defect=data["max_green_defect"],
         max_commutation_defect=data.get("max_commutation_defect", 0.0),
         details=dict(data.get("details", {})),
     )

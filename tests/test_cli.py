@@ -235,7 +235,7 @@ def test_cli_symmetries_cubic(tmp_path, capsys):
         },
     )
     out = tmp_path / "sym.json"
-    assert main(["symmetries", "--spec", spec, "--out", str(out), "--budget", "40"]) == 0
+    assert main(["symmetries", "--spec", spec, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["order"] == 2
     gens = [g for g in doc["generators"]]
