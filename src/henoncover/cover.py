@@ -192,7 +192,9 @@ def _psi_batch(
     """psi(X_i, W_i) = W_i * int_0^{X_i} dlambda/dy(t, W_i) dt, batched.
 
     Straight-segment Gauss-Legendre with panel doubling until the value is
-    stable to tol relative.
+    stable to tol relative.  The 1- and 2-panel levels are solved together,
+    so one Newton solve serves the first comparison; later levels are
+    solved only when a comparison fails.
     """
     X = np.asarray(X, dtype=complex)
     W = np.asarray(W, dtype=complex)
@@ -201,26 +203,33 @@ def _psi_batch(
             "segment endpoint violates |x| < |y|/M"
         )
 
-    def one_level(panels):
-        s, wts = _composite_nodes(panels)
+    def levels(*panel_counts):
+        # one Newton solve on the nodes of every requested level
+        nodes = [_composite_nodes(panels) for panels in panel_counts]
+        s = np.concatenate([n[0] for n in nodes])
         T = X[:, None] * s[None, :]
         Wb = np.broadcast_to(W[:, None], T.shape)
         F, ok = dlambda_dy_vec(H, T.ravel(), Wb.ravel(), _INNER_TOL)
         if not ok.all():
             raise SegmentOutsideRegion("integrand node failed region solve")
         F = F.reshape(T.shape)
-        return (F * wts[None, :]).sum(axis=1) * X
+        cols = np.cumsum([0] + [wts.size for _, wts in nodes])
+        return [
+            (F[:, a:b] * wts[None, :]).sum(axis=1) * X
+            for (_, wts), a, b in zip(nodes, cols[:-1], cols[1:])
+        ]
 
-    prev = one_level(1)
+    # levels 1 and 2 share a solve: every call compares at least these two
+    prev, cur = levels(1, 2)
     panels = 2
-    while panels <= max_panels:
-        cur = one_level(panels)
+    while True:
         scale = np.maximum(np.abs(cur), np.abs(X) + 1e-30)
         if np.max(np.abs(cur - prev) / scale) <= tol:
             return W * cur
-        prev = cur
         panels *= 2
-    raise NoConvergence(max_panels)
+        if panels > max_panels:
+            raise NoConvergence(max_panels)
+        prev, (cur,) = cur, levels(panels)
 
 
 def psi_integral(

@@ -208,6 +208,9 @@ def commutes_with_power(H: HenonMap, L: AffineMap, k: int, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 # fixed points
 
+STEP_TOL = 1e-13  # fixed_points: relative Newton step that counts as converged
+
+
 def fixed_points(
     H: HenonMap,
     n_starts: int = 400,
@@ -238,19 +241,30 @@ def fixed_points(
     x = box * (rng.uniform(-1, 1, n_starts) + 1j * rng.uniform(-1, 1, n_starts))
     y = box * (rng.uniform(-1, 1, n_starts) + 1j * rng.uniform(-1, 1, n_starts))
 
+    # iterate compact copies of the starts still moving; a start whose
+    # undamped step fell below STEP_TOL relative has converged and keeps
+    # the point that step produced
+    live = np.arange(n_starts)
+    lx, ly = x, y
     for _ in range(80):
-        f1, f2 = F1(x, y), F2(x, y)
-        j11, j12, j21, j22 = J11(x, y), J12(x, y), J21(x, y), J22(x, y)
+        f1, f2 = F1(lx, ly), F2(lx, ly)
+        j11, j12, j21, j22 = J11(lx, ly), J12(lx, ly), J21(lx, ly), J22(lx, ly)
         det = j11 * j22 - j12 * j21
         det = np.where(np.abs(det) < 1e-300, 1e-300, det)
         dx = (f1 * j22 - f2 * j12) / det
         dy = (j11 * f2 - j21 * f1) / det
         step = np.sqrt(np.abs(dx) ** 2 + np.abs(dy) ** 2)
         damp = np.minimum(1.0, 2.0 * box / np.maximum(step, 1e-300))
-        x = x - damp * dx
-        y = y - damp * dy
-        x = np.where(np.isfinite(x), x, 0.0)
-        y = np.where(np.isfinite(y), y, 0.0)
+        lx = lx - damp * dx
+        ly = ly - damp * dy
+        lx = np.where(np.isfinite(lx), lx, 0.0)
+        ly = np.where(np.isfinite(ly), ly, 0.0)
+        x[live], y[live] = lx, ly
+        moving = step > STEP_TOL * (1.0 + np.abs(lx) + np.abs(ly))
+        if not moving.all():
+            live, lx, ly = live[moving], lx[moving], ly[moving]
+            if live.size == 0:
+                break
 
     res = np.abs(F1(x, y)) + np.abs(F2(x, y))
     good = res <= tol * (1.0 + np.abs(x) + np.abs(y))

@@ -18,7 +18,14 @@ from henoncover import (
     make_henon,
     q_correction,
 )
-from henoncover.boettcher import NoConvergence, OutsideRegion, dphi_dy_vec, phi_vec
+from henoncover.boettcher import (
+    NoConvergence,
+    OutsideRegion,
+    dphi_dy_vec,
+    phi_series,
+    phi_vec,
+)
+from henoncover.filtration import filtration_radius
 from henoncover.henon import apply_xy, second_component_correction
 
 from strategies import henon_maps
@@ -173,6 +180,59 @@ def test_tangent_derivative_matches_cauchy_oracle(name, request):
 @given(henon_maps, st.integers(0, 2**32 - 1))
 def test_tangent_derivative_matches_cauchy_on_random_maps(H, seed):
     assert_tangent_matches_cauchy(H, 50, seed)
+
+
+EPS = np.finfo(float).eps
+
+
+def assert_one_point_matches_batch(H, n, seed):
+    """phi_series on single points against one batch call, dy off and on.
+
+    The radii span the filtration radius R/3 to 1000 R, so some points leave
+    the product region (bad_step >= 0); two more sit past the y^d cap.
+    """
+    rng = np.random.default_rng(seed)
+    R = filtration_radius(H).R
+    mag = R * 10.0 ** rng.uniform(-0.5, 3.0, n)
+    mag[:2] = 10.0 ** (300.0 / H.d)
+    y = mag * np.exp(2j * np.pi * rng.uniform(size=n))
+    x = mag * rng.uniform(0.0, 1.5, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    # tol = 0 runs every orbit to the cap: a tail far below rounding
+    S_ref = phi_series(H, x, y, tol=0.0)[0]
+    for tol, dy in ((1e-12, False), (1e-12, True), (1e-6, False)):
+        batch = phi_series(H, x, y, tol, dy=dy)
+        single = [phi_series(H, x[i : i + 1], y[i : i + 1], tol, dy=dy) for i in range(n)]
+        S, err, ok, bad, *dS = (np.concatenate(a) for a in zip(*single))
+        assert np.array_equal(ok, batch[2]) and np.array_equal(bad, batch[3])
+        assert np.all(np.abs(S - batch[0]) <= 4 * EPS)
+        assert np.all(np.abs(S - S_ref)[ok] <= err[ok] + 4 * EPS)
+        assert np.all(err[:2] > 0) and np.all(S[:2] == 0)
+        if dy:
+            assert np.all(np.abs(y * (dS[0] - batch[4]))[ok] <= 64 * EPS)
+    return ok
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_phi_series_one_point_matches_batch(name, request):
+    ok = assert_one_point_matches_batch(request.getfixturevalue(name), 400, 41)
+    assert ok.any() and not ok.all()
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_phi_series_one_point_matches_batch_on_random_maps(H, seed):
+    assert_one_point_matches_batch(H, 60, seed)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_dlambda_dy_is_inverse_slope_at_solved_point(name, request):
+    # one Newton solve gives the slope the two-step definition computes
+    H = request.getfixturevalue(name)
+    region = certify_region(H)
+    for z in region_samples(np.random.default_rng(43), region, 40):
+        y = lambda_inverse(H, z.x, z.y, region)
+        dl = dlambda_dy(H, z.x, z.y, region)
+        assert dl == 1.0 / dphi_dy(H, Point(z.x, y), region)
 
 
 def test_region_epsilon_certified_on_boundary(rng, href, href_region):

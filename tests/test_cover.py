@@ -9,6 +9,7 @@ from henoncover import (
     Point,
     apply,
     bottcher_phi,
+    certify_region,
     covering_map,
     deck,
     green_plus,
@@ -20,11 +21,15 @@ from henoncover import (
     r_series,
     save_chart,
 )
+from henoncover import cover
+from henoncover.boettcher import NoConvergence, dlambda_dy_vec
 from henoncover.cover import (
+    _INNER_TOL,
     BudgetExceeded,
     OutsideChartDomain,
     Overflow,
     SegmentOutsideRegion,
+    _composite_nodes,
     _qminus_eval,
     chart_from_dict,
     chart_to_dict,
@@ -74,6 +79,52 @@ def test_psi_stable_under_tightening(rng, href, href_region):
         v1 = psi_integral(href, href_region, x, y, tol=1e-11)
         v2 = psi_integral(href, href_region, x, y, tol=1e-13)
         assert abs(v1 - v2) <= 1e-9 * abs(v2)
+
+
+def psi_level_by_level(H, x, y, tol, max_panels=16):
+    """psi(x, y) with one Newton solve per panel level; (value, last level)."""
+
+    def level(panels):
+        s, wts = _composite_nodes(panels)
+        F, ok = dlambda_dy_vec(H, x * s, np.full(s.shape, y), _INNER_TOL)
+        assert ok.all()
+        return (F * wts).sum() * x
+
+    prev, panels = level(1), 2
+    while panels <= max_panels:
+        cur = level(panels)
+        if abs(cur - prev) / max(abs(cur), abs(x) + 1e-30) <= tol:
+            return y * cur, panels
+        prev, panels = cur, 2 * panels
+    return None, panels
+
+
+@pytest.mark.parametrize("name", ["href", "htwo"])
+def test_psi_fused_levels_match_level_by_level(name, request, monkeypatch):
+    # levels 1 and 2 share one Newton solve, later levels run only when a
+    # comparison fails; a 2-node rule makes the doubling reach every level
+    # (32 panels: the doubling ran out)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(2)
+    monkeypatch.setattr(cover, "_GL_NODES", 2)
+    monkeypatch.setattr(cover, "_gl_x", gl_x)
+    monkeypatch.setattr(cover, "_gl_w", gl_w)
+    H = request.getfixturevalue(name)
+    region = certify_region(H)
+    M, R = region.M, region.R.R
+    rng = np.random.default_rng(47)
+    levels = set()
+    for tol in (1e-11, 1e-13, 0.0) * 12:
+        y = M * R * rng.uniform(1.05, 6.0) * np.exp(2j * np.pi * rng.uniform())
+        x = rng.uniform(0.1, 0.99) * abs(y) / M * np.exp(2j * np.pi * rng.uniform())
+        ref, panels = psi_level_by_level(H, x, y, tol)
+        levels.add(panels)
+        if ref is None:
+            with pytest.raises(NoConvergence):
+                psi_integral(H, region, x, y, tol)
+        else:
+            val = psi_integral(H, region, x, y, tol)
+            assert abs(val - ref) <= 4 * np.finfo(float).eps * abs(ref)
+    assert levels == {2, 4, 8, 16, 32}
 
 
 def test_psi_segment_outside_region(href, href_region):

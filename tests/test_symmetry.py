@@ -13,6 +13,7 @@ from henoncover import (
     make_henon,
     verify_cyclic,
 )
+from henoncover import symmetry
 from henoncover.green import escaping_samples
 from henoncover.symmetry import (
     fixed_points,
@@ -131,6 +132,23 @@ SYMMETRIC_MAPS = {
     "translated_cubic": ([([_T**3 - 1.5 * _T, 3 * _T**2, 3 * _T, 1], 0.5)], 2),
     "square_square": ([([0, 0, 1], 0.5), ([0, 0, 1], 0.8)], 3),
 }
+
+
+@pytest.mark.parametrize("name", ["href", "htwo"] + sorted(SYMMETRIC_MAPS))
+def test_fixed_points_exit_matches_full_run(name, request, monkeypatch):
+    # with STEP_TOL = 0 only exactly stationary starts stop, which is the
+    # fixed 80-step run
+    if name in SYMMETRIC_MAPS:
+        H = make_henon(SYMMETRIC_MAPS[name][0])
+    else:
+        H = request.getfixturevalue(name)
+    pts = fixed_points(H)
+    monkeypatch.setattr(symmetry, "STEP_TOL", 0.0)
+    ref = fixed_points(H)
+    assert len(pts) == len(ref) > 0
+    for p, q in zip(pts, ref):
+        scale = 1.0 + abs(q.x) + abs(q.y)
+        assert abs(p.x - q.x) + abs(p.y - q.y) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC_MAPS))
