@@ -188,13 +188,16 @@ def _psi_batch(
     W,
     tol: float = 1e-11,
     max_panels: int = 16,
+    end_slope: bool = False,
 ):
     """psi(X_i, W_i) = W_i * int_0^{X_i} dlambda/dy(t, W_i) dt, batched.
 
     Straight-segment Gauss-Legendre with panel doubling until the value is
     stable to tol relative.  The 1- and 2-panel levels are solved together,
     so one Newton solve serves the first comparison; later levels are
-    solved only when a comparison fails.
+    solved only when a comparison fails.  With end_slope the segment end
+    t = X_i joins that first solve as one more node, and the integrand
+    there, dlambda/dy(X_i, W_i), is returned as a second array.
     """
     X = np.asarray(X, dtype=complex)
     W = np.asarray(W, dtype=complex)
@@ -203,10 +206,12 @@ def _psi_batch(
             "segment endpoint violates |x| < |y|/M"
         )
 
-    def levels(*panel_counts):
-        # one Newton solve on the nodes of every requested level
+    def levels(*panel_counts, end=False):
+        # one Newton solve on the nodes of every requested level, plus the
+        # segment end s = 1 as the last column when end is set; returns the
+        # level sums and that last column
         nodes = [_composite_nodes(panels) for panels in panel_counts]
-        s = np.concatenate([n[0] for n in nodes])
+        s = np.concatenate([n[0] for n in nodes] + ([[1.0]] if end else []))
         T = X[:, None] * s[None, :]
         Wb = np.broadcast_to(W[:, None], T.shape)
         F, ok = dlambda_dy_vec(H, T.ravel(), Wb.ravel(), _INNER_TOL)
@@ -214,22 +219,24 @@ def _psi_batch(
             raise SegmentOutsideRegion("integrand node failed region solve")
         F = F.reshape(T.shape)
         cols = np.cumsum([0] + [wts.size for _, wts in nodes])
-        return [
+        sums = [
             (F[:, a:b] * wts[None, :]).sum(axis=1) * X
             for (_, wts), a, b in zip(nodes, cols[:-1], cols[1:])
         ]
+        return sums, F[:, -1]
 
     # levels 1 and 2 share a solve: every call compares at least these two
-    prev, cur = levels(1, 2)
+    (prev, cur), F_end = levels(1, 2, end=end_slope)
     panels = 2
     while True:
         scale = np.maximum(np.abs(cur), np.abs(X) + 1e-30)
         if np.max(np.abs(cur - prev) / scale) <= tol:
-            return W * cur
+            return (W * cur, F_end) if end_slope else W * cur
         panels *= 2
         if panels > max_panels:
             raise NoConvergence(max_panels)
-        prev, (cur,) = cur, levels(panels)
+        prev = cur
+        (cur,), _ = levels(panels)
 
 
 def psi_integral(
@@ -453,7 +460,8 @@ def psi_tilde_inverse(
 
     Removes the series correction, solves psi(x, zeta) = z' by Newton
     with slope zeta * dlambda/dy and initial guess z'/zeta, then recovers
-    y = lambda(x, zeta).
+    y = lambda(x, zeta).  The slope at (x, zeta) is the integrand at the
+    segment's end, solved with the quadrature's first nodes.
     """
     if not in_absorbing_region(chart, w):
         raise OutsideChartDomain("cover point outside S_{Mtilde, t}")
@@ -462,13 +470,12 @@ def psi_tilde_inverse(
     x = z_target / zeta
     scale = max(abs(z_target), abs(zeta))
     for _ in range(max_iter):
-        val = psi_integral(chart.H, chart.region, x, zeta, tol)
-        f = val - z_target
+        val, slope = _psi_batch(
+            chart.H, chart.region, [x], [zeta], tol, end_slope=True
+        )
+        f = complex(val[0]) - z_target
         if abs(f) <= tol * scale:
             break
-        slope, ok = dlambda_dy_vec(chart.H, [x], [zeta])
-        if not ok[0]:
-            raise NewtonNoConvergence(max_iter)
         x = x - f / (zeta * complex(slope[0]))
     else:
         raise NewtonNoConvergence(max_iter)

@@ -217,7 +217,8 @@ def escaping_samples(
 def _escape_steps(H: HenonMap, x, y, R: float, N_max: int):
     """First escape step per point of the flat arrays x, y, or -1.
 
-    Iterates compact copies of the points still in play and writes each
+    Iterates compact copies of the points still in play (gathered again
+    only on steps where some point escapes or bails out) and writes each
     escaped point's coordinates back into x and y at its escape step, so
     x and y hold the escape coordinates of every escaped point on return
     (the other entries are left as given).
@@ -236,8 +237,10 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int):
         keep = ~esc & (np.maximum(ax, ay) <= BAIL_OUT)
         if n == N_max or not keep.any():
             break
-        idx = idx[keep]
-        cx, cy = apply_xy(H, cx[keep], cy[keep])
+        if not keep.all():
+            idx = idx[keep]
+            cx, cy = cx[keep], cy[keep]
+        cx, cy = apply_xy(H, cx, cy)
     return steps
 
 

@@ -1,3 +1,6 @@
+import cmath
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +24,8 @@ from henoncover import (
 from henoncover.boettcher import (
     NoConvergence,
     OutsideRegion,
+    _ipow,
+    _log1p_array,
     dphi_dy_vec,
     phi_series,
     phi_vec,
@@ -185,11 +190,11 @@ def test_tangent_derivative_matches_cauchy_on_random_maps(H, seed):
 EPS = np.finfo(float).eps
 
 
-def assert_one_point_matches_batch(H, n, seed):
-    """phi_series on single points against one batch call, dy off and on.
+def spread_points(H, n, seed):
+    """n seeded (x, y) with |y| from R/3 to 1000 R and |x| up to 1.5 |y|.
 
-    The radii span the filtration radius R/3 to 1000 R, so some points leave
-    the product region (bad_step >= 0); two more sit past the y^d cap.
+    Some points leave the product region (bad_step >= 0); the first two
+    sit past the y^d cap.
     """
     rng = np.random.default_rng(seed)
     R = filtration_radius(H).R
@@ -197,6 +202,12 @@ def assert_one_point_matches_batch(H, n, seed):
     mag[:2] = 10.0 ** (300.0 / H.d)
     y = mag * np.exp(2j * np.pi * rng.uniform(size=n))
     x = mag * rng.uniform(0.0, 1.5, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return x, y
+
+
+def assert_one_point_matches_batch(H, n, seed):
+    """phi_series on single points against one batch call, dy off and on."""
+    x, y = spread_points(H, n, seed)
     # tol = 0 runs every orbit to the cap: a tail far below rounding
     S_ref = phi_series(H, x, y, tol=0.0)[0]
     for tol, dy in ((1e-12, False), (1e-12, True), (1e-6, False)):
@@ -222,6 +233,113 @@ def test_phi_series_one_point_matches_batch(name, request):
 @given(henon_maps, st.integers(0, 2**32 - 1))
 def test_phi_series_one_point_matches_batch_on_random_maps(H, seed):
     assert_one_point_matches_batch(H, 60, seed)
+
+
+def test_log1p_array_matches_decimal_reference():
+    # |w| from 1e-15 to 1/2 in every direction, on both axes and near the
+    # circle |1 + w| = 1, where u (2 + u) and v^2 cancel
+    rng = np.random.default_rng(47)
+    r = 10.0 ** rng.uniform(-15.0, np.log10(0.5), 300)
+    theta = 2.0 * np.arcsin(r[:100] / 2.0) * rng.choice([-1.0, 1.0], 100)
+    w = np.concatenate([
+        r * np.exp(2j * np.pi * rng.uniform(size=300)),
+        r[:50], -r[50:100], 1j * r[100:150], -1j * r[150:200],
+        -2.0 * np.sin(theta / 2.0) ** 2 + 1j * np.sin(theta),
+    ])
+    got = _log1p_array(w)
+    old = np.log(1.0 + w)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        re_ref = np.array([
+            float(((1 + Decimal(u)) ** 2 + Decimal(v) ** 2).ln() / 2)
+            for u, v in zip(w.real, w.imag)
+        ])
+    im_ref = np.array([cmath.phase(1.0 + z) for z in w])
+    bound = 2.0 * EPS * np.abs(w)
+    assert np.all(np.abs(got.real - re_ref) <= bound)
+    assert np.all(np.abs(got.imag - im_ref) <= bound)
+    # rounding 1 + w first misses the bound by orders of magnitude
+    assert np.max(np.abs(old.real - re_ref) / bound) > 1e10
+
+
+def test_ipow_is_cpython_power_on_scalars():
+    rng = np.random.default_rng(53)
+    for d in range(1, 10):
+        for z in rng.normal(size=20) * 1e3 + 1j * rng.normal(size=20) * 1e3:
+            z = complex(z)
+            assert _ipow(z, d) == z**d
+
+
+def reference_phi_series(H, x, y, tol):
+    """(S, ok, bad_step, dS) by np.log(1.0 + w) and numpy's y**d.
+
+    The orbit product on whole arrays with a live mask: the oracle for
+    phi_series's log1p/arctan2 log term and its repeated-squaring y^d.
+    """
+    d, n = H.d, x.size
+    consts = [(f.p, f.p.derivative(), f.a) for f in H.factors]
+    ycap = 10.0 ** (280.0 / d)
+    S, dS = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    ok, bad_step = np.ones(n, dtype=bool), np.full(n, -1)
+    tx, ty = np.zeros(n, dtype=complex), np.ones(n, dtype=complex)
+    live = np.ones(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(64):
+            scale = float(d) ** -(j + 1)
+            live &= ~(np.abs(y) > ycap)
+            nx, ny, ntx, nty = x, y, tx, ty
+            for p, dp, a in consts:
+                nx, ny = ny, p(ny) - a * nx
+                ntx, nty = nty, dp(nx) * nty - a * ntx
+            w = ny / y**d - 1.0
+            term = scale * np.log(1.0 + w)
+            dterm = scale * (nty / ny - d * ty / y)
+            bad = live & ~(np.abs(w) <= 0.5)
+            ok[bad], bad_step[bad] = False, j
+            live &= ~bad
+            S[live] += term[live]
+            dS[live] += dterm[live]
+            live &= ~(np.abs(term) < tol)
+            x, y, tx, ty = nx, ny, ntx, nty
+    return S, ok, bad_step, dS
+
+
+def assert_batch_matches_reference(H, n, seed):
+    x, y = spread_points(H, n, seed)
+    S, _, ok, bad, dS = phi_series(H, x, y, dy=True)
+    S_ref, ok_ref, bad_ref, dS_ref = reference_phi_series(H, x, y, 1e-12)
+    assert np.array_equal(ok, ok_ref) and np.array_equal(bad, bad_ref)
+    assert np.all(np.abs(S - S_ref) <= 4 * EPS)
+    assert np.all(np.abs(y * (dS - dS_ref))[ok] <= 64 * EPS)
+    assert np.array_equal(phi_series(H, x, y)[0], S)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_phi_series_matches_reference_loop(name, request):
+    assert_batch_matches_reference(request.getfixturevalue(name), 400, 59)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_phi_series_matches_reference_loop_on_random_maps(H, seed):
+    assert_batch_matches_reference(H, 60, seed)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_phi_series_nan_is_a_bad_factor(name, request):
+    H = request.getfixturevalue(name)
+    x, y = spread_points(H, 40, 61)
+    nan = complex(np.nan, 0.0)
+    for xi, yi in ((nan, 5.0 + 0j), (0.5 + 0j, nan), (nan, nan)):
+        _, _, ok, bad = phi_series(H, [xi], [yi])
+        assert not ok[0] and bad[0] == 0
+        xb, yb = x.copy(), y.copy()
+        xb[7], yb[7] = xi, yi
+        S, err, okb, badb = phi_series(H, xb, yb)
+        assert not okb[7] and badb[7] == 0
+        keep = np.arange(40) != 7
+        for got, ref in zip((S, err, okb, badb), phi_series(H, x[keep], y[keep])):
+            assert np.array_equal(got[keep], ref)
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])

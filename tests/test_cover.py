@@ -127,6 +127,33 @@ def test_psi_fused_levels_match_level_by_level(name, request, monkeypatch):
     assert levels == {2, 4, 8, 16, 32}
 
 
+def test_psi_end_slope_is_integrand_at_segment_end(rng, href, href_region):
+    # the extra node leaves psi as it was and gives dlambda/dy at (x, y)
+    M, R = href_region.M, href_region.R.R
+    W = M * R * rng.uniform(2.0, 10.0, 12) * np.exp(2j * np.pi * rng.uniform(size=12))
+    X = rng.uniform(0.1, 0.9, 12) * np.abs(W) / M * np.exp(2j * np.pi * rng.uniform(size=12))
+    val, slope = cover._psi_batch(href, href_region, X, W, end_slope=True)
+    ref, ok = dlambda_dy_vec(href, X, W, _INNER_TOL)
+    assert ok.all()
+    assert np.all(np.abs(slope - ref) <= 1e-13 * np.abs(ref))
+    plain = cover._psi_batch(href, href_region, X, W)
+    assert np.all(np.abs(val - plain) <= 1e-13 * np.abs(plain))
+
+
+def test_inverse_newton_takes_no_separate_slope_solve(monkeypatch, href_chart):
+    # every dlambda_dy_vec call of an inversion is a quadrature level solve
+    calls = []
+
+    def counted(H, x, w, tol=1e-12):
+        calls.append(np.size(x))
+        return dlambda_dy_vec(H, x, w, tol)
+
+    monkeypatch.setattr(cover, "dlambda_dy_vec", counted)
+    zeta = href_chart.Mtilde * 1.5 * np.exp(0.4j)
+    psi_tilde_inverse(href_chart, CoverPoint(0.1 * href_chart.t * abs(zeta) ** 2, zeta))
+    assert calls and all(n != 1 for n in calls)
+
+
 def test_psi_segment_outside_region(href, href_region):
     M, R = href_region.M, href_region.R.R
     with pytest.raises(SegmentOutsideRegion):
