@@ -44,14 +44,17 @@ tail.  A zero divisor or log(0) reruns the point on arrays, which follow
 IEEE arithmetic.  A NaN coordinate gives a NaN |w|, which counts as a bad
 factor at its first step.
 
-The working region is W+_M = {|y| > M*max(|x|, R)} with M doubled until
-sampled bounds certify |phi/y - 1| and |dphi/dy - 1| below epsilon.
+The working region is W+_M = {|y| > M*max(|x|, R)}, with M the smallest
+power of two >= 2 for which a factor-by-factor bound proves |w| <= 1/2 and
+H(W+_M) inside W+_M (certify_region); the product converges there (Hubbard
+& Oberste-Vorth, Henon mappings in the complex domain I, 1994).
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,12 +115,6 @@ class RefinementBudgetExceeded(HenonError):
 class BoettcherRegion:
     M: float
     R: FiltrationRadius
-    epsilon: float
-    certification_samples: int = 0
-
-    def __post_init__(self):
-        if not self.epsilon < 0.5:
-            raise ValueError("epsilon must be < 1/2")
 
 
 def q_correction(H: HenonMap, z: Point) -> complex:
@@ -361,61 +358,61 @@ def in_region_xy(x, y, M: float, R: float):
     return np.abs(y) > M * np.maximum(np.abs(x), R)
 
 
-def _region_boundary_samples(R: float, M: float, n: int, rng):
-    """Points on {|y| = M*max(|x|, R)}, phases random, radii spread."""
-    n_flat = n // 2
-    rx_flat = rng.uniform(0.0, R, n_flat)
-    ry_flat = np.full(n_flat, M * R)
-    r_out = R * np.exp(rng.uniform(0.0, np.log(50.0), n - n_flat))
-    rx = np.concatenate([rx_flat, r_out])
-    ry = np.concatenate([ry_flat, M * r_out])
-    ph_x = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
-    ph_y = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
-    return rx * ph_x, ry * ph_y
+def _product_bound(H: HenonMap, M: float, R: float) -> tuple[float, bool]:
+    """(bound on |w| over W+_M, whether H maps W+_M into itself).
+
+    w = pi_2(H(x, y)) / y^d - 1.  Factor i maps (u, v) to
+    (v, v^d_i (1 + w_i)) with |w_i| <= e_i = sum_{k<d_i} |c_k| |v|^(k-d_i)
+    + |a_i| |u| / |v|^d_i, so 1 + w = prod_i (1 + w_i)^(D_i), D_i the
+    product of the later degrees, and |w| <= prod_i (1 + e_i)^(D_i) - 1.
+    The bounds start from |y| = MR, |x| <= R and carry an upper bound on |u|
+    and lower and upper bounds on |v| through the factors.  See
+    certify_region for why this one radius covers all of W+_M.
+    """
+    u_hi, v_lo, v_hi = R, M * R, M * R
+    degrees = [f.p.degree for f in H.factors]
+    w = 1.0
+    for i, f in enumerate(H.factors):
+        di = degrees[i]
+        e = abs(f.a) * u_hi / v_lo**di + sum(
+            abs(c) * v_lo ** (k - di) for k, c in enumerate(f.p.coeffs[:-1])
+        )
+        if not e < 1.0:
+            return math.inf, False
+        w *= (1.0 + e) ** math.prod(degrees[i + 1 :])
+        u_hi, v_lo, v_hi = v_hi, v_lo**di * (1.0 - e), v_hi**di * (1.0 + e)
+    return w - 1.0, v_lo > M * max(u_hi, R)
 
 
 @functools.lru_cache(maxsize=32)
-def certify_region(
-    H: HenonMap,
-    eps: float = 0.25,
-    n_boundary: int = 1000,
-) -> BoettcherRegion:
-    """Double M from 2 until sampled epsilon-bounds hold on the boundary.
+def certify_region(H: HenonMap) -> BoettcherRegion:
+    """W+_M for the smallest power of two M >= 2 that _product_bound proves.
 
-    Certifies |phi/y - 1| <= eps on n_boundary boundary samples of W+_M,
-    |dphi/dy| in [1-eps, 1+eps] on a subsample, and |lambda/y - 1| <= eps
-    for the Newton inverse on a subsample.
+    Why the one check at |y| = MR covers W+_M: a point of W+_M has
+    r = |y| > MR and |x| < r/M.  Run _product_bound's recursion from
+    (r/M, r) in place of (R, MR).  Factor i sees (u_i, v_i) with
+    r^(P_i) B_i <= |v_i| <= r^(P_i) A_i, where P_i = d_0 ... d_(i-1) and B_i
+    and A_i are products of powers of (1 - e_j) and (1 + e_j), j < i; and
+    |u_0| <= r/M, |u_i| = |v_(i-1)| <= r^(P_(i-1)) A_(i-1).  By induction
+    every e_j falls as r grows: if the earlier ones do, B_i rises and
+    A_(i-1) falls, so the first term of e_i falls with 1/|v_i|, and the
+    second, |a_i| |u_i| / |v_i|^(d_i), is r^(P_(i-1) - P_(i+1)) (a negative
+    power; r^(1 - d_0) / M for i = 0) times a falling factor.  So the |w|
+    bound is largest at r = MR, where |x| <= R.  The image satisfies
+    |y'| >= r^d B_n and |x'| <= r^(d / d_last) A_(n-1), so |y'| / (M |x'|)
+    and |y'| / (MR) rise with r, and the invariance checked at r = MR holds
+    on all of W+_M.  Hence every step of the orbit product of a point of
+    W+_M stays in W+_M with |q/y^d| <= 1/2, and phi_series reports no bad
+    factor there.
     """
     fr = filtration_radius(H)
-    R = fr.R
-    rng_seed = 715225741
     M = 2.0
     while M <= 2.0**20:
-        rng = np.random.default_rng(rng_seed)
-        x, y = _region_boundary_samples(R, M, n_boundary, rng)
-        phi, _, ok, _ = phi_vec(H, x, y)
-        if ok.all():
-            ratio = np.abs(phi / y - 1.0)
-            eps_obs = float(ratio.max())
-            if eps_obs <= eps:
-                # derivative and inverse bounds on a subsample
-                xs, ys = x[:200], y[:200]
-                dp, dok = dphi_dy_vec(H, xs, ys)
-                lam, lok = lambda_vec(H, xs, ys)
-                if (
-                    dok.all()
-                    and lok.all()
-                    and np.all(np.abs(np.abs(dp) - 1.0) <= eps)
-                    and np.all(np.abs(lam / ys - 1.0) <= eps)
-                ):
-                    eps_final = max(
-                        eps_obs, float(np.abs(np.abs(dp) - 1.0).max())
-                    )
-                    return BoettcherRegion(
-                        M, fr, max(eps_final, 1e-12), n_boundary + 400
-                    )
+        w, invariant = _product_bound(H, M, fr.R)
+        if w <= PRODUCT_BOUND and invariant:
+            return BoettcherRegion(M, fr)
         M *= 2.0
-    raise OutsideRegion(detail="no M up to 2^20 certified the region bounds")
+    raise OutsideRegion(detail="no M up to 2^20 proved the product bound")
 
 
 def dphi_dy_vec(H: HenonMap, x, y, tol: float = 1e-12):

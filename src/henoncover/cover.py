@@ -274,33 +274,34 @@ def _extract_positive_part(samples, rho: float, top_degree: int):
     return coef[: top_degree + 1] * rho ** (-j.astype(float)), coef
 
 
-def build_chart(
-    H: HenonMap,
-    region: BoettcherRegion | None = None,
-    samples_per_degree: int = 64,
-    series_tol: float = 1e-12,
-    quad_tol: float = 1e-11,
-    validate: bool = True,
-) -> CoverChart:
+# chart construction settings: Qtilde samples per degree of Q (the circle
+# size is the next power of two, at least 64) and the psi quadrature target
+_SAMPLES_PER_DEGREE = 64
+_QUAD_TOL = 1e-11
+
+
+def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
     """Sample the conjugated map on circles and assemble the chart.
 
-    Pipeline: certify the Bottcher region, sample Qtilde on |zeta| = 2MR,
-    split off the monic degree-(d+d') polynomial Q by FFT, re-extract at
-    twice the radius as a stability check, store the Laurent tail Q^- as a
-    sampled circle evaluator on |zeta| = 1.25*MR, then fix t = 1/(4M) and
-    certify the absorbing radius Mtilde by doubling.
+    Pipeline: prove the Bottcher region (certify_region), sample Qtilde on
+    |zeta| = 2MR, split off the monic degree-(d+d') polynomial Q by FFT,
+    re-extract at twice the radius as a stability check, store the Laurent
+    tail Q^- as a sampled circle evaluator on |zeta| = 1.25*MR, then fix
+    t = 1/(4M) and take Mtilde as the first 2MR * 2^k at which the closed
+    form _r_series_bound proves |R| < t |zeta|^2.  The bound falls as
+    |zeta| grows while t |zeta|^2 rises, so the one check at Mtilde covers
+    every |zeta| >= Mtilde.
     """
-    if region is None:
-        region = certify_region(H)
+    region = certify_region(H)
     M = region.M
     R = region.R.R
     deg = H.d + H.d_prime
     rho = 2.0 * M * R
-    n = 1 << max(6, int(np.ceil(np.log2(samples_per_degree * deg))))
+    n = 1 << max(6, int(np.ceil(np.log2(_SAMPLES_PER_DEGREE * deg))))
     theta = 2.0 * np.pi * np.arange(n) / n
     circle = np.exp(1j * theta)
 
-    qt = _qtilde_batch(H, region, rho * circle, quad_tol)
+    qt = _qtilde_batch(H, region, rho * circle, _QUAD_TOL)
     coeffs, bins = _extract_positive_part(qt, rho, deg)
     monic_defect = abs(coeffs[-1] - 1.0)
     if monic_defect > 1e-6:
@@ -314,28 +315,19 @@ def build_chart(
             f"spurious high-degree content {junk_max:.3e} on |zeta|={rho}"
         )
 
-    meta = {
-        "monic_defect": float(monic_defect),
-        "decay_max": junk_max,
-        "circle_samples": int(n),
-    }
-
-    if validate:
-        qt2 = _qtilde_batch(H, region, 2.0 * rho * circle, quad_tol)
-        coeffs2, _ = _extract_positive_part(qt2, 2.0 * rho, deg)
-        scale = np.maximum(np.abs(coeffs), 1.0)
-        agreement = float(np.max(np.abs(coeffs - coeffs2) / scale))
-        meta["two_radius_agreement"] = agreement
-        if agreement > 1e-7:
-            raise DecayFailed(
-                f"two-radius coefficient agreement {agreement:.3e} > 1e-7"
-            )
-
+    qt2 = _qtilde_batch(H, region, 2.0 * rho * circle, _QUAD_TOL)
+    coeffs2, _ = _extract_positive_part(qt2, 2.0 * rho, deg)
+    scale = np.maximum(np.abs(coeffs), 1.0)
+    agreement = float(np.max(np.abs(coeffs - coeffs2) / scale))
+    if agreement > 1e-7:
+        raise DecayFailed(
+            f"two-radius coefficient agreement {agreement:.3e} > 1e-7"
+        )
     Q = ComplexPolynomial(tuple(coeffs))
 
     # sampled evaluator for the tail, on a circle close to the inner edge
     q_rho = 1.25 * M * R
-    qt_inner = _qtilde_batch(H, region, q_rho * circle, quad_tol)
+    qt_inner = _qtilde_batch(H, region, q_rho * circle, _QUAD_TOL)
     g = qt_inner - Q(q_rho * circle)
 
     chart = CoverChart(
@@ -346,29 +338,20 @@ def build_chart(
         qminus_rho=q_rho,
         qminus_samples=g,
         series_tol=series_tol,
-        Mtilde=2.0 * M * R,  # provisional; certified below
+        Mtilde=2.0 * M * R,
         t=1.0 / (4.0 * M),
-        meta=meta,
+        meta={
+            "monic_defect": float(monic_defect),
+            "decay_max": junk_max,
+            "circle_samples": int(n),
+            "two_radius_agreement": agreement,
+        },
     )
-
-    mt = 2.0 * M * R
-    cert_angles = np.exp(1j * 2.0 * np.pi * np.arange(64) / 64)
     for _ in range(13):
-        bound_ok = True
-        count = 0
-        for radial in (1.0, 1.25, 1.5, 2.0, 3.0, 5.0):
-            zs = mt * radial * cert_angles
-            vals = np.array([r_series(chart, z) for z in zs])
-            count += zs.size
-            if not np.all(np.abs(vals) < (mt * radial) ** 2 / (4.0 * M)):
-                bound_ok = False
-                break
-        if bound_ok:
-            chart.Mtilde = mt
-            meta["mtilde_certification_samples"] = count
+        if _r_series_bound(chart, chart.Mtilde) < chart.t * chart.Mtilde**2:
             return chart
-        mt *= 2.0
-    raise DecayFailed("no Mtilde up to 2^13 * 2MR certified |R| < |zeta|^2/(4M)")
+        chart.Mtilde *= 2.0
+    raise DecayFailed("no Mtilde up to 2^13 * 2MR proved |R| < |zeta|^2/(4M)")
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +415,40 @@ def r_series(chart: CoverChart, zeta: complex, tol: float | None = None) -> comp
         total += ratio ** (i + 1) * qm
         c_log = float(np.log(max(abs(qm) * abs(w), 1e-300)))
     raise Divergence("correction series failed to settle within 60 terms")
+
+
+def _r_series_bound(chart: CoverChart, s: float) -> float:
+    """Closed-form bound on |R(zeta)| over |zeta| = s, for s >= 1.5*MR.
+
+    Every w = zeta^(d^i) then has |w| >= s >= 1.5*MR, where _qminus_eval
+    takes the exterior Cauchy sum, a mean of g_k z_k / (z_k - w) over the
+    circle |z_k| = rho_q, so |Q^-(w)| <= G rho_q / (|w| - rho_q) with
+    G = max|g_k|.  Summing over the terms of r_series,
+
+        |R(zeta)| <= sum_i |d/a|^(i+1) G rho_q / (s^(d^i) - rho_q),
+
+    which falls as s grows.  Once s^(d^i) >= 2 rho_q, each later term is at
+    most q_i = 2 |d/a| s^(-(d-1) d^i) times the one before, and q_i falls
+    with i, so for q_i <= 1/2 the tail after term i is at most
+    term_i q_i / (1 - q_i).  Terms are taken in logs, as in r_series.
+    """
+    d = chart.H.d
+    log_ratio = np.log(abs(d / chart.H.jacobian))
+    log_g = np.log(max(float(np.abs(chart.qminus_samples).max()), 1e-300))
+    log_rho = np.log(chart.qminus_rho)
+    total = 0.0
+    for i in range(60):
+        # term i is |d/a|^(i+1) G / (e^x - 1) with x = log(s^(d^i) / rho_q)
+        x = d**i * np.log(s) - log_rho
+        log_term = (i + 1) * log_ratio + log_g - x - np.log1p(-np.exp(-x))
+        term = float(np.exp(log_term))
+        total += term
+        q = 2.0 * float(np.exp(log_ratio - (d - 1) * (x + log_rho)))
+        if x >= np.log(2.0) and q <= 0.5:
+            tail = term * q / (1.0 - q)
+            if tail <= 1e-16 * total:
+                return total + tail
+    raise Divergence("correction series bound failed to settle within 60 terms")
 
 
 def psi_tilde(chart: CoverChart, z: Point, tol: float = 1e-11) -> CoverPoint:
@@ -555,12 +572,7 @@ def chart_to_dict(chart: CoverChart) -> dict:
     return {
         "format": "henoncover-chart-v1",
         "map": {"factors": _factors_json(chart.H)},
-        "region": {
-            "M": chart.region.M,
-            "R": chart.region.R.R,
-            "epsilon": chart.region.epsilon,
-            "samples": chart.region.certification_samples,
-        },
+        "region": {"M": chart.region.M, "R": chart.region.R.R},
         "Q": [_c2l(c) for c in chart.Q.coeffs],
         "rho": chart.rho,
         "qminus_rho": chart.qminus_rho,
@@ -582,15 +594,9 @@ def chart_from_dict(data: dict) -> CoverChart:
         ]
     )
     reg = data["region"]
-    region = BoettcherRegion(
-        reg["M"],
-        FiltrationRadius(reg["R"]),
-        reg["epsilon"],
-        reg["samples"],
-    )
     return CoverChart(
         H=H,
-        region=region,
+        region=BoettcherRegion(reg["M"], FiltrationRadius(reg["R"])),
         Q=ComplexPolynomial(tuple(_l2c(c) for c in data["Q"])),
         rho=data["rho"],
         qminus_rho=data["qminus_rho"],

@@ -42,6 +42,11 @@ def htwo_chart(htwo):
     return build_chart(htwo)
 
 
+@pytest.fixture(scope="session")
+def hcubic_chart(hcubic):
+    return build_chart(hcubic)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)

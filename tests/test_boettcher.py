@@ -26,7 +26,9 @@ from henoncover.boettcher import (
     OutsideRegion,
     _ipow,
     _log1p_array,
+    _product_bound,
     dphi_dy_vec,
+    in_region_xy,
     phi_series,
     phi_vec,
 )
@@ -108,7 +110,7 @@ def test_lambda_inverse_pair(rng, href, href_region):
 
 
 def test_lambda_close_to_identity(rng, href, href_region):
-    eps = href_region.epsilon
+    eps = 0.035
     for z in region_samples(rng, href_region, 30):
         w = z.y  # any target in the region works
         lam = lambda_inverse(href, z.x, w, href_region)
@@ -136,7 +138,7 @@ def test_lambda_no_convergence():
 
 
 def test_derivative_bounds(rng, href, href_region):
-    eps = href_region.epsilon
+    eps = 0.035
     for z in region_samples(rng, href_region, 20):
         dp = dphi_dy(href, z, href_region)
         assert 1 - eps <= abs(dp) <= 1 + eps
@@ -353,14 +355,37 @@ def test_dlambda_dy_is_inverse_slope_at_solved_point(name, request):
         assert dl == 1.0 / dphi_dy(H, Point(z.x, y), region)
 
 
-def test_region_epsilon_certified_on_boundary(rng, href, href_region):
-    from henoncover.boettcher import _region_boundary_samples
+def assert_product_bound_holds_on_boundary(H, seed):
+    """The proved M against 1,000 seeded points on the boundary of W+_M."""
+    region = certify_region(H)
+    M, R = region.M, region.R.R
+    bound, invariant = _product_bound(H, M, R)
+    assert invariant and bound <= 0.5
+    rng = np.random.default_rng(seed)
+    n = 500
+    # |y| = MR with |x| <= R, and |y| = M |x| with |x| >= R
+    r_out = R * np.exp(rng.uniform(0.0, np.log(50.0), n))
+    rx = np.concatenate([rng.uniform(0.0, R, n), r_out])
+    ry = M * np.concatenate([np.full(n, R), r_out])
+    x = rx * np.exp(2j * np.pi * rng.uniform(size=2 * n))
+    y = ry * np.exp(2j * np.pi * rng.uniform(size=2 * n))
+    assert phi_series(H, x, y)[2].all()
+    fx, fy = apply_xy(H, x, y)
+    assert np.all(in_region_xy(fx, fy, M, R))
+    # w is rounded to a few eps absolute; the bound is exact up to rounding
+    w = fy / y**H.d - 1.0
+    assert np.max(np.abs(w)) <= bound + 1e-14
 
-    assert href_region.epsilon < 0.5
-    x, y = _region_boundary_samples(href_region.R.R, href_region.M, 500, rng)
-    phi, _, ok, _ = phi_vec(href, x, y)
-    assert ok.all()
-    assert np.max(np.abs(phi / y - 1.0)) <= 0.25
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_product_bound_holds_on_region_boundary(name, request):
+    assert_product_bound_holds_on_boundary(request.getfixturevalue(name), 59)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_product_bound_holds_on_region_boundary_of_random_maps(H, seed):
+    assert_product_bound_holds_on_boundary(H, seed)
 
 
 def test_alpha_budget_exceeded_on_bounded_vertex(href, href_radius):

@@ -31,6 +31,7 @@ from henoncover.cover import (
     SegmentOutsideRegion,
     _composite_nodes,
     _qminus_eval,
+    _r_series_bound,
     chart_from_dict,
     chart_to_dict,
     in_absorbing_region,
@@ -62,7 +63,7 @@ def test_psi_vanishes_at_zero(href, href_region):
 
 
 def test_psi_close_to_product(rng, href, href_region):
-    eps = href_region.epsilon
+    eps = 0.035
     M, R = href_region.M, href_region.R.R
     for _ in range(20):
         y = M * R * rng.uniform(2.0, 10.0) * np.exp(2j * np.pi * rng.uniform())
@@ -214,13 +215,16 @@ def test_series_identity(rng, href, href_chart):
         assert abs(lhs - _qminus_eval(href_chart, z)) <= 1e-8
 
 
-def test_series_bound_on_absorbing_region(href_chart):
-    M = href_chart.region.M
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_series_bound_on_absorbing_region(name, request):
+    chart = request.getfixturevalue(f"{name}_chart")
+    bound = _r_series_bound(chart, chart.Mtilde)
     for radial in (1.0, 1.5, 3.0):
-        r = href_chart.Mtilde * radial
+        r = chart.Mtilde * radial
         for k in range(32):
-            z = r * np.exp(2j * np.pi * k / 32)
-            assert abs(r_series(href_chart, z)) < r**2 / (4.0 * M)
+            val = abs(r_series(chart, r * np.exp(2j * np.pi * k / 32)))
+            assert val <= bound
+            assert val < chart.t * r**2
 
 
 def test_series_truncation_stability(rng, href_chart):
@@ -457,6 +461,16 @@ def test_chart_dict_format(href_chart):
     # charts saved with a sampled radius carry its sample count; it is ignored
     doc["region"]["R_samples"] = 4096
     assert chart_from_dict(doc).region == href_chart.region
+    # charts saved with a sampled region and Mtilde carry the sampled epsilon
+    # and sample counts; they load to the same chart, meta kept as stored
+    old = json.loads(text)
+    old["region"].update(epsilon=0.03558, samples=1400)
+    old["meta"]["mtilde_certification_samples"] = 384
+    loaded = chart_from_dict(old)
+    for name in ("H", "region", "Q", "rho", "qminus_rho", "series_tol", "Mtilde", "t"):
+        assert getattr(loaded, name) == getattr(href_chart, name)
+    assert np.array_equal(loaded.qminus_samples, href_chart.qminus_samples)
+    assert loaded.meta == old["meta"]
 
 
 def test_cover_point_validates():
