@@ -22,7 +22,13 @@ import numpy as np
 from . import verification
 from .cover import build_chart, save_chart
 from .filtration import filtration_radius
-from .green import escape_time_grid, green_minus, green_plus, green_plus_grid
+from .green import (
+    attracting_traps,
+    escape_time_grid,
+    green_minus,
+    green_plus,
+    green_plus_grid,
+)
 from .henon import HenonError, HenonMap, Point, _c2l, _factors_json, make_henon
 from .shortc2 import classify_sublevel
 from .symmetry import compute_d0, find_affine_symmetries, save_report
@@ -278,6 +284,14 @@ def _cmd_info(args) -> int:
         "filtration_radius": filtration_radius(H).R,
         "d0": compute_d0(H.d, H.d_prime),
         "symmetry_order_bound": (H.d + H.d_prime) * (H.d - 1),
+        "attracting_traps": [
+            {
+                "fixed_point": [_c2l(t.point.x), _c2l(t.point.y)],
+                "spectral_radius": t.spectral_radius,
+                "r": t.r,
+            }
+            for t in attracting_traps(H)
+        ],
     }
     text = json.dumps(info, indent=1)
     if args.out:

@@ -20,6 +20,7 @@ exactly cancelling Q-difference.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -157,6 +158,16 @@ class CoverChart:
     @property
     def inner_radius(self) -> float:
         return self.region.M * self.region.R.R
+
+    @functools.cached_property
+    def _qminus_nodes(self):
+        """(z_k, g_k z_k) on the Q^- sample circle, built on first use.
+
+        qminus_rho and qminus_samples are fixed once the chart is built.
+        """
+        n = self.qminus_samples.size
+        zk = self.qminus_rho * np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
+        return zk, self.qminus_samples * zk
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +377,8 @@ def _qminus_eval(chart: CoverChart, w: complex) -> complex:
     aw = abs(w)
     inner = chart.inner_radius
     if aw >= 1.5 * inner:
-        zk = chart.qminus_rho * np.exp(
-            1j * 2.0 * np.pi * np.arange(chart.qminus_samples.size)
-            / chart.qminus_samples.size
-        )
-        return complex(
-            -(chart.qminus_samples * zk / (zk - w)).mean()
-        )
+        zk, gzk = chart._qminus_nodes
+        return complex(-(gzk / (zk - w)).mean())
     if aw > 1.02 * inner:
         qt = _qtilde_batch(chart.H, chart.region, [w])
         return complex(qt[0] - chart.Q(w))

@@ -95,10 +95,19 @@ class ComplexPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, y):
-        acc = self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            acc = acc * y + c
-        return acc
+        # Horner, started from y itself under a leading 1 and skipping the
+        # additions of zero coefficients: for finite y the value of the
+        # textbook loop up to the sign of a zero (1*y == y, v + 0 == v),
+        # in two array operations for y^2 + c instead of four
+        cs = self.coeffs
+        if len(cs) == 1:
+            return cs[0]
+        acc = y if cs[-1] == 1 else cs[-1] * y
+        for c in cs[-2:0:-1]:
+            if c:
+                acc = acc + c
+            acc = acc * y
+        return acc + cs[0] if cs[0] else acc
 
     def derivative(self) -> "ComplexPolynomial":
         if self.degree == 0:

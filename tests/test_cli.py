@@ -72,6 +72,20 @@ def test_cli_info(tmp_path, capsys):
     assert out["filtration_radius"] > 1
 
 
+def test_cli_info_lists_attracting_traps(tmp_path, capsys):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    assert main(["info", "--spec", spec]) == 0
+    (trap,) = json.loads(capsys.readouterr().out)["attracting_traps"]
+    assert trap["r"] >= 0.0625 and trap["spectral_radius"] < 1.0
+    assert np.allclose(trap["fixed_point"], [[-0.482, 0.0], [-0.482, 0.0]], atol=1e-3)
+    # (y, y^3 - y - x) has Jacobian 1: no fixed point attracts, no trap
+    spec = write_json(
+        tmp_path / "m.json", {"factors": [{"p": [[0, 0], [-1, 0], [0, 0], [1, 0]], "a": [1, 0]}]}
+    )
+    assert main(["info", "--spec", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["attracting_traps"] == []
+
+
 def test_cli_info_composed_degrees(tmp_path, capsys):
     spec = write_json(tmp_path / "m.json", TWO_DEGREES)
     assert main(["info", "--spec", spec]) == 0

@@ -215,6 +215,18 @@ def test_series_identity(rng, href, href_chart):
         assert abs(lhs - _qminus_eval(href_chart, z)) <= 1e-8
 
 
+def test_qminus_nodes_built_once_per_chart(htwo_chart, rng):
+    chart = chart_from_dict(json.loads(json.dumps(chart_to_dict(htwo_chart))))
+    n = chart.qminus_samples.size
+    zk = chart.qminus_rho * np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
+    for _ in range(20):
+        w = 1.5 * chart.inner_radius * rng.uniform(1.0, 4.0) * np.exp(2j * np.pi * rng.uniform())
+        # the exterior Cauchy sum as it was written before the nodes were kept
+        want = complex(-(chart.qminus_samples * zk / (zk - w)).mean())
+        assert _qminus_eval(chart, w) == want == _qminus_eval(htwo_chart, w)
+    assert chart._qminus_nodes is chart._qminus_nodes
+
+
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
 def test_series_bound_on_absorbing_region(name, request):
     chart = request.getfixturevalue(f"{name}_chart")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henoncover import (
     Membership,
@@ -14,8 +16,18 @@ from henoncover import (
     make_henon,
     membership,
 )
-from henoncover.green import escape_time_grid, green_plus_grid
-from henoncover.henon import inverse_leading_constant
+from henoncover.filtration import BAIL_OUT, ESCAPE_MARGIN, escape_orbit
+from henoncover.green import (
+    TRAP_MARGIN,
+    Trap,
+    _escape_steps,
+    attracting_traps,
+    escape_time_grid,
+    green_plus_grid,
+)
+from henoncover.henon import apply_xy, inverse_leading_constant
+
+from strategies import attracting_map, henon_maps
 
 
 def test_green_zero_at_fixed_point():
@@ -153,3 +165,161 @@ def test_escape_time_grid_matches_classify_point(request, rng, name):
     assert steps.shape == shape
     assert steps.ravel().tolist() == want
     assert 0 < sum(n == 64 for n in want) < len(want)  # both kinds of orbit
+
+
+def trap_coordinates(t: Trap, x, y):
+    """|S (z - p)|max, the polydisc norm of the trap t."""
+    s11, s12, s21, s22 = t.basis_inverse
+    u, v = x - t.point.x, y - t.point.y
+    return np.maximum(np.abs(s11 * u + s12 * v), np.abs(s21 * u + s22 * v))
+
+
+def assert_traps_proved(H, seed, n=1000):
+    """Each trap maps n seeded points of its boundary into itself.
+
+    The spectral radius is checked against central differences of H, and
+    every boundary point must stay bounded for 64 steps.
+    """
+    rng = np.random.default_rng(seed)
+    R = filtration_radius(H).R
+    traps = attracting_traps(H)
+    for t in traps:
+        p = np.array([t.point.x, t.point.y])
+        h = 1e-6
+        cols = [
+            (np.array(apply_xy(H, *(p + h * e))) - np.array(apply_xy(H, *(p - h * e)))) / (2 * h)
+            for e in np.eye(2)
+        ]
+        rho = np.abs(np.linalg.eigvals(np.column_stack(cols))).max()
+        assert rho < 1.0 and abs(rho - t.spectral_radius) <= 1e-6
+        # |g|max = r: one coordinate on its circle, the other in its disc
+        phase = np.exp(2j * np.pi * rng.uniform(size=(2, n)))
+        g = t.r * np.sqrt(rng.uniform(size=(2, n))) * phase
+        side = rng.integers(2, size=n)
+        g[side, np.arange(n)] = t.r * phase[side, np.arange(n)]
+        T = np.linalg.inv(np.reshape(t.basis_inverse, (2, 2)))
+        x, y = t.point.x + T[0] @ g, t.point.y + T[1] @ g
+        assert trap_coordinates(t, x, y).max() <= t.r * (1 + 1e-12)
+        # proved: the image lies in the (1 - delta) r polydisc; half of the
+        # margin is left for the rounding of this check
+        image = trap_coordinates(t, *apply_xy(H, x, y))
+        assert image.max() <= (1.0 - TRAP_MARGIN / 2) * t.r
+        assert max(np.abs(x).max(), np.abs(y).max()) <= t.reach
+        for xi, yi in zip(x, y):
+            assert escape_orbit(H, complex(xi), complex(yi), R, 64) is None
+    return len(traps)
+
+
+def test_fixture_traps(href, htwo, hcubic):
+    (t,) = attracting_traps(href)
+    assert abs(t.point.x + 0.482) < 1e-3 and abs(t.point.y + 0.482) < 1e-3
+    assert t.r >= 0.0625 and abs(t.spectral_radius - np.sqrt(0.8)) < 1e-12
+    (t,) = attracting_traps(hcubic)
+    assert t.point == Point(0, 0) and t.r >= 0.25
+    assert attracting_traps(htwo) == ()
+
+
+def test_no_trap_at_a_double_multiplier():
+    # (0.3, 0.3) is fixed with DH a Jordan block of eigenvalue 1/2: its
+    # eigenvector matrix is singular up to rounding, so no trap is claimed
+    s, lam = 0.3, 0.5
+    c1 = 2 * lam - 2 * s
+    H = make_henon([([s + lam**2 * s - s * s - c1 * s, c1, 1], lam**2)])
+    assert attracting_traps(H) == ()
+
+
+@pytest.mark.parametrize("name", ["href", "hcubic"])
+def test_trap_proof_holds_on_boundary(request, name):
+    assert assert_traps_proved(request.getfixturevalue(name), 67) == 1
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_trap_proof_holds_on_boundary_of_random_maps(H, seed):
+    assert_traps_proved(H, seed)
+
+
+def test_trap_proof_holds_on_boundary_of_attracting_maps():
+    # henon_maps draws rarely have an attracting fixed point; these always do
+    rng = np.random.default_rng(71)
+    traps = [assert_traps_proved(attracting_map(rng), seed) for seed in range(10)]
+    assert traps == [1] * 10
+
+
+def reference_escape_steps(H, x, y, R, N_max):
+    """The escape loop without traps, compaction or skipped tests."""
+    steps = np.full(x.size, -1, dtype=np.int64)
+    live = np.ones(x.size, dtype=bool)
+    cx, cy = x.copy(), y.copy()
+    for n in range(N_max + 1):
+        ax, ay = np.abs(cx), np.abs(cy)
+        esc = live & (ay >= np.maximum(ax, R)) & (ay > ESCAPE_MARGIN * R)
+        steps[esc] = n
+        x[esc], y[esc] = cx[esc], cy[esc]
+        live &= ~esc & (np.maximum(ax, ay) <= BAIL_OUT)
+        if n < N_max:
+            cx[live], cy[live] = apply_xy(H, cx[live], cy[live])
+    return steps
+
+
+def assert_escape_steps_match_reference(H, x, y, R, N_max=64, extremes=True):
+    x, y = np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel()
+    if extremes:  # bail-out and NaN points, which also force the full test
+        x = np.append(x, [0.0, 1e160, 1e200j, np.nan])
+        y = np.append(y, [1e200, 1e155, 1.0, 0.0])
+    rx, ry = x.copy(), y.copy()
+    want = reference_escape_steps(H, rx, ry, R, N_max)
+    got = _escape_steps(H, x, y, R, N_max)
+    assert np.array_equal(got, want)
+    # the written-back escape coordinates, bit for bit
+    assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_escape_steps_match_trap_free_loop_on_real_slice(request, monkeypatch, name):
+    H = request.getfixturevalue(name)
+    retired = []
+    holds = Trap.holds
+
+    def counting(self, x, y):
+        inside = holds(self, x, y)
+        retired.append(int(inside.sum()))
+        return inside
+
+    monkeypatch.setattr(Trap, "holds", counting)
+    x, y = np.meshgrid(np.linspace(-2.5, 2.5, 128), np.linspace(-2.5, 2.5, 128))
+    assert_escape_steps_match_reference(H, x, y, filtration_radius(H).R)
+    if name == "hcubic":
+        assert sum(retired) > 1000  # the trap is used, not just proved
+    assert len(retired) == (len(attracting_traps(H)) > 0) * len(retired)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_escape_steps_match_trap_free_loop_on_random_maps(H, seed):
+    rng = np.random.default_rng(seed)
+    R = filtration_radius(H).R
+    x = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
+    y = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
+    assert_escape_steps_match_reference(H, x, y, R)
+
+
+@pytest.mark.parametrize("c0", [6e149, 1e150, 1e152])
+def test_escape_steps_match_trap_free_loop_past_the_bail_out(c0):
+    # 2R > BAIL_OUT: points with BAIL_OUT < |z| <= 2R must still bail out
+    H = make_henon([([c0, 0, 1], 0.5)])
+    R = filtration_radius(H).R
+    assert ESCAPE_MARGIN * R > BAIL_OUT
+    rng = np.random.default_rng(79)
+    x, y = R * rng.uniform(0, 2, (2, 400)) * np.exp(2j * np.pi * rng.uniform(size=(2, 400)))
+    assert_escape_steps_match_reference(H, x, y, R, extremes=False)
+
+
+def test_escape_steps_match_trap_free_loop_on_attracting_maps():
+    rng = np.random.default_rng(73)
+    for _ in range(10):
+        H = attracting_map(rng)
+        R = filtration_radius(H).R
+        x = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
+        y = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
+        assert_escape_steps_match_reference(H, x, y, R)

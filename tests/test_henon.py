@@ -13,6 +13,7 @@ from henoncover import (
     make_henon,
 )
 from henoncover.henon import (
+    ComplexPolynomial,
     component_polynomials,
     first_component_axis_poly,
     inverse_leading_constant,
@@ -131,3 +132,34 @@ def test_inverse_leading_constant(rng, htwo):
     z = apply_inverse(htwo, Point(x, 1.0))
     ratio = z.x * kappa / x**htwo.d
     assert abs(ratio - 1.0) <= 1e-5
+
+
+def textbook_horner(p: ComplexPolynomial, y):
+    acc = p.coeffs[-1]
+    for c in p.coeffs[-2::-1]:
+        acc = acc * y + c
+    return acc
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [-1.1, 0, 1],  # monic, a zero coefficient
+        [0, 0, 0, 1],  # monic, every lower coefficient zero
+        [0.05 - 0.3j, 1.5, -2j, 1],  # monic, no zero
+        [0, 2.5 + 1j, 0, -0.75j],  # not monic, zero constant
+        [3.0],  # a constant
+        [0, 1],  # the identity
+    ],
+)
+def test_polynomial_call_matches_textbook_horner(coeffs, rng):
+    p = ComplexPolynomial(tuple(coeffs))
+    y = 3.0 * (rng.normal(size=200) + 1j * rng.normal(size=200))
+    y[:4] = [0.0, -0.0, 1.0, -2.5]  # zeros and real points
+    for q in (p, p.derivative(), p.derivative().derivative()):
+        # equal as floats, -0.0 == 0.0: the lean loop may differ from the
+        # textbook one only in the sign of a zero
+        assert np.array_equal(q(y), textbook_horner(q, y))
+        for v in y[:20]:
+            got, want = q(complex(v)), textbook_horner(q, complex(v))
+            assert got == want and type(got) is type(want)
