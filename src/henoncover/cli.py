@@ -102,6 +102,14 @@ def _complex_from(v, field: str) -> complex:
     raise SpecError(field, "expected a number or an [re, im] pair")
 
 
+def _number_from(v, field: str, kind=float):
+    """kind(v), or a SpecError naming the field."""
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(field, "expected a number") from exc
+
+
 def parse_spec(data) -> MapSpec:
     if not isinstance(data, dict):
         raise SpecError("<root>", "spec must be a JSON object")
@@ -177,14 +185,14 @@ def parse_grid_job(data) -> GridJob:
     return GridJob(
         plane=kind,
         anchor=anchor,
-        center=(float(center[0]), float(center[1])),
-        width=float(window.get("width", 0.0)),
-        height=float(window.get("height", 0.0)),
-        nx=int(res[0]),
-        ny=int(res[1]),
+        center=tuple(_number_from(v, "window.center") for v in center),
+        width=_number_from(window.get("width", 0.0), "window.width"),
+        height=_number_from(window.get("height", 0.0), "window.height"),
+        nx=_number_from(res[0], "resolution", int),
+        ny=_number_from(res[1], "resolution", int),
         quantity=qkind,
-        c=float(quantity.get("c", 0.0)) if qkind == "sublevel" else 0.0,
-        clamp=float(data.get("clamp", 4.0)),
+        c=_number_from(quantity.get("c", 0.0), "quantity.c") if qkind == "sublevel" else 0.0,
+        clamp=_number_from(data.get("clamp", 4.0), "clamp"),
     )
 
 
@@ -300,15 +308,19 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _budget(args) -> int:
+    if args.budget < 0:
+        raise SpecError("--budget", "must be nonnegative")
+    return args.budget
+
+
 def _cmd_render(args) -> int:
     spec = parse_spec_file(args.spec)
     try:
         job = parse_grid_job(json.loads(Path(args.job).read_text()))
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError("<job>", str(exc)) from exc
-    values = render_grid(
-        spec.henon, job, budget=args.budget, threads=args.threads, tol=args.tol
-    )
+    values = render_grid(spec.henon, job, budget=_budget(args), threads=args.threads, tol=args.tol)
     write_pgm(args.out, quantize(job, values))
     if args.csv:
         write_csv(args.csv, values)
@@ -359,7 +371,9 @@ def _parse_point(text: str) -> Point:
 def _cmd_classify(args) -> int:
     spec = parse_spec_file(args.spec)
     z = _parse_point(args.point)
-    cls = classify_sublevel(spec.henon, args.c, z, budget=args.budget)
+    if not args.c > 0:
+        raise SpecError("--c", "must be positive")
+    cls = classify_sublevel(spec.henon, args.c, z, budget=_budget(args))
     print(
         json.dumps(
             {
@@ -379,7 +393,7 @@ def _cmd_green(args) -> int:
     spec = parse_spec_file(args.spec)
     z = _parse_point(args.point)
     fn = green_minus if args.direction == "minus" else green_plus
-    g = fn(spec.henon, z, tol=args.tol, N_max=args.budget)
+    g = fn(spec.henon, z, tol=args.tol, N_max=_budget(args))
     print(
         json.dumps(
             {

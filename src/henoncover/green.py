@@ -4,9 +4,9 @@ G+(z) is the normalized escape rate lim d^-n log+ ||H^n(z)||; it vanishes
 exactly on the non-escaping set and satisfies G+(H(z)) = d * G+(z).  Once
 an orbit is deep in V+, the remaining limit equals log|phi| at that orbit
 point, so the value is refined through the Bottcher product rather than by
-iterating to overflow.  G- mirrors this under H^{-1} through V-, with the
-backward product normalized by the constant kappa from the inverse's
-leading coefficient.
+iterating to overflow.  G-, the escape rate of H^{-1}, is G+ of the monic
+Henon map henon.backward_conjugate(H), conjugate to H^{-1} by a swap and a
+diagonal scaling, so both come from the one green_plus kernel.
 
 The grid kernels (escape_time_grid, green_plus_grid) run the escape test
 of escape_orbit over flat arrays in one loop, _escape_steps.  Its full
@@ -41,10 +41,9 @@ from .henon import (
     BivariatePoly,
     HenonMap,
     Point,
-    apply_inverse_xy,
     apply_xy,
+    backward_conjugate,
     component_polynomials,
-    inverse_leading_constant,
 )
 from .symmetry import fixed_points
 
@@ -139,65 +138,14 @@ def green_plus(
     return GreenValue(float(vals[0]), float(errs[0]), int(depths[0]))
 
 
-def _backward_series(H: HenonMap, x: complex, y: complex, tol: float, max_steps: int = 64):
-    """sum d^-(j+1) log|1 + w_j| along the backward orbit, w from x' kappa/x^d."""
-    d = H.d
-    kappa = inverse_leading_constant(H)
-    xcap = 10.0 ** (280.0 / d)
-    total = 0.0
-    err = 0.0
-    c_est = 10.0
-    for j in range(max_steps):
-        scale = float(d) ** -(j + 1)
-        if abs(x) > xcap:
-            err += scale * 2.0 * c_est / abs(x)
-            break
-        nx, ny = apply_inverse_xy(H, x, y)
-        w = nx * kappa / x**d - 1.0
-        if abs(w) > 0.5:
-            return total, err, False
-        term = scale * np.log(abs(1.0 + w))
-        total += term
-        c_est = max(abs(w) * abs(x), 1e-300)
-        if abs(term) < tol:
-            err += 2.0 * abs(term)
-            break
-        x, y = nx, ny
-    else:
-        err += float(d) ** -(max_steps + 1)
-    return total, err, True
+def green_minus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> GreenValue:
+    """G-(z) as G+ of the monic conjugate K of H^{-1} (henon.backward_conjugate).
 
-
-def green_minus(
-    H: HenonMap,
-    z: Point,
-    tol: float = 1e-10,
-    N_max: int = 256,
-    R: FiltrationRadius | None = None,
-) -> GreenValue:
-    """G-(z): the mirror of green_plus under H^{-1} and V-."""
-    if R is None:
-        R = filtration_radius(H)
-    hit = escape_orbit(H, complex(z.x), complex(z.y), R.R, N_max, forward=False)
-    if hit is None:
-        return _bounded_value(H, R.R, N_max)
-    n, x, y = hit
-    d = H.d
-    offset = -np.log(abs(inverse_leading_constant(H))) / (d - 1.0)
-    for push in range(MAX_PUSH + 1):
-        if push:
-            x, y = apply_inverse_xy(H, x, y)
-        tail, err, ok = _backward_series(H, x, y, tol)
-        depth = n + push
-        scale = float(d) ** -depth
-        if ok:
-            value = scale * (np.log(abs(x)) + offset + tail)
-            return GreenValue(max(value, 0.0), scale * err, depth)
-    return GreenValue(
-        max(scale * np.log(abs(x)), 0.0),
-        scale * (FALLBACK_TAIL + abs(offset)),
-        depth,
-    )
+    G-_H(x, y) = G+_K(y / alpha, x / beta), proved in the backward_conjugate
+    docstring; the value, error bound and depth are those of green_plus on K.
+    """
+    K, alpha, beta = backward_conjugate(H)
+    return green_plus(K, Point(z.y / alpha, z.x / beta), tol, N_max)
 
 
 def membership(H: HenonMap, z: Point, budget: int = 256) -> Membership:

@@ -37,6 +37,7 @@ __all__ = [
     "first_component_axis_poly",
     "second_component_correction",
     "inverse_leading_constant",
+    "backward_conjugate",
 ]
 
 
@@ -366,3 +367,43 @@ def inverse_leading_constant(H: HenonMap) -> complex:
         kappa *= f.a**exp
         exp *= f.p.degree
     return kappa
+
+
+@functools.lru_cache(maxsize=64)
+def backward_conjugate(H: HenonMap):
+    """(K, alpha, beta) with K = D^-1 s H^-1 s D a monic Henon map.
+
+    s(x, y) = (y, x) and D = diag(alpha, beta).  For H = f_m o ... o f_1,
+    s H^-1 s = g_1 o ... o g_m with g_i(x, y) = (y, (p_i(y) - x) / a_i).
+    With D_i = diag(beta_{i+1}, beta_i), indices mod m and D_0 = D_m = D,
+    h_i = D_{i-1}^-1 g_i D_i is the simple factor (x, y) -> (y, q_i(y) - A_i x)
+    with q_i(y) = p_i(beta_i y) / (a_i beta_{i-1}) and A_i = beta_{i+1} /
+    (a_i beta_{i-1}); it is monic iff beta_{i-1} = beta_i^{d_i} / a_i.  Once
+    round the cycle this forces beta_0^(d-1) = kappa = inverse_leading_constant(H),
+    so beta_0 = beta_m is the principal root and beta_{m-1}, ..., beta_1
+    follow (h_1's leading coefficient, 1 up to rounding, is set to 1).  K
+    applies h_m first and h_1 last; alpha = beta_1, beta = beta_0.
+
+    K^n = D^-1 s H^-n s D, and the affine map D^-1 s moves log+ ||.|| by a
+    bounded amount, so d^-n log+ ||H^-n(z)|| and d^-n log+ ||K^n(D^-1 s z)||
+    have the same limit (the argument of the symmetry module's docstring):
+
+        G-_H(x, y) = G+_K(y / alpha, x / beta).
+
+    In V+ of K, G+_K(x', y') = log|y'| + o(1): this is the normalization
+    G-_H(x, y) = log|x| - log|kappa| / (d - 1) + o(1) in V- of H.
+    """
+    fs = H.factors
+    m = len(fs)
+    beta = [0j] * (m + 2)
+    beta[0] = beta[m] = complex(inverse_leading_constant(H)) ** (1.0 / (H.d - 1))
+    for i in range(m, 1, -1):
+        beta[i - 1] = beta[i] ** fs[i - 1].p.degree / fs[i - 1].a
+    beta[m + 1] = beta[1]
+    factors = []
+    for i in range(m, 0, -1):
+        f = fs[i - 1]
+        s = f.a * beta[i - 1]
+        coeffs = [c * beta[i] ** k / s for k, c in enumerate(f.p.coeffs[:-1])]
+        factors.append((coeffs + [1.0], beta[i + 1] / s))
+    return make_henon(factors), beta[1], beta[0]

@@ -29,7 +29,7 @@ from .cover import (
 )
 from .filtration import filtration_radius
 from .green import escaping_samples, green_minus, green_plus
-from .henon import HenonMap, Point, apply, apply_inverse, apply_xy, iterate
+from .henon import HenonMap, Point, apply, apply_inverse, apply_inverse_xy, apply_xy, iterate
 from .shortc2 import annulus_coordinate, classify_sublevel
 from .symmetry import compute_d0, find_affine_symmetries, verify_cyclic
 
@@ -102,8 +102,6 @@ def check_filtration_invariance(H: HenonMap, n: int = 10000, seed: int = 13):
     rng = np.random.default_rng(seed)
 
     def run():
-        from .henon import apply_inverse_xy
-
         mags = R.R * np.exp(rng.uniform(0.0, np.log(100.0), n))
         frac = rng.uniform(0.0, 1.0, n)
         ph1 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
@@ -122,17 +120,21 @@ def check_filtration_invariance(H: HenonMap, n: int = 10000, seed: int = 13):
     )
 
 
-def check_green_functorial(H: HenonMap, n: int = 200, seed: int = 17):
+def check_green_functorial(H: HenonMap, n: int = 200, seed: int = 17, forward: bool = True):
+    """G+(H(z)) = d G+(z), or with forward=False G-(H^-1(z)) = d G-(z)."""
+    green, step = (green_plus, apply) if forward else (green_minus, apply_inverse)
+
     def run():
-        pts = escaping_samples(H, n, seed, N_max=96)
+        pts = escaping_samples(H, n, seed, N_max=96, forward=forward)
         worst = 0.0
         for z, g in pts:
-            g2 = green_plus(H, apply(H, z), N_max=96)
+            g2 = green(H, step(H, z), N_max=96)
             worst = max(worst, abs(g2.value - H.d * g) / max(1.0, H.d * g))
         return worst
 
     worst, dt = _timed(run)
-    return _record("green.functorial", worst, 1e-6, dt, note=f"{n} points")
+    name = "green.functorial" if forward else "green.functorial_minus"
+    return _record(name, worst, 1e-6, dt, note=f"{n} points")
 
 
 def check_green_basics(H: HenonMap, seed: int = 19):
@@ -156,19 +158,6 @@ def check_green_basics(H: HenonMap, seed: int = 19):
 
     worst, dt = _timed(run)
     return _record("green.zero_on_bounded", worst, 0.0, dt)
-
-
-def check_green_minus_functorial(H: HenonMap, n: int = 60, seed: int = 23):
-    def run():
-        pts = escaping_samples(H, n, seed, N_max=96, forward=False)
-        worst = 0.0
-        for z, g in pts:
-            g2 = green_minus(H, apply_inverse(H, z), N_max=96)
-            worst = max(worst, abs(g2.value - H.d * g) / max(1.0, H.d * g))
-        return worst
-
-    worst, dt = _timed(run)
-    return _record("green.functorial_minus", worst, 1e-6, dt, note=f"{n} points")
 
 
 def check_boettcher(H: HenonMap, n: int = 100, seed: int = 29):
@@ -507,7 +496,7 @@ def run_suite(H: HenonMap, level: str = "fast"):
         check_iterate_roundtrip(H),
         check_filtration_invariance(H, n=10000 // k),
         check_green_functorial(H, n=200 // k),
-        check_green_minus_functorial(H, n=60 // k),
+        check_green_functorial(H, n=60 // k, seed=23, forward=False),
         check_green_basics(H),
         check_boettcher(H, n=100 // k),
         check_d0(),

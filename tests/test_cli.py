@@ -111,6 +111,38 @@ def test_cli_zero_jacobian_exit_2(tmp_path, capsys):
     assert "a = 0" in err
 
 
+def test_cli_classify_nonpositive_c_exit_2(tmp_path, capsys):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    for c in ("0", "-1", "nan"):
+        assert main(["classify", "--spec", spec, "--point", "0,0,100,0", "--c", c]) == 2
+        assert "--c" in capsys.readouterr().err
+
+
+def test_cli_negative_budget_exit_2(tmp_path, capsys):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    jobp = write_json(tmp_path / "j.json", JOB)
+    out = tmp_path / "img.pgm"
+    for argv in (
+        ["green", "--point", "0,0,100,0"],
+        ["classify", "--point", "0,0,100,0", "--c", "1.0"],
+        ["render", "--job", jobp, "--out", str(out)],
+    ):
+        assert main(argv + ["--spec", spec, "--budget", "-3"]) == 2, argv
+        assert "--budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("resolution", ["a", 8]), ("window", {"center": [0, 0], "width": "wide", "height": 5})],
+)
+def test_cli_non_numeric_job_exit_2(tmp_path, capsys, field, value):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    jobp = write_json(tmp_path / "j.json", {**JOB, field: value})
+    assert main(["render", "--spec", spec, "--job", jobp, "--out", str(tmp_path / "g.pgm")]) == 2
+    assert f"input error: {field}" in capsys.readouterr().err
+
+
 def test_render_deterministic_across_runs_and_threads(tmp_path):
     spec = parse_spec(QUADRATIC)
     job = parse_grid_job(JOB)

@@ -36,6 +36,13 @@ from henoncover.cover import (
     chart_to_dict,
     in_absorbing_region,
 )
+from henoncover.verification import (
+    check_chart_semiconjugacy,
+    check_covering_map,
+    check_deck,
+    check_deck_additivity,
+    check_r_series,
+)
 
 
 def sample_domain_points(chart, rng, n, depth=(1.0, 4.0)):
@@ -203,16 +210,7 @@ def test_two_factor_semiconjugacy_and_covering(rng, htwo, htwo_chart):
 # correction series
 
 def test_series_identity(rng, href, href_chart):
-    for _ in range(50):
-        z = (
-            2.0 * href_chart.inner_radius
-            * rng.uniform(1.0, 3.0)
-            * np.exp(2j * np.pi * rng.uniform())
-        )
-        lhs = (href.jacobian / href.d) * r_series(href_chart, z) - r_series(
-            href_chart, z**href.d
-        )
-        assert abs(lhs - _qminus_eval(href_chart, z)) <= 1e-8
+    assert check_r_series(href, href_chart, n=50, seed=rng)["passed"]
 
 
 def test_qminus_nodes_built_once_per_chart(htwo_chart, rng):
@@ -294,11 +292,7 @@ def test_inverse_requires_absorbing_region(href_chart):
 
 
 def test_semiconjugacy(rng, href, href_chart):
-    for z in sample_domain_points(href_chart, rng, 50):
-        w1 = psi_tilde(href_chart, apply(href, z))
-        w2 = lift_H(href_chart, psi_tilde(href_chart, z))
-        assert abs(w1.z - w2.z) <= 1e-6 * max(1.0, abs(w2.z))
-        assert abs(w1.zeta - w2.zeta) <= 1e-6 * max(1.0, abs(w2.zeta))
+    assert check_chart_semiconjugacy(href, href_chart, n=50, seed=rng)["passed"]
 
 
 def test_lift_formula(href, href_chart):
@@ -328,35 +322,11 @@ def test_deck_label_reduction():
 
 
 def test_deck_relation_with_lift(rng, href, href_chart):
-    d = href.d
-    for n in (1, 2, 3):
-        for k in range(1, d**n):
-            for _ in range(20):
-                zeta = rng.uniform(1.2, 2.5) * np.exp(2j * np.pi * rng.uniform())
-                w = CoverPoint(complex(*rng.normal(size=2)), zeta)
-                l1 = lift_H(href_chart, deck(href_chart, DeckLabel.reduced(k, n, d), w))
-                l2 = deck(
-                    href_chart, DeckLabel.reduced(k, n - 1, d), lift_H(href_chart, w)
-                )
-                assert abs(l1.z - l2.z) <= 1e-10 * max(1.0, abs(l2.z))
-                assert abs(l1.zeta - l2.zeta) <= 1e-10 * max(1.0, abs(l2.zeta))
+    assert check_deck(href, href_chart, pts=20, seed=rng)["passed"]
 
 
 def test_deck_additivity(rng, href, href_chart):
-    d = href.d
-    for n in (1, 2):
-        for k1 in range(d**n):
-            for k2 in range(d**n):
-                zeta = rng.uniform(1.2, 2.2) * np.exp(2j * np.pi * rng.uniform())
-                w = CoverPoint(complex(*rng.normal(size=2)), zeta)
-                l1 = deck(
-                    href_chart,
-                    DeckLabel.reduced(k1, n, d),
-                    deck(href_chart, DeckLabel.reduced(k2, n, d), w),
-                )
-                l2 = deck(href_chart, DeckLabel.reduced(k1 + k2, n, d), w)
-                assert abs(l1.z - l2.z) <= 1e-10 * max(1.0, abs(l2.z))
-                assert abs(l1.zeta - l2.zeta) <= 1e-10 * max(1.0, abs(l2.zeta))
+    assert check_deck_additivity(href, href_chart, seed=rng, levels=2)["passed"]
 
 
 def test_deck_additivity_against_exact_polynomials(href, href_chart):
@@ -414,25 +384,12 @@ def test_covering_map_on_absorbed_point(rng, href, href_chart):
 
 
 def test_covering_map_equivariance(rng, href, href_chart):
-    for _ in range(15):
-        zeta = rng.uniform(1.15, 2.0) * np.exp(2j * np.pi * rng.uniform())
-        w = CoverPoint(0.4 * complex(*rng.normal(size=2)), zeta)
-        p1 = covering_map(href_chart, lift_H(href_chart, w), 20)
-        p2 = apply(href, covering_map(href_chart, w, 20))
-        scale = max(1.0, abs(p2.x), abs(p2.y))
-        assert max(abs(p1.x - p2.x), abs(p1.y - p2.y)) <= 1e-6 * scale
+    # the record covers both pi(lift_H(w)) = H(pi(w)) and fiber invariance
+    assert check_covering_map(href, href_chart, n=15, budget=20, seed=rng)["passed"]
 
 
 def test_covering_map_fiber_invariance(rng, href, href_chart):
-    for _ in range(15):
-        zeta = rng.uniform(1.15, 2.0) * np.exp(2j * np.pi * rng.uniform())
-        w = CoverPoint(0.4 * complex(*rng.normal(size=2)), zeta)
-        q1 = covering_map(
-            href_chart, deck(href_chart, DeckLabel.reduced(1, 1, href.d), w), 20
-        )
-        q2 = covering_map(href_chart, w, 20)
-        scale = max(1.0, abs(q2.x), abs(q2.y))
-        assert max(abs(q1.x - q2.x), abs(q1.y - q2.y)) <= 1e-6 * scale
+    assert check_covering_map(href, href_chart, n=15, budget=20, seed=rng)["passed"]
 
 
 def test_covering_map_budget_exceeded(href_chart):

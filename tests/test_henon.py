@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henoncover import (
     DegreeTooLow,
@@ -14,11 +16,17 @@ from henoncover import (
 )
 from henoncover.henon import (
     ComplexPolynomial,
+    apply_inverse_xy,
+    apply_xy,
+    backward_conjugate,
     component_polynomials,
     first_component_axis_poly,
     inverse_leading_constant,
     second_component_correction,
 )
+from henoncover.verification import check_green_functorial
+
+from strategies import henon_maps
 
 
 def test_simple_quadratic_degrees():
@@ -132,6 +140,25 @@ def test_inverse_leading_constant(rng, htwo):
     z = apply_inverse(htwo, Point(x, 1.0))
     ratio = z.x * kappa / x**htwo.d
     assert abs(ratio - 1.0) <= 1e-5
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_backward_conjugate_is_monic_conjugate_of_inverse(H, seed):
+    K, alpha, beta = backward_conjugate(H)
+    # factors h_m, ..., h_1: monic, of the degrees of H's factors reversed
+    assert [f.p.degree for f in K.factors] == [f.p.degree for f in H.factors[::-1]]
+    assert all(f.p.coeffs[-1] == 1 for f in K.factors)
+    assert abs(K.jacobian * H.jacobian - 1.0) <= 1e-12
+    # D K D^-1 = s H^-1 s with the swap s and D = diag(alpha, beta)
+    rng = np.random.default_rng(seed)
+    x, y = 2.0 * rng.uniform(0, 1, (2, 60)) * np.exp(2j * np.pi * rng.uniform(size=(2, 60)))
+    kx, ky = apply_xy(K, x / alpha, y / beta)
+    hy, hx = apply_inverse_xy(H, y, x)
+    scale = np.maximum(1.0, np.maximum(np.abs(hx), np.abs(hy)))
+    assert np.all(np.maximum(np.abs(alpha * kx - hx), np.abs(beta * ky - hy)) <= 1e-12 * scale)
+    # G- = G+ of K obeys the functorial law of H^-1
+    assert check_green_functorial(H, n=20, seed=seed, forward=False)["passed"]
 
 
 def textbook_horner(p: ComplexPolynomial, y):

@@ -3,9 +3,11 @@
 href passes every check.  The other two fixtures fail known checks: deck
 additivity on htwo and hcubic, where the shift cancels monomials far
 larger than the result in double precision, and the htwo covering
-projection, whose defect is not yet explained.  The test pins the exact
-failing set, so a fix or a new failure both show up; run with -s to see
-every defect.
+projection, whose worst sample needs three model steps to absorb: at the
+absorbed point a 1e-15 relative perturbation moves the projected point by
+about 1e-3, so no double-precision evaluation reaches the tolerance.  The
+test pins the exact failing set, so a fix or a new failure both show up;
+run with -s to see every defect.
 """
 
 import pytest
