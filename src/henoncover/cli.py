@@ -341,7 +341,7 @@ def _cmd_cover(args) -> int:
     save_chart(chart, args.out)
     print(
         f"wrote {args.out} (deg Q = {chart.Q.degree}, rho = {chart.rho:g}, "
-        f"Mtilde = {chart.Mtilde:g})"
+        f"Mtilde = {chart.Mtilde:g}, psi panels = {chart.meta['psi_max_panels']})"
     )
     return 0
 

@@ -6,6 +6,10 @@ The chart is assembled in three steps on the region W~+_M:
     E2(x, y) = (psi(x, y), y),  psi = y * int_0^x dlambda/dy(t, y) dt
     E3(x, y) = (x - R(y), y)                  kill the Laurent tail
 
+The integral in E2 runs the embedded 7-point Gauss / 15-point Kronrod pair
+(QUADPACK's qk15: Piessens et al., 1983; Laurie, Math. Comp. 66, 1997) on
+the segment [0, x], one lambda Newton solve for its 15 nodes.
+
 Conjugating H through E3 . E2 . E1 yields the polynomial model
 
     (z, zeta) -> (a/d * z + Q(zeta), zeta^d)
@@ -173,8 +177,24 @@ class CoverChart:
 # ---------------------------------------------------------------------------
 # psi quadrature
 
-_GL_NODES = 24
-_gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
+# QUADPACK's qk15 table, rounded to double: nonnegative Kronrod nodes on
+# [-1, 1], descending, their weights, and the weights of the Gauss nodes
+# xgk[1], xgk[3], xgk[5], xgk[7]
+_XGK = (
+    0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+    0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0,
+)
+_WGK = (
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782,
+)
+_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
+
+# the pair on one panel [0, 1]: 15 ascending nodes and a (15, 2) matrix of
+# Kronrod and Gauss weights (Gauss weight 0 at the Kronrod-only nodes)
+_ORDER = [*range(8), *range(6, -1, -1)]
+_PANEL_NODES = 0.5 + 0.5 * np.sign(np.arange(15) - 7) * np.take(_XGK, _ORDER)
+_PANEL_WEIGHTS = 0.5 * np.array([(_WGK[j], j % 2 and _WG[j // 2]) for j in _ORDER])
 
 # inner solves (lambda Newton, phi series and its tangent) run far below
 # the quadrature target; sample noise otherwise scales with the integrand
@@ -183,71 +203,47 @@ _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
 _INNER_TOL = 3e-15
 
 
-def _composite_nodes(panels: int):
-    """Gauss-Legendre nodes/weights for [0, 1] split into equal panels."""
-    h = 1.0 / panels
-    starts = np.arange(panels) * h
-    s = (starts[:, None] + (0.5 * h) * (_gl_x[None, :] + 1.0)).ravel()
-    w = np.broadcast_to(0.5 * h * _gl_w, (panels, _GL_NODES)).ravel()
-    return s, w
-
-
-def _psi_batch(
-    H: HenonMap,
-    region: BoettcherRegion,
-    X,
-    W,
-    tol: float = 1e-11,
-    max_panels: int = 16,
-    end_slope: bool = False,
-):
+def _psi_batch(H: HenonMap, region: BoettcherRegion, X, W, tol=1e-11, end_slope=False):
     """psi(X_i, W_i) = W_i * int_0^{X_i} dlambda/dy(t, W_i) dt, batched.
 
-    Straight-segment Gauss-Legendre with panel doubling until the value is
-    stable to tol relative.  The 1- and 2-panel levels are solved together,
-    so one Newton solve serves the first comparison; later levels are
-    solved only when a comparison fails.  With end_slope the segment end
-    t = X_i joins that first solve as one more node, and the integrand
-    there, dlambda/dy(X_i, W_i), is returned as a second array.
+    Returns (psi, slope, panels).  One solve runs the G7/K15 pair on every
+    whole segment.  K15 is exact to degree 22 and G7 to degree 13, so on an
+    analytic integrand |K15 - G7| is about G7's error and K15's is far
+    smaller: a segment whose sums agree to tol relative, on the scale
+    max(|K15|, |X_i|), returns W_i * K15.  One that misses is cut into 2, 4,
+    8, 16 panels until consecutive K15 composites agree (NoConvergence past
+    16); panels is the most any segment needed.  With end_slope,
+    slope is dlambda/dy(X_i, W_i) from the first solve, else None.
     """
-    X = np.asarray(X, dtype=complex)
-    W = np.asarray(W, dtype=complex)
+    X, W = np.asarray(X, dtype=complex), np.asarray(W, dtype=complex)
     if np.any(region.M * np.abs(X) >= np.abs(W)):
-        raise SegmentOutsideRegion(
-            "segment endpoint violates |x| < |y|/M"
-        )
+        raise SegmentOutsideRegion("segment endpoint violates |x| < |y|/M")
 
-    def levels(*panel_counts, end=False):
-        # one Newton solve on the nodes of every requested level, plus the
-        # segment end s = 1 as the last column when end is set; returns the
-        # level sums and that last column
-        nodes = [_composite_nodes(panels) for panels in panel_counts]
-        s = np.concatenate([n[0] for n in nodes] + ([[1.0]] if end else []))
-        T = X[:, None] * s[None, :]
-        Wb = np.broadcast_to(W[:, None], T.shape)
-        F, ok = dlambda_dy_vec(H, T.ravel(), Wb.ravel(), _INNER_TOL)
+    def sums(x, w, s, end=False):
+        # K15 and G7 composites over the panels of nodes s from one Newton
+        # solve; with end, the segment end joins it as the last column of F
+        panels = s.size // _PANEL_NODES.size
+        T = x[:, None] * (np.append(s, 1.0) if end else s)
+        F, ok = dlambda_dy_vec(H, T.ravel(), np.repeat(w, T.shape[1]), _INNER_TOL)
         if not ok.all():
             raise SegmentOutsideRegion("integrand node failed region solve")
         F = F.reshape(T.shape)
-        cols = np.cumsum([0] + [wts.size for _, wts in nodes])
-        sums = [
-            (F[:, a:b] * wts[None, :]).sum(axis=1) * X
-            for (_, wts), a, b in zip(nodes, cols[:-1], cols[1:])
-        ]
-        return sums, F[:, -1]
+        KG = (F[:, : s.size].reshape(x.size, panels, -1) @ _PANEL_WEIGHTS).sum(axis=1)
+        return KG[:, 0] * (x / panels), KG[:, 1] * (x / panels), F[:, -1]
 
-    # levels 1 and 2 share a solve: every call compares at least these two
-    (prev, cur), F_end = levels(1, 2, end=end_slope)
-    panels = 2
-    while True:
-        scale = np.maximum(np.abs(cur), np.abs(X) + 1e-30)
-        if np.max(np.abs(cur - prev) / scale) <= tol:
-            return (W * cur, F_end) if end_slope else W * cur
+    def missed(cur, prev, x):
+        return np.abs(cur - prev) / np.maximum(np.abs(cur), np.abs(x) + 1e-30) > tol
+
+    K, G, F_end = sums(X, W, _PANEL_NODES, end_slope)
+    todo, panels = np.flatnonzero(missed(K, G, X)), 1
+    while todo.size:
         panels *= 2
-        if panels > max_panels:
-            raise NoConvergence(max_panels)
-        prev = cur
-        (cur,), _ = levels(panels)
+        if panels > 16:
+            raise NoConvergence(16)
+        s = ((np.arange(panels)[:, None] + _PANEL_NODES) / panels).ravel()
+        Kp = sums(X[todo], W[todo], s)[0]
+        K[todo], todo = Kp, todo[missed(Kp, K[todo], X[todo])]
+    return W * K, (F_end if end_slope else None), panels
 
 
 def psi_integral(
@@ -258,7 +254,7 @@ def psi_integral(
     tol: float = 1e-11,
 ) -> complex:
     """psi(x, y) for a single point; the segment [0, x] x {y} must sit in W+_M."""
-    vals = _psi_batch(H, region, [x], [y], tol)
+    vals, _, _ = _psi_batch(H, region, [x], [y], tol)
     return complex(vals[0])
 
 
@@ -266,7 +262,7 @@ def psi_integral(
 # chart construction
 
 def _qtilde_batch(H: HenonMap, region: BoettcherRegion, zetas, tol: float = 1e-11):
-    """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d) on an array of zetas."""
+    """(Qtilde, psi panels): Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d)."""
     zetas = np.asarray(zetas, dtype=complex)
     lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL, 100)
     if not ok.all():
@@ -274,7 +270,8 @@ def _qtilde_batch(H: HenonMap, region: BoettcherRegion, zetas, tol: float = 1e-1
     p1 = first_component_axis_poly(H)
     x0 = p1(lam0)
     w = zetas**H.d
-    return _psi_batch(H, region, x0, w, tol)
+    vals, _, panels = _psi_batch(H, region, x0, w, tol)
+    return vals, panels
 
 
 def _extract_positive_part(samples, rho: float, top_degree: int):
@@ -312,7 +309,7 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
     theta = 2.0 * np.pi * np.arange(n) / n
     circle = np.exp(1j * theta)
 
-    qt = _qtilde_batch(H, region, rho * circle, _QUAD_TOL)
+    qt, panels = _qtilde_batch(H, region, rho * circle, _QUAD_TOL)
     coeffs, bins = _extract_positive_part(qt, rho, deg)
     monic_defect = abs(coeffs[-1] - 1.0)
     if monic_defect > 1e-6:
@@ -326,7 +323,7 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
             f"spurious high-degree content {junk_max:.3e} on |zeta|={rho}"
         )
 
-    qt2 = _qtilde_batch(H, region, 2.0 * rho * circle, _QUAD_TOL)
+    qt2, panels2 = _qtilde_batch(H, region, 2.0 * rho * circle, _QUAD_TOL)
     coeffs2, _ = _extract_positive_part(qt2, 2.0 * rho, deg)
     scale = np.maximum(np.abs(coeffs), 1.0)
     agreement = float(np.max(np.abs(coeffs - coeffs2) / scale))
@@ -338,7 +335,7 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
 
     # sampled evaluator for the tail, on a circle close to the inner edge
     q_rho = 1.25 * M * R
-    qt_inner = _qtilde_batch(H, region, q_rho * circle, _QUAD_TOL)
+    qt_inner, panels3 = _qtilde_batch(H, region, q_rho * circle, _QUAD_TOL)
     g = qt_inner - Q(q_rho * circle)
 
     chart = CoverChart(
@@ -356,6 +353,7 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
             "decay_max": junk_max,
             "circle_samples": int(n),
             "two_radius_agreement": agreement,
+            "psi_max_panels": max(panels, panels2, panels3),
         },
     )
     for _ in range(13):
@@ -380,7 +378,7 @@ def _qminus_eval(chart: CoverChart, w: complex) -> complex:
         zk, gzk = chart._qminus_nodes
         return complex(-(gzk / (zk - w)).mean())
     if aw > 1.02 * inner:
-        qt = _qtilde_batch(chart.H, chart.region, [w])
+        qt, _ = _qtilde_batch(chart.H, chart.region, [w])
         return complex(qt[0] - chart.Q(w))
     raise OutsideChartDomain(
         f"|w| = {aw:.3g} too close to the inner radius {inner:.3g}"
@@ -484,7 +482,7 @@ def psi_tilde_inverse(
     Removes the series correction, solves psi(x, zeta) = z' by Newton
     with slope zeta * dlambda/dy and initial guess z'/zeta, then recovers
     y = lambda(x, zeta).  The slope at (x, zeta) is the integrand at the
-    segment's end, solved with the quadrature's first nodes.
+    segment's end, solved with the quadrature's 15 nodes.
     """
     if not in_absorbing_region(chart, w):
         raise OutsideChartDomain("cover point outside S_{Mtilde, t}")
@@ -493,7 +491,7 @@ def psi_tilde_inverse(
     x = z_target / zeta
     scale = max(abs(z_target), abs(zeta))
     for _ in range(max_iter):
-        val, slope = _psi_batch(
+        val, slope, _ = _psi_batch(
             chart.H, chart.region, [x], [zeta], tol, end_slope=True
         )
         f = complex(val[0]) - z_target

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henoncover import (
     CoverPoint,
@@ -9,6 +11,7 @@ from henoncover import (
     Point,
     apply,
     bottcher_phi,
+    build_chart,
     certify_region,
     covering_map,
     deck,
@@ -29,7 +32,6 @@ from henoncover.cover import (
     OutsideChartDomain,
     Overflow,
     SegmentOutsideRegion,
-    _composite_nodes,
     _qminus_eval,
     _r_series_bound,
     chart_from_dict,
@@ -43,6 +45,7 @@ from henoncover.verification import (
     check_deck_additivity,
     check_r_series,
 )
+from strategies import henon_maps
 
 
 def sample_domain_points(chart, rng, n, depth=(1.0, 4.0)):
@@ -89,50 +92,147 @@ def test_psi_stable_under_tightening(rng, href, href_region):
         assert abs(v1 - v2) <= 1e-9 * abs(v2)
 
 
-def psi_level_by_level(H, x, y, tol, max_panels=16):
-    """psi(x, y) with one Newton solve per panel level; (value, last level)."""
+EPS = np.finfo(float).eps
 
-    def level(panels):
-        s, wts = _composite_nodes(panels)
+
+def test_quadrature_table():
+    # the embedded G7 is numpy's 7-point Gauss-Legendre rule: leggauss is
+    # ascending, the table lists the nonnegative Gauss nodes descending.
+    # Within 2 ulp at the scale of the rule (nodes in [-1, 1], weights
+    # summing to 2): leggauss's own weights sit up to 1 eps off.
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    assert np.all(np.abs(np.array(cover._XGK[1::2]) - x7[3:][::-1]) <= 2 * EPS)
+    assert np.all(np.abs(np.array(cover._WG) - w7[3:][::-1]) <= 2 * EPS)
+    assert min(cover._WGK) > 0 and min(cover._WG) > 0
+    # mapped back to [-1, 1], K15 integrates t^k exactly for k <= 22 and
+    # G7 for k <= 13
+    t = 2.0 * cover._PANEL_NODES - 1.0
+    for k in range(23):
+        kronrod, gauss = t**k @ (2.0 * cover._PANEL_WEIGHTS)
+        exact = (1.0 + (-1.0) ** k) / (k + 1)
+        assert abs(kronrod - exact) <= 4 * EPS
+        if k <= 13:
+            assert abs(gauss - exact) <= 4 * EPS
+
+
+def crude_pair(monkeypatch):
+    """Swap in the midpoint rule embedded in 3-point Gauss-Legendre."""
+    r = np.sqrt(0.6)
+    monkeypatch.setattr(cover, "_PANEL_NODES", 0.5 + 0.5 * np.array([-r, 0.0, r]))
+    monkeypatch.setattr(
+        cover, "_PANEL_WEIGHTS", np.array([[5 / 18, 0.0], [8 / 18, 1.0], [5 / 18, 0.0]])
+    )
+
+
+def psi_panel_by_panel(H, x, y, tol, max_panels=16):
+    """psi(x, y) with one Newton solve per panel count; (value, panels)."""
+    nodes, weights = cover._PANEL_NODES, cover._PANEL_WEIGHTS
+
+    def sums(panels):
+        # (Kronrod, Gauss) composites over equal panels of [0, x]
+        s = np.concatenate([(k + nodes) / panels for k in range(panels)])
         F, ok = dlambda_dy_vec(H, x * s, np.full(s.shape, y), _INNER_TOL)
         assert ok.all()
-        return (F * wts).sum() * x
+        return (F.reshape(panels, -1) @ weights).sum(axis=0) * (x / panels)
 
-    prev, panels = level(1), 2
-    while panels <= max_panels:
-        cur = level(panels)
-        if abs(cur - prev) / max(abs(cur), abs(x) + 1e-30) <= tol:
-            return y * cur, panels
-        prev, panels = cur, 2 * panels
-    return None, panels
+    cur, prev = sums(1)
+    panels = 1
+    while abs(cur - prev) / max(abs(cur), abs(x) + 1e-30) > tol:
+        panels *= 2
+        if panels > max_panels:
+            return None, panels
+        prev, cur = cur, sums(panels)[0]
+    return y * cur, panels
 
 
 @pytest.mark.parametrize("name", ["href", "htwo"])
-def test_psi_fused_levels_match_level_by_level(name, request, monkeypatch):
-    # levels 1 and 2 share one Newton solve, later levels run only when a
-    # comparison fails; a 2-node rule makes the doubling reach every level
-    # (32 panels: the doubling ran out)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(2)
-    monkeypatch.setattr(cover, "_GL_NODES", 2)
-    monkeypatch.setattr(cover, "_gl_x", gl_x)
-    monkeypatch.setattr(cover, "_gl_w", gl_w)
+def test_psi_doubling_matches_panel_by_panel(name, request, monkeypatch):
+    # the first solve compares the embedded pair, later ones consecutive
+    # Kronrod composites; the crude pair makes the doubling reach every
+    # panel count (32: the doubling ran out)
+    crude_pair(monkeypatch)
     H = request.getfixturevalue(name)
     region = certify_region(H)
     M, R = region.M, region.R.R
     rng = np.random.default_rng(47)
-    levels = set()
-    for tol in (1e-11, 1e-13, 0.0) * 12:
-        y = M * R * rng.uniform(1.05, 6.0) * np.exp(2j * np.pi * rng.uniform())
-        x = rng.uniform(0.1, 0.99) * abs(y) / M * np.exp(2j * np.pi * rng.uniform())
-        ref, panels = psi_level_by_level(H, x, y, tol)
-        levels.add(panels)
+    reached = set()
+    batches = {}
+    for tol in (1e-5, 1e-13, 1e-15, 0.0) * 30:
+        y = M * R * rng.uniform(1.02, 6.0) * np.exp(2j * np.pi * rng.uniform())
+        x = rng.uniform(0.1, 0.999) * abs(y) / M * np.exp(2j * np.pi * rng.uniform())
+        ref, panels = psi_panel_by_panel(H, x, y, tol)
+        reached.add(panels)
         if ref is None:
             with pytest.raises(NoConvergence):
                 psi_integral(H, region, x, y, tol)
         else:
-            val = psi_integral(H, region, x, y, tol)
-            assert abs(val - ref) <= 4 * np.finfo(float).eps * abs(ref)
-    assert levels == {2, 4, 8, 16, 32}
+            val, _, used = cover._psi_batch(H, region, [x], [y], tol)
+            assert used == panels
+            assert abs(val[0] - ref) <= 4 * EPS * abs(ref)
+            batches.setdefault(tol, []).append((x, y, ref, panels))
+    assert reached == {1, 2, 4, 8, 16, 32}
+    # in a batch, only the segments that missed are cut further
+    for tol, rows in batches.items():
+        X, Y, ref, panels = map(np.array, zip(*rows))
+        val, _, used = cover._psi_batch(H, region, X, Y, tol)
+        assert used == panels.max()
+        assert np.all(np.abs(val - ref) <= 4 * EPS * np.abs(ref))
+
+
+def reference_psi(H, X, W):
+    """psi on a 16-panel x 40-node Gauss-Legendre composite."""
+    gx, gw = np.polynomial.legendre.leggauss(40)
+    s = ((np.arange(16)[:, None] + 0.5 * (gx + 1.0)) / 16).ravel()
+    F, ok = dlambda_dy_vec(H, (X[:, None] * s).ravel(), np.repeat(W, s.size), _INNER_TOL)
+    assert ok.all()
+    return W * X * (F.reshape(X.size, -1) @ np.tile(gw / 32, 16))
+
+
+def assert_psi_matches_reference(H, seed, n=8, monkeypatch=None):
+    """Seeded segments with |x| up to 0.999 |y|/M against reference_psi.
+
+    With monkeypatch, also asserts that each psi_integral call makes exactly
+    one dlambda_dy_vec solve.
+    """
+    region = certify_region(H)
+    M, R = region.M, region.R.R
+    rng = np.random.default_rng(seed)
+    W = M * R * rng.uniform(1.02, 8.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    X = rng.uniform(0.0, 0.999, n) * np.abs(W) / M * np.exp(2j * np.pi * rng.uniform(size=n))
+    ref = reference_psi(H, X, W)
+    calls = []
+    if monkeypatch is not None:
+
+        def counted(*args):
+            calls.append(1)
+            return dlambda_dy_vec(*args)
+
+        monkeypatch.setattr(cover, "dlambda_dy_vec", counted)
+    for x, w, r in zip(X, W, ref):
+        before = len(calls)
+        val = psi_integral(H, region, x, w)
+        assert abs(val - r) <= 8 * EPS * max(abs(val), abs(x * w))
+        if monkeypatch is not None:
+            assert len(calls) - before == 1
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_psi_matches_reference_in_one_solve(name, request, monkeypatch):
+    assert_psi_matches_reference(request.getfixturevalue(name), 53, 16, monkeypatch)
+
+
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_psi_matches_reference_on_random_maps(H, seed):
+    assert_psi_matches_reference(H, seed)
+
+
+def test_chart_records_psi_panels(href, href_chart, htwo_chart, hcubic_chart, monkeypatch):
+    # every Qtilde segment of the fixtures is accepted at the first solve
+    charts = (href_chart, htwo_chart, hcubic_chart)
+    assert [c.meta["psi_max_panels"] for c in charts] == [1, 1, 1]
+    crude_pair(monkeypatch)
+    assert build_chart(href).meta["psi_max_panels"] > 1
 
 
 def test_psi_end_slope_is_integrand_at_segment_end(rng, href, href_region):
@@ -140,11 +240,12 @@ def test_psi_end_slope_is_integrand_at_segment_end(rng, href, href_region):
     M, R = href_region.M, href_region.R.R
     W = M * R * rng.uniform(2.0, 10.0, 12) * np.exp(2j * np.pi * rng.uniform(size=12))
     X = rng.uniform(0.1, 0.9, 12) * np.abs(W) / M * np.exp(2j * np.pi * rng.uniform(size=12))
-    val, slope = cover._psi_batch(href, href_region, X, W, end_slope=True)
+    val, slope, _ = cover._psi_batch(href, href_region, X, W, end_slope=True)
     ref, ok = dlambda_dy_vec(href, X, W, _INNER_TOL)
     assert ok.all()
     assert np.all(np.abs(slope - ref) <= 1e-13 * np.abs(ref))
-    plain = cover._psi_batch(href, href_region, X, W)
+    plain, no_slope, _ = cover._psi_batch(href, href_region, X, W)
+    assert no_slope is None
     assert np.all(np.abs(val - plain) <= 1e-13 * np.abs(plain))
 
 
