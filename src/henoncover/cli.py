@@ -23,11 +23,15 @@ from . import verification
 from .cover import build_chart, save_chart
 from .filtration import filtration_radius
 from .green import (
+    SUBLEVEL_ABOVE,
+    SUBLEVEL_BELOW,
+    SUBLEVEL_K_PLUS,
     attracting_traps,
     escape_time_grid,
     green_minus,
     green_plus,
     green_plus_grid,
+    sublevel_grid,
 )
 from .henon import HenonError, HenonMap, Point, _c2l, _factors_json, make_henon
 from .shortc2 import classify_sublevel
@@ -50,6 +54,11 @@ MAX_PIXELS = 16384 * 16384
 # pixels per render tile: one grid-kernel call covers this many points
 TILE_POINTS = 16384
 SUBLEVEL_SHADES = {"k_plus": 0, "omega_prime": 32768, "outside": 65535}
+# the shade of each green.sublevel_grid class code
+_CLASS_SHADES = np.zeros(3)
+_CLASS_SHADES[[SUBLEVEL_K_PLUS, SUBLEVEL_BELOW, SUBLEVEL_ABOVE]] = [
+    SUBLEVEL_SHADES[k] for k in ("k_plus", "omega_prime", "outside")
+]
 
 
 class SpecError(HenonError):
@@ -234,20 +243,10 @@ def render_grid(
         if job.quantity == "escape_time":
             out[j0:j1] = escape_time_grid(H, xs, ys, R, budget)
             return
-        vals, _, depths = green_plus_grid(H, xs, ys, R, budget, tol)
-        if job.quantity == "green_plus":
-            out[j0:j1] = vals
+        if job.quantity == "sublevel":
+            out[j0:j1] = _CLASS_SHADES[sublevel_grid(H, xs, ys, R, budget, job.c, tol)]
             return
-        bounded = (vals == 0.0) & (depths == budget)
-        out[j0:j1] = np.where(
-            bounded,
-            float(SUBLEVEL_SHADES["k_plus"]),
-            np.where(
-                vals < job.c,
-                float(SUBLEVEL_SHADES["omega_prime"]),
-                float(SUBLEVEL_SHADES["outside"]),
-            ),
-        )
+        out[j0:j1] = green_plus_grid(H, xs, ys, R, budget, tol)[0]
 
     tiles = range(0, job.ny, rows)
     if threads <= 1:
@@ -314,13 +313,21 @@ def _budget(args) -> int:
     return args.budget
 
 
+def _tol(args) -> float:
+    if not 0.0 < args.tol < np.inf:
+        raise SpecError("--tol", "must be positive and finite")
+    return args.tol
+
+
 def _cmd_render(args) -> int:
     spec = parse_spec_file(args.spec)
     try:
         job = parse_grid_job(json.loads(Path(args.job).read_text()))
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError("<job>", str(exc)) from exc
-    values = render_grid(spec.henon, job, budget=_budget(args), threads=args.threads, tol=args.tol)
+    values = render_grid(
+        spec.henon, job, budget=_budget(args), threads=args.threads, tol=_tol(args)
+    )
     write_pgm(args.out, quantize(job, values))
     if args.csv:
         write_csv(args.csv, values)
@@ -337,7 +344,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cover(args) -> int:
     spec = parse_spec_file(args.spec)
-    chart = build_chart(spec.henon, series_tol=args.tol)
+    chart = build_chart(spec.henon, series_tol=_tol(args))
     save_chart(chart, args.out)
     print(
         f"wrote {args.out} (deg Q = {chart.Q.degree}, rho = {chart.rho:g}, "
@@ -393,7 +400,7 @@ def _cmd_green(args) -> int:
     spec = parse_spec_file(args.spec)
     z = _parse_point(args.point)
     fn = green_minus if args.direction == "minus" else green_plus
-    g = fn(spec.henon, z, tol=args.tol, N_max=_budget(args))
+    g = fn(spec.henon, z, tol=_tol(args), N_max=_budget(args))
     print(
         json.dumps(
             {

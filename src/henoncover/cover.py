@@ -580,7 +580,9 @@ def chart_to_dict(chart: CoverChart) -> dict:
         "Q": [_c2l(c) for c in chart.Q.coeffs],
         "rho": chart.rho,
         "qminus_rho": chart.qminus_rho,
-        "qminus_samples": [_c2l(c) for c in chart.qminus_samples],
+        "qminus_samples": np.stack(
+            [chart.qminus_samples.real, chart.qminus_samples.imag], axis=1
+        ).tolist(),
         "series_tol": chart.series_tol,
         "Mtilde": chart.Mtilde,
         "t": chart.t,
@@ -613,7 +615,8 @@ def chart_from_dict(data: dict) -> CoverChart:
 
 
 def save_chart(chart: CoverChart, path):
-    Path(path).write_text(json.dumps(chart_to_dict(chart), indent=1))
+    # no indent: json.dumps takes its C encoder only without one
+    Path(path).write_text(json.dumps(chart_to_dict(chart)))
 
 
 def load_chart(path) -> CoverChart:

@@ -17,11 +17,19 @@ H maps into itself (attracting_traps, whose docstring holds the proof,
 also for float orbits).  The full loop would carry such a point to the
 budget and call it non-escaping, so every result is the same, bit for
 bit.
+
+sublevel_grid, the kernel of sub-level renders {G+ < c}, decides which
+side of c an escaped pixel lies on from its escape step n and y_n alone:
+escape_band(H) is a proved B with |G+ - d^-n log|y_n|| <= d^-n B, which
+also bounds the computed G+ up to a stated slack.  Only the pixels whose
+band contains c are refined, and the classes equal thresholding
+green_plus_grid byte for byte.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,6 +64,9 @@ __all__ = [
     "escaping_samples",
     "green_plus_grid",
     "escape_time_grid",
+    "escape_band",
+    "sublevel_classes",
+    "sublevel_grid",
     "Trap",
     "attracting_traps",
 ]
@@ -118,6 +129,30 @@ def _refine_plus(H: HenonMap, x, y, steps, tol: float):
     return vals, scale * errs, depths
 
 
+def _refine_one(H: HenonMap, step: int, x: complex, y: complex, tol: float) -> GreenValue:
+    """_refine_plus on one point in Python scalars, as a GreenValue.
+
+    The same pushes and fallback; phi_series on one point runs its scalar
+    path either way, so only the final logarithm and scaling move from
+    numpy to Python floats.
+    """
+    depth, tail, err = step, 0.0, FALLBACK_TAIL
+    for push in range(MAX_PUSH + 1):
+        if push:
+            x, y = apply_xy(H, x, y)
+            depth += 1
+        S, perr, ok, _ = phi_series(H, x, y, tol)
+        if ok:
+            tail, err = float(S.real), float(perr)
+            break
+    try:
+        log_y = math.log(abs(y))
+    except OverflowError:  # |y| past the float range, where np.abs gives inf
+        log_y = math.inf
+    scale = float(H.d) ** -depth
+    return GreenValue(max(scale * (log_y + tail), 0.0), scale * err, depth)
+
+
 def green_plus(
     H: HenonMap,
     z: Point,
@@ -131,11 +166,7 @@ def green_plus(
     hit = escape_orbit(H, complex(z.x), complex(z.y), R.R, N_max)
     if hit is None:
         return _bounded_value(H, R.R, N_max)
-    n, x, y = hit
-    vals, errs, depths = _refine_plus(
-        H, np.array([x]), np.array([y]), np.array([n]), tol
-    )
-    return GreenValue(float(vals[0]), float(errs[0]), int(depths[0]))
+    return _refine_one(H, *hit, tol)
 
 
 def green_minus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> GreenValue:
@@ -397,3 +428,162 @@ def green_plus_grid(H: HenonMap, xs, ys, R: float, N_max: int, tol: float = 1e-1
     esc = np.flatnonzero(steps >= 0)
     vals[esc], errs[esc], depths[esc] = _refine_plus(H, x[esc], y[esc], steps[esc], tol)
     return vals.reshape(shape), errs.reshape(shape), depths.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# Sub-level classes {G+ < c} by a proved escape band.  Thresholding
+# green_plus_grid needs only the side of c a pixel lies on, and the band
+# below decides that side from the escape step alone for nearly every
+# escaped pixel; the rest are refined.
+
+# sublevel_grid's allowance for float rounding, in units of d^-n (see escape_band)
+BAND_SLACK = 1e-9
+# the band decides a pixel only where d^-n (log|y_n| - band) exceeds this
+BAND_FLOOR = 2.0**-600
+# a refined value within this relative distance of c may depend on
+# whether phi_series took its batch or its one-point path
+PATH_WINDOW = 2.0**-30
+# sublevel_classes codes: non-escaping up to the budget, G+ < c, G+ >= c
+SUBLEVEL_K_PLUS, SUBLEVEL_BELOW, SUBLEVEL_ABOVE = 0, 1, 2
+
+
+@functools.lru_cache(maxsize=64)
+def escape_band(H: HenonMap) -> float:
+    """A proved B with |G+(z) - d^-n log|y_n|| <= d^-n B at the escape step.
+
+    n is the first step at which (x_n, y_n) = H^n(z) lies in the escape
+    region |y_n| >= max(|x_n|, R), |y_n| > 2R of filtration.escape_orbit.
+
+    Proof.  Let factor i be (u, v) -> (v, p_i(v) - a_i u) with monic p_i of
+    degree d_i, C_i = |a_i| + sum_{k<d_i} |c_k| <= R - 2, and D_i the
+    product of the degrees of the later factors.  On V+ (|u| <= |v|,
+    |v| >= R >= 2),
+    |c_k v^k| <= |c_k| |v|^(d_i - 1) and |a_i u| <= |a_i| |v|^(d_i - 1), so
+
+        p_i(v) - a_i u = v^d_i (1 + w_i),   |w_i| <= C_i / |v|.
+
+    In floats, Horner and the subtraction add at most g_i = 8 (d_i + 2) eps
+    times sum |c_k| |v|^k + |a_i| |u| <= |v|^d_i (1 + C_i/|v|) (the bound
+    of _step_rounding), so every float factor obeys the same form with
+    |w_i| <= e_i(|v|) = C_i/|v| + g_i (1 + C_i/|v|).  Past 2R, e_i < 1/2
+    (the loop returns inf otherwise), so the new |v| >= |v|^d_i / 2 >= |v|:
+    the image stays in V+, the moduli met factor after factor never fall,
+    and each is at least the lower bound l carried from l = 2R by
+    log l' = d_i log l + log(1 - e_i(l)).  One step of H gives
+
+        log|y_(k+1)| = d log|y_k| + rho_k,   rho_k = sum_i D_i log|1 + w_i|,
+
+    with |rho_k| <= t_k = sum_i D_i (-log(1 - e_i(l_ki))), and t_k does not
+    increase with k because e_i falls as l grows.  So
+
+        G+(x_n, y_n) = lim d^-k log|y_(n+k)| = log|y_n| + sum_k d^-(k+1) rho_k
+
+    lies within B = sum_k d^-(k+1) t_k of log|y_n|, and G+(z) = d^-n
+    G+(x_n, y_n).  The sum runs in logarithms (l overflows a float power
+    within a few steps) until a term is below 2^-60 of the sum; the terms
+    after it shrink at least by the factor 1/d each, so the term over
+    (d - 1) closes the remainder.
+
+    The computed value.  _refine_plus returns max(d^-m (log|y_m| + T), 0)
+    at depth m = n + k after k <= MAX_PUSH float pushes, with T the real
+    part of phi_series's sum at (x_m, y_m), or T = 0 after the MAX_PUSH
+    fallback.  The pushes are float steps of H, so log|y_m| = d^k log|y_n|
+    + sum_(j<k) d^(k-1-j) rho_j; T sums d^-(j+1) log|1 + w| over the
+    product factors phi_series accepted, with 1 + w = y_(j+1) / y_j^d on
+    its own float orbit, whose log-modulus is rho_(k+j) in the notation
+    above (it stops at its tolerance, its y cap or its step limit; a bad
+    factor discards T and pushes).  So d^-m (log|y_m| + T) = d^-n
+    (log|y_n| + sum_(j<J) d^-(j+1) rho_j) for some J, which lies within
+    d^-n B of d^-n log|y_n|, term by term.  The rounding left over: each
+    accepted term of phi_series within d^-(j+1) (20 + 6 log2 d) eps of
+    log|1 + w| (y^d by squarings, the division, 1 + w and log1p or
+    cmath.log at |w| <= 1/2), the sum of S within 64 eps B, log|y_m|
+    within 2 eps |log|y_m|| with |log|y_m|| <= 710, the add, the power
+    d^-m and the product within 3 ulps; sublevel_grid's own
+    d^-n (log|y_n| -+ B) the same, and this float sum of B within 2^-40.
+    All of it is below 2e4 eps d^-n < 5e-12 d^-n, a 200th of BAND_SLACK.
+    The relative bounds need normal floats: sublevel_grid decides a pixel
+    only where d^-n (log|y_n| - B - BAND_SLACK) > BAND_FLOOR = 2^-600, and
+    then d^-m >= 2^-610 d^-MAX_PUSH and the value are normal for d < 2^68.
+    """
+    eps = np.finfo(float).eps
+    degrees = [f.p.degree for f in H.factors]
+    factors = [
+        (
+            abs(f.a) + sum(abs(c) for c in f.p.coeffs[:-1]),
+            8.0 * (degrees[i] + 2) * eps,
+            degrees[i],
+            math.prod(degrees[i + 1 :]),
+        )
+        for i, f in enumerate(H.factors)
+    ]
+    log_l = math.log(ESCAPE_MARGIN * filtration_radius(H).R)
+    band, scale = 0.0, 1.0
+    while True:
+        scale /= H.d
+        t = 0.0
+        for C, g, di, D in factors:
+            r = C * math.exp(-log_l)
+            e = r + g * (1.0 + r)
+            if not e < 0.5:
+                return math.inf
+            t -= D * math.log1p(-e)
+            log_l = di * log_l + math.log1p(-e)
+        band += scale * t
+        if scale * t <= 2.0**-60 * band:
+            return band + scale * t / (H.d - 1)
+
+
+def sublevel_classes(vals, depths, N_max: int, c: float):
+    """Threshold green_plus_grid output at c, as SUBLEVEL_* codes (int8).
+
+    K+ (up to the budget) where the value is 0 at depth N_max, else
+    G+ < c or G+ >= c by the computed value.
+    """
+    below = np.where(vals < c, SUBLEVEL_BELOW, SUBLEVEL_ABOVE)
+    bounded = (vals == 0.0) & (depths == N_max)
+    return np.where(bounded, SUBLEVEL_K_PLUS, below).astype(np.int8)
+
+
+def sublevel_grid(H: HenonMap, xs, ys, R: float, N_max: int, c: float, tol: float = 1e-10):
+    """sublevel_classes of green_plus_grid, refining only undecided pixels.
+
+    After _escape_steps, an escaped pixel with escape step n and band
+    lo, hi = d^-n (log|y_n| -+ (escape_band(H) + BAND_SLACK)) has a
+    computed G+ in [lo, hi] (escape_band's docstring proves it, rounding
+    included), so it is below c if hi < c and above c if lo >= c, provided
+    lo > BAND_FLOOR.  Only the other escaped pixels go through _refine_plus.
+
+    The classes equal thresholding green_plus_grid bit for bit.  One
+    subtlety: phi_series runs one point in Python scalars and several in
+    numpy, which may differ in the last bits (within 4 eps in S, so about
+    6 eps relative in G+, per the boettcher module docstring; PATH_WINDOW
+    is about 7e5 times that), and refining fewer points can change which
+    path a point meets.  So if a refined value lies within PATH_WINDOW
+    of c, or is not finite, every escaped pixel is refined as
+    green_plus_grid refines it.
+    """
+    shape = np.asarray(xs).shape
+    x = np.asarray(xs, dtype=complex).ravel().copy()
+    y = np.asarray(ys, dtype=complex).ravel().copy()
+    steps = _escape_steps(H, x, y, R, N_max)
+    out = np.full(x.size, SUBLEVEL_K_PLUS, dtype=np.int8)
+    esc = np.flatnonzero(steps >= 0)
+    if esc.size == 0:
+        return out.reshape(shape)
+    n = steps[esc]
+    scale = (float(H.d) ** -np.arange(n.max() + 1.0))[n]
+    log_y = np.log(np.abs(y[esc]))
+    width = escape_band(H) + BAND_SLACK
+    lo, hi = scale * (log_y - width), scale * (log_y + width)
+    decided = (lo > BAND_FLOOR) & (hi < np.inf) & ((hi < c) | (lo >= c))
+    out[esc] = np.where(hi < c, SUBLEVEL_BELOW, SUBLEVEL_ABOVE)
+    rest = esc[~decided]
+    if rest.size:
+        vals, _, depths = _refine_plus(H, x[rest], y[rest], steps[rest], tol)
+        exact = np.isfinite(vals) & (np.abs(vals - c) > PATH_WINDOW * c)
+        if rest.size < esc.size and not exact.all():
+            rest = esc
+            vals, _, depths = _refine_plus(H, x[esc], y[esc], steps[esc], tol)
+        out[rest] = sublevel_classes(vals, depths, N_max, c)
+    return out.reshape(shape)

@@ -6,12 +6,14 @@ map.  The checks mirror the per-module identities: inverse round trips,
 filtration invariance, the Green functorial law, Bottcher semiconjugacy,
 chart semiconjugacy, the deck relations, the covering-map diagram, the
 correction-series identity, d0 arithmetic, symmetry-group structure,
-sub-level laws, and byte-determinism of rendering.
+sub-level laws, the escape band behind sub-level renders, and
+byte-determinism of rendering.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,8 +29,17 @@ from .cover import (
     psi_tilde,
     r_series,
 )
-from .filtration import filtration_radius
-from .green import escaping_samples, green_minus, green_plus
+from .filtration import escape_orbit, filtration_radius
+from .green import (
+    BAND_SLACK,
+    escape_band,
+    escaping_samples,
+    green_minus,
+    green_plus,
+    green_plus_grid,
+    sublevel_classes,
+    sublevel_grid,
+)
 from .henon import HenonMap, Point, apply, apply_inverse, apply_inverse_xy, apply_xy, iterate
 from .shortc2 import annulus_coordinate, classify_sublevel
 from .symmetry import compute_d0, find_affine_symmetries, verify_cyclic
@@ -412,6 +423,66 @@ def check_sublevel_equivariance(
     return _record("shortc2.equivariance", worst, 0.0, dt, note=f"{n} points")
 
 
+def _ulps(v: float, k: int) -> float:
+    """v moved by k units in the last place."""
+    for _ in range(abs(k)):
+        v = np.nextafter(v, np.inf if k > 0 else -np.inf)
+    return float(v)
+
+
+def check_sublevel_band(
+    H: HenonMap, n: int = 40, size: int = 64, picks: int = 2, seed: int = 67, budget: int = 64
+):
+    """The escape band holds, and sublevel renders equal thresholded G+.
+
+    Band: at n seeded escaping samples with escape step m and y_m,
+    |G+ - d^-m log|y_m|| <= d^-m (escape_band + BAND_SLACK).  Classes: on
+    a size x size real slice over [-R, R]^2, with c at the computed G+ of
+    `picks` seeded escaped pixels, at 1 and 4 ulps either side (where
+    sublevel_grid refines every escaped pixel) and 2^-20 above (where it
+    refines only the pixels the band leaves open), the
+    sublevel render equals the green_plus values thresholded
+    (green.sublevel_classes) and shaded as cli.SUBLEVEL_SHADES, and
+    sublevel_grid equals the thresholding on the same pixels plus
+    infinite, NaN and bail-out points.  The defect is the worst band
+    ratio plus the number of differing pixels: at most 1 passes.
+    """
+    from .cli import _CLASS_SHADES, GridJob, _tile_points, render_grid
+
+    def run():
+        R = filtration_radius(H).R
+        width = escape_band(H) + BAND_SLACK
+        ratio = 0.0
+        for z, g in escaping_samples(H, n, seed, N_max=96):
+            m, _, y = escape_orbit(H, complex(z.x), complex(z.y), R, 96)
+            scale = float(H.d) ** -m
+            ratio = max(ratio, abs(g - scale * np.log(abs(y))) / (scale * width))
+        job = GridJob(
+            "real_slice", 0j, (0.0, 0.0), 2.0 * R, 2.0 * R, size, size, "sublevel", 1.0, 1.0
+        )
+        xs, ys = (np.ravel(a) for a in _tile_points(job, 0, size))
+        xs = np.append(xs, [np.inf, np.nan, 0.0, 1e160, 1e200j, 2.0 * R])
+        ys = np.append(ys, [np.inf, 1.0, 1e200, 1e155, 1.0, np.inf])
+        vals, _, depths = green_plus_grid(H, xs, ys, R, budget)
+        pool = vals[(vals > 0.0) & np.isfinite(vals)]
+        rng = np.random.default_rng(seed)
+        cs = [
+            c
+            for v in rng.choice(pool, picks)
+            for c in [_ulps(v, k) for k in (-4, -1, 0, 1, 4)] + [v * (1.0 + 2.0**-20)]
+        ]
+        bad = 0
+        for c in cs:
+            want = sublevel_classes(vals, depths, budget, c)
+            bad += np.count_nonzero(sublevel_grid(H, xs, ys, R, budget, c) != want)
+            image = render_grid(H, replace(job, c=c), budget)
+            bad += np.count_nonzero(image.ravel() != _CLASS_SHADES[want[: size * size]])
+        return ratio + bad, f"band ratio {ratio:.3f}, {bad} pixels differ, {len(cs)} c values"
+
+    (defect, note), dt = _timed(run)
+    return _record("shortc2.sublevel_band", defect, 1.0, dt, note=note)
+
+
 def check_annulus_modulus(H: HenonMap, chart, n: int = 100, seed: int = 59):
     def run():
         pts = escaping_samples(H, n, seed, N_max=96)
@@ -502,6 +573,7 @@ def run_suite(H: HenonMap, level: str = "fast"):
         check_d0(),
         check_symmetry_structure(H),
         check_sublevel_equivariance(H, n=100 // k),
+        check_sublevel_band(H),
     ]
     if not fast:
         chart = build_chart(H)

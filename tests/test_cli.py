@@ -132,6 +132,21 @@ def test_cli_negative_budget_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_cli_bad_tol_exit_2(tmp_path, capsys, tol):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    jobp = write_json(tmp_path / "j.json", JOB)
+    out = tmp_path / "out"
+    for argv in (
+        ["green", "--point", "0,0,100,0"],
+        ["render", "--job", jobp, "--out", str(out)],
+        ["cover", "--out", str(out)],
+    ):
+        assert main(argv + ["--spec", spec, "--tol", tol]) == 2, argv
+        assert "input error: --tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("resolution", ["a", 8]), ("window", {"center": [0, 0], "width": "wide", "height": 5})],

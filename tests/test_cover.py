@@ -507,7 +507,9 @@ def test_chart_json_round_trip(tmp_path, rng, href, href_chart):
     save_chart(href_chart, path)
     loaded = load_chart(path)
     assert loaded.Q.coeffs == href_chart.Q.coeffs
-    assert loaded.Mtilde == href_chart.Mtilde
+    assert loaded.qminus_samples.tobytes() == href_chart.qminus_samples.tobytes()
+    for field in ("H", "region", "rho", "qminus_rho", "series_tol", "Mtilde", "t", "meta"):
+        assert getattr(loaded, field) == getattr(href_chart, field), field
     zeta = 1.7 * np.exp(0.23j)
     w = CoverPoint(0.4 - 0.1j, zeta)
     assert lift_H(loaded, w) == lift_H(href_chart, w)

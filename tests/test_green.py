@@ -17,15 +17,20 @@ from henoncover import (
     membership,
 )
 from henoncover.filtration import BAIL_OUT, ESCAPE_MARGIN, escape_orbit
+from henoncover import green
 from henoncover.green import (
     TRAP_MARGIN,
     Trap,
     _escape_steps,
+    _refine_plus,
     attracting_traps,
+    escape_band,
     escape_time_grid,
     green_plus_grid,
+    sublevel_grid,
 )
 from henoncover.henon import apply_xy, inverse_leading_constant
+from henoncover.verification import check_sublevel_band
 
 from strategies import attracting_map, henon_maps
 
@@ -323,3 +328,63 @@ def test_escape_steps_match_trap_free_loop_on_attracting_maps():
         x = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
         y = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
         assert_escape_steps_match_reference(H, x, y, R)
+
+
+def test_scalar_green_plus_matches_the_array_refinement(rng, href, htwo, hcubic):
+    for H in (href, htwo, hcubic):
+        R = filtration_radius(H).R
+        for _ in range(100):
+            z = Point(*(2 * R * complex(*rng.uniform(-1, 1, 2)) for _ in range(2)))
+            hit = escape_orbit(H, z.x, z.y, R, 64)
+            if hit is None:
+                continue
+            n, x, y = hit
+            vals, errs, depths = _refine_plus(
+                H, np.array([x]), np.array([y]), np.array([n]), 1e-10
+            )
+            g = green_plus(H, z, N_max=64)
+            assert (g.error_bound, g.depth) == (errs[0], depths[0])
+            assert abs(g.value - vals[0]) <= 4 * np.finfo(float).eps * vals[0]
+
+
+def test_escape_band_on_fixtures(href, htwo, hcubic):
+    bands = [escape_band(H) for H in (href, htwo, hcubic)]
+    assert np.allclose(bands, [0.1502, 0.1054, 0.0356], atol=1e-4)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_sublevel_band_on_fixtures(request, name):
+    record = check_sublevel_band(request.getfixturevalue(name))
+    assert record["passed"], record
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_sublevel_band_on_random_maps(H, seed):
+    record = check_sublevel_band(H, seed=seed)
+    assert record["passed"], record
+
+
+def test_sublevel_band_on_attracting_maps():
+    rng = np.random.default_rng(83)
+    for seed in range(10):
+        record = check_sublevel_band(attracting_map(rng), seed=seed)
+        assert record["passed"], record
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_sublevel_grid_refines_few_pixels(request, monkeypatch, name):
+    H = request.getfixturevalue(name)
+    R = filtration_radius(H).R
+    refined = []
+
+    def counting(H, x, y, steps, tol):
+        refined.append(x.size)
+        return _refine_plus(H, x, y, steps, tol)
+
+    monkeypatch.setattr(green, "_refine_plus", counting)
+    x, y = np.meshgrid(np.linspace(-2.5, 2.5, 128), np.linspace(-2.5, 2.5, 128))
+    xs, ys = x + 0j, y + 0j
+    escaped = np.count_nonzero(escape_time_grid(H, xs, ys, R, 64) < 64)
+    sublevel_grid(H, xs, ys, R, 64, 1.0)
+    assert sum(refined) <= 0.03 * escaped

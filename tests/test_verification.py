@@ -26,5 +26,5 @@ def test_full_suite_fails_only_known_checks(name, request):
     results = run_suite(request.getfixturevalue(name), level="full")
     print(f"\n{name}:")
     print_results(results)
-    assert len(results) == 18
+    assert len(results) == 19
     assert {r["name"] for r in results if not r["passed"]} == KNOWN_FAILURES[name]
