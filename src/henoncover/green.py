@@ -23,7 +23,8 @@ side of c an escaped pixel lies on from its escape step n and y_n alone:
 escape_band(H) is a proved B with |G+ - d^-n log|y_n|| <= d^-n B, which
 also bounds the computed G+ up to a stated slack.  Only the pixels whose
 band contains c are refined, and the classes equal thresholding
-green_plus_grid byte for byte.
+green_plus_grid byte for byte (for the refined pixels by a measured
+bound on phi_series's two drivers, see sublevel_grid).
 """
 
 from __future__ import annotations
@@ -129,30 +130,6 @@ def _refine_plus(H: HenonMap, x, y, steps, tol: float):
     return vals, scale * errs, depths
 
 
-def _refine_one(H: HenonMap, step: int, x: complex, y: complex, tol: float) -> GreenValue:
-    """_refine_plus on one point in Python scalars, as a GreenValue.
-
-    The same pushes and fallback; phi_series on one point runs its scalar
-    path either way, so only the final logarithm and scaling move from
-    numpy to Python floats.
-    """
-    depth, tail, err = step, 0.0, FALLBACK_TAIL
-    for push in range(MAX_PUSH + 1):
-        if push:
-            x, y = apply_xy(H, x, y)
-            depth += 1
-        S, perr, ok, _ = phi_series(H, x, y, tol)
-        if ok:
-            tail, err = float(S.real), float(perr)
-            break
-    try:
-        log_y = math.log(abs(y))
-    except OverflowError:  # |y| past the float range, where np.abs gives inf
-        log_y = math.inf
-    scale = float(H.d) ** -depth
-    return GreenValue(max(scale * (log_y + tail), 0.0), scale * err, depth)
-
-
 def green_plus(
     H: HenonMap,
     z: Point,
@@ -166,7 +143,11 @@ def green_plus(
     hit = escape_orbit(H, complex(z.x), complex(z.y), R.R, N_max)
     if hit is None:
         return _bounded_value(H, R.R, N_max)
-    return _refine_one(H, *hit, tol)
+    n, x, y = hit
+    vals, errs, depths = _refine_plus(
+        H, np.array([x]), np.array([y]), np.array([n]), tol
+    )
+    return GreenValue(float(vals[0]), float(errs[0]), int(depths[0]))
 
 
 def green_minus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> GreenValue:
@@ -440,8 +421,8 @@ def green_plus_grid(H: HenonMap, xs, ys, R: float, N_max: int, tol: float = 1e-1
 BAND_SLACK = 1e-9
 # the band decides a pixel only where d^-n (log|y_n| - band) exceeds this
 BAND_FLOOR = 2.0**-600
-# a refined value within this relative distance of c may depend on
-# whether phi_series took its batch or its one-point path
+# a refined value within this relative distance of c (plus twice its error
+# bound) may depend on whether phi_series took its batch or one-point path
 PATH_WINDOW = 2.0**-30
 # sublevel_classes codes: non-escaping up to the budget, G+ < c, G+ >= c
 SUBLEVEL_K_PLUS, SUBLEVEL_BELOW, SUBLEVEL_ABOVE = 0, 1, 2
@@ -554,13 +535,18 @@ def sublevel_grid(H: HenonMap, xs, ys, R: float, N_max: int, c: float, tol: floa
     included), so it is below c if hi < c and above c if lo >= c, provided
     lo > BAND_FLOOR.  Only the other escaped pixels go through _refine_plus.
 
-    The classes equal thresholding green_plus_grid bit for bit.  One
-    subtlety: phi_series runs one point in Python scalars and several in
-    numpy, which may differ in the last bits (within 4 eps in S, so about
-    6 eps relative in G+, per the boettcher module docstring; PATH_WINDOW
-    is about 7e5 times that), and refining fewer points can change which
-    path a point meets.  So if a refined value lies within PATH_WINDOW
-    of c, or is not finite, every escaped pixel is refined as
+    The band decides pixels by proof; that the refined pixels get the
+    classes of green_plus_grid rests on a measured bound, not a proof.
+    phi_series runs one point in Python scalars and several in numpy,
+    and refining fewer points can change which path a point meets.  The
+    two paths differ in the last bits (within 4 eps in S, so about 6 eps
+    relative in G+, as measured in the boettcher module docstring;
+    PATH_WINDOW is about 7e5 times that).  Those bits can also flip a
+    stop test |term| < tol or a bad-factor test, which moves the value
+    by one series term or one push: both paths' values then lie within
+    their error bounds of G+, and twice this path's bound stands in for
+    the pair.  So if a refined value lies within 2 err + PATH_WINDOW c of
+    c, or is not finite, every escaped pixel is refined as
     green_plus_grid refines it.
     """
     shape = np.asarray(xs).shape
@@ -580,8 +566,8 @@ def sublevel_grid(H: HenonMap, xs, ys, R: float, N_max: int, c: float, tol: floa
     out[esc] = np.where(hi < c, SUBLEVEL_BELOW, SUBLEVEL_ABOVE)
     rest = esc[~decided]
     if rest.size:
-        vals, _, depths = _refine_plus(H, x[rest], y[rest], steps[rest], tol)
-        exact = np.isfinite(vals) & (np.abs(vals - c) > PATH_WINDOW * c)
+        vals, errs, depths = _refine_plus(H, x[rest], y[rest], steps[rest], tol)
+        exact = np.isfinite(vals) & (np.abs(vals - c) > 2.0 * errs + PATH_WINDOW * c)
         if rest.size < esc.size and not exact.all():
             rest = esc
             vals, _, depths = _refine_plus(H, x[esc], y[esc], steps[esc], tol)

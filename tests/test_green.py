@@ -330,23 +330,6 @@ def test_escape_steps_match_trap_free_loop_on_attracting_maps():
         assert_escape_steps_match_reference(H, x, y, R)
 
 
-def test_scalar_green_plus_matches_the_array_refinement(rng, href, htwo, hcubic):
-    for H in (href, htwo, hcubic):
-        R = filtration_radius(H).R
-        for _ in range(100):
-            z = Point(*(2 * R * complex(*rng.uniform(-1, 1, 2)) for _ in range(2)))
-            hit = escape_orbit(H, z.x, z.y, R, 64)
-            if hit is None:
-                continue
-            n, x, y = hit
-            vals, errs, depths = _refine_plus(
-                H, np.array([x]), np.array([y]), np.array([n]), 1e-10
-            )
-            g = green_plus(H, z, N_max=64)
-            assert (g.error_bound, g.depth) == (errs[0], depths[0])
-            assert abs(g.value - vals[0]) <= 4 * np.finfo(float).eps * vals[0]
-
-
 def test_escape_band_on_fixtures(href, htwo, hcubic):
     bands = [escape_band(H) for H in (href, htwo, hcubic)]
     assert np.allclose(bands, [0.1502, 0.1054, 0.0356], atol=1e-4)
@@ -388,3 +371,17 @@ def test_sublevel_grid_refines_few_pixels(request, monkeypatch, name):
     escaped = np.count_nonzero(escape_time_grid(H, xs, ys, R, 64) < 64)
     sublevel_grid(H, xs, ys, R, 64, 1.0)
     assert sum(refined) <= 0.03 * escaped
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_sublevel_grid_matches_thresholding_at_coarse_tol(href, htwo, hcubic, tol):
+    rng = np.random.default_rng(89)
+    for H in (href, htwo, hcubic):
+        R = filtration_radius(H).R
+        x, y = np.meshgrid(np.linspace(-R, R, 48), np.linspace(-R, R, 48))
+        xs, ys = x.ravel() + 0j, y.ravel() + 0j
+        vals, _, depths = green_plus_grid(H, xs, ys, R, 64, tol)
+        for v in rng.choice(vals[vals > 0.0], 8):
+            for c in (v, np.nextafter(v, 0.0), v * (1.0 + 2.0**-30), v * (1.0 - 1e-6)):
+                want = green.sublevel_classes(vals, depths, 64, c)
+                assert np.array_equal(sublevel_grid(H, xs, ys, R, 64, c, tol), want)
