@@ -1,28 +1,71 @@
-"""Affine symmetries of the escaping sets and the d0 order bound.
+"""Affine symmetries of the escaping sets, in closed form, and the d0 bound.
 
-An affine map L(x, y) = (e*x + f, e'*y + f') preserving both non-escaping
-sets must commute with some iterate of H, which pins e' to a root of unity
-of order dividing (d + d')(d - 1) and e to a power of e'.  The finder
-sweeps those roots, derives translations by matching fixed points of H,
-and keeps the candidates that commute with some H^k, checked
-symbolically when the degree allows.  The kept set is closed under
-composition; passing groups are cyclic of order dividing (d + d')(d - 1).
+An affine map L(x, y) = (e x + f, e' y + f') preserving both escaping
+sets commutes with some iterate H^k.  find_affine_symmetries reads every
+such L off the factors of H; nothing is searched or sampled.  Notation
+follows henon.py: H = f_m o ... o f_1 with f_i(x, y) = (y, p_i(y) - a_i x),
+d_i = deg p_i, c_(i,j) the coefficients of p_i, factor indices mod m.
 
-Commutation is the whole test, because it implies Green invariance.
-Suppose L.H^k = H^k.L.  Then H^(kn)(Lz) = L(H^(kn) z) for every n >= 0.
-An invertible affine map moves log+|.| by at most a constant C: with A
-its linear part, |Lz| <= (|A| + |L(0)|) max(1, |z|), and likewise for
-L^-1.  G+ is the normalised escape rate (Bedford & Smillie, Invent.
-Math. 103, 1991), so
+Normal form (Friedland & Milnor, Ergodic Theory Dynam. Systems 9, 1989).
+Put tau_(i-1) = -c_(i,d_i-1) / d_i.  An orbit obeys y_i = p_i(y_(i-1)) -
+a_i y_(i-2), and u_i = y_i - tau_i obeys the same recurrence with
+
+    pt_i(u) = p_i(u + tau_(i-1)) - tau_i - a_i tau_(i-2),
+
+which has no u^(d_i - 1) term.  So H = T Ht T^-1, where T(u, v) =
+(u + tau_(m-1), v + tau_0) and Ht has the factors ft_i(x, y) =
+(y, pt_i(y) - a_i x).
+
+Factor chain.  Write H^k as the word f_km o ... o f_1 and f_i = s o E_i,
+with s(x, y) = (y, x) affine and E_i(x, y) = (p_i(y) - a_i x, y)
+elementary.  Aut C^2 is the amalgamated product of the affine and the
+elementary groups over their intersection S (Jung, van der Kulk), and L
+lies in S.  Uniqueness of reduced words, on which Friedland & Milnor's
+normal form rests, turns L^-1 H^k L = H^k into letter-by-letter equality
+up to elements of S: there are L_0 = L, L_1, ..., L_km = L with
+f_i L_(i-1) = L_i f_i, each in S and in s S s, so each diagonal affine.
+Move to the u coordinates, conjugating L_i by the shift (u + tau_(i-1),
+v + tau_i), and write L_(i-1) = (alpha x + g, beta y + h) there.
+Comparing components of ft_i L_(i-1) and L_i ft_i gives L_i =
+(beta x + h, alpha y + g') and pt_i(beta u + h) - a_i g = alpha pt_i(u) + g'.
+
+  - The u^(d_i - 1) coefficients read d_i beta^(d_i - 1) h = 0, so h = 0.
+    Every L_i thus has zero y-translation, and its x-translation is the
+    y-translation of L_(i-1), also zero.  Hence L = T diag(e, e') T^-1:
+    f = tau_(m-1) (1 - e) and f' = tau_0 (1 - e').
+  - What is left, pt_i(beta u) = alpha pt_i(u), says beta^j = alpha for
+    every j in the support of pt_i.
+  - (alpha, beta) is (e, e') at the odd places of the chain and (e', e)
+    at the even ones, and L_km = L_0 needs km even or e = e'.  For m even
+    a factor always sits at places of one parity.  For m odd the second
+    pass (k = 2) puts it at both, and no k adds a constraint k = 2 lacks.
+  - The leading term at place 1 gives e = e'^(d_1).  Then each constraint
+    reads e'^q = 1: q = |d_1 - j| at odd places and q = |d_1 j - 1| at
+    even ones.  Place 2 has q = d_1 d_2 - 1 >= 3 (d_2 = d_1 if m = 1).
+
+The solutions form the cyclic group of order g = gcd of those q, with
+generator e' = exp(2 pi i / g).  Conversely each solution satisfies every
+f_i L_(i-1) = L_i f_i by construction, so it commutes with H^2, and with
+H itself when m is even or e = e'.  The group is therefore exact: nothing
+is missed and nothing extra is kept.  In floating point a coefficient of
+pt_i counts as zero when it is at most comm_tol times the magnitude of
+the Taylor-shift sum that formed it.
+
+Commutation implies Green invariance.  Suppose L.H^k = H^k.L.  Then
+H^(kn)(Lz) = L(H^(kn) z) for every n >= 0.  An invertible affine map
+moves log+|.| by at most a constant C: with A its linear part, |Lz| <=
+(|A| + |L(0)|) max(1, |z|), and likewise for L^-1.  G+ is the normalised
+escape rate (Bedford & Smillie, Invent. Math. 103, 1991), so
 
     G+(Lz) = lim d^(-kn) log+|H^(kn)(Lz)|
            = lim d^(-kn) log+|L(H^(kn) z)| = G+(z),
 
 the constant C vanishing under d^(-kn).  L also commutes with H^-k, and
 the same limit along backward orbits gives G-.L = G-.  So L maps each
-of U+ = {G+ > 0}, K+ = {G+ = 0}, U- and K- onto itself.  Where
-commutes_with_power decides by sampling (d^k above SYMBOLIC_DEGREE_CAP),
-invariance holds to that same evidence.
+of U+ = {G+ > 0}, K+ = {G+ = 0}, U- and K- onto itself.
+
+commutes_with_power compares the expanded coefficients of L.H^k and
+H^k.L; the tests and verify use it as the exact witness.
 """
 
 from __future__ import annotations
@@ -41,12 +84,10 @@ from .henon import (
     HenonMap,
     Point,
     _c2l,
-    apply_xy,
     component_polynomials,
 )
 
 __all__ = [
-    "ClosureFailed",
     "BoundViolated",
     "AffineMap",
     "SymmetryReport",
@@ -62,10 +103,6 @@ __all__ = [
 ]
 
 SYMBOLIC_DEGREE_CAP = 64
-
-
-class ClosureFailed(HenonError):
-    pass
 
 
 class BoundViolated(HenonError):
@@ -87,9 +124,6 @@ class AffineMap:
 
     def __call__(self, z: Point) -> Point:
         return Point(self.e * z.x + self.f, self.e_prime * z.y + self.f_prime)
-
-    def apply_xy(self, x, y):
-        return self.e * x + self.f, self.e_prime * y + self.f_prime
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other."""
@@ -150,6 +184,17 @@ def compute_d0(d: int, d_prime: int) -> int:
 # ---------------------------------------------------------------------------
 # commutation
 
+def _affine_matrix(n: int, t: complex, s: complex = 1.0):
+    """B[j, k] = C(k, j) s^j t^(k - j): coefficients of q(u) -> q(s u + t).
+
+    Acts on constant-first coefficient vectors of degree < n.
+    """
+    return np.array([
+        [math.comb(k, j) * s**j * t ** (k - j) if k >= j else 0 for k in range(n)]
+        for j in range(n)
+    ], dtype=complex)
+
+
 def _coeff_defect(P: BivariatePoly, Q: BivariatePoly) -> float:
     a, b = P._padded_pair(Q)
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
@@ -159,50 +204,28 @@ def _coeff_defect(P: BivariatePoly, Q: BivariatePoly) -> float:
 def commutes_with_power(H: HenonMap, L: AffineMap, k: int, tol: float = 1e-9):
     """Does L commute with H^k?  Returns (flag, relative defect).
 
-    Exact coefficient comparison of L . H^k and H^k . L when the total
-    degree d^k stays within the symbolic cap, else sampled evaluation on
-    random points whose k-step orbits stay in double range.
+    Exact coefficient comparison of L . H^k and H^k . L.  Raises
+    ValueError when the total degree d^k exceeds SYMBOLIC_DEGREE_CAP.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if H.d**k <= SYMBOLIC_DEGREE_CAP:
-        p1, p2 = component_polynomials(H, k)
-        lhs1 = (p1 * L.e + BivariatePoly.const(L.f)).trim()
-        lhs2 = (p2 * L.e_prime + BivariatePoly.const(L.f_prime)).trim()
-        ax = (BivariatePoly.var_x() * L.e + BivariatePoly.const(L.f)).trim()
-        by = (BivariatePoly.var_y() * L.e_prime + BivariatePoly.const(L.f_prime)).trim()
-        rhs1 = p1(ax, by).trim()
-        rhs2 = p2(ax, by).trim()
-        defect = max(_coeff_defect(lhs1, rhs1), _coeff_defect(lhs2, rhs2))
-        return defect <= tol, defect
-
-    rng = np.random.default_rng(185828164)
-    worst = 0.0
-    valid = 0
-    attempts = 0
-    while valid < 100 and attempts < 1000:
-        attempts += 1
-        z = rng.normal(scale=1.5, size=4)
-        x, y = complex(z[0], z[1]), complex(z[2], z[3])
-        lx, ly = L.apply_xy(x, y)
-        good = True
-        for _ in range(k):
-            x, y = apply_xy(H, x, y)
-            lx, ly = apply_xy(H, lx, ly)
-            if max(abs(x), abs(y), abs(lx), abs(ly)) > 1e80:
-                good = False
-                break
-        if not good:
-            continue
-        valid += 1
-        ax, ay = L.apply_xy(x, y)
-        scale = max(1.0, abs(ax), abs(ay))
-        worst = max(worst, max(abs(ax - lx), abs(ay - ly)) / scale)
-    if valid == 0:
-        raise HenonError(
-            "no sample orbit of H^k stayed finite; commutation undecidable"
+    if H.d**k > SYMBOLIC_DEGREE_CAP:
+        raise ValueError(
+            f"d^k = {H.d**k} exceeds the symbolic cap {SYMBOLIC_DEGREE_CAP}"
         )
-    return worst <= tol, worst
+    p1, p2 = component_polynomials(H, k)
+    lhs1 = (p1 * L.e + BivariatePoly.const(L.f)).trim()
+    lhs2 = (p2 * L.e_prime + BivariatePoly.const(L.f_prime)).trim()
+    rhs1, rhs2 = (
+        BivariatePoly(
+            _affine_matrix(P.c.shape[0], L.f, L.e)
+            @ P.c
+            @ _affine_matrix(P.c.shape[1], L.f_prime, L.e_prime).T
+        ).trim()
+        for P in (p1, p2)
+    )
+    defect = max(_coeff_defect(lhs1, rhs1), _coeff_defect(lhs2, rhs2))
+    return defect <= tol, defect
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +240,10 @@ def fixed_points(
     tol: float = 1e-10,
     dedup: float = 1e-8,
 ):
-    """Fixed points of H by multistart Newton on the expanded components."""
+    """Fixed points of H by multistart Newton on the expanded components.
+
+    green.attracting_traps certifies its K+ traps around them.
+    """
     P1, P2 = component_polynomials(H)
     F1 = (P1 - BivariatePoly.var_x()).trim()
     F2 = (P2 - BivariatePoly.var_y()).trim()
@@ -280,94 +306,75 @@ def fixed_points(
 # ---------------------------------------------------------------------------
 # the finder
 
-def _permutes(L: AffineMap, pts, tol: float) -> bool:
-    if not pts:
-        return True
-    for p in pts:
-        q = L(p)
-        if not any(
-            abs(q.x - r.x) + abs(q.y - r.y) <= tol * (1.0 + abs(r.x) + abs(r.y))
-            for r in pts
-        ):
-            return False
-    return True
+def _normal_form(H: HenonMap):
+    """(tau, [(coefficients of pt_i, their magnitudes), ...]).
+
+    pt_i(u) = p_i(u + tau_(i-1)) - tau_i - a_i tau_(i-2), constant-first;
+    magnitude j sums the moduli of the terms that formed coefficient j.
+    """
+    fs = H.factors
+    m = len(fs)
+    tau = [-f.p.coeffs[-2] / f.p.degree for f in fs]
+    out = []
+    for i, f in enumerate(fs):
+        shift = _affine_matrix(f.p.degree + 1, tau[i])
+        c = np.array(f.p.coeffs)
+        coeffs, scale = shift @ c, np.abs(shift) @ np.abs(c)
+        below = (tau[(i + 1) % m], f.a * tau[i - 1])
+        coeffs[0] -= sum(below)
+        scale[0] += sum(map(abs, below))
+        out.append((coeffs, scale))
+    return tau, out
 
 
 def find_affine_symmetries(H: HenonMap, comm_tol: float = 1e-9) -> SymmetryReport:
-    """Search L(x,y) = (e x + f, e' y + f') preserving both escaping sets.
+    """Every L(x,y) = (e x + f, e' y + f') preserving both escaping sets.
 
-    e' sweeps the roots of unity of order dividing (d + d')(d - 1); e and
-    the translation part follow from commutation degree-matching and from
-    requiring L to permute the fixed points of H.  Survivors are verified
-    by commutation with some H^k, which implies G+.L = G+ and G-.L = G-
-    (see the module docstring), then closed under composition.
+    The closed form of the module docstring: the group is cyclic of order
+    g, the gcd of the exponents that the factor chain of the normal form
+    imposes on e', and its elements are T diag(e'^(n d_1), e'^n) T^-1 for
+    e' = exp(2 pi i n / g).  They are listed by n, identity first.
+    max_commutation_defect is the largest |coefficient of pt_i(beta u) -
+    alpha pt_i(u)| over its magnitude, along the chain and over the group.
     """
+    if not 0 <= comm_tol < 1:
+        raise ValueError("comm_tol must lie in [0, 1)")
     N = (H.d + H.d_prime) * (H.d - 1)
-    fixed = fixed_points(H)
-    fix_tol = 1e-6
+    tau, factors = _normal_form(H)
+    m = len(factors)
+    d1 = H.factors[0].p.degree
+    # the chain of H^2 as (pt_i, its magnitudes, pa, pb), where alpha =
+    # e'^pa and beta = e'^pb: (d_1, 1) at odd places, (1, d_1) at even
+    # ones.  beta^j = alpha reads e'^(pb j - pa) = 1.  For m even the
+    # second pass repeats the first.
+    chain = [
+        (*factors[n % m], *((d1, 1) if n % 2 == 0 else (1, d1)))
+        for n in range(2 * m)
+    ]
+    g = 0
+    for coeffs, scale, pa, pb in chain:
+        for j in np.flatnonzero(np.abs(coeffs) > comm_tol * scale):
+            g = math.gcd(g, abs(pb * int(j) - pa))
+    if N % g != 0:
+        raise BoundViolated(f"group order {g} does not divide (d+d')(d-1) = {N}")
 
-    candidates = [AffineMap.identity()]
+    def root(k):
+        return np.exp(2j * np.pi * (k % g) / g)
 
-    def add(L):
-        if all(L.distance(c) > 1e-9 for c in candidates):
-            candidates.append(L)
-
-    for j in range(N):
-        o = N // math.gcd(j, N) if j else 1
-        e_prime = np.exp(2j * np.pi * j / N)
-        for k in range(1, N + 1):
-            if (H.d**k - 1) % o != 0:
-                continue
-            exp_e = (H.d_prime * H.d ** (k - 1)) % o if o > 1 else 0
-            e = np.exp(2j * np.pi * j * exp_e / N) if o > 1 else 1.0 + 0.0j
-            # translations must map fixed points onto fixed points
-            for P in fixed:
-                for Pp in fixed:
-                    f = Pp.x - e * P.x
-                    fp = Pp.y - e_prime * P.y
-                    L = AffineMap(e, f, e_prime, fp)
-                    if _permutes(L, fixed, fix_tol):
-                        add(L)
-            break  # e is determined by the smallest consistent k
-
-    verified = []
-    max_comm = 0.0
-    for L in candidates:
-        for k in range(1, N + 1):
-            flag, defect = commutes_with_power(H, L, k, comm_tol)
-            if flag:
-                verified.append(L)
-                max_comm = max(max_comm, defect)
-                break
-
-    # close under composition and check the group axioms numerically
-    def find_in(L, group):
-        for g in group:
-            if L.distance(g) <= 1e-9:
-                return True
-        return False
-
-    for a in list(verified):
-        for b in list(verified):
-            c = a.compose(b)
-            if not find_in(c, verified):
-                raise ClosureFailed(
-                    f"product of verified maps missing from the verified set "
-                    f"({c})"
-                )
-
-    order = len(verified)
-    if N % order != 0:
-        raise BoundViolated(
-            f"group order {order} does not divide (d+d')(d-1) = {N}"
-        )
-
-    verified.sort(key=lambda L: (np.angle(L.e_prime) % (2 * np.pi), np.angle(L.e) % (2 * np.pi)))
+    group = []
+    worst = 0.0
+    for n in range(g):
+        e, e_prime = complex(root(n * d1)), complex(root(n))
+        group.append(AffineMap(e, tau[-1] * (1 - e), e_prime, tau[0] * (1 - e_prime)))
+        for coeffs, scale, pa, pb in chain:
+            j = np.arange(coeffs.size)
+            gap = np.abs(coeffs) * np.abs(root(n * pb * j) - root(n * pa))
+            worst = max(worst, float(np.max(gap / np.maximum(scale, np.finfo(float).tiny))))
     return SymmetryReport(
-        generators=verified,
-        order=order,
-        max_commutation_defect=max_comm,
-        details={"order_bound": N, "fixed_points": len(fixed)},
+        generators=group,
+        order=g,
+        max_commutation_defect=worst,
+        details={"order_bound": N},
     )
 
 

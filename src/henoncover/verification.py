@@ -42,7 +42,13 @@ from .green import (
 )
 from .henon import HenonMap, Point, apply, apply_inverse, apply_inverse_xy, apply_xy, iterate
 from .shortc2 import annulus_coordinate, classify_sublevel
-from .symmetry import compute_d0, find_affine_symmetries, verify_cyclic
+from .symmetry import (
+    SYMBOLIC_DEGREE_CAP,
+    commutes_with_power,
+    compute_d0,
+    find_affine_symmetries,
+    verify_cyclic,
+)
 
 __all__ = ["run_suite", "print_results"]
 
@@ -377,13 +383,23 @@ def check_d0():
 def symmetry_structure_record(H: HenonMap, report, seconds: float = 0.0):
     """Group-structure test of a symmetry report as a check record.
 
-    The verified group must be cyclic with an order dividing the bound
-    (d + d')(d - 1).
+    The reported group must be cyclic with an order dividing the bound
+    (d + d')(d - 1), and, where d^2 is within the symbolic cap, every
+    element must commute with H^2 by exact coefficient comparison.
     """
+    t0 = time.perf_counter()
     cyclic, order = verify_cyclic(report)
     bound = (H.d + H.d_prime) * (H.d - 1)
     bad = 0.0 if cyclic and order >= 1 and bound % order == 0 else 1.0
     note = f"order={order}, bound={bound}, commutation={report.max_commutation_defect:.1e}"
+    if H.d**2 <= SYMBOLIC_DEGREE_CAP:
+        witness = [commutes_with_power(H, L, 2) for L in report.generators]
+        if not all(ok for ok, _ in witness):
+            bad = 1.0
+        note += f", H^2 witness={max(defect for _, defect in witness):.1e}"
+    else:
+        note += ", H^2 witness skipped (d^2 above the symbolic cap)"
+    seconds += time.perf_counter() - t0
     return _record("symmetry.group_structure", bad, 0.0, seconds, note=note)
 
 

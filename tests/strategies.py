@@ -1,11 +1,12 @@
 """Hypothesis strategies shared by the property tests."""
 
 import cmath
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from henoncover import make_henon
+from henoncover import AffineMap, make_henon
 
 # a coefficient or Jacobian factor with modulus in [1e-2, 1e2] and any phase
 _coefficient = st.builds(
@@ -20,6 +21,53 @@ henon_maps = st.lists(_factor, min_size=1, max_size=2).map(
     lambda factors: make_henon([(cs + [1.0], a) for cs, a in factors])
 )
 
+
+PLANTED_FAMILIES = ("monomial", "two_monomials", "odd_cubic", "two_odd_cubics")
+
+
+def _shifted(cs, t):
+    """Constant-first coefficients of q(y - t), q having coefficients cs."""
+    return [
+        sum(c * math.comb(k, j) * (-t) ** (k - j) for k, c in enumerate(cs) if k >= j)
+        for j in range(len(cs))
+    ]
+
+
+@st.composite
+def planted_symmetric_maps(draw, family):
+    """(H, order, L): a map whose symmetry group is planted with generator L.
+
+    The normal-form factors pt_i of each family and the planted order:
+      - "monomial": u^d with d in {2, 3}, order d^2 - 1;
+      - "two_monomials": u^d1 then u^d2, order d1 d2 - 1;
+      - "odd_cubic": u^3 + c u, order 2;
+      - "two_odd_cubics": two of those (d = 9), order 2.
+    Sequence translations t_0 .. t_(m-1) of modulus in [1e-2, 1e2] conjugate
+    them: p_i(y) = pt_i(y - t_(i-1)) + t_i + a_i t_(i-2), indices mod m, so
+    H = T Ht T^-1 with T(u, v) = (u + t_(m-1), v + t_0).  The generator is
+    L = T diag(e, e') T^-1 with e' = exp(2 pi i / order) and e = e'^d_1.
+    """
+    m = 2 if family.startswith("two_") else 1
+    if "monomial" in family:
+        degrees = draw(st.lists(st.integers(2, 3), min_size=m, max_size=m))
+        normal = [[0] * deg + [1] for deg in degrees]
+        order = math.prod(degrees) - 1 if m == 2 else degrees[0] ** 2 - 1
+    else:
+        normal = [[0, c, 0, 1] for c in draw(st.lists(_coefficient, min_size=m, max_size=m))]
+        order = 2
+    a = draw(st.lists(_coefficient, min_size=m, max_size=m))
+    t = draw(st.lists(_coefficient, min_size=m, max_size=m))
+    factors = []
+    for i, (cs, ai) in enumerate(zip(normal, a)):
+        # the (i + 1)-th factor reads t_i, t_(i+1) and t_(i-1)
+        p = _shifted(cs, t[i])
+        p[0] += t[(i + 1) % m] + ai * t[i - 1]
+        factors.append((p, ai))
+    d1 = len(normal[0]) - 1
+    e_prime = cmath.exp(2j * cmath.pi / order)
+    e = e_prime**d1
+    L = AffineMap(e, t[-1] * (1 - e), e_prime, t[0] * (1 - e_prime))
+    return make_henon(factors), order, L
 
 
 def attracting_map(rng):

@@ -299,7 +299,9 @@ def test_cli_symmetries_cubic(tmp_path, capsys):
     out = tmp_path / "sym.json"
     assert main(["symmetries", "--spec", spec, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["order"] == 2
+    # (w^3 x, w y) with w = e^(2 pi i / 8) commutes with H^2, so the group
+    # has order 8 and holds (-x, -y)
+    assert doc["order"] == 8
     gens = [g for g in doc["generators"]]
     assert any(
         abs(g["e"][0] + 1) < 1e-9 and abs(g["e_prime"][0] + 1) < 1e-9 for g in gens

@@ -1,6 +1,9 @@
+import cmath
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henoncover import (
     AffineMap,
@@ -14,6 +17,7 @@ from henoncover import (
     verify_cyclic,
 )
 from henoncover import symmetry
+from henoncover.henon import BivariatePoly, component_polynomials
 from henoncover.green import escaping_samples
 from henoncover.symmetry import (
     fixed_points,
@@ -22,7 +26,9 @@ from henoncover.symmetry import (
     report_to_dict,
     save_report,
 )
-from henoncover.verification import brute_force_d0
+from henoncover.verification import brute_force_d0, symmetry_structure_record
+
+from strategies import PLANTED_FAMILIES, planted_symmetric_maps
 
 
 def test_d0_paper_values():
@@ -87,19 +93,44 @@ def test_generic_affine_fails_commutation_and_green(rng, href):
     assert moved > 1e-3
 
 
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_commutation_defect_matches_horner_substitution(name, request, rng):
+    # commutes_with_power substitutes L by binomial matrices; the reference
+    # substitutes by Horner in the bivariate ring
+    H = request.getfixturevalue(name)
+    for k in (1, 2):
+        for _ in range(3):
+            z = rng.normal(size=4)
+            L = AffineMap(cmath.exp(1j * z[0]), z[1] + 0.3j, cmath.exp(1j * z[2]), z[3])
+            ax = BivariatePoly.var_x() * L.e + BivariatePoly.const(L.f)
+            by = BivariatePoly.var_y() * L.e_prime + BivariatePoly.const(L.f_prime)
+            ref = 0.0
+            for P, s, t in zip(component_polynomials(H, k), (L.e, L.e_prime), (L.f, L.f_prime)):
+                a, b = (P * s + BivariatePoly.const(t))._padded_pair(P(ax, by))
+                scale = max(1.0, abs(a).max(), abs(b).max())
+                ref = max(ref, abs(a - b).max() / scale)
+            assert abs(commutes_with_power(H, L, k)[1] - ref) <= 1e-14
+
+
 def test_numeric_commutation_path(hcubic):
-    # 3^4 = 81 exceeds the symbolic cap, forcing the sampled path
-    ok, defect = commutes_with_power(hcubic, AffineMap(-1, 0, -1, 0), 4)
-    assert ok and defect <= 1e-9
+    # 3^4 = 81 exceeds the symbolic cap; there is no sampled fallback
+    with pytest.raises(ValueError, match="symbolic cap"):
+        commutes_with_power(hcubic, AffineMap(-1, 0, -1, 0), 4)
 
 
 def test_find_symmetries_cubic(hcubic):
+    # (w^3 x, w y) with w = e^(2 pi i / 8) commutes with H^2 exactly, so the
+    # group reaches the bound (d + d')(d - 1) = 8; (-x, -y) is its square
     rep = find_affine_symmetries(hcubic)
-    assert rep.order == 2
-    assert any(L.distance(AffineMap(-1, 0, -1, 0)) <= 1e-9 for L in rep.generators)
-    assert 8 % rep.order == 0
+    assert rep.order == 8
+    w = cmath.exp(2j * cmath.pi / 8)
+    generator = AffineMap(w**3, 0, w, 0)
+    assert commutes_with_power(hcubic, generator, 2)[1] <= 1e-14
+    assert not commutes_with_power(hcubic, generator, 1)[0]
+    for L in (generator, AffineMap(-1, 0, -1, 0)):
+        assert any(L.distance(g) <= 1e-12 for g in rep.generators)
     cyclic, order = verify_cyclic(rep)
-    assert cyclic and order == 2
+    assert cyclic and order == 8
     assert rep.max_commutation_defect <= 1e-9
 
 
@@ -124,12 +155,19 @@ def test_report_closure(hcubic):
 
 
 _T = 0.6
-# (factors, group order) of maps with nontrivial groups; the translated
-# odd cubic's involution has nonzero translations
+_C, _A = -0.7, 0.4
+# (factors, group order) of maps with nontrivial groups.  The translated
+# cubic is y^3 shifted by T, so its group is hcubic's conjugated by the
+# translation and every element but the identity moves the origin.  The
+# shifted odd cubic is u^3 + C u under the same translation: the linear
+# term leaves only the involution.
 SYMMETRIC_MAPS = {
-    "hcubic": ([([0, 0, 0, 1], 0.5)], 2),
-    "quartic": ([([0, 0, 0, 0, 1], 0.7)], 3),
-    "translated_cubic": ([([_T**3 - 1.5 * _T, 3 * _T**2, 3 * _T, 1], 0.5)], 2),
+    "odd_cubic_shifted": (
+        [([-(_T**3) - _C * _T + _T + _A * _T, 3 * _T**2 + _C, -3 * _T, 1], _A)], 2
+    ),
+    "hcubic": ([([0, 0, 0, 1], 0.5)], 8),
+    "quartic": ([([0, 0, 0, 0, 1], 0.7)], 15),
+    "translated_cubic": ([([_T**3 - 1.5 * _T, 3 * _T**2, 3 * _T, 1], 0.5)], 8),
     "square_square": ([([0, 0, 1], 0.5), ([0, 0, 1], 0.8)], 3),
 }
 
@@ -153,7 +191,7 @@ def test_fixed_points_exit_matches_full_run(name, request, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC_MAPS))
 def test_reported_maps_preserve_green_on_fresh_samples(name):
-    # the finder tests commutation only; G+ and G- invariance is the
+    # every element commutes exactly with H^2; G+ and G- invariance is the
     # consequence proved in the symmetry module docstring
     factors, order = SYMMETRIC_MAPS[name]
     H = make_henon(factors)
@@ -161,6 +199,8 @@ def test_reported_maps_preserve_green_on_fresh_samples(name):
     assert rep.order == order
     if name == "translated_cubic":
         assert all(abs(L.f) + abs(L.f_prime) > 0.1 for L in rep.generators[1:])
+    for L in rep.generators:
+        assert commutes_with_power(H, L, 2)[1] <= 1e-13
     samples = (
         (green_plus, escaping_samples(H, 30, 61, N_max=64)),
         (green_minus, escaping_samples(H, 30, 67, N_max=64, forward=False)),
@@ -177,6 +217,17 @@ def test_verify_cyclic_identity_only():
 
     rep = SymmetryReport([AffineMap.identity()], 1, 0.0)
     assert verify_cyclic(rep) == (True, 1)
+
+
+def test_structure_record_rejects_a_wrong_generator(hcubic):
+    # {id, (-x, y)} is cyclic of an order dividing the bound 8, but (-x, y)
+    # does not commute with H^2: only the exact witness catches it
+    from henoncover.symmetry import SymmetryReport
+
+    wrong = SymmetryReport([AffineMap.identity(), AffineMap(-1, 0, 1, 0)], 2, 0.0)
+    assert verify_cyclic(wrong) == (True, 2)
+    assert not symmetry_structure_record(hcubic, wrong)["passed"]
+    assert symmetry_structure_record(hcubic, find_affine_symmetries(hcubic))["passed"]
 
 
 def test_affine_map_algebra():
@@ -205,3 +256,43 @@ def test_report_json_round_trip(tmp_path, hcubic):
     loaded = report_from_dict(json.loads(json.dumps(old)))
     assert loaded.order == rep.order
     assert loaded.max_commutation_defect == rep.max_commutation_defect
+
+
+@pytest.mark.parametrize("family", PLANTED_FAMILIES)
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_finder_recovers_planted_groups(family, data):
+    H, order, L = data.draw(planted_symmetric_maps(family))
+    # the plant itself, checked exactly: L commutes with H, or with H^2
+    # when one factor swaps e and e' (m odd, e != e')
+    k = 1 if len(H.factors) % 2 == 0 or L.e == L.e_prime else 2
+    assert commutes_with_power(H, L, k)[1] <= 1e-9
+    rep = find_affine_symmetries(H)
+    assert rep.order == order
+    scale = 1.0 + abs(L.f) + abs(L.f_prime)
+    assert any(L.distance(g) <= 1e-12 * scale for g in rep.generators)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo"] + sorted(SYMMETRIC_MAPS))
+def test_group_is_complete(name, request):
+    # of the N^2 maps T diag(e, e') T^-1 with e, e' in mu_N and T the
+    # normal-form translation, exactly the reported group commutes with H^2
+    # (a map commuting with H commutes with H^2)
+    if name in SYMMETRIC_MAPS:
+        H = make_henon(SYMMETRIC_MAPS[name][0])
+    else:
+        H = request.getfixturevalue(name)
+    N = (H.d + H.d_prime) * (H.d - 1)
+    assert N <= 18
+    tau = [-f.p.coeffs[-2] / f.p.degree for f in H.factors]
+    roots = [cmath.exp(2j * cmath.pi * k / N) for k in range(N)]
+    found = [
+        L
+        for e in roots
+        for ep in roots
+        for L in [AffineMap(e, tau[-1] * (1 - e), ep, tau[0] * (1 - ep))]
+        if commutes_with_power(H, L, 2)[0]
+    ]
+    rep = find_affine_symmetries(H)
+    assert len(found) == rep.order
+    assert all(any(L.distance(g) <= 1e-12 for g in rep.generators) for L in found)
