@@ -22,6 +22,7 @@ so the image ((p(x) - y)/a, x) lies in V-.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,6 +94,7 @@ def _coefficient_floor(H: HenonMap) -> float:
     return worst
 
 
+@functools.lru_cache(maxsize=64)
 def filtration_radius(H: HenonMap) -> FiltrationRadius:
     """The coefficient bound of the module docstring, a proved radius."""
     return FiltrationRadius(_coefficient_floor(H))

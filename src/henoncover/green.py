@@ -1,12 +1,16 @@
 """Forward and backward Green's functions of a generalized Henon map.
 
 G+(z) is the normalized escape rate lim d^-n log+ ||H^n(z)||; it vanishes
-exactly on the non-escaping set and satisfies G+(H(z)) = d * G+(z).  Once
-an orbit is deep in V+, the remaining limit equals log|phi| at that orbit
-point, so the value is refined through the Bottcher product rather than by
-iterating to overflow.  G-, the escape rate of H^{-1}, is G+ of the monic
-Henon map henon.backward_conjugate(H), conjugate to H^{-1} by a swap and a
-diagonal scaling, so both come from the one green_plus kernel.
+exactly on the non-escaping set and satisfies G+(H(z)) = d * G+(z).  An
+orbit point (x, y) of the escape region with |y| >= l has G+ within a
+proved B(H, l) of log|y| (escape_band), and B falls like 1/l.  So an
+escaped orbit is pushed on until |y| passes the stop modulus Y where
+B(H, Y) <= tol (_stop_modulus, cached per map and tol), and the value is
+d^-m log|y_m| with the bound d^-m B(H, Y) plus its rounding: a few
+pushes, no product and no fallback.  G-, the escape rate of H^{-1}, is
+G+ of the monic Henon map henon.backward_conjugate(H), conjugate to
+H^{-1} by a swap and a diagonal scaling, so both come from the one
+green_plus kernel.
 
 The grid kernels (escape_time_grid, green_plus_grid) run the escape test
 of escape_orbit over flat arrays in one loop, _escape_steps.  Its full
@@ -24,7 +28,7 @@ escape_band(H) is a proved B with |G+ - d^-n log|y_n|| <= d^-n B, which
 also bounds the computed G+ up to a stated slack.  Only the pixels whose
 band contains c are refined, and the classes equal thresholding
 green_plus_grid byte for byte (for the refined pixels by a measured
-bound on phi_series's two drivers, see sublevel_grid).
+guard, see sublevel_grid).
 """
 
 from __future__ import annotations
@@ -36,12 +40,9 @@ from enum import Enum
 
 import numpy as np
 
-from .boettcher import phi_series
 from .filtration import (
     BAIL_OUT,
     ESCAPE_MARGIN,
-    FiltrationRadius,
-    OrbitTag,
     classify_point,
     escape_orbit,
     filtration_radius,
@@ -72,9 +73,10 @@ __all__ = [
     "attracting_traps",
 ]
 
-# extra forward pushes allowed when the product bound fails at the escape step
-MAX_PUSH = 6
-FALLBACK_TAIL = np.log(4.0)
+# no coordinate of a push from below the stop modulus exceeds this (_stop_modulus)
+PUSH_CAP = 1e300
+# the rounding of d^-m log|y_m| in the computed value, per unit of d^-m log|y_m|
+VALUE_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -98,56 +100,49 @@ def _bounded_value(H: HenonMap, R: float, N_max: int) -> GreenValue:
     return GreenValue(0.0, err, N_max)
 
 
+def _pushed_value(H: HenonMap, log_y, depth, band: float):
+    """(max(d^-m log|y_m|, 0), d^-m (band + rounding)) at depth m; scalars or arrays."""
+    scale = float(H.d) ** -depth
+    return np.maximum(scale * log_y, 0.0), scale * (band + VALUE_ROUNDING * log_y)
+
+
 def _refine_plus(H: HenonMap, x, y, steps, tol: float):
     """G+ at escaped orbit points as (values, error_bounds, depths).
 
-    x[i], y[i] is the orbit of point i at its escape step steps[i].  The
-    value is d^-depth (log|y| + log-product tail) once phi_series bounds
-    the tail; a point whose bound fails is pushed one more step, at most
-    MAX_PUSH times, and then keeps the raw logarithm (a zero tail) with a
-    FALLBACK_TAIL error.  x and y are updated in place.
+    x[i], y[i] is the orbit of point i at its escape step steps[i].  Each
+    point is pushed with H until |y| >= Y = _stop_modulus(H, tol); the
+    value is d^-m log|y_m| at the depth m reached (escape_band's docstring
+    proves the value and its bound).
     """
+    Y, band = _stop_modulus(H, tol)
     depths = steps.copy()
-    tail = np.zeros(x.size)
-    errs = np.full(x.size, FALLBACK_TAIL)
-    todo = np.arange(x.size)
-    for push in range(MAX_PUSH + 1):
-        if todo.size == 0:
-            break
-        if push:
-            tx, ty = apply_xy(H, x[todo], y[todo])
-            x[todo], y[todo] = tx, ty
-            depths[todo] += 1
-        else:
-            tx, ty = x, y  # todo is every point: no gather
-        S, perr, ok, _ = phi_series(H, tx, ty, tol)
-        done = todo[ok]
-        tail[done] = S[ok].real
-        errs[done] = perr[ok]
-        todo = todo[~ok]
-    scale = float(H.d) ** (-depths.astype(float))
-    vals = np.maximum(scale * (np.log(np.abs(y)) + tail), 0.0)
-    return vals, scale * errs, depths
+    abs_y = np.abs(y)
+    idx = np.flatnonzero(abs_y < Y)
+    cx, cy = x[idx], y[idx]
+    while idx.size:
+        cx, cy = apply_xy(H, cx, cy)
+        depths[idx] += 1
+        a = np.abs(cy)
+        abs_y[idx] = a
+        go = a < Y
+        if not go.all():
+            idx, cx, cy = idx[go], cx[go], cy[go]
+    return (*_pushed_value(H, np.log(abs_y), depths.astype(float), band), depths)
 
 
-def green_plus(
-    H: HenonMap,
-    z: Point,
-    tol: float = 1e-10,
-    N_max: int = 256,
-    R: FiltrationRadius | None = None,
-) -> GreenValue:
+def green_plus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> GreenValue:
     """G+(z) with a reported error bound and the orbit depth used."""
-    if R is None:
-        R = filtration_radius(H)
-    hit = escape_orbit(H, complex(z.x), complex(z.y), R.R, N_max)
+    R = filtration_radius(H).R
+    hit = escape_orbit(H, complex(z.x), complex(z.y), R, N_max)
     if hit is None:
-        return _bounded_value(H, R.R, N_max)
+        return _bounded_value(H, R, N_max)
     n, x, y = hit
-    vals, errs, depths = _refine_plus(
-        H, np.array([x]), np.array([y]), np.array([n]), tol
-    )
-    return GreenValue(float(vals[0]), float(errs[0]), int(depths[0]))
+    Y, band = _stop_modulus(H, tol)
+    while abs(y) < Y:  # the scalar form of _refine_plus's push
+        x, y = apply_xy(H, x, y)
+        n += 1
+    value, err = _pushed_value(H, math.log(abs(y)), n, band)
+    return GreenValue(float(value), float(err), n)
 
 
 def green_minus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> GreenValue:
@@ -162,9 +157,7 @@ def green_minus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> 
 
 def membership(H: HenonMap, z: Point, budget: int = 256) -> Membership:
     """Escaping iff the forward orbit reaches the escape region in budget."""
-    R = filtration_radius(H)
-    cls = classify_point(H, z, R, budget)
-    if cls.tag is OrbitTag.ESCAPED_FORWARD:
+    if classify_point(H, z, filtration_radius(H), budget).escaped:
         return Membership.ESCAPING
     return Membership.NON_ESCAPING_UP_TO_BUDGET
 
@@ -389,20 +382,22 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int):
     return steps
 
 
-def escape_time_grid(H: HenonMap, xs, ys, R: float, N_max: int):
-    """First escape step per point (N_max where the budget ran out)."""
+def _flat_escape(H: HenonMap, xs, ys, R: float, N_max: int):
+    """(shape, x, y, steps): _escape_steps on flat copies x, y of xs, ys."""
     x = np.asarray(xs, dtype=complex).ravel().copy()
     y = np.asarray(ys, dtype=complex).ravel().copy()
-    steps = _escape_steps(H, x, y, R, N_max)
-    return np.where(steps < 0, N_max, steps).reshape(np.asarray(xs).shape)
+    return np.shape(xs), x, y, _escape_steps(H, x, y, R, N_max)
+
+
+def escape_time_grid(H: HenonMap, xs, ys, R: float, N_max: int):
+    """First escape step per point (N_max where the budget ran out)."""
+    shape, _, _, steps = _flat_escape(H, xs, ys, R, N_max)
+    return np.where(steps < 0, N_max, steps).reshape(shape)
 
 
 def green_plus_grid(H: HenonMap, xs, ys, R: float, N_max: int, tol: float = 1e-10):
     """G+ over an array of points; returns (values, error_bounds, depths)."""
-    shape = np.asarray(xs).shape
-    x = np.asarray(xs, dtype=complex).ravel().copy()
-    y = np.asarray(ys, dtype=complex).ravel().copy()
-    steps = _escape_steps(H, x, y, R, N_max)
+    shape, x, y, steps = _flat_escape(H, xs, ys, R, N_max)
     vals = np.zeros(x.size)
     errs = np.full(x.size, _bounded_value(H, R, N_max).error_bound)
     depths = np.full(x.size, N_max, dtype=np.int64)
@@ -422,83 +417,21 @@ BAND_SLACK = 1e-9
 # the band decides a pixel only where d^-n (log|y_n| - band) exceeds this
 BAND_FLOOR = 2.0**-600
 # a refined value within this relative distance of c (plus twice its error
-# bound) may depend on whether phi_series took its batch or one-point path
+# bound) sends the tile through the whole refinement: a guard for rounding
+# that could differ with a point's place in the batch (see sublevel_grid)
 PATH_WINDOW = 2.0**-30
 # sublevel_classes codes: non-escaping up to the budget, G+ < c, G+ >= c
 SUBLEVEL_K_PLUS, SUBLEVEL_BELOW, SUBLEVEL_ABOVE = 0, 1, 2
 
 
-@functools.lru_cache(maxsize=64)
-def escape_band(H: HenonMap) -> float:
-    """A proved B with |G+(z) - d^-n log|y_n|| <= d^-n B at the escape step.
-
-    n is the first step at which (x_n, y_n) = H^n(z) lies in the escape
-    region |y_n| >= max(|x_n|, R), |y_n| > 2R of filtration.escape_orbit.
-
-    Proof.  Let factor i be (u, v) -> (v, p_i(v) - a_i u) with monic p_i of
-    degree d_i, C_i = |a_i| + sum_{k<d_i} |c_k| <= R - 2, and D_i the
-    product of the degrees of the later factors.  On V+ (|u| <= |v|,
-    |v| >= R >= 2),
-    |c_k v^k| <= |c_k| |v|^(d_i - 1) and |a_i u| <= |a_i| |v|^(d_i - 1), so
-
-        p_i(v) - a_i u = v^d_i (1 + w_i),   |w_i| <= C_i / |v|.
-
-    In floats, Horner and the subtraction add at most g_i = 8 (d_i + 2) eps
-    times sum |c_k| |v|^k + |a_i| |u| <= |v|^d_i (1 + C_i/|v|) (the bound
-    of _step_rounding), so every float factor obeys the same form with
-    |w_i| <= e_i(|v|) = C_i/|v| + g_i (1 + C_i/|v|).  Past 2R, e_i < 1/2
-    (the loop returns inf otherwise), so the new |v| >= |v|^d_i / 2 >= |v|:
-    the image stays in V+, the moduli met factor after factor never fall,
-    and each is at least the lower bound l carried from l = 2R by
-    log l' = d_i log l + log(1 - e_i(l)).  One step of H gives
-
-        log|y_(k+1)| = d log|y_k| + rho_k,   rho_k = sum_i D_i log|1 + w_i|,
-
-    with |rho_k| <= t_k = sum_i D_i (-log(1 - e_i(l_ki))), and t_k does not
-    increase with k because e_i falls as l grows.  So
-
-        G+(x_n, y_n) = lim d^-k log|y_(n+k)| = log|y_n| + sum_k d^-(k+1) rho_k
-
-    lies within B = sum_k d^-(k+1) t_k of log|y_n|, and G+(z) = d^-n
-    G+(x_n, y_n).  The sum runs in logarithms (l overflows a float power
-    within a few steps) until a term is below 2^-60 of the sum; the terms
-    after it shrink at least by the factor 1/d each, so the term over
-    (d - 1) closes the remainder.
-
-    The computed value.  _refine_plus returns max(d^-m (log|y_m| + T), 0)
-    at depth m = n + k after k <= MAX_PUSH float pushes, with T the real
-    part of phi_series's sum at (x_m, y_m), or T = 0 after the MAX_PUSH
-    fallback.  The pushes are float steps of H, so log|y_m| = d^k log|y_n|
-    + sum_(j<k) d^(k-1-j) rho_j; T sums d^-(j+1) log|1 + w| over the
-    product factors phi_series accepted, with 1 + w = y_(j+1) / y_j^d on
-    its own float orbit, whose log-modulus is rho_(k+j) in the notation
-    above (it stops at its tolerance, its y cap or its step limit; a bad
-    factor discards T and pushes).  So d^-m (log|y_m| + T) = d^-n
-    (log|y_n| + sum_(j<J) d^-(j+1) rho_j) for some J, which lies within
-    d^-n B of d^-n log|y_n|, term by term.  The rounding left over: each
-    accepted term of phi_series within d^-(j+1) (20 + 6 log2 d) eps of
-    log|1 + w| (y^d by squarings, the division, 1 + w and log1p or
-    cmath.log at |w| <= 1/2), the sum of S within 64 eps B, log|y_m|
-    within 2 eps |log|y_m|| with |log|y_m|| <= 710, the add, the power
-    d^-m and the product within 3 ulps; sublevel_grid's own
-    d^-n (log|y_n| -+ B) the same, and this float sum of B within 2^-40.
-    All of it is below 2e4 eps d^-n < 5e-12 d^-n, a 200th of BAND_SLACK.
-    The relative bounds need normal floats: sublevel_grid decides a pixel
-    only where d^-n (log|y_n| - B - BAND_SLACK) > BAND_FLOOR = 2^-600, and
-    then d^-m >= 2^-610 d^-MAX_PUSH and the value are normal for d < 2^68.
-    """
+def _band(H: HenonMap, log_l: float) -> float:
+    """B(H, l) for l = exp(log_l) >= 2R: escape_band's sum, its chain started at l."""
     eps = np.finfo(float).eps
-    degrees = [f.p.degree for f in H.factors]
+    ds = [f.p.degree for f in H.factors]
     factors = [
-        (
-            abs(f.a) + sum(abs(c) for c in f.p.coeffs[:-1]),
-            8.0 * (degrees[i] + 2) * eps,
-            degrees[i],
-            math.prod(degrees[i + 1 :]),
-        )
-        for i, f in enumerate(H.factors)
+        (abs(f.a) + sum(map(abs, f.p.coeffs[:-1])), 8.0 * (di + 2) * eps, di, math.prod(ds[i + 1 :]))
+        for i, (f, di) in enumerate(zip(H.factors, ds))
     ]
-    log_l = math.log(ESCAPE_MARGIN * filtration_radius(H).R)
     band, scale = 0.0, 1.0
     while True:
         scale /= H.d
@@ -513,6 +446,103 @@ def escape_band(H: HenonMap) -> float:
         band += scale * t
         if scale * t <= 2.0**-60 * band:
             return band + scale * t / (H.d - 1)
+
+
+@functools.lru_cache(maxsize=64)
+def escape_band(H: HenonMap) -> float:
+    """A proved B with |G+(z) - d^-n log|y_n|| <= d^-n B at the escape step.
+
+    n is the first step at which (x_n, y_n) = H^n(z) lies in the escape
+    region |y_n| >= max(|x_n|, R), |y_n| > 2R of filtration.escape_orbit.
+    B = B(H, 2R) of the family B(H, l) below.
+
+    Proof.  Let factor i be (u, v) -> (v, p_i(v) - a_i u) with monic p_i of
+    degree d_i, C_i = |a_i| + sum_{k<d_i} |c_k| <= R - 2, and D_i the
+    product of the degrees of the later factors.  On V+ (|u| <= |v|,
+    |v| >= R >= 2),
+    |c_k v^k| <= |c_k| |v|^(d_i - 1) and |a_i u| <= |a_i| |v|^(d_i - 1), so
+
+        p_i(v) - a_i u = v^d_i (1 + w_i),   |w_i| <= C_i / |v|.
+
+    In floats, Horner and the subtraction add at most g_i = 8 (d_i + 2) eps
+    times sum |c_k| |v|^k + |a_i| |u| <= |v|^d_i (1 + C_i/|v|) (the bound
+    of _step_rounding), so every float factor obeys the same form with
+    |w_i| <= e_i(|v|) = C_i/|v| + g_i (1 + C_i/|v|).  Take a point of the
+    escape region with |y| >= l >= 2R.  Past 2R, e_i < 1/2 (the sum is
+    inf otherwise), so the new |v| >= |v|^d_i / 2 >= |v|: the image stays
+    in V+, the moduli met factor after factor never fall, and each is at
+    least the lower bound l carried from l by
+    log l' = d_i log l + log(1 - e_i(l)).  One step of H gives
+
+        log|y_(k+1)| = d log|y_k| + rho_k,   rho_k = sum_i D_i log|1 + w_i|,
+
+    with |rho_k| <= t_k = sum_i D_i (-log(1 - e_i(l_ki))), and t_k does not
+    increase with k because e_i falls as l grows.  So
+
+        G+(x, y) = lim d^-k log|y_k| = log|y| + sum_k d^-(k+1) rho_k
+
+    lies within B(H, l) = sum_k d^-(k+1) t_k of log|y|, and G+(z) = d^-n
+    G+(x_n, y_n).  B(H, l) does not increase with l.  The sum (_band) runs
+    in logarithms (l overflows a float power within a few steps) until a
+    term is below 2^-60 of the sum; the terms after it shrink at least by
+    the factor 1/d each, so the term over (d - 1) closes the remainder.
+    Its floor as l grows is the rounding, sum_i D_i g_i / (d - 1) (about
+    7e-15 for d = 2).
+
+    The pushed value.  _refine_plus and green_plus push (x_n, y_n) with
+    float steps of H to the first depth m = n + k with |y_m| >= Y =
+    _stop_modulus(H, tol) and return max(d^-m log|y_m|, 0).  The pushes
+    are float factor steps, so log|y_m| = d^k log|y_n| + sum_(j<k)
+    d^(k-1-j) rho_j with the float rho_j above, and d^-m log|y_m| =
+    d^-n (log|y_n| + sum_(j<k) d^-(j+1) rho_j) lies within d^-n B of
+    d^-n log|y_n|, term by term: the value sublevel_grid thresholds lies
+    in the band it decides by.  The error bound: (x_m, y_m) lies in the
+    escape region with |y_m| >= Y, so |G+(x_m, y_m) - log|y_m|| <=
+    B(H, Y), and d^-m G+(x_m, y_m) is G+ at the computed orbit (as for
+    every orbit method here, the float orbit up to depth m is taken as
+    given).  _stop_modulus evaluates B at log Y - 2^-40 and widens it by
+    2^-40, which covers the rounding of |y_m|, of exp and of this float
+    sum of B (within 2^-40).  The rounding left over: |y_m| within 2 eps
+    (hypot), so log|y_m| within eps |log|y_m|| + 2.1 eps; the power d^-m
+    and the product within an ulp each; in all below 5 eps
+    d^-m log|y_m| + 2.1 eps d^-m <= VALUE_ROUNDING d^-m log|y_m|, as
+    log|y_m| > log 4.  The error_bound d^-m (B(H, Y) + VALUE_ROUNDING
+    log|y_m|) is the sum of the two.
+
+    sublevel_grid's own d^-n (log|y_n| -+ B) rounds like the value; with
+    log|y| <= 710 all of it is below 2e4 eps d^-n < 5e-12 d^-n, a 200th
+    of BAND_SLACK.  The relative bounds need normal floats: sublevel_grid
+    decides a pixel only where d^-n (log|y_n| - B - BAND_SLACK) >
+    BAND_FLOOR = 2^-600, and there the value is at least 2^-600 and,
+    since log|y_m| <= 710, d^-m >= 2^-610: both are normal.
+    """
+    return _band(H, math.log(ESCAPE_MARGIN * filtration_radius(H).R))
+
+
+@functools.lru_cache(maxsize=256)
+def _stop_modulus(H: HenonMap, tol: float):
+    """(Y, B(H, Y)): where the G+ push stops for tol, and the band there.
+
+    Y is the smallest l with B(H, l) <= tol, to 2^-10 in log l, clamped
+    to [2R, Ymax]; if no l up to Ymax reaches tol, Y = Ymax and the band
+    B(H, Ymax) is the error floor.  Ymax = (PUSH_CAP / 1.5^(d-1))^(1/d)
+    keeps every push finite: a factor from |v| > 2R >= 2 C_i with
+    |u| <= |v| gives |p_i(v) - a_i u| <= |v|^d_i (1 + C_i / |v|) <=
+    1.5 |v|^d_i, and the moduli grow factor after factor, so a push from
+    |y| < Y meets no coordinate above 1.5^(sum_i D_i) Y^d, where
+    sum_i D_i <= 2 d / d_1 - 1 <= d - 1 (each D_i is at least twice the
+    next): at most PUSH_CAP, times 1 + O(eps) for rounding.  The band is
+    B evaluated at log Y - 2^-40 and widened by 2^-40 (see escape_band).
+    """
+    lo = math.log(ESCAPE_MARGIN * filtration_radius(H).R)
+    hi = max(lo, (math.log(PUSH_CAP) - (H.d - 1) * math.log(1.5)) / H.d)
+    if _band(H, lo) <= tol:
+        hi = lo
+    elif _band(H, hi) <= tol:  # bisect with B(lo) > tol >= B(hi)
+        while hi - lo > 2.0**-10:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if _band(H, mid) <= tol else (mid, hi)
+    return math.exp(hi), _band(H, hi - 2.0**-40) * (1.0 + 2.0**-40)
 
 
 def sublevel_classes(vals, depths, N_max: int, c: float):
@@ -536,23 +566,20 @@ def sublevel_grid(H: HenonMap, xs, ys, R: float, N_max: int, c: float, tol: floa
     lo > BAND_FLOOR.  Only the other escaped pixels go through _refine_plus.
 
     The band decides pixels by proof; that the refined pixels get the
-    classes of green_plus_grid rests on a measured bound, not a proof.
-    phi_series runs one point in Python scalars and several in numpy,
-    and refining fewer points can change which path a point meets.  The
-    two paths differ in the last bits (within 4 eps in S, so about 6 eps
-    relative in G+, as measured in the boettcher module docstring;
-    PATH_WINDOW is about 7e5 times that).  Those bits can also flip a
-    stop test |term| < tol or a bad-factor test, which moves the value
-    by one series term or one push: both paths' values then lie within
-    their error bounds of G+, and twice this path's bound stands in for
-    the pair.  So if a refined value lies within 2 err + PATH_WINDOW c of
-    c, or is not finite, every escaped pixel is refined as
-    green_plus_grid refines it.
+    classes of green_plus_grid rests on a measurement, not a proof.  The
+    push is elementwise, so a refined point meets the same operations
+    whether it is refined alone, with the undecided pixels or with every
+    escaped pixel; that numpy rounds each element alike wherever it sits
+    in an array is measured (the tests compare against thresholding).
+    Should it round the last bits differently, the value moves by a few
+    eps relative (PATH_WINDOW is about 1e6 times that), or a flipped push
+    test |y| < Y moves it by one push, where both values lie within their
+    error bounds of G+ and twice this one's bound stands in for the pair.
+    So if a refined value lies within 2 err + PATH_WINDOW c of c, or is
+    not finite, every escaped pixel is refined as green_plus_grid refines
+    it.
     """
-    shape = np.asarray(xs).shape
-    x = np.asarray(xs, dtype=complex).ravel().copy()
-    y = np.asarray(ys, dtype=complex).ravel().copy()
-    steps = _escape_steps(H, x, y, R, N_max)
+    shape, x, y, steps = _flat_escape(H, xs, ys, R, N_max)
     out = np.full(x.size, SUBLEVEL_K_PLUS, dtype=np.int8)
     esc = np.flatnonzero(steps >= 0)
     if esc.size == 0:

@@ -131,6 +131,13 @@ class HenonMap:
     d_prime: int
     jacobian: complex
 
+    def __post_init__(self):
+        # every lru_cache keyed on the map hashes it: hash the factors once
+        object.__setattr__(self, "_hash", hash(self.factors))
+
+    def __hash__(self):
+        return self._hash
+
 
 @dataclass(frozen=True)
 class Point:

@@ -320,6 +320,19 @@ def test_cli_classify_and_green(tmp_path, capsys):
     assert abs(out["value"] - np.log(100.0)) < 1e-2
 
 
+def test_cli_green_minus_deep_point_has_a_positive_bound(tmp_path, capsys):
+    # the CI console-script point: on the axis x = 0 of a monomial factor
+    # the first Bottcher product term is exactly 0, and the product's stop
+    # rule once reported error_bound 0 there although its tail is not 0
+    cubic = {"name": "odd cubic", "factors": [{"p": [[0, 0], [0, 0], [0, 0], [1, 0]], "a": [0.5, 0]}]}
+    spec = write_json(tmp_path / "cubic.json", cubic)
+    argv = ["green", "--spec", spec, "--direction", "minus", "--point", "1e8,0,0,0"]
+    assert main(argv) == 0
+    g = json.loads(capsys.readouterr().out)
+    assert abs(g["value"] - (np.log(1e8) - np.log(0.5) / 2)) <= 1e-9
+    assert g["depth"] == 1 and 0 < g["error_bound"] <= 1e-10
+
+
 def test_cli_verify_fast(tmp_path, capsys):
     spec = write_json(tmp_path / "m.json", QUADRATIC)
     assert main(["verify", "--spec", spec, "--level", "fast"]) == 0

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from henoncover import (
     apply,
     apply_inverse,
     bottcher_phi,
+    certify_region,
     classify_point,
     filtration_radius,
     green_minus,
@@ -16,13 +19,17 @@ from henoncover import (
     make_henon,
     membership,
 )
+from henoncover.boettcher import OutsideRegion, phi_vec
 from henoncover.filtration import BAIL_OUT, ESCAPE_MARGIN, escape_orbit
 from henoncover import green
 from henoncover.green import (
+    PUSH_CAP,
     TRAP_MARGIN,
+    VALUE_ROUNDING,
     Trap,
     _escape_steps,
     _refine_plus,
+    _stop_modulus,
     attracting_traps,
     escape_band,
     escape_time_grid,
@@ -30,7 +37,7 @@ from henoncover.green import (
     sublevel_grid,
 )
 from henoncover.henon import apply_xy, inverse_leading_constant
-from henoncover.verification import check_sublevel_band
+from henoncover.verification import _region_points, check_sublevel_band
 
 from strategies import attracting_map, henon_maps
 
@@ -154,6 +161,154 @@ def test_grid_matches_scalar(request, rng):
             bounded += g.depth == budget and g.value == 0.0
         assert depths[-3] == 0 and depths[-1] == depths[-2] == budget
         assert 3 <= bounded < xs.size - 20, name  # every kind of orbit
+
+
+def assert_scalar_and_grid_within_bounds(H, rng, budget=24):
+    """Scalar green_plus and green_plus_grid agree within the sum of their bounds.
+
+    80 seeded points: 60 in the box of half-width 0.3 R and 20 in that of
+    half-width R.  The scalar orbit runs in Python complex arithmetic and
+    the grid in numpy, so the escape coordinates may differ in the last
+    bits; each error bound must cover that rounding of the pushed value.
+    """
+    R = filtration_radius(H).R
+    box = np.repeat([0.3 * R, R], [60, 20])
+    xs = box * (rng.uniform(-1, 1, 80) + 1j * rng.uniform(-1, 1, 80))
+    ys = box * (rng.uniform(-1, 1, 80) + 1j * rng.uniform(-1, 1, 80))
+    vals, errs, depths = green_plus_grid(H, xs, ys, R, budget)
+    for x, y, v, e, n in zip(xs, ys, vals, errs, depths):
+        g = green_plus(H, Point(x, y), N_max=budget)
+        assert n == g.depth
+        assert abs(g.value - v) <= g.error_bound + e
+        assert g.value == 0.0 or g.error_bound > 0.0
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_grid_and_scalar_agree_within_their_bounds(request, name):
+    assert_scalar_and_grid_within_bounds(
+        request.getfixturevalue(name), np.random.default_rng(97)
+    )
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_grid_and_scalar_agree_within_their_bounds_on_random_maps(H, seed):
+    assert_scalar_and_grid_within_bounds(H, np.random.default_rng(seed))
+
+
+def assert_green_matches_bottcher_product(H, seed):
+    """G+ against log|phi| from the Bottcher product on 40 points of W+_M.
+
+    The two differ by at most the G+ error bound, phi's tail bound and the
+    rounding of both logarithms (16 eps times the value).
+    """
+    pts = _region_points(H, certify_region(H), 40, seed)
+    x = np.array([z.x for z in pts])
+    y = np.array([z.y for z in pts])
+    phi, tail, ok, _ = phi_vec(H, x, y)
+    assert ok.all()
+    eps = np.finfo(float).eps
+    for z, p, t in zip(pts, phi, tail):
+        g = green_plus(H, z)
+        assert abs(g.value - np.log(abs(p))) <= g.error_bound + t + 16 * eps * g.value
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_green_matches_bottcher_product(request, name):
+    assert_green_matches_bottcher_product(request.getfixturevalue(name), 101)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_green_matches_bottcher_product_on_random_maps(H, seed):
+    try:
+        certify_region(H)
+    except OutsideRegion:
+        return  # no proved product region to draw from
+    assert_green_matches_bottcher_product(H, seed)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-10, 1e-13])
+def test_stop_modulus_is_the_smallest_within_tol(href, htwo, hcubic, tol):
+    for H in (href, htwo, hcubic):
+        Y, band = _stop_modulus(H, tol)
+        assert ESCAPE_MARGIN * filtration_radius(H).R < Y < PUSH_CAP ** (1 / H.d)
+        assert band <= tol * (1 + 2.0**-38)
+        assert green._band(H, np.log(Y) - 2.0**-9) > tol
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-16])
+def test_error_bound_covers_the_rounding_of_the_value(href, htwo, hcubic, tol):
+    # beyond the band d^-m B(H, Y), the bound carries d^-m VALUE_ROUNDING
+    # log|y_m| for the rounding of |y_m|, the log, the power and the
+    # product: it must cover the distance to d^-m log|y_m| taken to 50
+    # digits on the same float orbit point y_m
+    for H in (href, htwo, hcubic):
+        R = filtration_radius(H).R
+        Y, band = _stop_modulus(H, tol)
+        rng = np.random.default_rng(109)
+        checked = 0
+        for _ in range(100):
+            z = Point(complex(*rng.uniform(-R, R, 2)), complex(*rng.uniform(-R, R, 2)))
+            hit = escape_orbit(H, z.x, z.y, R, 64)
+            if hit is None:
+                continue
+            m, x, y = hit
+            while abs(y) < Y:
+                x, y = apply_xy(H, x, y)
+                m += 1
+            g = green_plus(H, z, tol=tol, N_max=64)
+            assert g.depth == m
+            with localcontext() as ctx:
+                ctx.prec = 50
+                modulus2 = Decimal(y.real) ** 2 + Decimal(y.imag) ** 2
+                exact = float(modulus2.ln() / 2 / Decimal(H.d) ** m)
+            assert abs(g.value - exact) <= g.error_bound - band * float(H.d) ** -m
+            checked += 1
+        assert checked > 30
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tol_below_the_band_floor_reports_the_floor(href):
+    # the band never falls below its rounding, sum_i D_i g_i / (d - 1) =
+    # 32 eps for href, so tol = 1e-16 stops at the clamp and reports that
+    R = filtration_radius(href).R
+    Y, floor = _stop_modulus(href, 1e-16)
+    assert Y == pytest.approx((PUSH_CAP / 1.5) ** 0.5, rel=1e-12)
+    assert floor == pytest.approx(32 * np.finfo(float).eps, rel=1e-6)
+    rng = np.random.default_rng(103)
+    xs = R * (rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200))
+    ys = R * (rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200))
+    vals, errs, depths = green_plus_grid(href, xs, ys, R, 64, tol=1e-16)
+    coarse, coarse_errs, _ = green_plus_grid(href, xs, ys, R, 64)
+    esc = depths < 64
+    assert esc.sum() > 50 and np.isfinite(vals).all() and np.isfinite(errs).all()
+    scale = 2.0 ** -depths[esc]
+    assert (errs[esc] >= scale * floor).all()
+    want = scale * (floor + VALUE_ROUNDING * np.log(Y))
+    assert (errs[esc] >= want).all() and (errs[esc] <= want * href.d).all()
+    assert (np.abs(vals - coarse) <= errs + coarse_errs).all()
+    for x, y in zip(xs[esc][:20], ys[esc][:20]):
+        g = green_plus(href, Point(x, y), tol=1e-16, N_max=64)
+        assert np.isfinite(g.value) and g.error_bound >= 2.0**-g.depth * floor
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stop_modulus_clamped_for_degree_64():
+    H = make_henon([([0.3] + [0] * 63 + [1], 0.5)])
+    R = filtration_radius(H).R
+    Y, band = _stop_modulus(H, 1e-10)
+    assert ESCAPE_MARGIN * R <= Y <= PUSH_CAP ** (1 / 64)
+    assert band > 1e-10  # tol is out of reach below the clamp
+    rng = np.random.default_rng(107)
+    xs = 2 * R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
+    ys = 2 * R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
+    vals, errs, depths = green_plus_grid(H, xs, ys, R, 16)
+    assert np.isfinite(vals).all() and np.isfinite(errs).all()
+    assert (depths > 0).any() and (vals > 0).sum() > 100
+    for x, y, v, e in zip(xs[:40], ys[:40], vals, errs):
+        g = green_plus(H, Point(x, y), N_max=16)
+        assert np.isfinite(g.value) and abs(g.value - v) <= g.error_bound + e
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])

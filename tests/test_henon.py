@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,16 @@ def test_two_factor_degrees():
 def test_jacobian_is_product():
     H = make_henon([([0, 0, 1], 0.5), ([0, 0, 1], -2.0j)])
     assert H.jacobian == 0.5 * (-2.0j)
+
+
+def test_equal_maps_hash_alike():
+    # the hash is taken once from the factors; lru_cache lookups rely on
+    # it agreeing with equality, also across a pickle round trip
+    H = make_henon([([-0.1, 0, 1], 1.0), ([0.05, 0, 1], 0.9)])
+    K = make_henon([([-0.1, 0, 1], 1.0), ([0.05, 0, 1], 0.9)])
+    assert H == K and hash(H) == hash(K) and {H: 1}[K] == 1
+    assert H != make_henon([([-0.1, 0, 1], 1.0), ([0.05, 0, 1], 0.8)])
+    assert hash(pickle.loads(pickle.dumps(H))) == hash(H)
 
 
 def test_degree_too_low():
