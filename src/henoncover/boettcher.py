@@ -434,8 +434,24 @@ def dphi_dy(H: HenonMap, z: Point, region: BoettcherRegion | None = None) -> com
     return complex(d[0])
 
 
+def _lambda_start(H: HenonMap, x, w):
+    """The first-order inverse y0 = w (1 - w0 / d) of phi(x, .) at w.
+
+    On W+_M, phi(x, y) = y (1 + w0)^(1/d) (1 + w1)^(1/d^2) ... with
+    w0 = pi_2(H(x, y)) / y^d - 1 and |w0| <= 1/2, so phi = y (1 + w0 / d)
+    up to O(w0^2) and the terms of later factors, which are O(1/|y|^d)
+    smaller still.  Inverting to first order at y = w gives y0; it costs
+    one apply_xy and one _ipow.  Where y0 is not finite (w^d overflows or
+    vanishes) the start is w itself.
+    """
+    with np.errstate(all="ignore"):
+        w0 = apply_xy(H, x, w)[1] / _ipow(w, H.d) - 1.0
+        y0 = w - w * w0 / H.d
+    return np.where(np.isfinite(y0), y0, w)
+
+
 def _lambda_newton(H: HenonMap, x, w, tol: float, max_iter: int = 50):
-    """Solve phi(x, y) = w for y, vectorized Newton from y = w.
+    """Solve phi(x, y) = w for y, vectorized Newton from _lambda_start.
 
     Each round takes phi and its exact slope dphi/dy from one tangent pass
     of phi_series.  Returns (y, ok, dphi), where dphi is the slope from the
@@ -444,7 +460,7 @@ def _lambda_newton(H: HenonMap, x, w, tol: float, max_iter: int = 50):
     """
     x = np.asarray(x, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    y = w.copy()
+    y = _lambda_start(H, x, w)
     dphi = np.full_like(y, np.nan)
     ok = np.ones(w.shape, dtype=bool)
     active = np.ones(w.shape, dtype=bool)
@@ -470,7 +486,7 @@ def _lambda_newton(H: HenonMap, x, w, tol: float, max_iter: int = 50):
 
 
 def lambda_vec(H: HenonMap, x, w, tol: float = 1e-12, max_iter: int = 50):
-    """Solve phi(x, y) = w for y by Newton from y = w; returns (y, ok)."""
+    """Solve phi(x, y) = w for y by Newton from _lambda_start; returns (y, ok)."""
     y, ok, _ = _lambda_newton(H, x, w, tol, max_iter)
     return y, ok
 
@@ -495,13 +511,13 @@ def lambda_inverse(
 
 
 def dlambda_dy_vec(H: HenonMap, x, w, tol: float = 1e-12):
-    """1 / dphi_dy at the matched point (x, lambda(x, w)); returns (dl, ok).
+    """1 / dphi_dy at the matched point (x, y = lambda(x, w)); returns (dl, ok, y).
 
     The slope is the one from the Newton round that converged, which
     evaluated dphi/dy at exactly the returned y.
     """
-    _, ok, dphi = _lambda_newton(H, x, w, tol)
-    return 1.0 / dphi, ok
+    y, ok, dphi = _lambda_newton(H, x, w, tol)
+    return 1.0 / dphi, ok, y
 
 
 def dlambda_dy(

@@ -37,7 +37,6 @@ from .boettcher import (
     bottcher_phi,
     certify_region,
     dlambda_dy_vec,
-    lambda_inverse,
     lambda_vec,
 )
 from .filtration import FiltrationRadius
@@ -203,17 +202,18 @@ _PANEL_WEIGHTS = 0.5 * np.array([(_WGK[j], j % 2 and _WG[j // 2]) for j in _ORDE
 _INNER_TOL = 3e-15
 
 
-def _psi_batch(H: HenonMap, region: BoettcherRegion, X, W, tol=1e-11, end_slope=False):
+def _psi_batch(H: HenonMap, region: BoettcherRegion, X, W, tol=1e-11, end_node=False):
     """psi(X_i, W_i) = W_i * int_0^{X_i} dlambda/dy(t, W_i) dt, batched.
 
-    Returns (psi, slope, panels).  One solve runs the G7/K15 pair on every
+    Returns (psi, end, panels).  One solve runs the G7/K15 pair on every
     whole segment.  K15 is exact to degree 22 and G7 to degree 13, so on an
     analytic integrand |K15 - G7| is about G7's error and K15's is far
     smaller: a segment whose sums agree to tol relative, on the scale
     max(|K15|, |X_i|), returns W_i * K15.  One that misses is cut into 2, 4,
     8, 16 panels until consecutive K15 composites agree (NoConvergence past
-    16); panels is the most any segment needed.  With end_slope,
-    slope is dlambda/dy(X_i, W_i) from the first solve, else None.
+    16); panels is the most any segment needed.  With end_node, the
+    segment end (X_i, W_i) joins the first solve as one more node and end
+    is (dlambda/dy(X_i, W_i), lambda(X_i, W_i)) from it, else None.
     """
     X, W = np.asarray(X, dtype=complex), np.asarray(W, dtype=complex)
     if np.any(region.M * np.abs(X) >= np.abs(W)):
@@ -222,19 +222,20 @@ def _psi_batch(H: HenonMap, region: BoettcherRegion, X, W, tol=1e-11, end_slope=
     def sums(x, w, s, end=False):
         # K15 and G7 composites over the panels of nodes s from one Newton
         # solve; with end, the segment end joins it as the last column of F
+        # and its (slope, lambda) come back too
         panels = s.size // _PANEL_NODES.size
         T = x[:, None] * (np.append(s, 1.0) if end else s)
-        F, ok = dlambda_dy_vec(H, T.ravel(), np.repeat(w, T.shape[1]), _INNER_TOL)
+        F, ok, Y = dlambda_dy_vec(H, T.ravel(), np.repeat(w, T.shape[1]), _INNER_TOL)
         if not ok.all():
             raise SegmentOutsideRegion("integrand node failed region solve")
-        F = F.reshape(T.shape)
+        F, Y = F.reshape(T.shape), Y.reshape(T.shape)
         KG = (F[:, : s.size].reshape(x.size, panels, -1) @ _PANEL_WEIGHTS).sum(axis=1)
-        return KG[:, 0] * (x / panels), KG[:, 1] * (x / panels), F[:, -1]
+        return KG[:, 0] * (x / panels), KG[:, 1] * (x / panels), (F[:, -1], Y[:, -1])
 
     def missed(cur, prev, x):
         return np.abs(cur - prev) / np.maximum(np.abs(cur), np.abs(x) + 1e-30) > tol
 
-    K, G, F_end = sums(X, W, _PANEL_NODES, end_slope)
+    K, G, end = sums(X, W, _PANEL_NODES, end_node)
     todo, panels = np.flatnonzero(missed(K, G, X)), 1
     while todo.size:
         panels *= 2
@@ -243,7 +244,7 @@ def _psi_batch(H: HenonMap, region: BoettcherRegion, X, W, tol=1e-11, end_slope=
         s = ((np.arange(panels)[:, None] + _PANEL_NODES) / panels).ravel()
         Kp = sums(X[todo], W[todo], s)[0]
         K[todo], todo = Kp, todo[missed(Kp, K[todo], X[todo])]
-    return W * K, (F_end if end_slope else None), panels
+    return W * K, (end if end_node else None), panels
 
 
 def psi_integral(
@@ -479,10 +480,11 @@ def psi_tilde_inverse(
 ) -> Point:
     """Invert the chart on the absorbing region S_{Mtilde, t}.
 
-    Removes the series correction, solves psi(x, zeta) = z' by Newton
-    with slope zeta * dlambda/dy and initial guess z'/zeta, then recovers
-    y = lambda(x, zeta).  The slope at (x, zeta) is the integrand at the
-    segment's end, solved with the quadrature's 15 nodes.
+    Removes the series correction and solves psi(x, zeta) = z' by Newton
+    with slope zeta * dlambda/dy and initial guess z'/zeta.  Each round's
+    quadrature solve takes the segment end (x, zeta) as a 16th node, which
+    gives both the slope and y = lambda(x, zeta); the round that converges
+    returns its y, solved to the inner tolerance, with no further solve.
     """
     if not in_absorbing_region(chart, w):
         raise OutsideChartDomain("cover point outside S_{Mtilde, t}")
@@ -491,17 +493,14 @@ def psi_tilde_inverse(
     x = z_target / zeta
     scale = max(abs(z_target), abs(zeta))
     for _ in range(max_iter):
-        val, slope, _ = _psi_batch(
-            chart.H, chart.region, [x], [zeta], tol, end_slope=True
+        val, (slope, y), _ = _psi_batch(
+            chart.H, chart.region, [x], [zeta], tol, end_node=True
         )
         f = complex(val[0]) - z_target
         if abs(f) <= tol * scale:
-            break
+            return Point(x, complex(y[0]))
         x = x - f / (zeta * complex(slope[0]))
-    else:
-        raise NewtonNoConvergence(max_iter)
-    y = lambda_inverse(chart.H, x, zeta, chart.region)
-    return Point(x, y)
+    raise NewtonNoConvergence(max_iter)
 
 
 def lift_H(chart: CoverChart, w: CoverPoint) -> CoverPoint:

@@ -331,38 +331,47 @@ def attracting_traps(H: HenonMap) -> tuple:
 # escape_orbit and the refinement of green_plus, run over flat arrays with
 # masks; deterministic for a fixed input order.
 
-def _escape_steps(H: HenonMap, x, y, R: float, N_max: int):
+def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = True):
     """First escape step per point of the flat arrays x, y, or -1.
 
     Iterates compact copies of the points still in play (gathered again
-    only on steps where some point escapes, bails out or is retired) and
-    writes each escaped point's coordinates back into x and y at its
-    escape step, so x and y hold the escape coordinates of every escaped
-    point on return (the other entries are left as given).  While every
-    |x|, |y| is at most both the cutoff 2R and BAIL_OUT, no point can
-    escape or bail out, so the full test is skipped.  Every TRAP_EVERY-th
-    step, points inside one of attracting_traps(H) with reach <= R are
-    retired as -1; the attracting_traps docstring proves that the full
-    loop returns -1 for them too, so the result is the same.  The traps
-    are built only once some point is still live at the first such step.
+    only on steps where some point escapes, bails out or is retired).  With
+    write_back it writes each escaped point's coordinates back into x and y
+    at its escape step, so x and y hold the escape coordinates of every
+    escaped point on return (the other entries are left as given); without
+    it x and y are only read.  While every |x|, |y| is at most both the
+    cutoff 2R and BAIL_OUT, no point can escape or bail out, so the full
+    test is skipped.  The escape test |y| >= max(|x|, R) and |y| > 2R is
+    taken as |y| >= |x| and |y| > 2R, the same test since 2R >= R.  On a
+    one-factor map the next x is the current y itself, so its modulus is
+    reused rather than taken again.  Every TRAP_EVERY-th step, points
+    inside one of attracting_traps(H) with reach <= R are retired as -1;
+    the attracting_traps docstring proves that the full loop returns -1
+    for them too, so the result is the same.  The traps are built only
+    once some point is still live at the first such step.
     """
     traps = None  # built on the first trap step that has live points
     steps = np.full(x.size, -1, dtype=np.int64)
+    if x.size == 0:
+        return steps
     idx = np.arange(x.size)
     cx, cy = x, y
     cutoff = ESCAPE_MARGIN * R
     quiet = min(cutoff, BAIL_OUT)
+    one_factor = len(H.factors) == 1
+    ax = np.abs(cx)
     for n in range(N_max + 1):
-        ax, ay = np.abs(cx), np.abs(cy)
+        ay = np.abs(cy)
         far = np.maximum(ax, ay)
         keep = None  # every point stays in play
-        if not (far <= quiet).all():
+        if not far.max() <= quiet:
             # some point may escape or bail out (or is NaN): the full test
-            esc = (ay >= np.maximum(ax, R)) & (ay > cutoff)
+            esc = (ay >= ax) & (ay > cutoff)
             if esc.any():
                 hit = idx[esc]
                 steps[hit] = n
-                x[hit], y[hit] = cx[esc], cy[esc]
+                if write_back:
+                    x[hit], y[hit] = cx[esc], cy[esc]
             keep = ~esc & (far <= BAIL_OUT)
         if n == N_max:
             break
@@ -378,7 +387,10 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int):
             if not keep.all():
                 idx = idx[keep]
                 cx, cy = cx[keep], cy[keep]
+                if one_factor:
+                    ay = ay[keep]
         cx, cy = apply_xy(H, cx, cy)
+        ax = ay if one_factor else np.abs(cx)
     return steps
 
 
@@ -391,8 +403,10 @@ def _flat_escape(H: HenonMap, xs, ys, R: float, N_max: int):
 
 def escape_time_grid(H: HenonMap, xs, ys, R: float, N_max: int):
     """First escape step per point (N_max where the budget ran out)."""
-    shape, _, _, steps = _flat_escape(H, xs, ys, R, N_max)
-    return np.where(steps < 0, N_max, steps).reshape(shape)
+    x = np.asarray(xs, dtype=complex).ravel()
+    y = np.asarray(ys, dtype=complex).ravel()
+    steps = _escape_steps(H, x, y, R, N_max, write_back=False)
+    return np.where(steps < 0, N_max, steps).reshape(np.shape(xs))
 
 
 def green_plus_grid(H: HenonMap, xs, ys, R: float, N_max: int, tol: float = 1e-10):

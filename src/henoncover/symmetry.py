@@ -65,7 +65,10 @@ the same limit along backward orbits gives G-.L = G-.  So L maps each
 of U+ = {G+ > 0}, K+ = {G+ = 0}, U- and K- onto itself.
 
 commutes_with_power compares the expanded coefficients of L.H^k and
-H^k.L; the tests and verify use it as the exact witness.
+H^k.L; the tests and verify use it as the exact witness.  Above
+SYMBOLIC_DEGREE_CAP, where H^2 is too large to expand, verify checks the
+relations f_i L_(i-1) = L_i f_i of the chain one factor at a time
+(factor_chain_witness).
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ __all__ = [
     "SymmetryReport",
     "compute_d0",
     "commutes_with_power",
+    "factor_chain_witness",
     "find_affine_symmetries",
     "verify_cyclic",
     "fixed_points",
@@ -226,6 +230,50 @@ def commutes_with_power(H: HenonMap, L: AffineMap, k: int, tol: float = 1e-9):
     )
     defect = max(_coeff_defect(lhs1, rhs1), _coeff_defect(lhs2, rhs2))
     return defect <= tol, defect
+
+
+def factor_chain_witness(H: HenonMap, L: AffineMap, tol: float = 1e-9):
+    """Does L commute with H^2 by the factor relations?  (flag, defect).
+
+    The chain of the module docstring, in the coordinates of H: L_0 = L,
+    L_2m = L and, in between, L_i = (A x + tau_(i-1) (1 - A), C y +
+    tau_i (1 - C)) with (A, C) = (e, e') at even i and (e', e) at odd i,
+    the maps that the proof shows are forced.  Each of the 2m relations
+    f_i L_(i-1) = L_i f_i of H^2 is checked on its own: for L_(i-1) =
+    (A x + B, C y + D) and L_i = (A' x + B', C' y + D') it reads A' = C,
+    B' = D, C' = A and p_i(C u + D) - C' p_i(u) - a_i B - D' = 0 in every
+    coefficient.  Composed, they give L H^2 = H^2 L.  The defect is the
+    largest residual over the magnitude of the terms that formed it.  No
+    solved translation is carried from one factor to the next, where its
+    rounding would grow by |p_i'| per factor.  Unlike commutes_with_power,
+    which expands H^2 (total degree d^2), it costs O(m d_i^2) at any degree.
+    """
+    fs = H.factors
+    m = len(fs)
+    tau = [-f.p.coeffs[-2] / f.p.degree for f in fs]
+    chain = [L]
+    for i in range(1, 2 * m):
+        A, C = (L.e, L.e_prime) if i % 2 == 0 else (L.e_prime, L.e)
+        chain.append(AffineMap(A, tau[(i - 1) % m] * (1 - A), C, tau[i % m] * (1 - C)))
+    chain.append(L)
+    tiny = np.finfo(float).tiny
+    worst = 0.0
+    for i, (P, N) in enumerate(zip(chain, chain[1:])):
+        f = fs[i % m]
+        c = np.array(f.p.coeffs)
+        shift = _affine_matrix(c.size, P.f_prime, P.e_prime)
+        q = shift @ c - N.e_prime * c
+        scale = np.abs(shift) @ np.abs(c) + abs(N.e_prime) * np.abs(c)
+        q[0] -= f.a * P.f + N.f_prime
+        scale[0] += abs(f.a * P.f) + abs(N.f_prime)
+        worst = max(
+            worst,
+            float(np.max(np.abs(q) / np.maximum(scale, tiny))),
+            abs(N.e - P.e_prime),
+            abs(N.e_prime - P.e),
+            abs(N.f - P.f_prime) / max(1.0, abs(N.f), abs(P.f_prime)),
+        )
+    return worst <= tol, worst
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from henoncover import (
     make_henon,
     q_correction,
 )
+from henoncover import boettcher, cover
 from henoncover.boettcher import (
     NoConvergence,
     OutsideRegion,
@@ -32,6 +33,7 @@ from henoncover.boettcher import (
     phi_series,
     phi_vec,
 )
+from henoncover.cover import _INNER_TOL
 from henoncover.filtration import filtration_radius
 from henoncover.henon import apply_xy, second_component_correction
 
@@ -129,6 +131,68 @@ def test_lambda_axis_fixed_point_oracle():
         gamma = np.log(bottcher_phi(H, Point(0.0, y)) / y)
         y = w * np.exp(-gamma)
     assert abs(lam - y) <= 1e-9 * abs(w)
+
+
+def newton_counted(monkeypatch, H, x, w, tol, from_w=False):
+    """_lambda_newton's (y, ok) and its phi_series calls, optionally from y = w."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return phi_series(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(boettcher, "phi_series", counted)
+        if from_w:
+            m.setattr(boettcher, "_lambda_start", lambda H, x, w: w.copy())
+        y, ok, _ = boettcher._lambda_newton(H, x, w, tol)
+    return y, ok, len(calls)
+
+
+def segment_nodes(region, rng, n):
+    """The 15 G7/K15 nodes and the end of n seeded psi segments, as (x, w)."""
+    M, R = region.M, region.R.R
+    W = M * R * rng.uniform(1.02, 8.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    X = rng.uniform(0.0, 0.999, n) * np.abs(W) / M * np.exp(2j * np.pi * rng.uniform(size=n))
+    s = np.append(cover._PANEL_NODES, 1.0)
+    return X[:, None] * s, np.repeat(W[:, None], s.size, axis=1)
+
+
+def assert_starts_agree(monkeypatch, H, x, w, tol):
+    """Both starts give the same ok and agree to the solve tolerance.
+
+    Returns the phi_series calls of the (closed-form, y = w) solves.
+    """
+    y, ok, calls = newton_counted(monkeypatch, H, x, w, tol)
+    y_w, ok_w, calls_w = newton_counted(monkeypatch, H, x, w, tol, from_w=True)
+    assert np.array_equal(ok, ok_w)
+    assert np.all(np.abs(y - y_w)[ok] <= 4 * tol * np.abs(w)[ok])
+    return calls, calls_w
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_lambda_start_saves_rounds_on_psi_nodes(name, request, monkeypatch):
+    # the first-order inverse of phi starts every solve inside the basin:
+    # no segment's solve takes more rounds than from y = w, and fewer in all
+    H = request.getfixturevalue(name)
+    rng = np.random.default_rng(61)
+    X, W = segment_nodes(certify_region(H), rng, 24)
+    rounds = [assert_starts_agree(monkeypatch, H, x, w, _INNER_TOL) for x, w in zip(X, W)]
+    assert all(new <= old for new, old in rounds)
+    assert sum(new for new, _ in rounds) < sum(old for _, old in rounds)
+    # the Qtilde circle solves at x = 0 too
+    zetas = 2.0 * certify_region(H).M * certify_region(H).R.R * np.exp(2j * np.pi * rng.uniform(size=64))
+    new, old = assert_starts_agree(monkeypatch, H, np.zeros_like(zetas), zetas, _INNER_TOL)
+    assert new <= old
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_lambda_start_agrees_on_random_maps(H, seed):
+    rng = np.random.default_rng(seed)
+    X, W = segment_nodes(certify_region(H), rng, 4)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_starts_agree(monkeypatch, H, X.ravel(), W.ravel(), 1e-12)
 
 
 def test_lambda_no_convergence():

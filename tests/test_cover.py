@@ -24,8 +24,8 @@ from henoncover import (
     r_series,
     save_chart,
 )
-from henoncover import cover
-from henoncover.boettcher import NoConvergence, dlambda_dy_vec
+from henoncover import boettcher, cover
+from henoncover.boettcher import NoConvergence, dlambda_dy_vec, lambda_inverse
 from henoncover.cover import (
     _INNER_TOL,
     BudgetExceeded,
@@ -131,7 +131,7 @@ def psi_panel_by_panel(H, x, y, tol, max_panels=16):
     def sums(panels):
         # (Kronrod, Gauss) composites over equal panels of [0, x]
         s = np.concatenate([(k + nodes) / panels for k in range(panels)])
-        F, ok = dlambda_dy_vec(H, x * s, np.full(s.shape, y), _INNER_TOL)
+        F, ok, _ = dlambda_dy_vec(H, x * s, np.full(s.shape, y), _INNER_TOL)
         assert ok.all()
         return (F.reshape(panels, -1) @ weights).sum(axis=0) * (x / panels)
 
@@ -183,7 +183,7 @@ def reference_psi(H, X, W):
     """psi on a 16-panel x 40-node Gauss-Legendre composite."""
     gx, gw = np.polynomial.legendre.leggauss(40)
     s = ((np.arange(16)[:, None] + 0.5 * (gx + 1.0)) / 16).ravel()
-    F, ok = dlambda_dy_vec(H, (X[:, None] * s).ravel(), np.repeat(W, s.size), _INNER_TOL)
+    F, ok, _ = dlambda_dy_vec(H, (X[:, None] * s).ravel(), np.repeat(W, s.size), _INNER_TOL)
     assert ok.all()
     return W * X * (F.reshape(X.size, -1) @ np.tile(gw / 32, 16))
 
@@ -236,16 +236,18 @@ def test_chart_records_psi_panels(href, href_chart, htwo_chart, hcubic_chart, mo
 
 
 def test_psi_end_slope_is_integrand_at_segment_end(rng, href, href_region):
-    # the extra node leaves psi as it was and gives dlambda/dy at (x, y)
+    # the extra node leaves psi as it was and gives dlambda/dy and lambda
+    # at (x, y)
     M, R = href_region.M, href_region.R.R
     W = M * R * rng.uniform(2.0, 10.0, 12) * np.exp(2j * np.pi * rng.uniform(size=12))
     X = rng.uniform(0.1, 0.9, 12) * np.abs(W) / M * np.exp(2j * np.pi * rng.uniform(size=12))
-    val, slope, _ = cover._psi_batch(href, href_region, X, W, end_slope=True)
-    ref, ok = dlambda_dy_vec(href, X, W, _INNER_TOL)
+    val, (slope, lam), _ = cover._psi_batch(href, href_region, X, W, end_node=True)
+    ref, ok, lam_ref = dlambda_dy_vec(href, X, W, _INNER_TOL)
     assert ok.all()
     assert np.all(np.abs(slope - ref) <= 1e-13 * np.abs(ref))
-    plain, no_slope, _ = cover._psi_batch(href, href_region, X, W)
-    assert no_slope is None
+    assert np.all(np.abs(lam - lam_ref) <= 1e-13 * np.abs(lam_ref))
+    plain, no_end, _ = cover._psi_batch(href, href_region, X, W)
+    assert no_end is None
     assert np.all(np.abs(val - plain) <= 1e-13 * np.abs(plain))
 
 
@@ -261,6 +263,30 @@ def test_inverse_newton_takes_no_separate_slope_solve(monkeypatch, href_chart):
     zeta = href_chart.Mtilde * 1.5 * np.exp(0.4j)
     psi_tilde_inverse(href_chart, CoverPoint(0.1 * href_chart.t * abs(zeta) ** 2, zeta))
     assert calls and all(n != 1 for n in calls)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_inverse_y_is_the_end_node_lambda(name, request, monkeypatch):
+    # psi_tilde_inverse takes y from its last quadrature solve: it matches
+    # a fresh lambda solve, and no one-point lambda solve runs
+    chart = request.getfixturevalue(f"{name}_chart")
+    sizes = []
+    newton = boettcher._lambda_newton
+
+    def counted(H, x, w, tol, max_iter=50):
+        sizes.append(np.size(x))
+        return newton(H, x, w, tol, max_iter)
+
+    rng = np.random.default_rng(67)
+    for _ in range(6):
+        zeta = chart.Mtilde * rng.uniform(1.0, 3.0) * np.exp(2j * np.pi * rng.uniform())
+        z = chart.t * abs(zeta) ** 2 * rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform())
+        with monkeypatch.context() as m:
+            m.setattr(boettcher, "_lambda_newton", counted)
+            pt = psi_tilde_inverse(chart, CoverPoint(z, zeta))
+        ref = lambda_inverse(chart.H, pt.x, zeta, chart.region)
+        assert abs(pt.y - ref) <= 1e-12 * abs(ref)
+    assert sizes and min(sizes) > 1
 
 
 def test_psi_segment_outside_region(href, href_region):

@@ -230,6 +230,41 @@ def test_structure_record_rejects_a_wrong_generator(hcubic):
     assert symmetry_structure_record(hcubic, find_affine_symmetries(hcubic))["passed"]
 
 
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_structure_record_rejects_a_wrong_element_at_degree_nine(data):
+    # d = 9: d^2 is above the symbolic cap, so the factor chain is the witness.
+    # The planted group is {id, T(-x, -y)T^-1}; moving its translation gives
+    # another involution, so {id, wrong} is cyclic of an order dividing the
+    # bound, and only the witness catches it
+    from henoncover.symmetry import SymmetryReport
+
+    H, order, L = data.draw(planted_symmetric_maps("two_odd_cubics"))
+    assert H.d**2 > symmetry.SYMBOLIC_DEGREE_CAP and order == 2
+    rec = symmetry_structure_record(H, find_affine_symmetries(H))
+    assert rec["passed"] and "factor-chain witness" in rec["note"]
+    wrong = AffineMap(L.e, L.f + 1.0, L.e_prime, L.f_prime)
+    report = SymmetryReport([AffineMap.identity(), wrong], 2, 0.0)
+    assert verify_cyclic(report) == (True, 2)
+    assert not symmetry_structure_record(H, report)["passed"]
+
+
+@pytest.mark.parametrize("family", PLANTED_FAMILIES)
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_factor_chain_witness_on_planted_groups(family, data):
+    # every element of the group passes; the plant with a moved translation
+    # fails, as it does the expanded H^2 comparison where that runs
+    H, order, L = data.draw(planted_symmetric_maps(family))
+    rep = find_affine_symmetries(H)
+    assert rep.order == order
+    assert all(symmetry.factor_chain_witness(H, g)[1] <= 1e-12 for g in rep.generators)
+    moved = AffineMap(L.e, L.f + 0.5, L.e_prime, L.f_prime)
+    assert not symmetry.factor_chain_witness(H, moved)[0]
+    if H.d**2 <= symmetry.SYMBOLIC_DEGREE_CAP:
+        assert not commutes_with_power(H, moved, 2)[0]
+
+
 def test_affine_map_algebra():
     a = AffineMap(2.0, 1.0, 3.0, -1.0)
     b = AffineMap(0.5, 0.0, 1.0 / 3.0, 1.0 / 3.0)
