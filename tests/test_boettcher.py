@@ -175,13 +175,14 @@ def test_lambda_start_saves_rounds_on_psi_nodes(name, request, monkeypatch):
     # the first-order inverse of phi starts every solve inside the basin:
     # no segment's solve takes more rounds than from y = w, and fewer in all
     H = request.getfixturevalue(name)
+    region = certify_region(H)
     rng = np.random.default_rng(61)
-    X, W = segment_nodes(certify_region(H), rng, 24)
+    X, W = segment_nodes(region, rng, 24)
     rounds = [assert_starts_agree(monkeypatch, H, x, w, _INNER_TOL) for x, w in zip(X, W)]
     assert all(new <= old for new, old in rounds)
     assert sum(new for new, _ in rounds) < sum(old for _, old in rounds)
     # the Qtilde circle solves at x = 0 too
-    zetas = 2.0 * certify_region(H).M * certify_region(H).R.R * np.exp(2j * np.pi * rng.uniform(size=64))
+    zetas = 2.0 * region.M * region.R.R * np.exp(2j * np.pi * rng.uniform(size=64))
     new, old = assert_starts_agree(monkeypatch, H, np.zeros_like(zetas), zetas, _INNER_TOL)
     assert new <= old
 
