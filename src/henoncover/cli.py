@@ -348,7 +348,7 @@ def _cmd_cover(args) -> int:
     save_chart(chart, args.out)
     print(
         f"wrote {args.out} (deg Q = {chart.Q.degree}, rho = {chart.rho:g}, "
-        f"Mtilde = {chart.Mtilde:g}, psi panels = {chart.meta['psi_max_panels']})"
+        f"Mtilde = {chart.Mtilde:g}, series tail = {chart.meta['series_tail']:.1e})"
     )
     return 0
 

@@ -6,9 +6,16 @@ The chart is assembled in three steps on the region W~+_M:
     E2(x, y) = (psi(x, y), y),  psi = y * int_0^x dlambda/dy(t, y) dt
     E3(x, y) = (x - R(y), y)                  kill the Laurent tail
 
-The integral in E2 runs the embedded 7-point Gauss / 15-point Kronrod pair
-(QUADPACK's qk15: Piessens et al., 1983; Laurie, Math. Comp. 66, 1997) on
-the segment [0, x], one lambda Newton solve for its 15 nodes.
+E2 is evaluated from one table per map and Bottcher region: the
+Taylor coefficients in s = x/y and u = 1/y of dlambda/dy and of
+log(lambda/y), which are holomorphic on the bidisc of W+_M and extend
+across u = 0 (Hubbard & Oberste-Vorth, Publ. Math. IHES 79, 1994).  One
+batched lambda solve on a torus and a 2-D FFT give them (the trapezoidal
+rule on a torus: Trefethen & Weideman, SIAM Rev. 56, 2014); psi is the
+termwise integral in x.  psi_integral keeps the direct quadrature, the
+embedded 7-point Gauss / 15-point Kronrod pair (QUADPACK's qk15: Piessens
+et al., 1983; Laurie, Math. Comp. 66, 1997) on the segment [0, x], as the
+reference.
 
 Conjugating H through E3 . E2 . E1 yields the polynomial model
 
@@ -195,47 +202,43 @@ _ORDER = [*range(8), *range(6, -1, -1)]
 _PANEL_NODES = 0.5 + 0.5 * np.sign(np.arange(15) - 7) * np.take(_XGK, _ORDER)
 _PANEL_WEIGHTS = 0.5 * np.array([(_WGK[j], j % 2 and _WG[j // 2]) for j in _ORDER])
 
-# inner solves (lambda Newton, phi series and its tangent) run far below
-# the quadrature target; sample noise otherwise scales with the integrand
-# magnitude and poisons the Fourier coefficients of Qtilde.  Kept a factor
-# above the double rounding floor so the Newton residual test stays reachable.
+# lambda solves (the series table's torus nodes, lambda(0, zeta) on the
+# chart's circles and the quadrature's nodes) run far below the chart's
+# targets; sample noise otherwise scales with the function's magnitude and
+# poisons the Fourier coefficients of Qtilde.  Kept a factor above the
+# double rounding floor so the Newton residual test stays reachable.
 _INNER_TOL = 3e-15
 
 
-def _psi_batch(H: HenonMap, region: BoettcherRegion, X, W, tol=1e-11, end_node=False):
-    """psi(X_i, W_i) = W_i * int_0^{X_i} dlambda/dy(t, W_i) dt, batched.
+def _psi_batch(H: HenonMap, region: BoettcherRegion, X, W, tol=1e-11):
+    """psi(X_i, W_i) = W_i * int_0^{X_i} dlambda/dy(t, W_i) dt by quadrature.
 
-    Returns (psi, end, panels).  One solve runs the G7/K15 pair on every
-    whole segment.  K15 is exact to degree 22 and G7 to degree 13, so on an
+    Returns (psi, panels).  One solve runs the G7/K15 pair on every whole
+    segment.  K15 is exact to degree 22 and G7 to degree 13, so on an
     analytic integrand |K15 - G7| is about G7's error and K15's is far
     smaller: a segment whose sums agree to tol relative, on the scale
     max(|K15|, |X_i|), returns W_i * K15.  One that misses is cut into 2, 4,
     8, 16 panels until consecutive K15 composites agree (NoConvergence past
-    16); panels is the most any segment needed.  With end_node, the
-    segment end (X_i, W_i) joins the first solve as one more node and end
-    is (dlambda/dy(X_i, W_i), lambda(X_i, W_i)) from it, else None.
+    16); panels is the most any segment needed.
     """
     X, W = np.asarray(X, dtype=complex), np.asarray(W, dtype=complex)
     if np.any(region.M * np.abs(X) >= np.abs(W)):
         raise SegmentOutsideRegion("segment endpoint violates |x| < |y|/M")
 
-    def sums(x, w, s, end=False):
-        # K15 and G7 composites over the panels of nodes s from one Newton
-        # solve; with end, the segment end joins it as the last column of F
-        # and its (slope, lambda) come back too
+    def sums(x, w, s):
+        # K15 and G7 composites over the panels of nodes s from one Newton solve
         panels = s.size // _PANEL_NODES.size
-        T = x[:, None] * (np.append(s, 1.0) if end else s)
-        F, ok, Y = dlambda_dy_vec(H, T.ravel(), np.repeat(w, T.shape[1]), _INNER_TOL)
+        T = x[:, None] * s
+        F, ok, _ = dlambda_dy_vec(H, T.ravel(), np.repeat(w, s.size), _INNER_TOL)
         if not ok.all():
             raise SegmentOutsideRegion("integrand node failed region solve")
-        F, Y = F.reshape(T.shape), Y.reshape(T.shape)
-        KG = (F[:, : s.size].reshape(x.size, panels, -1) @ _PANEL_WEIGHTS).sum(axis=1)
-        return KG[:, 0] * (x / panels), KG[:, 1] * (x / panels), (F[:, -1], Y[:, -1])
+        KG = (F.reshape(x.size, panels, -1) @ _PANEL_WEIGHTS).sum(axis=1)
+        return KG[:, 0] * (x / panels), KG[:, 1] * (x / panels)
 
     def missed(cur, prev, x):
         return np.abs(cur - prev) / np.maximum(np.abs(cur), np.abs(x) + 1e-30) > tol
 
-    K, G, end = sums(X, W, _PANEL_NODES, end_node)
+    K, G = sums(X, W, _PANEL_NODES)
     todo, panels = np.flatnonzero(missed(K, G, X)), 1
     while todo.size:
         panels *= 2
@@ -244,7 +247,7 @@ def _psi_batch(H: HenonMap, region: BoettcherRegion, X, W, tol=1e-11, end_node=F
         s = ((np.arange(panels)[:, None] + _PANEL_NODES) / panels).ravel()
         Kp = sums(X[todo], W[todo], s)[0]
         K[todo], todo = Kp, todo[missed(Kp, K[todo], X[todo])]
-    return W * K, (end if end_node else None), panels
+    return W * K, panels
 
 
 def psi_integral(
@@ -254,25 +257,114 @@ def psi_integral(
     y: complex,
     tol: float = 1e-11,
 ) -> complex:
-    """psi(x, y) for a single point; the segment [0, x] x {y} must sit in W+_M."""
-    vals, _, _ = _psi_batch(H, region, [x], [y], tol)
+    """psi(x, y) for a single point by quadrature; [0, x] x {y} must sit in W+_M."""
+    vals, _ = _psi_batch(H, region, [x], [y], tol)
     return complex(vals[0])
+
+
+# ---------------------------------------------------------------------------
+# series table
+
+# the table samples an N x N torus at _TORUS_FRAC of the radii 1/M and
+# 1/(MR) of W+_M in (s, u) = (x/y, 1/y), keeps the K = N/2 lowest orders
+# in each variable and is evaluated on the bidisc at _SERIES_FRAC of them
+_TORUS_N = 32
+_TORUS_FRAC = 0.75
+_SERIES_FRAC = 0.6
+_SERIES_TAIL_MAX = 1e-12
+
+
+@functools.lru_cache(maxsize=32)
+def _series_table(H: HenonMap, region: BoettcherRegion):
+    """(C, tail): Taylor coefficients of the chart on W+_M, from one solve.
+
+    With r_s = 0.75/M, r_u = 0.75/(MR) and scaled variables
+    sigma = s/r_s, upsilon = u/r_u (s = x/y, u = 1/y), the functions
+
+        h = dlambda/dy = sum b_jk sigma^j upsilon^k,
+        g = log(lambda/y) = sum g_jk sigma^j upsilon^k
+
+    are holomorphic in (sigma, upsilon) on W+_M, whose radii are 4/3 in
+    these variables, and extend across u = 0.  One dlambda_dy_vec call on
+    the N x N torus |sigma| = |upsilon| = 1 gives h and lambda at every
+    node; fft2 / N^2 of h and of log(lambda/y) are b_jk and g_jk up to
+    aliasing (Trefethen & Weideman, SIAM Rev. 56, 2014).  With
+    sigma(t) = t / (y r_s), int_0^x sigma(t)^j dt = x sigma(x)^j / (j + 1),
+    so
+
+        psi = y x sum a_jk sigma^j upsilon^k,   a_jk = b_jk / (j + 1).
+
+    C is the (K, 3K) block [a | b | g] of orders j, k < K = N/2.  tail is
+    the largest bin with j >= N/2 or k >= N/2 in either FFT: the dropped
+    orders and the aliases of the negative ones, which vanish for a
+    holomorphic function.  On the evaluation bidisc |sigma|, |upsilon| <=
+    0.8 a dropped bin enters scaled by at most 0.8^(N/2) = 2.8e-2.
+    NoConvergence if a node solve fails; DecayFailed if tail > 1e-12.
+    """
+    M, R = region.M, region.R.R
+    N, K = _TORUS_N, _TORUS_N // 2
+    e = np.exp(2j * np.pi * np.arange(N) / N)
+    w = 1.0 / np.broadcast_to(_TORUS_FRAC / (M * R) * e[None, :], (N, N))
+    x = w * (_TORUS_FRAC / M) * e[:, None]
+    h, ok, lam = dlambda_dy_vec(H, x.ravel(), w.ravel(), _INNER_TOL)
+    if not ok.all():
+        raise NoConvergence(50)
+    b = np.fft.fft2(h.reshape(N, N)) / N**2
+    g = np.fft.fft2(np.log(lam.reshape(N, N) / w)) / N**2
+    tail = max(float(np.abs(c[K:]).max()) for c in (b, g, b.T, g.T))
+    if tail > _SERIES_TAIL_MAX:
+        raise DecayFailed(f"series table tail {tail:.3e} > {_SERIES_TAIL_MAX:g}")
+    b, g = b[:K, :K], g[:K, :K]
+    C = np.concatenate([b / np.arange(1, K + 1)[:, None], b, g], axis=1)
+    C.flags.writeable = False
+    return C, tail
+
+
+def _outside_series_bidisc(region: BoettcherRegion, X, W) -> bool:
+    """Does some point (X_i, W_i) miss the bidisc M*max(|x|, R) <= 0.6|w|?
+
+    A NaN coordinate counts as outside.
+    """
+    reach = region.M * np.maximum(np.abs(X), region.R.R)
+    return not bool((reach <= _SERIES_FRAC * np.abs(W)).all())
+
+
+def _series_eval(H: HenonMap, region: BoettcherRegion, X, W):
+    """(psi, dlambda/dy, lambda) at the points (X_i, W_i) from the table.
+
+    The points must lie in the series bidisc M*max(|X|, R) <= 0.6|W|;
+    SegmentOutsideRegion otherwise.  dpsi/dx is W * dlambda/dy.
+    """
+    X, W = np.asarray(X, dtype=complex).ravel(), np.asarray(W, dtype=complex).ravel()
+    if _outside_series_bidisc(region, X, W):
+        raise SegmentOutsideRegion("point outside the series bidisc M*max(|x|, R) <= 0.6|y|")
+    C, _ = _series_table(H, region)
+    K = C.shape[0]
+    # powers 0 .. K-1 of sigma = (X/W)/r_s and upsilon = (1/W)/r_u, one cumprod
+    p = np.empty((2, X.size, K), dtype=complex)
+    p[:, :, 0] = 1.0
+    p[0, :, 1:] = (X / W * (region.M / _TORUS_FRAC))[:, None]
+    p[1, :, 1:] = (region.M * region.R.R / _TORUS_FRAC / W)[:, None]
+    sp, up = np.cumprod(p, axis=2, out=p)
+    a, b, g = ((sp @ C).reshape(-1, 3, K) @ up[:, :, None])[:, :, 0].T
+    return W * X * a, b, W * np.exp(g)
 
 
 # ---------------------------------------------------------------------------
 # chart construction
 
-def _qtilde_batch(H: HenonMap, region: BoettcherRegion, zetas, tol: float = 1e-11):
-    """(Qtilde, psi panels): Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d)."""
+def _qtilde_batch(H: HenonMap, region: BoettcherRegion, zetas):
+    """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d), psi from the table.
+
+    lambda(0, zeta) is solved directly: at |zeta| = 1.25 MR it sits at 0.8
+    of the radius of W+_M, outside the series bidisc.
+    """
     zetas = np.asarray(zetas, dtype=complex)
     lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL, 100)
     if not ok.all():
         raise NoConvergence(100)
-    p1 = first_component_axis_poly(H)
-    x0 = p1(lam0)
-    w = zetas**H.d
-    vals, _, panels = _psi_batch(H, region, x0, w, tol)
-    return vals, panels
+    x0 = first_component_axis_poly(H)(lam0)
+    return _series_eval(H, region, x0, zetas**H.d)[0]
 
 
 def _extract_positive_part(samples, rho: float, top_degree: int):
@@ -283,23 +375,23 @@ def _extract_positive_part(samples, rho: float, top_degree: int):
     return coef[: top_degree + 1] * rho ** (-j.astype(float)), coef
 
 
-# chart construction settings: Qtilde samples per degree of Q (the circle
-# size is the next power of two, at least 64) and the psi quadrature target
+# chart construction: Qtilde samples per degree of Q (the circle size is
+# the next power of two, at least 64)
 _SAMPLES_PER_DEGREE = 64
-_QUAD_TOL = 1e-11
 
 
 def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
     """Sample the conjugated map on circles and assemble the chart.
 
-    Pipeline: prove the Bottcher region (certify_region), sample Qtilde on
-    |zeta| = 2MR, split off the monic degree-(d+d') polynomial Q by FFT,
-    re-extract at twice the radius as a stability check, store the Laurent
-    tail Q^- as a sampled circle evaluator on |zeta| = 1.25*MR, then fix
-    t = 1/(4M) and take Mtilde as the first 2MR * 2^k at which the closed
-    form _r_series_bound proves |R| < t |zeta|^2.  The bound falls as
-    |zeta| grows while t |zeta|^2 rises, so the one check at Mtilde covers
-    every |zeta| >= Mtilde.
+    Pipeline: prove the Bottcher region (certify_region), build the series
+    table of psi (_series_table), sample Qtilde on |zeta| = 2MR, split off
+    the monic degree-(d+d') polynomial Q by FFT, re-extract at twice the
+    radius as a stability check, store the Laurent tail Q^- as a sampled
+    circle evaluator on |zeta| = 1.25*MR, then fix t = 1/(4M) and take
+    Mtilde as the first 2MR * 2^k at which the closed form _r_series_bound
+    proves |R| < t |zeta|^2.  The bound falls as |zeta| grows while
+    t |zeta|^2 rises, so the one check at Mtilde covers every
+    |zeta| >= Mtilde.
     """
     region = certify_region(H)
     M = region.M
@@ -310,7 +402,7 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
     theta = 2.0 * np.pi * np.arange(n) / n
     circle = np.exp(1j * theta)
 
-    qt, panels = _qtilde_batch(H, region, rho * circle, _QUAD_TOL)
+    qt = _qtilde_batch(H, region, rho * circle)
     coeffs, bins = _extract_positive_part(qt, rho, deg)
     monic_defect = abs(coeffs[-1] - 1.0)
     if monic_defect > 1e-6:
@@ -324,7 +416,7 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
             f"spurious high-degree content {junk_max:.3e} on |zeta|={rho}"
         )
 
-    qt2, panels2 = _qtilde_batch(H, region, 2.0 * rho * circle, _QUAD_TOL)
+    qt2 = _qtilde_batch(H, region, 2.0 * rho * circle)
     coeffs2, _ = _extract_positive_part(qt2, 2.0 * rho, deg)
     scale = np.maximum(np.abs(coeffs), 1.0)
     agreement = float(np.max(np.abs(coeffs - coeffs2) / scale))
@@ -336,7 +428,7 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
 
     # sampled evaluator for the tail, on a circle close to the inner edge
     q_rho = 1.25 * M * R
-    qt_inner, panels3 = _qtilde_batch(H, region, q_rho * circle, _QUAD_TOL)
+    qt_inner = _qtilde_batch(H, region, q_rho * circle)
     g = qt_inner - Q(q_rho * circle)
 
     chart = CoverChart(
@@ -354,7 +446,7 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
             "decay_max": junk_max,
             "circle_samples": int(n),
             "two_radius_agreement": agreement,
-            "psi_max_panels": max(panels, panels2, panels3),
+            "series_tail": _series_table(H, region)[1],
         },
     )
     for _ in range(13):
@@ -379,7 +471,7 @@ def _qminus_eval(chart: CoverChart, w: complex) -> complex:
         zk, gzk = chart._qminus_nodes
         return complex(-(gzk / (zk - w)).mean())
     if aw > 1.02 * inner:
-        qt, _ = _qtilde_batch(chart.H, chart.region, [w])
+        qt = _qtilde_batch(chart.H, chart.region, [w])
         return complex(qt[0] - chart.Q(w))
     raise OutsideChartDomain(
         f"|w| = {aw:.3g} too close to the inner radius {inner:.3g}"
@@ -456,13 +548,17 @@ def _r_series_bound(chart: CoverChart, s: float) -> float:
     raise Divergence("correction series bound failed to settle within 60 terms")
 
 
-def psi_tilde(chart: CoverChart, z: Point, tol: float = 1e-11) -> CoverPoint:
-    """The chart map E3(E2(E1(z))); z must lie in the certified domain."""
-    M, R = chart.region.M, chart.region.R.R
+def psi_tilde(chart: CoverChart, z: Point) -> CoverPoint:
+    """The chart map E3(E2(E1(z))).
+
+    z must lie in the series bidisc M*max(|x|, R) <= 0.6|phi(z)|, a part of
+    the certified domain W+_M, where psi comes from the series table;
+    OutsideChartDomain otherwise.
+    """
     phi = bottcher_phi(chart.H, z, chart.series_tol)
-    if not abs(phi) > M * max(abs(z.x), R):
-        raise OutsideChartDomain("|phi| <= M*max(|x|, R)")
-    psi_val = psi_integral(chart.H, chart.region, z.x, phi, tol)
+    if _outside_series_bidisc(chart.region, z.x, phi):
+        raise OutsideChartDomain("M*max(|x|, R) > 0.6|phi|: outside the series bidisc")
+    psi_val = complex(_series_eval(chart.H, chart.region, [z.x], [phi])[0][0])
     # the tail correction enters with the sign that makes the series
     # identity (a/d) R - R(.^d) = Q^- cancel the Laurent tail of the lift
     return CoverPoint(psi_val + r_series(chart, phi), phi)
@@ -481,10 +577,9 @@ def psi_tilde_inverse(
     """Invert the chart on the absorbing region S_{Mtilde, t}.
 
     Removes the series correction and solves psi(x, zeta) = z' by Newton
-    with slope zeta * dlambda/dy and initial guess z'/zeta.  Each round's
-    quadrature solve takes the segment end (x, zeta) as a 16th node, which
-    gives both the slope and y = lambda(x, zeta); the round that converges
-    returns its y, solved to the inner tolerance, with no further solve.
+    with slope zeta * dlambda/dy and initial guess z'/zeta.  psi, the slope
+    and y = lambda(x, zeta) all come from the series table, so no lambda
+    solve runs; the round that converges returns its y.
     """
     if not in_absorbing_region(chart, w):
         raise OutsideChartDomain("cover point outside S_{Mtilde, t}")
@@ -493,9 +588,7 @@ def psi_tilde_inverse(
     x = z_target / zeta
     scale = max(abs(z_target), abs(zeta))
     for _ in range(max_iter):
-        val, (slope, y), _ = _psi_batch(
-            chart.H, chart.region, [x], [zeta], tol, end_node=True
-        )
+        val, slope, y = _series_eval(chart.H, chart.region, [x], [zeta])
         f = complex(val[0]) - z_target
         if abs(f) <= tol * scale:
             return Point(x, complex(y[0]))

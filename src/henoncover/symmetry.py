@@ -64,11 +64,12 @@ the constant C vanishing under d^(-kn).  L also commutes with H^-k, and
 the same limit along backward orbits gives G-.L = G-.  So L maps each
 of U+ = {G+ > 0}, K+ = {G+ = 0}, U- and K- onto itself.
 
+verify checks each element by the relations f_i L_(i-1) = L_i f_i of the
+chain, one factor at a time (factor_chain_witness), at every degree.
 commutes_with_power compares the expanded coefficients of L.H^k and
-H^k.L; the tests and verify use it as the exact witness.  Above
-SYMBOLIC_DEGREE_CAP, where H^2 is too large to expand, verify checks the
-relations f_i L_(i-1) = L_i f_i of the chain one factor at a time
-(factor_chain_witness).
+H^k.L up to SYMBOLIC_DEGREE_CAP; the tests keep it as an independent
+oracle.  Its defect is a difference of coefficients of the size of those
+of H^k, so it can exceed its tolerance on a correct element.
 """
 
 from __future__ import annotations

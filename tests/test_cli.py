@@ -270,9 +270,10 @@ def test_cli_cover_round_trip(tmp_path, capsys):
     spec = write_json(tmp_path / "m.json", QUADRATIC)
     out = tmp_path / "chart.json"
     assert main(["cover", "--spec", spec, "--out", str(out)]) == 0
-    assert "psi panels = 1)" in capsys.readouterr().out
+    printed = capsys.readouterr().out
     chart = load_chart(out)
-    assert chart.Q.degree == 3 and chart.meta["psi_max_panels"] == 1
+    assert f"series tail = {chart.meta['series_tail']:.1e})" in printed
+    assert chart.Q.degree == 3 and 0.0 <= chart.meta["series_tail"] <= 1e-12
     # loading reproduces evaluations exactly
     w = CoverPoint(0.3 + 0.1j, 1.9)
     chart2 = load_chart(out)

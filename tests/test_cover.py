@@ -166,7 +166,7 @@ def test_psi_doubling_matches_panel_by_panel(name, request, monkeypatch):
             with pytest.raises(NoConvergence):
                 psi_integral(H, region, x, y, tol)
         else:
-            val, _, used = cover._psi_batch(H, region, [x], [y], tol)
+            val, used = cover._psi_batch(H, region, [x], [y], tol)
             assert used == panels
             assert abs(val[0] - ref) <= 4 * EPS * abs(ref)
             batches.setdefault(tol, []).append((x, y, ref, panels))
@@ -174,7 +174,7 @@ def test_psi_doubling_matches_panel_by_panel(name, request, monkeypatch):
     # in a batch, only the segments that missed are cut further
     for tol, rows in batches.items():
         X, Y, ref, panels = map(np.array, zip(*rows))
-        val, _, used = cover._psi_batch(H, region, X, Y, tol)
+        val, used = cover._psi_batch(H, region, X, Y, tol)
         assert used == panels.max()
         assert np.all(np.abs(val - ref) <= 4 * EPS * np.abs(ref))
 
@@ -227,72 +227,148 @@ def test_psi_matches_reference_on_random_maps(H, seed):
     assert_psi_matches_reference(H, seed)
 
 
-def test_chart_records_psi_panels(href, href_chart, htwo_chart, hcubic_chart, monkeypatch):
-    # every Qtilde segment of the fixtures is accepted at the first solve
-    charts = (href_chart, htwo_chart, hcubic_chart)
-    assert [c.meta["psi_max_panels"] for c in charts] == [1, 1, 1]
-    crude_pair(monkeypatch)
-    assert build_chart(href).meta["psi_max_panels"] > 1
+# ---------------------------------------------------------------------------
+# series table
+
+def bidisc_points(region, rng, n):
+    """(X, W) filling the series bidisc M*max(|x|, R) <= 0.6|w| to its edge.
+
+    Half the points sit on the edge in x, a quarter on the edge in w (one
+    part in 1e12 inside, so that rounding keeps them in).
+    """
+    M, R = region.M, region.R.R
+    W = M * R / 0.6 * rng.uniform(1.0, 4.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    W[: n // 4] *= (1.0 + 1e-12) * (M * R / 0.6) / np.abs(W[: n // 4])
+    frac = np.where(np.arange(n) % 2 == 0, 1.0 - 1e-12, rng.uniform(0.0, 1.0, n))
+    X = 0.6 * frac * np.abs(W) / M * np.exp(2j * np.pi * rng.uniform(size=n))
+    return X, W
 
 
-def test_psi_end_slope_is_integrand_at_segment_end(rng, href, href_region):
-    # the extra node leaves psi as it was and gives dlambda/dy and lambda
-    # at (x, y)
-    M, R = href_region.M, href_region.R.R
-    W = M * R * rng.uniform(2.0, 10.0, 12) * np.exp(2j * np.pi * rng.uniform(size=12))
-    X = rng.uniform(0.1, 0.9, 12) * np.abs(W) / M * np.exp(2j * np.pi * rng.uniform(size=12))
-    val, (slope, lam), _ = cover._psi_batch(href, href_region, X, W, end_node=True)
-    ref, ok, lam_ref = dlambda_dy_vec(href, X, W, _INNER_TOL)
-    assert ok.all()
-    assert np.all(np.abs(slope - ref) <= 1e-13 * np.abs(ref))
-    assert np.all(np.abs(lam - lam_ref) <= 1e-13 * np.abs(lam_ref))
-    plain, no_end, _ = cover._psi_batch(href, href_region, X, W)
-    assert no_end is None
-    assert np.all(np.abs(val - plain) <= 1e-13 * np.abs(plain))
-
-
-def test_inverse_newton_takes_no_separate_slope_solve(monkeypatch, href_chart):
-    # every dlambda_dy_vec call of an inversion is a quadrature level solve
-    calls = []
-
-    def counted(H, x, w, tol=1e-12):
-        calls.append(np.size(x))
-        return dlambda_dy_vec(H, x, w, tol)
-
-    monkeypatch.setattr(cover, "dlambda_dy_vec", counted)
-    zeta = href_chart.Mtilde * 1.5 * np.exp(0.4j)
-    psi_tilde_inverse(href_chart, CoverPoint(0.1 * href_chart.t * abs(zeta) ** 2, zeta))
-    assert calls and all(n != 1 for n in calls)
+def assert_table_matches_solvers(H, seed, n):
+    """Table psi, slope and lambda against the quadrature and the Newton."""
+    region = certify_region(H)
+    X, W = bidisc_points(region, np.random.default_rng(seed), n)
+    psi, slope, lam = cover._series_eval(H, region, X, W)
+    for x, w, v in zip(X, W, psi):
+        ref = psi_integral(H, region, x, w, tol=1e-13)
+        assert abs(v - ref) <= 8 * EPS * max(abs(ref), 1.0)
+    ref_slope, ok, _ = dlambda_dy_vec(H, X, W, _INNER_TOL)
+    ref_lam, ok2 = boettcher.lambda_vec(H, X, W, 1e-14)
+    assert ok.all() and ok2.all()
+    assert np.all(np.abs(slope - ref_slope) <= 8 * EPS * np.abs(ref_slope))
+    assert np.all(np.abs(lam - ref_lam) <= 64 * EPS * np.abs(ref_lam))
+    assert cover._series_table(H, region)[1] <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
-def test_inverse_y_is_the_end_node_lambda(name, request, monkeypatch):
-    # psi_tilde_inverse takes y from its last quadrature solve: it matches
-    # a fresh lambda solve, and no one-point lambda solve runs
-    chart = request.getfixturevalue(f"{name}_chart")
-    sizes = []
-    newton = boettcher._lambda_newton
+def test_series_table_matches_solvers(name, request):
+    assert_table_matches_solvers(request.getfixturevalue(name), 71, 40)
 
-    def counted(H, x, w, tol, max_iter=50):
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_series_table_matches_solvers_on_random_maps(H, seed):
+    assert_table_matches_solvers(H, seed, 12)
+
+
+def test_series_table_is_built_once_per_map(href, href_region, monkeypatch):
+    # one batched solve over the whole torus, then no solve per point
+    cover._series_table.cache_clear()
+    sizes = []
+
+    def counted(H, x, w, tol=1e-12):
         sizes.append(np.size(x))
-        return newton(H, x, w, tol, max_iter)
+        return dlambda_dy_vec(H, x, w, tol)
+
+    monkeypatch.setattr(cover, "dlambda_dy_vec", counted)
+    X, W = bidisc_points(href_region, np.random.default_rng(5), 8)
+    for x, w in zip(X, W):
+        cover._series_eval(href, href_region, [x], [w])
+    assert sizes == [cover._TORUS_N**2]
+
+
+def test_psi_end_slope_is_integrand_at_segment_end(rng, href, href_region):
+    # d psi/dx at the segment end is y times the table's slope: the Cauchy
+    # mean of psi on a circle of 32 points about x is exact to rounding for
+    # the table's psi, a polynomial of degree K + 1 < 32 in x
+    M, R = href_region.M, href_region.R.R
+    for _ in range(8):
+        w = M * R / 0.6 * rng.uniform(1.0, 4.0) * np.exp(2j * np.pi * rng.uniform())
+        x = 0.5 * rng.uniform(0.1, 1.0) * abs(w) / M * np.exp(2j * np.pi * rng.uniform())
+        r = 0.1 * abs(w) / M
+        e = np.exp(2j * np.pi * np.arange(32) / 32)
+        psi, _, _ = cover._series_eval(href, href_region, x + r * e, np.full(32, w))
+        dpsi = np.mean(psi / e) / r
+        _, slope, _ = cover._series_eval(href, href_region, [x], [w])
+        assert abs(dpsi - w * slope[0]) <= 64 * EPS * abs(w)
+
+
+def test_chart_records_series_tail(href, href_chart, htwo_chart, hcubic_chart, monkeypatch):
+    # every fixture table decays to rounding in its top half; a torus too
+    # coarse for href trips the guard and no chart is built
+    for c in (href_chart, htwo_chart, hcubic_chart):
+        assert c.meta["series_tail"] == cover._series_table(c.H, c.region)[1] <= 1e-12
+    cover._series_table.cache_clear()
+    monkeypatch.setattr(cover, "_TORUS_N", 8)
+    try:
+        with pytest.raises(cover.DecayFailed, match="series table tail"):
+            build_chart(href)
+    finally:
+        cover._series_table.cache_clear()
+
+
+def test_psi_tilde_outside_series_bidisc(href, href_chart):
+    # points of W+_M just outside M*max(|x|, R) <= 0.6|phi|, in x and in y
+    M, R = href_chart.region.M, href_chart.region.R.R
+    y = 40.0 * M * R * np.exp(0.3j)
+    for frac, inside in ((0.59, True), (0.61, False)):
+        z = Point(frac * abs(y) / M * np.exp(1.1j), y)
+        phi = bottcher_phi(href, z, href_chart.series_tol)
+        assert (0.6 * abs(phi) >= M * abs(z.x)) == inside
+        if inside:
+            psi_tilde(href_chart, z)
+        else:
+            with pytest.raises(OutsideChartDomain):
+                psi_tilde(href_chart, z)
+    z = Point(0.0, 1.5 * M * R)
+    assert abs(bottcher_phi(href, z, href_chart.series_tol)) < M * R / 0.6
+    with pytest.raises(OutsideChartDomain):
+        psi_tilde(href_chart, z)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_inverse_y_is_the_table_lambda(name, request, monkeypatch):
+    # on a built chart psi_tilde_inverse runs no lambda solve and no phi
+    # series: psi, its slope and y all come from the table, and y matches a
+    # fresh lambda solve
+    chart = request.getfixturevalue(f"{name}_chart")
+    cover._series_table(chart.H, chart.region)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solver called")
 
     rng = np.random.default_rng(67)
     for _ in range(6):
         zeta = chart.Mtilde * rng.uniform(1.0, 3.0) * np.exp(2j * np.pi * rng.uniform())
         z = chart.t * abs(zeta) ** 2 * rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform())
         with monkeypatch.context() as m:
-            m.setattr(boettcher, "_lambda_newton", counted)
+            m.setattr(boettcher, "_lambda_newton", forbidden)
+            m.setattr(boettcher, "phi_series", forbidden)
             pt = psi_tilde_inverse(chart, CoverPoint(z, zeta))
         ref = lambda_inverse(chart.H, pt.x, zeta, chart.region)
         assert abs(pt.y - ref) <= 1e-12 * abs(ref)
-    assert sizes and min(sizes) > 1
 
 
 def test_psi_segment_outside_region(href, href_region):
     M, R = href_region.M, href_region.R.R
     with pytest.raises(SegmentOutsideRegion):
         psi_integral(href, href_region, 2.0 * M * R, M * R)
+    # the table: the series bidisc M*max(|x|, R) <= 0.6|y|, in x and in y
+    w = 4.0 * M * R
+    cover._series_eval(href, href_region, [0.6 * w / M], [w])
+    for x, y in ((0.61 * w / M, w), (0.0, 0.99 * M * R / 0.6)):
+        with pytest.raises(SegmentOutsideRegion):
+            cover._series_eval(href, href_region, [x], [y])
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +621,10 @@ def test_chart_json_round_trip(tmp_path, rng, href, href_chart):
     z_big = 2.5 * href_chart.inner_radius
     assert r_series(loaded, z_big) == r_series(href_chart, z_big)
     z = sample_domain_points(href_chart, rng, 1)[0]
-    w1, w2 = psi_tilde(loaded, z), psi_tilde(href_chart, z)
-    assert abs(w1.z - w2.z) <= 1e-12 * max(1.0, abs(w2.z))
-    assert w1.zeta == w2.zeta
+    # the series table is rebuilt from H and the region, bit for bit
+    w2 = psi_tilde(href_chart, z)
+    cover._series_table.cache_clear()
+    assert psi_tilde(loaded, z) == w2
 
 
 def test_chart_dict_format(href_chart):

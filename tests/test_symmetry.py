@@ -221,13 +221,38 @@ def test_verify_cyclic_identity_only():
 
 def test_structure_record_rejects_a_wrong_generator(hcubic):
     # {id, (-x, y)} is cyclic of an order dividing the bound 8, but (-x, y)
-    # does not commute with H^2: only the exact witness catches it
+    # does not commute with H^2: only the factor-chain witness catches it
     from henoncover.symmetry import SymmetryReport
 
     wrong = SymmetryReport([AffineMap.identity(), AffineMap(-1, 0, 1, 0)], 2, 0.0)
     assert verify_cyclic(wrong) == (True, 2)
     assert not symmetry_structure_record(hcubic, wrong)["passed"]
     assert symmetry_structure_record(hcubic, find_affine_symmetries(hcubic))["passed"]
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_both_witnesses_accept_the_fixture_groups(name, request):
+    # below the symbolic cap the expanded H^2 comparison stays as an oracle:
+    # it and the factor chain that verify uses accept every fixture element
+    H = request.getfixturevalue(name)
+    assert H.d**2 <= symmetry.SYMBOLIC_DEGREE_CAP
+    for L in find_affine_symmetries(H).generators:
+        assert commutes_with_power(H, L, 2)[0]
+        assert symmetry.factor_chain_witness(H, L)[1] <= 1e-14
+
+
+def test_structure_record_accepts_the_order_five_group_at_degree_six():
+    # factors y^2 - 2y + 3 and y^3 - 3y^2 + 3y + 1, a = 1: a correct group
+    # of order 5 on which the expanded H^2 coefficients cancel only to about
+    # 1e-8, above commutes_with_power's tol; the factor chain stays at
+    # rounding, and the record passes
+    H = make_henon([([3, -2, 1], 1), ([1, 3, -3, 1], 1)])
+    rep = find_affine_symmetries(H)
+    assert (H.d, rep.order) == (6, 5)
+    assert max(commutes_with_power(H, L, 2)[1] for L in rep.generators) > 1e-9
+    rec = symmetry_structure_record(H, rep)
+    assert rec["passed"] and "factor-chain witness=" in rec["note"]
+    assert all(symmetry.factor_chain_witness(H, L)[1] <= 1e-15 for L in rep.generators)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
