@@ -336,11 +336,27 @@ def test_psi_tilde_outside_series_bidisc(href, href_chart):
         psi_tilde(href_chart, z)
 
 
+def test_inverse_newton_takes_no_separate_slope_solve(monkeypatch, href_chart):
+    # the Newton of an inversion takes d(lambda)/dy from the table: the one
+    # dlambda_dy_vec call is the batched torus solve that builds the table
+    calls = []
+
+    def counted(H, x, w, tol=1e-12):
+        calls.append(np.size(x))
+        return dlambda_dy_vec(H, x, w, tol)
+
+    cover._series_table.cache_clear()
+    monkeypatch.setattr(cover, "dlambda_dy_vec", counted)
+    zeta = href_chart.Mtilde * 1.5 * np.exp(0.4j)
+    psi_tilde_inverse(href_chart, CoverPoint(0.1 * href_chart.t * abs(zeta) ** 2, zeta))
+    assert calls == [cover._TORUS_N**2]
+
+
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
-def test_inverse_y_is_the_table_lambda(name, request, monkeypatch):
-    # on a built chart psi_tilde_inverse runs no lambda solve and no phi
-    # series: psi, its slope and y all come from the table, and y matches a
-    # fresh lambda solve
+def test_inverse_y_is_the_end_node_lambda(name, request, monkeypatch):
+    # y is lambda at the end node (x, y) of the psi segment, read from the
+    # table: on a built chart psi_tilde_inverse runs no lambda solve and no
+    # phi series, and y matches a fresh lambda solve
     chart = request.getfixturevalue(f"{name}_chart")
     cover._series_table(chart.H, chart.region)
 
