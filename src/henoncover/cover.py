@@ -12,9 +12,8 @@ log(lambda/y), which are holomorphic on the bidisc of W+_M and extend
 across u = 0 (Hubbard & Oberste-Vorth, Publ. Math. IHES 79, 1994).  One
 batched lambda solve on a torus and a 2-D FFT give them (the trapezoidal
 rule on a torus: Trefethen & Weideman, SIAM Rev. 56, 2014); psi is the
-termwise integral in x.  psi_integral keeps the direct quadrature, the
-embedded 7-point Gauss / 15-point Kronrod pair (QUADPACK's qk15: Piessens
-et al., 1983; Laurie, Math. Comp. 66, 1997) on the segment [0, x], as the
+termwise integral in x.  psi_integral keeps the direct quadrature, one
+fixed 20-node Gauss-Legendre panel on the segment [0, x], as the
 reference.
 
 Conjugating H through E3 . E2 . E1 yields the polynomial model
@@ -183,83 +182,40 @@ class CoverChart:
 # ---------------------------------------------------------------------------
 # psi quadrature
 
-# QUADPACK's qk15 table, rounded to double: nonnegative Kronrod nodes on
-# [-1, 1], descending, their weights, and the weights of the Gauss nodes
-# xgk[1], xgk[3], xgk[5], xgk[7]
-_XGK = (
-    0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
-    0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0,
-)
-_WGK = (
-    0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782,
-)
-_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
-
-# the pair on one panel [0, 1]: 15 ascending nodes and a (15, 2) matrix of
-# Kronrod and Gauss weights (Gauss weight 0 at the Kronrod-only nodes)
-_ORDER = [*range(8), *range(6, -1, -1)]
-_PANEL_NODES = 0.5 + 0.5 * np.sign(np.arange(15) - 7) * np.take(_XGK, _ORDER)
-_PANEL_WEIGHTS = 0.5 * np.array([(_WGK[j], j % 2 and _WG[j // 2]) for j in _ORDER])
-
 # lambda solves (the series table's torus nodes, lambda(0, zeta) on the
-# chart's circles and the quadrature's nodes) run far below the chart's
+# chart's circles and psi_integral's nodes) run far below the chart's
 # targets; sample noise otherwise scales with the function's magnitude and
 # poisons the Fourier coefficients of Qtilde.  Kept a factor above the
 # double rounding floor so the Newton residual test stays reachable.
 _INNER_TOL = 3e-15
 
 
-def _psi_batch(H: HenonMap, region: BoettcherRegion, X, W, tol=1e-11):
-    """psi(X_i, W_i) = W_i * int_0^{X_i} dlambda/dy(t, W_i) dt by quadrature.
+@functools.cache
+def _psi_panel():
+    """Nodes and weights of the 20-point Gauss-Legendre rule on [0, 1].
 
-    Returns (psi, panels).  One solve runs the G7/K15 pair on every whole
-    segment.  K15 is exact to degree 22 and G7 to degree 13, so on an
-    analytic integrand |K15 - G7| is about G7's error and K15's is far
-    smaller: a segment whose sums agree to tol relative, on the scale
-    max(|K15|, |X_i|), returns W_i * K15.  One that misses is cut into 2, 4,
-    8, 16 panels until consecutive K15 composites agree (NoConvergence past
-    16); panels is the most any segment needed.
+    Exact to degree 39; on an integrand analytic about the segment its
+    error falls geometrically in the node count (Trefethen, SIAM Rev. 50,
+    2008).  Built on first use: numpy.polynomial costs milliseconds to import.
     """
-    X, W = np.asarray(X, dtype=complex), np.asarray(W, dtype=complex)
-    if np.any(region.M * np.abs(X) >= np.abs(W)):
+    t, wt = np.polynomial.legendre.leggauss(20)
+    return 0.5 * (t + 1.0), 0.5 * wt
+
+
+def psi_integral(H: HenonMap, region: BoettcherRegion, x: complex, y: complex) -> complex:
+    """psi(x, y) = y * int_0^x dlambda/dy(t, y) dt on one Gauss-Legendre panel.
+
+    The direct reference for the series table: one lambda solve on the
+    mapped nodes.  [0, x] x {y} must sit in W+_M; SegmentOutsideRegion if
+    an endpoint does not or a node solve fails.
+    """
+    if region.M * abs(x) >= abs(y):
         raise SegmentOutsideRegion("segment endpoint violates |x| < |y|/M")
-
-    def sums(x, w, s):
-        # K15 and G7 composites over the panels of nodes s from one Newton solve
-        panels = s.size // _PANEL_NODES.size
-        T = x[:, None] * s
-        F, ok, _ = dlambda_dy_vec(H, T.ravel(), np.repeat(w, s.size), _INNER_TOL)
-        if not ok.all():
-            raise SegmentOutsideRegion("integrand node failed region solve")
-        KG = (F.reshape(x.size, panels, -1) @ _PANEL_WEIGHTS).sum(axis=1)
-        return KG[:, 0] * (x / panels), KG[:, 1] * (x / panels)
-
-    def missed(cur, prev, x):
-        return np.abs(cur - prev) / np.maximum(np.abs(cur), np.abs(x) + 1e-30) > tol
-
-    K, G = sums(X, W, _PANEL_NODES)
-    todo, panels = np.flatnonzero(missed(K, G, X)), 1
-    while todo.size:
-        panels *= 2
-        if panels > 16:
-            raise NoConvergence(16)
-        s = ((np.arange(panels)[:, None] + _PANEL_NODES) / panels).ravel()
-        Kp = sums(X[todo], W[todo], s)[0]
-        K[todo], todo = Kp, todo[missed(Kp, K[todo], X[todo])]
-    return W * K, panels
-
-
-def psi_integral(
-    H: HenonMap,
-    region: BoettcherRegion,
-    x: complex,
-    y: complex,
-    tol: float = 1e-11,
-) -> complex:
-    """psi(x, y) for a single point by quadrature; [0, x] x {y} must sit in W+_M."""
-    vals, _ = _psi_batch(H, region, [x], [y], tol)
-    return complex(vals[0])
+    s, ws = _psi_panel()
+    F, ok, _ = dlambda_dy_vec(H, x * s, np.full(s.shape, y), _INNER_TOL)
+    if not ok.all():
+        raise SegmentOutsideRegion("integrand node failed region solve")
+    return complex(y * x * (F @ ws))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +228,14 @@ _TORUS_N = 32
 _TORUS_FRAC = 0.75
 _SERIES_FRAC = 0.6
 _SERIES_TAIL_MAX = 1e-12
+
+
+def _torus_nodes(region: BoettcherRegion):
+    """(x, w), each N x N: the table's torus, row i at sigma = e_i."""
+    M, R = region.M, region.R.R
+    e = np.exp(2j * np.pi * np.arange(_TORUS_N) / _TORUS_N)
+    w = 1.0 / np.broadcast_to(_TORUS_FRAC / (M * R) * e[None, :], (_TORUS_N, _TORUS_N))
+    return w * (_TORUS_FRAC / M) * e[:, None], w
 
 
 @functools.lru_cache(maxsize=32)
@@ -301,11 +265,8 @@ def _series_table(H: HenonMap, region: BoettcherRegion):
     0.8 a dropped bin enters scaled by at most 0.8^(N/2) = 2.8e-2.
     NoConvergence if a node solve fails; DecayFailed if tail > 1e-12.
     """
-    M, R = region.M, region.R.R
     N, K = _TORUS_N, _TORUS_N // 2
-    e = np.exp(2j * np.pi * np.arange(N) / N)
-    w = 1.0 / np.broadcast_to(_TORUS_FRAC / (M * R) * e[None, :], (N, N))
-    x = w * (_TORUS_FRAC / M) * e[:, None]
+    x, w = _torus_nodes(region)
     h, ok, lam = dlambda_dy_vec(H, x.ravel(), w.ravel(), _INNER_TOL)
     if not ok.all():
         raise NoConvergence(50)
@@ -568,12 +529,12 @@ def in_absorbing_region(chart: CoverChart, w: CoverPoint) -> bool:
     return abs(w.zeta) >= chart.Mtilde and abs(w.z) < chart.t * abs(w.zeta) ** 2
 
 
-def psi_tilde_inverse(
-    chart: CoverChart,
-    w: CoverPoint,
-    tol: float = 1e-11,
-    max_iter: int = 50,
-) -> Point:
+# psi_tilde_inverse's Newton: residual relative to max(|z'|, |zeta|), step cap
+_INVERSE_TOL = 1e-11
+_INVERSE_MAX_ITER = 50
+
+
+def psi_tilde_inverse(chart: CoverChart, w: CoverPoint) -> Point:
     """Invert the chart on the absorbing region S_{Mtilde, t}.
 
     Removes the series correction and solves psi(x, zeta) = z' by Newton
@@ -587,13 +548,13 @@ def psi_tilde_inverse(
     z_target = complex(w.z) - r_series(chart, zeta)
     x = z_target / zeta
     scale = max(abs(z_target), abs(zeta))
-    for _ in range(max_iter):
+    for _ in range(_INVERSE_MAX_ITER):
         val, slope, y = _series_eval(chart.H, chart.region, [x], [zeta])
         f = complex(val[0]) - z_target
-        if abs(f) <= tol * scale:
+        if abs(f) <= _INVERSE_TOL * scale:
             return Point(x, complex(y[0]))
         x = x - f / (zeta * complex(slope[0]))
-    raise NewtonNoConvergence(max_iter)
+    raise NewtonNoConvergence(_INVERSE_MAX_ITER)
 
 
 def lift_H(chart: CoverChart, w: CoverPoint) -> CoverPoint:

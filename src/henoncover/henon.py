@@ -144,9 +144,6 @@ class Point:
     x: complex
     y: complex
 
-    def as_tuple(self):
-        return self.x, self.y
-
 
 def make_henon(factors) -> HenonMap:
     """Validate factor data ``[(coeff_list, a), ...]`` and build the map.
