@@ -161,21 +161,41 @@ def assert_starts_agree(monkeypatch, H, x, w, tol):
     return calls, calls_w
 
 
-def test_lambda_start_saves_rounds_on_torus_rows(href, htwo, hcubic, monkeypatch):
+def psi_nodes(region, rng, n):
+    """psi_integral's panel nodes on n seeded segments, as (x, w)."""
+    M, R = region.M, region.R.R
+    W = M * R * rng.uniform(1.02, 8.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    X = rng.uniform(0.0, 0.999, n) * np.abs(W) / M * np.exp(2j * np.pi * rng.uniform(size=n))
+    s, _ = cover._psi_panel()
+    return X[:, None] * s, np.repeat(W[:, None], s.size, axis=1)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_lambda_start_saves_rounds_on_psi_nodes(name, request, monkeypatch):
     # the first-order inverse of phi starts every solve inside the basin:
-    # no row of the series table's torus takes more rounds than from y = w,
-    # and the fixtures' rows take fewer in all.  (On hcubic's torus |w0| is
-    # so small that y = w needs no more rounds: its rows tie.)
+    # no segment's solve takes more rounds than from y = w, and fewer in all
+    H = request.getfixturevalue(name)
+    region = certify_region(H)
     rng = np.random.default_rng(61)
+    X, W = psi_nodes(region, rng, 24)
+    rounds = [assert_starts_agree(monkeypatch, H, x, w, _INNER_TOL) for x, w in zip(X, W)]
+    assert all(new <= old for new, old in rounds)
+    assert sum(new for new, _ in rounds) < sum(old for _, old in rounds)
+    # the Qtilde circle solves at x = 0 too
+    zetas = 2.0 * region.M * region.R.R * np.exp(2j * np.pi * rng.uniform(size=64))
+    new, old = assert_starts_agree(monkeypatch, H, np.zeros_like(zetas), zetas, _INNER_TOL)
+    assert new <= old
+
+
+def test_lambda_start_saves_rounds_on_torus_rows(href, htwo, hcubic, monkeypatch):
+    # the same on the rows of the series table's torus: no row takes more
+    # rounds than from y = w, and the fixtures' rows take fewer in all.
+    # (On hcubic's torus |w0| is so small that y = w needs no more rounds:
+    # its rows tie.)
     rounds = []
     for H in (href, htwo, hcubic):
-        region = certify_region(H)
-        X, W = cover._torus_nodes(region)
+        X, W = cover._torus_nodes(certify_region(H))
         rounds += [assert_starts_agree(monkeypatch, H, x, w, _INNER_TOL) for x, w in zip(X, W)]
-        # the Qtilde circle solves at x = 0 too
-        zetas = 2.0 * region.M * region.R.R * np.exp(2j * np.pi * rng.uniform(size=64))
-        new, old = assert_starts_agree(monkeypatch, H, np.zeros_like(zetas), zetas, _INNER_TOL)
-        assert new <= old
     assert all(new <= old for new, old in rounds)
     assert sum(new for new, _ in rounds) < sum(old for _, old in rounds)
 
