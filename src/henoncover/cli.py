@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -91,6 +92,17 @@ class GridJob:
             raise SpecError("plane", f"unknown plane {self.plane!r}")
         if self.quantity not in ("green_plus", "escape_time", "sublevel"):
             raise SpecError("quantity", f"unknown quantity {self.quantity!r}")
+        numbers = {
+            "window.center": self.center,
+            "window.width": [self.width],
+            "window.height": [self.height],
+            "plane.value": [self.anchor] if self.plane != "real_slice" else [],
+            "quantity.c": [self.c] if self.quantity == "sublevel" else [],
+            "clamp": [self.clamp],
+        }
+        for field, values in numbers.items():
+            if not all(cmath.isfinite(v) for v in values):
+                raise SpecError(field, "must be finite")
         if self.nx <= 0 or self.ny <= 0 or self.nx * self.ny > MAX_PIXELS:
             raise SpecError("resolution", "must be positive and <= 16384^2 pixels")
         if not (self.width > 0 and self.height > 0):
@@ -206,7 +218,11 @@ def parse_grid_job(data) -> GridJob:
 
 
 def _tile_points(job: GridJob, j0: int, j1: int):
-    """Pixel centres of rows j0..j1-1 as two (j1 - j0, nx) complex arrays."""
+    """Pixel centres of rows j0..j1-1 as two (j1 - j0, nx) arrays.
+
+    Complex on fix_x and fix_y, float on real_slice (the grid kernels run
+    a real map's real slice in float64, with the same results).
+    """
     i = np.arange(job.nx)
     j = np.arange(j0, j1)
     u = job.center[0] - 0.5 * job.width + (i + 0.5) * (job.width / job.nx)
@@ -216,10 +232,7 @@ def _tile_points(job: GridJob, j0: int, j1: int):
         return np.full(shape, job.anchor, dtype=complex), u + 1j * v[:, None]
     if job.plane == "fix_y":
         return u + 1j * v[:, None], np.full(shape, job.anchor, dtype=complex)
-    return (
-        np.broadcast_to(u.astype(complex), shape),
-        np.broadcast_to(v[:, None].astype(complex), shape),
-    )
+    return np.broadcast_to(u, shape), np.broadcast_to(v[:, None], shape)
 
 
 def render_grid(

@@ -20,7 +20,11 @@ a certified trap of K+: a polydisc around an attracting fixed point that
 H maps into itself (attracting_traps, whose docstring holds the proof,
 also for float orbits).  The full loop would carry such a point to the
 budget and call it non-escaping, so every result is the same, bit for
-bit.
+bit.  Real points of a map with real coefficients (real_form) run in
+float64 rather than complex arithmetic: while the orbit stays finite
+every value equals the real part of the complex run's, so the results
+are the same bytes (_escape_steps has the proof), and a tile that meets
+an inf or NaN is run again as complex (_flat_escape).
 
 sublevel_grid, the kernel of sub-level renders {G+ < c}, decides which
 side of c an escaped pixel lies on from its escape step n and y_n alone:
@@ -54,6 +58,7 @@ from .henon import (
     apply_xy,
     backward_conjugate,
     component_polynomials,
+    real_form,
 )
 from .symmetry import fixed_points
 
@@ -106,21 +111,29 @@ def _pushed_value(H: HenonMap, log_y, depth, band: float):
     return np.maximum(scale * log_y, 0.0), scale * (band + VALUE_ROUNDING * log_y)
 
 
+def _stepper(H: HenonMap, x):
+    """The map that steps the array x: real_form(H) for float x, else H."""
+    return real_form(H) if x.dtype.kind == "f" else H
+
+
 def _refine_plus(H: HenonMap, x, y, steps, tol: float):
     """G+ at escaped orbit points as (values, error_bounds, depths).
 
     x[i], y[i] is the orbit of point i at its escape step steps[i].  Each
     point is pushed with H until |y| >= Y = _stop_modulus(H, tol); the
     value is d^-m log|y_m| at the depth m reached (escape_band's docstring
-    proves the value and its bound).
+    proves the value and its bound).  Float x, y (from _flat_escape) are
+    pushed with real_form(H); the pushes stay finite (_stop_modulus), so
+    the values are those of x + 0j, y + 0j (_escape_steps has the proof).
     """
+    step = _stepper(H, x)
     Y, band = _stop_modulus(H, tol)
     depths = steps.copy()
     abs_y = np.abs(y)
     idx = np.flatnonzero(abs_y < Y)
     cx, cy = x[idx], y[idx]
     while idx.size:
-        cx, cy = apply_xy(H, cx, cy)
+        cx, cy = apply_xy(step, cx, cy)
         depths[idx] += 1
         a = np.abs(cy)
         abs_y[idx] = a
@@ -349,11 +362,42 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = Tr
     the attracting_traps docstring proves that the full loop returns -1
     for them too, so the result is the same.  The traps are built only
     once some point is still live at the first such step.
+
+    x and y are complex, or float64 for a map with real coefficients.  A
+    float run steps with real_form(H) and returns what the complex run on
+    x + 0j, y + 0j returns, bit for bit, or None once some live coordinate
+    is not finite (_flat_escape then runs the points again as complex).
+    Proof.  Compare the two runs operation by operation while every value
+    is finite.  Claim: each complex value has imaginary part +-0 and a real
+    part equal to the float value, as a number (a zero may differ in
+    sign).  The inputs x + 0j and the real coefficients c + 0i hold it.
+    Complex + and - act on the parts one by one: the real part is the
+    float sum, the imaginary part (+-0) +- (+-0) = +-0.  A complex product
+    (a + b i)(c + d i) with b, d = +-0 and a, c finite has the imaginary
+    part a d + b c = +-0 and the real part a c - b d = a c - (+-0),
+    rounded once, also where an FMA forms it: the float product a c.
+    Zeros of either sign stay zeros under +, - and *, and equal nonzero
+    operands give equal results, so the claim carries to every
+    intermediate of a step.  Then |re + (+-0) i| = hypot(re, 0) = |re|
+    exactly, so every modulus, test, retired or escaped point and step
+    count is the same in both runs; Trap.holds promotes a float x to
+    x + 0j, a number equal to the complex run's x, and forms the same
+    test from it.  The escape coordinates written back are equal as
+    numbers, and everything computed from them (_refine_plus, the band of
+    sublevel_grid) reads them through |.| or compares them, so the outputs
+    are the same bytes.  The argument needs finite values: after a
+    product overflows, inf * 0 puts NaN into the complex run's imaginary
+    part, and a point the float run escapes at inf the complex run drops
+    as NaN.  An inf or NaN never turns finite again under +, - and *, so
+    the first non-finite intermediate shows in a live coordinate at the
+    next far.max(), where the float run gives up.
     """
     traps = None  # built on the first trap step that has live points
     steps = np.full(x.size, -1, dtype=np.int64)
     if x.size == 0:
         return steps
+    real = x.dtype.kind == "f"
+    step = _stepper(H, x)
     idx = np.arange(x.size)
     cx, cy = x, y
     cutoff = ESCAPE_MARGIN * R
@@ -363,8 +407,11 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = Tr
     for n in range(N_max + 1):
         ay = np.abs(cy)
         far = np.maximum(ax, ay)
+        top = far.max()
         keep = None  # every point stays in play
-        if not far.max() <= quiet:
+        if not top <= quiet:
+            if real and not top < np.inf:
+                return None  # inf or NaN: the float run no longer matches
             # some point may escape or bail out (or is NaN): the full test
             esc = (ay >= ax) & (ay > cutoff)
             if esc.any():
@@ -389,24 +436,34 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = Tr
                 cx, cy = cx[keep], cy[keep]
                 if one_factor:
                     ay = ay[keep]
-        cx, cy = apply_xy(H, cx, cy)
+        cx, cy = apply_xy(step, cx, cy)
         ax = ay if one_factor else np.abs(cx)
     return steps
 
 
-def _flat_escape(H: HenonMap, xs, ys, R: float, N_max: int):
-    """(shape, x, y, steps): _escape_steps on flat copies x, y of xs, ys."""
-    x = np.asarray(xs, dtype=complex).ravel().copy()
-    y = np.asarray(ys, dtype=complex).ravel().copy()
-    return np.shape(xs), x, y, _escape_steps(H, x, y, R, N_max)
+def _flat_escape(H: HenonMap, xs, ys, R: float, N_max: int, write_back: bool = True):
+    """(shape, x, y, steps): _escape_steps on flat copies x, y of xs, ys.
+
+    The copies are float64 where H has real coefficients (real_form) and
+    neither xs nor ys is complex, and complex otherwise.  A float run that
+    meets an inf or NaN is dropped and the points run again from complex
+    copies, so the result and its RuntimeWarnings are the complex run's.
+    """
+    shape = np.shape(xs)
+    if real_form(H) is not None and not (np.iscomplexobj(xs) or np.iscomplexobj(ys)):
+        x, y = np.array(xs, dtype=float).ravel(), np.array(ys, dtype=float).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = _escape_steps(H, x, y, R, N_max, write_back)
+        if steps is not None:
+            return shape, x, y, steps
+    x, y = np.array(xs, dtype=complex).ravel(), np.array(ys, dtype=complex).ravel()
+    return shape, x, y, _escape_steps(H, x, y, R, N_max, write_back)
 
 
 def escape_time_grid(H: HenonMap, xs, ys, R: float, N_max: int):
     """First escape step per point (N_max where the budget ran out)."""
-    x = np.asarray(xs, dtype=complex).ravel()
-    y = np.asarray(ys, dtype=complex).ravel()
-    steps = _escape_steps(H, x, y, R, N_max, write_back=False)
-    return np.where(steps < 0, N_max, steps).reshape(np.shape(xs))
+    shape, _, _, steps = _flat_escape(H, xs, ys, R, N_max, write_back=False)
+    return np.where(steps < 0, N_max, steps).reshape(shape)
 
 
 def green_plus_grid(H: HenonMap, xs, ys, R: float, N_max: int, tol: float = 1e-10):

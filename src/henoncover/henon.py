@@ -6,8 +6,9 @@ A generalized Henon map is a finite composition of simple factors
 
 with p monic of degree >= 2 and a != 0.  The composite has total degree
 d = prod d_i, sub-degree d' = d / d_m and constant Jacobian prod a_i.
-Everything here is plain complex arithmetic; all types are immutable and
-all operations pure.
+Everything here is plain complex arithmetic (real_form gives a real map
+float coefficients, for stepping float arrays); all types are immutable
+and all operations pure.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "make_henon",
     "apply",
     "apply_inverse",
+    "real_form",
     "apply_xy",
     "apply_inverse_xy",
     "iterate",
@@ -171,6 +173,25 @@ def make_henon(factors) -> HenonMap:
         jac *= a
     d_prime = d // built[-1].p.degree
     return HenonMap(tuple(built), d, d_prime, jac)
+
+
+@functools.lru_cache(maxsize=64)
+def real_form(H: HenonMap):
+    """H with float coefficients, or None if some coefficient is not real.
+
+    Stepping float arrays with it keeps them float (a complex scalar, even
+    one with zero imaginary part, promotes a float array to complex).  The
+    form compares and hashes equal to H, since 1.0 == 1 + 0j; the caches
+    keyed on a map are still to be given H itself.
+    """
+    if any(c.imag for f in H.factors for c in (*f.p.coeffs, f.a)):
+        return None
+    factors = []
+    for f in H.factors:
+        p = ComplexPolynomial(f.p.coeffs)
+        object.__setattr__(p, "coeffs", tuple(c.real for c in f.p.coeffs))
+        factors.append(SimpleFactor(p, f.a.real))
+    return HenonMap(tuple(factors), H.d, H.d_prime, H.jacobian.real)
 
 
 def apply_xy(H: HenonMap, x, y):

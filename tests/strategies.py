@@ -12,14 +12,25 @@ from henoncover import AffineMap, make_henon
 _coefficient = st.builds(
     lambda e, t: cmath.rect(10.0**e, t), st.floats(-2, 2), st.floats(0, 2 * np.pi)
 )
-_factor = st.integers(2, 3).flatmap(
-    lambda deg: st.tuples(st.lists(_coefficient, min_size=deg, max_size=deg), _coefficient)
+# the same moduli, real with either sign
+_real_coefficient = st.builds(
+    lambda e, s: s * 10.0**e, st.floats(-2, 2), st.sampled_from([-1.0, 1.0])
 )
 
-# valid maps of one or two monic factors of degree 2 or 3
-henon_maps = st.lists(_factor, min_size=1, max_size=2).map(
-    lambda factors: make_henon([(cs + [1.0], a) for cs, a in factors])
-)
+
+def _maps(coefficient):
+    """Valid maps of one or two monic factors of degree 2 or 3."""
+    factor = st.integers(2, 3).flatmap(
+        lambda deg: st.tuples(st.lists(coefficient, min_size=deg, max_size=deg), coefficient)
+    )
+    return st.lists(factor, min_size=1, max_size=2).map(
+        lambda factors: make_henon([(cs + [1.0], a) for cs, a in factors])
+    )
+
+
+henon_maps = _maps(_coefficient)
+# maps with real coefficients, whose real slice the grid kernels run in float64
+real_henon_maps = _maps(_real_coefficient)
 
 
 PLANTED_FAMILIES = ("monomial", "two_monomials", "odd_cubic", "two_odd_cubics")

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from henoncover import CoverPoint, DeckLabel, deck, lift_H, load_chart
+from henoncover import (
+    CoverPoint,
+    DeckLabel,
+    deck,
+    filtration_radius,
+    green,
+    lift_H,
+    load_chart,
+    make_henon,
+)
 from henoncover.cli import (
     TILE_POINTS,
     GridJob,
@@ -17,6 +26,7 @@ from henoncover.cli import (
     write_pgm,
 )
 from henoncover.green import escape_time_grid, green_plus_grid
+from henoncover.henon import apply_xy
 
 QUADRATIC = {
     "name": "reference quadratic",
@@ -158,6 +168,31 @@ def test_cli_non_numeric_job_exit_2(tmp_path, capsys, field, value):
     assert f"input error: {field}" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("window.center", {"window": {"center": [NAN, 0.0], "width": 5.0, "height": 5.0}}),
+        ("window.width", {"window": {"center": [0.0, 0.0], "width": INF, "height": 5.0}}),
+        ("window.height", {"window": {"center": [0.0, 0.0], "width": 5.0, "height": NAN}}),
+        ("plane.value", {"plane": {"kind": "fix_x", "value": NAN}}),
+        ("plane.value", {"plane": {"kind": "fix_y", "value": [0.0, -INF]}}),
+        ("quantity.c", {"quantity": {"kind": "sublevel", "c": INF}}),
+        ("clamp", {"clamp": NAN}),
+    ],
+    ids=["center", "width", "height", "fix_x-value", "fix_y-value", "sublevel-c", "clamp"],
+)
+def test_cli_non_finite_job_exit_2(tmp_path, capsys, field, change):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    jobp = write_json(tmp_path / "j.json", {**JOB, **change})
+    out = tmp_path / "g.pgm"
+    assert main(["render", "--spec", spec, "--job", jobp, "--out", str(out)]) == 2
+    assert f"input error: {field}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_render_deterministic_across_runs_and_threads(tmp_path):
     spec = parse_spec(QUADRATIC)
     job = parse_grid_job(JOB)
@@ -168,7 +203,7 @@ def test_render_deterministic_across_runs_and_threads(tmp_path):
 
 
 @pytest.mark.parametrize("plane", ["fix_x", "fix_y", "real_slice"])
-def test_render_tiles_match_one_kernel_call(href, href_radius, plane):
+def test_render_tiles_match_one_kernel_call(request, plane):
     # 600 rows of 64 pixels: two full 256-row tiles and a ragged 88-row one
     nx, ny, budget = 64, 600, 32
     rows = TILE_POINTS // nx
@@ -182,22 +217,49 @@ def test_render_tiles_match_one_kernel_call(href, href_radius, plane):
         "fix_y": (uv, np.full(uv.shape, anchor)),
         "real_slice": (uv.real + 0j, uv.imag + 0j),
     }[plane]
-    R = href_radius.R
-    vals, _, depths = green_plus_grid(href, xs, ys, R, budget)
-    c = 0.5
-    want = {
-        "green_plus": vals,
-        "escape_time": escape_time_grid(href, xs, ys, R, budget).astype(float),
-        "sublevel": np.select(
-            [(vals == 0.0) & (depths == budget), vals < c], [0.0, 32768.0], 65535.0
-        ),
-    }
-    assert 0 < np.count_nonzero(depths == budget) < depths.size
-    for quantity, expected in want.items():
-        job = GridJob(plane, anchor, center, width, height, nx, ny, quantity, c, 3.0)
-        for threads in (1, 3):
-            got = render_grid(href, job, budget=budget, threads=threads)
-            assert got.tobytes() == expected.tobytes(), (quantity, threads)
+    # the real slice renders in float64: against the complex kernels also
+    # on htwo (two factors, |y| not reused) and hcubic (points retired in traps)
+    names = ["href", "htwo", "hcubic"] if plane == "real_slice" else ["href"]
+    for name in names:
+        H = request.getfixturevalue(name)
+        R = filtration_radius(H).R
+        vals, _, depths = green_plus_grid(H, xs, ys, R, budget)
+        c = 0.5
+        want = {
+            "green_plus": vals,
+            "escape_time": escape_time_grid(H, xs, ys, R, budget).astype(float),
+            "sublevel": np.select(
+                [(vals == 0.0) & (depths == budget), vals < c], [0.0, 32768.0], 65535.0
+            ),
+        }
+        assert 0 < np.count_nonzero(depths == budget) < depths.size, name
+        for quantity, expected in want.items():
+            job = GridJob(plane, anchor, center, width, height, nx, ny, quantity, c, 3.0)
+            for threads in (1, 3):
+                got = render_grid(H, job, budget=budget, threads=threads)
+                assert got.tobytes() == expected.tobytes(), (name, quantity, threads)
+
+
+def test_render_steps_real_slices_of_real_maps_in_float(monkeypatch, href):
+    # the dtype the map step sees inside the grid kernels, per render
+    seen = []
+
+    def recording(H, x, y):
+        seen.append((x.dtype, y.dtype))
+        return apply_xy(H, x, y)
+
+    monkeypatch.setattr(green, "apply_xy", recording)
+    rotated = make_henon([([-1.1, 0, 1], 0.8j)])
+    for H, plane, dtype in [
+        (href, "real_slice", np.float64),
+        (rotated, "real_slice", np.complex128),
+        (href, "fix_y", np.complex128),
+    ]:
+        seen.clear()
+        for quantity in ("green_plus", "escape_time", "sublevel"):
+            job = GridJob(plane, 0.3, (0.0, 0.0), 5.0, 5.0, 32, 32, quantity, 1.0, 3.0)
+            render_grid(H, job, budget=32)
+        assert seen and set(seen) == {(np.dtype(dtype), np.dtype(dtype))}, (plane, seen[:1])
 
 
 def test_render_cli_writes_pgm_and_csv(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -39,7 +40,7 @@ from henoncover.green import (
 from henoncover.henon import apply_xy, inverse_leading_constant
 from henoncover.verification import _region_points, check_sublevel_band
 
-from strategies import attracting_map, henon_maps
+from strategies import attracting_map, henon_maps, real_henon_maps
 
 
 def test_green_zero_at_fixed_point():
@@ -483,6 +484,61 @@ def test_escape_steps_match_trap_free_loop_on_attracting_maps():
         x = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
         y = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
         assert_escape_steps_match_reference(H, x, y, R)
+
+
+def grid_outputs(H, xs, ys, R, N_max, c):
+    """Every grid kernel's output on xs, ys, with the RuntimeWarnings each call emits."""
+    calls = [
+        lambda: (escape_time_grid(H, xs, ys, R, N_max),),
+        lambda: green_plus_grid(H, xs, ys, R, N_max),
+        lambda: (sublevel_grid(H, xs, ys, R, N_max, c),),
+    ]
+    out = []
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            arrays = call()
+        out.append(([a.tobytes() for a in arrays], [str(w.message) for w in caught]))
+    return out
+
+
+def assert_float_grid_matches_complex(H, x, y, R, N_max=64, c=1.0):
+    """Float and complex input give the same bytes; returns the float run's dtype."""
+    x, y = np.ravel(x), np.ravel(y)
+    assert grid_outputs(H, x, y, R, N_max, c) == grid_outputs(H, x + 0j, y + 0j, R, N_max, c)
+    with np.errstate(over="ignore", invalid="ignore"):  # compared above
+        _, fx, fy, fsteps = green._flat_escape(H, x, y, R, N_max)
+        _, cx, cy, csteps = green._flat_escape(H, x + 0j, y + 0j, R, N_max)
+    assert fsteps.tobytes() == csteps.tobytes()
+    # the written-back escape coordinates, equal as numbers (a zero may
+    # differ in sign, see _escape_steps)
+    assert np.array_equal(fx, cx.real) and np.array_equal(fy, cy.real)
+    assert not (cx.imag.any() or cy.imag.any())
+    return fx.dtype
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(real_henon_maps, st.integers(0, 2**32 - 1))
+def test_float_grid_matches_complex_on_random_real_maps(H, seed):
+    R = filtration_radius(H).R
+    u = np.linspace(-1.5 * R, 1.5 * R, 25)  # 0.0 is a node
+    x, y = np.meshgrid(u, u)
+    vals = green_plus_grid(H, x + 0j, y + 0j, R, 64)[0]
+    escaped = vals[vals > 0.0]
+    # a threshold at a computed value, where sublevel_grid refines every pixel
+    c = np.random.default_rng(seed).choice(escaped) if escaped.size else 1.0
+    assert assert_float_grid_matches_complex(H, x, y, R, c=c) == np.float64
+
+
+def test_float_grid_matches_complex_past_an_overflow():
+    # orbits of a real quintic from a +-1e149 grid overflow: the complex
+    # product inf * 0 gives NaN (the point reads as bounded) where the float
+    # one stays inf (the point escapes), so the float run must give way
+    H = make_henon([([0.3, 0, 0, 0, 0, 1], 0.7)])
+    u = np.linspace(-1e149, 1e149, 301)
+    x, y = np.meshgrid(u, u)
+    dtype = assert_float_grid_matches_complex(H, x, y, filtration_radius(H).R)
+    assert dtype == np.complex128
 
 
 def test_escape_band_on_fixtures(href, htwo, hcubic):
