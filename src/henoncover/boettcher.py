@@ -195,6 +195,19 @@ def _phi_step(factors, d, x, y, tx, ty, mag, scale, log1p, power, maximum):
     return nx, ny, ntx, nty, aw, term, dterm, maximum(aw * mag, 1e-300)
 
 
+def _next_term_bound(c0: float, d: int, scale: float, mag):
+    """Bound on the next log term of the product, the orbit being at |y| = mag.
+
+    On W+_M, |x| < |y| and |q| <= c0 |y|^(d-1), so |w| <= c0 / |y|; with
+    |log(1 + w)| <= 2|w| for |w| <= 1/2 and the next term's scale scale/d,
+    that term is at most 2 c0 scale / (d |y|), and the terms after it fall
+    doubly exponentially.  The current term alone bounds nothing: q can
+    vanish at one step and not at the next (at x = 0 on a map whose p is
+    y^d, w is 0 at the first step).
+    """
+    return 2.0 * c0 * scale / d / mag
+
+
 def _phi_one(H: HenonMap, x: complex, y: complex, tol: float, max_steps: int, dy: bool):
     """phi_series on one point in Python complex arithmetic.
 
@@ -202,14 +215,15 @@ def _phi_one(H: HenonMap, x: complex, y: complex, tol: float, max_steps: int, dy
     Division by zero, log(0) or an overflowing |.| raise instead of giving
     IEEE infinities; phi_series then reruns the point on arrays.
     """
-    c_est, factors = _series_consts(H)
+    c0, factors = _series_consts(H)
+    c_est = c0
     d = H.d
     ycap = 10.0 ** (280.0 / d)
     S = dS = 0j
     tx, ty = (0j, 1 + 0j) if dy else (None, None)
+    mag = abs(y)
     for j in range(max_steps):
         scale = float(d) ** -(j + 1)
-        mag = abs(y)
         if mag > ycap:
             return S, scale * 2.0 * c_est / mag, True, -1, dS
         x, y, tx, ty, aw, term, dterm, c = _phi_step(
@@ -217,12 +231,14 @@ def _phi_one(H: HenonMap, x: complex, y: complex, tol: float, max_steps: int, dy
         )
         if not aw <= PRODUCT_BOUND:  # a NaN |w| is a bad factor too
             return S, 0.0, False, j, dS
+        mag = abs(y)
         S += term
         c_est = c
         if dy:
             dS += dterm
-        if abs(term) < tol:
-            return S, 2.0 * abs(term), True, -1, dS
+        tail = max(abs(term), _next_term_bound(c0, d, scale, mag))
+        if tail < tol:
+            return S, 2.0 * tail, True, -1, dS
     return S, float(d) ** -(max_steps + 1), True, -1, dS
 
 
@@ -260,11 +276,11 @@ def _phi_batch(H: HenonMap, x, y, tol: float, max_steps: int, dy: bool):
 
     # a bad factor may divide by zero or take log(0); it is reported in ok
     with np.errstate(divide="ignore", invalid="ignore"):
+        mag = np.abs(y)
         for j in range(max_steps):
             if live.size == 0:
                 break
             scale = float(d) ** -(j + 1)
-            mag = np.abs(y)
 
             # points too large for another y^d: bound the tail and retire them
             huge = mag > ycap
@@ -279,6 +295,7 @@ def _phi_batch(H: HenonMap, x, y, tol: float, max_steps: int, dy: bool):
             x, y, tx, ty, aw, term, dterm, c_est = _phi_step(
                 factors, d, x, y, tx, ty, mag, scale, _log1p_array, _ipow, np.maximum
             )
+            mag = np.abs(y)
             bad = ~(aw <= PRODUCT_BOUND)  # a NaN |w| is a bad factor too
             if bad.any():
                 idx = retire(bad)
@@ -288,16 +305,16 @@ def _phi_batch(H: HenonMap, x, y, tol: float, max_steps: int, dy: bool):
             if dy:
                 ds = ds + dterm
 
-            # terms shrink at least geometrically (|w| ~ C/|y| and |y| blows
-            # up doubly exponentially); once below tol, twice the current
-            # term bounds the remaining tail
-            done = ~bad & (np.abs(term) < tol)
+            # stop once the current term and the bound on the next are
+            # below tol; twice the larger bounds the remaining tail
+            tail = np.maximum(np.abs(term), _next_term_bound(c0, d, scale, mag))
+            done = ~bad & (tail < tol)
             if done.any():
-                err[retire(done)] = 2.0 * np.abs(term[done])
+                err[retire(done)] = 2.0 * tail[done]
             stop = bad | done
             if stop.any():
-                live, x, y, tx, ty, s, ds, c_est = _take(
-                    ~stop, live, x, y, tx, ty, s, ds, c_est
+                live, x, y, tx, ty, s, ds, c_est, mag = _take(
+                    ~stop, live, x, y, tx, ty, s, ds, c_est, mag
                 )
 
     if live.size:

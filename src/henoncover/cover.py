@@ -21,9 +21,12 @@ Conjugating H through E3 . E2 . E1 yields the polynomial model
     (z, zeta) -> (a/d * z + Q(zeta), zeta^d)
 
 with Q monic of degree d + d'.  Q is extracted by sampling
-Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d) on a circle and splitting
-the discrete Fourier series into the polynomial part Q and the tail Q^-;
-R is the geometric series sum_i (d/a)^(i+1) Q^-(zeta^(d^i)).  Deck
+Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d) on the circles |zeta| = 2MR
+and 4MR, where the table also gives lambda(0, zeta), and splitting the
+discrete Fourier series into the polynomial part Q and the tail Q^-.  Q^-
+is sampled on |zeta| = 1.25MR, below the table's reach, where
+lambda(0, zeta) is solved by Newton.  R is the geometric series
+sum_i (d/a)^(i+1) Q^-(zeta^(d^i)).  Deck
 transformations rotate zeta by d-power roots of unity and shift z by an
 exactly cancelling Q-difference.
 """
@@ -183,10 +186,11 @@ class CoverChart:
 # psi quadrature
 
 # lambda solves (the series table's torus nodes, lambda(0, zeta) on the
-# chart's circles and psi_integral's nodes) run far below the chart's
-# targets; sample noise otherwise scales with the function's magnitude and
-# poisons the Fourier coefficients of Qtilde.  Kept a factor above the
-# double rounding floor so the Newton residual test stays reachable.
+# Q^- circle and in the _qminus_eval band, and psi_integral's nodes) run
+# far below the chart's targets; sample noise otherwise scales with the
+# function's magnitude and poisons the Fourier coefficients of Qtilde.
+# Kept a factor above the double rounding floor so the Newton residual
+# test stays reachable.
 _INNER_TOL = 3e-15
 
 
@@ -290,6 +294,15 @@ def _outside_series_bidisc(region: BoettcherRegion, X, W) -> bool:
     return not bool((reach <= _SERIES_FRAC * np.abs(W)).all())
 
 
+# _series_eval builds its power table with one cumprod below this many
+# points, where the cost of a numpy call dominates, and with one multiply
+# per order from here on: numpy multiplies contiguous complex rows in its
+# vector loop and accumulates in a scalar one (20-50 us against 70-140 us
+# at the build circles' 256-512 points).  The two round the powers
+# differently in the last bits.
+_POWER_LOOP_MIN = 64
+
+
 def _series_eval(H: HenonMap, region: BoettcherRegion, X, W):
     """(psi, dlambda/dy, lambda) at the points (X_i, W_i) from the table.
 
@@ -301,12 +314,18 @@ def _series_eval(H: HenonMap, region: BoettcherRegion, X, W):
         raise SegmentOutsideRegion("point outside the series bidisc M*max(|x|, R) <= 0.6|y|")
     C, _ = _series_table(H, region)
     K = C.shape[0]
-    # powers 0 .. K-1 of sigma = (X/W)/r_s and upsilon = (1/W)/r_u, one cumprod
-    p = np.empty((2, X.size, K), dtype=complex)
-    p[:, :, 0] = 1.0
-    p[0, :, 1:] = (X / W * (region.M / _TORUS_FRAC))[:, None]
-    p[1, :, 1:] = (region.M * region.R.R / _TORUS_FRAC / W)[:, None]
-    sp, up = np.cumprod(p, axis=2, out=p)
+    # powers 0 .. K-1 of sigma = (X/W)/r_s and upsilon = (1/W)/r_u, one
+    # contiguous row per order
+    p = np.empty((K, 2, X.size), dtype=complex)
+    p[0] = 1.0
+    p[1:, 0] = X / W * (region.M / _TORUS_FRAC)
+    p[1:, 1] = region.M * region.R.R / _TORUS_FRAC / W
+    if X.size < _POWER_LOOP_MIN:
+        np.cumprod(p, axis=0, out=p)
+    else:
+        for k in range(2, K):
+            np.multiply(p[k - 1], p[1], out=p[k])
+    sp, up = p.transpose(1, 2, 0)
     a, b, g = ((sp @ C).reshape(-1, 3, K) @ up[:, :, None])[:, :, 0].T
     return W * X * a, b, W * np.exp(g)
 
@@ -317,13 +336,20 @@ def _series_eval(H: HenonMap, region: BoettcherRegion, X, W):
 def _qtilde_batch(H: HenonMap, region: BoettcherRegion, zetas):
     """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d), psi from the table.
 
-    lambda(0, zeta) is solved directly: at |zeta| = 1.25 MR it sits at 0.8
-    of the radius of W+_M, outside the series bidisc.
+    lambda(0, zeta) = zeta exp(g(0, 1/zeta)) comes from the table when
+    every zeta lies in the series bidisc, |zeta| >= MR/0.6: the build's
+    circles at rho = 2MR and 2 rho.  Below that (the Q^- circle at
+    1.25 MR, 0.8 of the radius of W+_M, and the band of _qminus_eval) it
+    is solved directly with lambda_vec.
     """
     zetas = np.asarray(zetas, dtype=complex)
-    lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL, 100)
-    if not ok.all():
-        raise NoConvergence(100)
+    zeros = np.zeros_like(zetas)
+    if _outside_series_bidisc(region, zeros, zetas):
+        lam0, ok = lambda_vec(H, zeros, zetas, _INNER_TOL, 100)
+        if not ok.all():
+            raise NoConvergence(100)
+    else:
+        lam0 = _series_eval(H, region, zeros, zetas)[2]
     x0 = first_component_axis_poly(H)(lam0)
     return _series_eval(H, region, x0, zetas**H.d)[0]
 
@@ -353,6 +379,12 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
     proves |R| < t |zeta|^2.  The bound falls as |zeta| grows while
     t |zeta|^2 rises, so the one check at Mtilde covers every
     |zeta| >= Mtilde.
+
+    lambda(0, zeta) on the 2MR and 4MR circles comes from the table, since
+    MR <= 0.6|zeta| puts (0, zeta) in its bidisc.  On the 1.25MR circle
+    1/zeta is at 0.8 of the radius of W+_M, outside the bidisc, and one
+    lambda_vec Newton solves it: the build's only lambda solve besides the
+    table's torus.
     """
     region = certify_region(H)
     M = region.M
@@ -517,9 +549,10 @@ def psi_tilde(chart: CoverChart, z: Point) -> CoverPoint:
     OutsideChartDomain otherwise.
     """
     phi = bottcher_phi(chart.H, z, chart.series_tol)
-    if _outside_series_bidisc(chart.region, z.x, phi):
-        raise OutsideChartDomain("M*max(|x|, R) > 0.6|phi|: outside the series bidisc")
-    psi_val = complex(_series_eval(chart.H, chart.region, [z.x], [phi])[0][0])
+    try:
+        psi_val = complex(_series_eval(chart.H, chart.region, [z.x], [phi])[0][0])
+    except SegmentOutsideRegion as exc:
+        raise OutsideChartDomain(str(exc)) from None
     # the tail correction enters with the sign that makes the series
     # identity (a/d) R - R(.^d) = Q^- cancel the Laurent tail of the lift
     return CoverPoint(psi_val + r_series(chart, phi), phi)

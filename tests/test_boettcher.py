@@ -315,6 +315,25 @@ def test_phi_series_one_point_matches_batch_on_random_maps(H, seed):
     assert_one_point_matches_batch(H, 60, seed)
 
 
+def test_phi_series_runs_past_a_vanishing_first_term(hcubic):
+    # on (y, y^3 - x/2) the first factor is exactly 1 at x = 0 (q = -x/2),
+    # while the second is 1 - y^-8/2: the product must not stop at the
+    # first term, in one point or in a batch, nor at x so small that its
+    # first term falls below tol
+    region = certify_region(hcubic)
+    y = region.M * region.R.R * np.array([1.25, 2.0, 4.0]) * np.exp(0.7j)
+    for x in (np.zeros(3), 1e-3 * EPS * y):
+        S_ref = phi_series(hcubic, x, y, tol=0.0)[0]
+        assert np.all(np.abs(S_ref) > 1e-13)
+        for tol in (1e-12, _INNER_TOL):
+            S, err, ok, _ = phi_series(hcubic, x, y, tol)
+            single = [phi_series(hcubic, x[i : i + 1], y[i : i + 1], tol) for i in range(3)]
+            S1, err1 = np.concatenate([a[0] for a in single]), np.concatenate([a[1] for a in single])
+            assert ok.all()
+            assert np.all(np.abs(S - S_ref) <= err + 4 * EPS)
+            assert np.all(np.abs(S1 - S_ref) <= err1 + 4 * EPS)
+
+
 def test_log1p_array_matches_decimal_reference():
     # |w| from 1e-15 to 1/2 in every direction, on both axes and near the
     # circle |1 + w| = 1, where u (2 + u) and v^2 cancel
@@ -357,6 +376,7 @@ def reference_phi_series(H, x, y, tol):
     phi_series's log1p/arctan2 log term and its repeated-squaring y^d.
     """
     d, n = H.d, x.size
+    c0 = 1.0 + float(np.abs(second_component_correction(H).c).sum())
     consts = [(f.p, f.p.derivative(), f.a) for f in H.factors]
     ycap = 10.0 ** (280.0 / d)
     S, dS = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
@@ -379,7 +399,8 @@ def reference_phi_series(H, x, y, tol):
             live &= ~bad
             S[live] += term[live]
             dS[live] += dterm[live]
-            live &= ~(np.abs(term) < tol)
+            # stop on the current term and the a-priori bound on the next
+            live &= ~(np.maximum(np.abs(term), 2.0 * c0 * scale / d / np.abs(ny)) < tol)
             x, y, tx, ty = nx, ny, ntx, nty
     return S, ok, bad_step, dS
 

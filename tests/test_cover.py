@@ -38,6 +38,7 @@ from henoncover.cover import (
     chart_to_dict,
     in_absorbing_region,
 )
+from henoncover.henon import first_component_axis_poly
 from henoncover.verification import (
     check_chart_semiconjugacy,
     check_covering_map,
@@ -177,6 +178,20 @@ def test_series_table_matches_solvers_on_random_maps(H, seed):
     assert_table_matches_solvers(H, seed, 12)
 
 
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_series_eval_batch_matches_single_points(name, request):
+    # from _POWER_LOOP_MIN points on, the power table takes one multiply
+    # per order instead of one cumprod; both agree to rounding
+    H = request.getfixturevalue(name)
+    region = certify_region(H)
+    X, W = bidisc_points(region, np.random.default_rng(13), 4 * cover._POWER_LOOP_MIN)
+    batch = cover._series_eval(H, region, X, W)
+    single = [cover._series_eval(H, region, [x], [w]) for x, w in zip(X, W)]
+    for got, ref in zip(batch, zip(*single)):
+        ref = np.concatenate(ref)
+        assert np.all(np.abs(got - ref) <= 4 * EPS * np.abs(ref))
+
+
 def test_series_table_is_built_once_per_map(href, href_region, monkeypatch):
     # one batched solve over the whole torus, then no solve per point
     cover._series_table.cache_clear()
@@ -314,6 +329,77 @@ def test_two_factor_chart_degree(htwo, htwo_chart):
     assert htwo_chart.Q.degree == htwo.d + htwo.d_prime == 6
     assert abs(htwo_chart.Q.coeffs[-1] - 1.0) <= 1e-6
     assert htwo_chart.meta["two_radius_agreement"] <= 1e-7
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_build_chart_solves_lambda_only_on_the_inner_circle(name, request, monkeypatch):
+    # lambda(0, zeta) on the rho and 2 rho circles comes from the series
+    # table; the one Newton of a build is on the Q^- circle at 1.25 MR
+    H = request.getfixturevalue(name)
+    calls = []
+
+    def recorded(H, x, w, *args):
+        calls.append(np.array(w))
+        return boettcher.lambda_vec(H, x, w, *args)
+
+    cover._series_table.cache_clear()
+    monkeypatch.setattr(cover, "lambda_vec", recorded)
+    chart = build_chart(H)
+    (w,) = calls
+    assert w.size == chart.meta["circle_samples"]
+    assert np.allclose(np.abs(w), 1.25 * chart.inner_radius, rtol=4 * EPS, atol=0.0)
+
+
+def build_circles(H, region):
+    """(n, rho): the sample count and the inner radius of build_chart's circles."""
+    deg = H.d + H.d_prime
+    n = 1 << max(6, int(np.ceil(np.log2(cover._SAMPLES_PER_DEGREE * deg))))
+    return n, 2.0 * region.M * region.R.R
+
+
+def newton_lambda0(H, zetas):
+    lam, ok = boettcher.lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL, 100)
+    assert ok.all()
+    return lam
+
+
+def assert_table_lambda_matches_newton_on_build_circles(H):
+    region = certify_region(H)
+    n, rho = build_circles(H, region)
+    for r in (rho, 2.0 * rho):
+        zetas = r * np.exp(2j * np.pi * np.arange(n) / n)
+        lam = cover._series_eval(H, region, np.zeros(n), zetas)[2]
+        ref = newton_lambda0(H, zetas)
+        assert np.all(np.abs(lam - ref) <= 64 * EPS * np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_table_lambda_matches_newton_on_build_circles(name, request):
+    assert_table_lambda_matches_newton_on_build_circles(request.getfixturevalue(name))
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps)
+def test_table_lambda_matches_newton_on_build_circles_on_random_maps(H):
+    assert_table_lambda_matches_newton_on_build_circles(H)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_chart_q_matches_extraction_from_newton_circle(name, request):
+    # Q extracted as before the table gave lambda(0, zeta): the same FFT of
+    # Qtilde on |zeta| = rho, lambda(0, zeta) by Newton.  Coefficient j of
+    # an n-point FFT carries at most the samples' error over rho^j
+    chart = request.getfixturevalue(f"{name}_chart")
+    H, region = chart.H, chart.region
+    n, rho = build_circles(H, region)
+    assert (n, rho) == (chart.meta["circle_samples"], chart.rho)
+    zetas = rho * np.exp(2j * np.pi * np.arange(n) / n)
+    x0 = first_component_axis_poly(H)(newton_lambda0(H, zetas))
+    qt = cover._series_eval(H, region, x0, zetas**H.d)[0]
+    deg = H.d + H.d_prime
+    ref, _ = cover._extract_positive_part(qt, rho, deg)
+    bound = 64 * EPS * np.abs(qt).max() / rho ** np.arange(deg + 1)
+    assert np.all(np.abs(np.array(chart.Q.coeffs) - ref) <= bound)
 
 
 def test_two_factor_semiconjugacy_and_covering(rng, htwo, htwo_chart):
