@@ -112,23 +112,35 @@ class GridJob:
 
 
 def _complex_from(v, field: str) -> complex:
+    """A finite number or [re, im] pair as a complex, or a SpecError naming the field."""
     if isinstance(v, (int, float)):
-        return complex(v)
-    if (
+        z = complex(v)
+    elif (
         isinstance(v, (list, tuple))
         and len(v) == 2
         and all(isinstance(t, (int, float)) for t in v)
     ):
-        return complex(v[0], v[1])
-    raise SpecError(field, "expected a number or an [re, im] pair")
+        z = complex(v[0], v[1])
+    else:
+        raise SpecError(field, "expected a number or an [re, im] pair")
+    if not cmath.isfinite(z):
+        raise SpecError(field, "must be finite")
+    return z
 
 
-def _number_from(v, field: str, kind=float):
-    """kind(v), or a SpecError naming the field."""
+def _number_from(v, field: str) -> float:
+    """float(v), or a SpecError naming the field."""
     try:
-        return kind(v)
+        return float(v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(field, "expected a number") from exc
+
+
+def _count_from(v, field: str) -> int:
+    """A JSON integer, or a SpecError naming the field: no rounding, no strings."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise SpecError(field, "expected an integer")
 
 
 def parse_spec(data) -> MapSpec:
@@ -209,8 +221,8 @@ def parse_grid_job(data) -> GridJob:
         center=tuple(_number_from(v, "window.center") for v in center),
         width=_number_from(window.get("width", 0.0), "window.width"),
         height=_number_from(window.get("height", 0.0), "window.height"),
-        nx=_number_from(res[0], "resolution", int),
-        ny=_number_from(res[1], "resolution", int),
+        nx=_count_from(res[0], "resolution"),
+        ny=_count_from(res[1], "resolution"),
         quantity=qkind,
         c=_number_from(quantity.get("c", 0.0), "quantity.c") if qkind == "sublevel" else 0.0,
         clamp=_number_from(data.get("clamp", 4.0), "clamp"),
@@ -385,6 +397,8 @@ def _parse_point(text: str) -> Point:
         vals = [float(p) for p in parts]
     except ValueError as exc:
         raise SpecError("--point", str(exc)) from exc
+    if not all(cmath.isfinite(v) for v in vals):
+        raise SpecError("--point", "must be finite")
     return Point(complex(vals[0], vals[1]), complex(vals[2], vals[3]))
 
 

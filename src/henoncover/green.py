@@ -55,6 +55,7 @@ from .henon import (
     BivariatePoly,
     HenonMap,
     Point,
+    _jacobian,
     apply_xy,
     backward_conjugate,
     component_polynomials,
@@ -229,15 +230,6 @@ class Trap:
         return np.maximum(np.abs(s11 * u + s12 * v), np.abs(s21 * u + s22 * v)) < lim
 
 
-def _jacobian(H: HenonMap, x: complex, y: complex) -> np.ndarray:
-    """DH at (x, y): the product of the factor Jacobians [[0, 1], [-a, p'(y)]]."""
-    J = np.eye(2, dtype=complex)
-    for f in H.factors:
-        J = np.array([[0.0, 1.0], [-f.a, f.p.derivative()(y)]]) @ J
-        x, y = y, f.p(y) - f.a * x
-    return J
-
-
 def _step_rounding(H: HenonMap, m: float) -> float:
     """Bound on the rounding of one float step of H over |x|, |y| <= m.
 
@@ -286,8 +278,11 @@ def _trap_radius(H: HenonMap, p: Point, T: np.ndarray, S: np.ndarray):
 def attracting_traps(H: HenonMap) -> tuple:
     """Proved forward-invariant polydiscs around the attracting fixed points.
 
-    For each fixed point p of H (symmetry.fixed_points) whose Jacobian
-    J = DH(p) has spectral radius < 1, diagonalise J = T diag(lambda) S
+    symmetry.fixed_points gives all d fixed points of H, counted with
+    multiplicity, from one eigenproblem and a fixed Newton polish; a
+    multiple one has the multiplier 1 and is not attracting.  For each
+    fixed point p whose Jacobian J = DH(p) has spectral radius < 1,
+    diagonalise J = T diag(lambda) S
     with S = T^-1, and expand
 
         G(g) = S (H(p + T g) - p) = sum_ij G_ij g1^i g2^j

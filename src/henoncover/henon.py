@@ -208,6 +208,15 @@ def apply_inverse_xy(H: HenonMap, x, y):
     return x, y
 
 
+def _jacobian(H: HenonMap, x: complex, y: complex) -> np.ndarray:
+    """DH at (x, y): the product of the factor Jacobians [[0, 1], [-a, p'(y)]]."""
+    J = np.eye(2, dtype=complex)
+    for f in H.factors:
+        J = np.array([[0.0, 1.0], [-f.a, f.p.derivative()(y)]]) @ J
+        x, y = y, f.p(y) - f.a * x
+    return J
+
+
 def apply(H: HenonMap, z: Point) -> Point:
     return Point(*apply_xy(H, z.x, z.y))
 

@@ -70,10 +70,16 @@ commutes_with_power compares the expanded coefficients of L.H^k and
 H^k.L up to SYMBOLIC_DEGREE_CAP; the tests keep it as an independent
 oracle.  Its defect is a difference of coefficients of the size of those
 of H^k, so it can exceed its tolerance on a correct element.
+
+fixed_points returns the d fixed points of H, counted with multiplicity,
+as the eigenvectors of one d x d multiplication matrix of the orbit
+equations; its docstring proves the count.  Nothing is searched there
+either.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -81,13 +87,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .filtration import filtration_radius
 from .henon import (
     BivariatePoly,
     HenonError,
     HenonMap,
     Point,
     _c2l,
+    _jacobian,
+    apply_xy,
     component_polynomials,
 )
 
@@ -279,76 +286,94 @@ def factor_chain_witness(H: HenonMap, L: AffineMap, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 # fixed points
 
-STEP_TOL = 1e-13  # fixed_points: relative Newton step that counts as converged
+POLISH_STEPS = 3  # fixed_points: Newton steps on H(z) - z after the eigensolve
 
 
-def fixed_points(
-    H: HenonMap,
-    n_starts: int = 400,
-    tol: float = 1e-10,
-    dedup: float = 1e-8,
-):
-    """Fixed points of H by multistart Newton on the expanded components.
+def fixed_points(H: HenonMap):
+    """The d fixed points of H, with multiplicity, from one eigenproblem.
 
-    green.attracting_traps certifies its K+ traps around them.
+    A fixed point starts a period-m orbit of the factor recurrence.  With
+    unknowns y_0 ... y_(m-1), indices mod m, factor i = 1 .. m reads
+
+        y_(i-1)^(d_i) = y_i + a_i y_(i-2) - sum_(k < d_i) c_(i,k) y_(i-1)^k,
+
+    and the point is (x, y) = (y_(m-1), y_0).  For m = 1 and m = 2 the
+    indices collide and the same rule adds up the colliding terms.  Under
+    any degree order the leading monomials y_(i-1)^(d_i) are pairwise
+    coprime, since each variable leads exactly one relation, so the
+    relations form a Groebner basis (Buchberger's first criterion).  The
+    quotient ring therefore has the monomial basis {prod_v y_v^(e_v) :
+    e_v < d_(v+1)}, of size prod d_i = d: H has exactly d fixed points,
+    counted with multiplicity.
+
+    By Stickelberger's theorem (Cox, Little & O'Shea, Using Algebraic
+    Geometry, GTM 185, ch. 2 sec. 4) the matrix of multiplication by a
+    linear form l = sum_v w_v y_v in this basis has the eigenvalues l(p)
+    over the fixed points p, and the left eigenvector of a simple l(p) is
+    the vector of basis monomials at p.  Its entries at y_(m-1) and y_0,
+    each over its entry at 1, are x and y.  POLISH_STEPS Newton steps on
+    H(z) - z follow; a singular DH - I ends the polish of its point.
+    green.attracting_traps certifies its K+ traps around these points.
     """
-    P1, P2 = component_polynomials(H)
-    F1 = (P1 - BivariatePoly.var_x()).trim()
-    F2 = (P2 - BivariatePoly.var_y()).trim()
+    fs = H.factors
+    m = len(fs)
+    degs = [f.p.degree for f in fs]
+    # exponent vectors e with e_v < d_(v+1), the monomial 1 first
+    basis = list(itertools.product(*map(range, degs)))
+    index = {e: n for n, e in enumerate(basis)}
+    forms = {}
 
-    def partial(P, axis):
-        c = P.c
-        if c.shape[axis] == 1:
-            return BivariatePoly([[0.0]])
-        if axis == 0:
-            out = c[1:, :] * np.arange(1, c.shape[0])[:, None]
-        else:
-            out = c[:, 1:] * np.arange(1, c.shape[1])[None, :]
-        return BivariatePoly(out)
+    def normal_form(e):
+        """Basis coefficients of the monomial prod_v y_v^(e_v)."""
+        if e not in forms:
+            v = next((v for v in range(m) if e[v] >= degs[v]), None)
+            if v is None:
+                out = np.zeros(H.d, dtype=complex)
+                out[index[e]] = 1.0
+            else:
+                # y_v^(d_(v+1)) = y_(v+1) + a y_(v-1) - sum_k c_k y_v^k: every
+                # term has lower total degree, so the recursion ends
+                def times(u, k):
+                    t = list(e)
+                    t[v] -= degs[v]
+                    t[u] += k
+                    return normal_form(tuple(t))
 
-    J11, J12 = partial(F1, 0), partial(F1, 1)
-    J21, J22 = partial(F2, 0), partial(F2, 1)
+                f = fs[v]
+                out = times((v + 1) % m, 1) + f.a * times((v - 1) % m, 1)
+                for k, c in enumerate(f.p.coeffs[:-1]):
+                    if c:
+                        out = out - c * times(v, k)
+            forms[e] = out
+        return forms[e]
 
-    R = filtration_radius(H).R
-    rng = np.random.default_rng(905418)
-    box = 1.2 * R
-    x = box * (rng.uniform(-1, 1, n_starts) + 1j * rng.uniform(-1, 1, n_starts))
-    y = box * (rng.uniform(-1, 1, n_starts) + 1j * rng.uniform(-1, 1, n_starts))
-
-    # iterate compact copies of the starts still moving; a start whose
-    # undamped step fell below STEP_TOL relative has converged and keeps
-    # the point that step produced
-    live = np.arange(n_starts)
-    lx, ly = x, y
-    for _ in range(80):
-        f1, f2 = F1(lx, ly), F2(lx, ly)
-        j11, j12, j21, j22 = J11(lx, ly), J12(lx, ly), J21(lx, ly), J22(lx, ly)
-        det = j11 * j22 - j12 * j21
-        det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-        dx = (f1 * j22 - f2 * j12) / det
-        dy = (j11 * f2 - j21 * f1) / det
-        step = np.sqrt(np.abs(dx) ** 2 + np.abs(dy) ** 2)
-        damp = np.minimum(1.0, 2.0 * box / np.maximum(step, 1e-300))
-        lx = lx - damp * dx
-        ly = ly - damp * dy
-        lx = np.where(np.isfinite(lx), lx, 0.0)
-        ly = np.where(np.isfinite(ly), ly, 0.0)
-        x[live], y[live] = lx, ly
-        moving = step > STEP_TOL * (1.0 + np.abs(lx) + np.abs(ly))
-        if not moving.all():
-            live, lx, ly = live[moving], lx[moving], ly[moving]
-            if live.size == 0:
-                break
-
-    res = np.abs(F1(x, y)) + np.abs(F2(x, y))
-    good = res <= tol * (1.0 + np.abs(x) + np.abs(y))
+    # y_0 alone does not separate the points: with a_1 = -1 the first
+    # relation reads p_1(y_0) = 0, so each y_0 is shared by d / d_1 points.
+    # Distinct non-real weights separate the points of a generic map, and
+    # for m = 2 their non-real ratio separates any two real points.
+    w = np.exp(1j * np.arange(1, m + 1))
+    # row j is the normal form of l b_j, so the right eigenvectors of this
+    # transpose of the multiplication matrix are the left ones above
+    A = np.array([
+        sum(w[v] * normal_form(e[:v] + (e[v] + 1,) + e[v + 1:]) for v in range(m))
+        for e in basis
+    ])
+    V = np.linalg.eig(A)[1]
+    xs = V[index[(0,) * (m - 1) + (1,)]] / V[0]
+    ys = V[index[(1,) + (0,) * (m - 1)]] / V[0]
     pts = []
-    for xv, yv in zip(x[good], y[good]):
-        if not any(abs(xv - p.x) + abs(yv - p.y) <= dedup for p in pts):
-            pts.append(Point(complex(xv), complex(yv)))
+    for x, y in zip(xs, ys):
+        for _ in range(POLISH_STEPS):
+            hx, hy = apply_xy(H, x, y)
+            try:
+                dx, dy = np.linalg.solve(_jacobian(H, x, y) - np.eye(2), [hx - x, hy - y])
+            except np.linalg.LinAlgError:
+                break
+            x, y = x - dx, y - dy
+        pts.append(Point(complex(x), complex(y)))
     pts.sort(key=lambda p: (round(p.x.real, 9), round(p.x.imag, 9),
                             round(p.y.real, 9), round(p.y.imag, 9)))
-    return pts[: H.d * H.d]
+    return pts
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,12 @@ def planted_symmetric_maps(draw, family):
 
 
 def attracting_map(rng):
-    """A one-factor map of degree 2 or 3 with an attracting fixed point.
+    """A one-factor map of degree 2 or 3 with an attracting fixed point."""
+    return planted_attracting_map(rng)[0]
+
+
+def planted_attracting_map(rng):
+    """(H, s): a one-factor map of degree 2 or 3 and its attracting fixed point (s, s).
 
     The multipliers lam1, lam2, the fixed point (s, s) and the coefficients
     c2 .. c_(deg-1) are drawn with modulus in [0.05, 0.95].  DH(s, s) =
@@ -97,4 +102,4 @@ def attracting_map(rng):
     cs[1] = lam1 + lam2 - sum(k * c * s ** (k - 1) for k, c in enumerate(cs) if k >= 2)
     a = lam1 * lam2
     cs[0] = s + a * s - sum(c * s**k for k, c in enumerate(cs) if k >= 1)
-    return make_henon([(cs, a)])
+    return make_henon([(cs, a)]), s

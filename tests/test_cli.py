@@ -193,6 +193,39 @@ def test_cli_non_finite_job_exit_2(tmp_path, capsys, field, change):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, factor",
+    [
+        ("factors[0].p[0]", {"p": [[NAN, 0], [0, 0], [1, 0]], "a": [0.8, 0]}),
+        ("factors[0].a", {"p": [[-1.1, 0], [0, 0], [1, 0]], "a": [INF, 0]}),
+    ],
+    ids=["p-nan", "a-inf"],
+)
+def test_cli_non_finite_spec_exit_2(tmp_path, capsys, field, factor):
+    spec = write_json(tmp_path / "m.json", {"name": "bad", "factors": [factor]})
+    for argv in (["info"], ["green", "--point", "0,0,100,0"]):
+        assert main(argv + ["--spec", spec]) == 2, argv
+        assert f"input error: {field}: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["nan,0,0,0", "0,0,inf,0"])
+def test_cli_non_finite_point_exit_2(tmp_path, capsys, point):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    for argv in (["green"], ["classify", "--c", "1.0"]):
+        assert main(argv + ["--spec", spec, "--point", point]) == 2, argv
+        assert "input error: --point: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resolution", [[16.9, 8.5], [True, "8"], [16.0, 8]])
+def test_cli_non_integer_resolution_exit_2(tmp_path, capsys, resolution):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    jobp = write_json(tmp_path / "j.json", {**JOB, "resolution": resolution})
+    out = tmp_path / "g.pgm"
+    assert main(["render", "--spec", spec, "--job", jobp, "--out", str(out)]) == 2
+    assert "input error: resolution: expected an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_render_deterministic_across_runs_and_threads(tmp_path):
     spec = parse_spec(QUADRATIC)
     job = parse_grid_job(JOB)

@@ -1,6 +1,8 @@
 import cmath
 import json
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,8 @@ from henoncover import (
     verify_cyclic,
 )
 from henoncover import symmetry
-from henoncover.henon import BivariatePoly, component_polynomials
-from henoncover.green import escaping_samples
+from henoncover.henon import BivariatePoly, apply_xy, component_polynomials
+from henoncover.green import _step_rounding, escaping_samples
 from henoncover.symmetry import (
     fixed_points,
     load_report,
@@ -28,7 +30,12 @@ from henoncover.symmetry import (
 )
 from henoncover.verification import brute_force_d0, symmetry_structure_record
 
-from strategies import PLANTED_FAMILIES, planted_symmetric_maps
+from strategies import (
+    PLANTED_FAMILIES,
+    henon_maps,
+    planted_attracting_map,
+    planted_symmetric_maps,
+)
 
 
 def test_d0_paper_values():
@@ -63,6 +70,91 @@ def test_fixed_points_cubic(hcubic):
     s = (1 + 0.5) ** 0.5
     vals = sorted(round(p.x.real, 6) for p in pts)
     assert vals == [round(-s, 6), 0.0, round(s, 6)]
+
+
+def assert_fixed_points(H):
+    """fixed_points(H): d points, each fixed up to one float step's rounding."""
+    pts = fixed_points(H)
+    assert len(pts) == H.d
+    for p in pts:
+        hx, hy = apply_xy(H, p.x, p.y)
+        assert max(abs(hx - p.x), abs(hy - p.y)) <= _step_rounding(
+            H, max(abs(p.x), abs(p.y), 1.0)
+        ), p
+    return pts
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps)
+def test_fixed_points_count_and_residual_on_random_maps(H):
+    assert_fixed_points(H)
+
+
+def three_factor_map(rng):
+    """Three monic factors of degree 2 or 3, coefficients and a of modulus in [1e-2, 1e2]."""
+    factors = []
+    for _ in range(3):
+        deg = int(rng.integers(2, 4))
+        cs = 10.0 ** rng.uniform(-2, 2, deg + 1) * np.exp(2j * np.pi * rng.uniform(size=deg + 1))
+        factors.append((list(cs[:-1]) + [1.0], cs[-1]))
+    return make_henon(factors)
+
+
+def test_fixed_points_count_and_residual_on_three_factor_maps():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_fixed_points(make_henon([([-3, 0, 1], -3), ([-2, 0, 1], -3), ([5, 0, 1], 0.5)]))
+        rng = np.random.default_rng(331)
+        for _ in range(6):
+            assert_fixed_points(three_factor_map(rng))
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps.filter(lambda H: len(H.factors) == 1))
+def test_fixed_points_one_factor_vieta(H):
+    # (y, y) is fixed iff p(y) - (1 + a) y = 0, monic of degree d: the
+    # d values of y sum to minus its y^(d-1) coefficient
+    pts = assert_fixed_points(H)
+    (f,) = H.factors
+    c = list(f.p.coeffs)
+    c[1] -= 1 + f.a
+    total = sum(p.y for p in pts)
+    assert abs(total + c[-2]) <= 1e-9 * max(1.0, sum(abs(p.y) for p in pts))
+    assert all(abs(p.x - p.y) <= 1e-9 * max(1.0, abs(p.y)) for p in pts)
+
+
+def test_fixed_points_with_a1_minus_one():
+    # a_1 = -1: the first relation is p_1(y) = 0, so y = +-2 and each is
+    # shared by two points; then p_2(x) = x^2 - 1 = (1 + a_2) y = 1.5 y
+    pts = assert_fixed_points(make_henon([([-4, 0, 1], -1.0), ([-1, 0, 1], 0.5)]))
+    want = [(-2, 2), (-(2**0.5) * 1j, -2), (2**0.5 * 1j, -2), (2, 2)]
+    for x, y in want:
+        assert min(abs(p.x - x) + abs(p.y - y) for p in pts) <= 1e-12
+
+
+def test_fixed_points_with_a1_a2_minus_one():
+    # both relations decouple: p_1(y) = 0 and p_2(x) = 0
+    pts = assert_fixed_points(make_henon([([-4, 0, 1], -1.0), ([-9, 0, 1], -1.0)]))
+    got = sorted((round(p.x.real, 12), round(p.y.real, 12)) for p in pts)
+    assert got == [(-3, -2), (-3, 2), (3, -2), (3, 2)]
+    assert all(abs(p.x.imag) + abs(p.y.imag) <= 1e-12 for p in pts)
+
+
+def test_fixed_points_at_a_saddle_node():
+    # (y, y^2 + 1 - x): p(y) - 2y = (y - 1)^2, one fixed point of multiplicity 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = fixed_points(make_henon([([1, 0, 1], 1.0)]))
+    assert len(pts) == 2
+    assert all(abs(p.x - 1) + abs(p.y - 1) <= 1e-6 for p in pts)
+
+
+def test_fixed_points_contain_the_planted_attracting_point():
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        H, s = planted_attracting_map(rng)
+        pts = assert_fixed_points(H)
+        assert min(abs(p.x - s) + abs(p.y - s) for p in pts) <= 1e-12
 
 
 def test_identity_commutes(href):
@@ -170,23 +262,6 @@ SYMMETRIC_MAPS = {
     "translated_cubic": ([([_T**3 - 1.5 * _T, 3 * _T**2, 3 * _T, 1], 0.5)], 8),
     "square_square": ([([0, 0, 1], 0.5), ([0, 0, 1], 0.8)], 3),
 }
-
-
-@pytest.mark.parametrize("name", ["href", "htwo"] + sorted(SYMMETRIC_MAPS))
-def test_fixed_points_exit_matches_full_run(name, request, monkeypatch):
-    # with STEP_TOL = 0 only exactly stationary starts stop, which is the
-    # fixed 80-step run
-    if name in SYMMETRIC_MAPS:
-        H = make_henon(SYMMETRIC_MAPS[name][0])
-    else:
-        H = request.getfixturevalue(name)
-    pts = fixed_points(H)
-    monkeypatch.setattr(symmetry, "STEP_TOL", 0.0)
-    ref = fixed_points(H)
-    assert len(pts) == len(ref) > 0
-    for p, q in zip(pts, ref):
-        scale = 1.0 + abs(q.x) + abs(q.y)
-        assert abs(p.x - q.x) + abs(p.y - q.y) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC_MAPS))
