@@ -111,29 +111,33 @@ class GridJob:
             raise SpecError("quantity", "sublevel needs c > 0")
 
 
+def _is_number(v) -> bool:
+    """A JSON number: bool is an int subclass but true and false are not numbers."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _complex_from(v, field: str) -> complex:
     """A finite number or [re, im] pair as a complex, or a SpecError naming the field."""
-    if isinstance(v, (int, float)):
-        z = complex(v)
-    elif (
-        isinstance(v, (list, tuple))
-        and len(v) == 2
-        and all(isinstance(t, (int, float)) for t in v)
-    ):
-        z = complex(v[0], v[1])
-    else:
+    pair = [v, 0] if _is_number(v) else v
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair))):
         raise SpecError(field, "expected a number or an [re, im] pair")
+    try:
+        z = complex(*pair)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise SpecError(field, "must be finite") from None
     if not cmath.isfinite(z):
         raise SpecError(field, "must be finite")
     return z
 
 
 def _number_from(v, field: str) -> float:
-    """float(v), or a SpecError naming the field."""
+    """A JSON number as a float, or a SpecError naming the field: no strings, no booleans."""
+    if not _is_number(v):
+        raise SpecError(field, "expected a number")
     try:
         return float(v)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(field, "expected a number") from exc
+    except OverflowError:  # a JSON integer beyond the float range
+        raise SpecError(field, "must be finite") from None
 
 
 def _count_from(v, field: str) -> int:
@@ -372,8 +376,9 @@ def _cmd_cover(args) -> int:
     chart = build_chart(spec.henon, series_tol=_tol(args))
     save_chart(chart, args.out)
     print(
-        f"wrote {args.out} (deg Q = {chart.Q.degree}, rho = {chart.rho:g}, "
-        f"Mtilde = {chart.Mtilde:g}, series tail = {chart.meta['series_tail']:.1e})"
+        f"wrote {args.out} (deg Q = {chart.Q.degree}, "
+        f"tail purity = {chart.meta['tail_purity']:.2g}, Mtilde = {chart.Mtilde:g}, "
+        f"series tail = {chart.meta['series_tail']:.1e})"
     )
     return 0
 

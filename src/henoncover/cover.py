@@ -20,15 +20,14 @@ Conjugating H through E3 . E2 . E1 yields the polynomial model
 
     (z, zeta) -> (a/d * z + Q(zeta), zeta^d)
 
-with Q monic of degree d + d'.  Q is extracted by sampling
-Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d) on the circles |zeta| = 2MR
-and 4MR, where the table also gives lambda(0, zeta), and splitting the
-discrete Fourier series into the polynomial part Q and the tail Q^-.  Q^-
-is sampled on |zeta| = 1.25MR, below the table's reach, where
-lambda(0, zeta) is solved by Newton.  R is the geometric series
-sum_i (d/a)^(i+1) Q^-(zeta^(d^i)).  Deck
-transformations rotate zeta by d-power roots of unity and shift z by an
-exactly cancelling Q-difference.
+with Q monic of degree d + d'.  Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d)
+is Q plus a tail Q^- = O(1/zeta).  Q is read off the table's coefficients
+by truncated power-series arithmetic in 1/zeta.  Q^- is sampled on
+|zeta| = 1.25MR, below the table's reach, where lambda(0, zeta) is solved
+by Newton; the non-negative Fourier bins of those samples vanish up to
+rounding, and that is the check on Q.  R is the geometric series
+sum_i (d/a)^(i+1) Q^-(zeta^(d^i)).  Deck transformations rotate zeta by
+d-power roots of unity and shift z by an exactly cancelling Q-difference.
 """
 
 from __future__ import annotations
@@ -159,7 +158,6 @@ class CoverChart:
     H: HenonMap
     region: BoettcherRegion
     Q: ComplexPolynomial
-    rho: float
     qminus_rho: float
     qminus_samples: np.ndarray
     series_tol: float
@@ -268,6 +266,21 @@ def _series_table(H: HenonMap, region: BoettcherRegion):
     holomorphic function.  On the evaluation bidisc |sigma|, |upsilon| <=
     0.8 a dropped bin enters scaled by at most 0.8^(N/2) = 2.8e-2.
     NoConvergence if a node solve fails; DecayFailed if tail > 1e-12.
+
+    The proved bound.  Let B bound |f| on the torus |sigma| = |upsilon| = r
+    for some 1 < r < 4/3, f either function.  Cauchy's estimate gives
+    |f_jk| <= B r^-(j+k).  FFT bin (j, k) is f_jk plus the aliases
+    f_(j+pN, k+qN), p, q >= 0 not both 0 (f has no negative orders), so it
+    is off by at most B r^-(j+k) ((1 - r^-N)^-2 - 1).  On the evaluation
+    bidisc the truncated table is therefore within
+
+        B ((1 - (1 - q^K)^2) + ((1 - r^-N)^-2 - 1)) / (1 - q)^2,  q = 0.8/r,
+
+    of f.  For g, g(x, y) = -log(phi(x, lambda)/lambda), and log(phi/y) =
+    sum_n d^-(n+1) log(1 + w_n) with |w_n| <= 1/2 on W+_M, so
+    B = log 2/(d - 1) wherever (x, lambda) lies in W+_M.  As r -> 4/3 the
+    bound tends to 4.8e-3 B.  It is far above the error the tail measures,
+    which reaches rounding by K = 16, so the build gates on the tail.
     """
     N, K = _TORUS_N, _TORUS_N // 2
     x, w = _torus_nodes(region)
@@ -285,15 +298,6 @@ def _series_table(H: HenonMap, region: BoettcherRegion):
     return C, tail
 
 
-def _outside_series_bidisc(region: BoettcherRegion, X, W) -> bool:
-    """Does some point (X_i, W_i) miss the bidisc M*max(|x|, R) <= 0.6|w|?
-
-    A NaN coordinate counts as outside.
-    """
-    reach = region.M * np.maximum(np.abs(X), region.R.R)
-    return not bool((reach <= _SERIES_FRAC * np.abs(W)).all())
-
-
 # _series_eval builds its power table with one cumprod below this many
 # points, where the cost of a numpy call dominates, and with one multiply
 # per order from here on: numpy multiplies contiguous complex rows in its
@@ -307,10 +311,11 @@ def _series_eval(H: HenonMap, region: BoettcherRegion, X, W):
     """(psi, dlambda/dy, lambda) at the points (X_i, W_i) from the table.
 
     The points must lie in the series bidisc M*max(|X|, R) <= 0.6|W|;
-    SegmentOutsideRegion otherwise.  dpsi/dx is W * dlambda/dy.
+    SegmentOutsideRegion otherwise, a NaN coordinate counting as outside.
+    dpsi/dx is W * dlambda/dy.
     """
     X, W = np.asarray(X, dtype=complex).ravel(), np.asarray(W, dtype=complex).ravel()
-    if _outside_series_bidisc(region, X, W):
+    if not (region.M * np.maximum(np.abs(X), region.R.R) <= _SERIES_FRAC * np.abs(W)).all():
         raise SegmentOutsideRegion("point outside the series bidisc M*max(|x|, R) <= 0.6|y|")
     C, _ = _series_table(H, region)
     K = C.shape[0]
@@ -336,30 +341,52 @@ def _series_eval(H: HenonMap, region: BoettcherRegion, X, W):
 def _qtilde_batch(H: HenonMap, region: BoettcherRegion, zetas):
     """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d), psi from the table.
 
-    lambda(0, zeta) = zeta exp(g(0, 1/zeta)) comes from the table when
-    every zeta lies in the series bidisc, |zeta| >= MR/0.6: the build's
-    circles at rho = 2MR and 2 rho.  Below that (the Q^- circle at
-    1.25 MR, 0.8 of the radius of W+_M, and the band of _qminus_eval) it
-    is solved directly with lambda_vec.
+    Its callers, the Q^- circle at 1.25MR (0.8 of the radius of W+_M) and
+    the band of _qminus_eval, lie below the series bidisc |zeta| >= MR/0.6,
+    so lambda(0, zeta) is solved directly with lambda_vec.
     """
     zetas = np.asarray(zetas, dtype=complex)
-    zeros = np.zeros_like(zetas)
-    if _outside_series_bidisc(region, zeros, zetas):
-        lam0, ok = lambda_vec(H, zeros, zetas, _INNER_TOL, 100)
-        if not ok.all():
-            raise NoConvergence(100)
-    else:
-        lam0 = _series_eval(H, region, zeros, zetas)[2]
+    lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL, 100)
+    if not ok.all():
+        raise NoConvergence(100)
     x0 = first_component_axis_poly(H)(lam0)
     return _series_eval(H, region, x0, zetas**H.d)[0]
 
 
-def _extract_positive_part(samples, rho: float, top_degree: int):
-    """Fourier split: polynomial coefficients 0..top_degree from circle samples."""
-    n = samples.size
-    coef = np.fft.fft(samples) / n
-    j = np.arange(top_degree + 1)
-    return coef[: top_degree + 1] * rho ** (-j.astype(float)), coef
+def _q_from_series(H: HenonMap, region: BoettcherRegion) -> np.ndarray:
+    """Q's coefficients, constant first, from the series table.
+
+    In t = 1/zeta the table gives lambda(0, zeta) = zeta E(t) with
+    E = exp(sum_k g_0k (t/r_u)^k), so x0 = P1(lambda(0, zeta)) = t^(-d') X(t)
+    with X = t^d' P1(E/t), and with sigma = X t^(d-d')/r_s, upsilon =
+    t^d/r_u in psi(x0, zeta^d),
+
+        Qtilde = t^(-(d+d')) S(t),
+        S = X sum_jk a_jk r_s^(-j) r_u^(-k) X^j t^((d-d')j + dk).
+
+    Q_n is the t^(d+d'-n) coefficient of S; every product is truncated
+    after order d + d', which needs d + d' < K (build_chart checks).
+    """
+    C, _ = _series_table(H, region)
+    K = C.shape[0]
+    d, e, n = H.d, H.d - H.d_prime, H.d + H.d_prime + 1
+    r_s, r_u = _TORUS_FRAC / region.M, _TORUS_FRAC / (region.M * region.R.R)
+    # E = exp(G) by the recurrence m E_m = sum_k k G_k E_(m-k), from E' = G'E
+    G = C[0, 2 * K : 2 * K + n] * r_u ** -np.arange(n)
+    E = np.zeros_like(G)
+    E[0] = np.exp(G[0])
+    for m in range(1, n):
+        E[m] = (np.arange(1, m + 1) * G[1 : m + 1]) @ E[m - 1 :: -1] / m
+    # X = sum_i p_i E^i t^(d'-i) by Horner in E, then S / X by Horner in X
+    X, S = np.zeros_like(G), np.zeros_like(G)
+    for i, p in enumerate(first_component_axis_poly(H).coeffs[::-1]):
+        X = np.convolve(X, E)[:n]
+        X[i] += p
+    for j in range((n - 1) // e, -1, -1):
+        S = np.convolve(S, X)[:n]
+        k = np.arange((n - 1 - e * j) // d + 1)
+        S[e * j + d * k] += C[j, k] * r_s**-j * r_u**-k
+    return np.convolve(X, S)[:n][::-1]
 
 
 # chart construction: Qtilde samples per degree of Q (the circle size is
@@ -368,67 +395,57 @@ _SAMPLES_PER_DEGREE = 64
 
 
 def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
-    """Sample the conjugated map on circles and assemble the chart.
+    """Assemble the chart from the series table and one sample circle.
 
     Pipeline: prove the Bottcher region (certify_region), build the series
-    table of psi (_series_table), sample Qtilde on |zeta| = 2MR, split off
-    the monic degree-(d+d') polynomial Q by FFT, re-extract at twice the
-    radius as a stability check, store the Laurent tail Q^- as a sampled
-    circle evaluator on |zeta| = 1.25*MR, then fix t = 1/(4M) and take
-    Mtilde as the first 2MR * 2^k at which the closed form _r_series_bound
-    proves |R| < t |zeta|^2.  The bound falls as |zeta| grows while
-    t |zeta|^2 rises, so the one check at Mtilde covers every
-    |zeta| >= Mtilde.
+    table of psi (_series_table), take the monic degree-(d+d') polynomial
+    Q from its coefficients (_q_from_series), sample Qtilde on
+    |zeta| = 1.25MR and store the tail Q^- = Qtilde - Q there as a sampled
+    circle evaluator, then fix t = 1/(4M) and take Mtilde as the first
+    2MR * 2^k at which the closed form _r_series_bound proves
+    |R| < t |zeta|^2.  The bound falls as |zeta| grows while t |zeta|^2
+    rises, so the one check at Mtilde covers every |zeta| >= Mtilde.
 
-    lambda(0, zeta) on the 2MR and 4MR circles comes from the table, since
-    MR <= 0.6|zeta| puts (0, zeta) in its bidisc.  On the 1.25MR circle
-    1/zeta is at 0.8 of the radius of W+_M, outside the bidisc, and one
-    lambda_vec Newton solves it: the build's only lambda solve besides the
-    table's torus.
+    The circle is also the check on Q.  Q^- = O(1/zeta), so the
+    non-negative Fourier bins of its samples are rounding; bin n carries
+    the error of Q_n times rho_q^n.  decay_max is the largest of them
+    (DecayFailed above 1e-6 rho_q^(d+d')); meta["two_radius_agreement"] is
+    max_n |bin_n| rho_q^-n / max(|Q_n|, 1), and meta["tail_purity"] the
+    same over its floor eps max|Qtilde| rho_q^-n / max(|Q_n|, 1).  On the
+    circle 1/zeta is outside the series bidisc, and one lambda_vec Newton
+    solves lambda(0, zeta): the build's only lambda solve besides the
+    table's torus.  DecayFailed before any sampling if the table's
+    K = 16 orders cannot hold the d + d' + 1 coefficients of Q.
     """
+    deg, K = H.d + H.d_prime, _TORUS_N // 2
+    if deg >= K:
+        raise DecayFailed(f"Q needs d + d' + 1 = {deg + 1} series orders; the table has {K}")
     region = certify_region(H)
-    M = region.M
-    R = region.R.R
-    deg = H.d + H.d_prime
-    rho = 2.0 * M * R
-    n = 1 << max(6, int(np.ceil(np.log2(_SAMPLES_PER_DEGREE * deg))))
-    theta = 2.0 * np.pi * np.arange(n) / n
-    circle = np.exp(1j * theta)
-
-    qt = _qtilde_batch(H, region, rho * circle)
-    coeffs, bins = _extract_positive_part(qt, rho, deg)
+    coeffs = _q_from_series(H, region)
     monic_defect = abs(coeffs[-1] - 1.0)
     if monic_defect > 1e-6:
         raise MonicityFailed(float(monic_defect))
-
-    # bins strictly between deg and n/2 must be numerically dead
-    junk = np.abs(bins[deg + 1 : n // 2])
-    junk_max = float(junk.max()) if junk.size else 0.0
-    if junk_max > 1e-6 * rho**deg:
-        raise DecayFailed(
-            f"spurious high-degree content {junk_max:.3e} on |zeta|={rho}"
-        )
-
-    qt2 = _qtilde_batch(H, region, 2.0 * rho * circle)
-    coeffs2, _ = _extract_positive_part(qt2, 2.0 * rho, deg)
-    scale = np.maximum(np.abs(coeffs), 1.0)
-    agreement = float(np.max(np.abs(coeffs - coeffs2) / scale))
-    if agreement > 1e-7:
-        raise DecayFailed(
-            f"two-radius coefficient agreement {agreement:.3e} > 1e-7"
-        )
     Q = ComplexPolynomial(tuple(coeffs))
 
-    # sampled evaluator for the tail, on a circle close to the inner edge
+    M, R = region.M, region.R.R
+    n = 1 << max(6, int(np.ceil(np.log2(_SAMPLES_PER_DEGREE * deg))))
     q_rho = 1.25 * M * R
-    qt_inner = _qtilde_batch(H, region, q_rho * circle)
-    g = qt_inner - Q(q_rho * circle)
+    zk = q_rho * np.exp(2j * np.pi * np.arange(n) / n)
+    qt = _qtilde_batch(H, region, zk)
+    g = qt - Q(zk)
+    bins = np.abs(np.fft.fft(g)[: n // 2]) / n
+    decay_max = float(bins.max())
+    if decay_max > 1e-6 * q_rho**deg:
+        raise DecayFailed(f"Q^- has Fourier content {decay_max:.3e} in degrees >= 0")
+    low = bins[: deg + 1]
+    err = low * q_rho ** -np.arange(deg + 1.0) / np.maximum(np.abs(coeffs), 1.0)
+    # per degree the floor's rho_q^-n / max(|Q_n|, 1) cancels in the purity
+    purity = float(low.max() / (np.finfo(float).eps * np.abs(qt).max()))
 
     chart = CoverChart(
         H=H,
         region=region,
         Q=Q,
-        rho=rho,
         qminus_rho=q_rho,
         qminus_samples=g,
         series_tol=series_tol,
@@ -436,9 +453,10 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
         t=1.0 / (4.0 * M),
         meta={
             "monic_defect": float(monic_defect),
-            "decay_max": junk_max,
+            "decay_max": decay_max,
             "circle_samples": int(n),
-            "two_radius_agreement": agreement,
+            "two_radius_agreement": float(err.max()),
+            "tail_purity": purity,
             "series_tail": _series_table(H, region)[1],
         },
     )
@@ -664,7 +682,6 @@ def chart_to_dict(chart: CoverChart) -> dict:
         "map": {"factors": _factors_json(chart.H)},
         "region": {"M": chart.region.M, "R": chart.region.R.R},
         "Q": [_c2l(c) for c in chart.Q.coeffs],
-        "rho": chart.rho,
         "qminus_rho": chart.qminus_rho,
         "qminus_samples": np.stack(
             [chart.qminus_samples.real, chart.qminus_samples.imag], axis=1
@@ -690,7 +707,6 @@ def chart_from_dict(data: dict) -> CoverChart:
         H=H,
         region=BoettcherRegion(reg["M"], FiltrationRadius(reg["R"])),
         Q=ComplexPolynomial(tuple(_l2c(c) for c in data["Q"])),
-        rho=data["rho"],
         qminus_rho=data["qminus_rho"],
         qminus_samples=np.array([_l2c(c) for c in data["qminus_samples"]]),
         series_tol=data["series_tol"],

@@ -40,7 +40,16 @@ from .green import (
     sublevel_classes,
     sublevel_grid,
 )
-from .henon import HenonMap, Point, apply, apply_inverse, apply_inverse_xy, apply_xy, iterate
+from .henon import (
+    HenonError,
+    HenonMap,
+    Point,
+    apply,
+    apply_inverse,
+    apply_inverse_xy,
+    apply_xy,
+    iterate,
+)
 from .shortc2 import annulus_coordinate, classify_sublevel
 from .symmetry import (
     compute_d0,
@@ -224,14 +233,14 @@ def check_chart_semiconjugacy(H: HenonMap, chart, n: int = 50, seed: int = 31):
 
 
 def check_q_structure(H: HenonMap, chart):
+    """Degree d + d', monic defect over 1e-6, and tail purity over its floor."""
+
     def run():
         deg_ok = chart.Q.degree == H.d + H.d_prime
         monic = chart.meta.get("monic_defect", np.inf)
-        agree = chart.meta.get("two_radius_agreement", np.inf)
-        defect = max(
-            0.0 if deg_ok else 1.0, monic / 1e-6, agree / 1e-7
-        )
-        return defect, f"deg={chart.Q.degree}, monic={monic:.2e}, radii={agree:.2e}"
+        purity = chart.meta.get("tail_purity", np.inf)
+        defect = max(0.0 if deg_ok else 1.0, monic / 1e-6, purity)
+        return defect, f"deg={chart.Q.degree}, monic={monic:.2e}, purity={purity:.2f}"
 
     (defect, note), dt = _timed(run)
     return _record("cover.q_structure", defect, 1.0, dt, note=note)
@@ -575,7 +584,11 @@ def check_iterate_roundtrip(H: HenonMap, seed: int = 61):
 # ---------------------------------------------------------------------------
 
 def run_suite(H: HenonMap, level: str = "fast"):
-    """All checks at the requested scale; 'full' builds the cover chart."""
+    """All checks at the requested scale; 'full' builds the cover chart.
+
+    A chart build that raises a HenonError ends the suite with one failed
+    cover.build record naming the exception.
+    """
     fast = level != "full"
     k = 2 if fast else 1  # sample divisor
     results = [
@@ -592,7 +605,12 @@ def run_suite(H: HenonMap, level: str = "fast"):
         check_sublevel_band(H),
     ]
     if not fast:
-        chart = build_chart(H)
+        t0 = time.perf_counter()
+        try:
+            chart = build_chart(H)
+        except HenonError as exc:
+            dt, note = time.perf_counter() - t0, f"{type(exc).__name__}: {exc}"
+            return results + [_record("cover.build", np.inf, 0.0, dt, note)]
         results += [
             check_q_structure(H, chart),
             check_chart_semiconjugacy(H, chart),

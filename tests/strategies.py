@@ -103,3 +103,21 @@ def planted_attracting_map(rng):
     a = lam1 * lam2
     cs[0] = s + a * s - sum(c * s**k for k, c in enumerate(cs) if k >= 1)
     return make_henon([(cs, a)]), s
+
+
+def unit_box_maps(seed=12345):
+    """Ten seeded maps, the first five of one factor and the last five of two.
+
+    Each factor has degree 2 or 3; its non-leading coefficients, then a, are
+    uniform in the complex unit box.
+    """
+    rng = np.random.default_rng(seed)
+    maps = []
+    for m in [1] * 5 + [2] * 5:
+        factors = []
+        for _ in range(m):
+            deg = int(rng.integers(2, 4))
+            cs = list(rng.uniform(-1, 1, (deg, 2)) @ [1, 1j]) + [1.0]
+            factors.append((cs, rng.uniform(-1, 1, 2) @ [1, 1j]))
+        maps.append(make_henon(factors))
+    return maps

@@ -176,13 +176,14 @@ NAN, INF = float("nan"), float("inf")
     [
         ("window.center", {"window": {"center": [NAN, 0.0], "width": 5.0, "height": 5.0}}),
         ("window.width", {"window": {"center": [0.0, 0.0], "width": INF, "height": 5.0}}),
+        ("window.width", {"window": {"center": [0.0, 0.0], "width": 10**400, "height": 5.0}}),
         ("window.height", {"window": {"center": [0.0, 0.0], "width": 5.0, "height": NAN}}),
         ("plane.value", {"plane": {"kind": "fix_x", "value": NAN}}),
         ("plane.value", {"plane": {"kind": "fix_y", "value": [0.0, -INF]}}),
         ("quantity.c", {"quantity": {"kind": "sublevel", "c": INF}}),
         ("clamp", {"clamp": NAN}),
     ],
-    ids=["center", "width", "height", "fix_x-value", "fix_y-value", "sublevel-c", "clamp"],
+    ids=["center", "width", "width-int", "height", "fix_x-value", "fix_y-value", "sublevel-c", "clamp"],
 )
 def test_cli_non_finite_job_exit_2(tmp_path, capsys, field, change):
     spec = write_json(tmp_path / "m.json", QUADRATIC)
@@ -198,8 +199,9 @@ def test_cli_non_finite_job_exit_2(tmp_path, capsys, field, change):
     [
         ("factors[0].p[0]", {"p": [[NAN, 0], [0, 0], [1, 0]], "a": [0.8, 0]}),
         ("factors[0].a", {"p": [[-1.1, 0], [0, 0], [1, 0]], "a": [INF, 0]}),
+        ("factors[0].a", {"p": [[-1.1, 0], [0, 0], [1, 0]], "a": 10**400}),
     ],
-    ids=["p-nan", "a-inf"],
+    ids=["p-nan", "a-inf", "a-int"],
 )
 def test_cli_non_finite_spec_exit_2(tmp_path, capsys, field, factor):
     spec = write_json(tmp_path / "m.json", {"name": "bad", "factors": [factor]})
@@ -442,6 +444,41 @@ def test_cli_verify_full(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "cover.semiconjugacy" in out and "cover.deck_relation" in out
+
+
+def test_cli_verify_full_reports_a_failed_chart_build(tmp_path, capsys):
+    # d + d' = 27 needs more orders than the series table holds
+    cubic = {"p": [[0, 0], [0, 0], [0, 0], [1, 0]], "a": [0.5, 0]}
+    quadratic = {"p": [[-1, 0], [0, 0], [1, 0]], "a": [0.5, 0]}
+    spec = write_json(tmp_path / "m.json", {"name": "3.3.2", "factors": [cubic, cubic, quadratic]})
+    assert main(["verify", "--spec", spec, "--level", "full"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13  # 11 fast records, cover.build, the summary
+    assert lines[-2].startswith("FAIL  cover.build") and "DecayFailed: Q needs" in lines[-2]
+    assert lines[-1].endswith("/12 checks passed")
+
+
+@pytest.mark.parametrize(
+    "command, field, change",
+    [
+        ("info", "factors[0].a", {"factors": [{**QUADRATIC["factors"][0], "a": True}]}),
+        ("info", "factors[0].p[1]", {"factors": [{"p": [[-1.1, 0], [False, 0], [1, 0]]}]}),
+        ("render", "window.width", {"window": {**JOB["window"], "width": "5"}}),
+        ("render", "window.center", {"window": {**JOB["window"], "center": [True, "0"]}}),
+        ("render", "clamp", {"clamp": "3"}),
+    ],
+    ids=["a-true", "p-false", "width-string", "center", "clamp-string"],
+)
+def test_cli_booleans_and_strings_are_not_numbers(tmp_path, capsys, command, field, change):
+    if command == "info":
+        argv = ["info", "--spec", write_json(tmp_path / "m.json", {**QUADRATIC, **change})]
+    else:
+        spec = write_json(tmp_path / "m.json", QUADRATIC)
+        jobp = write_json(tmp_path / "j.json", {**JOB, **change})
+        argv = ["render", "--spec", spec, "--job", jobp, "--out", str(tmp_path / "g.pgm")]
+    assert main(argv) == 2
+    assert f"input error: {field}: expected a number" in capsys.readouterr().err
+    assert not (tmp_path / "g.pgm").exists()
 
 
 def test_write_pgm_format(tmp_path):

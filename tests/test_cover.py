@@ -18,6 +18,7 @@ from henoncover import (
     green_plus,
     lift_H,
     load_chart,
+    make_henon,
     psi_integral,
     psi_tilde,
     psi_tilde_inverse,
@@ -46,7 +47,7 @@ from henoncover.verification import (
     check_deck_additivity,
     check_r_series,
 )
-from strategies import henon_maps
+from strategies import henon_maps, unit_box_maps
 
 
 def sample_domain_points(chart, rng, n, depth=(1.0, 4.0)):
@@ -315,12 +316,13 @@ def test_chart_q_degree_and_monicity(href, href_chart):
     assert href_chart.Q.degree == href.d + href.d_prime == 3
     assert abs(href_chart.Q.coeffs[-1] - 1.0) <= 1e-6
     assert href_chart.meta["two_radius_agreement"] <= 1e-7
-    assert href_chart.meta["decay_max"] <= 1e-6 * href_chart.rho**3
+    assert href_chart.meta["decay_max"] <= 1e-6 * href_chart.qminus_rho**3
+    assert href_chart.meta["tail_purity"] <= 1.0
 
 
 def test_chart_radii_and_aspect(href_chart):
     M, R = href_chart.region.M, href_chart.region.R.R
-    assert href_chart.rho >= 2.0 * M * R
+    assert href_chart.qminus_rho == 1.25 * M * R
     assert href_chart.Mtilde >= 2.0 * M * R
     assert href_chart.t == 1.0 / (4.0 * M)
 
@@ -333,8 +335,8 @@ def test_two_factor_chart_degree(htwo, htwo_chart):
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
 def test_build_chart_solves_lambda_only_on_the_inner_circle(name, request, monkeypatch):
-    # lambda(0, zeta) on the rho and 2 rho circles comes from the series
-    # table; the one Newton of a build is on the Q^- circle at 1.25 MR
+    # Q comes from the series table's coefficients; the one Newton of a
+    # build is on the Q^- circle at 1.25 MR
     H = request.getfixturevalue(name)
     calls = []
 
@@ -351,7 +353,7 @@ def test_build_chart_solves_lambda_only_on_the_inner_circle(name, request, monke
 
 
 def build_circles(H, region):
-    """(n, rho): the sample count and the inner radius of build_chart's circles."""
+    """(n, rho): the sample count of build_chart's circle and the FFT oracle's radius 2MR."""
     deg = H.d + H.d_prime
     n = 1 << max(6, int(np.ceil(np.log2(cover._SAMPLES_PER_DEGREE * deg))))
     return n, 2.0 * region.M * region.R.R
@@ -384,22 +386,62 @@ def test_table_lambda_matches_newton_on_build_circles_on_random_maps(H):
     assert_table_lambda_matches_newton_on_build_circles(H)
 
 
-@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
-def test_chart_q_matches_extraction_from_newton_circle(name, request):
-    # Q extracted as before the table gave lambda(0, zeta): the same FFT of
-    # Qtilde on |zeta| = rho, lambda(0, zeta) by Newton.  Coefficient j of
-    # an n-point FFT carries at most the samples' error over rho^j
+@pytest.mark.parametrize(
+    "name, radius",
+    [(name, r) for r in (1.0, 2.0) for name in ("href", "htwo", "hcubic")],
+    ids=["href", "htwo", "hcubic", "href-2rho", "htwo-2rho", "hcubic-2rho"],
+)
+def test_chart_q_matches_extraction_from_newton_circle(name, radius, request):
+    # the oracle: the polynomial part of an FFT of Qtilde on |zeta| = r,
+    # r = rho = 2MR and 2 rho, with lambda(0, zeta) by Newton.  Coefficient
+    # j of an n-point FFT carries at most the samples' error over r^j
     chart = request.getfixturevalue(f"{name}_chart")
     H, region = chart.H, chart.region
     n, rho = build_circles(H, region)
-    assert (n, rho) == (chart.meta["circle_samples"], chart.rho)
-    zetas = rho * np.exp(2j * np.pi * np.arange(n) / n)
+    assert n == chart.meta["circle_samples"]
+    r = radius * rho
+    zetas = r * np.exp(2j * np.pi * np.arange(n) / n)
     x0 = first_component_axis_poly(H)(newton_lambda0(H, zetas))
     qt = cover._series_eval(H, region, x0, zetas**H.d)[0]
-    deg = H.d + H.d_prime
-    ref, _ = cover._extract_positive_part(qt, rho, deg)
-    bound = 64 * EPS * np.abs(qt).max() / rho ** np.arange(deg + 1)
+    j = np.arange(H.d + H.d_prime + 1)
+    ref = np.fft.fft(qt)[j] / n / r**j
+    bound = 64 * EPS * np.abs(qt).max() / r**j
     assert np.all(np.abs(np.array(chart.Q.coeffs) - ref) <= bound)
+
+
+@pytest.mark.parametrize("draw", range(5, 10))
+def test_two_factor_unit_box_draws_build_semiconjugate_charts(draw):
+    H = unit_box_maps()[draw]
+    assert len(H.factors) == 2
+    chart = build_chart(H)
+    assert chart.Q.degree == H.d + H.d_prime
+    assert check_chart_semiconjugacy(H, chart)["passed"]
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[([-1, 0, 1], 0.5)] * 3, [([0, 0, 0, 1], 0.5)] * 2],
+    ids=["quadratic-cubed", "cubic-squared"],
+)
+def test_degree_twelve_charts_have_a_pure_tail(factors):
+    # Q^- = O(1/zeta): Qtilde - Q has no non-negative Fourier content on the
+    # 1.25 MR circle above the samples' rounding
+    H = make_henon(factors)
+    chart = build_chart(H)
+    assert chart.Q.degree == H.d + H.d_prime == 12
+    assert chart.meta["tail_purity"] <= 1.0
+
+
+def test_chart_beyond_the_table_orders_raises_before_sampling(monkeypatch):
+    H = make_henon([([0, 0, 0, 1], 0.5), ([0, 0, 0, 1], 0.5), ([-1, 0, 1], 0.5)])
+    assert (H.d, H.d_prime) == (18, 9)
+
+    def sampled(*args):
+        raise AssertionError("sampled a circle")
+
+    monkeypatch.setattr(cover, "_qtilde_batch", sampled)
+    with pytest.raises(cover.DecayFailed, match=r"d \+ d' \+ 1 = 28 series orders; the table has 16"):
+        build_chart(H)
 
 
 def test_two_factor_semiconjugacy_and_covering(rng, htwo, htwo_chart):
@@ -614,7 +656,7 @@ def test_chart_json_round_trip(tmp_path, rng, href, href_chart):
     loaded = load_chart(path)
     assert loaded.Q.coeffs == href_chart.Q.coeffs
     assert loaded.qminus_samples.tobytes() == href_chart.qminus_samples.tobytes()
-    for field in ("H", "region", "rho", "qminus_rho", "series_tol", "Mtilde", "t", "meta"):
+    for field in ("H", "region", "qminus_rho", "series_tol", "Mtilde", "t", "meta"):
         assert getattr(loaded, field) == getattr(href_chart, field), field
     zeta = 1.7 * np.exp(0.23j)
     w = CoverPoint(0.4 - 0.1j, zeta)
@@ -645,8 +687,11 @@ def test_chart_dict_format(href_chart):
     old = json.loads(text)
     old["region"].update(epsilon=0.03558, samples=1400)
     old["meta"]["mtilde_certification_samples"] = 384
+    # and charts whose Q came from FFTs on two sample circles carry the
+    # first circle's radius
+    old["rho"] = 2.0 * href_chart.inner_radius
     loaded = chart_from_dict(old)
-    for name in ("H", "region", "Q", "rho", "qminus_rho", "series_tol", "Mtilde", "t"):
+    for name in ("H", "region", "Q", "qminus_rho", "series_tol", "Mtilde", "t"):
         assert getattr(loaded, name) == getattr(href_chart, name)
     assert np.array_equal(loaded.qminus_samples, href_chart.qminus_samples)
     assert loaded.meta == old["meta"]
