@@ -447,58 +447,65 @@ def _cmd_green(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_OUT = ("--out", dict(required=True, help="output path"))
+_POINT = ("--point", dict(required=True, help="re(x),im(x),re(y),im(y)"))
+
+# subcommand -> (handler, help, its arguments after --spec as (flag, keywords))
+_COMMANDS = {
+    "info": (_cmd_info, "degrees, Jacobian, radii, order bounds", [
+        ("--out", dict(help="output path")),
+    ]),
+    "render": (_cmd_render, "render a grid quantity to PGM", [
+        _OUT,
+        ("--job", dict(required=True, help="grid job JSON path")),
+        ("--csv", dict(help="optional raw CSV dump path")),
+        ("--tol", dict(type=float, default=1e-10)),
+        ("--budget", dict(type=int, default=64)),
+        ("--threads", dict(type=int, default=1)),
+    ]),
+    "verify": (_cmd_verify, "run the invariant suite", [
+        ("--level", dict(choices=("fast", "full"), default="fast", help="sample scale")),
+    ]),
+    "cover": (_cmd_cover, "build and persist a covering chart", [
+        _OUT,
+        ("--tol", dict(type=float, default=1e-12)),
+    ]),
+    "symmetries": (_cmd_symmetries, "search affine symmetries", [_OUT]),
+    "classify": (_cmd_classify, "sub-level classification of one point", [
+        _POINT,
+        ("--c", dict(type=float, required=True, help="sub-level threshold")),
+        ("--budget", dict(type=int, default=256)),
+    ]),
+    "green": (_cmd_green, "Green's function at one point", [
+        _POINT,
+        ("--direction", dict(choices=("plus", "minus"), default="plus")),
+        ("--tol", dict(type=float, default=1e-10)),
+        ("--budget", dict(type=int, default=256)),
+    ]),
+}
+
+
+def _parser(commands) -> argparse.ArgumentParser:
+    """The henoncover parser with only the named subcommands."""
     ap = argparse.ArgumentParser(
         prog="henoncover",
         description="Escaping-set machinery for generalized complex Henon maps",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help):
+    for name in commands:
+        func, help, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help)
         p.add_argument("--spec", required=True, help="map spec JSON path")
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
-        return p
-
-    p = command("info", _cmd_info, "degrees, Jacobian, radii, order bounds")
-    p.add_argument("--out", help="output path")
-
-    p = command("render", _cmd_render, "render a grid quantity to PGM")
-    p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--job", required=True, help="grid job JSON path")
-    p.add_argument("--csv", help="optional raw CSV dump path")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--threads", type=int, default=1)
-
-    p = command("verify", _cmd_verify, "run the invariant suite")
-    p.add_argument(
-        "--level", choices=("fast", "full"), default="fast", help="sample scale"
-    )
-
-    p = command("cover", _cmd_cover, "build and persist a covering chart")
-    p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = command("symmetries", _cmd_symmetries, "search affine symmetries")
-    p.add_argument("--out", required=True, help="output path")
-
-    p = command("classify", _cmd_classify, "sub-level classification of one point")
-    p.add_argument("--point", required=True, help="re(x),im(x),re(y),im(y)")
-    p.add_argument("--c", type=float, required=True, help="sub-level threshold")
-    p.add_argument("--budget", type=int, default=256)
-
-    p = command("green", _cmd_green, "Green's function at one point")
-    p.add_argument("--point", required=True, help="re(x),im(x),re(y),im(y)")
-    p.add_argument("--direction", choices=("plus", "minus"), default="plus")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--budget", type=int, default=256)
-
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    """Run one subcommand; its parser alone is built when argv names one."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = _parser([argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS)
     args = ap.parse_args(argv)
     try:
         return args.func(args)

@@ -1,17 +1,30 @@
 """Runnable invariant suite shared by `henoncover verify` and the tests.
 
-Every check returns a record {name, defect, tol, passed, seconds, note};
-`run_suite` collects them at two sample scales (fast/full) for a given
-map.  The checks mirror the per-module identities: inverse round trips,
-filtration invariance, the Green functorial law, Bottcher semiconjugacy,
-chart semiconjugacy, the deck relations, the covering-map diagram, the
-correction-series identity, d0 arithmetic, symmetry-group structure,
-sub-level laws, the escape band behind sub-level renders, and
+Each check is a plain function of the map (and chart) that returns its
+defect, or (defect, note); the `_check(name, tol)` decorator turns it into
+a record {name, defect, tol, passed, seconds, note} with passed = defect
+<= tol.  `seconds` times the whole call: the sampling, any setup the
+check does itself (filtration radius, Bottcher region, symmetry search)
+and the identity itself, but not a chart passed in.  A `HenonError`
+raised inside a check becomes a failed record with defect inf and note
+"ExceptionName: message", as a failed chart build does in `run_suite`;
+any other exception is a programming error and propagates.  A check that
+finds nothing to sample also fails with defect inf, and its note counts
+what it sampled.
+
+`run_suite` collects the records at two sample scales (fast/full) for a
+given map.  The checks mirror the per-module identities: inverse round
+trips, filtration invariance, the Green functorial law, Bottcher
+semiconjugacy, chart semiconjugacy, the deck relations, the covering-map
+diagram, the correction-series identity, d0 arithmetic, symmetry-group
+structure, sub-level laws, the escape band behind sub-level renders, and
 byte-determinism of rendering.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from dataclasses import replace
 
@@ -72,13 +85,41 @@ def _record(name, defect, tol, seconds, note=""):
     }
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
+def _failed(name, tol, seconds, exc: HenonError):
+    return _record(name, np.inf, tol, seconds, f"{type(exc).__name__}: {exc}")
 
 
-def _region_points(H: HenonMap, region, n: int, seed: int, depth=(1.5, 8.0)):
+def _check(name, tol):
+    """Decorate a check body that returns defect or (defect, note).
+
+    `name` is the record name, or a function of the body's arguments (with
+    their defaults) that returns it.
+    """
+
+    def wrap(fn):
+        signature = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def check(*args, **kwargs):
+            label = name
+            if callable(name):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                label = name(**bound.arguments)
+            t0 = time.perf_counter()
+            try:
+                out = fn(*args, **kwargs)
+            except HenonError as exc:
+                return _failed(label, tol, time.perf_counter() - t0, exc)
+            defect, note = out if isinstance(out, tuple) else (out, "")
+            return _record(label, defect, tol, time.perf_counter() - t0, note)
+
+        return check
+
+    return wrap
+
+
+def _region_points(region, n: int, seed: int, depth=(1.5, 8.0)):
     rng = np.random.default_rng(seed)
     M, R = region.M, region.R.R
     ys = (
@@ -95,256 +136,188 @@ def _region_points(H: HenonMap, region, n: int, seed: int, depth=(1.5, 8.0)):
     return [Point(complex(x), complex(y)) for x, y in zip(xs, ys)]
 
 
-# ---------------------------------------------------------------------------
-# module-level checks
-
-def check_inverse_roundtrip(H: HenonMap, n: int = 100, seed: int = 11):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-
-    def run():
-        nonlocal worst
-        for _ in range(n):
-            z = Point(
-                complex(rng.normal(), rng.normal()),
-                complex(rng.normal(), rng.normal()),
-            )
-            w = apply_inverse(H, apply(H, z))
-            v = apply(H, apply_inverse(H, z))
-            scale = max(1.0, abs(z.x), abs(z.y))
-            worst = max(
-                worst,
-                max(abs(w.x - z.x), abs(w.y - z.y)) / scale,
-                max(abs(v.x - z.x), abs(v.y - z.y)) / scale,
-            )
-
-    _, dt = _timed(run)
-    return _record("core.inverse_roundtrip", worst, 1e-12, dt)
-
-
-def check_filtration_invariance(H: HenonMap, n: int = 10000, seed: int = 13):
-    R = filtration_radius(H)
-    rng = np.random.default_rng(seed)
-
-    def run():
-        mags = R.R * np.exp(rng.uniform(0.0, np.log(100.0), n))
-        frac = rng.uniform(0.0, 1.0, n)
-        ph1 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        ph2 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        # V+ samples: |y| >= max(|x|, R)
-        fx, fy = apply_xy(H, frac * mags * ph1, mags * ph2)
-        bad = int(np.sum(~(np.abs(fy) >= np.maximum(np.abs(fx), R.R))))
-        # V- samples: |x| >= max(|y|, R), pulled back
-        kx, ky = apply_inverse_xy(H, mags * ph1, frac * mags * ph2)
-        bad += int(np.sum(~(np.abs(kx) >= np.maximum(np.abs(ky), R.R))))
-        return bad
-
-    bad, dt = _timed(run)
-    return _record(
-        "filtration.invariance", bad, 0, dt, note=f"{2 * n} samples, R={R.R:g}"
+def _box_point(rng, h: float) -> Point:
+    """A point uniform in the box |Re|, |Im| <= h of both coordinates."""
+    return Point(
+        h * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+        h * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
     )
 
 
+def _polar(rng, lo: float, hi: float, scale: float = 1.0):
+    """scale r e^(i t), r uniform in [lo, hi] and t uniform in [0, 2 pi)."""
+    return scale * rng.uniform(lo, hi) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+
+
+def _cover_sample(rng, lo: float, hi: float, z_scale: float = 1.0) -> CoverPoint:
+    """A cover point with |zeta| uniform in [lo, hi] and a normal z."""
+    zeta = _polar(rng, lo, hi)
+    return CoverPoint(z_scale * complex(rng.normal(), rng.normal()), zeta)
+
+
+def _point_defect(w: Point, z: Point) -> float:
+    """Max-norm distance of w from z, relative to max(1, |z|)."""
+    return max(abs(w.x - z.x), abs(w.y - z.y)) / max(1.0, abs(z.x), abs(z.y))
+
+
+def _cover_defect(w: CoverPoint, v: CoverPoint) -> float:
+    """Distance of w from v, per coordinate relative to max(1, |v|)."""
+    return max(abs(w.z - v.z) / max(1.0, abs(v.z)), abs(w.zeta - v.zeta) / max(1.0, abs(v.zeta)))
+
+
+# ---------------------------------------------------------------------------
+# module-level checks
+
+@_check("core.inverse_roundtrip", 1e-12)
+def check_inverse_roundtrip(H: HenonMap, n: int = 100, seed: int = 11):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        z = Point(complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
+        w = apply_inverse(H, apply(H, z))
+        v = apply(H, apply_inverse(H, z))
+        worst = max(worst, _point_defect(w, z), _point_defect(v, z))
+    return worst
+
+
+@_check("filtration.invariance", 0)
+def check_filtration_invariance(H: HenonMap, n: int = 10000, seed: int = 13):
+    R = filtration_radius(H)
+    rng = np.random.default_rng(seed)
+    mags = R.R * np.exp(rng.uniform(0.0, np.log(100.0), n))
+    frac = rng.uniform(0.0, 1.0, n)
+    ph1 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    ph2 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    # V+ samples: |y| >= max(|x|, R)
+    fx, fy = apply_xy(H, frac * mags * ph1, mags * ph2)
+    bad = int(np.sum(~(np.abs(fy) >= np.maximum(np.abs(fx), R.R))))
+    # V- samples: |x| >= max(|y|, R), pulled back
+    kx, ky = apply_inverse_xy(H, mags * ph1, frac * mags * ph2)
+    bad += int(np.sum(~(np.abs(kx) >= np.maximum(np.abs(ky), R.R))))
+    return bad, f"{2 * n} samples, R={R.R:g}"
+
+
+@_check(lambda forward, **_: "green.functorial" if forward else "green.functorial_minus", 1e-6)
 def check_green_functorial(H: HenonMap, n: int = 200, seed: int = 17, forward: bool = True):
     """G+(H(z)) = d G+(z), or with forward=False G-(H^-1(z)) = d G-(z)."""
     green, step = (green_plus, apply) if forward else (green_minus, apply_inverse)
-
-    def run():
-        pts = escaping_samples(H, n, seed, N_max=96, forward=forward)
-        worst = 0.0
-        for z, g in pts:
-            g2 = green(H, step(H, z), N_max=96)
-            worst = max(worst, abs(g2.value - H.d * g) / max(1.0, H.d * g))
-        return worst
-
-    worst, dt = _timed(run)
-    name = "green.functorial" if forward else "green.functorial_minus"
-    return _record(name, worst, 1e-6, dt, note=f"{n} points")
+    worst = 0.0
+    for z, g in escaping_samples(H, n, seed, N_max=96, forward=forward):
+        g2 = green(H, step(H, z), N_max=96)
+        worst = max(worst, abs(g2.value - H.d * g) / max(1.0, H.d * g))
+    return worst, f"{n} points"
 
 
+@_check("green.zero_on_bounded", 0.0)
 def check_green_basics(H: HenonMap, seed: int = 19):
-    def run():
-        worst = 0.0
-        # zero on points still bounded at full budget
-        rng = np.random.default_rng(seed)
-        R = filtration_radius(H)
-        for _ in range(40):
-            z = Point(
-                0.3 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                0.3 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            )
-            g = green_plus(H, z, N_max=128)
+    """G+ and G- vanish where the orbit stays bounded for the full budget.
+
+    Samples the box |Re|, |Im| <= 0.3; a run with no bounded sample fails.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    used = 0
+    for _ in range(40):
+        z = _box_point(rng, 0.3)
+        for g in (green_plus(H, z, N_max=128), green_minus(H, z, N_max=128)):
             if g.depth == 128:
+                used += 1
                 worst = max(worst, g.value)
-            gm = green_minus(H, z, N_max=128)
-            if gm.depth == 128:
-                worst = max(worst, gm.value)
-        return worst
-
-    worst, dt = _timed(run)
-    return _record("green.zero_on_bounded", worst, 0.0, dt)
+    return worst if used else np.inf, f"{used} bounded samples"
 
 
+@_check("boettcher.semiconjugacy", 1e-8)
 def check_boettcher(H: HenonMap, n: int = 100, seed: int = 29):
-    region = certify_region(H)
-
-    def run():
-        pts = _region_points(H, region, n, seed)
-        worst = 0.0
-        for z in pts:
-            p = bottcher_phi(H, z)
-            p2 = bottcher_phi(H, apply(H, z))
-            worst = max(worst, abs(p2 - p**H.d) / abs(p) ** H.d)
-            g = green_plus(H, z, N_max=96)
-            worst = max(worst, abs(np.log(abs(p)) - g.value))
-        return worst
-
-    worst, dt = _timed(run)
-    return _record("boettcher.semiconjugacy", worst, 1e-8, dt, note=f"{n} points")
+    worst = 0.0
+    for z in _region_points(certify_region(H), n, seed):
+        p = bottcher_phi(H, z)
+        p2 = bottcher_phi(H, apply(H, z))
+        worst = max(worst, abs(p2 - p**H.d) / abs(p) ** H.d)
+        g = green_plus(H, z, N_max=96)
+        worst = max(worst, abs(np.log(abs(p)) - g.value))
+    return worst, f"{n} points"
 
 
+@_check("cover.semiconjugacy", 1e-6)
 def check_chart_semiconjugacy(H: HenonMap, chart, n: int = 50, seed: int = 31):
-    def run():
-        rng = np.random.default_rng(seed)
-        MR = chart.inner_radius
-        worst = 0.0
-        for _ in range(n):
-            y = (
-                2.0 * MR
-                * rng.uniform(1.0, 4.0)
-                * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            )
-            x = (
-                rng.uniform(0.0, abs(y) / (3.0 * chart.region.M))
-                * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            )
-            z = Point(x, y)
-            w1 = psi_tilde(chart, apply(H, z))
-            w2 = lift_H(chart, psi_tilde(chart, z))
-            worst = max(
-                worst,
-                abs(w1.z - w2.z) / max(1.0, abs(w2.z)),
-                abs(w1.zeta - w2.zeta) / max(1.0, abs(w2.zeta)),
-            )
-        return worst
-
-    worst, dt = _timed(run)
-    return _record("cover.semiconjugacy", worst, 1e-6, dt, note=f"{n} points")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        y = _polar(rng, 1.0, 4.0, 2.0 * chart.inner_radius)
+        z = Point(_polar(rng, 0.0, abs(y) / (3.0 * chart.region.M)), y)
+        w1 = psi_tilde(chart, apply(H, z))
+        worst = max(worst, _cover_defect(w1, lift_H(chart, psi_tilde(chart, z))))
+    return worst, f"{n} points"
 
 
+@_check("cover.q_structure", 1.0)
 def check_q_structure(H: HenonMap, chart):
     """Degree d + d', monic defect over 1e-6, and tail purity over its floor."""
-
-    def run():
-        deg_ok = chart.Q.degree == H.d + H.d_prime
-        monic = chart.meta.get("monic_defect", np.inf)
-        purity = chart.meta.get("tail_purity", np.inf)
-        defect = max(0.0 if deg_ok else 1.0, monic / 1e-6, purity)
-        return defect, f"deg={chart.Q.degree}, monic={monic:.2e}, purity={purity:.2f}"
-
-    (defect, note), dt = _timed(run)
-    return _record("cover.q_structure", defect, 1.0, dt, note=note)
+    deg_ok = chart.Q.degree == H.d + H.d_prime
+    monic = chart.meta.get("monic_defect", np.inf)
+    purity = chart.meta.get("tail_purity", np.inf)
+    defect = max(0.0 if deg_ok else 1.0, monic / 1e-6, purity)
+    return defect, f"deg={chart.Q.degree}, monic={monic:.2e}, purity={purity:.2f}"
 
 
+@_check("cover.deck_relation", 1e-10)
 def check_deck(H: HenonMap, chart, pts: int = 20, seed: int = 37):
     d = H.d
-
-    def run():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for n in (1, 2, 3):
-            for k in range(1, d**n):
-                for _ in range(pts):
-                    zeta = rng.uniform(1.2, 2.5) * np.exp(
-                        1j * rng.uniform(0, 2 * np.pi)
-                    )
-                    w = CoverPoint(complex(rng.normal(), rng.normal()), zeta)
-                    l1 = lift_H(chart, deck(chart, DeckLabel.reduced(k, n, d), w))
-                    l2 = deck(
-                        chart, DeckLabel.reduced(k, n - 1, d), lift_H(chart, w)
-                    )
-                    worst = max(
-                        worst,
-                        abs(l1.z - l2.z) / max(1.0, abs(l2.z)),
-                        abs(l1.zeta - l2.zeta) / max(1.0, abs(l2.zeta)),
-                    )
-        return worst
-
-    worst, dt = _timed(run)
-    return _record("cover.deck_relation", worst, 1e-10, dt)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in (1, 2, 3):
+        for k in range(1, d**n):
+            for _ in range(pts):
+                w = _cover_sample(rng, 1.2, 2.5)
+                l1 = lift_H(chart, deck(chart, DeckLabel.reduced(k, n, d), w))
+                l2 = deck(chart, DeckLabel.reduced(k, n - 1, d), lift_H(chart, w))
+                worst = max(worst, _cover_defect(l1, l2))
+    return worst
 
 
+@_check("cover.deck_additivity", 1e-10)
 def check_deck_additivity(
     H: HenonMap, chart, seed: int = 41, levels: int = 2, zeta_range=(1.2, 2.2)
 ):
     """Deck labels add: k1/d^n then k2/d^n equals (k1 + k2)/d^n, for n <= levels."""
     d = H.d
-
-    def run():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for n in range(1, levels + 1):
-            for k1 in range(d**n):
-                for k2 in range(d**n):
-                    zeta = rng.uniform(*zeta_range) * np.exp(
-                        1j * rng.uniform(0, 2 * np.pi)
-                    )
-                    w = CoverPoint(complex(rng.normal(), rng.normal()), zeta)
-                    l1 = deck(
-                        chart,
-                        DeckLabel.reduced(k1, n, d),
-                        deck(chart, DeckLabel.reduced(k2, n, d), w),
-                    )
-                    l2 = deck(chart, DeckLabel.reduced(k1 + k2, n, d), w)
-                    worst = max(
-                        worst,
-                        abs(l1.z - l2.z) / max(1.0, abs(l2.z)),
-                        abs(l1.zeta - l2.zeta) / max(1.0, abs(l2.zeta)),
-                    )
-        return worst
-
-    worst, dt = _timed(run)
-    return _record("cover.deck_additivity", worst, 1e-10, dt)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in range(1, levels + 1):
+        for k1 in range(d**n):
+            for k2 in range(d**n):
+                w = _cover_sample(rng, *zeta_range)
+                l1 = deck(
+                    chart, DeckLabel.reduced(k1, n, d), deck(chart, DeckLabel.reduced(k2, n, d), w)
+                )
+                l2 = deck(chart, DeckLabel.reduced(k1 + k2, n, d), w)
+                worst = max(worst, _cover_defect(l1, l2))
+    return worst
 
 
+@_check("cover.projection", 1e-6)
 def check_covering_map(H: HenonMap, chart, n: int = 30, budget: int = 20, seed: int = 43):
-    def run():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n):
-            zeta = rng.uniform(1.15, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            w = CoverPoint(0.4 * complex(rng.normal(), rng.normal()), zeta)
-            p1 = covering_map(chart, lift_H(chart, w), budget)
-            p2 = apply(H, covering_map(chart, w, budget))
-            scale = max(1.0, abs(p2.x), abs(p2.y))
-            worst = max(worst, max(abs(p1.x - p2.x), abs(p1.y - p2.y)) / scale)
-            q1 = covering_map(chart, deck(chart, DeckLabel.reduced(1, 1, H.d), w), budget)
-            q2 = covering_map(chart, w, budget)
-            scale = max(1.0, abs(q2.x), abs(q2.y))
-            worst = max(worst, max(abs(q1.x - q2.x), abs(q1.y - q2.y)) / scale)
-        return worst
-
-    worst, dt = _timed(run)
-    return _record("cover.projection", worst, 1e-6, dt, note=f"{n} points")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        w = _cover_sample(rng, 1.15, 2.0, z_scale=0.4)
+        p1 = covering_map(chart, lift_H(chart, w), budget)
+        p2 = apply(H, covering_map(chart, w, budget))
+        q1 = covering_map(chart, deck(chart, DeckLabel.reduced(1, 1, H.d), w), budget)
+        q2 = covering_map(chart, w, budget)
+        worst = max(worst, _point_defect(p1, p2), _point_defect(q1, q2))
+    return worst, f"{n} points"
 
 
+@_check("cover.series_identity", 1e-8)
 def check_r_series(H: HenonMap, chart, n: int = 50, seed: int = 47):
-    def run():
-        rng = np.random.default_rng(seed)
-        MR = chart.inner_radius
-        worst = 0.0
-        for _ in range(n):
-            z = (
-                2.0 * MR
-                * rng.uniform(1.0, 3.0)
-                * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            )
-            lhs = (H.jacobian / H.d) * r_series(chart, z) - r_series(chart, z**H.d)
-            worst = max(worst, abs(lhs - _qminus_eval(chart, z)))
-        return worst
-
-    worst, dt = _timed(run)
-    return _record("cover.series_identity", worst, 1e-8, dt, note=f"{n} points")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        z = _polar(rng, 1.0, 3.0, 2.0 * chart.inner_radius)
+        lhs = (H.jacobian / H.d) * r_series(chart, z) - r_series(chart, z**H.d)
+        worst = max(worst, abs(lhs - _qminus_eval(chart, z)))
+    return worst, f"{n} points"
 
 
 def brute_force_d0(d: int, d_prime: int) -> int:
@@ -374,22 +347,20 @@ def brute_force_d0(d: int, d_prime: int) -> int:
     return best
 
 
+@_check("symmetry.d0", 0.0)
 def check_d0():
-    def run():
-        if compute_d0(2, 1) != 3 or compute_d0(3, 1) != 4:
-            return 1.0
-        for d in range(2, 31):
-            for dp in range(1, d + 1):
-                if brute_force_d0(d, dp) != compute_d0(d, dp):
-                    return 1.0
-        return 0.0
-
-    worst, dt = _timed(run)
-    return _record("symmetry.d0", worst, 0.0, dt, note="oracle sweep d<=30")
+    note = "oracle sweep d<=30"
+    if compute_d0(2, 1) != 3 or compute_d0(3, 1) != 4:
+        return 1.0, note
+    agree = all(
+        brute_force_d0(d, dp) == compute_d0(d, dp) for d in range(2, 31) for dp in range(1, d + 1)
+    )
+    return (0.0 if agree else 1.0), note
 
 
-def symmetry_structure_record(H: HenonMap, report, seconds: float = 0.0):
-    """Group-structure test of a symmetry report as a check record.
+@_check("symmetry.group_structure", 0.0)
+def symmetry_structure_record(H: HenonMap, report=None):
+    """Group-structure test of a symmetry report (by default H's own) as a check record.
 
     The reported group must be cyclic with an order dividing the bound
     (d + d')(d - 1), and every element must commute with H^2 by the factor
@@ -397,26 +368,23 @@ def symmetry_structure_record(H: HenonMap, report, seconds: float = 0.0):
     degree.  The expanded H^2 comparison of commutes_with_power is not used
     here: its defect is a difference of coefficients as large as those of
     H^2, and on a d = 6 map with a correct group of order 5 it reaches
-    1.7e-8 where the chain stays at rounding.
+    1.7e-8 where the chain stays at rounding.  With no report given, the
+    timed call includes the symmetry search.
     """
-    t0 = time.perf_counter()
+    if report is None:
+        report = find_affine_symmetries(H)
     cyclic, order = verify_cyclic(report)
     bound = (H.d + H.d_prime) * (H.d - 1)
-    bad = 0.0 if cyclic and order >= 1 and bound % order == 0 else 1.0
-    note = f"order={order}, bound={bound}, commutation={report.max_commutation_defect:.1e}"
     witness = [factor_chain_witness(H, L) for L in report.generators]
-    if not all(ok for ok, _ in witness):
-        bad = 1.0
-    note += f", factor-chain witness={max(defect for _, defect in witness):.1e}"
-    seconds += time.perf_counter() - t0
-    return _record("symmetry.group_structure", bad, 0.0, seconds, note=note)
+    ok = cyclic and order >= 1 and bound % order == 0 and all(w for w, _ in witness)
+    note = (
+        f"order={order}, bound={bound}, commutation={report.max_commutation_defect:.1e}"
+        f", factor-chain witness={max(defect for _, defect in witness):.1e}"
+    )
+    return (0.0 if ok else 1.0), note
 
 
-def check_symmetry_structure(H: HenonMap):
-    rep, dt = _timed(lambda: find_affine_symmetries(H))
-    return symmetry_structure_record(H, rep, dt)
-
-
+@_check("shortc2.equivariance", 0.0)
 def check_sublevel_equivariance(
     H: HenonMap, n: int = 100, c: float = 0.8, seed: int = 53, half_width=None
 ):
@@ -424,28 +392,20 @@ def check_sublevel_equivariance(
 
     Samples are uniform in the box |Re|, |Im| <= half_width (default 1.5 R).
     """
-
-    def run():
-        rng = np.random.default_rng(seed)
-        h = 1.5 * filtration_radius(H).R if half_width is None else half_width
-        mismatches = 0
-        used = 0
-        while used < n:
-            z = Point(
-                h * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                h * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            )
-            c1 = classify_sublevel(H, c, z, budget=128)
-            c2 = classify_sublevel(H, H.d * c, apply(H, z), budget=128)
-            if c1.ambiguous or c2.ambiguous:
-                continue
-            used += 1
-            if c1.tag is not c2.tag:
-                mismatches += 1
-        return mismatches
-
-    worst, dt = _timed(run)
-    return _record("shortc2.equivariance", worst, 0.0, dt, note=f"{n} points")
+    rng = np.random.default_rng(seed)
+    h = 1.5 * filtration_radius(H).R if half_width is None else half_width
+    mismatches = 0
+    used = 0
+    while used < n:
+        z = _box_point(rng, h)
+        c1 = classify_sublevel(H, c, z, budget=128)
+        c2 = classify_sublevel(H, H.d * c, apply(H, z), budget=128)
+        if c1.ambiguous or c2.ambiguous:
+            continue
+        used += 1
+        if c1.tag is not c2.tag:
+            mismatches += 1
+    return mismatches, f"{n} points"
 
 
 def _ulps(v: float, k: int) -> float:
@@ -455,6 +415,7 @@ def _ulps(v: float, k: int) -> float:
     return float(v)
 
 
+@_check("shortc2.sublevel_band", 1.0)
 def check_sublevel_band(
     H: HenonMap, n: int = 40, size: int = 64, picks: int = 2, seed: int = 67, budget: int = 64
 ):
@@ -474,111 +435,90 @@ def check_sublevel_band(
     """
     from .cli import _CLASS_SHADES, GridJob, _tile_points, render_grid
 
-    def run():
-        R = filtration_radius(H).R
-        width = escape_band(H) + BAND_SLACK
-        ratio = 0.0
-        for z, g in escaping_samples(H, n, seed, N_max=96):
-            m, _, y = escape_orbit(H, complex(z.x), complex(z.y), R, 96)
-            scale = float(H.d) ** -m
-            ratio = max(ratio, abs(g - scale * np.log(abs(y))) / (scale * width))
-        job = GridJob(
-            "real_slice", 0j, (0.0, 0.0), 2.0 * R, 2.0 * R, size, size, "sublevel", 1.0, 1.0
-        )
-        xs, ys = (np.ravel(a) for a in _tile_points(job, 0, size))
-        xs = np.append(xs, [np.inf, np.nan, 0.0, 1e160, 1e200j, 2.0 * R])
-        ys = np.append(ys, [np.inf, 1.0, 1e200, 1e155, 1.0, np.inf])
-        vals, _, depths = green_plus_grid(H, xs, ys, R, budget)
-        pool = vals[(vals > 0.0) & np.isfinite(vals)]
-        rng = np.random.default_rng(seed)
-        cs = [
-            c
-            for v in rng.choice(pool, picks)
-            for c in [_ulps(v, k) for k in (-4, -1, 0, 1, 4)] + [v * (1.0 + 2.0**-20)]
-        ]
-        bad = 0
-        for c in cs:
-            want = sublevel_classes(vals, depths, budget, c)
-            bad += np.count_nonzero(sublevel_grid(H, xs, ys, R, budget, c) != want)
-            image = render_grid(H, replace(job, c=c), budget)
-            bad += np.count_nonzero(image.ravel() != _CLASS_SHADES[want[: size * size]])
-        return ratio + bad, f"band ratio {ratio:.3f}, {bad} pixels differ, {len(cs)} c values"
-
-    (defect, note), dt = _timed(run)
-    return _record("shortc2.sublevel_band", defect, 1.0, dt, note=note)
+    R = filtration_radius(H).R
+    width = escape_band(H) + BAND_SLACK
+    ratio = 0.0
+    for z, g in escaping_samples(H, n, seed, N_max=96):
+        m, _, y = escape_orbit(H, complex(z.x), complex(z.y), R, 96)
+        scale = float(H.d) ** -m
+        ratio = max(ratio, abs(g - scale * np.log(abs(y))) / (scale * width))
+    job = GridJob(
+        "real_slice", 0j, (0.0, 0.0), 2.0 * R, 2.0 * R, size, size, "sublevel", 1.0, 1.0
+    )
+    xs, ys = (np.ravel(a) for a in _tile_points(job, 0, size))
+    xs = np.append(xs, [np.inf, np.nan, 0.0, 1e160, 1e200j, 2.0 * R])
+    ys = np.append(ys, [np.inf, 1.0, 1e200, 1e155, 1.0, np.inf])
+    vals, _, depths = green_plus_grid(H, xs, ys, R, budget)
+    pool = vals[(vals > 0.0) & np.isfinite(vals)]
+    rng = np.random.default_rng(seed)
+    cs = [
+        c
+        for v in rng.choice(pool, picks)
+        for c in [_ulps(v, k) for k in (-4, -1, 0, 1, 4)] + [v * (1.0 + 2.0**-20)]
+    ]
+    bad = 0
+    for c in cs:
+        want = sublevel_classes(vals, depths, budget, c)
+        bad += np.count_nonzero(sublevel_grid(H, xs, ys, R, budget, c) != want)
+        image = render_grid(H, replace(job, c=c), budget)
+        bad += np.count_nonzero(image.ravel() != _CLASS_SHADES[want[: size * size]])
+    return ratio + bad, f"band ratio {ratio:.3f}, {bad} pixels differ, {len(cs)} c values"
 
 
+@_check("shortc2.modulus_law", 1e-8)
 def check_annulus_modulus(H: HenonMap, chart, n: int = 100, seed: int = 59):
-    def run():
-        pts = escaping_samples(H, n, seed, N_max=96)
-        worst = 0.0
-        for z, _ in pts:
-            z1 = annulus_coordinate(chart, z)
-            z2 = annulus_coordinate(chart, apply(H, z))
-            worst = max(
-                worst, abs(abs(z2) - abs(z1) ** H.d) / abs(z1) ** H.d
-            )
-        return worst
-
-    worst, dt = _timed(run)
-    return _record("shortc2.modulus_law", worst, 1e-8, dt, note=f"{n} points")
+    worst = 0.0
+    for z, _ in escaping_samples(H, n, seed, N_max=96):
+        z1 = annulus_coordinate(chart, z)
+        z2 = annulus_coordinate(chart, apply(H, z))
+        worst = max(worst, abs(abs(z2) - abs(z1) ** H.d) / abs(z1) ** H.d)
+    return worst, f"{n} points"
 
 
+@_check("cli.render_determinism", 0.0)
 def check_render_determinism(H: HenonMap, size: int = 256):
     from .cli import GridJob, quantize, render_grid
 
-    def run():
-        job = GridJob(
-            plane="real_slice",
-            anchor=0j,
-            center=(0.0, 0.0),
-            width=4.0,
-            height=4.0,
-            nx=size,
-            ny=size,
-            quantity="green_plus",
-            c=0.0,
-            clamp=3.0,
-        )
-        b1 = quantize(job, render_grid(H, job, budget=48, threads=1)).tobytes()
-        b2 = quantize(job, render_grid(H, job, budget=48, threads=1)).tobytes()
-        b3 = quantize(job, render_grid(H, job, budget=48, threads=8)).tobytes()
-        return 0.0 if (b1 == b2 == b3) else 1.0
-
-    worst, dt = _timed(run)
-    return _record(
-        "cli.render_determinism", worst, 0.0, dt, note=f"{size}x{size}, 1 vs 8 threads"
+    job = GridJob(
+        plane="real_slice",
+        anchor=0j,
+        center=(0.0, 0.0),
+        width=4.0,
+        height=4.0,
+        nx=size,
+        ny=size,
+        quantity="green_plus",
+        c=0.0,
+        clamp=3.0,
     )
+    b1, b2, b3 = (
+        quantize(job, render_grid(H, job, budget=48, threads=t)).tobytes() for t in (1, 1, 8)
+    )
+    return (0.0 if b1 == b2 == b3 else 1.0), f"{size}x{size}, 1 vs 8 threads"
 
 
+@_check("core.iterate_roundtrip", 1e-12)
 def check_iterate_roundtrip(H: HenonMap, seed: int = 61):
-    """Round trip H^-3(H^3(z)) = z on orbits that stay in the bounded block."""
+    """Round trip H^-3(H^3(z)) = z on orbits that stay in the bounded block.
 
-    def run():
-        rng = np.random.default_rng(seed)
-        R = filtration_radius(H).R
-        worst = 0.0
-        cnt = 0
-        tries = 0
-        while cnt < 50 and tries < 5000:
-            tries += 1
-            z = Point(
-                0.4 * R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                0.4 * R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            )
-            orbit = [z]
-            for _ in range(3):
-                orbit.append(apply(H, orbit[-1]))
-            if any(max(abs(p.x), abs(p.y)) > 2.0 * R for p in orbit):
-                continue  # oracle only covers bounded orbits
-            cnt += 1
-            w = iterate(H, orbit[-1], -3)
-            scale = max(1.0, abs(z.x), abs(z.y))
-            worst = max(worst, max(abs(w.x - z.x), abs(w.y - z.y)) / scale)
-        return worst
-
-    worst, dt = _timed(run)
-    return _record("core.iterate_roundtrip", worst, 1e-12, dt)
+    Samples the box |Re|, |Im| <= 0.4 R until 50 orbits stay within 2 R, at
+    most 5000 tries; a run with no such orbit fails.
+    """
+    rng = np.random.default_rng(seed)
+    R = filtration_radius(H).R
+    worst = 0.0
+    cnt = 0
+    tries = 0
+    while cnt < 50 and tries < 5000:
+        tries += 1
+        orbit = [_box_point(rng, 0.4 * R)]
+        for _ in range(3):
+            orbit.append(apply(H, orbit[-1]))
+        if any(max(abs(p.x), abs(p.y)) > 2.0 * R for p in orbit):
+            continue  # oracle only covers bounded orbits
+        cnt += 1
+        worst = max(worst, _point_defect(iterate(H, orbit[-1], -3), orbit[0]))
+    return worst if cnt else np.inf, f"{cnt} orbits"
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +540,7 @@ def run_suite(H: HenonMap, level: str = "fast"):
         check_green_basics(H),
         check_boettcher(H, n=100 // k),
         check_d0(),
-        check_symmetry_structure(H),
+        symmetry_structure_record(H),
         check_sublevel_equivariance(H, n=100 // k),
         check_sublevel_band(H),
     ]
@@ -609,8 +549,7 @@ def run_suite(H: HenonMap, level: str = "fast"):
         try:
             chart = build_chart(H)
         except HenonError as exc:
-            dt, note = time.perf_counter() - t0, f"{type(exc).__name__}: {exc}"
-            return results + [_record("cover.build", np.inf, 0.0, dt, note)]
+            return results + [_failed("cover.build", 0.0, time.perf_counter() - t0, exc)]
         results += [
             check_q_structure(H, chart),
             check_chart_semiconjugacy(H, chart),

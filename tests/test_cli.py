@@ -13,6 +13,7 @@ from henoncover import (
     load_chart,
     make_henon,
 )
+from henoncover import cli
 from henoncover.cli import (
     TILE_POINTS,
     GridJob,
@@ -456,6 +457,42 @@ def test_cli_verify_full_reports_a_failed_chart_build(tmp_path, capsys):
     assert len(lines) == 13  # 11 fast records, cover.build, the summary
     assert lines[-2].startswith("FAIL  cover.build") and "DecayFailed: Q needs" in lines[-2]
     assert lines[-1].endswith("/12 checks passed")
+
+
+def test_cli_verify_full_records_an_overflowing_deck_check(tmp_path, capsys):
+    quadratic = {"p": [[-1, 0], [0, 0], [1, 0]], "a": [0.5, 0]}
+    spec = write_json(tmp_path / "m.json", {"name": "2.2.2", "factors": [quadratic] * 3})
+    assert main(["verify", "--spec", spec, "--level", "full"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 20  # 19 records, the summary
+    deck_lines = [line for line in lines if line.startswith("FAIL  cover.deck_relation")]
+    assert len(deck_lines) == 1 and "Overflow: " in deck_lines[0]
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_builds_only_the_invoked_subcommand(tmp_path, monkeypatch):
+    built = []
+    parser = cli._parser
+
+    def recording_parser(commands):
+        built.append(list(commands))
+        return parser(commands)
+
+    monkeypatch.setattr(cli, "_parser", recording_parser)
+    assert main(["info", "--spec", write_json(tmp_path / "m.json", QUADRATIC)]) == 0
+    assert built == [["info"]]
+
+
+@pytest.mark.parametrize(
+    "argv, code", [([], 2), (["bogus"], 2), (["--help"], 0)], ids=["bare", "unknown", "help"]
+)
+def test_cli_without_a_subcommand_lists_all_seven(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert "{info,render,verify,cover,symmetries,classify,green}" in captured.out + captured.err
 
 
 @pytest.mark.parametrize(

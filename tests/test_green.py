@@ -203,7 +203,7 @@ def assert_green_matches_bottcher_product(H, seed):
     The two differ by at most the G+ error bound, phi's tail bound and the
     rounding of both logarithms (16 eps times the value).
     """
-    pts = _region_points(H, certify_region(H), 40, seed)
+    pts = _region_points(certify_region(H), 40, seed)
     x = np.array([z.x for z in pts])
     y = np.array([z.y for z in pts])
     phi, tail, ok, _ = phi_vec(H, x, y)
