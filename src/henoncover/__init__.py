@@ -7,84 +7,61 @@ infinity, an explicit covering chart of the escaping set with its lift
 polynomial and deck transformations, affine symmetry groups, and
 sub-level ("Short C^2") classifications, each paired with runnable
 verification of its defining identities.
+
+Importing the package loads no submodule.  Each public name in
+``__all__`` is imported from its defining submodule on first access
+(PEP 562) and then bound here, so ``henoncover.build_chart`` loads
+``cover`` and ``boettcher`` only when a caller first asks for it, and
+the command line loads only the modules its subcommand runs.
 """
 
-from .henon import (
-    ComplexPolynomial,
-    DegreeTooLow,
-    HenonError,
-    HenonMap,
-    NonFinite,
-    NotMonic,
-    Point,
-    SimpleFactor,
-    ZeroJacobianFactor,
-    apply,
-    apply_inverse,
-    iterate,
-    make_henon,
-)
-from .filtration import (
-    FiltrationRadius,
-    OrbitClass,
-    OrbitTag,
-    Region,
-    classify_point,
-    filtration_radius,
-    region_of,
-)
-from .green import GreenValue, Membership, green_minus, green_plus, membership
-from .boettcher import (
-    BoettcherRegion,
-    alpha_of_loop,
-    bottcher_phi,
-    certify_region,
-    dlambda_dy,
-    dphi_dy,
-    lambda_inverse,
-    q_correction,
-)
-from .cover import (
-    CoverChart,
-    CoverPoint,
-    DeckLabel,
-    build_chart,
-    covering_map,
-    deck,
-    lift_H,
-    load_chart,
-    psi_integral,
-    psi_tilde,
-    psi_tilde_inverse,
-    r_series,
-    save_chart,
-)
-from .symmetry import (
-    AffineMap,
-    SymmetryReport,
-    compute_d0,
-    commutes_with_power,
-    find_affine_symmetries,
-    verify_cyclic,
-)
-from .shortc2 import SublevelClass, SublevelTag, annulus_coordinate, classify_sublevel
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComplexPolynomial", "SimpleFactor", "HenonMap", "Point",
-    "HenonError", "DegreeTooLow", "NotMonic", "ZeroJacobianFactor", "NonFinite",
-    "make_henon", "apply", "apply_inverse", "iterate",
-    "Region", "FiltrationRadius", "OrbitClass", "OrbitTag",
-    "region_of", "filtration_radius", "classify_point",
-    "GreenValue", "Membership", "green_plus", "green_minus", "membership",
-    "BoettcherRegion", "certify_region", "q_correction", "bottcher_phi",
-    "lambda_inverse", "dphi_dy", "dlambda_dy", "alpha_of_loop",
-    "CoverChart", "CoverPoint", "DeckLabel", "build_chart", "psi_integral",
-    "r_series", "psi_tilde", "psi_tilde_inverse", "lift_H", "deck",
-    "covering_map", "save_chart", "load_chart",
-    "AffineMap", "SymmetryReport", "compute_d0", "commutes_with_power",
-    "find_affine_symmetries", "verify_cyclic",
-    "SublevelClass", "SublevelTag", "classify_sublevel", "annulus_coordinate",
-    "__version__",
-]
+# defining submodule -> the public names imported from it on first access
+_EXPORTS = {
+    "henon": (
+        "ComplexPolynomial", "SimpleFactor", "HenonMap", "Point",
+        "HenonError", "DegreeTooLow", "NotMonic", "ZeroJacobianFactor", "NonFinite",
+        "make_henon", "apply", "apply_inverse", "iterate",
+    ),
+    "filtration": (
+        "Region", "FiltrationRadius", "OrbitClass", "OrbitTag",
+        "region_of", "filtration_radius", "classify_point",
+    ),
+    "green": ("GreenValue", "Membership", "green_plus", "green_minus", "membership"),
+    "boettcher": (
+        "BoettcherRegion", "certify_region", "q_correction", "bottcher_phi",
+        "lambda_inverse", "dphi_dy", "dlambda_dy", "alpha_of_loop",
+    ),
+    "cover": (
+        "CoverChart", "CoverPoint", "DeckLabel", "build_chart", "psi_integral",
+        "r_series", "psi_tilde", "psi_tilde_inverse", "lift_H", "deck",
+        "covering_map", "save_chart", "load_chart",
+    ),
+    "symmetry": (
+        "AffineMap", "SymmetryReport", "compute_d0", "commutes_with_power",
+        "find_affine_symmetries", "verify_cyclic",
+    ),
+    "shortc2": ("SublevelClass", "SublevelTag", "classify_sublevel", "annulus_coordinate"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    """Import a public name or submodule on first access and bind it here."""
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_MODULE_OF})

@@ -6,6 +6,11 @@ images are binary PGM (P5, maxval 65535) built tile by tile (blocks of
 whole rows, one grid-kernel call each) into a preallocated buffer, so
 bytes are independent of the worker count.
 Exit codes: 0 ok, 1 verification failure, 2 input error.
+
+The module imports only what info, render, green and symmetries run
+(henon, filtration, green, symmetry); verify, cover and classify import
+verification, cover and shortc2 when they run, and render imports its
+thread pool only for --threads > 1.
 """
 
 from __future__ import annotations
@@ -14,14 +19,11 @@ import argparse
 import cmath
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import verification
-from .cover import build_chart, save_chart
 from .filtration import filtration_radius
 from .green import (
     SUBLEVEL_ABOVE,
@@ -35,7 +37,6 @@ from .green import (
     sublevel_grid,
 )
 from .henon import HenonError, HenonMap, Point, _c2l, _factors_json, make_henon
-from .shortc2 import classify_sublevel
 from .symmetry import compute_d0, find_affine_symmetries, save_report
 
 __all__ = [
@@ -177,8 +178,8 @@ def parse_spec(data) -> MapSpec:
 
 def parse_spec_file(path) -> MapSpec:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError("<file>", str(exc)) from exc
     try:
         data = json.loads(text)
@@ -282,6 +283,8 @@ def render_grid(
         for j0 in tiles:
             fill_tile(j0)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill_tile, tiles))
     return out
@@ -351,8 +354,8 @@ def _tol(args) -> float:
 def _cmd_render(args) -> int:
     spec = parse_spec_file(args.spec)
     try:
-        job = parse_grid_job(json.loads(Path(args.job).read_text()))
-    except (OSError, json.JSONDecodeError) as exc:
+        job = parse_grid_job(json.loads(Path(args.job).read_text(encoding="utf-8")))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError("<job>", str(exc)) from exc
     values = render_grid(
         spec.henon, job, budget=_budget(args), threads=args.threads, tol=_tol(args)
@@ -365,6 +368,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verification
+
     spec = parse_spec_file(args.spec)
     results = verification.run_suite(spec.henon, level=args.level)
     failed = verification.print_results(results)
@@ -372,6 +377,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    from .cover import build_chart, save_chart
+
     spec = parse_spec_file(args.spec)
     chart = build_chart(spec.henon, series_tol=_tol(args))
     save_chart(chart, args.out)
@@ -408,6 +415,8 @@ def _parse_point(text: str) -> Point:
 
 
 def _cmd_classify(args) -> int:
+    from .shortc2 import classify_sublevel
+
     spec = parse_spec_file(args.spec)
     z = _parse_point(args.point)
     if not args.c > 0:
@@ -502,12 +511,28 @@ def _parser(commands) -> argparse.ArgumentParser:
     return ap
 
 
+def _check_outputs(args):
+    """A SpecError naming --out or --csv unless it is a file path in an existing directory.
+
+    Checked before any work, so a render does not compute an image it cannot write.
+    """
+    for flag in ("--out", "--csv"):
+        path = getattr(args, flag[2:], None)
+        if path is None:
+            continue
+        if not Path(path).parent.is_dir():
+            raise SpecError(flag, f"no such directory: {str(Path(path).parent)!r}")
+        if Path(path).is_dir():
+            raise SpecError(flag, f"is a directory: {path!r}")
+
+
 def main(argv=None) -> int:
     """Run one subcommand; its parser alone is built when argv names one."""
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = _parser([argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS)
     args = ap.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except SpecError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import henoncover
 from henoncover import build_chart, certify_region, filtration_radius, make_henon
 
 
@@ -50,3 +56,19 @@ def hcubic_chart(hcubic):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture()
+def fresh_python(tmp_path):
+    """Run a new interpreter in tmp_path that imports henoncover from this source tree."""
+    src = str(Path(henoncover.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+
+    return run

@@ -524,3 +524,105 @@ def test_write_pgm_format(tmp_path):
     write_pgm(path, pix)
     data = path.read_bytes()
     assert data == b"P5\n3 2\n65535\n" + pix.tobytes()
+
+
+@pytest.mark.parametrize("field", ["<file>", "<job>"])
+def test_cli_input_that_is_not_utf8_exit_2(tmp_path, capsys, field):
+    files = {
+        "<file>": write_json(tmp_path / "m.json", QUADRATIC),
+        "<job>": write_json(tmp_path / "j.json", JOB),
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    files[field] = str(bad)
+    argv = ["render", "--spec", files["<file>"], "--job", files["<job>"]]
+    assert main([*argv, "--out", str(tmp_path / "g.pgm")]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {field}: ")
+
+
+@pytest.mark.parametrize("target", ["missing/out", "", "."], ids=["missing-dir", "empty", "dir"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("info", "--out"), ("render", "--out"), ("render", "--csv"), ("cover", "--out"),
+     ("symmetries", "--out")],
+)
+def test_cli_unwritable_output_path_exit_2(tmp_path, capsys, monkeypatch, command, flag, target):
+    def no_render(*args, **kwargs):
+        raise AssertionError("rendered before checking the output paths")
+
+    monkeypatch.setattr(cli, "render_grid", no_render)
+    monkeypatch.chdir(tmp_path)
+    outputs = {"--out": "out", "--csv": "out.csv", flag: target}
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    argv = [command, "--spec", spec, "--out", outputs["--out"]]
+    if command == "render":
+        argv += ["--job", write_json(tmp_path / "j.json", JOB), "--csv", outputs["--csv"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
+    written = {"m.json", "j.json"} if command == "render" else {"m.json"}
+    assert {p.name for p in tmp_path.iterdir()} == written
+
+
+# ---------------------------------------------------------------------------
+# start-up: each command loads only the modules it runs
+
+NOT_AT_START_UP = (
+    "henoncover.cover",
+    "henoncover.boettcher",
+    "henoncover.verification",
+    "henoncover.shortc2",
+    "concurrent.futures",
+    "fractions",
+)
+
+
+def test_cli_import_loads_only_what_render_runs(fresh_python):
+    run = fresh_python("-c", (
+        "import json, sys, henoncover.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('henoncover'))))"
+    ))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [
+        "henoncover", "henoncover.cli", "henoncover.filtration", "henoncover.green",
+        "henoncover.henon", "henoncover.symmetry",
+    ]
+
+
+def test_light_commands_load_no_chart_or_verification_module(tmp_path, fresh_python):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    jobp = write_json(tmp_path / "j.json", JOB)
+    commands = [
+        ["render", "--spec", spec, "--job", jobp, "--out", "g.pgm", "--threads", "1"],
+        ["info", "--spec", spec],
+        ["green", "--spec", spec, "--point", "0,0,100,0"],
+        ["symmetries", "--spec", spec, "--out", "s.json"],
+    ]
+    run = fresh_python("-c", (
+        "import contextlib, io, json, sys; from henoncover import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    loaded = [m for m in json.loads(sys.argv[2]) if m in sys.modules]\n"
+        "    print(json.dumps([argv[0], code, loaded]))"
+    ), json.dumps(commands), json.dumps(NOT_AT_START_UP))
+    assert run.returncode == 0, run.stderr
+    assert [json.loads(line) for line in run.stdout.splitlines()] == [
+        [argv[0], 0, []] for argv in commands
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--out", "c.json"],
+        ["verify"],
+        ["classify", "--point", "0,0,100,0", "--c", "0.5"],
+        ["render", "--job", "j.json", "--out", "g.pgm", "--threads", "2"],
+    ],
+    ids=["cover", "verify", "classify", "render-threads-2"],
+)
+def test_deferred_imports_run_in_a_fresh_process(tmp_path, fresh_python, argv):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    write_json(tmp_path / "j.json", JOB)
+    run = fresh_python("-m", "henoncover.cli", argv[0], "--spec", spec, *argv[1:])
+    assert run.returncode == 0, run.stderr
