@@ -90,6 +90,9 @@ __all__ = [
 ]
 
 PRODUCT_BOUND = 0.5  # enforced per-factor bound on |q/y^d|
+PHI_MAX_STEPS = 64  # phi_series: factors taken before the tail bound d^-(steps+1)
+LOOP_PUSH_BUDGET = 64  # alpha_of_loop: pushes by H to bring a loop into W+_M
+LOOP_REFINEMENTS = 12  # alpha_of_loop: doublings of the samples per edge
 
 
 class OutsideRegion(HenonError):
@@ -208,7 +211,7 @@ def _next_term_bound(c0: float, d: int, scale: float, mag):
     return 2.0 * c0 * scale / d / mag
 
 
-def _phi_one(H: HenonMap, x: complex, y: complex, tol: float, max_steps: int, dy: bool):
+def _phi_one(H: HenonMap, x: complex, y: complex, tol: float, dy: bool):
     """phi_series on one point in Python complex arithmetic.
 
     Returns (S, err, ok, bad_step, dS) as scalars; dS is 0 without dy.
@@ -222,7 +225,7 @@ def _phi_one(H: HenonMap, x: complex, y: complex, tol: float, max_steps: int, dy
     S = dS = 0j
     tx, ty = (0j, 1 + 0j) if dy else (None, None)
     mag = abs(y)
-    for j in range(max_steps):
+    for j in range(PHI_MAX_STEPS):
         scale = float(d) ** -(j + 1)
         if mag > ycap:
             return S, scale * 2.0 * c_est / mag, True, -1, dS
@@ -239,14 +242,14 @@ def _phi_one(H: HenonMap, x: complex, y: complex, tol: float, max_steps: int, dy
         tail = max(abs(term), _next_term_bound(c0, d, scale, mag))
         if tail < tol:
             return S, 2.0 * tail, True, -1, dS
-    return S, float(d) ** -(max_steps + 1), True, -1, dS
+    return S, float(d) ** -(PHI_MAX_STEPS + 1), True, -1, dS
 
 
 def _take(keep, *arrays):
     return tuple(None if a is None else a[keep] for a in arrays)
 
 
-def _phi_batch(H: HenonMap, x, y, tol: float, max_steps: int, dy: bool):
+def _phi_batch(H: HenonMap, x, y, tol: float, dy: bool):
     """phi_series on flat arrays, iterating compact copies of the live points.
 
     live maps the copies back to output indices; S/err/ok/bad_step/dS are
@@ -277,7 +280,7 @@ def _phi_batch(H: HenonMap, x, y, tol: float, max_steps: int, dy: bool):
     # a bad factor may divide by zero or take log(0); it is reported in ok
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = np.abs(y)
-        for j in range(max_steps):
+        for j in range(PHI_MAX_STEPS):
             if live.size == 0:
                 break
             scale = float(d) ** -(j + 1)
@@ -318,13 +321,11 @@ def _phi_batch(H: HenonMap, x, y, tol: float, max_steps: int, dy: bool):
                 )
 
     if live.size:
-        err[retire(slice(None))] = float(d) ** -(max_steps + 1)
+        err[retire(slice(None))] = float(d) ** -(PHI_MAX_STEPS + 1)
     return S, err, ok, bad_step, dS
 
 
-def phi_series(
-    H: HenonMap, x, y, tol: float = 1e-12, max_steps: int = 64, dy: bool = False
-):
+def phi_series(H: HenonMap, x, y, tol: float = 1e-12, dy: bool = False):
     """Accumulated log-product S with phi = y * exp(S).
 
     Returns (S, err, ok, bad_step) as arrays matching x/y.  err bounds the
@@ -346,12 +347,12 @@ def phi_series(
     y = np.asarray(y, dtype=complex)
     if x.size == 1:
         try:
-            one = _phi_one(H, x.item(), y.item(), tol, max_steps, dy)
+            one = _phi_one(H, x.item(), y.item(), tol, dy)
         except (ArithmeticError, ValueError):
             pass  # exceptional arithmetic: the array body gives IEEE values
         else:
             return tuple(np.array(v, ndmin=x.ndim) for v in one[: 4 + dy])
-    out = _phi_batch(H, x.ravel(), y.ravel(), tol, max_steps, dy)
+    out = _phi_batch(H, x.ravel(), y.ravel(), tol, dy)
     return tuple(a.reshape(x.shape) for a in out[: 4 + dy])
 
 
@@ -563,13 +564,7 @@ def dlambda_dy(
     return 1.0 / complex(dphi[0])
 
 
-def alpha_of_loop(
-    H: HenonMap,
-    loop,
-    region: BoettcherRegion | None = None,
-    push_budget: int = 64,
-    refine_budget: int = 12,
-) -> Fraction:
+def alpha_of_loop(H: HenonMap, loop, region: BoettcherRegion | None = None) -> Fraction:
     """Winding class of a closed polygonal loop in U+, in Z[1/d].
 
     The loop is pushed forward by H until every sample lies in the product
@@ -587,7 +582,7 @@ def alpha_of_loop(
 
     k = 4  # samples per edge, doubled until the winding stabilizes
     last = None
-    for _ in range(refine_budget):
+    for _ in range(LOOP_REFINEMENTS):
         t = np.linspace(0.0, 1.0, k, endpoint=False)
         xs = (verts[:-1, None] + (verts[1:] - verts[:-1])[:, None] * t).ravel()
         ys = (verts_y[:-1, None] + (verts_y[1:] - verts_y[:-1])[:, None] * t).ravel()
@@ -595,14 +590,14 @@ def alpha_of_loop(
         ys = np.append(ys, ys[0])
 
         pushes = 0
-        while pushes <= push_budget and not np.all(in_region_xy(xs, ys, M, R)):
+        while pushes <= LOOP_PUSH_BUDGET and not np.all(in_region_xy(xs, ys, M, R)):
             xs, ys = apply_xy(H, xs, ys)
             pushes += 1
             if np.max(np.abs(ys)) > 1e120:
                 raise RefinementBudgetExceeded(
                     "loop did not enter the region before overflow"
                 )
-        if pushes > push_budget:
+        if pushes > LOOP_PUSH_BUDGET:
             raise RefinementBudgetExceeded("push budget exhausted")
 
         phi, _, ok, _ = phi_vec(H, xs, ys)

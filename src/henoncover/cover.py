@@ -298,40 +298,28 @@ def _series_table(H: HenonMap, region: BoettcherRegion):
     return C, tail
 
 
-# _series_eval builds its power table with one cumprod below this many
-# points, where the cost of a numpy call dominates, and with one multiply
-# per order from here on: numpy multiplies contiguous complex rows in its
-# vector loop and accumulates in a scalar one (20-50 us against 70-140 us
-# at the build circles' 256-512 points).  The two round the powers
-# differently in the last bits.
-_POWER_LOOP_MIN = 64
-
-
 def _series_eval(H: HenonMap, region: BoettcherRegion, X, W):
     """(psi, dlambda/dy, lambda) at the points (X_i, W_i) from the table.
 
     The points must lie in the series bidisc M*max(|X|, R) <= 0.6|W|;
     SegmentOutsideRegion otherwise, a NaN coordinate counting as outside.
-    dpsi/dx is W * dlambda/dy.
+    dpsi/dx is W * dlambda/dy.  Each point's powers and products are its
+    own (a running product along its row, then two small matrix products
+    per point), so its values do not depend on the other points of the call.
     """
     X, W = np.asarray(X, dtype=complex).ravel(), np.asarray(W, dtype=complex).ravel()
     if not (region.M * np.maximum(np.abs(X), region.R.R) <= _SERIES_FRAC * np.abs(W)).all():
         raise SegmentOutsideRegion("point outside the series bidisc M*max(|x|, R) <= 0.6|y|")
     C, _ = _series_table(H, region)
     K = C.shape[0]
-    # powers 0 .. K-1 of sigma = (X/W)/r_s and upsilon = (1/W)/r_u, one
-    # contiguous row per order
-    p = np.empty((K, 2, X.size), dtype=complex)
-    p[0] = 1.0
-    p[1:, 0] = X / W * (region.M / _TORUS_FRAC)
-    p[1:, 1] = region.M * region.R.R / _TORUS_FRAC / W
-    if X.size < _POWER_LOOP_MIN:
-        np.cumprod(p, axis=0, out=p)
-    else:
-        for k in range(2, K):
-            np.multiply(p[k - 1], p[1], out=p[k])
-    sp, up = p.transpose(1, 2, 0)
-    a, b, g = ((sp @ C).reshape(-1, 3, K) @ up[:, :, None])[:, :, 0].T
+    # per point, powers 0 .. K-1 of sigma = (X/W)/r_s and of
+    # upsilon = (1/W)/r_u, one row each
+    p = np.empty((X.size, 2, K), dtype=complex)
+    p[:, :, 0] = 1.0
+    p[:, 0, 1:] = (X / W * (region.M / _TORUS_FRAC))[:, None]
+    p[:, 1, 1:] = (region.M * region.R.R / _TORUS_FRAC / W)[:, None]
+    np.multiply.accumulate(p, axis=2, out=p)
+    a, b, g = ((p[:, :1] @ C).reshape(-1, 3, K) @ p[:, 1, :, None]).reshape(-1, 3).T
     return W * X * a, b, W * np.exp(g)
 
 

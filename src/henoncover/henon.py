@@ -259,9 +259,10 @@ def iterate(H: HenonMap, z: Point, s: int) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic bivariate expansion of the composed map.  Used as the independent
-# oracle for factor-by-factor evaluation, for the monic axis polynomial
-# pi_1(H(0, .)), and for exact commutation checks in the symmetry search.
+# Symbolic bivariate expansion of the composed map: apply_xy run on
+# polynomials.  Used to check the expanded coefficients against numeric
+# evaluation, for the monic axis polynomial pi_1(H(0, .)), and for exact
+# commutation checks in the symmetry search.
 
 class BivariatePoly:
     """Dense bivariate polynomial: coeffs[i, j] multiplies x^i y^j."""
@@ -349,25 +350,18 @@ class BivariatePoly:
                     deg = max(deg, i + j)
         return deg
 
-    def compose_univariate(self, p: ComplexPolynomial) -> "BivariatePoly":
-        """p(self) by Horner in the bivariate ring."""
-        acc = BivariatePoly.const(p.coeffs[-1])
-        for ck in p.coeffs[-2::-1]:
-            acc = acc * self + BivariatePoly.const(ck)
-        return acc
-
 
 @functools.lru_cache(maxsize=64)
 def component_polynomials(H: HenonMap, power: int = 1):
-    """(pi_1 H^power, pi_2 H^power) as expanded bivariate polynomials."""
-    cur_x = BivariatePoly.var_x()
-    cur_y = BivariatePoly.var_y()
+    """(pi_1 H^power, pi_2 H^power) as expanded bivariate polynomials.
+
+    apply_xy on the coordinate polynomials x and y: each factor's
+    ComplexPolynomial runs its Horner loop in the bivariate ring.
+    """
+    cur_x, cur_y = BivariatePoly.var_x(), BivariatePoly.var_y()
     for _ in range(power):
-        for f in H.factors:
-            cur_x, cur_y = cur_y, (
-                cur_y.compose_univariate(f.p) - cur_x * f.a
-            ).trim()
-    return cur_x.trim(), cur_y.trim()
+        cur_x, cur_y = (c.trim() for c in apply_xy(H, cur_x, cur_y))
+    return cur_x, cur_y
 
 
 @functools.lru_cache(maxsize=64)

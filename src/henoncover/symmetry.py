@@ -48,7 +48,7 @@ generator e' = exp(2 pi i / g).  Conversely each solution satisfies every
 f_i L_(i-1) = L_i f_i by construction, so it commutes with H^2, and with
 H itself when m is even or e = e'.  The group is therefore exact: nothing
 is missed and nothing extra is kept.  In floating point a coefficient of
-pt_i counts as zero when it is at most comm_tol times the magnitude of
+pt_i counts as zero when it is at most COMM_TOL times the magnitude of
 the Taylor-shift sum that formed it.
 
 Commutation implies Green invariance.  Suppose L.H^k = H^k.L.  Then
@@ -115,6 +115,7 @@ __all__ = [
 ]
 
 SYMBOLIC_DEGREE_CAP = 64
+COMM_TOL = 1e-9  # find_affine_symmetries: relative size of a zero coefficient
 
 
 class BoundViolated(HenonError):
@@ -400,7 +401,7 @@ def _normal_form(H: HenonMap):
     return tau, out
 
 
-def find_affine_symmetries(H: HenonMap, comm_tol: float = 1e-9) -> SymmetryReport:
+def find_affine_symmetries(H: HenonMap) -> SymmetryReport:
     """Every L(x,y) = (e x + f, e' y + f') preserving both escaping sets.
 
     The closed form of the module docstring: the group is cyclic of order
@@ -410,8 +411,6 @@ def find_affine_symmetries(H: HenonMap, comm_tol: float = 1e-9) -> SymmetryRepor
     max_commutation_defect is the largest |coefficient of pt_i(beta u) -
     alpha pt_i(u)| over its magnitude, along the chain and over the group.
     """
-    if not 0 <= comm_tol < 1:
-        raise ValueError("comm_tol must lie in [0, 1)")
     N = (H.d + H.d_prime) * (H.d - 1)
     tau, factors = _normal_form(H)
     m = len(factors)
@@ -426,7 +425,7 @@ def find_affine_symmetries(H: HenonMap, comm_tol: float = 1e-9) -> SymmetryRepor
     ]
     g = 0
     for coeffs, scale, pa, pb in chain:
-        for j in np.flatnonzero(np.abs(coeffs) > comm_tol * scale):
+        for j in np.flatnonzero(np.abs(coeffs) > COMM_TOL * scale):
             g = math.gcd(g, abs(pb * int(j) - pa))
     if N % g != 0:
         raise BoundViolated(f"group order {g} does not divide (d+d')(d-1) = {N}")
