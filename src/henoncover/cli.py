@@ -2,9 +2,11 @@
 
 Subcommands: info, render, verify, cover, symmetries, classify, green.
 All persisted artifacts are JSON (complex numbers as [re, im] pairs);
-images are binary PGM (P5, maxval 65535) built tile by tile (blocks of
-whole rows, one grid-kernel call each) into a preallocated buffer, so
-bytes are independent of the worker count.
+images are binary PGM (P5, maxval 65535) built tile by tile (whole rows,
+about TILE_POINTS pixels, one grid-kernel call each; the kernels work
+through a call in blocks of green.BLOCK_POINTS and pool the escape
+loop's long tail) into a preallocated buffer, so bytes are independent
+of the worker count.
 Exit codes: 0 ok, 1 verification failure, 2 input error.
 
 The module imports only what info, render, green and symmetries run
@@ -53,8 +55,9 @@ __all__ = [
 ]
 
 MAX_PIXELS = 16384 * 16384
-# pixels per render tile: one grid-kernel call covers this many points
-TILE_POINTS = 16384
+# pixels per render tile: one grid-kernel call covers this many points,
+# 8 escape blocks of green.BLOCK_POINTS whose survivors are iterated as one pool
+TILE_POINTS = 131072
 SUBLEVEL_SHADES = {"k_plus": 0, "omega_prime": 32768, "outside": 65535}
 # the shade of each green.sublevel_grid class code
 _CLASS_SHADES = np.zeros(3)
@@ -238,17 +241,20 @@ def _tile_points(job: GridJob, j0: int, j1: int):
     """Pixel centres of rows j0..j1-1 as two (j1 - j0, nx) arrays.
 
     Complex on fix_x and fix_y, float on real_slice (the grid kernels run
-    a real map's real slice in float64, with the same results).
+    a real map's real slice in float64, with the same results).  A
+    coordinate that does not vary along a row or column is a read-only
+    broadcast view, not a filled array.
     """
     i = np.arange(job.nx)
     j = np.arange(j0, j1)
     u = job.center[0] - 0.5 * job.width + (i + 0.5) * (job.width / job.nx)
     v = job.center[1] + 0.5 * job.height - (j + 0.5) * (job.height / job.ny)
     shape = (j1 - j0, job.nx)
+    anchor = np.broadcast_to(np.complex128(job.anchor), shape)
     if job.plane == "fix_x":
-        return np.full(shape, job.anchor, dtype=complex), u + 1j * v[:, None]
+        return anchor, u + 1j * v[:, None]
     if job.plane == "fix_y":
-        return u + 1j * v[:, None], np.full(shape, job.anchor, dtype=complex)
+        return u + 1j * v[:, None], anchor
     return np.broadcast_to(u, shape), np.broadcast_to(v[:, None], shape)
 
 
@@ -258,10 +264,14 @@ def render_grid(
     """Raw quantity values, row-major float array of shape (ny, nx).
 
     The rows are cut into tiles of TILE_POINTS // nx whole rows (at least
-    one), and each tile is one call of the elementwise grid kernels.  A
-    pixel's value depends only on its own coordinates, and the tiles are
-    fixed by the job alone, so the result is the same for any number of
-    worker threads.
+    one), and each tile is one call of the elementwise grid kernels: a
+    512^2 job is two calls, so two threads still share it.  Within a call
+    the kernels run the first escape steps, the pushes and the sub-level
+    band in blocks of green.BLOCK_POINTS and the rest of the escape loop
+    on the pooled survivors; a pixel meets the same operations in either
+    (green._escape_steps).  A pixel's value depends only on its own
+    coordinates, and the tiles are fixed by the job alone, so the result
+    is the same for any number of worker threads.
     """
     R = filtration_radius(H).R
     out = np.empty((job.ny, job.nx), dtype=float)

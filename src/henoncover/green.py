@@ -13,18 +13,26 @@ H^{-1} by a swap and a diagonal scaling, so both come from the one
 green_plus kernel.
 
 The grid kernels (escape_time_grid, green_plus_grid) run the escape test
-of escape_orbit over flat arrays in one loop, _escape_steps.  Its full
-test runs only on steps where some point lies past the cutoff 2R or past
-the bail-out.  Every TRAP_EVERY-th step it retires the points that lie in
-a certified trap of K+: a polydisc around an attracting fixed point that
-H maps into itself (attracting_traps, whose docstring holds the proof,
-also for float orbits).  The full loop would carry such a point to the
-budget and call it non-escaping, so every result is the same, bit for
-bit.  Real points of a map with real coefficients (real_form) run in
-float64 rather than complex arithmetic: while the orbit stays finite
-every value equals the real part of the complex run's, so the results
-are the same bytes (_escape_steps has the proof), and a tile that meets
-an inf or NaN is run again as complex (_flat_escape).
+of escape_orbit over flat arrays in one loop body, _escape_steps.  It
+runs the first TRAP_EVERY steps over each block of BLOCK_POINTS points,
+where most points escape or are retired, and then the rest of the budget
+once over the pooled survivors of all blocks, so the long tail of
+bounded points costs one pass per step, not one per block.  The pushes of
+_refine_plus and the band test of sublevel_grid also run block by block,
+so the work arrays stay small however many points a call brings.  Every
+operation is elementwise, so no result depends on the blocks or the
+pool.  The full escape test runs only on steps where some point lies past
+the cutoff 2R or past the bail-out.  Every TRAP_EVERY-th step it retires
+the points that lie in a certified trap of K+: a polydisc around an
+attracting fixed point that H maps into itself (attracting_traps, whose
+docstring holds the proof, also for float orbits).  The full loop would
+carry such a point to the budget and call it non-escaping, so every
+result is the same, bit for bit.  Real points of a map with real
+coefficients (real_form) run in float64 rather than complex arithmetic:
+while the orbit stays finite every value equals the real part of the
+complex run's, so the results are the same bytes (_escape_steps has the
+proof), and a call whose float run meets an inf or NaN is run again as
+complex (_flat_escape).
 
 sublevel_grid, the kernel of sub-level renders {G+ < c}, decides which
 side of c an escaped pixel lies on from its escape step n and y_n alone:
@@ -117,31 +125,40 @@ def _stepper(H: HenonMap, x):
     return real_form(H) if x.dtype.kind == "f" else H
 
 
-def _refine_plus(H: HenonMap, x, y, steps, tol: float):
-    """G+ at escaped orbit points as (values, error_bounds, depths).
+def _refine_plus(H: HenonMap, x, y, steps, idx, tol: float):
+    """G+ at the escaped points idx of x, y as (values, error_bounds, depths).
 
     x[i], y[i] is the orbit of point i at its escape step steps[i].  Each
     point is pushed with H until |y| >= Y = _stop_modulus(H, tol); the
     value is d^-m log|y_m| at the depth m reached (escape_band's docstring
-    proves the value and its bound).  Float x, y (from _flat_escape) are
-    pushed with real_form(H); the pushes stay finite (_stop_modulus), so
-    the values are those of x + 0j, y + 0j (_escape_steps has the proof).
+    proves the value and its bound).  The points of idx run in blocks of
+    BLOCK_POINTS, gathered, pushed and valued block by block, so the work
+    arrays stay small however many points a call brings; every operation
+    is elementwise, so a point's value, bound and depth do not depend on
+    its block.  Float x, y (from _flat_escape) are pushed with
+    real_form(H); the pushes stay finite (_stop_modulus), so the values
+    are those of x + 0j, y + 0j (_escape_steps has the proof).
     """
     step = _stepper(H, x)
     Y, band = _stop_modulus(H, tol)
-    depths = steps.copy()
-    abs_y = np.abs(y)
-    idx = np.flatnonzero(abs_y < Y)
-    cx, cy = x[idx], y[idx]
-    while idx.size:
-        cx, cy = apply_xy(step, cx, cy)
-        depths[idx] += 1
-        a = np.abs(cy)
-        abs_y[idx] = a
-        go = a < Y
-        if not go.all():
-            idx, cx, cy = idx[go], cx[go], cy[go]
-    return (*_pushed_value(H, np.log(abs_y), depths.astype(float), band), depths)
+    vals, errs = np.empty(idx.size), np.empty(idx.size)
+    depths = steps[idx]
+    for b in range(0, idx.size, BLOCK_POINTS):
+        block = slice(b, b + BLOCK_POINTS)
+        bx, by, bdepths = x[idx[block]], y[idx[block]], depths[block]
+        abs_y = np.abs(by)
+        live = np.flatnonzero(abs_y < Y)
+        cx, cy = bx[live], by[live]
+        while live.size:
+            cx, cy = apply_xy(step, cx, cy)
+            bdepths[live] += 1
+            a = np.abs(cy)
+            abs_y[live] = a
+            go = a < Y
+            if not go.all():
+                live, cx, cy = live[go], cx[go], cy[go]
+        vals[block], errs[block] = _pushed_value(H, np.log(abs_y), bdepths.astype(float), band)
+    return vals, errs, depths
 
 
 def green_plus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> GreenValue:
@@ -339,6 +356,11 @@ def attracting_traps(H: HenonMap) -> tuple:
 # escape_orbit and the refinement of green_plus, run over flat arrays with
 # masks; deterministic for a fixed input order.
 
+# points per block of _escape_steps's first TRAP_EVERY steps, of the
+# pushes of _refine_plus and of sublevel_grid's band test
+BLOCK_POINTS = 16384
+
+
 def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = True):
     """First escape step per point of the flat arrays x, y, or -1.
 
@@ -358,10 +380,23 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = Tr
     for them too, so the result is the same.  The traps are built only
     once some point is still live at the first such step.
 
+    The loop body runs in two phases.  Steps 0 ... TRAP_EVERY - 1, which
+    end with the first trap test, run over each block of BLOCK_POINTS
+    input points in turn, where most points escape or are retired while
+    the arrays stay small.  The survivors of all blocks are then pooled
+    and run once to the budget, so the long tail of bounded points costs
+    one pass per step instead of one per block.  A point's result does not
+    depend on the phase or on the other points of its array: every
+    operation on it is elementwise, and a test skipped because no point
+    of the array lies past the cutoff or the bail-out would have left it
+    in play anyway.  So the steps and escape coordinates are those of one
+    run over all points, for any BLOCK_POINTS.
+
     x and y are complex, or float64 for a map with real coefficients.  A
     float run steps with real_form(H) and returns what the complex run on
     x + 0j, y + 0j returns, bit for bit, or None once some live coordinate
-    is not finite (_flat_escape then runs the points again as complex).
+    of a block or of the pool is not finite (_flat_escape then runs all
+    the points again as complex).
     Proof.  Compare the two runs operation by operation while every value
     is finite.  Claim: each complex value has imaginary part +-0 and a real
     part equal to the float value, as a number (a zero may differ in
@@ -387,71 +422,90 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = Tr
     the first non-finite intermediate shows in a live coordinate at the
     next far.max(), where the float run gives up.
     """
-    traps = None  # built on the first trap step that has live points
     steps = np.full(x.size, -1, dtype=np.int64)
-    if x.size == 0:
-        return steps
     real = x.dtype.kind == "f"
     step = _stepper(H, x)
-    idx = np.arange(x.size)
-    cx, cy = x, y
     cutoff = ESCAPE_MARGIN * R
     quiet = min(cutoff, BAIL_OUT)
     one_factor = len(H.factors) == 1
-    ax = np.abs(cx)
-    for n in range(N_max + 1):
-        ay = np.abs(cy)
-        far = np.maximum(ax, ay)
-        top = far.max()
-        keep = None  # every point stays in play
-        if not top <= quiet:
-            if real and not top < np.inf:
-                return None  # inf or NaN: the float run no longer matches
-            # some point may escape or bail out (or is NaN): the full test
-            esc = (ay >= ax) & (ay > cutoff)
-            if esc.any():
-                hit = idx[esc]
-                steps[hit] = n
-                if write_back:
-                    x[hit], y[hit] = cx[esc], cy[esc]
-            keep = ~esc & (far <= BAIL_OUT)
-        if n == N_max:
-            break
-        if n % TRAP_EVERY == TRAP_EVERY - 1:
-            if traps is None:
-                traps = [t for t in attracting_traps(H) if t.reach <= R]
-            for t in traps:
-                out = ~t.holds(cx, cy)
-                keep = out if keep is None else keep & out
-        if keep is not None:
-            if not keep.any():
+    traps = None  # built on the first trap step that has live points
+
+    def run(idx, cx, cy, n0, n1):
+        """Steps n0 ... n1 - 1 of the points idx, which lie at cx, cy.
+
+        Returns the points still in play at step n1 as (idx, cx, cy), or
+        None where a float run meets an inf or NaN.
+        """
+        nonlocal traps
+        ax = np.abs(cx)
+        for n in range(n0, n1):
+            ay = np.abs(cy)
+            far = np.maximum(ax, ay)
+            top = far.max()
+            keep = None  # every point stays in play
+            if not top <= quiet:
+                if real and not top < np.inf:
+                    return None  # inf or NaN: the float run no longer matches
+                # some point may escape or bail out (or is NaN): the full test
+                esc = (ay >= ax) & (ay > cutoff)
+                if esc.any():
+                    hit = idx[esc]
+                    steps[hit] = n
+                    if write_back:
+                        x[hit], y[hit] = cx[esc], cy[esc]
+                keep = ~esc & (far <= BAIL_OUT)
+            if n == N_max:
                 break
-            if not keep.all():
-                idx = idx[keep]
-                cx, cy = cx[keep], cy[keep]
+            if n % TRAP_EVERY == TRAP_EVERY - 1:
+                if traps is None:
+                    traps = [t for t in attracting_traps(H) if t.reach <= R]
+                for t in traps:
+                    out = ~t.holds(cx, cy)
+                    keep = out if keep is None else keep & out
+            if keep is not None and not keep.all():
+                idx, cx, cy = idx[keep], cx[keep], cy[keep]
+                if not idx.size:
+                    break
                 if one_factor:
                     ay = ay[keep]
-        cx, cy = apply_xy(step, cx, cy)
-        ax = ay if one_factor else np.abs(cx)
+            cx, cy = apply_xy(step, cx, cy)
+            ax = ay if one_factor else np.abs(cx)
+        return idx, cx, cy
+
+    # the first TRAP_EVERY steps block by block, then the survivors pooled
+    pool = []
+    for b in range(0, x.size, BLOCK_POINTS):
+        bx, by = x[b : b + BLOCK_POINTS], y[b : b + BLOCK_POINTS]
+        live = run(np.arange(b, b + bx.size), bx, by, 0, TRAP_EVERY)
+        if live is None:
+            return None
+        pool.append(live)
+    if N_max >= TRAP_EVERY and pool:
+        idx, cx, cy = (np.concatenate(a) for a in zip(*pool))
+        if idx.size and run(idx, cx, cy, TRAP_EVERY, N_max + 1) is None:
+            return None
     return steps
 
 
 def _flat_escape(H: HenonMap, xs, ys, R: float, N_max: int, write_back: bool = True):
-    """(shape, x, y, steps): _escape_steps on flat copies x, y of xs, ys.
+    """(shape, x, y, steps): _escape_steps on flat arrays x, y of xs, ys.
 
-    The copies are float64 where H has real coefficients (real_form) and
-    neither xs nor ys is complex, and complex otherwise.  A float run that
-    meets an inf or NaN is dropped and the points run again from complex
-    copies, so the result and its RuntimeWarnings are the complex run's.
+    x and y are float64 where H has real coefficients (real_form) and
+    neither xs nor ys is complex, and complex otherwise.  They are copies
+    with write_back, and views of xs, ys where the dtype and layout allow
+    without it, since _escape_steps then only reads them.  A float run
+    that meets an inf or NaN is dropped and the points run again as
+    complex, so the result and its RuntimeWarnings are the complex run's.
     """
     shape = np.shape(xs)
+    flat = np.array if write_back else np.asarray
     if real_form(H) is not None and not (np.iscomplexobj(xs) or np.iscomplexobj(ys)):
-        x, y = np.array(xs, dtype=float).ravel(), np.array(ys, dtype=float).ravel()
+        x, y = flat(xs, dtype=float).ravel(), flat(ys, dtype=float).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
             steps = _escape_steps(H, x, y, R, N_max, write_back)
         if steps is not None:
             return shape, x, y, steps
-    x, y = np.array(xs, dtype=complex).ravel(), np.array(ys, dtype=complex).ravel()
+    x, y = flat(xs, dtype=complex).ravel(), flat(ys, dtype=complex).ravel()
     return shape, x, y, _escape_steps(H, x, y, R, N_max, write_back)
 
 
@@ -468,7 +522,7 @@ def green_plus_grid(H: HenonMap, xs, ys, R: float, N_max: int, tol: float = 1e-1
     errs = np.full(x.size, _bounded_value(H, R, N_max).error_bound)
     depths = np.full(x.size, N_max, dtype=np.int64)
     esc = np.flatnonzero(steps >= 0)
-    vals[esc], errs[esc], depths[esc] = _refine_plus(H, x[esc], y[esc], steps[esc], tol)
+    vals[esc], errs[esc], depths[esc] = _refine_plus(H, x, y, steps, esc, tol)
     return vals.reshape(shape), errs.reshape(shape), depths.reshape(shape)
 
 
@@ -629,14 +683,16 @@ def sublevel_grid(H: HenonMap, xs, ys, R: float, N_max: int, c: float, tol: floa
     lo, hi = d^-n (log|y_n| -+ (escape_band(H) + BAND_SLACK)) has a
     computed G+ in [lo, hi] (escape_band's docstring proves it, rounding
     included), so it is below c if hi < c and above c if lo >= c, provided
-    lo > BAND_FLOOR.  Only the other escaped pixels go through _refine_plus.
+    lo > BAND_FLOOR.  The band is taken block by block (BLOCK_POINTS
+    pixels), and only the other escaped pixels go through _refine_plus.
 
     The band decides pixels by proof; that the refined pixels get the
     classes of green_plus_grid rests on a measurement, not a proof.  The
     push is elementwise, so a refined point meets the same operations
     whether it is refined alone, with the undecided pixels or with every
-    escaped pixel; that numpy rounds each element alike wherever it sits
-    in an array is measured (the tests compare against thresholding).
+    escaped pixel, and in whichever block of _refine_plus; that numpy
+    rounds each element alike wherever it sits in an array is measured
+    (the tests compare against thresholding).
     Should it round the last bits differently, the value moves by a few
     eps relative (PATH_WINDOW is about 1e6 times that), or a flipped push
     test |y| < Y moves it by one push, where both values lie within their
@@ -647,22 +703,24 @@ def sublevel_grid(H: HenonMap, xs, ys, R: float, N_max: int, c: float, tol: floa
     """
     shape, x, y, steps = _flat_escape(H, xs, ys, R, N_max)
     out = np.full(x.size, SUBLEVEL_K_PLUS, dtype=np.int8)
-    esc = np.flatnonzero(steps >= 0)
-    if esc.size == 0:
-        return out.reshape(shape)
-    n = steps[esc]
-    scale = (float(H.d) ** -np.arange(n.max() + 1.0))[n]
-    log_y = np.log(np.abs(y[esc]))
+    scales = float(H.d) ** -np.arange(N_max + 1.0)
     width = escape_band(H) + BAND_SLACK
-    lo, hi = scale * (log_y - width), scale * (log_y + width)
-    decided = (lo > BAND_FLOOR) & (hi < np.inf) & ((hi < c) | (lo >= c))
-    out[esc] = np.where(hi < c, SUBLEVEL_BELOW, SUBLEVEL_ABOVE)
-    rest = esc[~decided]
+    rest = [np.empty(0, dtype=np.intp)]  # undecided escaped pixels, block by block
+    for b in range(0, x.size, BLOCK_POINTS):
+        esc = b + np.flatnonzero(steps[b : b + BLOCK_POINTS] >= 0)
+        scale, log_y = scales[steps[esc]], np.log(np.abs(y[esc]))
+        lo, hi = scale * (log_y - width), scale * (log_y + width)
+        decided = (lo > BAND_FLOOR) & (hi < np.inf) & ((hi < c) | (lo >= c))
+        out[esc] = np.where(hi < c, SUBLEVEL_BELOW, SUBLEVEL_ABOVE)
+        rest.append(esc[~decided])
+    rest = np.concatenate(rest)
     if rest.size:
-        vals, errs, depths = _refine_plus(H, x[rest], y[rest], steps[rest], tol)
+        vals, errs, depths = _refine_plus(H, x, y, steps, rest, tol)
         exact = np.isfinite(vals) & (np.abs(vals - c) > 2.0 * errs + PATH_WINDOW * c)
-        if rest.size < esc.size and not exact.all():
-            rest = esc
-            vals, _, depths = _refine_plus(H, x[esc], y[esc], steps[esc], tol)
+        if not exact.all():
+            esc = np.flatnonzero(steps >= 0)
+            if rest.size < esc.size:
+                rest = esc
+                vals, _, depths = _refine_plus(H, x, y, steps, esc, tol)
         out[rest] = sublevel_classes(vals, depths, N_max, c)
     return out.reshape(shape)

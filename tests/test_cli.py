@@ -15,7 +15,6 @@ from henoncover import (
 )
 from henoncover import cli
 from henoncover.cli import (
-    TILE_POINTS,
     GridJob,
     SpecError,
     canonical_spec,
@@ -239,11 +238,15 @@ def test_render_deterministic_across_runs_and_threads(tmp_path):
 
 
 @pytest.mark.parametrize("plane", ["fix_x", "fix_y", "real_slice"])
-def test_render_tiles_match_one_kernel_call(request, plane):
-    # 600 rows of 64 pixels: two full 256-row tiles and a ragged 88-row one
+def test_render_tiles_match_one_kernel_call(request, monkeypatch, plane):
+    # 600 rows of 64 pixels: two full 256-row tiles and a ragged 88-row one,
+    # each cut into several escape blocks and a ragged one
+    monkeypatch.setattr(cli, "TILE_POINTS", 16384)
+    monkeypatch.setattr(green, "BLOCK_POINTS", 1001)
     nx, ny, budget = 64, 600, 32
-    rows = TILE_POINTS // nx
+    rows = cli.TILE_POINTS // nx
     assert ny > rows and ny % rows != 0
+    assert rows * nx > green.BLOCK_POINTS and rows * nx % green.BLOCK_POINTS != 0
     center, width, height, anchor = (0.1, -0.2), 5.0, 4.0, 0.3 + 0.2j
     u = center[0] - 0.5 * width + (np.arange(nx) + 0.5) * (width / nx)
     v = center[1] + 0.5 * height - (np.arange(ny) + 0.5) * (height / ny)

@@ -25,6 +25,7 @@ from henoncover.filtration import BAIL_OUT, ESCAPE_MARGIN, escape_orbit
 from henoncover import green
 from henoncover.green import (
     PUSH_CAP,
+    TRAP_EVERY,
     TRAP_MARGIN,
     VALUE_ROUNDING,
     Trap,
@@ -423,17 +424,26 @@ def reference_escape_steps(H, x, y, R, N_max):
     return steps
 
 
+# a small odd block size: test inputs span several escape blocks and a ragged one
+SMALL_BLOCK = 37
+
+
 def assert_escape_steps_match_reference(H, x, y, R, N_max=64, extremes=True):
+    """_escape_steps at the default and at SMALL_BLOCK points per block."""
     x, y = np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel()
     if extremes:  # bail-out and NaN points, which also force the full test
         x = np.append(x, [0.0, 1e160, 1e200j, np.nan])
         y = np.append(y, [1e200, 1e155, 1.0, 0.0])
     rx, ry = x.copy(), y.copy()
     want = reference_escape_steps(H, rx, ry, R, N_max)
-    got = _escape_steps(H, x, y, R, N_max)
-    assert np.array_equal(got, want)
-    # the written-back escape coordinates, bit for bit
-    assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
+    for block in (green.BLOCK_POINTS, SMALL_BLOCK):
+        gx, gy = x.copy(), y.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(green, "BLOCK_POINTS", block)
+            got = _escape_steps(H, gx, gy, R, N_max)
+        assert np.array_equal(got, want), block
+        # the written-back escape coordinates, bit for bit
+        assert gx.tobytes() == rx.tobytes() and gy.tobytes() == ry.tobytes(), block
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -474,6 +484,23 @@ def test_escape_steps_match_trap_free_loop_past_the_bail_out(c0):
     rng = np.random.default_rng(79)
     x, y = R * rng.uniform(0, 2, (2, 400)) * np.exp(2j * np.pi * rng.uniform(size=(2, 400)))
     assert_escape_steps_match_reference(H, x, y, R, extremes=False)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_float_escape_steps_match_trap_free_loop_in_small_blocks(request, monkeypatch, name):
+    # float input of a real map: the pooled phase keeps the float run equal
+    # to the complex one (one and two factors, and hcubic's trap)
+    H = request.getfixturevalue(name)
+    R = filtration_radius(H).R
+    monkeypatch.setattr(green, "BLOCK_POINTS", SMALL_BLOCK)
+    x, y = (a.ravel() for a in np.meshgrid(np.linspace(-2.5, 2.5, 96), np.linspace(-2.5, 2.5, 96)))
+    rx, ry = x + 0j, y + 0j
+    want = reference_escape_steps(H, rx, ry, R, 64)
+    got = _escape_steps(H, x, y, R, 64)
+    assert np.array_equal(got, want)
+    # equal as numbers (a zero may differ in sign, see _escape_steps)
+    assert np.array_equal(x, rx.real) and np.array_equal(y, ry.real)
+    assert np.count_nonzero(want < 0) > 0 and np.count_nonzero(want >= TRAP_EVERY) > 0
 
 
 def test_escape_steps_match_trap_free_loop_on_attracting_maps():
@@ -541,6 +568,42 @@ def test_float_grid_matches_complex_past_an_overflow():
     assert dtype == np.complex128
 
 
+def test_float_grid_matches_complex_past_an_overflow_in_the_pooled_phase(monkeypatch):
+    # p(y) ~ 1e110 y^2 squares w = 1e110 y on each step, so orbits from
+    # w in [1, 3] stay below 2R ~ 2e110 until |y| passes 1e77 and the next
+    # y^4 overflows, from step 10 on: after the blocked first phase
+    H = make_henon([([0.0, 0.0, 1e110, 0.0, 1.0], 0.5)])
+    R = filtration_radius(H).R
+    monkeypatch.setattr(green, "BLOCK_POINTS", SMALL_BLOCK)
+    y = np.linspace(1.0, 3.0, 401) * 1e-110
+    x = np.zeros_like(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _escape_steps(H, x.copy(), y.copy(), R, TRAP_EVERY + 1) is not None
+        assert _escape_steps(H, x.copy(), y.copy(), R, 64) is None
+        got = green._flat_escape(H, x, y, R, 64)
+        want = green._flat_escape(H, x + 0j, y + 0j, R, 64)
+    assert got[1].dtype == np.complex128
+    assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
+    assert grid_outputs(H, x, y, R, 64, 1.0) == grid_outputs(H, x + 0j, y + 0j, R, 64, 1.0)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_refine_plus_blocks_match_one_batch(request, monkeypatch, name):
+    H = request.getfixturevalue(name)
+    R = filtration_radius(H).R
+    x, y = np.meshgrid(np.linspace(-2.5, 2.5, 64), np.linspace(-2.5, 2.5, 64))
+    for xs, ys in ((x, y), (x + 0j, y + 0j)):
+        _, fx, fy, steps = green._flat_escape(H, xs, ys, R, 64)
+        esc = np.flatnonzero(steps >= 0)
+        assert esc.size > 10 * SMALL_BLOCK
+        args = (H, fx, fy, steps, esc, 1e-10)
+        want = _refine_plus(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(green, "BLOCK_POINTS", SMALL_BLOCK)
+            got = _refine_plus(*args)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_escape_band_on_fixtures(href, htwo, hcubic):
     bands = [escape_band(H) for H in (href, htwo, hcubic)]
     assert np.allclose(bands, [0.1502, 0.1054, 0.0356], atol=1e-4)
@@ -572,9 +635,9 @@ def test_sublevel_grid_refines_few_pixels(request, monkeypatch, name):
     R = filtration_radius(H).R
     refined = []
 
-    def counting(H, x, y, steps, tol):
-        refined.append(x.size)
-        return _refine_plus(H, x, y, steps, tol)
+    def counting(H, x, y, steps, idx, tol):
+        refined.append(idx.size)
+        return _refine_plus(H, x, y, steps, idx, tol)
 
     monkeypatch.setattr(green, "_refine_plus", counting)
     x, y = np.meshgrid(np.linspace(-2.5, 2.5, 128), np.linspace(-2.5, 2.5, 128))
