@@ -30,11 +30,8 @@ _EXPORTS = {
         "Region", "FiltrationRadius", "OrbitClass", "OrbitTag",
         "region_of", "filtration_radius", "classify_point",
     ),
-    "green": ("GreenValue", "Membership", "green_plus", "green_minus", "membership"),
-    "boettcher": (
-        "BoettcherRegion", "certify_region", "q_correction", "bottcher_phi",
-        "lambda_inverse", "dphi_dy", "dlambda_dy", "alpha_of_loop",
-    ),
+    "green": ("GreenValue", "green_plus", "green_minus"),
+    "boettcher": ("BoettcherRegion", "certify_region", "bottcher_phi", "alpha_of_loop"),
     "cover": (
         "CoverChart", "CoverPoint", "DeckLabel", "build_chart", "psi_integral",
         "r_series", "psi_tilde", "psi_tilde_inverse", "lift_H", "deck",

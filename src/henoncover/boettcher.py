@@ -20,8 +20,8 @@ retired points differs between its two drivers:
   factor, or |y| past the y^d cap).  A point's batch result does not
   depend on the other points of the batch.
 - a call with exactly one point runs the step on Python complex scalars,
-  which costs about a tenth of a numpy call on one point.  The public
-  single-point API and Newton rounds with one point left reach it so.
+  which costs about a tenth of a numpy call on one point.  bottcher_phi
+  and Newton rounds with one point left reach it so.
 
 The two drivers take the log term log(1 + w) differently, each the
 cheapest accurate form for its number type.  On arrays it is
@@ -75,11 +75,7 @@ __all__ = [
     "RefinementBudgetExceeded",
     "BoettcherRegion",
     "certify_region",
-    "q_correction",
     "bottcher_phi",
-    "lambda_inverse",
-    "dphi_dy",
-    "dlambda_dy",
     "alpha_of_loop",
     "phi_series",
     "phi_vec",
@@ -118,12 +114,6 @@ class RefinementBudgetExceeded(HenonError):
 class BoettcherRegion:
     M: float
     R: FiltrationRadius
-
-
-def q_correction(H: HenonMap, z: Point) -> complex:
-    """q(x, y) = pi_2(H(x, y)) - y^d, evaluated directly."""
-    _, y2 = apply_xy(H, z.x, z.y)
-    return y2 - z.y**H.d
 
 
 @functools.lru_cache(maxsize=64)
@@ -440,18 +430,6 @@ def dphi_dy_vec(H: HenonMap, x, y, tol: float = 1e-12):
     return np.exp(S) * (1.0 + y * dS), ok
 
 
-def dphi_dy(H: HenonMap, z: Point, region: BoettcherRegion | None = None) -> complex:
-    """Derivative of phi in y at a point of W+_M."""
-    if region is None:
-        region = certify_region(H)
-    if not in_region_xy(np.asarray(z.x), np.asarray(z.y), region.M, region.R.R):
-        raise OutsideRegion(detail="center outside W+_M")
-    d, ok = dphi_dy_vec(H, [z.x], [z.y])
-    if not ok[0]:
-        raise OutsideRegion(detail="orbit left the product region")
-    return complex(d[0])
-
-
 def _lambda_start(H: HenonMap, x, w):
     """The first-order inverse y0 = w (1 - w0 / d) of phi(x, .) at w.
 
@@ -509,27 +487,8 @@ def lambda_vec(H: HenonMap, x, w, tol: float = 1e-12, max_iter: int = 50):
     return y, ok
 
 
-def lambda_inverse(
-    H: HenonMap,
-    x: complex,
-    w: complex,
-    region: BoettcherRegion | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> complex:
-    """y with phi(x, y) = w (relative tolerance tol) inside W+_M."""
-    if region is None:
-        region = certify_region(H)
-    if not in_region_xy(np.asarray(x), np.asarray(w), region.M, region.R.R):
-        raise OutsideRegion(detail="(x, w) outside W+_M")
-    y, ok = lambda_vec(H, [x], [w], tol, max_iter)
-    if not ok[0]:
-        raise NoConvergence(max_iter)
-    return complex(y[0])
-
-
 def dlambda_dy_vec(H: HenonMap, x, w, tol: float = 1e-12):
-    """1 / dphi_dy at the matched point (x, y = lambda(x, w)); returns (dl, ok, y).
+    """1 / (dphi/dy) at the matched point (x, y = lambda(x, w)); returns (dl, ok, y).
 
     The slope is the one from the Newton round that converged, which
     evaluated dphi/dy at exactly the returned y.
@@ -538,43 +497,26 @@ def dlambda_dy_vec(H: HenonMap, x, w, tol: float = 1e-12):
     return 1.0 / dphi, ok, y
 
 
-def dlambda_dy(
-    H: HenonMap,
-    x: complex,
-    w: complex,
-    region: BoettcherRegion | None = None,
-    tol: float = 1e-12,
-) -> complex:
-    """Exact inverse-function relation 1 / dphi_dy(x, lambda(x, w)).
-
-    One Newton solve gives both lambda and the slope of its converged
-    round, which evaluated dphi/dy at exactly the solved point.
-    """
-    if region is None:
-        region = certify_region(H)
-    M, R = region.M, region.R.R
-    if not in_region_xy(np.asarray(x), np.asarray(w), M, R):
-        raise OutsideRegion(detail="(x, w) outside W+_M")
-    max_iter = 50
-    y, ok, dphi = _lambda_newton(H, [x], [w], tol, max_iter)
-    if not ok[0]:
-        raise NoConvergence(max_iter)
-    if not in_region_xy(np.asarray(x), y[0], M, R):
-        raise OutsideRegion(detail="center outside W+_M")
-    return 1.0 / complex(dphi[0])
-
-
-def alpha_of_loop(H: HenonMap, loop, region: BoettcherRegion | None = None) -> Fraction:
+def alpha_of_loop(H: HenonMap, loop) -> Fraction:
     """Winding class of a closed polygonal loop in U+, in Z[1/d].
 
-    The loop is pushed forward by H until every sample lies in the product
-    region, phi-winding is accumulated over a subdivision fine enough that
-    consecutive arguments move by less than pi/2, and the integer winding
-    is divided by d^pushes.  Pulling a loop through H multiplies winding by
-    d, hence the division.
+    The loop is pushed forward by H until every sample lies in W+_M, the
+    winding of y is accumulated over a subdivision fine enough that
+    consecutive arguments of y move by less than pi/2, and the integer
+    winding is divided by d^pushes.  Pulling a loop through H multiplies
+    winding by d, hence the division.
+
+    On W+_M the winding of y is that of phi.  There every factor of the
+    orbit product has |w| <= 1/2 (certify_region), so phi = y e^S with S
+    continuous on W+_M, and |arg(1 + w)| <= arcsin(1/2) = pi/6 gives
+    |Im S| <= sum_j d^-(j+1) pi/6 = pi/(6(d-1)) <= pi/6.  Between
+    consecutive samples the principal increment of arg phi is then the
+    increment of arg y plus that of Im S, since the two add up to less
+    than pi/2 + pi/3 < pi and so take no multiple of 2 pi.  The increments
+    of Im S telescope to 0 around the closed loop, so the two windings are
+    equal.
     """
-    if region is None:
-        region = certify_region(H)
+    region = certify_region(H)
     M, R = region.M, region.R.R
     verts = np.array([complex(p.x) for p in loop] + [complex(loop[0].x)])
     verts_y = np.array([complex(p.y) for p in loop] + [complex(loop[0].y)])
@@ -600,10 +542,7 @@ def alpha_of_loop(H: HenonMap, loop, region: BoettcherRegion | None = None) -> F
         if pushes > LOOP_PUSH_BUDGET:
             raise RefinementBudgetExceeded("push budget exhausted")
 
-        phi, _, ok, _ = phi_vec(H, xs, ys)
-        if not ok.all():
-            raise OutsideRegion(detail="loop sample outside product region")
-        darg = np.angle(phi[1:] / phi[:-1])
+        darg = np.angle(ys[1:] / ys[:-1])
         winding = darg.sum() / (2.0 * np.pi)
         if np.max(np.abs(darg)) < 0.5 * np.pi and last is not None:
             w_round = round(winding)

@@ -48,14 +48,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .filtration import (
     BAIL_OUT,
     ESCAPE_MARGIN,
-    classify_point,
     escape_orbit,
     filtration_radius,
 )
@@ -73,10 +71,8 @@ from .symmetry import fixed_points
 
 __all__ = [
     "GreenValue",
-    "Membership",
     "green_plus",
     "green_minus",
-    "membership",
     "escaping_samples",
     "green_plus_grid",
     "escape_time_grid",
@@ -102,11 +98,6 @@ class GreenValue:
     def __post_init__(self):
         if self.value < 0 or self.error_bound < 0:
             raise ValueError("Green data must be nonnegative")
-
-
-class Membership(Enum):
-    ESCAPING = "Escaping"
-    NON_ESCAPING_UP_TO_BUDGET = "NonEscapingUpToBudget"
 
 
 def _bounded_value(H: HenonMap, R: float, N_max: int) -> GreenValue:
@@ -184,13 +175,6 @@ def green_minus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> 
     """
     K, alpha, beta = backward_conjugate(H)
     return green_plus(K, Point(z.y / alpha, z.x / beta), tol, N_max)
-
-
-def membership(H: HenonMap, z: Point, budget: int = 256) -> Membership:
-    """Escaping iff the forward orbit reaches the escape region in budget."""
-    if classify_point(H, z, filtration_radius(H), budget).escaped:
-        return Membership.ESCAPING
-    return Membership.NON_ESCAPING_UP_TO_BUDGET
 
 
 def escaping_samples(

@@ -81,7 +81,7 @@ def annulus_coordinate(chart: CoverChart, z: Point, budget: int = 64) -> complex
     M, R = chart.region.M, chart.region.R.R
     x, y = complex(z.x), complex(z.y)
     for n in range(budget + 1):
-        if in_region_xy(np.asarray(x), np.asarray(y), M, R):
+        if in_region_xy(x, y, M, R):
             phi = bottcher_phi(H, Point(x, y), chart.series_tol)
             log_phi = np.log(abs(phi)) + 1j * np.angle(phi)
             return complex(np.exp(log_phi / H.d**n))

@@ -313,7 +313,10 @@ def fixed_points(H: HenonMap):
     over the fixed points p, and the left eigenvector of a simple l(p) is
     the vector of basis monomials at p.  Its entries at y_(m-1) and y_0,
     each over its entry at 1, are x and y.  POLISH_STEPS Newton steps on
-    H(z) - z follow; a singular DH - I ends the polish of its point.
+    H(z) - z follow.  A singular DH - I or a step that is not finite ends
+    the polish of its point, which keeps its last finite iterate: near
+    y = -1e110 on p(y) = y^3 + 1e110 y^2, H(z) overflows, and a non-finite
+    H(z) - z gives a non-finite step.
     green.attracting_traps certifies its K+ traps around these points.
     """
     fs = H.factors
@@ -363,15 +366,18 @@ def fixed_points(H: HenonMap):
     xs = V[index[(0,) * (m - 1) + (1,)]] / V[0]
     ys = V[index[(1,) + (0,) * (m - 1)]] / V[0]
     pts = []
-    for x, y in zip(xs, ys):
-        for _ in range(POLISH_STEPS):
-            hx, hy = apply_xy(H, x, y)
-            try:
-                dx, dy = np.linalg.solve(_jacobian(H, x, y) - np.eye(2), [hx - x, hy - y])
-            except np.linalg.LinAlgError:
-                break
-            x, y = x - dx, y - dy
-        pts.append(Point(complex(x), complex(y)))
+    with np.errstate(all="ignore"):  # an overflowing step ends its polish
+        for x, y in zip(xs, ys):
+            for _ in range(POLISH_STEPS):
+                hx, hy = apply_xy(H, x, y)
+                try:
+                    step = np.linalg.solve(_jacobian(H, x, y) - np.eye(2), [hx - x, hy - y])
+                except np.linalg.LinAlgError:
+                    break
+                if not np.isfinite(step).all():
+                    break
+                x, y = x - step[0], y - step[1]
+            pts.append(Point(complex(x), complex(y)))
     pts.sort(key=lambda p: (round(p.x.real, 9), round(p.x.imag, 9),
                             round(p.y.real, 9), round(p.y.imag, 9)))
     return pts

@@ -14,22 +14,19 @@ from henoncover import (
     apply,
     bottcher_phi,
     certify_region,
-    dlambda_dy,
-    dphi_dy,
     green_plus,
-    lambda_inverse,
     make_henon,
-    q_correction,
 )
 from henoncover import boettcher, cover
 from henoncover.boettcher import (
-    NoConvergence,
     OutsideRegion,
     _ipow,
     _log1p_array,
     _product_bound,
+    dlambda_dy_vec,
     dphi_dy_vec,
     in_region_xy,
+    lambda_vec,
     phi_series,
     phi_vec,
 )
@@ -50,18 +47,26 @@ def region_samples(rng, region, n):
     return out
 
 
+def region_arrays(rng, region, n):
+    """region_samples as complex arrays (x, y)."""
+    pts = region_samples(rng, region, n)
+    return (np.array([z.x for z in pts], dtype=complex),
+            np.array([z.y for z in pts], dtype=complex))
+
+
 def test_q_simple_map():
+    # q(x, y) = pi_2(H(x, y)) - y^d, evaluated directly
     H = make_henon([([0, 0, 1], 1.0)])
-    assert q_correction(H, Point(3, 5)) == -3
+    assert apply_xy(H, 3, 5)[1] - 5**H.d == -3
     for y in (2.0, -7.1, 3.3j):
-        assert q_correction(H, Point(0, y)) == 0
+        assert apply_xy(H, 0, y)[1] - y**H.d == 0
 
 
 def test_q_matches_symbolic_expansion(rng, htwo):
     q = second_component_correction(htwo)
     for _ in range(20):
         z = Point(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
-        direct = q_correction(htwo, z)
+        direct = apply_xy(htwo, z.x, z.y)[1] - z.y**htwo.d
         symbolic = q(z.x, z.y)
         assert abs(direct - symbolic) <= 1e-12 * max(1.0, abs(symbolic))
 
@@ -105,26 +110,24 @@ def test_phi_outside_region_raises():
 
 
 def test_lambda_inverse_pair(rng, href, href_region):
-    for z in region_samples(rng, href_region, 50):
-        w = bottcher_phi(href, z)
-        lam = lambda_inverse(href, z.x, w, href_region)
-        assert abs(lam - z.y) <= 1e-9 * abs(z.y)
+    x, y = region_arrays(rng, href_region, 50)
+    lam, ok = lambda_vec(href, x, phi_vec(href, x, y)[0])
+    assert ok.all() and np.all(np.abs(lam - y) <= 1e-9 * np.abs(y))
 
 
 def test_lambda_close_to_identity(rng, href, href_region):
     eps = 0.035
-    for z in region_samples(rng, href_region, 30):
-        w = z.y  # any target in the region works
-        lam = lambda_inverse(href, z.x, w, href_region)
-        assert 1 - eps <= abs(lam / w) <= 1 + eps
+    x, w = region_arrays(rng, href_region, 30)  # any target in the region works
+    lam, ok = lambda_vec(href, x, w)
+    assert ok.all() and np.all(np.abs(np.abs(lam / w) - 1) <= eps)
 
 
 def test_lambda_axis_fixed_point_oracle():
     H = make_henon([([0, 0, 1], 1.0)])
     # on the x = 0 axis, q vanishes and phi(0, y) = y exactly
     w = 1e6 * np.exp(0.7j)
-    lam = lambda_inverse(H, 0.0, w)
-    assert abs(lam - w) <= 1e-3 * abs(w)
+    (lam,), (ok,) = lambda_vec(H, [0.0], [w])
+    assert ok and abs(lam - w) <= 1e-3 * abs(w)
     # fixed-point oracle: y <- w * exp(-gamma(0, y)) stabilizes at w
     y = w
     for _ in range(8):
@@ -211,29 +214,25 @@ def test_lambda_start_agrees_on_random_maps(H):
 
 def test_lambda_no_convergence():
     H = make_henon([([0, 0, 1], 1.0)])
-    with pytest.raises(NoConvergence):
-        lambda_inverse(H, 0.5, 100.0, tol=1e-15, max_iter=1)
+    _, ok = lambda_vec(H, [0.5], [100.0], tol=1e-15, max_iter=1)
+    assert not ok[0]
 
 
 def test_derivative_bounds(rng, href, href_region):
     eps = 0.035
-    for z in region_samples(rng, href_region, 20):
-        dp = dphi_dy(href, z, href_region)
-        assert 1 - eps <= abs(dp) <= 1 + eps
-        w = bottcher_phi(href, z)
-        dl = dlambda_dy(href, z.x, w, href_region)
-        assert abs(dp * dl - 1.0) <= 1e-9
+    x, y = region_arrays(rng, href_region, 20)
+    dp, ok = dphi_dy_vec(href, x, y)
+    assert ok.all() and np.all(np.abs(np.abs(dp) - 1) <= eps)
+    dl, ok, _ = dlambda_dy_vec(href, x, phi_vec(href, x, y)[0])
+    assert ok.all() and np.all(np.abs(dp * dl - 1.0) <= 1e-9)
 
 
 def test_derivative_matches_finite_difference(rng, href, href_region):
-    for z in region_samples(rng, href_region, 15):
-        dp = dphi_dy(href, z, href_region)
-        h = 1e-5 * abs(z.y)
-        fd = (
-            bottcher_phi(href, Point(z.x, z.y + h))
-            - bottcher_phi(href, Point(z.x, z.y - h))
-        ) / (2 * h)
-        assert abs(dp - fd) <= 1e-6 * abs(fd)
+    x, y = region_arrays(rng, href_region, 15)
+    dp, ok = dphi_dy_vec(href, x, y)
+    h = 1e-5 * np.abs(y)
+    fd = (phi_vec(href, x, y + h)[0] - phi_vec(href, x, y - h)[0]) / (2 * h)
+    assert ok.all() and np.all(np.abs(dp - fd) <= 1e-6 * np.abs(fd))
 
 
 def cauchy_dphi_dy(H, x, y, M):
@@ -247,9 +246,7 @@ def cauchy_dphi_dy(H, x, y, M):
 
 def assert_tangent_matches_cauchy(H, n, seed):
     region = certify_region(H)
-    pts = region_samples(np.random.default_rng(seed), region, n)
-    x = np.array([z.x for z in pts], dtype=complex)
-    y = np.array([z.y for z in pts], dtype=complex)
+    x, y = region_arrays(np.random.default_rng(seed), region, n)
     dp, ok = dphi_dy_vec(H, x, y)
     ref, ref_ok = cauchy_dphi_dy(H, x, y, region.M)
     assert ok.all() and ref_ok.all()
@@ -445,13 +442,16 @@ def test_phi_series_nan_is_a_bad_factor(name, request):
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
 def test_dlambda_dy_is_inverse_slope_at_solved_point(name, request):
-    # one Newton solve gives the slope the two-step definition computes
+    # one Newton solve gives the slope the two-step definition computes;
+    # one-point calls, so both sides run phi_series's scalar body
     H = request.getfixturevalue(name)
     region = certify_region(H)
     for z in region_samples(np.random.default_rng(43), region, 40):
-        y = lambda_inverse(H, z.x, z.y, region)
-        dl = dlambda_dy(H, z.x, z.y, region)
-        assert dl == 1.0 / dphi_dy(H, Point(z.x, y), region)
+        y, ok = lambda_vec(H, [z.x], [z.y])
+        dl, dl_ok, dl_y = dlambda_dy_vec(H, [z.x], [z.y])
+        dp, dp_ok = dphi_dy_vec(H, [z.x], y)
+        assert ok[0] and dl_ok[0] and dp_ok[0] and dl_y[0] == y[0]
+        assert dl[0] == (1.0 / dp)[0]
 
 
 def assert_product_bound_holds_on_boundary(H, seed):
@@ -530,3 +530,58 @@ def test_alpha_shallow_loop_needs_push(href, href_radius):
     ]
     val = alpha_of_loop(href, loop)
     assert val == Fraction(1, 1)
+
+
+def phi_winding_class(H, loop, samples=256):
+    """(class, pushes) of a closed loop in U+ from the winding of phi.
+
+    The oracle for alpha_of_loop, which winds y: every edge gets `samples`
+    points, all are pushed by H together until they lie in W+_M, and the
+    principal increments of arg phi there, each below pi/2, sum to the
+    winding.
+    """
+    region = certify_region(H)
+    v = np.array([[p.x, p.y] for p in [*loop, loop[0]]], dtype=complex)
+    t = np.arange(samples) / samples
+    xs, ys = ((v[:-1, i, None] + (v[1:, i] - v[:-1, i])[:, None] * t).ravel() for i in (0, 1))
+    pushes = 0
+    while not in_region_xy(xs, ys, region.M, region.R.R).all():
+        xs, ys = apply_xy(H, xs, ys)
+        pushes += 1
+    phi, _, ok, _ = phi_vec(H, xs, ys)
+    darg = np.angle(np.roll(phi, -1) / phi)
+    assert ok.all() and np.max(np.abs(darg)) < 0.5 * np.pi
+    return Fraction(round(darg.sum() / (2 * np.pi)), H.d**pushes), pushes
+
+
+def seeded_loop(rng, H, n=16):
+    """A closed n-gon in V+ winding m in -2 ... 2 times about the y-axis.
+
+    |y| at the vertices runs up to 2 M R, from 1.5 R on a coin flip and
+    from 1.25 M R otherwise, and |x| stays below 0.8 min|y| / M.
+    Consecutive vertices are at most pi/4 + 0.2 apart in arg y, so every
+    edge lies in V+, and in W+_M when the smallest |y| is 1.25 M R or more;
+    the other loops mostly need pushes.
+    """
+    region = certify_region(H)
+    M, R = region.M, region.R.R
+    m = int(rng.integers(-2, 3))
+    lo = 1.5 * R if rng.uniform() < 0.5 else 1.25 * M * R
+    rho = rng.uniform(lo, 2.0 * M * R, n)
+    arg_y = 2 * np.pi * m * np.arange(n) / n + rng.uniform(-0.1, 0.1, n)
+    rx = 0.8 * rho.min() / M * rng.uniform(0.0, 1.0, n)
+    x = rx * np.exp(2j * np.pi * rng.uniform(size=n))
+    return [Point(xi, r * np.exp(1j * a)) for xi, r, a in zip(x, rho, arg_y)], m
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_alpha_is_the_phi_winding_class(name, request):
+    H = request.getfixturevalue(name)
+    rng = np.random.default_rng(71)
+    pushed = 0
+    for _ in range(25):
+        loop, m = seeded_loop(rng, H)
+        want, pushes = phi_winding_class(H, loop)
+        assert alpha_of_loop(H, loop) == want == m
+        pushed += pushes > 0
+    assert 5 <= pushed <= 20

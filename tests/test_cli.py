@@ -96,6 +96,19 @@ def test_cli_info_lists_attracting_traps(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["attracting_traps"] == []
 
 
+def test_cli_info_and_render_with_an_overflowing_fixed_point(tmp_path, capsys):
+    # the fixed point near y = -1e110 of (y, y^3 + 1e110 y^2 - x/2) overflows H
+    spec = write_json(
+        tmp_path / "m.json", {"factors": [{"p": [[0, 0], [0, 0], [1e110, 0], [1, 0]], "a": [0.5, 0]}]}
+    )
+    assert main(["info", "--spec", spec]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out)["attracting_traps"], list)
+    job = {**JOB, "window": {"center": [0.0, 0.0], "width": 1e-200, "height": 1e-200},
+           "resolution": [64, 64]}
+    jobp = write_json(tmp_path / "j.json", job)
+    assert main(["render", "--spec", spec, "--job", jobp, "--out", str(tmp_path / "t.pgm")]) == 0
+
+
 def test_cli_info_composed_degrees(tmp_path, capsys):
     spec = write_json(tmp_path / "m.json", TWO_DEGREES)
     assert main(["info", "--spec", spec]) == 0

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from henoncover import (
-    Membership,
     Point,
     apply,
     apply_inverse,
@@ -18,7 +17,6 @@ from henoncover import (
     green_minus,
     green_plus,
     make_henon,
-    membership,
 )
 from henoncover.boettcher import OutsideRegion, phi_vec
 from henoncover.filtration import BAIL_OUT, ESCAPE_MARGIN, escape_orbit
@@ -132,12 +130,6 @@ def test_green_agrees_with_bottcher_deep(rng, href, href_radius):
         z = Point(x, y)
         g = green_plus(href, z)
         assert abs(g.value - np.log(abs(bottcher_phi(href, z)))) <= 1e-8
-
-
-def test_membership(href, href_radius):
-    assert membership(href, Point(0, 10 * href_radius.R)) is Membership.ESCAPING
-    H = make_henon([([0, 0, 1], 1.0)])
-    assert membership(H, Point(0, 0)) is Membership.NON_ESCAPING_UP_TO_BUDGET
 
 
 def test_grid_matches_scalar(request, rng):

@@ -72,6 +72,14 @@ def test_fixed_points_cubic(hcubic):
     assert vals == [round(-s, 6), 0.0, round(s, 6)]
 
 
+def test_fixed_points_keep_the_last_finite_iterate_of_an_overflowing_polish():
+    # p(y) = y^3 + 1e110 y^2: H overflows at the fixed point near y = -1e110
+    pts = fixed_points(make_henon([([0, 0, 1e110, 1], 0.5)]))
+    assert len(pts) == 3 and all(np.isfinite([p.x, p.y]).all() for p in pts)
+    assert Point(0j, 0j) in pts
+    assert min(abs(p.y + 1e110) for p in pts) <= 1e96
+
+
 def assert_fixed_points(H):
     """fixed_points(H): d points, each fixed up to one float step's rounding."""
     pts = fixed_points(H)
