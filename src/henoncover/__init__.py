@@ -26,10 +26,7 @@ _EXPORTS = {
         "HenonError", "DegreeTooLow", "NotMonic", "ZeroJacobianFactor", "NonFinite",
         "make_henon", "apply", "apply_inverse", "iterate",
     ),
-    "filtration": (
-        "Region", "FiltrationRadius", "OrbitClass", "OrbitTag",
-        "region_of", "filtration_radius", "classify_point",
-    ),
+    "filtration": ("FiltrationRadius", "filtration_radius"),
     "green": ("GreenValue", "green_plus", "green_minus"),
     "boettcher": ("BoettcherRegion", "certify_region", "bottcher_phi", "alpha_of_loop"),
     "cover": (

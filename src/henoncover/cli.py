@@ -38,7 +38,7 @@ from .green import (
     green_plus_grid,
     sublevel_grid,
 )
-from .henon import HenonError, HenonMap, Point, _c2l, _factors_json, make_henon
+from .henon import HenonError, HenonMap, Point, _c2l, make_henon
 from .symmetry import compute_d0, find_affine_symmetries, save_report
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "GridJob",
     "parse_spec",
     "parse_spec_file",
-    "canonical_spec",
     "parse_grid_job",
     "render_grid",
     "write_pgm",
@@ -189,13 +188,6 @@ def parse_spec_file(path) -> MapSpec:
     except json.JSONDecodeError as exc:
         raise SpecError("<json>", f"line {exc.lineno}: {exc.msg}") from exc
     return parse_spec(data)
-
-
-def canonical_spec(spec: MapSpec) -> dict:
-    return {
-        "name": spec.name,
-        "factors": _factors_json(spec.henon),
-    }
 
 
 def parse_grid_job(data) -> GridJob:

@@ -184,9 +184,9 @@ class CoverChart:
 # psi quadrature
 
 # lambda solves (the series table's torus nodes, lambda(0, zeta) on the
-# Q^- circle and in the _qminus_eval band, and psi_integral's nodes) run
-# far below the chart's targets; sample noise otherwise scales with the
-# function's magnitude and poisons the Fourier coefficients of Qtilde.
+# Q^- circle, and psi_integral's nodes) run far below the chart's
+# targets; sample noise otherwise scales with the function's magnitude
+# and poisons the Fourier coefficients of Qtilde.
 # Kept a factor above the double rounding floor so the Newton residual
 # test stays reachable.
 _INNER_TOL = 3e-15
@@ -329,9 +329,9 @@ def _series_eval(H: HenonMap, region: BoettcherRegion, X, W):
 def _qtilde_batch(H: HenonMap, region: BoettcherRegion, zetas):
     """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d), psi from the table.
 
-    Its callers, the Q^- circle at 1.25MR (0.8 of the radius of W+_M) and
-    the band of _qminus_eval, lie below the series bidisc |zeta| >= MR/0.6,
-    so lambda(0, zeta) is solved directly with lambda_vec.
+    Its caller, the Q^- circle at 1.25MR (0.8 of the radius of W+_M), lies
+    below the series bidisc |zeta| >= MR/0.6, so lambda(0, zeta) is solved
+    directly with lambda_vec.
     """
     zetas = np.asarray(zetas, dtype=complex)
     lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL, 100)
@@ -459,31 +459,29 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
 # evaluation on a built chart
 
 def _qminus_eval(chart: CoverChart, w: complex) -> complex:
-    """Q^-(w) from the sampled circle; w must satisfy |w| > M*R.
+    """Q^-(w) by the exterior Cauchy sum over the sampled circle |z_k| = 1.25MR.
 
-    Exterior Cauchy sum for |w| >= 1.5*MR (spectrally accurate there);
-    direct pipeline value Qtilde(w) - Q(w) in the thin band below.
+    Spectrally accurate for |w| >= 1.5MR, which r_series' domain guarantees.
     """
-    aw = abs(w)
-    inner = chart.inner_radius
-    if aw >= 1.5 * inner:
-        zk, gzk = chart._qminus_nodes
-        return complex(-(gzk / (zk - w)).mean())
-    if aw > 1.02 * inner:
-        qt = _qtilde_batch(chart.H, chart.region, [w])
-        return complex(qt[0] - chart.Q(w))
-    raise OutsideChartDomain(
-        f"|w| = {aw:.3g} too close to the inner radius {inner:.3g}"
-    )
+    zk, gzk = chart._qminus_nodes
+    return complex(-(gzk / (zk - w)).mean())
 
 
 def r_series(chart: CoverChart, zeta: complex, tol: float | None = None) -> complex:
-    """R(zeta) = sum_i (d/a)^(i+1) Q^-(zeta^(d^i)) for |zeta| > M*R."""
+    """R(zeta) = sum_i (d/a)^(i+1) Q^-(zeta^(d^i)) for |zeta| >= 1.5*M*R.
+
+    OutsideChartDomain below 1.5MR, the domain _r_series_bound assumes;
+    every w = zeta^(d^i) then lies where _qminus_eval's Cauchy sum holds.
+    No caller in the package goes lower: psi_tilde passes phi only after
+    _series_eval has accepted |phi| >= MR/0.6, psi_tilde_inverse passes
+    |zeta| >= Mtilde >= 2MR, and verify's check_r_series samples
+    |zeta| >= 2MR.
+    """
     if tol is None:
         tol = chart.series_tol
     z = complex(zeta)
-    if not abs(z) > chart.inner_radius:
-        raise OutsideChartDomain("r_series needs |zeta| > M*R")
+    if not abs(z) >= 1.5 * chart.inner_radius:
+        raise OutsideChartDomain("r_series needs |zeta| >= 1.5*M*R")
     d = chart.H.d
     ratio = d / chart.H.jacobian
     total = 0.0 + 0.0j

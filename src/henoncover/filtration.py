@@ -1,4 +1,4 @@
-"""Filtration of C^2 into V, V+ and V-, its proved radius, escape classes.
+"""Filtration of C^2 into V, V+ and V-, its proved radius, forward escape.
 
 V_R = {|x|,|y| <= R},  V+_R = {|y| >= max(|x|, R)},  V-_R = {|x| >= max(|y|, R)}.
 
@@ -24,37 +24,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 
-from .henon import HenonMap, Point, apply_inverse_xy, apply_xy
+from .henon import HenonMap, apply_xy
 
-__all__ = [
-    "Region",
-    "FiltrationRadius",
-    "OrbitTag",
-    "OrbitClass",
-    "region_of",
-    "filtration_radius",
-    "escape_orbit",
-    "classify_point",
-]
+__all__ = ["FiltrationRadius", "filtration_radius", "escape_orbit"]
 
 # escape requires V+ membership *and* this multiple of R as a margin
 ESCAPE_MARGIN = 2.0
 # an orbit with a coordinate past this bound is given up on, unclassified
 BAIL_OUT = 1e150
-
-
-class Region(Enum):
-    V = "V"
-    Vplus = "Vplus"
-    Vminus = "Vminus"
-
-
-class OrbitTag(Enum):
-    ESCAPED_FORWARD = "EscapedForward"
-    ESCAPED_BACKWARD = "EscapedBackward"
-    BOUNDED_UP_TO = "BoundedUpTo"
 
 
 @dataclass(frozen=True)
@@ -64,26 +42,6 @@ class FiltrationRadius:
     def __post_init__(self):
         if not self.R > 1.0:
             raise ValueError("filtration radius must exceed 1")
-
-
-@dataclass(frozen=True)
-class OrbitClass:
-    tag: OrbitTag
-    n: int
-
-    @property
-    def escaped(self) -> bool:
-        return self.tag is not OrbitTag.BOUNDED_UP_TO
-
-
-def region_of(z: Point, R: float) -> Region:
-    """Ties resolved in the order Vplus, Vminus, V (deterministic)."""
-    ax, ay = abs(z.x), abs(z.y)
-    if ay >= max(ax, R):
-        return Region.Vplus
-    if ax >= max(ay, R):
-        return Region.Vminus
-    return Region.V
 
 
 def _coefficient_floor(H: HenonMap) -> float:
@@ -100,43 +58,22 @@ def filtration_radius(H: HenonMap) -> FiltrationRadius:
     return FiltrationRadius(_coefficient_floor(H))
 
 
-def escape_orbit(H: HenonMap, x, y, r: float, N_max: int, forward: bool = True):
-    """First n <= N_max whose iterate lies in the escape region, with the iterate.
+def escape_orbit(H: HenonMap, x, y, r: float, N_max: int):
+    """First n <= N_max with H^n(x, y) in the escape region, with the iterate.
 
-    Forward escape is V+ membership with |y| > 2r along the orbit of H;
-    backward escape is V- membership with |x| > 2r along the orbit of
-    H^{-1}.  Returns (n, x_n, y_n), or None when the orbit misses the region
-    for N_max steps or a coordinate passes BAIL_OUT first.
+    Escape is V+ membership with |y| > 2r.  Returns (n, x_n, y_n), or None
+    when the orbit misses the region for N_max steps or a coordinate
+    passes BAIL_OUT first.  Backward escape is this test on
+    henon.backward_conjugate(H), the monic conjugate of H^{-1} that
+    green.green_minus iterates.
     """
-    step = apply_xy if forward else apply_inverse_xy
     cutoff = ESCAPE_MARGIN * r
     for n in range(N_max + 1):
         ax, ay = abs(x), abs(y)
-        far, near = (ay, ax) if forward else (ax, ay)
-        if far >= max(near, r) and far > cutoff:
+        if ay >= max(ax, r) and ay > cutoff:
             return n, x, y
         if max(ax, ay) > BAIL_OUT:
             return None
         if n < N_max:
-            x, y = step(H, x, y)
+            x, y = apply_xy(H, x, y)
     return None
-
-
-def classify_point(
-    H: HenonMap,
-    z: Point,
-    R: FiltrationRadius,
-    N_max: int,
-    forward: bool = True,
-) -> OrbitClass:
-    """First n <= N_max with H^n(z) in the escape region, else bounded.
-
-    The backward variant iterates H^{-1} and tests V-.  An orbit that passes
-    BAIL_OUT without escaping in the requested direction is reported as
-    bounded up to the budget.
-    """
-    hit = escape_orbit(H, complex(z.x), complex(z.y), R.R, N_max, forward)
-    if hit is None:
-        return OrbitClass(OrbitTag.BOUNDED_UP_TO, N_max)
-    tag = OrbitTag.ESCAPED_FORWARD if forward else OrbitTag.ESCAPED_BACKWARD
-    return OrbitClass(tag, hit[0])

@@ -341,15 +341,6 @@ class BivariatePoly:
             acc = row if acc is None else acc * x + row
         return acc
 
-    def total_degree(self) -> int:
-        c = self.trim().c
-        deg = 0
-        for i in range(c.shape[0]):
-            for j in range(c.shape[1]):
-                if c[i, j] != 0:
-                    deg = max(deg, i + j)
-        return deg
-
 
 @functools.lru_cache(maxsize=64)
 def component_polynomials(H: HenonMap, power: int = 1):

@@ -17,7 +17,6 @@ from henoncover import cli
 from henoncover.cli import (
     GridJob,
     SpecError,
-    canonical_spec,
     main,
     parse_grid_job,
     parse_spec,
@@ -26,7 +25,7 @@ from henoncover.cli import (
     write_pgm,
 )
 from henoncover.green import escape_time_grid, green_plus_grid
-from henoncover.henon import apply_xy
+from henoncover.henon import _factors_json, apply_xy
 
 QUADRATIC = {
     "name": "reference quadratic",
@@ -58,8 +57,10 @@ def write_json(path, data):
 def test_parse_spec_round_trip():
     spec = parse_spec(QUADRATIC)
     assert spec.henon.d == 2 and spec.henon.d_prime == 1
-    canon = canonical_spec(spec)
-    assert canon == canonical_spec(parse_spec(canon))  # stable canonical form
+    factors = _factors_json(spec.henon)
+    again = parse_spec({"name": spec.name, "factors": factors})
+    assert again.henon == spec.henon and again.name == spec.name
+    assert _factors_json(again.henon) == factors  # stable canonical form
 
 
 def test_parse_spec_errors():

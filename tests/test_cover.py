@@ -25,7 +25,7 @@ from henoncover import (
     r_series,
     save_chart,
 )
-from henoncover import boettcher, cover
+from henoncover import boettcher, cover, verification
 from henoncover.boettcher import dlambda_dy_vec, lambda_vec
 from henoncover.cover import (
     _INNER_TOL,
@@ -468,11 +468,10 @@ def test_series_identity(rng, href, href_chart):
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
-def test_qminus_direct_form_matches_cauchy_sum(name, request, monkeypatch):
-    # _qminus_eval takes Qtilde(w) - Q(w) directly in the band
-    # 1.02 MR < |w| < 1.5 MR and the exterior Cauchy sum above it.  Where
-    # both hold, at |w| in [1.5, 2.5] MR, they agree to 2.8 (href),
-    # 3.4 (htwo) and 1.5 (hcubic) eps |Q(w)| on these 40 seeded points:
+def test_qminus_direct_form_matches_cauchy_sum(name, request):
+    # _qminus_eval's exterior Cauchy sum against the direct form
+    # Qtilde(w) - Q(w) at |w| in [1.5, 2.5] MR: they agree to 2.8 (href),
+    # 3.4 (htwo) and 1.5 (hcubic) eps |Q(w)| on these 40 seeded points,
     # measured, not proved, hence the margin of the bound
     chart = request.getfixturevalue(f"{name}_chart")
     rng = np.random.default_rng(2)
@@ -480,16 +479,33 @@ def test_qminus_direct_form_matches_cauchy_sum(name, request, monkeypatch):
     direct = cover._qtilde_batch(chart.H, chart.region, w) - chart.Q(w)
     cauchy = np.array([_qminus_eval(chart, v) for v in w])
     assert np.all(np.abs(direct - cauchy) <= 16 * EPS * np.abs(chart.Q(w)))
-    # r_series' first term at |zeta| = 1.2 MR lies in the band
-    calls, qtilde = [], cover._qtilde_batch
+    # below 1.5 MR, where the Cauchy sum is not accurate, r_series refuses
+    with pytest.raises(OutsideChartDomain):
+        r_series(chart, 1.2 * chart.inner_radius * np.exp(0.7j))
 
-    def counted(*args):
-        calls.append(1)
-        return qtilde(*args)
 
-    monkeypatch.setattr(cover, "_qtilde_batch", counted)
-    assert np.isfinite(r_series(chart, 1.2 * chart.inner_radius * np.exp(0.7j)))
-    assert calls
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_chart_checks_evaluate_qminus_at_or_above_1p5_mr(name, request, monkeypatch):
+    # r_series' domain |zeta| >= 1.5 MR loses no production caller: the
+    # chart checks of verify that reach Q^- stay there and raise nothing
+    chart = request.getfixturevalue(f"{name}_chart")
+    ratios, qminus = [], cover._qminus_eval
+
+    def recorded(chart, w):
+        ratios.append(abs(w) / chart.inner_radius)
+        return qminus(chart, w)
+
+    monkeypatch.setattr(cover, "_qminus_eval", recorded)
+    monkeypatch.setattr(verification, "_qminus_eval", recorded)
+    for check in (check_chart_semiconjugacy, check_covering_map, check_r_series):
+        record = check(chart.H, chart)
+        assert np.isfinite(record["defect"]), record
+    assert ratios and min(ratios) >= 1.5
+    # the domain's edge is closed: |zeta| = 1.5 MR exactly on both axes
+    edge = 1.5 * chart.inner_radius
+    assert np.isfinite(r_series(chart, edge)) and np.isfinite(r_series(chart, 1j * edge))
+    with pytest.raises(OutsideChartDomain):
+        r_series(chart, 1.49 * chart.inner_radius)
 
 
 def test_qminus_nodes_built_once_per_chart(htwo_chart, rng):

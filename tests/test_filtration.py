@@ -3,33 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from henoncover import (
-    OrbitTag,
-    Point,
-    Region,
-    apply,
-    classify_point,
-    filtration_radius,
-    make_henon,
-    region_of,
-)
+from henoncover import Point, apply, filtration_radius, make_henon
+from henoncover.filtration import escape_orbit
 from henoncover.henon import apply_inverse_xy, apply_xy
 
 from strategies import henon_maps
-
-
-def test_region_examples(href_radius):
-    R = href_radius.R
-    assert region_of(Point(0, 2 * R), R) is Region.Vplus
-    assert region_of(Point(2 * R, 0), R) is Region.Vminus
-    assert region_of(Point(0, 0), R) is Region.V
-
-
-def test_region_tie_break(href_radius):
-    R = href_radius.R
-    # |x| = |y| = R lies on every boundary; Vplus wins by convention
-    assert region_of(Point(R, R), R) is Region.Vplus
-    assert region_of(Point(R, R * 1j), R) is Region.Vplus
 
 
 def test_radius_exceeds_one(href_radius, hcubic, htwo):
@@ -65,56 +43,50 @@ def test_radius_grows_with_coefficient_size():
     assert small.R == pytest.approx(3.9) and big.R == pytest.approx(402.8)
 
 
+def escape_step(H, z, R, N_max):
+    """escape_orbit's n for the point z, or None when it stays bounded."""
+    hit = escape_orbit(H, complex(z.x), complex(z.y), R, N_max)
+    return None if hit is None else hit[0]
+
+
 def test_classify_deep_point_escapes_immediately(href, href_radius):
-    cls = classify_point(href, Point(0, 10 * href_radius.R), href_radius, 50)
-    assert cls.tag is OrbitTag.ESCAPED_FORWARD and cls.n == 0
+    z = Point(0, 10 * href_radius.R)
+    assert escape_orbit(href, z.x, z.y, href_radius.R, 50) == (0, z.x, z.y)
 
 
 def test_classify_fixed_point_bounded():
     H = make_henon([([0, 0, 1], 1.0)])
-    R = filtration_radius(H)
-    cls = classify_point(H, Point(0, 0), R, 64)
-    assert cls.tag is OrbitTag.BOUNDED_UP_TO and cls.n == 64
+    assert escape_orbit(H, 0j, 0j, filtration_radius(H).R, 64) is None
 
 
 def test_escape_count_shifts_under_map(rng, href, href_radius):
+    R = href_radius.R
     found = 0
     while found < 25:
         z = Point(
-            2 * href_radius.R * complex(*rng.uniform(-1, 1, 2)),
-            2 * href_radius.R * complex(*rng.uniform(-1, 1, 2)),
+            2 * R * complex(*rng.uniform(-1, 1, 2)),
+            2 * R * complex(*rng.uniform(-1, 1, 2)),
         )
-        cls = classify_point(href, z, href_radius, 64)
-        if cls.tag is OrbitTag.ESCAPED_FORWARD and cls.n >= 1:
+        n = escape_step(href, z, R, 64)
+        if n is not None and n >= 1:
             found += 1
-            shifted = classify_point(href, apply(href, z), href_radius, 64)
-            assert shifted.tag is OrbitTag.ESCAPED_FORWARD
-            assert shifted.n == cls.n - 1
+            assert escape_step(href, apply(href, z), R, 64) == n - 1
 
 
 def test_escape_monotone_in_budget(rng, href, href_radius):
+    R = href_radius.R
     for _ in range(50):
         z = Point(
-            2 * href_radius.R * complex(*rng.uniform(-1, 1, 2)),
-            2 * href_radius.R * complex(*rng.uniform(-1, 1, 2)),
+            2 * R * complex(*rng.uniform(-1, 1, 2)),
+            2 * R * complex(*rng.uniform(-1, 1, 2)),
         )
-        small = classify_point(href, z, href_radius, 16)
-        if small.tag is OrbitTag.ESCAPED_FORWARD:
-            large = classify_point(href, z, href_radius, 128)
-            assert large.tag is OrbitTag.ESCAPED_FORWARD
-            assert large.n == small.n
-
-
-def test_backward_classification(href, href_radius):
-    cls = classify_point(
-        href, Point(10 * href_radius.R, 0), href_radius, 50, forward=False
-    )
-    assert cls.tag is OrbitTag.ESCAPED_BACKWARD and cls.n == 0
+        small = escape_step(href, z, R, 16)
+        if small is not None:
+            assert escape_step(href, z, R, 128) == small
 
 
 def test_stable_axis_of_dissipative_map_stays_bounded():
     H = make_henon([([0, 0, 1], 0.01)])
-    R = filtration_radius(H)
+    R = filtration_radius(H).R
     for budget in (1000, 2000):  # doubled-budget oracle agrees
-        cls = classify_point(H, Point(50.0, 0.0), R, budget)
-        assert cls.tag is OrbitTag.BOUNDED_UP_TO
+        assert escape_orbit(H, 50.0 + 0j, 0j, R, budget) is None

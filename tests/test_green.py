@@ -12,7 +12,6 @@ from henoncover import (
     apply_inverse,
     bottcher_phi,
     certify_region,
-    classify_point,
     filtration_radius,
     green_minus,
     green_plus,
@@ -306,16 +305,15 @@ def test_stop_modulus_clamped_for_degree_64():
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
-def test_escape_time_grid_matches_classify_point(request, rng, name):
+def test_escape_time_grid_matches_escape_orbit(request, rng, name):
     H = request.getfixturevalue(name)
-    R = filtration_radius(H)
+    R = filtration_radius(H).R
     shape = (15, 20)
-    xs = 0.5 * R.R * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
-    ys = 0.5 * R.R * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
-    steps = escape_time_grid(H, xs, ys, R.R, 64)
-    want = [
-        classify_point(H, Point(x, y), R, 64).n for x, y in zip(xs.flat, ys.flat)
-    ]
+    xs = 0.5 * R * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    ys = 0.5 * R * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    steps = escape_time_grid(H, xs, ys, R, 64)
+    hits = [escape_orbit(H, complex(x), complex(y), R, 64) for x, y in zip(xs.flat, ys.flat)]
+    want = [64 if hit is None else hit[0] for hit in hits]
     assert steps.shape == shape
     assert steps.ravel().tolist() == want
     assert 0 < sum(n == 64 for n in want) < len(want)  # both kinds of orbit
