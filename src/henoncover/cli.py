@@ -3,10 +3,12 @@
 Subcommands: info, render, verify, cover, symmetries, classify, green.
 All persisted artifacts are JSON (complex numbers as [re, im] pairs);
 images are binary PGM (P5, maxval 65535) built tile by tile (whole rows,
-about TILE_POINTS pixels, one grid-kernel call each; the kernels work
-through a call in blocks of green.BLOCK_POINTS and pool the escape
-loop's long tail) into a preallocated buffer, so bytes are independent
-of the worker count.
+about TILE_POINTS pixels, one grid-kernel call each; the kernels read a
+tile's coordinates in place, work through a call in blocks of
+green.BLOCK_POINTS, pool the escape loop's long tail and push only the
+escape records of escaped pixels) into a preallocated buffer, so bytes
+are independent of the worker count.  quantize scales one copy of the
+values in place, and write_pgm writes the header and then that buffer.
 Exit codes: 0 ok, 1 verification failure, 2 input error.
 
 The module imports only what info, render, green and symmetries run
@@ -293,18 +295,21 @@ def render_grid(
 
 
 def quantize(job: GridJob, values) -> np.ndarray:
-    """Clamp and linearly scale to 16-bit gray levels."""
+    """Clamp and linearly scale to 16-bit gray levels (values is left as given)."""
     if job.quantity == "sublevel":
         return values.astype(">u2")
     clamp = job.clamp if job.clamp > 0 else 1.0
-    scaled = np.clip(values, 0.0, clamp) * (65535.0 / clamp)
-    return np.rint(scaled).astype(">u2")
+    scaled = np.clip(values, 0.0, clamp)
+    scaled *= 65535.0 / clamp
+    return np.rint(scaled, out=scaled).astype(">u2")
 
 
 def write_pgm(path, pixels: np.ndarray):
+    """Binary PGM: the header, then the big-endian 16-bit pixel buffer."""
     h, w = pixels.shape
-    header = f"P5\n{w} {h}\n65535\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.astype(">u2").tobytes())
+    with open(path, "wb") as f:
+        f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
+        f.write(np.ascontiguousarray(pixels, dtype=">u2"))
 
 
 def write_csv(path, values: np.ndarray):

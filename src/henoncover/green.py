@@ -17,15 +17,19 @@ of escape_orbit over flat arrays in one loop body, _escape_steps.  It
 runs the first TRAP_EVERY steps over each block of BLOCK_POINTS points,
 where most points escape or are retired, and then the rest of the budget
 once over the pooled survivors of all blocks, so the long tail of
-bounded points costs one pass per step, not one per block.  The pushes of
-_refine_plus and the band test of sublevel_grid also run block by block,
-so the work arrays stay small however many points a call brings.  Every
-operation is elementwise, so no result depends on the blocks or the
-pool.  The full escape test runs only on steps where some point lies past
-the cutoff 2R or past the bail-out.  Every TRAP_EVERY-th step it retires
-the points that lie in a certified trap of K+: a polydisc around an
-attracting fixed point that H maps into itself (attracting_traps, whose
-docstring holds the proof, also for float orbits).  The full loop would
+bounded points costs one pass per step, not one per block.  The inputs
+are only read: each escaped point leaves a compact escape record (its
+index and its coordinates at the escape step), and the pushes of
+_refine_plus and the band test of sublevel_grid run on the records,
+block by block, so the work arrays stay small however many points a call
+brings.  A push writes a point's result once, when the point stops.
+Every operation is elementwise, so no result depends on the blocks, the
+pool or the order of the records.  The full escape test runs only on
+steps where some point lies past the cutoff 2R or past the bail-out.
+Every TRAP_EVERY-th step it retires the points that lie in a certified
+trap of K+: a box inside a polydisc around an attracting fixed point
+that H maps into itself (attracting_traps, whose docstring holds the
+proof, also for float orbits and for the box).  The full loop would
 carry such a point to the budget and call it non-escaping, so every
 result is the same, bit for bit.  Real points of a map with real
 coefficients (real_form) run in float64 rather than complex arithmetic:
@@ -35,7 +39,7 @@ proof), and a call whose float run meets an inf or NaN is run again as
 complex (_flat_escape).
 
 sublevel_grid, the kernel of sub-level renders {G+ < c}, decides which
-side of c an escaped pixel lies on from its escape step n and y_n alone:
+side of c an escaped pixel lies on from its escape record, step n and y_n:
 escape_band(H) is a proved B with |G+ - d^-n log|y_n|| <= d^-n B, which
 also bounds the computed G+ up to a stated slack.  Only the pixels whose
 band contains c are refined, and the classes equal thresholding
@@ -116,37 +120,42 @@ def _stepper(H: HenonMap, x):
     return real_form(H) if x.dtype.kind == "f" else H
 
 
-def _refine_plus(H: HenonMap, x, y, steps, idx, tol: float):
-    """G+ at the escaped points idx of x, y as (values, error_bounds, depths).
+def _refine_plus(H: HenonMap, x, y, steps, tol: float):
+    """G+ at escape records x, y, steps as (values, error_bounds, depths).
 
-    x[i], y[i] is the orbit of point i at its escape step steps[i].  Each
-    point is pushed with H until |y| >= Y = _stop_modulus(H, tol); the
-    value is d^-m log|y_m| at the depth m reached (escape_band's docstring
-    proves the value and its bound).  The points of idx run in blocks of
-    BLOCK_POINTS, gathered, pushed and valued block by block, so the work
-    arrays stay small however many points a call brings; every operation
-    is elementwise, so a point's value, bound and depth do not depend on
-    its block.  Float x, y (from _flat_escape) are pushed with
-    real_form(H); the pushes stay finite (_stop_modulus), so the values
-    are those of x + 0j, y + 0j (_escape_steps has the proof).
+    x[i], y[i] is the orbit of record i at its escape step steps[i] (the
+    records of _escape_steps).  Each point is pushed with H until
+    |y| >= Y = _stop_modulus(H, tol); the value is d^-m log|y_m| at the
+    depth m reached (escape_band's docstring proves the value and its
+    bound).  The records run in blocks of BLOCK_POINTS, pushed and valued
+    block by block, so the work arrays stay small however many points a
+    call brings.  Only the points still below Y are stepped, and a point's
+    |y_m| and depth are written once, on the push where it stops.  Every
+    operation is elementwise, so a point's value, bound and depth do not
+    depend on its block or on the other points.  Float x, y (from
+    _flat_escape) are pushed with real_form(H); the pushes stay finite
+    (_stop_modulus), so the values are those of x + 0j, y + 0j
+    (_escape_steps has the proof).
     """
     step = _stepper(H, x)
     Y, band = _stop_modulus(H, tol)
-    vals, errs = np.empty(idx.size), np.empty(idx.size)
-    depths = steps[idx]
-    for b in range(0, idx.size, BLOCK_POINTS):
+    vals, errs = np.empty(x.size), np.empty(x.size)
+    depths = np.array(steps, dtype=np.int64)
+    for b in range(0, x.size, BLOCK_POINTS):
         block = slice(b, b + BLOCK_POINTS)
-        bx, by, bdepths = x[idx[block]], y[idx[block]], depths[block]
-        abs_y = np.abs(by)
+        abs_y, bdepths = np.abs(y[block]), depths[block]
         live = np.flatnonzero(abs_y < Y)
-        cx, cy = bx[live], by[live]
+        cx, cy = x[block][live], y[block][live]
+        pushes = 0
         while live.size:
             cx, cy = apply_xy(step, cx, cy)
-            bdepths[live] += 1
+            pushes += 1
             a = np.abs(cy)
-            abs_y[live] = a
             go = a < Y
             if not go.all():
+                stop = ~go
+                done = live[stop]
+                abs_y[done], bdepths[done] = a[stop], bdepths[done] + pushes
                 live, cx, cy = live[go], cx[go], cy[go]
         vals[block], errs[block] = _pushed_value(H, np.log(abs_y), bdepths.astype(float), band)
     return vals, errs, depths
@@ -205,8 +214,11 @@ def escaping_samples(
 TRAP_MARGIN = 1.0 / 256.0
 # _escape_steps tests the traps on every TRAP_EVERY-th step
 TRAP_EVERY = 8
-# the smallest trap radius tried is 2^-TRAP_HALVINGS
-TRAP_HALVINGS = 16
+# the smallest trap radius tried is 2^-TRAP_HALVINGS, the smallest normal float
+TRAP_HALVINGS = 1022
+# the box half-width (1 - delta) r / |S|inf is shrunk by this relative slack
+# for the rounding of |S|inf, of the half-width and of the box test
+BOX_SLACK = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -214,7 +226,9 @@ class Trap:
     """The polydisc D_r = {|S (z - p)|max <= r} around a fixed point p of H.
 
     S = T^-1 for the eigenvector matrix T of DH(p), stored row-major as
-    (s11, s12, s21, s22).  reach bounds |x| and |y| over D_r.
+    (s11, s12, s21, s22).  reach bounds |x| and |y| over D_r.  half_width
+    is the h of the box {|x - p.x| < h, |y - p.y| < h} that holds tests,
+    which lies inside the (1 - TRAP_MARGIN) r polydisc (attracting_traps).
     """
 
     point: Point
@@ -222,13 +236,18 @@ class Trap:
     r: float
     basis_inverse: tuple
     reach: float
+    half_width: float
 
     def holds(self, x, y):
-        """Points with |S (z - p)|max < (1 - TRAP_MARGIN) r."""
-        s11, s12, s21, s22 = self.basis_inverse
-        u, v = x - self.point.x, y - self.point.y
-        lim = (1.0 - TRAP_MARGIN) * self.r
-        return np.maximum(np.abs(s11 * u + s12 * v), np.abs(s21 * u + s22 * v)) < lim
+        """Points of the box |x - p.x| < h and |y - p.y| < h, h = half_width.
+
+        A real coordinate of p is subtracted as a float, so a float x
+        meets float arithmetic only.
+        """
+        px, py = (c.real if c.imag == 0 else c for c in (self.point.x, self.point.y))
+        inside = np.abs(x - px) < self.half_width
+        inside &= np.abs(y - py) < self.half_width
+        return inside
 
 
 def _step_rounding(H: HenonMap, m: float) -> float:
@@ -238,14 +257,16 @@ def _step_rounding(H: HenonMap, m: float) -> float:
     8 (deg p + 2) eps times sum |c_k| m^k + |a| m (the standard Horner
     bound, widened for complex products); an error e already in (x, y)
     grows to at most max(1, |a| + max|p'|) e; m grows to the image bound.
+    An operation whose result underflows rounds by at most 2^-1075
+    instead, so each operation is also given that much.
     """
-    eps = np.finfo(float).eps
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     err = 0.0
     for f in H.factors:
         cs = [abs(c) for c in f.p.coeffs]
         image = sum(c * m**k for k, c in enumerate(cs)) + abs(f.a) * m
         slope = abs(f.a) + sum(k * c * m ** (k - 1) for k, c in enumerate(cs) if k)
-        err = max(1.0, slope) * err + 8.0 * (len(cs) + 1) * eps * image
+        err = max(1.0, slope) * err + 8.0 * (len(cs) + 1) * (eps * image + tiny)
         m = max(m, image)
     return err
 
@@ -263,12 +284,16 @@ def _trap_radius(H: HenonMap, p: Point, T: np.ndarray, S: np.ndarray):
     s_norm = float(np.abs(S).sum(axis=1).max())
     t_norm = float(np.abs(T).sum(axis=1).max())
     cond = s_norm * t_norm
+    if max(float(g[e == 1].sum()) for g, e in zip(G, deg)) >= 1.0 - TRAP_MARGIN:
+        return None  # the linear terms alone fail at every r
     for k in range(TRAP_HALVINGS + 1):
         r = 2.0**-k
-        majorant = max(float((g * r**e).sum()) for g, e in zip(G, deg))
+        # the majorant over r: the terms g r^(e-1) stay finite or underflow
+        # by at most 2^-1074 g, far below the margin, where g r^e would not
+        majorant = max(float((g * r ** (e - 1.0)).sum()) for g, e in zip(G, deg))
         reach = max(abs(p.x), abs(p.y)) + t_norm * r
         if (
-            majorant <= (1.0 - TRAP_MARGIN) * r
+            majorant <= 1.0 - TRAP_MARGIN
             and cond * s_norm * _step_rounding(H, reach) <= 0.25 * TRAP_MARGIN * r
         ):
             return r, reach
@@ -281,9 +306,10 @@ def attracting_traps(H: HenonMap) -> tuple:
 
     symmetry.fixed_points gives all d fixed points of H, counted with
     multiplicity, from one eigenproblem and a fixed Newton polish; a
-    multiple one has the multiplier 1 and is not attracting.  For each
-    fixed point p whose Jacobian J = DH(p) has spectral radius < 1,
-    diagonalise J = T diag(lambda) S
+    multiple one has the multiplier 1 and is not attracting, and a point
+    listed twice (two fixed points closer than the polish resolves) gets
+    one trap.  For each fixed point p whose Jacobian J = DH(p) has
+    spectral radius < 1, diagonalise J = T diag(lambda) S
     with S = T^-1, and expand
 
         G(g) = S (H(p + T g) - p) = sum_ij G_ij g1^i g2^j
@@ -297,7 +323,11 @@ def attracting_traps(H: HenonMap) -> tuple:
     (delta = TRAP_MARGIN), every |g1|, |g2| <= r gives |G(g)|max <= (1 - delta) r,
     so H maps D_r = {p + T g : |g|max <= r} into its own shrunken copy: D_r is
     forward-invariant, hence a subset of int K+, the basin of p (Bedford &
-    Smillie, Invent. Math. 103, 1991).
+    Smillie, Invent. Math. 103, 1991).  k runs from 0 to TRAP_HALVINGS =
+    1022, so r reaches the smallest normal float (a large coefficient such
+    as the 1e110 of y^3 + 1e110 y^2 needs r near 1e-111); divided by r,
+    the sum is at least its linear terms sum_(i+j=1) |G_ij| at every r, so
+    where those reach 1 - delta in a component no r is tried.
 
     The loop iterates in floats, so the proof must cover float orbits.
     Over D_r, |x|, |y| <= reach = max(|p.x|, |p.y|) + |T|inf r, and one
@@ -306,19 +336,31 @@ def attracting_traps(H: HenonMap) -> tuple:
     |S|inf |T|inf >= 1.  If a float iterate z lies in D_r, its float image
     lies within |S|inf E of H(z) in the g coordinates, at |g|max <=
     (1 - delta) r + delta r / 4 < r: in D_r again.  The rounding of the
-    G_ij, of S = T^-1 and of the test itself (a point whose computed
-    |S (z - p)|max is below (1 - delta) r) is of the order of
-    cond(T) |S|inf E or less and fits in the rest of the margin; an
-    ill-conditioned T, as at a double eigenvalue, gets no trap.  So the
-    whole float orbit stays in D_r, and where
-    reach <= R it never meets the escape test |y| > 2R or the bail-out:
-    _escape_steps may retire the point as non-escaping (-1), the answer
-    the full loop gives.  Fixed points of H only: a trap around a cycle
-    needs a test per cycle point, and the one tried (htwo's 2-cycle,
-    r = 1/64) cost more than it saved.
+    G_ij and of S = T^-1 is of the order of cond(T) |S|inf E or less and
+    fits in the rest of the margin; an ill-conditioned T, as at a double
+    eigenvalue, gets no trap.  So the whole float orbit stays in D_r.
+
+    The box.  Trap.holds tests |x - p.x| < h and |y - p.y| < h with
+    h = half_width = (1 - delta) r / |S|inf (1 - BOX_SLACK).  For z in the
+    box, with u = x - p.x and v = y - p.y,
+
+        |S (z - p)|max = max_i |s_i1 u + s_i2 v| <= |S|inf max(|u|, |v|),
+
+    so the box lies inside the (1 - delta) r polydisc, a subset of D_r.
+    A computed |u| below h means |u| < h (1 + 4 eps) (the difference rounds
+    each part by eps / 2, hypot by an ulp), and |S|inf and h round by a
+    few eps more; BOX_SLACK = 2^-40 covers all of it.  So a point that
+    holds accepts lies in D_r, its whole float orbit stays there, and
+    where reach <= R it never meets the escape test |y| > 2R or the
+    bail-out: _escape_steps may retire the point as non-escaping (-1), the
+    answer the full loop gives.  The box costs two differences and two
+    moduli per point, against four complex products for the polydisc.
+    Fixed points of H only: a trap around a cycle needs a test per cycle
+    point, and the one tried (htwo's 2-cycle, r = 1/64) cost more than it
+    saved.
     """
     traps = []
-    for p in fixed_points(H):
+    for p in dict.fromkeys(fixed_points(H)):  # each distinct point once
         J = _jacobian(H, p.x, p.y)
         lam, T = np.linalg.eig(J)
         rho = float(np.abs(lam).max())
@@ -331,7 +373,9 @@ def attracting_traps(H: HenonMap) -> tuple:
         proved = _trap_radius(H, p, T, S)
         if proved is not None:
             r, reach = proved
-            traps.append(Trap(p, rho, r, tuple(complex(s) for s in S.ravel()), reach))
+            s_norm = float(np.abs(S).sum(axis=1).max())
+            h = (1.0 - TRAP_MARGIN) * r / s_norm * (1.0 - BOX_SLACK)
+            traps.append(Trap(p, rho, r, tuple(complex(s) for s in S.ravel()), reach, h))
     return tuple(traps)
 
 
@@ -345,20 +389,27 @@ def attracting_traps(H: HenonMap) -> tuple:
 BLOCK_POINTS = 16384
 
 
-def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = True):
+def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, records: bool = False):
     """First escape step per point of the flat arrays x, y, or -1.
 
     Iterates compact copies of the points still in play (gathered again
-    only on steps where some point escapes, bails out or is retired).  With
-    write_back it writes each escaped point's coordinates back into x and y
-    at its escape step, so x and y hold the escape coordinates of every
-    escaped point on return (the other entries are left as given); without
-    it x and y are only read.  While every |x|, |y| is at most both the
+    only on steps where some point escapes, bails out or is retired); x
+    and y are only read.  With records it returns (steps, hit, ex, ey):
+    one escape record per escaped point, point hit[i] at its escape step
+    steps[hit[i]] lying at (ex[i], ey[i]).  A record is the slice of the
+    compact copies taken on the step its point escapes, so the records
+    come by escape step within each block and then within the pool, not
+    in the order of the points.  While every |x|, |y| is at most both the
     cutoff 2R and BAIL_OUT, no point can escape or bail out, so the full
-    test is skipped.  The escape test |y| >= max(|x|, R) and |y| > 2R is
+    test is skipped; likewise the bail-out test, while every |x|, |y| is
+    at most BAIL_OUT.  The escape test |y| >= max(|x|, R) and |y| > 2R is
     taken as |y| >= |x| and |y| > 2R, the same test since 2R >= R.  On a
     one-factor map the next x is the current y itself, so its modulus is
-    reused rather than taken again.  Every TRAP_EVERY-th step, points
+    reused rather than taken again, and so is the largest |y| as a bound
+    on the largest |x|: dropping points only lowers the true largest
+    |x|, and a test run where the true moduli would have let it be
+    skipped finds nothing (an escape needs |y| > 2R, a bail-out a modulus
+    past BAIL_OUT), so the bound changes no result.  Every TRAP_EVERY-th step, points
     inside one of attracting_traps(H) with reach <= R are retired as -1;
     the attracting_traps docstring proves that the full loop returns -1
     for them too, so the result is the same.  The traps are built only
@@ -373,8 +424,8 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = Tr
     depend on the phase or on the other points of its array: every
     operation on it is elementwise, and a test skipped because no point
     of the array lies past the cutoff or the bail-out would have left it
-    in play anyway.  So the steps and escape coordinates are those of one
-    run over all points, for any BLOCK_POINTS.
+    in play anyway.  So the steps and escape records are those of one run
+    over all points, for any BLOCK_POINTS, up to the order of the records.
 
     x and y are complex, or float64 for a map with real coefficients.  A
     float run steps with real_form(H) and returns what the complex run on
@@ -394,19 +445,21 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = Tr
     operands give equal results, so the claim carries to every
     intermediate of a step.  Then |re + (+-0) i| = hypot(re, 0) = |re|
     exactly, so every modulus, test, retired or escaped point and step
-    count is the same in both runs; Trap.holds promotes a float x to
-    x + 0j, a number equal to the complex run's x, and forms the same
-    test from it.  The escape coordinates written back are equal as
-    numbers, and everything computed from them (_refine_plus, the band of
-    sublevel_grid) reads them through |.| or compares them, so the outputs
-    are the same bytes.  The argument needs finite values: after a
-    product overflows, inf * 0 puts NaN into the complex run's imaginary
-    part, and a point the float run escapes at inf the complex run drops
-    as NaN.  An inf or NaN never turns finite again under +, - and *, so
+    count is the same in both runs; Trap.holds subtracts the trap centre
+    from a float x as x + 0j, a number equal to the complex run's x, so
+    it forms the same test (for a real centre it subtracts the real part
+    alone, and |(x - re p) + (+-0) i| = |x - re p| exactly).  The escape
+    records are equal as numbers, and everything computed from them
+    (_refine_plus, the band of sublevel_grid) reads them through |.| or
+    compares them, so the outputs are the same bytes.  The argument needs
+    finite values: after a product overflows, inf * 0 puts NaN into the
+    complex run's imaginary part, and a point the float run escapes at inf
+    the complex run drops as NaN.  An inf or NaN never turns finite again under +, - and *, so
     the first non-finite intermediate shows in a live coordinate at the
     next far.max(), where the float run gives up.
     """
     steps = np.full(x.size, -1, dtype=np.int64)
+    hits = []  # escape records (hit, ex, ey), step by step
     real = x.dtype.kind == "f"
     step = _stepper(H, x)
     cutoff = ESCAPE_MARGIN * R
@@ -422,22 +475,24 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = Tr
         """
         nonlocal traps
         ax = np.abs(cx)
+        top_x = ax.max()
         for n in range(n0, n1):
             ay = np.abs(cy)
-            far = np.maximum(ax, ay)
-            top = far.max()
+            top_y = ay.max()
             keep = None  # every point stays in play
-            if not top <= quiet:
-                if real and not top < np.inf:
+            if not (top_x <= quiet and top_y <= quiet):
+                if real and not (top_x < np.inf and top_y < np.inf):
                     return None  # inf or NaN: the float run no longer matches
                 # some point may escape or bail out (or is NaN): the full test
                 esc = (ay >= ax) & (ay > cutoff)
                 if esc.any():
                     hit = idx[esc]
                     steps[hit] = n
-                    if write_back:
-                        x[hit], y[hit] = cx[esc], cy[esc]
-                keep = ~esc & (far <= BAIL_OUT)
+                    if records:
+                        hits.append((hit, cx[esc], cy[esc]))
+                keep = ~esc
+                if not (top_x <= BAIL_OUT and top_y <= BAIL_OUT):
+                    keep &= np.maximum(ax, ay) <= BAIL_OUT
             if n == N_max:
                 break
             if n % TRAP_EVERY == TRAP_EVERY - 1:
@@ -453,7 +508,11 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = Tr
                 if one_factor:
                     ay = ay[keep]
             cx, cy = apply_xy(step, cx, cy)
-            ax = ay if one_factor else np.abs(cx)
+            if one_factor:  # top_y still bounds the kept moduli
+                ax, top_x = ay, top_y
+            else:
+                ax = np.abs(cx)
+                top_x = ax.max()
         return idx, cx, cy
 
     # the first TRAP_EVERY steps block by block, then the survivors pooled
@@ -468,45 +527,47 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, write_back: bool = Tr
         idx, cx, cy = (np.concatenate(a) for a in zip(*pool))
         if idx.size and run(idx, cx, cy, TRAP_EVERY, N_max + 1) is None:
             return None
-    return steps
+    if not records:
+        return steps
+    if not hits:
+        return steps, np.empty(0, dtype=np.intp), x[:0], y[:0]
+    return (steps, *(np.concatenate(a) for a in zip(*hits)))
 
 
-def _flat_escape(H: HenonMap, xs, ys, R: float, N_max: int, write_back: bool = True):
-    """(shape, x, y, steps): _escape_steps on flat arrays x, y of xs, ys.
+def _flat_escape(H: HenonMap, xs, ys, R: float, N_max: int, records: bool = False):
+    """(shape, result): _escape_steps's result on flat arrays x, y of xs, ys.
 
     x and y are float64 where H has real coefficients (real_form) and
-    neither xs nor ys is complex, and complex otherwise.  They are copies
-    with write_back, and views of xs, ys where the dtype and layout allow
-    without it, since _escape_steps then only reads them.  A float run
-    that meets an inf or NaN is dropped and the points run again as
-    complex, so the result and its RuntimeWarnings are the complex run's.
+    neither xs nor ys is complex, and complex otherwise; they are views of
+    xs, ys where the dtype and layout allow, since _escape_steps only
+    reads them.  A float run that meets an inf or NaN is dropped with its
+    records and the points run again as complex, so the result and its
+    RuntimeWarnings are the complex run's.
     """
     shape = np.shape(xs)
-    flat = np.array if write_back else np.asarray
     if real_form(H) is not None and not (np.iscomplexobj(xs) or np.iscomplexobj(ys)):
-        x, y = flat(xs, dtype=float).ravel(), flat(ys, dtype=float).ravel()
+        x, y = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            steps = _escape_steps(H, x, y, R, N_max, write_back)
-        if steps is not None:
-            return shape, x, y, steps
-    x, y = flat(xs, dtype=complex).ravel(), flat(ys, dtype=complex).ravel()
-    return shape, x, y, _escape_steps(H, x, y, R, N_max, write_back)
+            result = _escape_steps(H, x, y, R, N_max, records)
+        if result is not None:
+            return shape, result
+    x, y = np.asarray(xs, dtype=complex).ravel(), np.asarray(ys, dtype=complex).ravel()
+    return shape, _escape_steps(H, x, y, R, N_max, records)
 
 
 def escape_time_grid(H: HenonMap, xs, ys, R: float, N_max: int):
     """First escape step per point (N_max where the budget ran out)."""
-    shape, _, _, steps = _flat_escape(H, xs, ys, R, N_max, write_back=False)
+    shape, steps = _flat_escape(H, xs, ys, R, N_max)
     return np.where(steps < 0, N_max, steps).reshape(shape)
 
 
 def green_plus_grid(H: HenonMap, xs, ys, R: float, N_max: int, tol: float = 1e-10):
     """G+ over an array of points; returns (values, error_bounds, depths)."""
-    shape, x, y, steps = _flat_escape(H, xs, ys, R, N_max)
-    vals = np.zeros(x.size)
-    errs = np.full(x.size, _bounded_value(H, R, N_max).error_bound)
-    depths = np.full(x.size, N_max, dtype=np.int64)
-    esc = np.flatnonzero(steps >= 0)
-    vals[esc], errs[esc], depths[esc] = _refine_plus(H, x, y, steps, esc, tol)
+    shape, (steps, hit, ex, ey) = _flat_escape(H, xs, ys, R, N_max, records=True)
+    vals = np.zeros(steps.size)
+    errs = np.full(steps.size, _bounded_value(H, R, N_max).error_bound)
+    depths = np.full(steps.size, N_max, dtype=np.int64)
+    vals[hit], errs[hit], depths[hit] = _refine_plus(H, ex, ey, steps[hit], tol)
     return vals.reshape(shape), errs.reshape(shape), depths.reshape(shape)
 
 
@@ -667,8 +728,9 @@ def sublevel_grid(H: HenonMap, xs, ys, R: float, N_max: int, c: float, tol: floa
     lo, hi = d^-n (log|y_n| -+ (escape_band(H) + BAND_SLACK)) has a
     computed G+ in [lo, hi] (escape_band's docstring proves it, rounding
     included), so it is below c if hi < c and above c if lo >= c, provided
-    lo > BAND_FLOOR.  The band is taken block by block (BLOCK_POINTS
-    pixels), and only the other escaped pixels go through _refine_plus.
+    lo > BAND_FLOOR.  The band is taken on the escape records, block by
+    block (BLOCK_POINTS records), and only the undecided records go
+    through _refine_plus.
 
     The band decides pixels by proof; that the refined pixels get the
     classes of green_plus_grid rests on a measurement, not a proof.  The
@@ -685,26 +747,25 @@ def sublevel_grid(H: HenonMap, xs, ys, R: float, N_max: int, c: float, tol: floa
     not finite, every escaped pixel is refined as green_plus_grid refines
     it.
     """
-    shape, x, y, steps = _flat_escape(H, xs, ys, R, N_max)
-    out = np.full(x.size, SUBLEVEL_K_PLUS, dtype=np.int8)
+    shape, (steps, hit, ex, ey) = _flat_escape(H, xs, ys, R, N_max, records=True)
+    out = np.full(steps.size, SUBLEVEL_K_PLUS, dtype=np.int8)
+    n = steps[hit]
     scales = float(H.d) ** -np.arange(N_max + 1.0)
     width = escape_band(H) + BAND_SLACK
-    rest = [np.empty(0, dtype=np.intp)]  # undecided escaped pixels, block by block
-    for b in range(0, x.size, BLOCK_POINTS):
-        esc = b + np.flatnonzero(steps[b : b + BLOCK_POINTS] >= 0)
-        scale, log_y = scales[steps[esc]], np.log(np.abs(y[esc]))
+    rest = [np.empty(0, dtype=np.intp)]  # undecided records, block by block
+    for b in range(0, hit.size, BLOCK_POINTS):
+        block = slice(b, b + BLOCK_POINTS)
+        scale, log_y = scales[n[block]], np.log(np.abs(ey[block]))
         lo, hi = scale * (log_y - width), scale * (log_y + width)
         decided = (lo > BAND_FLOOR) & (hi < np.inf) & ((hi < c) | (lo >= c))
-        out[esc] = np.where(hi < c, SUBLEVEL_BELOW, SUBLEVEL_ABOVE)
-        rest.append(esc[~decided])
+        out[hit[block]] = np.where(hi < c, SUBLEVEL_BELOW, SUBLEVEL_ABOVE)
+        rest.append(b + np.flatnonzero(~decided))
     rest = np.concatenate(rest)
     if rest.size:
-        vals, errs, depths = _refine_plus(H, x, y, steps, rest, tol)
+        vals, errs, depths = _refine_plus(H, ex[rest], ey[rest], n[rest], tol)
         exact = np.isfinite(vals) & (np.abs(vals - c) > 2.0 * errs + PATH_WINDOW * c)
-        if not exact.all():
-            esc = np.flatnonzero(steps >= 0)
-            if rest.size < esc.size:
-                rest = esc
-                vals, _, depths = _refine_plus(H, x, y, steps, esc, tol)
-        out[rest] = sublevel_classes(vals, depths, N_max, c)
+        if not exact.all() and rest.size < hit.size:
+            rest = slice(None)
+            vals, _, depths = _refine_plus(H, ex, ey, n, tol)
+        out[hit[rest]] = sublevel_classes(vals, depths, N_max, c)
     return out.reshape(shape)

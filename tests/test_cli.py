@@ -543,6 +543,22 @@ def test_write_pgm_format(tmp_path):
     assert data == b"P5\n3 2\n65535\n" + pix.tobytes()
 
 
+def test_quantize_and_write_pgm_keep_their_bytes(tmp_path):
+    # in-place scaling leaves the caller's values (the CSV) as they were,
+    # and write_pgm takes any layout and byte order of 16-bit pixels
+    job = parse_grid_job({**JOB, "clamp": 2.0})
+    values = np.random.default_rng(113).uniform(-1.0, 3.0, (5, 7))
+    values[0, :4] = [0.5 / 65535.0 * 2.0, 1.5 / 65535.0 * 2.0, 2.0, 0.0]  # ties
+    given = values.copy()
+    pix = quantize(job, values)
+    assert np.array_equal(values, given)
+    want = np.rint(np.clip(given, 0.0, 2.0) * (65535.0 / 2.0)).astype(">u2")
+    assert pix.dtype == np.dtype(">u2") and pix.tobytes() == want.tobytes()
+    path = tmp_path / "t.pgm"
+    write_pgm(path, pix.astype(np.uint16).T)
+    assert path.read_bytes() == b"P5\n5 7\n65535\n" + pix.T.astype(">u2").tobytes()
+
+
 @pytest.mark.parametrize("field", ["<file>", "<job>"])
 def test_cli_input_that_is_not_utf8_exit_2(tmp_path, capsys, field):
     files = {

@@ -344,22 +344,102 @@ def assert_traps_proved(H, seed, n=1000):
         ]
         rho = np.abs(np.linalg.eigvals(np.column_stack(cols))).max()
         assert rho < 1.0 and abs(rho - t.spectral_radius) <= 1e-6
-        # |g|max = r: one coordinate on its circle, the other in its disc
-        phase = np.exp(2j * np.pi * rng.uniform(size=(2, n)))
-        g = t.r * np.sqrt(rng.uniform(size=(2, n))) * phase
-        side = rng.integers(2, size=n)
-        g[side, np.arange(n)] = t.r * phase[side, np.arange(n)]
-        T = np.linalg.inv(np.reshape(t.basis_inverse, (2, 2)))
-        x, y = t.point.x + T[0] @ g, t.point.y + T[1] @ g
-        assert trap_coordinates(t, x, y).max() <= t.r * (1 + 1e-12)
-        # proved: the image lies in the (1 - delta) r polydisc; half of the
-        # margin is left for the rounding of this check
-        image = trap_coordinates(t, *apply_xy(H, x, y))
-        assert image.max() <= (1.0 - TRAP_MARGIN / 2) * t.r
-        assert max(np.abs(x).max(), np.abs(y).max()) <= t.reach
+        x, y = assert_trap_maps_into_itself(H, t, rng, n)
         for xi, yi in zip(x, y):
             assert escape_orbit(H, complex(xi), complex(yi), R, 64) is None
     return len(traps)
+
+
+def assert_trap_maps_into_itself(H, t: Trap, rng, n):
+    """n seeded points of the boundary of D_r map into (1 - delta/2) r; returns them."""
+    # |g|max = r: one coordinate on its circle, the other in its disc
+    phase = np.exp(2j * np.pi * rng.uniform(size=(2, n)))
+    g = t.r * np.sqrt(rng.uniform(size=(2, n))) * phase
+    side = rng.integers(2, size=n)
+    g[side, np.arange(n)] = t.r * phase[side, np.arange(n)]
+    T = np.linalg.inv(np.reshape(t.basis_inverse, (2, 2)))
+    x, y = t.point.x + T[0] @ g, t.point.y + T[1] @ g
+    assert trap_coordinates(t, x, y).max() <= t.r * (1 + 1e-12)
+    # proved: the image lies in the (1 - delta) r polydisc; half of the
+    # margin is left for the rounding of this check
+    image = trap_coordinates(t, *apply_xy(H, x, y))
+    assert image.max() <= (1.0 - TRAP_MARGIN / 2) * t.r
+    assert max(np.abs(x).max(), np.abs(y).max()) <= t.reach
+    return x, y
+
+
+def assert_box_in_polydisc(H, seed, n=1000):
+    """Points on the boundary of each trap's box lie in the (1 - delta) r polydisc.
+
+    The points sit at |u| or |v| = h (1 + k eps), |k| <= 4, with the
+    other coordinate in its disc, plus the corners that meet each row of S
+    in phase, where |S (z - p)|max is largest.  Trap.holds must accept
+    some of them, and on real points of a real centre a float x must get
+    the answer of x + 0j.
+    """
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    traps = attracting_traps(H)
+    for t in traps:
+        h = t.half_width
+        phase = np.exp(2j * np.pi * rng.uniform(size=(2, n)))
+        w = h * np.sqrt(rng.uniform(size=(2, n))) * phase
+        side = rng.integers(2, size=n)
+        w[side, np.arange(n)] = h * phase[side, np.arange(n)]
+        rows = np.reshape(t.basis_inverse, (2, 2))
+        corners = h * np.conj(rows) / np.maximum(np.abs(rows), 1e-300)
+        w = np.concatenate([w, corners.T], axis=1)
+        w *= 1.0 + rng.integers(-4, 5, size=w.shape) * eps
+        x, y = t.point.x + w[0], t.point.y + w[1]
+        assert trap_coordinates(t, x, y).max() <= (1.0 - TRAP_MARGIN) * t.r
+        assert t.holds(x, y).any()
+        if t.point.x.imag == 0 and t.point.y.imag == 0:
+            fx, fy = t.point.x.real + w[0].real, t.point.y.real + w[1].real
+            assert np.array_equal(t.holds(fx, fy), t.holds(fx + 0j, fy + 0j))
+    return len(traps)
+
+
+@pytest.mark.parametrize("name", ["href", "hcubic"])
+def test_trap_box_lies_in_polydisc(request, name):
+    assert assert_box_in_polydisc(request.getfixturevalue(name), 101) == 1
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_trap_box_lies_in_polydisc_of_random_maps(H, seed):
+    assert_box_in_polydisc(H, seed)
+
+
+def test_trap_box_lies_in_polydisc_of_attracting_maps():
+    rng = np.random.default_rng(103)
+    traps = [assert_box_in_polydisc(attracting_map(rng), seed) for seed in range(10)]
+    assert traps == [1] * 10
+
+
+def test_trap_at_a_tiny_radius(monkeypatch):
+    # p(y) = y^3 + 1e110 y^2, a = 1/2: the origin attracts with multipliers
+    # +-i / sqrt 2, but its 1e110 coefficient needs r near 1e-111
+    H = make_henon([([0, 0, 1e110, 1], 0.5)])
+    (t,) = attracting_traps(H)
+    assert t.point == Point(0, 0) and 1e-112 < t.r < 1e-110
+    assert abs(t.spectral_radius - np.sqrt(0.5)) <= 1e-12
+    assert_trap_maps_into_itself(H, t, np.random.default_rng(107), 1000)
+    assert assert_box_in_polydisc(H, 109) == 1
+    # a 1e-200 window about the origin is retired at the first trap test
+    retired = []
+    holds = Trap.holds
+
+    def counting(self, x, y):
+        inside = holds(self, x, y)
+        retired.append(int(inside.sum()))
+        return inside
+
+    monkeypatch.setattr(Trap, "holds", counting)
+    u = np.linspace(-5e-201, 5e-201, 48)
+    x, y = np.meshgrid(u, u)
+    assert_escape_steps_match_reference(H, x, y, filtration_radius(H).R, extremes=False)
+    # two runs (with and without records) at each of two block sizes
+    assert sum(retired) == 4 * x.size
 
 
 def test_fixture_traps(href, htwo, hcubic):
@@ -399,7 +479,10 @@ def test_trap_proof_holds_on_boundary_of_attracting_maps():
 
 
 def reference_escape_steps(H, x, y, R, N_max):
-    """The escape loop without traps, compaction or skipped tests."""
+    """The escape loop without traps, compaction or skipped tests.
+
+    Writes each escaped point's coordinates at its escape step into x, y.
+    """
     steps = np.full(x.size, -1, dtype=np.int64)
     live = np.ones(x.size, dtype=bool)
     cx, cy = x.copy(), y.copy()
@@ -426,14 +509,23 @@ def assert_escape_steps_match_reference(H, x, y, R, N_max=64, extremes=True):
         y = np.append(y, [1e200, 1e155, 1.0, 0.0])
     rx, ry = x.copy(), y.copy()
     want = reference_escape_steps(H, rx, ry, R, N_max)
+    given = x.tobytes(), y.tobytes()
     for block in (green.BLOCK_POINTS, SMALL_BLOCK):
-        gx, gy = x.copy(), y.copy()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(green, "BLOCK_POINTS", block)
-            got = _escape_steps(H, gx, gy, R, N_max)
-        assert np.array_equal(got, want), block
-        # the written-back escape coordinates, bit for bit
-        assert gx.tobytes() == rx.tobytes() and gy.tobytes() == ry.tobytes(), block
+            steps, hit, ex, ey = _escape_steps(H, x, y, R, N_max, records=True)
+            assert np.array_equal(_escape_steps(H, x, y, R, N_max), steps), block
+        assert np.array_equal(steps, want), block
+        # the escape records, bit for bit
+        assert_escape_records(steps, hit, ex, ey, rx, ry)
+        assert (x.tobytes(), y.tobytes()) == given, block
+
+
+def assert_escape_records(steps, hit, ex, ey, rx, ry):
+    """One record per escaped point, at rx, ry of the reference loop bit for bit."""
+    assert hit.dtype == np.intp
+    assert np.array_equal(np.sort(hit), np.flatnonzero(steps >= 0))
+    assert ex.tobytes() == rx[hit].tobytes() and ey.tobytes() == ry[hit].tobytes()
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -486,10 +578,11 @@ def test_float_escape_steps_match_trap_free_loop_in_small_blocks(request, monkey
     x, y = (a.ravel() for a in np.meshgrid(np.linspace(-2.5, 2.5, 96), np.linspace(-2.5, 2.5, 96)))
     rx, ry = x + 0j, y + 0j
     want = reference_escape_steps(H, rx, ry, R, 64)
-    got = _escape_steps(H, x, y, R, 64)
-    assert np.array_equal(got, want)
-    # equal as numbers (a zero may differ in sign, see _escape_steps)
-    assert np.array_equal(x, rx.real) and np.array_equal(y, ry.real)
+    steps, hit, ex, ey = _escape_steps(H, x, y, R, 64, records=True)
+    assert np.array_equal(steps, want) and ex.dtype == np.float64
+    # the records, equal as numbers (a zero may differ in sign, see _escape_steps)
+    assert np.array_equal(np.sort(hit), np.flatnonzero(want >= 0))
+    assert np.array_equal(ex, rx[hit].real) and np.array_equal(ey, ry[hit].real)
     assert np.count_nonzero(want < 0) > 0 and np.count_nonzero(want >= TRAP_EVERY) > 0
 
 
@@ -524,11 +617,11 @@ def assert_float_grid_matches_complex(H, x, y, R, N_max=64, c=1.0):
     x, y = np.ravel(x), np.ravel(y)
     assert grid_outputs(H, x, y, R, N_max, c) == grid_outputs(H, x + 0j, y + 0j, R, N_max, c)
     with np.errstate(over="ignore", invalid="ignore"):  # compared above
-        _, fx, fy, fsteps = green._flat_escape(H, x, y, R, N_max)
-        _, cx, cy, csteps = green._flat_escape(H, x + 0j, y + 0j, R, N_max)
-    assert fsteps.tobytes() == csteps.tobytes()
-    # the written-back escape coordinates, equal as numbers (a zero may
-    # differ in sign, see _escape_steps)
+        _, (fsteps, fhit, fx, fy) = green._flat_escape(H, x, y, R, N_max, records=True)
+        _, (csteps, chit, cx, cy) = green._flat_escape(H, x + 0j, y + 0j, R, N_max, records=True)
+    assert fsteps.tobytes() == csteps.tobytes() and fhit.tobytes() == chit.tobytes()
+    # the escape records, equal as numbers (a zero may differ in sign, see
+    # _escape_steps)
     assert np.array_equal(fx, cx.real) and np.array_equal(fy, cy.real)
     assert not (cx.imag.any() or cy.imag.any())
     return fx.dtype
@@ -568,13 +661,29 @@ def test_float_grid_matches_complex_past_an_overflow_in_the_pooled_phase(monkeyp
     y = np.linspace(1.0, 3.0, 401) * 1e-110
     x = np.zeros_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _escape_steps(H, x.copy(), y.copy(), R, TRAP_EVERY + 1) is not None
-        assert _escape_steps(H, x.copy(), y.copy(), R, 64) is None
-        got = green._flat_escape(H, x, y, R, 64)
-        want = green._flat_escape(H, x + 0j, y + 0j, R, 64)
-    assert got[1].dtype == np.complex128
-    assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
+        assert _escape_steps(H, x, y, R, TRAP_EVERY + 1, records=True) is not None
+        assert _escape_steps(H, x, y, R, 64, records=True) is None
+        _, got = green._flat_escape(H, x, y, R, 64, records=True)
+        _, want = green._flat_escape(H, x + 0j, y + 0j, R, 64, records=True)
+    assert got[2].dtype == np.complex128 and got[1].size > 0
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert grid_outputs(H, x, y, R, 64, 1.0) == grid_outputs(H, x + 0j, y + 0j, R, 64, 1.0)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_grid_kernels_leave_read_only_inputs_untouched(request, name):
+    # the kernels read their inputs through views: float, complex and a
+    # strided view, each locked against writes, give the outputs of copies
+    H = request.getfixturevalue(name)
+    R = filtration_radius(H).R
+    x, y = np.meshgrid(np.linspace(-2.5, 2.5, 64), np.linspace(-2.5, 2.5, 64))
+    for xs, ys in ((x, y), (x + 0j, y + 0j), (x[:, ::3], y[:, ::3])):
+        want = grid_outputs(H, xs.copy(), ys.copy(), R, 64, 1.0)
+        given = xs.tobytes(), ys.tobytes()
+        xs.setflags(write=False)
+        ys.setflags(write=False)
+        assert grid_outputs(H, xs, ys, R, 64, 1.0) == want
+        assert (xs.tobytes(), ys.tobytes()) == given
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -583,10 +692,9 @@ def test_refine_plus_blocks_match_one_batch(request, monkeypatch, name):
     R = filtration_radius(H).R
     x, y = np.meshgrid(np.linspace(-2.5, 2.5, 64), np.linspace(-2.5, 2.5, 64))
     for xs, ys in ((x, y), (x + 0j, y + 0j)):
-        _, fx, fy, steps = green._flat_escape(H, xs, ys, R, 64)
-        esc = np.flatnonzero(steps >= 0)
-        assert esc.size > 10 * SMALL_BLOCK
-        args = (H, fx, fy, steps, esc, 1e-10)
+        _, (steps, hit, ex, ey) = green._flat_escape(H, xs, ys, R, 64, records=True)
+        assert hit.size > 10 * SMALL_BLOCK
+        args = (H, ex, ey, steps[hit], 1e-10)
         want = _refine_plus(*args)
         with monkeypatch.context() as mp:
             mp.setattr(green, "BLOCK_POINTS", SMALL_BLOCK)
@@ -625,9 +733,9 @@ def test_sublevel_grid_refines_few_pixels(request, monkeypatch, name):
     R = filtration_radius(H).R
     refined = []
 
-    def counting(H, x, y, steps, idx, tol):
-        refined.append(idx.size)
-        return _refine_plus(H, x, y, steps, idx, tol)
+    def counting(H, x, y, steps, tol):
+        refined.append(x.size)
+        return _refine_plus(H, x, y, steps, tol)
 
     monkeypatch.setattr(green, "_refine_plus", counting)
     x, y = np.meshgrid(np.linspace(-2.5, 2.5, 128), np.linspace(-2.5, 2.5, 128))
