@@ -516,8 +516,7 @@ def alpha_of_loop(H: HenonMap, loop) -> Fraction:
     of Im S telescope to 0 around the closed loop, so the two windings are
     equal.
     """
-    region = certify_region(H)
-    M, R = region.M, region.R.R
+    M, R = certify_region(H).M, filtration_radius(H).R
     verts = np.array([complex(p.x) for p in loop] + [complex(loop[0].x)])
     verts_y = np.array([complex(p.y) for p in loop] + [complex(loop[0].y)])
     d = H.d

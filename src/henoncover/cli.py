@@ -267,7 +267,6 @@ def render_grid(
     coordinates, and the tiles are fixed by the job alone, so the result
     is the same for any number of worker threads.
     """
-    R = filtration_radius(H).R
     out = np.empty((job.ny, job.nx), dtype=float)
     rows = max(1, TILE_POINTS // job.nx)
 
@@ -275,12 +274,12 @@ def render_grid(
         j1 = min(j0 + rows, job.ny)
         xs, ys = _tile_points(job, j0, j1)
         if job.quantity == "escape_time":
-            out[j0:j1] = escape_time_grid(H, xs, ys, R, budget)
+            out[j0:j1] = escape_time_grid(H, xs, ys, budget)
             return
         if job.quantity == "sublevel":
-            out[j0:j1] = _CLASS_SHADES[sublevel_grid(H, xs, ys, R, budget, job.c, tol)]
+            out[j0:j1] = _CLASS_SHADES[sublevel_grid(H, xs, ys, budget, job.c, tol)]
             return
-        out[j0:j1] = green_plus_grid(H, xs, ys, R, budget, tol)[0]
+        out[j0:j1] = green_plus_grid(H, xs, ys, budget, tol)[0]
 
     tiles = range(0, job.ny, rows)
     if threads <= 1:

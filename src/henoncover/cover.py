@@ -6,7 +6,7 @@ The chart is assembled in three steps on the region W~+_M:
     E2(x, y) = (psi(x, y), y),  psi = y * int_0^x dlambda/dy(t, y) dt
     E3(x, y) = (x - R(y), y)                  kill the Laurent tail
 
-E2 is evaluated from one table per map and Bottcher region: the
+E2 is evaluated from one table per map, on W+_M = certify_region(H): the
 Taylor coefficients in s = x/y and u = 1/y of dlambda/dy and of
 log(lambda/y), which are holomorphic on the bidisc of W+_M and extend
 across u = 0 (Hubbard & Oberste-Vorth, Publ. Math. IHES 79, 1994).  One
@@ -47,7 +47,7 @@ from .boettcher import (
     dlambda_dy_vec,
     lambda_vec,
 )
-from .filtration import FiltrationRadius
+from .filtration import filtration_radius
 from .henon import (
     ComplexPolynomial,
     HenonError,
@@ -156,7 +156,6 @@ class CoverPoint:
 @dataclass
 class CoverChart:
     H: HenonMap
-    region: BoettcherRegion
     Q: ComplexPolynomial
     qminus_rho: float
     qminus_samples: np.ndarray
@@ -164,6 +163,11 @@ class CoverChart:
     Mtilde: float
     t: float
     meta: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def region(self) -> BoettcherRegion:
+        """W+_M = certify_region(H), the region the chart is built on."""
+        return certify_region(self.H)
 
     @property
     def inner_radius(self) -> float:
@@ -204,14 +208,14 @@ def _psi_panel():
     return 0.5 * (t + 1.0), 0.5 * wt
 
 
-def psi_integral(H: HenonMap, region: BoettcherRegion, x: complex, y: complex) -> complex:
+def psi_integral(H: HenonMap, x: complex, y: complex) -> complex:
     """psi(x, y) = y * int_0^x dlambda/dy(t, y) dt on one Gauss-Legendre panel.
 
     The direct reference for the series table: one lambda solve on the
-    mapped nodes.  [0, x] x {y} must sit in W+_M; SegmentOutsideRegion if
-    an endpoint does not or a node solve fails.
+    mapped nodes.  [0, x] x {y} must sit in W+_M = certify_region(H);
+    SegmentOutsideRegion if an endpoint does not or a node solve fails.
     """
-    if region.M * abs(x) >= abs(y):
+    if certify_region(H).M * abs(x) >= abs(y):
         raise SegmentOutsideRegion("segment endpoint violates |x| < |y|/M")
     s, ws = _psi_panel()
     F, ok, _ = dlambda_dy_vec(H, x * s, np.full(s.shape, y), _INNER_TOL)
@@ -232,16 +236,16 @@ _SERIES_FRAC = 0.6
 _SERIES_TAIL_MAX = 1e-12
 
 
-def _torus_nodes(region: BoettcherRegion):
-    """(x, w), each N x N: the table's torus, row i at sigma = e_i."""
-    M, R = region.M, region.R.R
+def _torus_nodes(H: HenonMap):
+    """(x, w), each N x N: the table's torus on certify_region(H), row i at sigma = e_i."""
+    M, R = certify_region(H).M, filtration_radius(H).R
     e = np.exp(2j * np.pi * np.arange(_TORUS_N) / _TORUS_N)
     w = 1.0 / np.broadcast_to(_TORUS_FRAC / (M * R) * e[None, :], (_TORUS_N, _TORUS_N))
     return w * (_TORUS_FRAC / M) * e[:, None], w
 
 
 @functools.lru_cache(maxsize=32)
-def _series_table(H: HenonMap, region: BoettcherRegion):
+def _series_table(H: HenonMap):
     """(C, tail): Taylor coefficients of the chart on W+_M, from one solve.
 
     With r_s = 0.75/M, r_u = 0.75/(MR) and scaled variables
@@ -283,7 +287,7 @@ def _series_table(H: HenonMap, region: BoettcherRegion):
     which reaches rounding by K = 16, so the build gates on the tail.
     """
     N, K = _TORUS_N, _TORUS_N // 2
-    x, w = _torus_nodes(region)
+    x, w = _torus_nodes(H)
     h, ok, lam = dlambda_dy_vec(H, x.ravel(), w.ravel(), _INNER_TOL)
     if not ok.all():
         raise NoConvergence(50)
@@ -298,7 +302,7 @@ def _series_table(H: HenonMap, region: BoettcherRegion):
     return C, tail
 
 
-def _series_eval(H: HenonMap, region: BoettcherRegion, X, W):
+def _series_eval(H: HenonMap, X, W):
     """(psi, dlambda/dy, lambda) at the points (X_i, W_i) from the table.
 
     The points must lie in the series bidisc M*max(|X|, R) <= 0.6|W|;
@@ -308,16 +312,18 @@ def _series_eval(H: HenonMap, region: BoettcherRegion, X, W):
     per point), so its values do not depend on the other points of the call.
     """
     X, W = np.asarray(X, dtype=complex).ravel(), np.asarray(W, dtype=complex).ravel()
-    if not (region.M * np.maximum(np.abs(X), region.R.R) <= _SERIES_FRAC * np.abs(W)).all():
+    region = certify_region(H)  # one cache lookup: this runs per chart evaluation
+    M, R = region.M, region.R.R
+    if not (M * np.maximum(np.abs(X), R) <= _SERIES_FRAC * np.abs(W)).all():
         raise SegmentOutsideRegion("point outside the series bidisc M*max(|x|, R) <= 0.6|y|")
-    C, _ = _series_table(H, region)
+    C, _ = _series_table(H)
     K = C.shape[0]
     # per point, powers 0 .. K-1 of sigma = (X/W)/r_s and of
     # upsilon = (1/W)/r_u, one row each
     p = np.empty((X.size, 2, K), dtype=complex)
     p[:, :, 0] = 1.0
-    p[:, 0, 1:] = (X / W * (region.M / _TORUS_FRAC))[:, None]
-    p[:, 1, 1:] = (region.M * region.R.R / _TORUS_FRAC / W)[:, None]
+    p[:, 0, 1:] = (X / W * (M / _TORUS_FRAC))[:, None]
+    p[:, 1, 1:] = (M * R / _TORUS_FRAC / W)[:, None]
     np.multiply.accumulate(p, axis=2, out=p)
     a, b, g = ((p[:, :1] @ C).reshape(-1, 3, K) @ p[:, 1, :, None]).reshape(-1, 3).T
     return W * X * a, b, W * np.exp(g)
@@ -326,7 +332,7 @@ def _series_eval(H: HenonMap, region: BoettcherRegion, X, W):
 # ---------------------------------------------------------------------------
 # chart construction
 
-def _qtilde_batch(H: HenonMap, region: BoettcherRegion, zetas):
+def _qtilde_batch(H: HenonMap, zetas):
     """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d), psi from the table.
 
     Its caller, the Q^- circle at 1.25MR (0.8 of the radius of W+_M), lies
@@ -334,14 +340,14 @@ def _qtilde_batch(H: HenonMap, region: BoettcherRegion, zetas):
     directly with lambda_vec.
     """
     zetas = np.asarray(zetas, dtype=complex)
-    lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL, 100)
+    lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL)
     if not ok.all():
-        raise NoConvergence(100)
+        raise NoConvergence(50)
     x0 = first_component_axis_poly(H)(lam0)
-    return _series_eval(H, region, x0, zetas**H.d)[0]
+    return _series_eval(H, x0, zetas**H.d)[0]
 
 
-def _q_from_series(H: HenonMap, region: BoettcherRegion) -> np.ndarray:
+def _q_from_series(H: HenonMap) -> np.ndarray:
     """Q's coefficients, constant first, from the series table.
 
     In t = 1/zeta the table gives lambda(0, zeta) = zeta E(t) with
@@ -355,10 +361,11 @@ def _q_from_series(H: HenonMap, region: BoettcherRegion) -> np.ndarray:
     Q_n is the t^(d+d'-n) coefficient of S; every product is truncated
     after order d + d', which needs d + d' < K (build_chart checks).
     """
-    C, _ = _series_table(H, region)
+    C, _ = _series_table(H)
+    M, R = certify_region(H).M, filtration_radius(H).R
     K = C.shape[0]
     d, e, n = H.d, H.d - H.d_prime, H.d + H.d_prime + 1
-    r_s, r_u = _TORUS_FRAC / region.M, _TORUS_FRAC / (region.M * region.R.R)
+    r_s, r_u = _TORUS_FRAC / M, _TORUS_FRAC / (M * R)
     # E = exp(G) by the recurrence m E_m = sum_k k G_k E_(m-k), from E' = G'E
     G = C[0, 2 * K : 2 * K + n] * r_u ** -np.arange(n)
     E = np.zeros_like(G)
@@ -385,7 +392,8 @@ _SAMPLES_PER_DEGREE = 64
 def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
     """Assemble the chart from the series table and one sample circle.
 
-    Pipeline: prove the Bottcher region (certify_region), build the series
+    Pipeline: prove the Bottcher region W+_M = certify_region(H), which
+    the chart reads back from H (CoverChart.region), build the series
     table of psi (_series_table), take the monic degree-(d+d') polynomial
     Q from its coefficients (_q_from_series), sample Qtilde on
     |zeta| = 1.25MR and store the tail Q^- = Qtilde - Q there as a sampled
@@ -408,18 +416,17 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
     deg, K = H.d + H.d_prime, _TORUS_N // 2
     if deg >= K:
         raise DecayFailed(f"Q needs d + d' + 1 = {deg + 1} series orders; the table has {K}")
-    region = certify_region(H)
-    coeffs = _q_from_series(H, region)
+    coeffs = _q_from_series(H)
     monic_defect = abs(coeffs[-1] - 1.0)
     if monic_defect > 1e-6:
         raise MonicityFailed(float(monic_defect))
     Q = ComplexPolynomial(tuple(coeffs))
 
-    M, R = region.M, region.R.R
+    M, R = certify_region(H).M, filtration_radius(H).R
     n = 1 << max(6, int(np.ceil(np.log2(_SAMPLES_PER_DEGREE * deg))))
     q_rho = 1.25 * M * R
     zk = q_rho * np.exp(2j * np.pi * np.arange(n) / n)
-    qt = _qtilde_batch(H, region, zk)
+    qt = _qtilde_batch(H, zk)
     g = qt - Q(zk)
     bins = np.abs(np.fft.fft(g)[: n // 2]) / n
     decay_max = float(bins.max())
@@ -432,7 +439,6 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
 
     chart = CoverChart(
         H=H,
-        region=region,
         Q=Q,
         qminus_rho=q_rho,
         qminus_samples=g,
@@ -445,7 +451,7 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
             "circle_samples": int(n),
             "two_radius_agreement": float(err.max()),
             "tail_purity": purity,
-            "series_tail": _series_table(H, region)[1],
+            "series_tail": _series_table(H)[1],
         },
     )
     for _ in range(13):
@@ -467,7 +473,7 @@ def _qminus_eval(chart: CoverChart, w: complex) -> complex:
     return complex(-(gzk / (zk - w)).mean())
 
 
-def r_series(chart: CoverChart, zeta: complex, tol: float | None = None) -> complex:
+def r_series(chart: CoverChart, zeta: complex) -> complex:
     """R(zeta) = sum_i (d/a)^(i+1) Q^-(zeta^(d^i)) for |zeta| >= 1.5*M*R.
 
     OutsideChartDomain below 1.5MR, the domain _r_series_bound assumes;
@@ -477,8 +483,6 @@ def r_series(chart: CoverChart, zeta: complex, tol: float | None = None) -> comp
     |zeta| >= Mtilde >= 2MR, and verify's check_r_series samples
     |zeta| >= 2MR.
     """
-    if tol is None:
-        tol = chart.series_tol
     z = complex(zeta)
     if not abs(z) >= 1.5 * chart.inner_radius:
         raise OutsideChartDomain("r_series needs |zeta| >= 1.5*M*R")
@@ -487,7 +491,7 @@ def r_series(chart: CoverChart, zeta: complex, tol: float | None = None) -> comp
     total = 0.0 + 0.0j
     log_az = np.log(abs(z))
     log_ratio = np.log(abs(ratio))
-    log_tol = np.log(max(tol, 1e-300))
+    log_tol = np.log(max(chart.series_tol, 1e-300))
     c_log = None  # log of the measured tail scale |Q^-(w)| * |w|
     # term i is ratio^(i+1) * O(|z|^(-d^i)); terms may grow at first when
     # |ratio| is large (strongly dissipative maps) but the double
@@ -554,7 +558,7 @@ def psi_tilde(chart: CoverChart, z: Point) -> CoverPoint:
     """
     phi = bottcher_phi(chart.H, z, chart.series_tol)
     try:
-        psi_val = complex(_series_eval(chart.H, chart.region, [z.x], [phi])[0][0])
+        psi_val = complex(_series_eval(chart.H, [z.x], [phi])[0][0])
     except SegmentOutsideRegion as exc:
         raise OutsideChartDomain(str(exc)) from None
     # the tail correction enters with the sign that makes the series
@@ -586,7 +590,7 @@ def psi_tilde_inverse(chart: CoverChart, w: CoverPoint) -> Point:
     x = z_target / zeta
     scale = max(abs(z_target), abs(zeta))
     for _ in range(_INVERSE_MAX_ITER):
-        val, slope, y = _series_eval(chart.H, chart.region, [x], [zeta])
+        val, slope, y = _series_eval(chart.H, [x], [zeta])
         f = complex(val[0]) - z_target
         if abs(f) <= _INVERSE_TOL * scale:
             return Point(x, complex(y[0]))
@@ -680,6 +684,7 @@ def chart_to_dict(chart: CoverChart) -> dict:
 
 
 def chart_from_dict(data: dict) -> CoverChart:
+    """The chart of a chart_to_dict document; ValueError if its region is not the map's."""
     if data.get("format") != "henoncover-chart-v1":
         raise ValueError("not a chart document")
     H = make_henon(
@@ -689,9 +694,10 @@ def chart_from_dict(data: dict) -> CoverChart:
         ]
     )
     reg = data["region"]
+    if (reg["M"], reg["R"]) != (certify_region(H).M, filtration_radius(H).R):
+        raise ValueError(f"chart region {reg} is not the map's {certify_region(H)}")
     return CoverChart(
         H=H,
-        region=BoettcherRegion(reg["M"], FiltrationRadius(reg["R"])),
         Q=ComplexPolynomial(tuple(_l2c(c) for c in data["Q"])),
         qminus_rho=data["qminus_rho"],
         qminus_samples=np.array([_l2c(c) for c in data["qminus_samples"]]),

@@ -58,19 +58,20 @@ def filtration_radius(H: HenonMap) -> FiltrationRadius:
     return FiltrationRadius(_coefficient_floor(H))
 
 
-def escape_orbit(H: HenonMap, x, y, r: float, N_max: int):
+def escape_orbit(H: HenonMap, x, y, N_max: int):
     """First n <= N_max with H^n(x, y) in the escape region, with the iterate.
 
-    Escape is V+ membership with |y| > 2r.  Returns (n, x_n, y_n), or None
-    when the orbit misses the region for N_max steps or a coordinate
-    passes BAIL_OUT first.  Backward escape is this test on
-    henon.backward_conjugate(H), the monic conjugate of H^{-1} that
-    green.green_minus iterates.
+    Escape is V+ membership with |y| > 2R, where R = filtration_radius(H).R.
+    Returns (n, x_n, y_n), or None when the orbit misses the region for
+    N_max steps or a coordinate passes BAIL_OUT first.  Backward escape is
+    this test on henon.backward_conjugate(H), the monic conjugate of H^{-1}
+    that green.green_minus iterates.
     """
-    cutoff = ESCAPE_MARGIN * r
+    R = filtration_radius(H).R
+    cutoff = ESCAPE_MARGIN * R
     for n in range(N_max + 1):
         ax, ay = abs(x), abs(y)
-        if ay >= max(ax, r) and ay > cutoff:
+        if ay >= max(ax, R) and ay > cutoff:
             return n, x, y
         if max(ax, ay) > BAIL_OUT:
             return None

@@ -12,8 +12,10 @@ G+ of the monic Henon map henon.backward_conjugate(H), conjugate to
 H^{-1} by a swap and a diagonal scaling, so both come from the one
 green_plus kernel.
 
-The grid kernels (escape_time_grid, green_plus_grid) run the escape test
-of escape_orbit over flat arrays in one loop body, _escape_steps.  It
+The grid kernels (escape_time_grid, green_plus_grid, sublevel_grid) run
+the escape test of escape_orbit over flat arrays in one loop body,
+_escape_steps.  Each reads R = filtration_radius(H).R from the map, the
+radius that proves the cutoff 2R, the trap filter and escape_band.  It
 runs the first TRAP_EVERY steps over each block of BLOCK_POINTS points,
 where most points escape or are retired, and then the rest of the budget
 once over the pooled survivors of all blocks, so the long tail of
@@ -104,8 +106,8 @@ class GreenValue:
             raise ValueError("Green data must be nonnegative")
 
 
-def _bounded_value(H: HenonMap, R: float, N_max: int) -> GreenValue:
-    err = float(H.d) ** -N_max * max(1.0, np.log(ESCAPE_MARGIN * R))
+def _bounded_value(H: HenonMap, N_max: int) -> GreenValue:
+    err = float(H.d) ** -N_max * max(1.0, np.log(ESCAPE_MARGIN * filtration_radius(H).R))
     return GreenValue(0.0, err, N_max)
 
 
@@ -163,10 +165,9 @@ def _refine_plus(H: HenonMap, x, y, steps, tol: float):
 
 def green_plus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> GreenValue:
     """G+(z) with a reported error bound and the orbit depth used."""
-    R = filtration_radius(H).R
-    hit = escape_orbit(H, complex(z.x), complex(z.y), R, N_max)
+    hit = escape_orbit(H, complex(z.x), complex(z.y), N_max)
     if hit is None:
-        return _bounded_value(H, R, N_max)
+        return _bounded_value(H, N_max)
     n, x, y = hit
     Y, band = _stop_modulus(H, tol)
     while abs(y) < Y:  # the scalar form of _refine_plus's push
@@ -389,7 +390,7 @@ def attracting_traps(H: HenonMap) -> tuple:
 BLOCK_POINTS = 16384
 
 
-def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, records: bool = False):
+def _escape_steps(H: HenonMap, x, y, N_max: int, records: bool = False):
     """First escape step per point of the flat arrays x, y, or -1.
 
     Iterates compact copies of the points still in play (gathered again
@@ -462,6 +463,7 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, records: bool = False
     hits = []  # escape records (hit, ex, ey), step by step
     real = x.dtype.kind == "f"
     step = _stepper(H, x)
+    R = filtration_radius(H).R
     cutoff = ESCAPE_MARGIN * R
     quiet = min(cutoff, BAIL_OUT)
     one_factor = len(H.factors) == 1
@@ -534,7 +536,7 @@ def _escape_steps(H: HenonMap, x, y, R: float, N_max: int, records: bool = False
     return (steps, *(np.concatenate(a) for a in zip(*hits)))
 
 
-def _flat_escape(H: HenonMap, xs, ys, R: float, N_max: int, records: bool = False):
+def _flat_escape(H: HenonMap, xs, ys, N_max: int, records: bool = False):
     """(shape, result): _escape_steps's result on flat arrays x, y of xs, ys.
 
     x and y are float64 where H has real coefficients (real_form) and
@@ -548,24 +550,24 @@ def _flat_escape(H: HenonMap, xs, ys, R: float, N_max: int, records: bool = Fals
     if real_form(H) is not None and not (np.iscomplexobj(xs) or np.iscomplexobj(ys)):
         x, y = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            result = _escape_steps(H, x, y, R, N_max, records)
+            result = _escape_steps(H, x, y, N_max, records)
         if result is not None:
             return shape, result
     x, y = np.asarray(xs, dtype=complex).ravel(), np.asarray(ys, dtype=complex).ravel()
-    return shape, _escape_steps(H, x, y, R, N_max, records)
+    return shape, _escape_steps(H, x, y, N_max, records)
 
 
-def escape_time_grid(H: HenonMap, xs, ys, R: float, N_max: int):
+def escape_time_grid(H: HenonMap, xs, ys, N_max: int):
     """First escape step per point (N_max where the budget ran out)."""
-    shape, steps = _flat_escape(H, xs, ys, R, N_max)
+    shape, steps = _flat_escape(H, xs, ys, N_max)
     return np.where(steps < 0, N_max, steps).reshape(shape)
 
 
-def green_plus_grid(H: HenonMap, xs, ys, R: float, N_max: int, tol: float = 1e-10):
+def green_plus_grid(H: HenonMap, xs, ys, N_max: int, tol: float = 1e-10):
     """G+ over an array of points; returns (values, error_bounds, depths)."""
-    shape, (steps, hit, ex, ey) = _flat_escape(H, xs, ys, R, N_max, records=True)
+    shape, (steps, hit, ex, ey) = _flat_escape(H, xs, ys, N_max, records=True)
     vals = np.zeros(steps.size)
-    errs = np.full(steps.size, _bounded_value(H, R, N_max).error_bound)
+    errs = np.full(steps.size, _bounded_value(H, N_max).error_bound)
     depths = np.full(steps.size, N_max, dtype=np.int64)
     vals[hit], errs[hit], depths[hit] = _refine_plus(H, ex, ey, steps[hit], tol)
     return vals.reshape(shape), errs.reshape(shape), depths.reshape(shape)
@@ -721,7 +723,7 @@ def sublevel_classes(vals, depths, N_max: int, c: float):
     return np.where(bounded, SUBLEVEL_K_PLUS, below).astype(np.int8)
 
 
-def sublevel_grid(H: HenonMap, xs, ys, R: float, N_max: int, c: float, tol: float = 1e-10):
+def sublevel_grid(H: HenonMap, xs, ys, N_max: int, c: float, tol: float = 1e-10):
     """sublevel_classes of green_plus_grid, refining only undecided pixels.
 
     After _escape_steps, an escaped pixel with escape step n and band
@@ -747,7 +749,7 @@ def sublevel_grid(H: HenonMap, xs, ys, R: float, N_max: int, c: float, tol: floa
     not finite, every escaped pixel is refined as green_plus_grid refines
     it.
     """
-    shape, (steps, hit, ex, ey) = _flat_escape(H, xs, ys, R, N_max, records=True)
+    shape, (steps, hit, ex, ey) = _flat_escape(H, xs, ys, N_max, records=True)
     out = np.full(steps.size, SUBLEVEL_K_PLUS, dtype=np.int8)
     n = steps[hit]
     scales = float(H.d) ** -np.arange(N_max + 1.0)

@@ -197,7 +197,7 @@ def test_lambda_start_saves_rounds_on_torus_rows(href, htwo, hcubic, monkeypatch
     # its rows tie.)
     rounds = []
     for H in (href, htwo, hcubic):
-        X, W = cover._torus_nodes(certify_region(H))
+        X, W = cover._torus_nodes(H)
         rounds += [assert_starts_agree(monkeypatch, H, x, w, _INNER_TOL) for x, w in zip(X, W)]
     assert all(new <= old for new, old in rounds)
     assert sum(new for new, _ in rounds) < sum(old for _, old in rounds)
@@ -207,7 +207,7 @@ def test_lambda_start_saves_rounds_on_torus_rows(href, htwo, hcubic, monkeypatch
 @given(henon_maps)
 def test_lambda_start_agrees_on_random_maps(H):
     # the whole torus in one solve, as the series table runs it
-    X, W = cover._torus_nodes(certify_region(H))
+    X, W = cover._torus_nodes(H)
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_starts_agree(monkeypatch, H, X.ravel(), W.ravel(), 1e-12)
 

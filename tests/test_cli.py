@@ -7,7 +7,6 @@ from henoncover import (
     CoverPoint,
     DeckLabel,
     deck,
-    filtration_radius,
     green,
     lift_H,
     load_chart,
@@ -275,12 +274,11 @@ def test_render_tiles_match_one_kernel_call(request, monkeypatch, plane):
     names = ["href", "htwo", "hcubic"] if plane == "real_slice" else ["href"]
     for name in names:
         H = request.getfixturevalue(name)
-        R = filtration_radius(H).R
-        vals, _, depths = green_plus_grid(H, xs, ys, R, budget)
+        vals, _, depths = green_plus_grid(H, xs, ys, budget)
         c = 0.5
         want = {
             "green_plus": vals,
-            "escape_time": escape_time_grid(H, xs, ys, R, budget).astype(float),
+            "escape_time": escape_time_grid(H, xs, ys, budget).astype(float),
             "sublevel": np.select(
                 [(vals == 0.0) & (depths == budget), vals < c], [0.0, 32768.0], 65535.0
             ),

@@ -43,20 +43,20 @@ def test_radius_grows_with_coefficient_size():
     assert small.R == pytest.approx(3.9) and big.R == pytest.approx(402.8)
 
 
-def escape_step(H, z, R, N_max):
+def escape_step(H, z, N_max):
     """escape_orbit's n for the point z, or None when it stays bounded."""
-    hit = escape_orbit(H, complex(z.x), complex(z.y), R, N_max)
+    hit = escape_orbit(H, complex(z.x), complex(z.y), N_max)
     return None if hit is None else hit[0]
 
 
 def test_classify_deep_point_escapes_immediately(href, href_radius):
     z = Point(0, 10 * href_radius.R)
-    assert escape_orbit(href, z.x, z.y, href_radius.R, 50) == (0, z.x, z.y)
+    assert escape_orbit(href, z.x, z.y, 50) == (0, z.x, z.y)
 
 
 def test_classify_fixed_point_bounded():
     H = make_henon([([0, 0, 1], 1.0)])
-    assert escape_orbit(H, 0j, 0j, filtration_radius(H).R, 64) is None
+    assert escape_orbit(H, 0j, 0j, 64) is None
 
 
 def test_escape_count_shifts_under_map(rng, href, href_radius):
@@ -67,10 +67,10 @@ def test_escape_count_shifts_under_map(rng, href, href_radius):
             2 * R * complex(*rng.uniform(-1, 1, 2)),
             2 * R * complex(*rng.uniform(-1, 1, 2)),
         )
-        n = escape_step(href, z, R, 64)
+        n = escape_step(href, z, 64)
         if n is not None and n >= 1:
             found += 1
-            assert escape_step(href, apply(href, z), R, 64) == n - 1
+            assert escape_step(href, apply(href, z), 64) == n - 1
 
 
 def test_escape_monotone_in_budget(rng, href, href_radius):
@@ -80,13 +80,12 @@ def test_escape_monotone_in_budget(rng, href, href_radius):
             2 * R * complex(*rng.uniform(-1, 1, 2)),
             2 * R * complex(*rng.uniform(-1, 1, 2)),
         )
-        small = escape_step(href, z, R, 16)
+        small = escape_step(href, z, 16)
         if small is not None:
-            assert escape_step(href, z, R, 128) == small
+            assert escape_step(href, z, 128) == small
 
 
 def test_stable_axis_of_dissipative_map_stays_bounded():
     H = make_henon([([0, 0, 1], 0.01)])
-    R = filtration_radius(H).R
     for budget in (1000, 2000):  # doubled-budget oracle agrees
-        assert escape_orbit(H, 50.0 + 0j, 0j, R, budget) is None
+        assert escape_orbit(H, 50.0 + 0j, 0j, budget) is None

@@ -143,7 +143,7 @@ def test_grid_matches_scalar(request, rng):
         ys = box * (rng.uniform(-1, 1, 80) + 1j * rng.uniform(-1, 1, 80))
         xs = np.append(xs, [0.0, 1e160, 1e200j])
         ys = np.append(ys, [1e200, 1e155, 1.0])
-        vals, _, depths = green_plus_grid(H, xs, ys, R, budget)
+        vals, _, depths = green_plus_grid(H, xs, ys, budget)
         bounded = 0
         for x, y, v, n in zip(xs, ys, vals, depths):
             g = green_plus(H, Point(x, y), N_max=budget)
@@ -168,7 +168,7 @@ def assert_scalar_and_grid_within_bounds(H, rng, budget=24):
     box = np.repeat([0.3 * R, R], [60, 20])
     xs = box * (rng.uniform(-1, 1, 80) + 1j * rng.uniform(-1, 1, 80))
     ys = box * (rng.uniform(-1, 1, 80) + 1j * rng.uniform(-1, 1, 80))
-    vals, errs, depths = green_plus_grid(H, xs, ys, R, budget)
+    vals, errs, depths = green_plus_grid(H, xs, ys, budget)
     for x, y, v, e, n in zip(xs, ys, vals, errs, depths):
         g = green_plus(H, Point(x, y), N_max=budget)
         assert n == g.depth
@@ -195,7 +195,7 @@ def assert_green_matches_bottcher_product(H, seed):
     The two differ by at most the G+ error bound, phi's tail bound and the
     rounding of both logarithms (16 eps times the value).
     """
-    pts = _region_points(certify_region(H), 40, seed)
+    pts = _region_points(H, 40, seed)
     x = np.array([z.x for z in pts])
     y = np.array([z.y for z in pts])
     phi, tail, ok, _ = phi_vec(H, x, y)
@@ -243,7 +243,7 @@ def test_error_bound_covers_the_rounding_of_the_value(href, htwo, hcubic, tol):
         checked = 0
         for _ in range(100):
             z = Point(complex(*rng.uniform(-R, R, 2)), complex(*rng.uniform(-R, R, 2)))
-            hit = escape_orbit(H, z.x, z.y, R, 64)
+            hit = escape_orbit(H, z.x, z.y, 64)
             if hit is None:
                 continue
             m, x, y = hit
@@ -272,8 +272,8 @@ def test_tol_below_the_band_floor_reports_the_floor(href):
     rng = np.random.default_rng(103)
     xs = R * (rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200))
     ys = R * (rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200))
-    vals, errs, depths = green_plus_grid(href, xs, ys, R, 64, tol=1e-16)
-    coarse, coarse_errs, _ = green_plus_grid(href, xs, ys, R, 64)
+    vals, errs, depths = green_plus_grid(href, xs, ys, 64, tol=1e-16)
+    coarse, coarse_errs, _ = green_plus_grid(href, xs, ys, 64)
     esc = depths < 64
     assert esc.sum() > 50 and np.isfinite(vals).all() and np.isfinite(errs).all()
     scale = 2.0 ** -depths[esc]
@@ -296,7 +296,7 @@ def test_stop_modulus_clamped_for_degree_64():
     rng = np.random.default_rng(107)
     xs = 2 * R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
     ys = 2 * R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
-    vals, errs, depths = green_plus_grid(H, xs, ys, R, 16)
+    vals, errs, depths = green_plus_grid(H, xs, ys, 16)
     assert np.isfinite(vals).all() and np.isfinite(errs).all()
     assert (depths > 0).any() and (vals > 0).sum() > 100
     for x, y, v, e in zip(xs[:40], ys[:40], vals, errs):
@@ -311,8 +311,8 @@ def test_escape_time_grid_matches_escape_orbit(request, rng, name):
     shape = (15, 20)
     xs = 0.5 * R * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
     ys = 0.5 * R * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
-    steps = escape_time_grid(H, xs, ys, R, 64)
-    hits = [escape_orbit(H, complex(x), complex(y), R, 64) for x, y in zip(xs.flat, ys.flat)]
+    steps = escape_time_grid(H, xs, ys, 64)
+    hits = [escape_orbit(H, complex(x), complex(y), 64) for x, y in zip(xs.flat, ys.flat)]
     want = [64 if hit is None else hit[0] for hit in hits]
     assert steps.shape == shape
     assert steps.ravel().tolist() == want
@@ -333,7 +333,6 @@ def assert_traps_proved(H, seed, n=1000):
     every boundary point must stay bounded for 64 steps.
     """
     rng = np.random.default_rng(seed)
-    R = filtration_radius(H).R
     traps = attracting_traps(H)
     for t in traps:
         p = np.array([t.point.x, t.point.y])
@@ -346,7 +345,7 @@ def assert_traps_proved(H, seed, n=1000):
         assert rho < 1.0 and abs(rho - t.spectral_radius) <= 1e-6
         x, y = assert_trap_maps_into_itself(H, t, rng, n)
         for xi, yi in zip(x, y):
-            assert escape_orbit(H, complex(xi), complex(yi), R, 64) is None
+            assert escape_orbit(H, complex(xi), complex(yi), 64) is None
     return len(traps)
 
 
@@ -437,7 +436,7 @@ def test_trap_at_a_tiny_radius(monkeypatch):
     monkeypatch.setattr(Trap, "holds", counting)
     u = np.linspace(-5e-201, 5e-201, 48)
     x, y = np.meshgrid(u, u)
-    assert_escape_steps_match_reference(H, x, y, filtration_radius(H).R, extremes=False)
+    assert_escape_steps_match_reference(H, x, y, extremes=False)
     # two runs (with and without records) at each of two block sizes
     assert sum(retired) == 4 * x.size
 
@@ -501,8 +500,9 @@ def reference_escape_steps(H, x, y, R, N_max):
 SMALL_BLOCK = 37
 
 
-def assert_escape_steps_match_reference(H, x, y, R, N_max=64, extremes=True):
+def assert_escape_steps_match_reference(H, x, y, N_max=64, extremes=True):
     """_escape_steps at the default and at SMALL_BLOCK points per block."""
+    R = filtration_radius(H).R
     x, y = np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel()
     if extremes:  # bail-out and NaN points, which also force the full test
         x = np.append(x, [0.0, 1e160, 1e200j, np.nan])
@@ -513,8 +513,8 @@ def assert_escape_steps_match_reference(H, x, y, R, N_max=64, extremes=True):
     for block in (green.BLOCK_POINTS, SMALL_BLOCK):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(green, "BLOCK_POINTS", block)
-            steps, hit, ex, ey = _escape_steps(H, x, y, R, N_max, records=True)
-            assert np.array_equal(_escape_steps(H, x, y, R, N_max), steps), block
+            steps, hit, ex, ey = _escape_steps(H, x, y, N_max, records=True)
+            assert np.array_equal(_escape_steps(H, x, y, N_max), steps), block
         assert np.array_equal(steps, want), block
         # the escape records, bit for bit
         assert_escape_records(steps, hit, ex, ey, rx, ry)
@@ -541,7 +541,7 @@ def test_escape_steps_match_trap_free_loop_on_real_slice(request, monkeypatch, n
 
     monkeypatch.setattr(Trap, "holds", counting)
     x, y = np.meshgrid(np.linspace(-2.5, 2.5, 128), np.linspace(-2.5, 2.5, 128))
-    assert_escape_steps_match_reference(H, x, y, filtration_radius(H).R)
+    assert_escape_steps_match_reference(H, x, y)
     if name == "hcubic":
         assert sum(retired) > 1000  # the trap is used, not just proved
     assert len(retired) == (len(attracting_traps(H)) > 0) * len(retired)
@@ -554,7 +554,7 @@ def test_escape_steps_match_trap_free_loop_on_random_maps(H, seed):
     R = filtration_radius(H).R
     x = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
     y = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
-    assert_escape_steps_match_reference(H, x, y, R)
+    assert_escape_steps_match_reference(H, x, y)
 
 
 @pytest.mark.parametrize("c0", [6e149, 1e150, 1e152])
@@ -565,7 +565,7 @@ def test_escape_steps_match_trap_free_loop_past_the_bail_out(c0):
     assert ESCAPE_MARGIN * R > BAIL_OUT
     rng = np.random.default_rng(79)
     x, y = R * rng.uniform(0, 2, (2, 400)) * np.exp(2j * np.pi * rng.uniform(size=(2, 400)))
-    assert_escape_steps_match_reference(H, x, y, R, extremes=False)
+    assert_escape_steps_match_reference(H, x, y, extremes=False)
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -578,7 +578,7 @@ def test_float_escape_steps_match_trap_free_loop_in_small_blocks(request, monkey
     x, y = (a.ravel() for a in np.meshgrid(np.linspace(-2.5, 2.5, 96), np.linspace(-2.5, 2.5, 96)))
     rx, ry = x + 0j, y + 0j
     want = reference_escape_steps(H, rx, ry, R, 64)
-    steps, hit, ex, ey = _escape_steps(H, x, y, R, 64, records=True)
+    steps, hit, ex, ey = _escape_steps(H, x, y, 64, records=True)
     assert np.array_equal(steps, want) and ex.dtype == np.float64
     # the records, equal as numbers (a zero may differ in sign, see _escape_steps)
     assert np.array_equal(np.sort(hit), np.flatnonzero(want >= 0))
@@ -593,15 +593,15 @@ def test_escape_steps_match_trap_free_loop_on_attracting_maps():
         R = filtration_radius(H).R
         x = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
         y = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
-        assert_escape_steps_match_reference(H, x, y, R)
+        assert_escape_steps_match_reference(H, x, y)
 
 
-def grid_outputs(H, xs, ys, R, N_max, c):
+def grid_outputs(H, xs, ys, N_max, c):
     """Every grid kernel's output on xs, ys, with the RuntimeWarnings each call emits."""
     calls = [
-        lambda: (escape_time_grid(H, xs, ys, R, N_max),),
-        lambda: green_plus_grid(H, xs, ys, R, N_max),
-        lambda: (sublevel_grid(H, xs, ys, R, N_max, c),),
+        lambda: (escape_time_grid(H, xs, ys, N_max),),
+        lambda: green_plus_grid(H, xs, ys, N_max),
+        lambda: (sublevel_grid(H, xs, ys, N_max, c),),
     ]
     out = []
     for call in calls:
@@ -612,13 +612,13 @@ def grid_outputs(H, xs, ys, R, N_max, c):
     return out
 
 
-def assert_float_grid_matches_complex(H, x, y, R, N_max=64, c=1.0):
+def assert_float_grid_matches_complex(H, x, y, N_max=64, c=1.0):
     """Float and complex input give the same bytes; returns the float run's dtype."""
     x, y = np.ravel(x), np.ravel(y)
-    assert grid_outputs(H, x, y, R, N_max, c) == grid_outputs(H, x + 0j, y + 0j, R, N_max, c)
+    assert grid_outputs(H, x, y, N_max, c) == grid_outputs(H, x + 0j, y + 0j, N_max, c)
     with np.errstate(over="ignore", invalid="ignore"):  # compared above
-        _, (fsteps, fhit, fx, fy) = green._flat_escape(H, x, y, R, N_max, records=True)
-        _, (csteps, chit, cx, cy) = green._flat_escape(H, x + 0j, y + 0j, R, N_max, records=True)
+        _, (fsteps, fhit, fx, fy) = green._flat_escape(H, x, y, N_max, records=True)
+        _, (csteps, chit, cx, cy) = green._flat_escape(H, x + 0j, y + 0j, N_max, records=True)
     assert fsteps.tobytes() == csteps.tobytes() and fhit.tobytes() == chit.tobytes()
     # the escape records, equal as numbers (a zero may differ in sign, see
     # _escape_steps)
@@ -633,11 +633,11 @@ def test_float_grid_matches_complex_on_random_real_maps(H, seed):
     R = filtration_radius(H).R
     u = np.linspace(-1.5 * R, 1.5 * R, 25)  # 0.0 is a node
     x, y = np.meshgrid(u, u)
-    vals = green_plus_grid(H, x + 0j, y + 0j, R, 64)[0]
+    vals = green_plus_grid(H, x + 0j, y + 0j, 64)[0]
     escaped = vals[vals > 0.0]
     # a threshold at a computed value, where sublevel_grid refines every pixel
     c = np.random.default_rng(seed).choice(escaped) if escaped.size else 1.0
-    assert assert_float_grid_matches_complex(H, x, y, R, c=c) == np.float64
+    assert assert_float_grid_matches_complex(H, x, y, c=c) == np.float64
 
 
 def test_float_grid_matches_complex_past_an_overflow():
@@ -647,7 +647,7 @@ def test_float_grid_matches_complex_past_an_overflow():
     H = make_henon([([0.3, 0, 0, 0, 0, 1], 0.7)])
     u = np.linspace(-1e149, 1e149, 301)
     x, y = np.meshgrid(u, u)
-    dtype = assert_float_grid_matches_complex(H, x, y, filtration_radius(H).R)
+    dtype = assert_float_grid_matches_complex(H, x, y)
     assert dtype == np.complex128
 
 
@@ -656,18 +656,17 @@ def test_float_grid_matches_complex_past_an_overflow_in_the_pooled_phase(monkeyp
     # w in [1, 3] stay below 2R ~ 2e110 until |y| passes 1e77 and the next
     # y^4 overflows, from step 10 on: after the blocked first phase
     H = make_henon([([0.0, 0.0, 1e110, 0.0, 1.0], 0.5)])
-    R = filtration_radius(H).R
     monkeypatch.setattr(green, "BLOCK_POINTS", SMALL_BLOCK)
     y = np.linspace(1.0, 3.0, 401) * 1e-110
     x = np.zeros_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _escape_steps(H, x, y, R, TRAP_EVERY + 1, records=True) is not None
-        assert _escape_steps(H, x, y, R, 64, records=True) is None
-        _, got = green._flat_escape(H, x, y, R, 64, records=True)
-        _, want = green._flat_escape(H, x + 0j, y + 0j, R, 64, records=True)
+        assert _escape_steps(H, x, y, TRAP_EVERY + 1, records=True) is not None
+        assert _escape_steps(H, x, y, 64, records=True) is None
+        _, got = green._flat_escape(H, x, y, 64, records=True)
+        _, want = green._flat_escape(H, x + 0j, y + 0j, 64, records=True)
     assert got[2].dtype == np.complex128 and got[1].size > 0
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    assert grid_outputs(H, x, y, R, 64, 1.0) == grid_outputs(H, x + 0j, y + 0j, R, 64, 1.0)
+    assert grid_outputs(H, x, y, 64, 1.0) == grid_outputs(H, x + 0j, y + 0j, 64, 1.0)
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -675,24 +674,22 @@ def test_grid_kernels_leave_read_only_inputs_untouched(request, name):
     # the kernels read their inputs through views: float, complex and a
     # strided view, each locked against writes, give the outputs of copies
     H = request.getfixturevalue(name)
-    R = filtration_radius(H).R
     x, y = np.meshgrid(np.linspace(-2.5, 2.5, 64), np.linspace(-2.5, 2.5, 64))
     for xs, ys in ((x, y), (x + 0j, y + 0j), (x[:, ::3], y[:, ::3])):
-        want = grid_outputs(H, xs.copy(), ys.copy(), R, 64, 1.0)
+        want = grid_outputs(H, xs.copy(), ys.copy(), 64, 1.0)
         given = xs.tobytes(), ys.tobytes()
         xs.setflags(write=False)
         ys.setflags(write=False)
-        assert grid_outputs(H, xs, ys, R, 64, 1.0) == want
+        assert grid_outputs(H, xs, ys, 64, 1.0) == want
         assert (xs.tobytes(), ys.tobytes()) == given
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
 def test_refine_plus_blocks_match_one_batch(request, monkeypatch, name):
     H = request.getfixturevalue(name)
-    R = filtration_radius(H).R
     x, y = np.meshgrid(np.linspace(-2.5, 2.5, 64), np.linspace(-2.5, 2.5, 64))
     for xs, ys in ((x, y), (x + 0j, y + 0j)):
-        _, (steps, hit, ex, ey) = green._flat_escape(H, xs, ys, R, 64, records=True)
+        _, (steps, hit, ex, ey) = green._flat_escape(H, xs, ys, 64, records=True)
         assert hit.size > 10 * SMALL_BLOCK
         args = (H, ex, ey, steps[hit], 1e-10)
         want = _refine_plus(*args)
@@ -730,7 +727,6 @@ def test_sublevel_band_on_attracting_maps():
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
 def test_sublevel_grid_refines_few_pixels(request, monkeypatch, name):
     H = request.getfixturevalue(name)
-    R = filtration_radius(H).R
     refined = []
 
     def counting(H, x, y, steps, tol):
@@ -740,8 +736,8 @@ def test_sublevel_grid_refines_few_pixels(request, monkeypatch, name):
     monkeypatch.setattr(green, "_refine_plus", counting)
     x, y = np.meshgrid(np.linspace(-2.5, 2.5, 128), np.linspace(-2.5, 2.5, 128))
     xs, ys = x + 0j, y + 0j
-    escaped = np.count_nonzero(escape_time_grid(H, xs, ys, R, 64) < 64)
-    sublevel_grid(H, xs, ys, R, 64, 1.0)
+    escaped = np.count_nonzero(escape_time_grid(H, xs, ys, 64) < 64)
+    sublevel_grid(H, xs, ys, 64, 1.0)
     assert sum(refined) <= 0.03 * escaped
 
 
@@ -752,8 +748,8 @@ def test_sublevel_grid_matches_thresholding_at_coarse_tol(href, htwo, hcubic, to
         R = filtration_radius(H).R
         x, y = np.meshgrid(np.linspace(-R, R, 48), np.linspace(-R, R, 48))
         xs, ys = x.ravel() + 0j, y.ravel() + 0j
-        vals, _, depths = green_plus_grid(H, xs, ys, R, 64, tol)
+        vals, _, depths = green_plus_grid(H, xs, ys, 64, tol)
         for v in rng.choice(vals[vals > 0.0], 8):
             for c in (v, np.nextafter(v, 0.0), v * (1.0 + 2.0**-30), v * (1.0 - 1e-6)):
                 want = green.sublevel_classes(vals, depths, 64, c)
-                assert np.array_equal(sublevel_grid(H, xs, ys, R, 64, c, tol), want)
+                assert np.array_equal(sublevel_grid(H, xs, ys, 64, c, tol), want)

@@ -26,7 +26,7 @@ from henoncover.henon import (
     inverse_leading_constant,
     second_component_correction,
 )
-from henoncover.verification import check_green_functorial
+from henoncover.verification import check_green_functorial_minus
 
 from strategies import henon_maps
 
@@ -171,7 +171,7 @@ def test_backward_conjugate_is_monic_conjugate_of_inverse(H, seed):
     scale = np.maximum(1.0, np.maximum(np.abs(hx), np.abs(hy)))
     assert np.all(np.maximum(np.abs(alpha * kx - hx), np.abs(beta * ky - hy)) <= 1e-12 * scale)
     # G- = G+ of K obeys the functorial law of H^-1
-    assert check_green_functorial(H, n=20, seed=seed, forward=False)["passed"]
+    assert check_green_functorial_minus(H, n=20, seed=seed)["passed"]
 
 
 def textbook_horner(p: ComplexPolynomial, y):
