@@ -153,15 +153,22 @@ class CoverPoint:
             raise ValueError("|zeta| must exceed 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoverChart:
+    """The chart of one map: what its build measured, and what H fixes.
+
+    Stored: the map H, the lift polynomial Q, the Q^- samples on the
+    circle |zeta| = qminus_rho, the r_series truncation tolerance
+    series_tol and the build's record meta.  Derived from H on first use
+    and cached: the region W+_M, the Q^- circle's radius qminus_rho, the
+    aspect t and the radius Mtilde of the absorbing region
+    S_{Mtilde, t} = {|zeta| >= Mtilde, |z| < t |zeta|^2}.
+    """
+
     H: HenonMap
     Q: ComplexPolynomial
-    qminus_rho: float
     qminus_samples: np.ndarray
     series_tol: float
-    Mtilde: float
-    t: float
     meta: dict = field(default_factory=dict)
 
     @functools.cached_property
@@ -174,11 +181,33 @@ class CoverChart:
         return self.region.M * self.region.R.R
 
     @functools.cached_property
-    def _qminus_nodes(self):
-        """(z_k, g_k z_k) on the Q^- sample circle, built on first use.
+    def qminus_rho(self) -> float:
+        """1.25MR, the radius of the circle the build samples Q^- on."""
+        return 1.25 * self.inner_radius
 
-        qminus_rho and qminus_samples are fixed once the chart is built.
+    @functools.cached_property
+    def t(self) -> float:
+        """1/(4M), the aspect of the absorbing region S_{Mtilde, t}."""
+        return 1.0 / (4.0 * self.region.M)
+
+    @functools.cached_property
+    def Mtilde(self) -> float:
+        """The first 2MR * 2^k at which _r_series_bound proves |R| < t |zeta|^2.
+
+        The bound falls as |zeta| grows while t |zeta|^2 rises, so the one
+        check at Mtilde covers every |zeta| >= Mtilde.  DecayFailed if no
+        k < 13 proves it.
         """
+        Mtilde = 2.0 * self.inner_radius
+        for _ in range(13):
+            if _r_series_bound(self, Mtilde) < self.t * Mtilde**2:
+                return Mtilde
+            Mtilde *= 2.0
+        raise DecayFailed("no Mtilde up to 2^13 * 2MR proved |R| < |zeta|^2/(4M)")
+
+    @functools.cached_property
+    def _qminus_nodes(self):
+        """(z_k, g_k z_k) on the Q^- sample circle, built on first use."""
         n = self.qminus_samples.size
         zk = self.qminus_rho * np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
         return zk, self.qminus_samples * zk
@@ -396,11 +425,11 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
     the chart reads back from H (CoverChart.region), build the series
     table of psi (_series_table), take the monic degree-(d+d') polynomial
     Q from its coefficients (_q_from_series), sample Qtilde on
-    |zeta| = 1.25MR and store the tail Q^- = Qtilde - Q there as a sampled
-    circle evaluator, then fix t = 1/(4M) and take Mtilde as the first
-    2MR * 2^k at which the closed form _r_series_bound proves
-    |R| < t |zeta|^2.  The bound falls as |zeta| grows while t |zeta|^2
-    rises, so the one check at Mtilde covers every |zeta| >= Mtilde.
+    |zeta| = 1.25MR (CoverChart.qminus_rho) and store the tail
+    Q^- = Qtilde - Q there as a sampled circle evaluator.  The chart
+    derives t and Mtilde from H and those samples; the build reads Mtilde
+    once, so a chart whose absorbing region no k proves fails here
+    (DecayFailed).
 
     The circle is also the check on Q.  Q^- = O(1/zeta), so the
     non-negative Fourier bins of its samples are rounding; bin n carries
@@ -422,9 +451,8 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
         raise MonicityFailed(float(monic_defect))
     Q = ComplexPolynomial(tuple(coeffs))
 
-    M, R = certify_region(H).M, filtration_radius(H).R
     n = 1 << max(6, int(np.ceil(np.log2(_SAMPLES_PER_DEGREE * deg))))
-    q_rho = 1.25 * M * R
+    q_rho = 1.25 * certify_region(H).M * filtration_radius(H).R
     zk = q_rho * np.exp(2j * np.pi * np.arange(n) / n)
     qt = _qtilde_batch(H, zk)
     g = qt - Q(zk)
@@ -440,11 +468,8 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
     chart = CoverChart(
         H=H,
         Q=Q,
-        qminus_rho=q_rho,
         qminus_samples=g,
         series_tol=series_tol,
-        Mtilde=2.0 * M * R,
-        t=1.0 / (4.0 * M),
         meta={
             "monic_defect": float(monic_defect),
             "decay_max": decay_max,
@@ -454,11 +479,8 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
             "series_tail": _series_table(H)[1],
         },
     )
-    for _ in range(13):
-        if _r_series_bound(chart, chart.Mtilde) < chart.t * chart.Mtilde**2:
-            return chart
-        chart.Mtilde *= 2.0
-    raise DecayFailed("no Mtilde up to 2^13 * 2MR proved |R| < |zeta|^2/(4M)")
+    chart.Mtilde  # DecayFailed here, not on first use, if no Mtilde is proved
+    return chart
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +706,14 @@ def chart_to_dict(chart: CoverChart) -> dict:
 
 
 def chart_from_dict(data: dict) -> CoverChart:
-    """The chart of a chart_to_dict document; ValueError if its region is not the map's."""
+    """The chart of a chart_to_dict document.
+
+    The chart keeps the document's H, Q, Q^- samples, series_tol and meta,
+    and derives the rest from them.  ValueError names each of region (its M
+    and R), qminus_rho, t and Mtilde whose stored value is not the chart's.
+    Keys that older documents carry besides (region.R_samples,
+    region.epsilon, rho) are ignored, and extra meta keys are kept.
+    """
     if data.get("format") != "henoncover-chart-v1":
         raise ValueError("not a chart document")
     H = make_henon(
@@ -693,19 +722,24 @@ def chart_from_dict(data: dict) -> CoverChart:
             for f in data["map"]["factors"]
         ]
     )
-    reg = data["region"]
-    if (reg["M"], reg["R"]) != (certify_region(H).M, filtration_radius(H).R):
-        raise ValueError(f"chart region {reg} is not the map's {certify_region(H)}")
-    return CoverChart(
+    chart = CoverChart(
         H=H,
         Q=ComplexPolynomial(tuple(_l2c(c) for c in data["Q"])),
-        qminus_rho=data["qminus_rho"],
         qminus_samples=np.array([_l2c(c) for c in data["qminus_samples"]]),
         series_tol=data["series_tol"],
-        Mtilde=data["Mtilde"],
-        t=data["t"],
         meta=dict(data.get("meta", {})),
     )
+    stored = dict(data, region={k: data["region"][k] for k in ("M", "R")})
+    derived = {
+        "region": {"M": chart.region.M, "R": chart.region.R.R},
+        "qminus_rho": chart.qminus_rho,
+        "t": chart.t,
+        "Mtilde": chart.Mtilde,
+    }
+    bad = [f"{k} {stored[k]} is not the map's {v}" for k, v in derived.items() if stored[k] != v]
+    if bad:
+        raise ValueError("chart " + "; ".join(bad))
+    return chart
 
 
 def save_chart(chart: CoverChart, path):

@@ -1,16 +1,16 @@
 """Runnable invariant suite shared by `henoncover verify` and the tests.
 
-Each check is a plain function of the map (and chart) that returns its
-defect, or (defect, note); the `_check(name, tol)` decorator turns it into
-a record {name, defect, tol, passed, seconds, note} with passed = defect
-<= tol.  `seconds` times the whole call: the sampling, any setup the
-check does itself (filtration radius, Bottcher region, symmetry search)
-and the identity itself, but not a chart passed in.  A `HenonError`
-raised inside a check becomes a failed record with defect inf and note
-"ExceptionName: message", as a failed chart build does in `run_suite`;
-any other exception is a programming error and propagates.  A check that
-finds nothing to sample also fails with defect inf, and its note counts
-what it sampled.
+Each check is a plain function of the map, or of the chart alone (which
+carries its map), that returns its defect, or (defect, note); the
+`_check(name, tol)` decorator turns it into a record {name, defect, tol,
+passed, seconds, note} with passed = defect <= tol.  `seconds` times the
+whole call: the sampling, any setup the check does itself (filtration
+radius, Bottcher region, symmetry search) and the identity itself, but
+not a chart passed in.  A `HenonError` raised inside a check becomes a
+failed record with defect inf and note "ExceptionName: message", as a
+failed chart build does in `run_suite`; any other exception is a
+programming error and propagates.  A check that finds nothing to sample
+also fails with defect inf, and its note counts what it sampled.
 
 `run_suite` collects the records at two sample scales (fast/full) for a
 given map.  The checks mirror the per-module identities: inverse round
@@ -230,21 +230,21 @@ def check_boettcher(H: HenonMap, n: int = 100, seed: int = 29):
 
 
 @_check("cover.semiconjugacy", 1e-6)
-def check_chart_semiconjugacy(H: HenonMap, chart, n: int = 50, seed: int = 31):
+def check_chart_semiconjugacy(chart, n: int = 50, seed: int = 31):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
         y = _polar(rng, 1.0, 4.0, 2.0 * chart.inner_radius)
         z = Point(_polar(rng, 0.0, abs(y) / (3.0 * chart.region.M)), y)
-        w1 = psi_tilde(chart, apply(H, z))
+        w1 = psi_tilde(chart, apply(chart.H, z))
         worst = max(worst, _cover_defect(w1, lift_H(chart, psi_tilde(chart, z))))
     return worst, f"{n} points"
 
 
 @_check("cover.q_structure", 1.0)
-def check_q_structure(H: HenonMap, chart):
+def check_q_structure(chart):
     """Degree d + d', monic defect over 1e-6, and tail purity over its floor."""
-    deg_ok = chart.Q.degree == H.d + H.d_prime
+    deg_ok = chart.Q.degree == chart.H.d + chart.H.d_prime
     monic = chart.meta.get("monic_defect", np.inf)
     purity = chart.meta.get("tail_purity", np.inf)
     defect = max(0.0 if deg_ok else 1.0, monic / 1e-6, purity)
@@ -252,8 +252,8 @@ def check_q_structure(H: HenonMap, chart):
 
 
 @_check("cover.deck_relation", 1e-10)
-def check_deck(H: HenonMap, chart, pts: int = 20, seed: int = 37):
-    d = H.d
+def check_deck(chart, pts: int = 20, seed: int = 37):
+    d = chart.H.d
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in (1, 2, 3):
@@ -267,11 +267,9 @@ def check_deck(H: HenonMap, chart, pts: int = 20, seed: int = 37):
 
 
 @_check("cover.deck_additivity", 1e-10)
-def check_deck_additivity(
-    H: HenonMap, chart, seed: int = 41, levels: int = 2, zeta_range=(1.2, 2.2)
-):
+def check_deck_additivity(chart, seed: int = 41, levels: int = 2, zeta_range=(1.2, 2.2)):
     """Deck labels add: k1/d^n then k2/d^n equals (k1 + k2)/d^n, for n <= levels."""
-    d = H.d
+    d = chart.H.d
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(1, levels + 1):
@@ -287,7 +285,8 @@ def check_deck_additivity(
 
 
 @_check("cover.projection", 1e-6)
-def check_covering_map(H: HenonMap, chart, n: int = 30, budget: int = 20, seed: int = 43):
+def check_covering_map(chart, n: int = 30, budget: int = 20, seed: int = 43):
+    H = chart.H
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
@@ -301,7 +300,8 @@ def check_covering_map(H: HenonMap, chart, n: int = 30, budget: int = 20, seed: 
 
 
 @_check("cover.series_identity", 1e-8)
-def check_r_series(H: HenonMap, chart, n: int = 50, seed: int = 47):
+def check_r_series(chart, n: int = 50, seed: int = 47):
+    H = chart.H
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
@@ -457,7 +457,8 @@ def check_sublevel_band(
 
 
 @_check("shortc2.modulus_law", 1e-8)
-def check_annulus_modulus(H: HenonMap, chart, n: int = 100, seed: int = 59):
+def check_annulus_modulus(chart, n: int = 100, seed: int = 59):
+    H = chart.H
     worst = 0.0
     for z, _ in escaping_samples(H, n, seed, N_max=96):
         z1 = annulus_coordinate(chart, z)
@@ -542,13 +543,13 @@ def run_suite(H: HenonMap, level: str = "fast"):
         except HenonError as exc:
             return results + [_failed("cover.build", 0.0, time.perf_counter() - t0, exc)]
         results += [
-            check_q_structure(H, chart),
-            check_chart_semiconjugacy(H, chart),
-            check_deck(H, chart),
-            check_deck_additivity(H, chart),
-            check_covering_map(H, chart),
-            check_r_series(H, chart),
-            check_annulus_modulus(H, chart),
+            check_q_structure(chart),
+            check_chart_semiconjugacy(chart),
+            check_deck(chart),
+            check_deck_additivity(chart),
+            check_covering_map(chart),
+            check_r_series(chart),
+            check_annulus_modulus(chart),
             check_render_determinism(H),
         ]
     return results

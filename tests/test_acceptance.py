@@ -68,13 +68,13 @@ def test_criterion_2_boettcher_consistency():
 def test_criterion_3_chart_semiconjugacy():
     chart, build_s = reference_chart()
     criterion(3, "chart semiconjugacy",
-              check_chart_semiconjugacy(H_REF, chart, n=50, seed=107),
+              check_chart_semiconjugacy(chart, n=50, seed=107),
               seconds=build_s, limit=60.0)
 
 
 def test_criterion_4_q_structure():
     chart, _ = reference_chart()
-    criterion(4, "lift polynomial structure", check_q_structure(H_REF, chart))
+    criterion(4, "lift polynomial structure", check_q_structure(chart))
 
 
 def test_criterion_5_deck_algebra():
@@ -84,21 +84,21 @@ def test_criterion_5_deck_algebra():
     # exactly-cancelling monomials, so sample where the cover lives, near
     # the unit circle
     criterion(5, "deck relations and additivity",
-              check_deck(H_REF, chart, pts=20, seed=rng),
-              check_deck_additivity(H_REF, chart, seed=rng, levels=3,
+              check_deck(chart, pts=20, seed=rng),
+              check_deck_additivity(chart, seed=rng, levels=3,
                                     zeta_range=(1.05, 1.7)))
 
 
 def test_criterion_6_covering_map():
     chart, _ = reference_chart()
     criterion(6, "covering equivariance and fibers",
-              check_covering_map(H_REF, chart, n=30, budget=20, seed=113))
+              check_covering_map(chart, n=30, budget=20, seed=113))
 
 
 def test_criterion_7_series_identity():
     chart, _ = reference_chart()
     criterion(7, "correction-series identity",
-              check_r_series(H_REF, chart, n=50, seed=127))
+              check_r_series(chart, n=50, seed=127))
 
 
 def test_criterion_8_d0_arithmetic():
@@ -122,7 +122,7 @@ def test_criterion_9_symmetry_finder():
 def test_criterion_10_short_c2_laws():
     chart, _ = reference_chart()
     criterion(10, "sub-level power laws",
-              check_annulus_modulus(H_REF, chart, n=100, seed=131),
+              check_annulus_modulus(chart, n=100, seed=131),
               check_sublevel_equivariance(H_REF, n=100, c=0.8, seed=137,
                                           half_width=6.0))
 

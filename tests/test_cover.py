@@ -417,7 +417,7 @@ def test_two_factor_unit_box_draws_build_semiconjugate_charts(draw):
     assert len(H.factors) == 2
     chart = build_chart(H)
     assert chart.Q.degree == H.d + H.d_prime
-    assert check_chart_semiconjugacy(H, chart)["passed"]
+    assert check_chart_semiconjugacy(chart)["passed"]
 
 
 @pytest.mark.parametrize(
@@ -464,8 +464,8 @@ def test_two_factor_semiconjugacy_and_covering(rng, htwo, htwo_chart):
 # ---------------------------------------------------------------------------
 # correction series
 
-def test_series_identity(rng, href, href_chart):
-    assert check_r_series(href, href_chart, n=50, seed=rng)["passed"]
+def test_series_identity(rng, href_chart):
+    assert check_r_series(href_chart, n=50, seed=rng)["passed"]
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -499,7 +499,7 @@ def test_chart_checks_evaluate_qminus_at_or_above_1p5_mr(name, request, monkeypa
     monkeypatch.setattr(cover, "_qminus_eval", recorded)
     monkeypatch.setattr(verification, "_qminus_eval", recorded)
     for check in (check_chart_semiconjugacy, check_covering_map, check_r_series):
-        record = check(chart.H, chart)
+        record = check(chart)
         assert np.isfinite(record["defect"]), record
     assert ratios and min(ratios) >= 1.5
     # the domain's edge is closed: |zeta| = 1.5 MR exactly on both axes
@@ -521,9 +521,24 @@ def test_qminus_nodes_built_once_per_chart(htwo_chart, rng):
     assert chart._qminus_nodes is chart._qminus_nodes
 
 
-@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
-def test_series_bound_on_absorbing_region(name, request):
+@pytest.fixture(scope="module")
+def dissipative_chart():
+    # p(y) = y^2 - 1.1, a = 0.01: at 2MR = 12.44 the bound on |R| reads 282,
+    # above t (2MR)^2 = 19.3, so Mtilde doubles once, to 24.88
+    return build_chart(make_henon([([-1.1, 0, 1], 0.01)]))
+
+
+@pytest.mark.parametrize(
+    "name, doublings",
+    [pytest.param(name, k, id=name) for name, k in
+     (("href", 0), ("htwo", 0), ("hcubic", 0), ("dissipative", 1))],
+)
+def test_series_bound_on_absorbing_region(name, doublings, request, tmp_path):
     chart = request.getfixturevalue(f"{name}_chart")
+    assert chart.Mtilde == 2.0 * chart.inner_radius * 2**doublings
+    path = tmp_path / "chart.json"
+    save_chart(chart, path)
+    assert load_chart(path).Mtilde == chart.Mtilde
     bound = _r_series_bound(chart, chart.Mtilde)
     for radial in (1.0, 1.5, 3.0):
         r = chart.Mtilde * radial
@@ -588,8 +603,8 @@ def test_inverse_requires_absorbing_region(href_chart):
         psi_tilde_inverse(href_chart, w)
 
 
-def test_semiconjugacy(rng, href, href_chart):
-    assert check_chart_semiconjugacy(href, href_chart, n=50, seed=rng)["passed"]
+def test_semiconjugacy(rng, href_chart):
+    assert check_chart_semiconjugacy(href_chart, n=50, seed=rng)["passed"]
 
 
 def test_lift_formula(href, href_chart):
@@ -618,12 +633,12 @@ def test_deck_label_reduction():
     assert DeckLabel.reduced(13, 2, 3) == DeckLabel(4, 2)
 
 
-def test_deck_relation_with_lift(rng, href, href_chart):
-    assert check_deck(href, href_chart, pts=20, seed=rng)["passed"]
+def test_deck_relation_with_lift(rng, href_chart):
+    assert check_deck(href_chart, pts=20, seed=rng)["passed"]
 
 
-def test_deck_additivity(rng, href, href_chart):
-    assert check_deck_additivity(href, href_chart, seed=rng, levels=2)["passed"]
+def test_deck_additivity(rng, href_chart):
+    assert check_deck_additivity(href_chart, seed=rng, levels=2)["passed"]
 
 
 def test_deck_additivity_against_exact_polynomials(href, href_chart):
@@ -680,9 +695,9 @@ def test_covering_map_on_absorbed_point(rng, href, href_chart):
     assert p1 == p2
 
 
-def test_covering_map_equivariance(rng, href, href_chart):
+def test_covering_map_equivariance(rng, href_chart):
     # the record covers both pi(lift_H(w)) = H(pi(w)) and fiber invariance
-    assert check_covering_map(href, href_chart, n=15, budget=20, seed=rng)["passed"]
+    assert check_covering_map(href_chart, n=15, budget=20, seed=rng)["passed"]
 
 
 def test_covering_map_budget_exceeded(href_chart):
@@ -742,15 +757,27 @@ def test_chart_dict_format(href_chart):
     assert loaded.meta == old["meta"]
 
 
-@pytest.mark.parametrize("key, value", [("M", 1.0), ("M", 4.0), ("R", 5.0)])
-def test_chart_from_dict_refuses_a_region_the_map_does_not_certify(href_chart, key, value):
-    # the chart's region is certify_region(H); a document that names any
-    # other is refused rather than loaded onto a region no proof covers
+@pytest.mark.parametrize(
+    "path, scale",
+    [("region.M", 0.5), ("region.M", 2.0), ("region.R", 1.25), ("qminus_rho", 1.1), ("t", 0.5),
+     ("Mtilde", 0.5), ("Mtilde", 2.0)],
+)
+def test_chart_from_dict_refuses_a_value_the_map_does_not_fix(href_chart, path, scale):
+    # the region, the Q^- radius, t and Mtilde are derived from the map (and
+    # Mtilde from the Q^- samples); a document that stores any other value
+    # is refused rather than loaded onto a domain no proof covers
     doc = json.loads(json.dumps(chart_to_dict(href_chart)))
-    assert doc["region"][key] != value
-    doc["region"][key] = value
-    with pytest.raises(ValueError, match="region"):
+    name, _, sub = path.partition(".")
+    entry, key = (doc[name], sub) if sub else (doc, name)
+    entry[key] *= scale
+    with pytest.raises(ValueError, match=name):
         chart_from_dict(doc)
+
+
+def test_chart_is_frozen(href_chart):
+    for name, value in (("Q", href_chart.Q), ("Mtilde", 1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(href_chart, name, value)
 
 
 def test_cover_point_validates():
