@@ -21,13 +21,12 @@ Conjugating H through E3 . E2 . E1 yields the polynomial model
     (z, zeta) -> (a/d * z + Q(zeta), zeta^d)
 
 with Q monic of degree d + d'.  Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d)
-is Q plus a tail Q^- = O(1/zeta).  Q is read off the table's coefficients
-by truncated power-series arithmetic in 1/zeta.  Q^- is sampled on
-|zeta| = 1.25MR, below the table's reach, where lambda(0, zeta) is solved
-by Newton; the non-negative Fourier bins of those samples vanish up to
-rounding, and that is the check on Q.  R is the geometric series
-sum_i (d/a)^(i+1) Q^-(zeta^(d^i)).  Deck transformations rotate zeta by
-d-power roots of unity and shift z by an exactly cancelling Q-difference.
+is Q plus a tail Q^- = O(1/zeta), holomorphic in 1/zeta.  One truncated
+power-series computation in 1/zeta reads Q and Q^-'s Laurent coefficients
+off the table, and R, which solves (a/d) R(zeta) - R(zeta^d) = Q^-(zeta),
+is one Horner sum in 1/zeta.  Qtilde sampled on |zeta| = 1.25MR checks Q.
+Deck transformations rotate zeta by d-power roots of unity and shift z by
+an exactly cancelling Q-difference.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from .henon import (
 __all__ = [
     "MonicityFailed",
     "DecayFailed",
-    "Divergence",
     "OutsideChartDomain",
     "NewtonNoConvergence",
     "BudgetExceeded",
@@ -95,10 +93,6 @@ class MonicityFailed(HenonError):
 
 
 class DecayFailed(HenonError):
-    pass
-
-
-class Divergence(HenonError):
     pass
 
 
@@ -157,17 +151,15 @@ class CoverPoint:
 class CoverChart:
     """The chart of one map: what its build measured, and what H fixes.
 
-    Stored: the map H, the lift polynomial Q, the Q^- samples on the
-    circle |zeta| = qminus_rho, the r_series truncation tolerance
-    series_tol and the build's record meta.  Derived from H on first use
-    and cached: the region W+_M, the Q^- circle's radius qminus_rho, the
-    aspect t and the radius Mtilde of the absorbing region
-    S_{Mtilde, t} = {|zeta| >= Mtilde, |z| < t |zeta|^2}.
+    Stored: the map H, the lift polynomial Q, the Bottcher tolerance
+    series_tol of psi_tilde and the build's record meta.  Derived from H
+    on first use and cached: the region W+_M, the aspect t, R's Laurent
+    coefficients (_r_laurent, per map) and the radius Mtilde of the
+    absorbing region S_{Mtilde, t} = {|zeta| >= Mtilde, |z| < t |zeta|^2}.
     """
 
     H: HenonMap
     Q: ComplexPolynomial
-    qminus_samples: np.ndarray
     series_tol: float
     meta: dict = field(default_factory=dict)
 
@@ -179,11 +171,6 @@ class CoverChart:
     @property
     def inner_radius(self) -> float:
         return self.region.M * self.region.R.R
-
-    @functools.cached_property
-    def qminus_rho(self) -> float:
-        """1.25MR, the radius of the circle the build samples Q^- on."""
-        return 1.25 * self.inner_radius
 
     @functools.cached_property
     def t(self) -> float:
@@ -206,22 +193,18 @@ class CoverChart:
         raise DecayFailed("no Mtilde up to 2^13 * 2MR proved |R| < |zeta|^2/(4M)")
 
     @functools.cached_property
-    def _qminus_nodes(self):
-        """(z_k, g_k z_k) on the Q^- sample circle, built on first use."""
-        n = self.qminus_samples.size
-        zk = self.qminus_rho * np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
-        return zk, self.qminus_samples * zk
+    def _r_horner(self) -> tuple:
+        """(1.5MR, (r_N, ..., r_1)): r_series' domain edge and Horner coefficients."""
+        return 1.5 * self.inner_radius, tuple(complex(c) for c in _r_laurent(self.H)[0][::-1])
 
 
 # ---------------------------------------------------------------------------
 # psi quadrature
 
-# lambda solves (the series table's torus nodes, lambda(0, zeta) on the
-# Q^- circle, and psi_integral's nodes) run far below the chart's
-# targets; sample noise otherwise scales with the function's magnitude
-# and poisons the Fourier coefficients of Qtilde.
-# Kept a factor above the double rounding floor so the Newton residual
-# test stays reachable.
+# lambda solves (the table's torus, lambda(0, zeta) in _qtilde_batch and
+# psi_integral's nodes) run far below the chart's targets, else sample
+# noise poisons the table's coefficients; a factor above the rounding
+# floor, so the Newton residual test stays reachable.
 _INNER_TOL = 3e-15
 
 
@@ -364,9 +347,9 @@ def _series_eval(H: HenonMap, X, W):
 def _qtilde_batch(H: HenonMap, zetas):
     """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d), psi from the table.
 
-    Its caller, the Q^- circle at 1.25MR (0.8 of the radius of W+_M), lies
-    below the series bidisc |zeta| >= MR/0.6, so lambda(0, zeta) is solved
-    directly with lambda_vec.
+    lambda(0, zeta) is solved by lambda_vec: the build's circle at 1.25MR
+    lies below the series bidisc, and verify's check of R wants a solve
+    that bypasses the table's lambda.
     """
     zetas = np.asarray(zetas, dtype=complex)
     lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL)
@@ -376,8 +359,15 @@ def _qtilde_batch(H: HenonMap, zetas):
     return _series_eval(H, x0, zetas**H.d)[0]
 
 
-def _q_from_series(H: HenonMap) -> np.ndarray:
-    """Q's coefficients, constant first, from the series table.
+# Laurent orders of Q^- and R, and rho'/MR of the majorant past them
+_LAURENT_N = _TORUS_N
+_MAJORANT_FRAC = 1.0 / 3.0
+
+
+@functools.lru_cache(maxsize=32)
+def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
+    """(Q, q, A): Q's coefficients, constant first, Q^-'s Laurent
+    coefficients q_1 .. q_N, and the constant A of the bound past N.
 
     In t = 1/zeta the table gives lambda(0, zeta) = zeta E(t) with
     E = exp(sum_k g_0k (t/r_u)^k), so x0 = P1(lambda(0, zeta)) = t^(-d') X(t)
@@ -387,30 +377,71 @@ def _q_from_series(H: HenonMap) -> np.ndarray:
         Qtilde = t^(-(d+d')) S(t),
         S = X sum_jk a_jk r_s^(-j) r_u^(-k) X^j t^((d-d')j + dk).
 
-    Q_n is the t^(d+d'-n) coefficient of S; every product is truncated
-    after order d + d', which needs d + d' < K (build_chart checks).
+    Q_n is the t^(d+d'-n) coefficient of S and q_m its t^(d+d'+m) one.
+    Table orders j, k >= K are taken as 0, which makes S the series of an
+    entire function S_T; products are truncated after order d + d' + N,
+    which leaves every lower order exact, so Q does not depend on N (Q
+    needs d + d' < K; build_chart checks).
+
+    Truncation bound: the same composition on the coefficients' moduli at
+    t = 1/rho', rho' = MR/3, majorises S_T, so |q_m| <= A rho'^m with
+    A = Shat rho'^(d+d'), and on |w| = sigma > rho'
+
+        |Q^-(w) - sum_(m<=n) q_m w^-m| <= A x^(n+1) / (1 - x),  x = rho'/sigma.
+
+    N = 2K = 32: at 1.5MR, R's domain edge, x^(N+1)/(1 - x) = 3.6e-22
+    (A reads 20 on href, 7.7 on hcubic, 86 on htwo, 5.2e4 on
+    (y^2 - 1, a = 0.5)^3).  A is inf if the majorant overflows.
     """
     C, _ = _series_table(H)
     M, R = certify_region(H).M, filtration_radius(H).R
     K = C.shape[0]
-    d, e, n = H.d, H.d - H.d_prime, H.d + H.d_prime + 1
+    d, e, D = H.d, H.d - H.d_prime, H.d + H.d_prime
+    n = D + 1 + N
     r_s, r_u = _TORUS_FRAC / M, _TORUS_FRAC / (M * R)
     # E = exp(G) by the recurrence m E_m = sum_k k G_k E_(m-k), from E' = G'E
-    G = C[0, 2 * K : 2 * K + n] * r_u ** -np.arange(n)
-    E = np.zeros_like(G)
+    G = np.zeros(max(n, K), dtype=complex)
+    G[:K] = C[0, 2 * K :] * r_u ** -np.arange(K)
+    E = np.zeros(n, dtype=complex)
     E[0] = np.exp(G[0])
     for m in range(1, n):
         E[m] = (np.arange(1, m + 1) * G[1 : m + 1]) @ E[m - 1 :: -1] / m
     # X = sum_i p_i E^i t^(d'-i) by Horner in E, then S / X by Horner in X
-    X, S = np.zeros_like(G), np.zeros_like(G)
-    for i, p in enumerate(first_component_axis_poly(H).coeffs[::-1]):
+    p = first_component_axis_poly(H).coeffs
+    X, S = np.zeros_like(E), np.zeros_like(E)
+    for i, c in enumerate(p[::-1]):
         X = np.convolve(X, E)[:n]
-        X[i] += p
-    for j in range((n - 1) // e, -1, -1):
+        X[i] += c
+    for j in range(min((n - 1) // e, K - 1), -1, -1):
         S = np.convolve(S, X)[:n]
-        k = np.arange((n - 1 - e * j) // d + 1)
+        k = np.arange(min((n - 1 - e * j) // d + 1, K))
         S[e * j + d * k] += C[j, k] * r_s**-j * r_u**-k
-    return np.convolve(X, S)[:n][::-1]
+    S = np.convolve(X, S)[:n]
+    # the majorant at tau = 1/rho'
+    tau, jk = 1.0 / (_MAJORANT_FRAC * M * R), np.arange(K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Eh = np.exp(np.abs(G[:K]) @ tau**jk)
+        Xh = sum(abs(c) * Eh**i * tau ** (len(p) - 1 - i) for i, c in enumerate(p))
+        a = np.abs(C[:, :K]) * (r_s ** -jk)[:, None] * r_u ** -jk
+        A = float(Xh * ((Xh * tau**e) ** jk @ a @ tau ** (d * jk)) * tau**-D)
+    Q, q = S[D::-1], S[D + 1 :]
+    Q.flags.writeable = q.flags.writeable = False
+    return Q, q, A if np.isfinite(A) else np.inf
+
+
+@functools.lru_cache(maxsize=32)
+def _r_laurent(H: HenonMap):
+    """(r, A): R's Laurent coefficients r_1 .. r_N, and _q_from_series's A.
+
+    R = sum_i (d/a)^(i+1) Q^-(zeta^(d^i)) solves (a/d) R(zeta) - R(zeta^d)
+    = Q^-(zeta), so r_m = (d/a)(q_m + r_(m/d)), r_(m/d) only when d | m.
+    """
+    _, q, A = _q_from_series(H)
+    r, ratio = np.zeros(q.size + 1, dtype=complex), H.d / H.jacobian
+    for m in range(1, q.size + 1):
+        r[m] = ratio * (q[m - 1] + (r[m // H.d] if m % H.d == 0 else 0.0))
+    r.flags.writeable = False
+    return r[1:], A
 
 
 # chart construction: Qtilde samples per degree of Q (the circle size is
@@ -419,33 +450,27 @@ _SAMPLES_PER_DEGREE = 64
 
 
 def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
-    """Assemble the chart from the series table and one sample circle.
+    """Assemble the chart from the series table, checked on one sample circle.
 
-    Pipeline: prove the Bottcher region W+_M = certify_region(H), which
-    the chart reads back from H (CoverChart.region), build the series
-    table of psi (_series_table), take the monic degree-(d+d') polynomial
-    Q from its coefficients (_q_from_series), sample Qtilde on
-    |zeta| = 1.25MR (CoverChart.qminus_rho) and store the tail
-    Q^- = Qtilde - Q there as a sampled circle evaluator.  The chart
-    derives t and Mtilde from H and those samples; the build reads Mtilde
-    once, so a chart whose absorbing region no k proves fails here
-    (DecayFailed).
+    Q is the monic degree-(d+d') polynomial of _q_from_series.  The chart
+    derives t, R and Mtilde from H; the build reads Mtilde once, so a chart
+    whose absorbing region no k proves fails here (DecayFailed).
 
-    The circle is also the check on Q.  Q^- = O(1/zeta), so the
-    non-negative Fourier bins of its samples are rounding; bin n carries
-    the error of Q_n times rho_q^n.  decay_max is the largest of them
-    (DecayFailed above 1e-6 rho_q^(d+d')); meta["two_radius_agreement"] is
-    max_n |bin_n| rho_q^-n / max(|Q_n|, 1), and meta["tail_purity"] the
-    same over its floor eps max|Qtilde| rho_q^-n / max(|Q_n|, 1).  On the
-    circle 1/zeta is outside the series bidisc, and one lambda_vec Newton
-    solves lambda(0, zeta): the build's only lambda solve besides the
-    table's torus.  DecayFailed before any sampling if the table's
-    K = 16 orders cannot hold the d + d' + 1 coefficients of Q.
+    One circle checks Q: Qtilde on |zeta| = rho_q = 1.25MR, with
+    lambda(0, zeta) by one lambda_vec Newton (1/zeta is outside the series
+    bidisc there).  Q^- = O(1/zeta), so the non-negative Fourier bins of
+    Qtilde - Q are rounding; bin n carries the error of Q_n times rho_q^n.
+    decay_max is the largest (DecayFailed above 1e-6 rho_q^(d+d'));
+    meta["two_radius_agreement"] is max_n |bin_n| rho_q^-n / max(|Q_n|, 1),
+    and meta["tail_purity"] the same over its floor
+    eps max|Qtilde| rho_q^-n / max(|Q_n|, 1).  The samples are not kept.
+    DecayFailed before any sampling if the table's K = 16 orders cannot
+    hold the d + d' + 1 coefficients of Q.
     """
     deg, K = H.d + H.d_prime, _TORUS_N // 2
     if deg >= K:
         raise DecayFailed(f"Q needs d + d' + 1 = {deg + 1} series orders; the table has {K}")
-    coeffs = _q_from_series(H)
+    coeffs = _q_from_series(H)[0]
     monic_defect = abs(coeffs[-1] - 1.0)
     if monic_defect > 1e-6:
         raise MonicityFailed(float(monic_defect))
@@ -455,8 +480,7 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
     q_rho = 1.25 * certify_region(H).M * filtration_radius(H).R
     zk = q_rho * np.exp(2j * np.pi * np.arange(n) / n)
     qt = _qtilde_batch(H, zk)
-    g = qt - Q(zk)
-    bins = np.abs(np.fft.fft(g)[: n // 2]) / n
+    bins = np.abs(np.fft.fft(qt - Q(zk))[: n // 2]) / n
     decay_max = float(bins.max())
     if decay_max > 1e-6 * q_rho**deg:
         raise DecayFailed(f"Q^- has Fourier content {decay_max:.3e} in degrees >= 0")
@@ -468,7 +492,6 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
     chart = CoverChart(
         H=H,
         Q=Q,
-        qminus_samples=g,
         series_tol=series_tol,
         meta={
             "monic_defect": float(monic_defect),
@@ -486,89 +509,52 @@ def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
 # ---------------------------------------------------------------------------
 # evaluation on a built chart
 
-def _qminus_eval(chart: CoverChart, w: complex) -> complex:
-    """Q^-(w) by the exterior Cauchy sum over the sampled circle |z_k| = 1.25MR.
-
-    Spectrally accurate for |w| >= 1.5MR, which r_series' domain guarantees.
-    """
-    zk, gzk = chart._qminus_nodes
-    return complex(-(gzk / (zk - w)).mean())
-
-
 def r_series(chart: CoverChart, zeta: complex) -> complex:
-    """R(zeta) = sum_i (d/a)^(i+1) Q^-(zeta^(d^i)) for |zeta| >= 1.5*M*R.
+    """R(zeta) = sum_(m<=N) r_m zeta^-m for |zeta| >= 1.5*M*R: one Horner sum in 1/zeta.
 
-    OutsideChartDomain below 1.5MR, the domain _r_series_bound assumes;
-    every w = zeta^(d^i) then lies where _qminus_eval's Cauchy sum holds.
-    No caller in the package goes lower: psi_tilde passes phi only after
+    The r_m are _r_laurent's; _r_series_bound bounds the orders past N.
+    OutsideChartDomain below 1.5MR, the domain that bound assumes.  No
+    caller in the package goes lower: psi_tilde passes phi only after
     _series_eval has accepted |phi| >= MR/0.6, psi_tilde_inverse passes
-    |zeta| >= Mtilde >= 2MR, and verify's check_r_series samples
-    |zeta| >= 2MR.
+    |zeta| >= Mtilde >= 2MR, and verify's check_r_series |zeta| >= 2MR.
     """
     z = complex(zeta)
-    if not abs(z) >= 1.5 * chart.inner_radius:
+    edge, coeffs = chart._r_horner
+    if not abs(z) >= edge:
         raise OutsideChartDomain("r_series needs |zeta| >= 1.5*M*R")
-    d = chart.H.d
-    ratio = d / chart.H.jacobian
-    total = 0.0 + 0.0j
-    log_az = np.log(abs(z))
-    log_ratio = np.log(abs(ratio))
-    log_tol = np.log(max(chart.series_tol, 1e-300))
-    c_log = None  # log of the measured tail scale |Q^-(w)| * |w|
-    # term i is ratio^(i+1) * O(|z|^(-d^i)); terms may grow at first when
-    # |ratio| is large (strongly dissipative maps) but the double
-    # exponential always wins.  Truncate on an a-priori bound of the next
-    # term, never on the size of the current one.
-    for i in range(60):
-        exp_i = d**i
-        if c_log is not None:
-            term_bound = (i + 1) * log_ratio + c_log - exp_i * log_az
-            decay = log_ratio - exp_i * (d - 1) * log_az
-            if term_bound < log_tol - 0.7 and decay < -0.7:
-                return total
-        if exp_i * log_az > 300.0 * np.log(10.0):
-            raise Divergence(
-                "term bound failed to settle before the overflow cutoff"
-            )
-        w = z**exp_i
-        qm = _qminus_eval(chart, w)
-        total += ratio ** (i + 1) * qm
-        c_log = float(np.log(max(abs(qm) * abs(w), 1e-300)))
-    raise Divergence("correction series failed to settle within 60 terms")
+    u, acc = 1.0 / z, 0j
+    for c in coeffs:
+        acc = acc * u + c
+    return acc * u
 
 
 def _r_series_bound(chart: CoverChart, s: float) -> float:
-    """Closed-form bound on |R(zeta)| over |zeta| = s, for s >= 1.5*MR.
+    """Bound on |R| over |zeta| = s >= 1.5MR: sum_m |r_m| s^-m plus the orders past N.
 
-    Every w = zeta^(d^i) then has |w| >= s >= 1.5*MR, where _qminus_eval
-    takes the exterior Cauchy sum, a mean of g_k z_k / (z_k - w) over the
-    circle |z_k| = rho_q, so |Q^-(w)| <= G rho_q / (|w| - rho_q) with
-    G = max|g_k|.  Summing over the terms of r_series,
+    Those are, in term i of R = sum_i (d/a)^(i+1) Q^-(zeta^(d^i)), Q^-'s
+    orders past floor(N/d^i), so by _q_from_series's bound they add at most
 
-        |R(zeta)| <= sum_i |d/a|^(i+1) G rho_q / (s^(d^i) - rho_q),
+        sum_i |d/a|^(i+1) A x_i^(floor(N/d^i) + 1) / (1 - x_i),  x_i = rho'/s^(d^i).
 
-    which falls as s grows.  Once s^(d^i) >= 2 rho_q, each later term is at
-    most q_i = 2 |d/a| s^(-(d-1) d^i) times the one before, and q_i falls
-    with i, so for q_i <= 1/2 the tail after term i is at most
-    term_i q_i / (1 - q_i).  Terms are taken in logs, as in r_series.
+    Once d^i > N, term i + 1 is at most q_i = |d/a| s^(-(d-1) d^i) times
+    term i and q_i falls, so for q_i <= 1/2 the rest adds at most
+    term_i q_i / (1 - q_i).  Terms are taken in logs; inf if q_i stays
+    above 1/2 for 64 terms.
     """
-    d = chart.H.d
-    log_ratio = np.log(abs(d / chart.H.jacobian))
-    log_g = np.log(max(float(np.abs(chart.qminus_samples).max()), 1e-300))
-    log_rho = np.log(chart.qminus_rho)
-    total = 0.0
-    for i in range(60):
-        # term i is |d/a|^(i+1) G / (e^x - 1) with x = log(s^(d^i) / rho_q)
-        x = d**i * np.log(s) - log_rho
-        log_term = (i + 1) * log_ratio + log_g - x - np.log1p(-np.exp(-x))
+    r, A = _r_laurent(chart.H)
+    N, d = r.size, chart.H.d
+    total = float(np.abs(r) @ float(s) ** -np.arange(1.0, N + 1))
+    log_ratio, log_s = np.log(abs(d / chart.H.jacobian)), np.log(s)
+    log_a, log_rho = np.log(A), np.log(_MAJORANT_FRAC * chart.inner_radius)
+    for i in range(64):
+        log_x = log_rho - d**i * log_s
+        log_term = (i + 1) * log_ratio + log_a + (N // d**i + 1) * log_x - np.log1p(-np.exp(log_x))
         term = float(np.exp(log_term))
         total += term
-        q = 2.0 * float(np.exp(log_ratio - (d - 1) * (x + log_rho)))
-        if x >= np.log(2.0) and q <= 0.5:
-            tail = term * q / (1.0 - q)
-            if tail <= 1e-16 * total:
-                return total + tail
-    raise Divergence("correction series bound failed to settle within 60 terms")
+        q = float(np.exp(log_ratio - (d - 1) * d**i * log_s))
+        if d**i > N and q <= 0.5:
+            return total + term * q / (1.0 - q)
+    return np.inf
 
 
 def psi_tilde(chart: CoverChart, z: Point) -> CoverPoint:
@@ -694,10 +680,6 @@ def chart_to_dict(chart: CoverChart) -> dict:
         "map": {"factors": _factors_json(chart.H)},
         "region": {"M": chart.region.M, "R": chart.region.R.R},
         "Q": [_c2l(c) for c in chart.Q.coeffs],
-        "qminus_rho": chart.qminus_rho,
-        "qminus_samples": np.stack(
-            [chart.qminus_samples.real, chart.qminus_samples.imag], axis=1
-        ).tolist(),
         "series_tol": chart.series_tol,
         "Mtilde": chart.Mtilde,
         "t": chart.t,
@@ -708,11 +690,19 @@ def chart_to_dict(chart: CoverChart) -> dict:
 def chart_from_dict(data: dict) -> CoverChart:
     """The chart of a chart_to_dict document.
 
-    The chart keeps the document's H, Q, Q^- samples, series_tol and meta,
-    and derives the rest from them.  ValueError names each of region (its M
-    and R), qminus_rho, t and Mtilde whose stored value is not the chart's.
-    Keys that older documents carry besides (region.R_samples,
-    region.epsilon, rho) are ignored, and extra meta keys are kept.
+    The chart keeps the document's H, Q, series_tol and meta and derives
+    the rest from H; ValueError names each of region (M and R), Q, t and
+    Mtilde that is not the map's.  Q must be the table's Q' to
+    sum_n |Q_n - Q'_n| rho^n <= 1e-10 sum_n |Q'_n| rho^n, rho = 2MR: a
+    bound on |Q - Q'| relative to Q' at the absorbing region's inner edge.
+    Another machine's table differs by rounding only (FFT and BLAS
+    summation order, where the torus Newton stops within its 3e-15);
+    perturbing every torus value by a relative 1e-14 moves the measure by
+    at most 1e-14 on the fixtures and on (y^2 - 1, a = 0.5)^3, whose low
+    coefficients alone move by 1e-3.  An edit of the leading coefficient
+    by 1e-6 reads 1e-6.  Keys of older documents (region.R_samples,
+    region.epsilon, rho, qminus_rho, qminus_samples) are ignored, and
+    extra meta keys are kept.
     """
     if data.get("format") != "henoncover-chart-v1":
         raise ValueError("not a chart document")
@@ -725,18 +715,20 @@ def chart_from_dict(data: dict) -> CoverChart:
     chart = CoverChart(
         H=H,
         Q=ComplexPolynomial(tuple(_l2c(c) for c in data["Q"])),
-        qminus_samples=np.array([_l2c(c) for c in data["qminus_samples"]]),
         series_tol=data["series_tol"],
         meta=dict(data.get("meta", {})),
     )
+    q, q_table = np.array(chart.Q.coeffs), _q_from_series(H)[0]
+    w = (2.0 * chart.inner_radius) ** np.arange(q_table.size)
+    same_q = q.shape == q_table.shape and np.abs(q - q_table) @ w <= 1e-10 * (np.abs(q_table) @ w)
+    bad = [] if same_q else ["Q is not the table's to 1e-10 on |zeta| = 2MR"]
     stored = dict(data, region={k: data["region"][k] for k in ("M", "R")})
     derived = {
         "region": {"M": chart.region.M, "R": chart.region.R.R},
-        "qminus_rho": chart.qminus_rho,
         "t": chart.t,
         "Mtilde": chart.Mtilde,
     }
-    bad = [f"{k} {stored[k]} is not the map's {v}" for k, v in derived.items() if stored[k] != v]
+    bad += [f"{k} {stored[k]} is not the map's {v}" for k, v in derived.items() if stored[k] != v]
     if bad:
         raise ValueError("chart " + "; ".join(bad))
     return chart

@@ -34,7 +34,8 @@ from henoncover.cover import (
     OutsideChartDomain,
     Overflow,
     SegmentOutsideRegion,
-    _qminus_eval,
+    _q_from_series,
+    _r_laurent,
     _r_series_bound,
     chart_from_dict,
     chart_to_dict,
@@ -318,13 +319,12 @@ def test_chart_q_degree_and_monicity(href, href_chart):
     assert href_chart.Q.degree == href.d + href.d_prime == 3
     assert abs(href_chart.Q.coeffs[-1] - 1.0) <= 1e-6
     assert href_chart.meta["two_radius_agreement"] <= 1e-7
-    assert href_chart.meta["decay_max"] <= 1e-6 * href_chart.qminus_rho**3
+    assert href_chart.meta["decay_max"] <= 1e-6 * (1.25 * href_chart.inner_radius) ** 3
     assert href_chart.meta["tail_purity"] <= 1.0
 
 
 def test_chart_radii_and_aspect(href_chart):
     M, R = href_chart.region.M, href_chart.region.R.R
-    assert href_chart.qminus_rho == 1.25 * M * R
     assert href_chart.Mtilde >= 2.0 * M * R
     assert href_chart.t == 1.0 / (4.0 * M)
 
@@ -469,18 +469,28 @@ def test_series_identity(rng, href_chart):
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
-def test_qminus_direct_form_matches_cauchy_sum(name, request):
-    # _qminus_eval's exterior Cauchy sum against the direct form
-    # Qtilde(w) - Q(w) at |w| in [1.5, 2.5] MR: they agree to 2.8 (href),
-    # 3.4 (htwo) and 1.5 (hcubic) eps |Q(w)| on these 40 seeded points,
-    # measured, not proved, hence the margin of the bound
+def test_laurent_q_is_the_build_q_bitwise(name, request):
+    # carrying the series N or 2N orders past Q leaves Q's orders exact:
+    # the same bits as with no Laurent orders at all, which build_chart keeps
+    chart = request.getfixturevalue(f"{name}_chart")
+    bare = _q_from_series(chart.H, 0)[0]
+    for N in (cover._LAURENT_N, 2 * cover._LAURENT_N):
+        assert _q_from_series(chart.H, N)[0].tobytes() == bare.tobytes()
+    assert tuple(bare) == chart.Q.coeffs
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_qminus_direct_form_matches_laurent_sum(name, request):
+    # the Laurent sum of Q^- against the direct form Qtilde(w) - Q(w) at
+    # |w| in [1.5, 2.5] MR: the cancellation leaves eps |Q(w)| as the floor
     chart = request.getfixturevalue(f"{name}_chart")
     rng = np.random.default_rng(2)
     w = chart.inner_radius * rng.uniform(1.5, 2.5, 40) * np.exp(2j * np.pi * rng.uniform(size=40))
     direct = cover._qtilde_batch(chart.H, w) - chart.Q(w)
-    cauchy = np.array([_qminus_eval(chart, v) for v in w])
-    assert np.all(np.abs(direct - cauchy) <= 16 * EPS * np.abs(chart.Q(w)))
-    # below 1.5 MR, where the Cauchy sum is not accurate, r_series refuses
+    q = _q_from_series(chart.H)[1]
+    laurent = (w[:, None] ** -np.arange(1.0, q.size + 1)) @ q
+    assert np.all(np.abs(direct - laurent) <= 16 * EPS * np.abs(chart.Q(w)))
+    # below 1.5 MR, the domain of R's bound, r_series refuses
     with pytest.raises(OutsideChartDomain):
         r_series(chart, 1.2 * chart.inner_radius * np.exp(0.7j))
 
@@ -488,16 +498,17 @@ def test_qminus_direct_form_matches_cauchy_sum(name, request):
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
 def test_chart_checks_evaluate_qminus_at_or_above_1p5_mr(name, request, monkeypatch):
     # r_series' domain |zeta| >= 1.5 MR loses no production caller: the
-    # chart checks of verify that reach Q^- stay there and raise nothing
+    # chart checks of verify that reach R (and through it Q^-) stay there
+    # and raise nothing
     chart = request.getfixturevalue(f"{name}_chart")
-    ratios, qminus = [], cover._qminus_eval
+    ratios, r = [], cover.r_series
 
-    def recorded(chart, w):
-        ratios.append(abs(w) / chart.inner_radius)
-        return qminus(chart, w)
+    def recorded(chart, zeta):
+        ratios.append(abs(zeta) / chart.inner_radius)
+        return r(chart, zeta)
 
-    monkeypatch.setattr(cover, "_qminus_eval", recorded)
-    monkeypatch.setattr(verification, "_qminus_eval", recorded)
+    monkeypatch.setattr(cover, "r_series", recorded)
+    monkeypatch.setattr(verification, "r_series", recorded)
     for check in (check_chart_semiconjugacy, check_covering_map, check_r_series):
         record = check(chart)
         assert np.isfinite(record["defect"]), record
@@ -509,16 +520,21 @@ def test_chart_checks_evaluate_qminus_at_or_above_1p5_mr(name, request, monkeypa
         r_series(chart, 1.49 * chart.inner_radius)
 
 
-def test_qminus_nodes_built_once_per_chart(htwo_chart, rng):
+def test_r_coefficients_built_once_per_map(htwo_chart, rng, monkeypatch):
+    # a reloaded chart reads the same cached coefficients: no second series
+    # computation, and bitwise the same R
     chart = chart_from_dict(json.loads(json.dumps(chart_to_dict(htwo_chart))))
-    n = chart.qminus_samples.size
-    zk = chart.qminus_rho * np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
+
+    def forbidden(*args):
+        raise AssertionError("recomputed the Laurent series")
+
+    htwo_chart._r_horner
+    monkeypatch.setattr(cover, "_q_from_series", forbidden)
     for _ in range(20):
         w = 1.5 * chart.inner_radius * rng.uniform(1.0, 4.0) * np.exp(2j * np.pi * rng.uniform())
-        # the exterior Cauchy sum as it was written before the nodes were kept
-        want = complex(-(chart.qminus_samples * zk / (zk - w)).mean())
-        assert _qminus_eval(chart, w) == want == _qminus_eval(htwo_chart, w)
-    assert chart._qminus_nodes is chart._qminus_nodes
+        assert r_series(chart, w) == r_series(htwo_chart, w)
+    assert chart._r_horner[1] is not htwo_chart._r_horner[1]
+    assert _r_laurent(chart.H)[0] is _r_laurent(htwo_chart.H)[0]
 
 
 @pytest.fixture(scope="module")
@@ -548,17 +564,26 @@ def test_series_bound_on_absorbing_region(name, doublings, request, tmp_path):
             assert val < chart.t * r**2
 
 
-def test_series_truncation_stability(rng, href_chart):
-    fine = dataclasses.replace(href_chart, series_tol=href_chart.series_tol * 1e-2)
-    for _ in range(10):
-        z = (
-            2.0 * href_chart.inner_radius
-            * rng.uniform(1.0, 2.0)
-            * np.exp(2j * np.pi * rng.uniform())
-        )
-        v1 = r_series(href_chart, z)
-        v2 = r_series(fine, z)
-        assert abs(v1 - v2) < href_chart.series_tol
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic", "dissipative"])
+def test_r_series_bound_covers_r_from_the_domain_edge(name, request):
+    # Laurent sum plus the bound on the orders past N: at least max|R| on
+    # |zeta| = s at the domain's edge 1.5 MR and at Mtilde
+    chart = request.getfixturevalue(f"{name}_chart")
+    for s in (1.5 * chart.inner_radius, chart.Mtilde):
+        zetas = s * (1 + 1e-12) * np.exp(2j * np.pi * np.arange(256) / 256)
+        top = max(abs(r_series(chart, z)) for z in zetas)
+        assert top <= _r_series_bound(chart, s) <= 1.5 * top
+
+
+def test_series_truncation_stability(href_chart, htwo_chart, hcubic_chart):
+    # R's coefficients from the series carried N and 2N orders past Q agree
+    # to rounding, and the dropped orders weigh below rounding at 1.5 MR
+    for chart in (href_chart, htwo_chart, hcubic_chart):
+        H, N = chart.H, cover._LAURENT_N
+        q, q2 = _q_from_series(H)[1], _q_from_series(H, 2 * N)[1]
+        assert np.all(np.abs(q2[:N] - q) <= 4 * EPS * np.abs(q))
+        s = 1.5 * chart.inner_radius
+        assert np.abs(q2[N:]) @ s ** -np.arange(N + 1.0, 2 * N + 1) <= EPS * 1e-3
 
 
 def test_series_requires_inner_radius(href_chart):
@@ -714,8 +739,7 @@ def test_chart_json_round_trip(tmp_path, rng, href, href_chart):
     save_chart(href_chart, path)
     loaded = load_chart(path)
     assert loaded.Q.coeffs == href_chart.Q.coeffs
-    assert loaded.qminus_samples.tobytes() == href_chart.qminus_samples.tobytes()
-    for field in ("H", "region", "qminus_rho", "series_tol", "Mtilde", "t", "meta"):
+    for field in ("H", "region", "series_tol", "Mtilde", "t", "meta"):
         assert getattr(loaded, field) == getattr(href_chart, field), field
     assert loaded.region == certify_region(href)
     zeta = 1.7 * np.exp(0.23j)
@@ -751,26 +775,57 @@ def test_chart_dict_format(href_chart):
     # first circle's radius
     old["rho"] = 2.0 * href_chart.inner_radius
     loaded = chart_from_dict(old)
-    for name in ("H", "region", "Q", "qminus_rho", "series_tol", "Mtilde", "t"):
+    for name in ("H", "region", "Q", "series_tol", "Mtilde", "t"):
         assert getattr(loaded, name) == getattr(href_chart, name)
-    assert np.array_equal(loaded.qminus_samples, href_chart.qminus_samples)
     assert loaded.meta == old["meta"]
+    assert not {"qminus_rho", "qminus_samples"} & set(doc)
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 1e40])
+def test_chart_from_dict_ignores_stored_qminus_samples(href_chart, scale):
+    # documents from before R came from the series carry the Q^- circle:
+    # its radius and its samples of Qtilde - Q.  Scaled or not, they load
+    # to the freshly built chart
+    doc = json.loads(json.dumps(chart_to_dict(href_chart)))
+    n, rho = href_chart.meta["circle_samples"], 1.25 * href_chart.inner_radius
+    zk = rho * np.exp(2j * np.pi * np.arange(n) / n)
+    g = scale * (cover._qtilde_batch(href_chart.H, zk) - href_chart.Q(zk))
+    doc["qminus_rho"], doc["qminus_samples"] = rho, np.stack([g.real, g.imag], axis=1).tolist()
+    loaded = chart_from_dict(doc)
+    for name in ("H", "Q", "series_tol", "Mtilde", "t", "meta"):
+        assert getattr(loaded, name) == getattr(href_chart, name)
+    zeta = 2.5 * href_chart.inner_radius * np.exp(0.3j)
+    assert r_series(loaded, zeta) == r_series(href_chart, zeta)
 
 
 @pytest.mark.parametrize(
     "path, scale",
-    [("region.M", 0.5), ("region.M", 2.0), ("region.R", 1.25), ("qminus_rho", 1.1), ("t", 0.5),
+    [("region.M", 0.5), ("region.M", 2.0), ("region.R", 1.25), ("t", 0.5),
      ("Mtilde", 0.5), ("Mtilde", 2.0)],
 )
 def test_chart_from_dict_refuses_a_value_the_map_does_not_fix(href_chart, path, scale):
-    # the region, the Q^- radius, t and Mtilde are derived from the map (and
-    # Mtilde from the Q^- samples); a document that stores any other value
-    # is refused rather than loaded onto a domain no proof covers
+    # the region, t and Mtilde are derived from the map; a document that
+    # stores any other value is refused rather than loaded onto a domain no
+    # proof covers
     doc = json.loads(json.dumps(chart_to_dict(href_chart)))
     name, _, sub = path.partition(".")
     entry, key = (doc[name], sub) if sub else (doc, name)
     entry[key] *= scale
     with pytest.raises(ValueError, match=name):
+        chart_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_chart_from_dict_refuses_a_q_that_is_not_the_tables(name, request):
+    # R comes from the table, so a Q off the table's by a relative 1e-6 in
+    # its leading coefficient would pair the model with another map's tail
+    chart = request.getfixturevalue(f"{name}_chart")
+    doc = json.loads(json.dumps(chart_to_dict(chart)))
+    doc["Q"][-1] = [v * (1 + 1e-6) for v in doc["Q"][-1]]
+    with pytest.raises(ValueError, match="Q is not the table's"):
+        chart_from_dict(doc)
+    doc["Q"] = doc["Q"][:-1]
+    with pytest.raises(ValueError, match="Q is not the table's"):
         chart_from_dict(doc)
 
 
