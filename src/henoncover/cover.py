@@ -195,7 +195,7 @@ class CoverChart:
     @functools.cached_property
     def _r_horner(self) -> tuple:
         """(1.5MR, (r_N, ..., r_1)): r_series' domain edge and Horner coefficients."""
-        return 1.5 * self.inner_radius, tuple(complex(c) for c in _r_laurent(self.H)[0][::-1])
+        return 1.5 * self.inner_radius, tuple(complex(c) for c in _r_laurent(self.H)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +431,17 @@ def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
 
 @functools.lru_cache(maxsize=32)
 def _r_laurent(H: HenonMap):
-    """(r, A): R's Laurent coefficients r_1 .. r_N, and _q_from_series's A.
+    """R's Laurent coefficients r_1 .. r_N.
 
     R = sum_i (d/a)^(i+1) Q^-(zeta^(d^i)) solves (a/d) R(zeta) - R(zeta^d)
     = Q^-(zeta), so r_m = (d/a)(q_m + r_(m/d)), r_(m/d) only when d | m.
     """
-    _, q, A = _q_from_series(H)
+    q = _q_from_series(H)[1]
     r, ratio = np.zeros(q.size + 1, dtype=complex), H.d / H.jacobian
     for m in range(1, q.size + 1):
         r[m] = ratio * (q[m - 1] + (r[m // H.d] if m % H.d == 0 else 0.0))
     r.flags.writeable = False
-    return r[1:], A
+    return r[1:]
 
 
 # chart construction: Qtilde samples per degree of Q (the circle size is
@@ -541,7 +541,7 @@ def _r_series_bound(chart: CoverChart, s: float) -> float:
     term_i q_i / (1 - q_i).  Terms are taken in logs; inf if q_i stays
     above 1/2 for 64 terms.
     """
-    r, A = _r_laurent(chart.H)
+    r, A = _r_laurent(chart.H), _q_from_series(chart.H)[2]
     N, d = r.size, chart.H.d
     total = float(np.abs(r) @ float(s) ** -np.arange(1.0, N + 1))
     log_ratio, log_s = np.log(abs(d / chart.H.jacobian)), np.log(s)
