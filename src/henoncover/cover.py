@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -149,19 +149,22 @@ class CoverPoint:
 
 @dataclass(frozen=True)
 class CoverChart:
-    """The chart of one map: what its build measured, and what H fixes.
+    """The chart of one map: H and the Bottcher tolerance series_tol of psi_tilde.
 
-    Stored: the map H, the lift polynomial Q, the Bottcher tolerance
-    series_tol of psi_tilde and the build's record meta.  Derived from H
-    on first use and cached: the region W+_M, the aspect t, R's Laurent
-    coefficients (_r_laurent, per map) and the radius Mtilde of the
+    Everything else is derived from H on first use and cached: the region
+    W+_M, the lift polynomial Q, the circle check meta, the aspect t, R's
+    Laurent coefficients (_r_laurent, per map) and the radius Mtilde of the
     absorbing region S_{Mtilde, t} = {|zeta| >= Mtilde, |z| < t |zeta|^2}.
+    ValueError unless series_tol is a number with 0 < series_tol < inf.
     """
 
     H: HenonMap
-    Q: ComplexPolynomial
     series_tol: float
-    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        tol = self.series_tol
+        if not (isinstance(tol, (int, float)) and 0.0 < tol < np.inf):
+            raise ValueError(f"series_tol must be positive and finite, not {tol!r}")
 
     @functools.cached_property
     def region(self) -> BoettcherRegion:
@@ -191,6 +194,55 @@ class CoverChart:
                 return Mtilde
             Mtilde *= 2.0
         raise DecayFailed("no Mtilde up to 2^13 * 2MR proved |R| < |zeta|^2/(4M)")
+
+    @functools.cached_property
+    def Q(self) -> ComplexPolynomial:
+        """The monic degree-(d+d') polynomial of _q_from_series: DecayFailed if
+        the table's K = 16 orders cannot hold it, MonicityFailed if
+        |leading - 1| > 1e-6."""
+        deg, K = self.H.d + self.H.d_prime, _TORUS_N // 2
+        if deg >= K:
+            raise DecayFailed(f"Q needs d + d' + 1 = {deg + 1} series orders; the table has {K}")
+        coeffs = _q_from_series(self.H)[0]
+        monic_defect = abs(coeffs[-1] - 1.0)
+        if monic_defect > 1e-6:
+            raise MonicityFailed(float(monic_defect))
+        return ComplexPolynomial(tuple(coeffs))
+
+    @functools.cached_property
+    def meta(self) -> dict:
+        """The check of Q on one circle, |zeta| = rho_q = 1.25MR.
+
+        Qtilde there takes one lambda_vec Newton for lambda(0, zeta) (1/zeta
+        is outside the series bidisc).  Q^- = O(1/zeta), so the non-negative
+        Fourier bins of Qtilde - Q are rounding; bin n carries the error of
+        Q_n times rho_q^n.  decay_max is the largest (DecayFailed above
+        1e-6 rho_q^(d+d')); two_radius_agreement is max_n |bin_n| rho_q^-n /
+        max(|Q_n|, 1), and tail_purity the same over its floor
+        eps max|Qtilde| rho_q^-n / max(|Q_n|, 1).  The samples are not kept.
+        """
+        Q, deg = self.Q, self.Q.degree
+        coeffs = np.array(Q.coeffs)
+        n = 1 << max(6, int(np.ceil(np.log2(_SAMPLES_PER_DEGREE * deg))))
+        q_rho = 1.25 * self.region.M * self.region.R.R
+        zk = q_rho * np.exp(2j * np.pi * np.arange(n) / n)
+        qt = _qtilde_batch(self.H, zk)
+        bins = np.abs(np.fft.fft(qt - Q(zk))[: n // 2]) / n
+        decay_max = float(bins.max())
+        if decay_max > 1e-6 * q_rho**deg:
+            raise DecayFailed(f"Q^- has Fourier content {decay_max:.3e} in degrees >= 0")
+        low = bins[: deg + 1]
+        err = low * q_rho ** -np.arange(deg + 1.0) / np.maximum(np.abs(coeffs), 1.0)
+        # per degree the floor's rho_q^-n / max(|Q_n|, 1) cancels in the purity
+        purity = float(low.max() / (np.finfo(float).eps * np.abs(qt).max()))
+        return {
+            "monic_defect": float(abs(coeffs[-1] - 1.0)),
+            "decay_max": decay_max,
+            "circle_samples": int(n),
+            "two_radius_agreement": float(err.max()),
+            "tail_purity": purity,
+            "series_tail": _series_table(self.H)[1],
+        }
 
     @functools.cached_property
     def _r_horner(self) -> tuple:
@@ -444,65 +496,16 @@ def _r_laurent(H: HenonMap):
     return r[1:]
 
 
-# chart construction: Qtilde samples per degree of Q (the circle size is
-# the next power of two, at least 64)
+# CoverChart.meta's circle: Qtilde samples per degree of Q (the circle
+# size is the next power of two, at least 64)
 _SAMPLES_PER_DEGREE = 64
 
 
 def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
-    """Assemble the chart from the series table, checked on one sample circle.
-
-    Q is the monic degree-(d+d') polynomial of _q_from_series.  The chart
-    derives t, R and Mtilde from H; the build reads Mtilde once, so a chart
-    whose absorbing region no k proves fails here (DecayFailed).
-
-    One circle checks Q: Qtilde on |zeta| = rho_q = 1.25MR, with
-    lambda(0, zeta) by one lambda_vec Newton (1/zeta is outside the series
-    bidisc there).  Q^- = O(1/zeta), so the non-negative Fourier bins of
-    Qtilde - Q are rounding; bin n carries the error of Q_n times rho_q^n.
-    decay_max is the largest (DecayFailed above 1e-6 rho_q^(d+d'));
-    meta["two_radius_agreement"] is max_n |bin_n| rho_q^-n / max(|Q_n|, 1),
-    and meta["tail_purity"] the same over its floor
-    eps max|Qtilde| rho_q^-n / max(|Q_n|, 1).  The samples are not kept.
-    DecayFailed before any sampling if the table's K = 16 orders cannot
-    hold the d + d' + 1 coefficients of Q.
-    """
-    deg, K = H.d + H.d_prime, _TORUS_N // 2
-    if deg >= K:
-        raise DecayFailed(f"Q needs d + d' + 1 = {deg + 1} series orders; the table has {K}")
-    coeffs = _q_from_series(H)[0]
-    monic_defect = abs(coeffs[-1] - 1.0)
-    if monic_defect > 1e-6:
-        raise MonicityFailed(float(monic_defect))
-    Q = ComplexPolynomial(tuple(coeffs))
-
-    n = 1 << max(6, int(np.ceil(np.log2(_SAMPLES_PER_DEGREE * deg))))
-    q_rho = 1.25 * certify_region(H).M * filtration_radius(H).R
-    zk = q_rho * np.exp(2j * np.pi * np.arange(n) / n)
-    qt = _qtilde_batch(H, zk)
-    bins = np.abs(np.fft.fft(qt - Q(zk))[: n // 2]) / n
-    decay_max = float(bins.max())
-    if decay_max > 1e-6 * q_rho**deg:
-        raise DecayFailed(f"Q^- has Fourier content {decay_max:.3e} in degrees >= 0")
-    low = bins[: deg + 1]
-    err = low * q_rho ** -np.arange(deg + 1.0) / np.maximum(np.abs(coeffs), 1.0)
-    # per degree the floor's rho_q^-n / max(|Q_n|, 1) cancels in the purity
-    purity = float(low.max() / (np.finfo(float).eps * np.abs(qt).max()))
-
-    chart = CoverChart(
-        H=H,
-        Q=Q,
-        series_tol=series_tol,
-        meta={
-            "monic_defect": float(monic_defect),
-            "decay_max": decay_max,
-            "circle_samples": int(n),
-            "two_radius_agreement": float(err.max()),
-            "tail_purity": purity,
-            "series_tail": _series_table(H)[1],
-        },
-    )
-    chart.Mtilde  # DecayFailed here, not on first use, if no Mtilde is proved
+    """CoverChart(H, series_tol) with meta and Mtilde read, so that every gate
+    of Q, the circle check and Mtilde fires here, not on first use."""
+    chart = CoverChart(H, series_tol)
+    chart.meta, chart.Mtilde
     return chart
 
 
@@ -688,46 +691,39 @@ def chart_to_dict(chart: CoverChart) -> dict:
 
 
 def chart_from_dict(data: dict) -> CoverChart:
-    """The chart of a chart_to_dict document.
+    """CoverChart(H, series_tol) of a chart_to_dict document.
 
-    The chart keeps the document's H, Q, series_tol and meta and derives
-    the rest from H; ValueError names each of region (M and R), Q, t and
-    Mtilde that is not the map's.  Q must be the table's Q' to
+    The document's Q, region (M and R), t and Mtilde are only compared
+    with the chart's; ValueError names each that is not the map's, and a
+    key that is missing or malformed.  Q must be the table's Q' to
     sum_n |Q_n - Q'_n| rho^n <= 1e-10 sum_n |Q'_n| rho^n, rho = 2MR: a
     bound on |Q - Q'| relative to Q' at the absorbing region's inner edge.
-    Another machine's table differs by rounding only (FFT and BLAS
-    summation order, where the torus Newton stops within its 3e-15);
-    perturbing every torus value by a relative 1e-14 moves the measure by
-    at most 1e-14 on the fixtures and on (y^2 - 1, a = 0.5)^3, whose low
-    coefficients alone move by 1e-3.  An edit of the leading coefficient
-    by 1e-6 reads 1e-6.  Keys of older documents (region.R_samples,
-    region.epsilon, rho, qminus_rho, qminus_samples) are ignored, and
-    extra meta keys are kept.
+    Another machine's table differs by rounding only: a relative 1e-14 on
+    every torus value moves the measure by at most 1e-14 on the fixtures
+    and on (y^2 - 1, a = 0.5)^3, whose low coefficients alone move by
+    1e-3; an edit of the leading coefficient by 1e-6 reads 1e-6.  meta and
+    older documents' keys (region.R_samples, region.epsilon, rho,
+    qminus_rho, qminus_samples) are ignored: chart.meta is measured anew.
     """
-    if data.get("format") != "henoncover-chart-v1":
+    if not isinstance(data, dict) or data.get("format") != "henoncover-chart-v1":
         raise ValueError("not a chart document")
-    H = make_henon(
-        [
-            ([_l2c(c) for c in f["p"]], _l2c(f["a"]))
-            for f in data["map"]["factors"]
-        ]
-    )
-    chart = CoverChart(
-        H=H,
-        Q=ComplexPolynomial(tuple(_l2c(c) for c in data["Q"])),
-        series_tol=data["series_tol"],
-        meta=dict(data.get("meta", {})),
-    )
-    q, q_table = np.array(chart.Q.coeffs), _q_from_series(H)[0]
+
+    def read(key, parse=lambda v: v):
+        try:
+            return parse(data[key])
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"chart key {key!r} is missing or malformed ({exc!r})") from None
+
+    H = read("map", lambda m: make_henon(
+        [([_l2c(c) for c in f["p"]], _l2c(f["a"])) for f in m["factors"]]))
+    chart = CoverChart(H, read("series_tol"))
+    region = read("region", lambda r: {"M": r["M"], "R": r["R"]})
+    stored = dict(region=region, t=read("t"), Mtilde=read("Mtilde"))
+    q, q_table = read("Q", lambda v: np.array([_l2c(c) for c in v])), np.array(chart.Q.coeffs)
     w = (2.0 * chart.inner_radius) ** np.arange(q_table.size)
     same_q = q.shape == q_table.shape and np.abs(q - q_table) @ w <= 1e-10 * (np.abs(q_table) @ w)
     bad = [] if same_q else ["Q is not the table's to 1e-10 on |zeta| = 2MR"]
-    stored = dict(data, region={k: data["region"][k] for k in ("M", "R")})
-    derived = {
-        "region": {"M": chart.region.M, "R": chart.region.R.R},
-        "t": chart.t,
-        "Mtilde": chart.Mtilde,
-    }
+    derived = dict(region={"M": chart.region.M, "R": chart.region.R.R}, t=chart.t, Mtilde=chart.Mtilde)
     bad += [f"{k} {stored[k]} is not the map's {v}" for k, v in derived.items() if stored[k] != v]
     if bad:
         raise ValueError("chart " + "; ".join(bad))

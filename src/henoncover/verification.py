@@ -6,7 +6,8 @@ carries its map), that returns its defect, or (defect, note); the
 passed, seconds, note} with passed = defect <= tol.  `seconds` times the
 whole call: the sampling, any setup the check does itself (filtration
 radius, Bottcher region, symmetry search) and the identity itself, but
-not a chart passed in.  A `HenonError` raised inside a check becomes a
+not the build of a chart passed in (a loaded chart's meta is measured
+in check_q_structure).  A `HenonError` raised inside a check becomes a
 failed record with defect inf and note "ExceptionName: message", as a
 failed chart build does in `run_suite`; any other exception is a
 programming error and propagates.  A check that finds nothing to sample
@@ -243,10 +244,10 @@ def check_chart_semiconjugacy(chart, n: int = 50, seed: int = 31):
 
 @_check("cover.q_structure", 1.0)
 def check_q_structure(chart):
-    """Degree d + d', monic defect over 1e-6, and tail purity over its floor."""
+    """Degree d + d', monic defect over 1e-6, and tail purity over its floor,
+    from chart.meta: a loaded chart's first read runs its circle check here."""
     deg_ok = chart.Q.degree == chart.H.d + chart.H.d_prime
-    monic = chart.meta.get("monic_defect", np.inf)
-    purity = chart.meta.get("tail_purity", np.inf)
+    monic, purity = chart.meta["monic_defect"], chart.meta["tail_purity"]
     defect = max(0.0 if deg_ok else 1.0, monic / 1e-6, purity)
     return defect, f"deg={chart.Q.degree}, monic={monic:.2e}, purity={purity:.2f}"
 

@@ -769,7 +769,7 @@ def test_chart_dict_format(href_chart):
     doc["region"]["R_samples"] = 4096
     assert chart_from_dict(doc).region == href_chart.region
     # charts saved with a sampled region and Mtilde carry the sampled epsilon
-    # and sample counts; they load to the same chart, meta kept as stored
+    # and sample counts; they load to the same chart, whose meta is the map's
     old = json.loads(text)
     old["region"].update(epsilon=0.03558, samples=1400)
     old["meta"]["mtilde_certification_samples"] = 384
@@ -779,8 +779,59 @@ def test_chart_dict_format(href_chart):
     loaded = chart_from_dict(old)
     for name in ("H", "region", "Q", "series_tol", "Mtilde", "t"):
         assert getattr(loaded, name) == getattr(href_chart, name)
-    assert loaded.meta == old["meta"]
+    assert loaded.meta == href_chart.meta
     assert not {"qminus_rho", "qminus_samples"} & set(doc)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo"])
+@pytest.mark.parametrize("edit", ["removed", "emptied", "tail_purity", "monic_defect"])
+def test_loaded_chart_q_check_measures_the_map(name, edit, request):
+    # the circle check of Q is the map's, whatever the document says of it
+    chart = request.getfixturevalue(f"{name}_chart")
+    doc = json.loads(json.dumps(chart_to_dict(chart)))
+    if edit == "removed":
+        del doc["meta"]
+    elif edit == "emptied":
+        doc["meta"] = {}
+    elif edit == "tail_purity":
+        doc["meta"]["tail_purity"] *= 1e6
+    else:
+        doc["meta"]["monic_defect"] = 1.0
+    loaded = chart_from_dict(doc)
+    assert loaded.meta == build_chart(chart.H).meta
+    got, want = verification.check_q_structure(loaded), verification.check_q_structure(chart)
+    assert got["passed"] and got["defect"] == want["defect"]
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, "1e-12"])
+def test_series_tol_must_be_positive_and_finite(href, href_chart, tol):
+    # at inf psi_tilde silently misses the Bottcher value by 1e-4
+    with pytest.raises(ValueError, match="series_tol"):
+        build_chart(href, series_tol=tol)
+    with pytest.raises(ValueError, match="series_tol"):
+        cover.CoverChart(href, tol)
+    doc = json.loads(json.dumps(chart_to_dict(href_chart)))
+    doc["series_tol"] = tol
+    with pytest.raises(ValueError, match="series_tol"):
+        chart_from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("map", None), ("map", {"factors": [{"p": [[1, 0]]}]}), ("region", None),
+     ("region", [2.0]), ("series_tol", None), ("t", None), ("Mtilde", None),
+     ("Q", None), ("Q", "x"), ("Q", [1.0, 2.0])],
+    ids=["map-missing", "map-no-a", "region-missing", "region-list", "series_tol-missing",
+         "t-missing", "Mtilde-missing", "Q-missing", "Q-string", "Q-numbers"],
+)
+def test_chart_from_dict_names_a_missing_or_malformed_key(href_chart, key, value):
+    doc = json.loads(json.dumps(chart_to_dict(href_chart)))
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        chart_from_dict(doc)
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0, 1e40])
@@ -832,6 +883,7 @@ def test_chart_from_dict_refuses_a_q_that_is_not_the_tables(name, request):
 
 
 def test_chart_is_frozen(href_chart):
+    assert [f.name for f in dataclasses.fields(cover.CoverChart)] == ["H", "series_tol"]
     for name, value in (("Q", href_chart.Q), ("Mtilde", 1.0)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(href_chart, name, value)
