@@ -64,12 +64,18 @@ the constant C vanishing under d^(-kn).  L also commutes with H^-k, and
 the same limit along backward orbits gives G-.L = G-.  So L maps each
 of U+ = {G+ > 0}, K+ = {G+ = 0}, U- and K- onto itself.
 
-verify checks each element by the relations f_i L_(i-1) = L_i f_i of the
-chain, one factor at a time (factor_chain_witness), at every degree.
-commutes_with_power compares the expanded coefficients of L.H^k and
-H^k.L up to SYMBOLIC_DEGREE_CAP; the tests keep it as an independent
-oracle.  Its defect is a difference of coefficients of the size of those
-of H^k, so it can exceed its tolerance on a correct element.
+One factor chain serves the finder and the check.  _chain builds the
+chain of H^2 in the normal form once per map: tau and, at each of the 2m
+places, the coefficients of pt_i with their magnitudes.  The finder reads
+the group's order off its supports.  factor_chain_witness checks any L
+against it at every degree, by L's translations and the gaps beta^j -
+alpha, and the finder's max_commutation_defect is the largest witness
+defect over its group, so verify checks each element by the residual
+that the finder reports.  commutes_with_power compares the expanded
+coefficients of L.H^k and H^k.L up to SYMBOLIC_DEGREE_CAP; the tests keep
+it as an independent oracle.  Its defect is a difference of coefficients
+of the size of those of H^k, so it can exceed its tolerance on a correct
+element.
 
 fixed_points returns the d fixed points of H, counted with multiplicity,
 as the eigenvectors of one d x d multiplication matrix of the orbit
@@ -79,6 +85,7 @@ either.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -171,26 +178,16 @@ class SymmetryReport:
     details: dict = field(default_factory=dict)
 
 
-def _prime_factors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def compute_d0(d: int, d_prime: int) -> int:
-    """Divide every prime factor of d out of d + d' as far as it goes."""
+    """The largest divisor of d + d' prime to d.
+
+    The loop divides s = d + d' only by divisors of d, so every prime not
+    dividing d keeps its full power, and it ends, s falling at each step,
+    exactly when s is prime to d.
+    """
     s = d + d_prime
-    for p in _prime_factors(d):
-        while s % p == 0:
-            s //= p
+    while (g := math.gcd(s, d)) > 1:
+        s //= g
     return s
 
 
@@ -241,46 +238,55 @@ def commutes_with_power(H: HenonMap, L: AffineMap, k: int, tol: float = 1e-9):
     return defect <= tol, defect
 
 
-def factor_chain_witness(H: HenonMap, L: AffineMap, tol: float = 1e-9):
-    """Does L commute with H^2 by the factor relations?  (flag, defect).
+@functools.lru_cache(maxsize=64)
+def _chain(H: HenonMap):
+    """(tau, ((coefficients of pt_i, their magnitudes) at places 1 .. 2m)).
 
-    The chain of the module docstring, in the coordinates of H: L_0 = L,
-    L_2m = L and, in between, L_i = (A x + tau_(i-1) (1 - A), C y +
-    tau_i (1 - C)) with (A, C) = (e, e') at even i and (e', e) at odd i,
-    the maps that the proof shows are forced.  Each of the 2m relations
-    f_i L_(i-1) = L_i f_i of H^2 is checked on its own: for L_(i-1) =
-    (A x + B, C y + D) and L_i = (A' x + B', C' y + D') it reads A' = C,
-    B' = D, C' = A and p_i(C u + D) - C' p_i(u) - a_i B - D' = 0 in every
-    coefficient; the linear parts match by construction.  Composed, the
-    relations give L H^2 = H^2 L.  The defect is the largest residual over
-    the magnitude of the terms that formed it.  No
-    solved translation is carried from one factor to the next, where its
-    rounding would grow by |p_i'| per factor.  Unlike commutes_with_power,
-    which expands H^2 (total degree d^2), it costs O(m d_i^2) at any degree.
+    The factor chain of H^2 = f_2m o ... o f_1 in the normal form of the
+    module docstring: place n carries pt_i with i = n mod m, where
+    pt_i(u) = p_i(u + tau_(i-1)) - tau_i - a_i tau_(i-2), constant-first;
+    magnitude j sums the moduli of the terms that formed coefficient j.
     """
     fs = H.factors
     m = len(fs)
-    tau = [-f.p.coeffs[-2] / f.p.degree for f in fs]
-    chain = [L]
-    for i in range(1, 2 * m):
-        A, C = (L.e, L.e_prime) if i % 2 == 0 else (L.e_prime, L.e)
-        chain.append(AffineMap(A, tau[(i - 1) % m] * (1 - A), C, tau[i % m] * (1 - C)))
-    chain.append(L)
-    tiny = np.finfo(float).tiny
-    worst = 0.0
-    for i, (P, N) in enumerate(zip(chain, chain[1:])):
-        f = fs[i % m]
+    tau = tuple(-f.p.coeffs[-2] / f.p.degree for f in fs)
+    places = []
+    for i, f in enumerate(fs):
+        shift = _affine_matrix(f.p.degree + 1, tau[i])
         c = np.array(f.p.coeffs)
-        shift = _affine_matrix(c.size, P.f_prime, P.e_prime)
-        q = shift @ c - N.e_prime * c
-        scale = np.abs(shift) @ np.abs(c) + abs(N.e_prime) * np.abs(c)
-        q[0] -= f.a * P.f + N.f_prime
-        scale[0] += abs(f.a * P.f) + abs(N.f_prime)
-        worst = max(
-            worst,
-            float(np.max(np.abs(q) / np.maximum(scale, tiny))),
-            abs(N.f - P.f_prime) / max(1.0, abs(N.f), abs(P.f_prime)),
-        )
+        coeffs, scale = shift @ c, np.abs(shift) @ np.abs(c)
+        below = (tau[(i + 1) % m], f.a * tau[i - 1])
+        coeffs[0] -= sum(below)
+        scale[0] += sum(map(abs, below))
+        coeffs.flags.writeable = scale.flags.writeable = False
+        places.append((coeffs, scale))
+    return tau, tuple(places) * 2
+
+
+def factor_chain_witness(H: HenonMap, L: AffineMap, tol: float = 1e-9):
+    """Does L commute with H^2 by the factor relations?  (flag, defect).
+
+    The module docstring's proof forces L = T diag(e, e') T^-1, and then
+    f_i L_(i-1) = L_i f_i at place i of the chain of H^2 reads beta^j =
+    alpha for every j in the support of pt_i, with (alpha, beta) = (e, e')
+    at odd places and (e', e) at even ones.  The defect is the larger of
+    the translations' residuals |f - tau_(m-1) (1 - e)| and |f' - tau_0
+    (1 - e')|, each over max(1, the moduli of its two terms), and the
+    largest gap |c_j| |beta^j - alpha| over magnitude j of coefficient c_j
+    of pt_i (_chain).  Composed, the relations give L H^2 = H^2 L.  Unlike
+    commutes_with_power, which expands H^2 (total degree d^2), it costs
+    O(m d_i) at any degree once the chain is built.
+    """
+    tau, chain = _chain(H)
+    worst = max(
+        abs(have - want) / max(1.0, abs(have), abs(want))
+        for have, want in ((L.f, tau[-1] * (1 - L.e)), (L.f_prime, tau[0] * (1 - L.e_prime)))
+    )
+    tiny = np.finfo(float).tiny
+    for n, (coeffs, scale) in enumerate(chain):
+        alpha, beta = (L.e, L.e_prime) if n % 2 == 0 else (L.e_prime, L.e)
+        gap = np.abs(coeffs) * np.abs(beta ** np.arange(coeffs.size) - alpha)
+        worst = max(worst, float(np.max(gap / np.maximum(scale, tiny))))
     return worst <= tol, worst
 
 
@@ -386,93 +392,62 @@ def fixed_points(H: HenonMap):
 # ---------------------------------------------------------------------------
 # the finder
 
-def _normal_form(H: HenonMap):
-    """(tau, [(coefficients of pt_i, their magnitudes), ...]).
-
-    pt_i(u) = p_i(u + tau_(i-1)) - tau_i - a_i tau_(i-2), constant-first;
-    magnitude j sums the moduli of the terms that formed coefficient j.
-    """
-    fs = H.factors
-    m = len(fs)
-    tau = [-f.p.coeffs[-2] / f.p.degree for f in fs]
-    out = []
-    for i, f in enumerate(fs):
-        shift = _affine_matrix(f.p.degree + 1, tau[i])
-        c = np.array(f.p.coeffs)
-        coeffs, scale = shift @ c, np.abs(shift) @ np.abs(c)
-        below = (tau[(i + 1) % m], f.a * tau[i - 1])
-        coeffs[0] -= sum(below)
-        scale[0] += sum(map(abs, below))
-        out.append((coeffs, scale))
-    return tau, out
-
-
 def find_affine_symmetries(H: HenonMap) -> SymmetryReport:
     """Every L(x,y) = (e x + f, e' y + f') preserving both escaping sets.
 
-    The closed form of the module docstring: the group is cyclic of order
-    g, the gcd of the exponents that the factor chain of the normal form
-    imposes on e', and its elements are T diag(e'^(n d_1), e'^n) T^-1 for
-    e' = exp(2 pi i n / g).  They are listed by n, identity first.
-    max_commutation_defect is the largest |coefficient of pt_i(beta u) -
-    alpha pt_i(u)| over its magnitude, along the chain and over the group.
+    The closed form of the module docstring, read off the factor chain of
+    H^2 (_chain): the group is cyclic of order g, the gcd of the exponents
+    q that the chain imposes on e', and its elements are T diag(e'^(n
+    d_1), e'^n) T^-1 for e' = exp(2 pi i n / g), listed by n, identity
+    first.  max_commutation_defect is the largest factor_chain_witness
+    defect over the group.
     """
     N = (H.d + H.d_prime) * (H.d - 1)
-    tau, factors = _normal_form(H)
-    m = len(factors)
+    tau, chain = _chain(H)
     d1 = H.factors[0].p.degree
-    # the chain of H^2 as (pt_i, its magnitudes, pa, pb), where alpha =
-    # e'^pa and beta = e'^pb: (d_1, 1) at odd places, (1, d_1) at even
-    # ones.  beta^j = alpha reads e'^(pb j - pa) = 1.  For m even the
-    # second pass repeats the first.
-    chain = [
-        (*factors[n % m], *((d1, 1) if n % 2 == 0 else (1, d1)))
-        for n in range(2 * m)
-    ]
+    # alpha = e'^pa and beta = e'^pb with (pa, pb) = (d_1, 1) at odd places
+    # and (1, d_1) at even ones: beta^j = alpha reads e'^(pb j - pa) = 1
     g = 0
-    for coeffs, scale, pa, pb in chain:
+    for n, (coeffs, scale) in enumerate(chain):
+        pa, pb = (d1, 1) if n % 2 == 0 else (1, d1)
         for j in np.flatnonzero(np.abs(coeffs) > COMM_TOL * scale):
             g = math.gcd(g, abs(pb * int(j) - pa))
     if N % g != 0:
         raise BoundViolated(f"group order {g} does not divide (d+d')(d-1) = {N}")
-
-    def root(k):
-        return np.exp(2j * np.pi * (k % g) / g)
-
     group = []
-    worst = 0.0
     for n in range(g):
-        e, e_prime = complex(root(n * d1)), complex(root(n))
+        e, e_prime = (complex(np.exp(2j * np.pi * (k % g) / g)) for k in (n * d1, n))
         group.append(AffineMap(e, tau[-1] * (1 - e), e_prime, tau[0] * (1 - e_prime)))
-        for coeffs, scale, pa, pb in chain:
-            j = np.arange(coeffs.size)
-            gap = np.abs(coeffs) * np.abs(root(n * pb * j) - root(n * pa))
-            worst = max(worst, float(np.max(gap / np.maximum(scale, np.finfo(float).tiny))))
     return SymmetryReport(
         generators=group,
         order=g,
-        max_commutation_defect=worst,
+        max_commutation_defect=max(factor_chain_witness(H, L)[1] for L in group),
         details={"order_bound": N},
     )
 
 
 def verify_cyclic(report: SymmetryReport):
-    """(is_cyclic, order): some element generates the whole verified set."""
+    """(is_cyclic, order): the listed elements are the powers of one of them.
+
+    order is n, the number of listed elements.  The set is cyclic when for
+    some listed g the powers g^0 .. g^(n-1) match the n listed elements one
+    to one, each within 1e-9 of exactly one of them, and g^n is the
+    identity.  A duplicated element or one outside the powers fails.
+    """
     group = report.generators
-    order = len(group)
-    if order == 0:
-        return False, 0
+    n = len(group)
     for g in group:
-        seen = [g]
-        cur = g
-        for _ in range(order + 1):
-            cur = cur.compose(g)
-            if any(cur.distance(s) <= 1e-9 for s in seen):
+        power, used = AffineMap.identity(), set()
+        for _ in range(n):
+            hits = [i for i, h in enumerate(group) if power.distance(h) <= 1e-9]
+            if len(hits) != 1 or hits[0] in used:
                 break
-            seen.append(cur)
-        if len(seen) == order:
-            return True, order
-    return order == 1, order
+            used.add(hits[0])
+            power = power.compose(g)
+        else:
+            if power.is_identity():
+                return True, n
+    return False, n
 
 
 # ---------------------------------------------------------------------------
@@ -497,22 +472,33 @@ def report_to_dict(report: SymmetryReport) -> dict:
 
 
 def report_from_dict(data: dict) -> SymmetryReport:
-    if data.get("format") != "henoncover-symmetries-v1":
+    """SymmetryReport of a report_to_dict document.
+
+    ValueError names a key that is missing or malformed, and refuses an
+    order that is not the number of listed generators.
+    """
+    if not isinstance(data, dict) or data.get("format") != "henoncover-symmetries-v1":
         raise ValueError("not a symmetry report document")
-    gens = [
-        AffineMap(
-            complex(*g["e"]),
-            complex(*g["f"]),
-            complex(*g["e_prime"]),
-            complex(*g["f_prime"]),
-        )
-        for g in data["generators"]
-    ]
+
+    def read(key, parse, default=None):
+        try:
+            return parse(data[key] if default is None else data.get(key, default))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"symmetry report key {key!r} is missing or malformed ({exc!r})"
+            ) from None
+
+    gens = read("generators", lambda gs: [
+        AffineMap(*(complex(*g[k]) for k in ("e", "f", "e_prime", "f_prime"))) for g in gs
+    ])
+    order = read("order", lambda v: v)
+    if order != len(gens):
+        raise ValueError(f"symmetry report order {order!r} is not the {len(gens)} generators listed")
     return SymmetryReport(
         generators=gens,
-        order=data["order"],
-        max_commutation_defect=data.get("max_commutation_defect", 0.0),
-        details=dict(data.get("details", {})),
+        order=len(gens),
+        max_commutation_defect=read("max_commutation_defect", float, 0.0),
+        details=read("details", dict, {}),
     )
 
 

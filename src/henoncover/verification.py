@@ -361,7 +361,8 @@ def check_d0():
 def symmetry_structure_record(H: HenonMap, report=None):
     """Group-structure test of a symmetry report (by default H's own) as a check record.
 
-    The reported group must be cyclic with an order dividing the bound
+    The listed elements must be the powers of one of them (verify_cyclic),
+    the report's order must be their number and divide the bound
     (d + d')(d - 1), and every element must commute with H^2 by the factor
     relations of the symmetry.py proof (factor_chain_witness), at every
     degree.  The expanded H^2 comparison of commutes_with_power is not used
@@ -375,10 +376,14 @@ def symmetry_structure_record(H: HenonMap, report=None):
     cyclic, order = verify_cyclic(report)
     bound = (H.d + H.d_prime) * (H.d - 1)
     witness = [factor_chain_witness(H, L) for L in report.generators]
-    ok = cyclic and order >= 1 and bound % order == 0 and all(w for w, _ in witness)
+    ok = (
+        cyclic and order >= 1 and report.order == order and bound % order == 0
+        and all(w for w, _ in witness)
+    )
     note = (
-        f"order={order}, bound={bound}, commutation={report.max_commutation_defect:.1e}"
-        f", factor-chain witness={max(defect for _, defect in witness):.1e}"
+        f"order={order}" + ("" if report.order == order else f" (report says {report.order})")
+        + f", bound={bound}, commutation={report.max_commutation_defect:.1e}"
+        f", factor-chain witness={max((defect for _, defect in witness), default=0.0):.1e}"
     )
     return (0.0 if ok else 1.0), note
 

@@ -310,7 +310,22 @@ def test_structure_record_rejects_a_wrong_generator(hcubic):
     wrong = SymmetryReport([AffineMap.identity(), AffineMap(-1, 0, 1, 0)], 2, 0.0)
     assert verify_cyclic(wrong) == (True, 2)
     assert not symmetry_structure_record(hcubic, wrong)["passed"]
-    assert symmetry_structure_record(hcubic, find_affine_symmetries(hcubic))["passed"]
+    right = find_affine_symmetries(hcubic)
+    assert symmetry_structure_record(hcubic, right)["passed"]
+    # sets that are not groups: w I has order 3 but {id, w I, 2 I} is not
+    # its powers, and hcubic's group with g_2 replaced by a second g_1 lists
+    # a duplicate; every element of the second commutes with H^2
+    w = cmath.exp(2j * cmath.pi / 3)
+    odd = SymmetryReport([AffineMap.identity(), AffineMap(w, 0, w, 0), AffineMap(2, 0, 2, 0)], 3)
+    assert verify_cyclic(odd) == (False, 3)
+    gens = list(right.generators)
+    gens[2] = gens[1]
+    duplicate = SymmetryReport(gens, 8)
+    assert verify_cyclic(duplicate) == (False, 8)
+    assert all(symmetry.factor_chain_witness(hcubic, L)[0] for L in gens)
+    assert not symmetry_structure_record(hcubic, duplicate)["passed"]
+    # the whole group of 8 reported as order 3
+    assert not symmetry_structure_record(hcubic, SymmetryReport(right.generators, 3))["passed"]
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -319,9 +334,14 @@ def test_both_witnesses_accept_the_fixture_groups(name, request):
     # it and the factor chain that verify uses accept every fixture element
     H = request.getfixturevalue(name)
     assert H.d**2 <= symmetry.SYMBOLIC_DEGREE_CAP
-    for L in find_affine_symmetries(H).generators:
+    rep = find_affine_symmetries(H)
+    for L in rep.generators:
         assert commutes_with_power(H, L, 2)[0]
         assert symmetry.factor_chain_witness(H, L)[1] <= 1e-14
+    # the finder's defect and the witness are one kernel
+    assert rep.max_commutation_defect == max(
+        symmetry.factor_chain_witness(H, L)[1] for L in rep.generators
+    )
 
 
 def test_structure_record_accepts_the_order_five_group_at_degree_six():
@@ -366,9 +386,15 @@ def test_factor_chain_witness_on_planted_groups(family, data):
     H, order, L = data.draw(planted_symmetric_maps(family))
     rep = find_affine_symmetries(H)
     assert rep.order == order
-    assert all(symmetry.factor_chain_witness(H, g)[1] <= 1e-12 for g in rep.generators)
+    defects = [symmetry.factor_chain_witness(H, g)[1] for g in rep.generators]
+    assert max(defects) <= 1e-12 and rep.max_commutation_defect == max(defects)
     moved = AffineMap(L.e, L.f + 0.5, L.e_prime, L.f_prime)
     assert not symmetry.factor_chain_witness(H, moved)[0]
+    # e' rotated by 1e-6, its translation kept on the normal form's: only
+    # the gaps beta^j - alpha of the chain catch it
+    tau0 = -H.factors[0].p.coeffs[-2] / H.factors[0].p.degree
+    ep = L.e_prime * cmath.exp(1e-6j)
+    assert not symmetry.factor_chain_witness(H, AffineMap(L.e, L.f, ep, tau0 * (1 - ep)))[0]
     if H.d**2 <= symmetry.SYMBOLIC_DEGREE_CAP:
         assert not commutes_with_power(H, moved, 2)[0]
 
@@ -399,6 +425,42 @@ def test_report_json_round_trip(tmp_path, hcubic):
     loaded = report_from_dict(json.loads(json.dumps(old)))
     assert loaded.order == rep.order
     assert loaded.max_commutation_defect == rep.max_commutation_defect
+
+
+def _report_doc(**edits):
+    doc = report_to_dict(find_affine_symmetries(make_henon([([0, 0, 0, 1], 0.5)])))
+    for key, value in edits.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return json.loads(json.dumps(doc))
+
+
+_ONE = {"e": [1, 0], "f": [0, 0], "e_prime": [1, 0], "f_prime": [0, 0]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(_report_doc(generators=None), "key 'generators' is missing", id="no-generators"),
+    pytest.param(_report_doc(order=None), "key 'order' is missing", id="no-order"),
+    pytest.param(_report_doc(generators=3), "key 'generators'", id="generators-not-a-list"),
+    pytest.param(_report_doc(generators=[dict(_ONE, f_prime=None)]), "key 'generators'",
+                 id="generator-f_prime-null"),
+    pytest.param(_report_doc(generators=[dict(_ONE, e="x")]), "key 'generators'",
+                 id="generator-e-not-a-pair"),
+    pytest.param(_report_doc(generators=[dict(_ONE, e=[0, 0])], order=1), "key 'generators'",
+                 id="generator-not-invertible"),
+    pytest.param(_report_doc(max_commutation_defect="x"), "key 'max_commutation_defect'",
+                 id="defect-not-a-number"),
+    pytest.param(_report_doc(details=3), "key 'details'", id="details-not-an-object"),
+    pytest.param(_report_doc(order=3), "order 3 is not the 8 generators listed", id="order-3-of-8"),
+    pytest.param(_report_doc(order="8"), "order '8' is not the 8 generators listed",
+                 id="order-a-string"),
+    pytest.param([], "not a symmetry report document", id="a-list"),
+])
+def test_report_from_dict_names_a_missing_or_malformed_key(doc, message):
+    with pytest.raises(ValueError, match=message):
+        report_from_dict(doc)
 
 
 @pytest.mark.parametrize("family", PLANTED_FAMILIES)
