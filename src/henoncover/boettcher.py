@@ -446,7 +446,11 @@ def _lambda_start(H: HenonMap, x, w):
     return np.where(np.isfinite(y0), y0, w)
 
 
-def _lambda_newton(H: HenonMap, x, w, tol: float, max_iter: int = 50):
+# the cap on a lambda solve's Newton rounds, which NoConvergence reports
+_LAMBDA_MAX_ITER = 50
+
+
+def _lambda_newton(H: HenonMap, x, w, tol: float, max_iter: int = _LAMBDA_MAX_ITER):
     """Solve phi(x, y) = w for y, vectorized Newton from _lambda_start.
 
     Each round takes phi and its exact slope dphi/dy from one tangent pass
@@ -481,7 +485,7 @@ def _lambda_newton(H: HenonMap, x, w, tol: float, max_iter: int = 50):
     return y, ok, dphi
 
 
-def lambda_vec(H: HenonMap, x, w, tol: float = 1e-12, max_iter: int = 50):
+def lambda_vec(H: HenonMap, x, w, tol: float = 1e-12, max_iter: int = _LAMBDA_MAX_ITER):
     """Solve phi(x, y) = w for y by Newton from _lambda_start; returns (y, ok)."""
     y, ok, _ = _lambda_newton(H, x, w, tol, max_iter)
     return y, ok

@@ -386,7 +386,7 @@ def _cmd_cover(args) -> int:
     from .cover import build_chart, save_chart
 
     spec = parse_spec_file(args.spec)
-    chart = build_chart(spec.henon, series_tol=_tol(args))
+    chart = build_chart(spec.henon)
     save_chart(chart, args.out)
     print(
         f"wrote {args.out} (deg Q = {chart.Q.degree}, "
@@ -481,10 +481,7 @@ _COMMANDS = {
     "verify": (_cmd_verify, "run the invariant suite", [
         ("--level", dict(choices=("fast", "full"), default="fast", help="sample scale")),
     ]),
-    "cover": (_cmd_cover, "build and persist a covering chart", [
-        _OUT,
-        ("--tol", dict(type=float, default=1e-12)),
-    ]),
+    "cover": (_cmd_cover, "build and persist a covering chart", [_OUT]),
     "symmetries": (_cmd_symmetries, "search affine symmetries", [_OUT]),
     "classify": (_cmd_classify, "sub-level classification of one point", [
         _POINT,

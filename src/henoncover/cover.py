@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .boettcher import (
+    _LAMBDA_MAX_ITER,
     BoettcherRegion,
     NoConvergence,
     bottcher_phi,
@@ -64,10 +65,8 @@ __all__ = [
     "MonicityFailed",
     "DecayFailed",
     "OutsideChartDomain",
-    "NewtonNoConvergence",
     "BudgetExceeded",
     "Overflow",
-    "SegmentOutsideRegion",
     "CoverChart",
     "DeckLabel",
     "CoverPoint",
@@ -100,21 +99,11 @@ class OutsideChartDomain(HenonError):
     pass
 
 
-class NewtonNoConvergence(HenonError):
-    def __init__(self, iterations: int):
-        self.iterations = iterations
-        super().__init__(f"chart Newton did not converge in {iterations} steps")
-
-
 class BudgetExceeded(HenonError):
     pass
 
 
 class Overflow(HenonError):
-    pass
-
-
-class SegmentOutsideRegion(HenonError):
     pass
 
 
@@ -149,22 +138,15 @@ class CoverPoint:
 
 @dataclass(frozen=True)
 class CoverChart:
-    """The chart of one map: H and the Bottcher tolerance series_tol of psi_tilde.
+    """The chart of one map H.
 
-    Everything else is derived from H on first use and cached: the region
-    W+_M, the lift polynomial Q, the circle check meta, the aspect t, R's
-    Laurent coefficients (_r_laurent, per map) and the radius Mtilde of the
+    Everything is derived from H on first use and cached: the region W+_M,
+    the lift polynomial Q, the circle check meta, the aspect t, R's Laurent
+    coefficients (_r_laurent, per map) and the radius Mtilde of the
     absorbing region S_{Mtilde, t} = {|zeta| >= Mtilde, |z| < t |zeta|^2}.
-    ValueError unless series_tol is a number with 0 < series_tol < inf.
     """
 
     H: HenonMap
-    series_tol: float
-
-    def __post_init__(self):
-        tol = self.series_tol
-        if not (isinstance(tol, (int, float)) and 0.0 < tol < np.inf):
-            raise ValueError(f"series_tol must be positive and finite, not {tol!r}")
 
     @functools.cached_property
     def region(self) -> BoettcherRegion:
@@ -277,14 +259,14 @@ def psi_integral(H: HenonMap, x: complex, y: complex) -> complex:
 
     The direct reference for the series table: one lambda solve on the
     mapped nodes.  [0, x] x {y} must sit in W+_M = certify_region(H);
-    SegmentOutsideRegion if an endpoint does not or a node solve fails.
+    OutsideChartDomain if an endpoint does not or a node solve fails.
     """
     if certify_region(H).M * abs(x) >= abs(y):
-        raise SegmentOutsideRegion("segment endpoint violates |x| < |y|/M")
+        raise OutsideChartDomain("segment endpoint violates |x| < |y|/M")
     s, ws = _psi_panel()
     F, ok, _ = dlambda_dy_vec(H, x * s, np.full(s.shape, y), _INNER_TOL)
     if not ok.all():
-        raise SegmentOutsideRegion("integrand node failed region solve")
+        raise OutsideChartDomain("integrand node failed region solve")
     return complex(y * x * (F @ ws))
 
 
@@ -354,7 +336,7 @@ def _series_table(H: HenonMap):
     x, w = _torus_nodes(H)
     h, ok, lam = dlambda_dy_vec(H, x.ravel(), w.ravel(), _INNER_TOL)
     if not ok.all():
-        raise NoConvergence(50)
+        raise NoConvergence(_LAMBDA_MAX_ITER)
     b = np.fft.fft2(h.reshape(N, N)) / N**2
     g = np.fft.fft2(np.log(lam.reshape(N, N) / w)) / N**2
     tail = max(float(np.abs(c[K:]).max()) for c in (b, g, b.T, g.T))
@@ -370,7 +352,7 @@ def _series_eval(H: HenonMap, X, W):
     """(psi, dlambda/dy, lambda) at the points (X_i, W_i) from the table.
 
     The points must lie in the series bidisc M*max(|X|, R) <= 0.6|W|;
-    SegmentOutsideRegion otherwise, a NaN coordinate counting as outside.
+    OutsideChartDomain otherwise, a NaN coordinate counting as outside.
     dpsi/dx is W * dlambda/dy.  Each point's powers and products are its
     own (a running product along its row, then two small matrix products
     per point), so its values do not depend on the other points of the call.
@@ -379,7 +361,7 @@ def _series_eval(H: HenonMap, X, W):
     region = certify_region(H)  # one cache lookup: this runs per chart evaluation
     M, R = region.M, region.R.R
     if not (M * np.maximum(np.abs(X), R) <= _SERIES_FRAC * np.abs(W)).all():
-        raise SegmentOutsideRegion("point outside the series bidisc M*max(|x|, R) <= 0.6|y|")
+        raise OutsideChartDomain("point outside the series bidisc M*max(|x|, R) <= 0.6|y|")
     C, _ = _series_table(H)
     K = C.shape[0]
     # per point, powers 0 .. K-1 of sigma = (X/W)/r_s and of
@@ -406,7 +388,7 @@ def _qtilde_batch(H: HenonMap, zetas):
     zetas = np.asarray(zetas, dtype=complex)
     lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL)
     if not ok.all():
-        raise NoConvergence(50)
+        raise NoConvergence(_LAMBDA_MAX_ITER)
     x0 = first_component_axis_poly(H)(lam0)
     return _series_eval(H, x0, zetas**H.d)[0]
 
@@ -501,10 +483,10 @@ def _r_laurent(H: HenonMap):
 _SAMPLES_PER_DEGREE = 64
 
 
-def build_chart(H: HenonMap, series_tol: float = 1e-12) -> CoverChart:
-    """CoverChart(H, series_tol) with meta and Mtilde read, so that every gate
-    of Q, the circle check and Mtilde fires here, not on first use."""
-    chart = CoverChart(H, series_tol)
+def build_chart(H: HenonMap) -> CoverChart:
+    """CoverChart(H) with meta and Mtilde read, so that every gate of Q, the
+    circle check and Mtilde fires here, not on first use."""
+    chart = CoverChart(H)
     chart.meta, chart.Mtilde
     return chart
 
@@ -567,11 +549,8 @@ def psi_tilde(chart: CoverChart, z: Point) -> CoverPoint:
     the certified domain W+_M, where psi comes from the series table;
     OutsideChartDomain otherwise.
     """
-    phi = bottcher_phi(chart.H, z, chart.series_tol)
-    try:
-        psi_val = complex(_series_eval(chart.H, [z.x], [phi])[0][0])
-    except SegmentOutsideRegion as exc:
-        raise OutsideChartDomain(str(exc)) from None
+    phi = bottcher_phi(chart.H, z)
+    psi_val = complex(_series_eval(chart.H, [z.x], [phi])[0][0])
     # the tail correction enters with the sign that makes the series
     # identity (a/d) R - R(.^d) = Q^- cancel the Laurent tail of the lift
     return CoverPoint(psi_val + r_series(chart, phi), phi)
@@ -592,7 +571,8 @@ def psi_tilde_inverse(chart: CoverChart, w: CoverPoint) -> Point:
     Removes the series correction and solves psi(x, zeta) = z' by Newton
     with slope zeta * dlambda/dy and initial guess z'/zeta.  psi, the slope
     and y = lambda(x, zeta) all come from the series table, so no lambda
-    solve runs; the round that converges returns its y.
+    solve runs; the round that converges returns its y.  NoConvergence if
+    no round of _INVERSE_MAX_ITER does.
     """
     if not in_absorbing_region(chart, w):
         raise OutsideChartDomain("cover point outside S_{Mtilde, t}")
@@ -606,7 +586,7 @@ def psi_tilde_inverse(chart: CoverChart, w: CoverPoint) -> Point:
         if abs(f) <= _INVERSE_TOL * scale:
             return Point(x, complex(y[0]))
         x = x - f / (zeta * complex(slope[0]))
-    raise NewtonNoConvergence(_INVERSE_MAX_ITER)
+    raise NoConvergence(_INVERSE_MAX_ITER)
 
 
 def lift_H(chart: CoverChart, w: CoverPoint) -> CoverPoint:
@@ -683,7 +663,6 @@ def chart_to_dict(chart: CoverChart) -> dict:
         "map": {"factors": _factors_json(chart.H)},
         "region": {"M": chart.region.M, "R": chart.region.R.R},
         "Q": [_c2l(c) for c in chart.Q.coeffs],
-        "series_tol": chart.series_tol,
         "Mtilde": chart.Mtilde,
         "t": chart.t,
         "meta": chart.meta,
@@ -691,7 +670,7 @@ def chart_to_dict(chart: CoverChart) -> dict:
 
 
 def chart_from_dict(data: dict) -> CoverChart:
-    """CoverChart(H, series_tol) of a chart_to_dict document.
+    """CoverChart(H) of a chart_to_dict document.
 
     The document's Q, region (M and R), t and Mtilde are only compared
     with the chart's; ValueError names each that is not the map's, and a
@@ -703,7 +682,8 @@ def chart_from_dict(data: dict) -> CoverChart:
     and on (y^2 - 1, a = 0.5)^3, whose low coefficients alone move by
     1e-3; an edit of the leading coefficient by 1e-6 reads 1e-6.  meta and
     older documents' keys (region.R_samples, region.epsilon, rho,
-    qminus_rho, qminus_samples) are ignored: chart.meta is measured anew.
+    qminus_rho, qminus_samples, series_tol) are ignored: chart.meta is
+    measured anew, and phi is taken at bottcher_phi's tolerance.
     """
     if not isinstance(data, dict) or data.get("format") != "henoncover-chart-v1":
         raise ValueError("not a chart document")
@@ -716,7 +696,7 @@ def chart_from_dict(data: dict) -> CoverChart:
 
     H = read("map", lambda m: make_henon(
         [([_l2c(c) for c in f["p"]], _l2c(f["a"])) for f in m["factors"]]))
-    chart = CoverChart(H, read("series_tol"))
+    chart = CoverChart(H)
     region = read("region", lambda r: {"M": r["M"], "R": r["R"]})
     stored = dict(region=region, t=read("t"), Mtilde=read("Mtilde"))
     q, q_table = read("Q", lambda v: np.array([_l2c(c) for c in v])), np.array(chart.Q.coeffs)

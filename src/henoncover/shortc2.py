@@ -73,16 +73,17 @@ def classify_sublevel(
 def annulus_coordinate(chart: CoverChart, z: Point, budget: int = 64) -> complex:
     """The covering coordinate zeta with |zeta| = exp(G+(z)).
 
-    Pushes z forward until the Bottcher region absorbs it, takes the
-    principal d^n-th root of phi there (one deck-equivalent branch), and
-    raises NotEscaping when the push budget runs out.
+    Pushes z forward until the chart's region W+_M absorbs it, takes the
+    principal d^n-th root of phi there, at bottcher_phi's tolerance as
+    psi_tilde does (one deck-equivalent branch), and raises NotEscaping
+    when the push budget runs out.
     """
     H = chart.H
     M, R = chart.region.M, chart.region.R.R
     x, y = complex(z.x), complex(z.y)
     for n in range(budget + 1):
         if in_region_xy(x, y, M, R):
-            phi = bottcher_phi(H, Point(x, y), chart.series_tol)
+            phi = bottcher_phi(H, Point(x, y))
             log_phi = np.log(abs(phi)) + 1j * np.angle(phi)
             return complex(np.exp(log_phi / H.d**n))
         if max(abs(x), abs(y)) > 1e140 or n == budget:

@@ -320,30 +320,13 @@ def check_r_series(chart, n: int = 50, seed: int = 47):
 
 
 def brute_force_d0(d: int, d_prime: int) -> int:
-    """Oracle for compute_d0: min (d + d') / q over divisors q built from d's primes."""
-    primes = []
-    m = d
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    combos = [()]
-    for _ in primes:
-        combos = [c + (e,) for c in combos for e in range(11)]
-    best = None
-    for combo in combos:
-        denom = 1
-        for p_, e_ in zip(primes, combo):
-            denom *= p_**e_
-        if (d + d_prime) % denom == 0:
-            val = (d + d_prime) // denom
-            best = val if best is None else min(best, val)
-    return best
+    """Oracle for compute_d0: min s / q over divisors q of s = d + d' built from d's primes.
+
+    A divisor q of s is built from d's primes exactly when q divides d^s,
+    because no prime occurs in q more than s times.
+    """
+    s = d + d_prime
+    return min(s // q for q in range(1, s + 1) if s % q == 0 and d**s % q == 0)
 
 
 @_check("symmetry.d0", 0.0)

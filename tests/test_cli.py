@@ -163,10 +163,14 @@ def test_cli_bad_tol_exit_2(tmp_path, capsys, tol):
     for argv in (
         ["green", "--point", "0,0,100,0"],
         ["render", "--job", jobp, "--out", str(out)],
-        ["cover", "--out", str(out)],
     ):
         assert main(argv + ["--spec", spec, "--tol", tol]) == 2, argv
         assert "input error: --tol" in capsys.readouterr().err
+    # a chart is its map alone: cover takes no tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "--out", str(out), "--spec", spec, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -27,13 +27,12 @@ from henoncover import (
     save_chart,
 )
 from henoncover import boettcher, cover, verification
-from henoncover.boettcher import dlambda_dy_vec, lambda_vec
+from henoncover.boettcher import NoConvergence, dlambda_dy_vec, lambda_vec
 from henoncover.cover import (
     _INNER_TOL,
     BudgetExceeded,
     OutsideChartDomain,
     Overflow,
-    SegmentOutsideRegion,
     _q_from_series,
     _r_laurent,
     _r_series_bound,
@@ -42,6 +41,7 @@ from henoncover.cover import (
     in_absorbing_region,
 )
 from henoncover.henon import first_component_axis_poly
+from henoncover.shortc2 import annulus_coordinate
 from henoncover.verification import (
     check_chart_semiconjugacy,
     check_covering_map,
@@ -248,7 +248,7 @@ def test_psi_tilde_outside_series_bidisc(href, href_chart):
     y = 40.0 * M * R * np.exp(0.3j)
     for frac, inside in ((0.59, True), (0.61, False)):
         z = Point(frac * abs(y) / M * np.exp(1.1j), y)
-        phi = bottcher_phi(href, z, href_chart.series_tol)
+        phi = bottcher_phi(href, z)
         assert (0.6 * abs(phi) >= M * abs(z.x)) == inside
         if inside:
             psi_tilde(href_chart, z)
@@ -256,7 +256,7 @@ def test_psi_tilde_outside_series_bidisc(href, href_chart):
             with pytest.raises(OutsideChartDomain):
                 psi_tilde(href_chart, z)
     z = Point(0.0, 1.5 * M * R)
-    assert abs(bottcher_phi(href, z, href_chart.series_tol)) < M * R / 0.6
+    assert abs(bottcher_phi(href, z)) < M * R / 0.6
     with pytest.raises(OutsideChartDomain):
         psi_tilde(href_chart, z)
 
@@ -302,13 +302,13 @@ def test_inverse_y_is_the_end_node_lambda(name, request, monkeypatch):
 
 def test_psi_segment_outside_region(href, href_region):
     M, R = href_region.M, href_region.R.R
-    with pytest.raises(SegmentOutsideRegion):
+    with pytest.raises(OutsideChartDomain):
         psi_integral(href, 2.0 * M * R, M * R)
     # the table: the series bidisc M*max(|x|, R) <= 0.6|y|, in x and in y
     w = 4.0 * M * R
     cover._series_eval(href, [0.6 * w / M], [w])
     for x, y in ((0.61 * w / M, w), (0.0, 0.99 * M * R / 0.6)):
-        with pytest.raises(SegmentOutsideRegion):
+        with pytest.raises(OutsideChartDomain):
             cover._series_eval(href, [x], [y])
 
 
@@ -599,7 +599,7 @@ def test_series_requires_inner_radius(href_chart):
 def test_psi_tilde_second_coordinate_is_phi(rng, href, href_chart):
     for z in sample_domain_points(href_chart, rng, 10):
         w = psi_tilde(href_chart, z)
-        assert w.zeta == bottcher_phi(href, z, href_chart.series_tol)
+        assert w.zeta == bottcher_phi(href, z)
 
 
 def test_psi_tilde_modulus_is_green(rng, href, href_chart):
@@ -628,6 +628,17 @@ def test_inverse_requires_absorbing_region(href_chart):
     w = CoverPoint(1e9, href_chart.Mtilde * 2.0)  # |z| >= t |zeta|^2
     with pytest.raises(OutsideChartDomain):
         psi_tilde_inverse(href_chart, w)
+
+
+def test_inverse_newton_budget_raises_no_convergence(monkeypatch, href_chart):
+    # a point whose Newton converges in more than one round, given one
+    zeta = href_chart.Mtilde * 1.5 * np.exp(0.4j)
+    w = CoverPoint(0.5 * href_chart.t * abs(zeta) ** 2, zeta)
+    psi_tilde_inverse(href_chart, w)
+    monkeypatch.setattr(cover, "_INVERSE_MAX_ITER", 1)
+    with pytest.raises(NoConvergence) as exc:
+        psi_tilde_inverse(href_chart, w)
+    assert exc.value.iterations == 1
 
 
 def test_semiconjugacy(rng, href_chart):
@@ -741,7 +752,7 @@ def test_chart_json_round_trip(tmp_path, rng, href, href_chart):
     save_chart(href_chart, path)
     loaded = load_chart(path)
     assert loaded.Q.coeffs == href_chart.Q.coeffs
-    for field in ("H", "region", "series_tol", "Mtilde", "t", "meta"):
+    for field in ("H", "region", "Mtilde", "t", "meta"):
         assert getattr(loaded, field) == getattr(href_chart, field), field
     assert loaded.region == certify_region(href)
     zeta = 1.7 * np.exp(0.23j)
@@ -777,7 +788,7 @@ def test_chart_dict_format(href_chart):
     # first circle's radius
     old["rho"] = 2.0 * href_chart.inner_radius
     loaded = chart_from_dict(old)
-    for name in ("H", "region", "Q", "series_tol", "Mtilde", "t"):
+    for name in ("H", "region", "Q", "Mtilde", "t"):
         assert getattr(loaded, name) == getattr(href_chart, name)
     assert loaded.meta == href_chart.meta
     assert not {"qminus_rho", "qminus_samples"} & set(doc)
@@ -803,26 +814,36 @@ def test_loaded_chart_q_check_measures_the_map(name, edit, request):
     assert got["passed"] and got["defect"] == want["defect"]
 
 
-@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, "1e-12"])
-def test_series_tol_must_be_positive_and_finite(href, href_chart, tol):
-    # at inf psi_tilde silently misses the Bottcher value by 1e-4
-    with pytest.raises(ValueError, match="series_tol"):
-        build_chart(href, series_tol=tol)
-    with pytest.raises(ValueError, match="series_tol"):
-        cover.CoverChart(href, tol)
-    doc = json.loads(json.dumps(chart_to_dict(href_chart)))
-    doc["series_tol"] = tol
-    with pytest.raises(ValueError, match="series_tol"):
-        chart_from_dict(json.loads(json.dumps(doc)))
+@pytest.mark.parametrize(
+    "tol", [True, 0.5, -1.0, np.nan, "1e-12", None],
+    ids=["true", "0.5", "-1.0", "nan", "string", "missing"],
+)
+def test_stored_series_tol_cannot_move_the_chart(href, tol):
+    # documents from before the chart was its map alone carry a Bottcher
+    # tolerance; whatever it reads, psi_tilde and annulus_coordinate on the
+    # loaded chart are the fresh chart's, bit for bit (a loose tolerance
+    # would move zeta at (0.3, 40) by 1e-4)
+    fresh = build_chart(href)
+    doc = json.loads(json.dumps(chart_to_dict(fresh)))
+    doc.pop("series_tol", None)
+    if tol is not None:
+        doc["series_tol"] = tol
+    loaded = chart_from_dict(json.loads(json.dumps(doc)))
+    rng = np.random.default_rng(71)
+    for z in [Point(0.3, 40.0)] + sample_domain_points(fresh, rng, 6):
+        assert psi_tilde(loaded, z) == psi_tilde(fresh, z)
+    # and at escaping points, two of which the region absorbs only after pushes
+    for z in (Point(0.3, 40.0), Point(1.5, 2.5 + 0.5j), Point(-2.0j, 3.0)):
+        assert annulus_coordinate(loaded, z) == annulus_coordinate(fresh, z)
 
 
 @pytest.mark.parametrize(
     "key, value",
     [("map", None), ("map", {"factors": [{"p": [[1, 0]]}]}), ("region", None),
-     ("region", [2.0]), ("series_tol", None), ("t", None), ("Mtilde", None),
+     ("region", [2.0]), ("t", None), ("Mtilde", None),
      ("Q", None), ("Q", "x"), ("Q", [1.0, 2.0])],
-    ids=["map-missing", "map-no-a", "region-missing", "region-list", "series_tol-missing",
-         "t-missing", "Mtilde-missing", "Q-missing", "Q-string", "Q-numbers"],
+    ids=["map-missing", "map-no-a", "region-missing", "region-list", "t-missing",
+         "Mtilde-missing", "Q-missing", "Q-string", "Q-numbers"],
 )
 def test_chart_from_dict_names_a_missing_or_malformed_key(href_chart, key, value):
     doc = json.loads(json.dumps(chart_to_dict(href_chart)))
@@ -845,7 +866,7 @@ def test_chart_from_dict_ignores_stored_qminus_samples(href_chart, scale):
     g = scale * (cover._qtilde_batch(href_chart.H, zk) - href_chart.Q(zk))
     doc["qminus_rho"], doc["qminus_samples"] = rho, np.stack([g.real, g.imag], axis=1).tolist()
     loaded = chart_from_dict(doc)
-    for name in ("H", "Q", "series_tol", "Mtilde", "t", "meta"):
+    for name in ("H", "Q", "Mtilde", "t", "meta"):
         assert getattr(loaded, name) == getattr(href_chart, name)
     zeta = 2.5 * href_chart.inner_radius * np.exp(0.3j)
     assert r_series(loaded, zeta) == r_series(href_chart, zeta)
@@ -883,7 +904,7 @@ def test_chart_from_dict_refuses_a_q_that_is_not_the_tables(name, request):
 
 
 def test_chart_is_frozen(href_chart):
-    assert [f.name for f in dataclasses.fields(cover.CoverChart)] == ["H", "series_tol"]
+    assert [f.name for f in dataclasses.fields(cover.CoverChart)] == ["H"]
     for name, value in (("Q", href_chart.Q), ("Mtilde", 1.0)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(href_chart, name, value)
