@@ -352,7 +352,8 @@ def _series_eval(H: HenonMap, X, W):
     """(psi, dlambda/dy, lambda) at the points (X_i, W_i) from the table.
 
     The points must lie in the series bidisc M*max(|X|, R) <= 0.6|W|;
-    OutsideChartDomain otherwise, a NaN coordinate counting as outside.
+    OutsideChartDomain otherwise, a NaN coordinate counting as outside (a
+    one-point call tests on Python scalars, with the NaN |X| first in max).
     dpsi/dx is W * dlambda/dy.  Each point's powers and products are its
     own (a running product along its row, then two small matrix products
     per point), so its values do not depend on the other points of the call.
@@ -360,7 +361,11 @@ def _series_eval(H: HenonMap, X, W):
     X, W = np.asarray(X, dtype=complex).ravel(), np.asarray(W, dtype=complex).ravel()
     region = certify_region(H)  # one cache lookup: this runs per chart evaluation
     M, R = region.M, region.R.R
-    if not (M * np.maximum(np.abs(X), R) <= _SERIES_FRAC * np.abs(W)).all():
+    if X.size == 1:
+        inside = M * max(abs(X.item()), R) <= _SERIES_FRAC * abs(W.item())
+    else:
+        inside = (M * np.maximum(np.abs(X), R) <= _SERIES_FRAC * np.abs(W)).all()
+    if not inside:
         raise OutsideChartDomain("point outside the series bidisc M*max(|x|, R) <= 0.6|y|")
     C, _ = _series_table(H)
     K = C.shape[0]
@@ -597,13 +602,34 @@ def lift_H(chart: CoverChart, w: CoverPoint) -> CoverPoint:
     )
 
 
+class _RootsOfUnity(dict):
+    """exp(2 pi i e / dn) by e, each root computed on its first read."""
+
+    def __init__(self, dn: int):
+        super().__init__()
+        self.dn = dn
+
+    def __missing__(self, e: int):
+        root = self[e] = np.exp(2j * np.pi * e / self.dn)
+        return root
+
+
+@functools.lru_cache(maxsize=16)
+def _roots_of_unity(dn: int) -> _RootsOfUnity:
+    """The table of dn-th roots of unity that deck reads, one per dn."""
+    return _RootsOfUnity(dn)
+
+
 def deck(chart: CoverChart, label: DeckLabel, w: CoverPoint) -> CoverPoint:
     """Deck transformation for the class [k/d^n].
 
     The z-shift is the finite sum of Q-differences; each monomial is
     evaluated as A_j * zeta^(j*d^l) * (1 - omega^(j*d^l)) with the root of
     unity reduced exactly first, so monomials that cancel identically never
-    get exponentiated (they dominate and would overflow first).
+    get exponentiated (they dominate and would overflow first).  The roots
+    exp(2 pi i e / d^n) come from one table per d^n (_roots_of_unity),
+    which fills a root on its first read, so a large d^n costs no more
+    than the roots its labels read.
     """
     H = chart.H
     d = H.d
@@ -612,7 +638,8 @@ def deck(chart: CoverChart, label: DeckLabel, w: CoverPoint) -> CoverPoint:
         return w
     k, n = label.k, label.n
     dn = d**n
-    omega = np.exp(2j * np.pi * k / dn)
+    roots = _roots_of_unity(dn)
+    omega = roots[k]
     zeta = complex(w.zeta)
     log_az = np.log(abs(zeta))
     ratio = d / H.jacobian
@@ -629,7 +656,7 @@ def deck(chart: CoverChart, label: DeckLabel, w: CoverPoint) -> CoverPoint:
                 continue  # exact cancellation of this monomial
             if (j * m) * log_az > 345.0:
                 raise Overflow("surviving deck monomial exceeds 1e150")
-            shift += pref * Aj * zeta ** (j * m) * (1.0 - np.exp(2j * np.pi * e / dn))
+            shift += pref * Aj * zeta ** (j * m) * (1.0 - roots[e])
     return CoverPoint(w.z + shift, omega * zeta)
 
 

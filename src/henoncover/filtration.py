@@ -63,9 +63,10 @@ def escape_orbit(H: HenonMap, x, y, N_max: int):
 
     Escape is V+ membership with |y| > 2R, where R = filtration_radius(H).R.
     Returns (n, x_n, y_n), or None when the orbit misses the region for
-    N_max steps or a coordinate passes BAIL_OUT first.  Backward escape is
-    this test on henon.backward_conjugate(H), the monic conjugate of H^{-1}
-    that green.green_minus iterates.
+    N_max steps or a coordinate passes BAIL_OUT or is NaN first, as in the
+    grid kernels (a NaN orbit never escapes, so stopping early changes no
+    result).  Backward escape is this test on henon.backward_conjugate(H),
+    the monic conjugate of H^{-1} that green.green_minus iterates.
     """
     R = filtration_radius(H).R
     cutoff = ESCAPE_MARGIN * R
@@ -73,7 +74,7 @@ def escape_orbit(H: HenonMap, x, y, N_max: int):
         ax, ay = abs(x), abs(y)
         if ay >= max(ax, R) and ay > cutoff:
             return n, x, y
-        if max(ax, ay) > BAIL_OUT:
+        if not (ax <= BAIL_OUT and ay <= BAIL_OUT):  # a NaN stops here too
             return None
         if n < N_max:
             x, y = apply_xy(H, x, y)

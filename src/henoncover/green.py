@@ -92,7 +92,7 @@ __all__ = [
 # no coordinate of a push from below the stop modulus exceeds this (_stop_modulus)
 PUSH_CAP = 1e300
 # the rounding of d^-m log|y_m| in the computed value, per unit of d^-m log|y_m|
-VALUE_ROUNDING = 8.0 * np.finfo(float).eps
+VALUE_ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,16 @@ def _bounded_value(H: HenonMap, N_max: int) -> GreenValue:
 
 
 def _pushed_value(H: HenonMap, log_y, depth, band: float):
-    """(max(d^-m log|y_m|, 0), d^-m (band + rounding)) at depth m; scalars or arrays."""
+    """(d^-m log|y_m|, d^-m (band + rounding)) at depth m; scalars or arrays.
+
+    The value is never negative, so no clamp at 0 is taken.  Every escape
+    record has |y_n| > 2R >= 4 (R >= 2, filtration_radius), and the pushes
+    stop at the first |y_m| >= Y >= 2R, so log|y_m| >= log 4 > 0 (an
+    infinite |y_n| gives inf), and d^-m is positive or underflows to +0:
+    the product is at least +0.  A Python float log_y gives Python floats.
+    """
     scale = float(H.d) ** -depth
-    return np.maximum(scale * log_y, 0.0), scale * (band + VALUE_ROUNDING * log_y)
+    return scale * log_y, scale * (band + VALUE_ROUNDING * log_y)
 
 
 def _stepper(H: HenonMap, x):
@@ -174,7 +181,7 @@ def green_plus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> G
         x, y = apply_xy(H, x, y)
         n += 1
     value, err = _pushed_value(H, math.log(abs(y)), n, band)
-    return GreenValue(float(value), float(err), n)
+    return GreenValue(value, err, n)
 
 
 def green_minus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> GreenValue:
@@ -658,7 +665,9 @@ def escape_band(H: HenonMap) -> float:
 
     The pushed value.  _refine_plus and green_plus push (x_n, y_n) with
     float steps of H to the first depth m = n + k with |y_m| >= Y =
-    _stop_modulus(H, tol) and return max(d^-m log|y_m|, 0).  The pushes
+    _stop_modulus(H, tol) and return d^-m log|y_m|, which is never
+    negative: |y_m| >= min(|y_n|, Y) >= 2R >= 4, so log|y_m| > 0 and
+    d^-m log|y_m| >= +0 (_pushed_value), and no clamp at 0 acts.  The pushes
     are float factor steps, so log|y_m| = d^k log|y_n| + sum_(j<k)
     d^(k-1-j) rho_j with the float rho_j above, and d^-m log|y_m| =
     d^-n (log|y_n| + sum_(j<k) d^-(j+1) rho_j) lies within d^-n B of

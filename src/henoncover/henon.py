@@ -13,6 +13,7 @@ and all operations pure.
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
@@ -81,7 +82,15 @@ class NonFinite(HenonError):
 
 @dataclass(frozen=True)
 class ComplexPolynomial:
-    """Univariate polynomial, coefficients constant-first, leading != 0."""
+    """Univariate polynomial, coefficients constant-first, leading != 0.
+
+    __call__ runs a Horner plan that _set_coeffs derives from coeffs, the
+    one place that writes them: whether p is a constant, whether it is
+    monic, its leading coefficient, the middle coefficients c_(n-1) ...
+    c_1 in Horner order, and the constant term.  A form whose coeffs are
+    replaced (real_form) goes through _set_coeffs too, so its plan holds
+    the same numbers as its coeffs.
+    """
 
     coeffs: tuple
 
@@ -91,7 +100,13 @@ class ComplexPolynomial:
             raise ValueError("empty coefficient list")
         if cs[-1] == 0 and len(cs) > 1:
             raise ValueError("zero leading coefficient")
+        self._set_coeffs(cs)
+
+    def _set_coeffs(self, cs: tuple):
+        """Store cs as coeffs, with the Horner plan __call__ runs."""
         object.__setattr__(self, "coeffs", cs)
+        plan = (len(cs) == 1, cs[-1] == 1, cs[-1], cs[-2:0:-1], cs[0])
+        object.__setattr__(self, "_plan", plan)
 
     @property
     def degree(self) -> int:
@@ -102,15 +117,15 @@ class ComplexPolynomial:
         # additions of zero coefficients: for finite y the value of the
         # textbook loop up to the sign of a zero (1*y == y, v + 0 == v),
         # in two array operations for y^2 + c instead of four
-        cs = self.coeffs
-        if len(cs) == 1:
-            return cs[0]
-        acc = y if cs[-1] == 1 else cs[-1] * y
-        for c in cs[-2:0:-1]:
+        constant, monic, lead, middle, c0 = self._plan
+        if constant:
+            return c0
+        acc = y if monic else lead * y
+        for c in middle:
             if c:
                 acc = acc + c
             acc = acc * y
-        return acc + cs[0] if cs[0] else acc
+        return acc + c0 if c0 else acc
 
     def derivative(self) -> "ComplexPolynomial":
         if self.degree == 0:
@@ -189,7 +204,7 @@ def real_form(H: HenonMap):
     factors = []
     for f in H.factors:
         p = ComplexPolynomial(f.p.coeffs)
-        object.__setattr__(p, "coeffs", tuple(c.real for c in f.p.coeffs))
+        p._set_coeffs(tuple(c.real for c in f.p.coeffs))
         factors.append(SimpleFactor(p, f.a.real))
     return HenonMap(tuple(factors), H.d, H.d_prime, H.jacobian.real)
 
@@ -241,10 +256,7 @@ def _factors_json(H: HenonMap) -> list:
 
 
 def _finite(x: complex, y: complex) -> bool:
-    return (
-        np.isfinite(x.real) and np.isfinite(x.imag)
-        and np.isfinite(y.real) and np.isfinite(y.imag)
-    )
+    return cmath.isfinite(x) and cmath.isfinite(y)
 
 
 def iterate(H: HenonMap, z: Point, s: int) -> Point:

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .boettcher import bottcher_phi, in_region_xy
+from .boettcher import bottcher_phi
 from .cover import CoverChart
 from .green import GreenValue, green_plus
 from .henon import HenonError, HenonMap, Point, apply_xy
@@ -26,6 +26,10 @@ __all__ = [
     "classify_sublevel",
     "annulus_coordinate",
 ]
+
+
+# annulus_coordinate gives an orbit up once a coordinate passes this modulus
+ESCAPE_GUARD = 1e140
 
 
 class NotEscaping(HenonError):
@@ -75,18 +79,27 @@ def annulus_coordinate(chart: CoverChart, z: Point, budget: int = 64) -> complex
 
     Pushes z forward until the chart's region W+_M absorbs it, takes the
     principal d^n-th root of phi there, at bottcher_phi's tolerance as
-    psi_tilde does (one deck-equivalent branch), and raises NotEscaping
-    when the push budget runs out.
+    psi_tilde does (one deck-equivalent branch).  NotEscaping when the
+    push budget runs out, or when a coordinate of the orbit passes
+    ESCAPE_GUARD first; the message names the stop that fired.  The region
+    test is in_region_xy's on Python scalars: a NaN |x| is max's first
+    operand, so a NaN coordinate counts as outside.
     """
     H = chart.H
     M, R = chart.region.M, chart.region.R.R
     x, y = complex(z.x), complex(z.y)
     for n in range(budget + 1):
-        if in_region_xy(x, y, M, R):
+        if abs(y) > M * max(abs(x), R):
             phi = bottcher_phi(H, Point(x, y))
             log_phi = np.log(abs(phi)) + 1j * np.angle(phi)
             return complex(np.exp(log_phi / H.d**n))
-        if max(abs(x), abs(y)) > 1e140 or n == budget:
+        top = max(abs(x), abs(y))
+        if top > ESCAPE_GUARD:
+            raise NotEscaping(
+                f"orbit passed |.| = {top:.3e} > {ESCAPE_GUARD:g} after {n} pushes"
+                " without reaching the chart region"
+            )
+        if n == budget:
             break
         x, y = apply_xy(H, x, y)
     raise NotEscaping(

@@ -107,6 +107,12 @@ def test_phi_outside_region_raises():
     with pytest.raises(OutsideRegion) as exc:
         bottcher_phi(H, Point(10.0, 2.0))  # |q/y^d| = 10/4 > 1/2
     assert exc.value.step == 0
+    # y = 0 divides by zero in the scalar driver; the array rerun reports it
+    with pytest.raises(ZeroDivisionError):
+        boettcher._phi_one(H, 1.0 + 0j, 0j, 1e-12, False)
+    with pytest.raises(OutsideRegion) as exc:
+        bottcher_phi(H, Point(1.0, 0.0))
+    assert exc.value.step == 0
 
 
 def test_lambda_inverse_pair(rng, href, href_region):
@@ -297,6 +303,14 @@ def assert_one_point_matches_batch(H, n, seed):
         assert np.all(err[:2] > 0) and np.all(S[:2] == 0)
         if dy:
             assert np.all(np.abs(y * (dS[0] - batch[4]))[ok] <= 64 * EPS)
+    # bottcher_phi is phi_vec's one-point value, bit for bit
+    for xi, yi in zip(x, y):
+        phi, _, ok1, _ = phi_vec(H, [xi], [yi])
+        if ok1[0]:
+            assert bottcher_phi(H, Point(xi, yi)) == complex(phi[0])
+        else:
+            with pytest.raises(OutsideRegion):
+                bottcher_phi(H, Point(xi, yi))
     return ok
 
 

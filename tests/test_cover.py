@@ -307,7 +307,8 @@ def test_psi_segment_outside_region(href, href_region):
     # the table: the series bidisc M*max(|x|, R) <= 0.6|y|, in x and in y
     w = 4.0 * M * R
     cover._series_eval(href, [0.6 * w / M], [w])
-    for x, y in ((0.61 * w / M, w), (0.0, 0.99 * M * R / 0.6)):
+    nan = complex(np.nan, 0.0)
+    for x, y in ((0.61 * w / M, w), (0.0, 0.99 * M * R / 0.6), (nan, w), (0.0, nan)):
         with pytest.raises(OutsideChartDomain):
             cover._series_eval(href, [x], [y])
 
@@ -661,6 +662,39 @@ def test_deck_identity_for_integer_class(rng, href_chart):
         assert deck(href_chart, DeckLabel.reduced(k, 0, 2), w) == w
     # [2/2] = [1] = 0 in Z[1/d]/Z
     assert deck(href_chart, DeckLabel.reduced(2, 1, 2), w) == w
+
+
+@pytest.mark.parametrize("name", ["href_chart", "htwo_chart", "hcubic_chart"])
+def test_deck_root_table_matches_roots_formed_per_read(name, request, monkeypatch):
+    # every label k/d^n with n <= 3: deck with the table of roots against
+    # deck with each root formed per read as exp(2 pi i e / d^n)
+    class PerRead:
+        def __init__(self, dn):
+            self.dn = dn
+
+        def __getitem__(self, e):
+            return np.exp(2j * np.pi * e / self.dn)
+
+    chart = request.getfixturevalue(name)
+    d = chart.H.d
+    rng = np.random.default_rng(5)
+
+    def outcome(label, w):
+        try:
+            got = deck(chart, label, w)
+        except Overflow as e:
+            return str(e)
+        return got.z, got.zeta
+
+    for n in (1, 2, 3):
+        dn = d**n
+        for k in range(dn):
+            w = CoverPoint(complex(*rng.normal(size=2)), rng.uniform(1.2, 2.5) * np.exp(2j * np.pi * rng.uniform()))
+            label = DeckLabel.reduced(k, n, d)
+            table = outcome(label, w)
+            with monkeypatch.context() as m:
+                m.setattr(cover, "_roots_of_unity", PerRead)
+                assert outcome(label, w) == table, (n, k)
 
 
 def test_deck_label_reduction():

@@ -19,8 +19,9 @@ from henoncover import (
 )
 from henoncover.boettcher import OutsideRegion, phi_vec
 from henoncover.filtration import BAIL_OUT, ESCAPE_MARGIN, escape_orbit
-from henoncover import green
+from henoncover import filtration, green
 from henoncover.green import (
+    GreenValue,
     PUSH_CAP,
     TRAP_EVERY,
     TRAP_MARGIN,
@@ -111,6 +112,25 @@ def test_green_nonnegative_and_zero_on_bounded(rng, href):
         assert g.value >= 0.0
         if g.depth == 128:
             assert g.value <= g.error_bound
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_green_plus_stops_at_a_nan_start(name, request, monkeypatch):
+    # a NaN coordinate never escapes: the scalar test gives the orbit up at
+    # step 0, as the grid kernel does, with the value the full budget gives
+    H = request.getfixturevalue(name)
+    nan = float("nan")
+    starts = [(nan, 0.0), (0.0, nan), (complex(0.0, nan), 1.0), (nan, nan)]
+    calls = []
+    step = filtration.apply_xy
+    monkeypatch.setattr(filtration, "apply_xy", lambda *a: calls.append(a) or step(*a))
+    got = [green_plus(H, Point(x, y)) for x, y in starts]
+    assert not calls
+    full = float(H.d) ** -256 * max(1.0, np.log(ESCAPE_MARGIN * filtration_radius(H).R))
+    xs, ys = (np.array(c, dtype=complex) for c in zip(*starts))
+    vals, errs, depths = green_plus_grid(H, xs, ys, 256)
+    for g, v, e, n in zip(got, vals, errs, depths):
+        assert g == GreenValue(0.0, full, 256) == GreenValue(v, e, n)
 
 
 def test_green_depth_stability(rng, href):

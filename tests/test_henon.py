@@ -24,6 +24,7 @@ from henoncover.henon import (
     component_polynomials,
     first_component_axis_poly,
     inverse_leading_constant,
+    real_form,
     second_component_correction,
 )
 from henoncover.verification import check_green_functorial_minus
@@ -203,3 +204,8 @@ def test_polynomial_call_matches_textbook_horner(coeffs, rng):
         for v in y[:20]:
             got, want = q(complex(v)), textbook_horner(q, complex(v))
             assert got == want and type(got) is type(want)
+    if len(coeffs) > 2 and coeffs[-1] == 1 and not any(np.iscomplex(coeffs)):
+        # the real form's plan holds float coefficients: float64 stays float64
+        rp = real_form(make_henon([(coeffs, 0.5)])).factors[0].p
+        got, want = rp(y.real), textbook_horner(rp, y.real)
+        assert got.dtype == want.dtype == np.float64 and np.array_equal(got, want)

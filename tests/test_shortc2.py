@@ -105,5 +105,11 @@ def test_sublevel_equivariance(rng, href):
 def test_not_escaping_raises(href_chart):
     # a fixed point of the reference map: y = x, x^2 - 1.8x - 1.1 = 0
     x = (1.8 - np.sqrt(1.8**2 + 4 * 1.1)) / 2.0
-    with pytest.raises(NotEscaping):
+    with pytest.raises(NotEscaping, match="within 12 pushes"):
         annulus_coordinate(href_chart, Point(x, x), budget=12)
+
+
+def test_not_escaping_names_the_modulus_guard(href_chart):
+    # a point past the guard stops there, not at the push budget
+    with pytest.raises(NotEscaping, match=r"1\.000e\+141 > 1e\+140 after 0 pushes"):
+        annulus_coordinate(href_chart, Point(1e141, 0))
