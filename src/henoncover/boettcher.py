@@ -395,20 +395,29 @@ def _product_bound(H: HenonMap, M: float, R: float) -> tuple[float, bool]:
     The bounds start from |y| = MR, |x| <= R and carry an upper bound on |u|
     and lower and upper bounds on |v| through the factors.  See
     certify_region for why this one radius covers all of W+_M.
+
+    The moduli are carried in logarithms, as green._band does: |v|^d_i
+    overflows a float on maps whose coefficients reach 1e110.  Each term of
+    e_i is exp of its log, capped at log 0: a term of log >= 0 alone makes
+    e_i >= 1, so the cap changes no verdict and no exp overflows.
     """
-    u_hi, v_lo, v_hi = R, M * R, M * R
+    log_u_hi, log_v_lo, log_v_hi = math.log(R), math.log(M * R), math.log(M * R)
     degrees = [f.p.degree for f in H.factors]
-    w = 1.0
+    log_w = 0.0
     for i, f in enumerate(H.factors):
         di = degrees[i]
-        e = abs(f.a) * u_hi / v_lo**di + sum(
-            abs(c) * v_lo ** (k - di) for k, c in enumerate(f.p.coeffs[:-1])
-        )
+        terms = [math.log(abs(f.a)) + log_u_hi - di * log_v_lo] + [
+            math.log(abs(c)) + (k - di) * log_v_lo
+            for k, c in enumerate(f.p.coeffs[:-1]) if c != 0
+        ]
+        e = math.fsum(math.exp(min(t, 0.0)) for t in terms)
         if not e < 1.0:
             return math.inf, False
-        w *= (1.0 + e) ** math.prod(degrees[i + 1 :])
-        u_hi, v_lo, v_hi = v_hi, v_lo**di * (1.0 - e), v_hi**di * (1.0 + e)
-    return w - 1.0, v_lo > M * max(u_hi, R)
+        log_w += math.prod(degrees[i + 1 :]) * math.log1p(e)
+        log_u_hi, log_v_lo, log_v_hi = (
+            log_v_hi, di * log_v_lo + math.log1p(-e), di * log_v_hi + math.log1p(e)
+        )
+    return math.expm1(log_w), log_v_lo > math.log(M) + max(log_u_hi, math.log(R))
 
 
 @functools.lru_cache(maxsize=32)

@@ -389,9 +389,8 @@ def _cmd_cover(args) -> int:
     chart = build_chart(spec.henon)
     save_chart(chart, args.out)
     print(
-        f"wrote {args.out} (deg Q = {chart.Q.degree}, "
-        f"tail purity = {chart.meta['tail_purity']:.2g}, Mtilde = {chart.Mtilde:g}, "
-        f"series tail = {chart.meta['series_tail']:.1e})"
+        f"wrote {args.out} (deg Q = {chart.Q.degree}, Mtilde = {chart.Mtilde:g}, "
+        f"series tail = {chart.series_tail:.1e})"
     )
     return 0
 

@@ -24,7 +24,10 @@ with Q monic of degree d + d'.  Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d)
 is Q plus a tail Q^- = O(1/zeta), holomorphic in 1/zeta.  One truncated
 power-series computation in 1/zeta reads Q and Q^-'s Laurent coefficients
 off the table, and R, which solves (a/d) R(zeta) - R(zeta^d) = Q^-(zeta),
-is one Horner sum in 1/zeta.  Qtilde sampled on |zeta| = 1.25MR checks Q.
+is one Horner sum in 1/zeta.  So a build is one lambda solve, the
+table's.  Qtilde sampled on |zeta| = 1.25MR checks Q (CoverChart.meta): a
+second lambda solve, run on first read of meta, which verify's
+cover.q_structure makes.
 Deck transformations rotate zeta by d-power roots of unity and shift z by
 an exactly cancelling Q-difference.
 """
@@ -141,9 +144,11 @@ class CoverChart:
     """The chart of one map H.
 
     Everything is derived from H on first use and cached: the region W+_M,
-    the lift polynomial Q, the circle check meta, the aspect t, R's Laurent
-    coefficients (_r_laurent, per map) and the radius Mtilde of the
-    absorbing region S_{Mtilde, t} = {|zeta| >= Mtilde, |z| < t |zeta|^2}.
+    the lift polynomial Q, the aspect t, R's Laurent coefficients
+    (_r_laurent, per map) and the radius Mtilde of the absorbing region
+    S_{Mtilde, t} = {|zeta| >= Mtilde, |z| < t |zeta|^2}.  These come from
+    the series table alone.  meta, the circle check of Q, is the one
+    derived value that solves lambda again; no chart function reads it.
     """
 
     H: HenonMap
@@ -180,25 +185,34 @@ class CoverChart:
     @functools.cached_property
     def Q(self) -> ComplexPolynomial:
         """The monic degree-(d+d') polynomial of _q_from_series: DecayFailed if
-        the table's K = 16 orders cannot hold it, MonicityFailed if
-        |leading - 1| > 1e-6."""
+        the table's K = 16 orders cannot hold it, Overflow if a coefficient
+        is not a finite double, MonicityFailed if |leading - 1| > 1e-6."""
         deg, K = self.H.d + self.H.d_prime, _TORUS_N // 2
         if deg >= K:
             raise DecayFailed(f"Q needs d + d' + 1 = {deg + 1} series orders; the table has {K}")
         coeffs = _q_from_series(self.H)[0]
+        if not np.isfinite(coeffs).all():
+            raise Overflow("a coefficient of Q exceeds the double range")
         monic_defect = abs(coeffs[-1] - 1.0)
         if monic_defect > 1e-6:
             raise MonicityFailed(float(monic_defect))
         return ComplexPolynomial(tuple(coeffs))
 
+    @property
+    def series_tail(self) -> float:
+        """The series table's largest dropped bin (_series_table), at most 1e-12."""
+        return _series_table(self.H)[1]
+
     @functools.cached_property
     def meta(self) -> dict:
         """The check of Q on one circle, |zeta| = rho_q = 1.25MR.
 
-        Qtilde there takes one lambda_vec Newton for lambda(0, zeta) (1/zeta
-        is outside the series bidisc).  Q^- = O(1/zeta), so the non-negative
-        Fourier bins of Qtilde - Q are rounding; bin n carries the error of
-        Q_n times rho_q^n.  decay_max is the largest (DecayFailed above
+        Run on first read, not by build_chart: nothing in the chart reads
+        it, and verify's cover.q_structure does.  Qtilde there takes one
+        lambda_vec Newton for lambda(0, zeta) (1/zeta is outside the series
+        bidisc).  Q^- = O(1/zeta), so the non-negative Fourier bins of
+        Qtilde - Q are rounding; bin n carries the error of Q_n times
+        rho_q^n.  decay_max is the largest (DecayFailed above
         1e-6 rho_q^(d+d')); two_radius_agreement is max_n |bin_n| rho_q^-n /
         max(|Q_n|, 1), and tail_purity the same over its floor
         eps max|Qtilde| rho_q^-n / max(|Q_n|, 1).  The samples are not kept.
@@ -223,7 +237,7 @@ class CoverChart:
             "circle_samples": int(n),
             "two_radius_agreement": float(err.max()),
             "tail_purity": purity,
-            "series_tail": _series_table(self.H)[1],
+            "series_tail": self.series_tail,
         }
 
     @functools.cached_property
@@ -386,8 +400,8 @@ def _series_eval(H: HenonMap, X, W):
 def _qtilde_batch(H: HenonMap, zetas):
     """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d), psi from the table.
 
-    lambda(0, zeta) is solved by lambda_vec: the build's circle at 1.25MR
-    lies below the series bidisc, and verify's check of R wants a solve
+    lambda(0, zeta) is solved by lambda_vec: meta's circle at 1.25MR lies
+    below the series bidisc, and verify's check of R wants a solve
     that bypasses the table's lambda.
     """
     zetas = np.asarray(zetas, dtype=complex)
@@ -404,6 +418,7 @@ _MAJORANT_FRAC = 1.0 / 3.0
 
 
 @functools.lru_cache(maxsize=32)
+@np.errstate(over="ignore", invalid="ignore")
 def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
     """(Q, q, A): Q's coefficients, constant first, Q^-'s Laurent
     coefficients q_1 .. q_N, and the constant A of the bound past N.
@@ -430,7 +445,9 @@ def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
 
     N = 2K = 32: at 1.5MR, R's domain edge, x^(N+1)/(1 - x) = 3.6e-22
     (A reads 20 on href, 7.7 on hcubic, 86 on htwo, 5.2e4 on
-    (y^2 - 1, a = 0.5)^3).  A is inf if the majorant overflows.
+    (y^2 - 1, a = 0.5)^3).  A is inf if the majorant overflows, and a
+    coefficient is inf or NaN where the composition overflows a double (Q_0
+    of y^3 + 1e110 y^2 is of order 1e330); CoverChart.Q refuses such a Q.
     """
     C, _ = _series_table(H)
     M, R = certify_region(H).M, filtration_radius(H).R
@@ -457,12 +474,11 @@ def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
         S[e * j + d * k] += C[j, k] * r_s**-j * r_u**-k
     S = np.convolve(X, S)[:n]
     # the majorant at tau = 1/rho'
-    tau, jk = 1.0 / (_MAJORANT_FRAC * M * R), np.arange(K)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Eh = np.exp(np.abs(G[:K]) @ tau**jk)
-        Xh = sum(abs(c) * Eh**i * tau ** (len(p) - 1 - i) for i, c in enumerate(p))
-        a = np.abs(C[:, :K]) * (r_s ** -jk)[:, None] * r_u ** -jk
-        A = float(Xh * ((Xh * tau**e) ** jk @ a @ tau ** (d * jk)) * tau**-D)
+    tau, jk = np.float64(1.0 / (_MAJORANT_FRAC * M * R)), np.arange(K)
+    Eh = np.exp(np.abs(G[:K]) @ tau**jk)
+    Xh = sum(abs(c) * Eh**i * tau ** (len(p) - 1 - i) for i, c in enumerate(p))
+    a = np.abs(C[:, :K]) * (r_s ** -jk)[:, None] * r_u ** -jk
+    A = float(Xh * ((Xh * tau**e) ** jk @ a @ tau ** (d * jk)) * tau**-D)
     Q, q = S[D::-1], S[D + 1 :]
     Q.flags.writeable = q.flags.writeable = False
     return Q, q, A if np.isfinite(A) else np.inf
@@ -489,10 +505,12 @@ _SAMPLES_PER_DEGREE = 64
 
 
 def build_chart(H: HenonMap) -> CoverChart:
-    """CoverChart(H) with meta and Mtilde read, so that every gate of Q, the
-    circle check and Mtilde fires here, not on first use."""
+    """CoverChart(H) with Q and Mtilde read, so that the table's tail gate,
+    Q's degree and monicity gates and Mtilde's proof fire here, not on
+    first use.  The circle check (meta) is not run: it is a check of Q, not
+    an input of the chart, and verify's cover.q_structure runs it."""
     chart = CoverChart(H)
-    chart.meta, chart.Mtilde
+    chart.Q, chart.Mtilde
     return chart
 
 
@@ -692,7 +710,6 @@ def chart_to_dict(chart: CoverChart) -> dict:
         "Q": [_c2l(c) for c in chart.Q.coeffs],
         "Mtilde": chart.Mtilde,
         "t": chart.t,
-        "meta": chart.meta,
     }
 
 
@@ -707,10 +724,11 @@ def chart_from_dict(data: dict) -> CoverChart:
     Another machine's table differs by rounding only: a relative 1e-14 on
     every torus value moves the measure by at most 1e-14 on the fixtures
     and on (y^2 - 1, a = 0.5)^3, whose low coefficients alone move by
-    1e-3; an edit of the leading coefficient by 1e-6 reads 1e-6.  meta and
-    older documents' keys (region.R_samples, region.epsilon, rho,
+    1e-3; an edit of the leading coefficient by 1e-6 reads 1e-6.  Older
+    documents' keys (meta, region.R_samples, region.epsilon, rho,
     qminus_rho, qminus_samples, series_tol) are ignored: chart.meta is
-    measured anew, and phi is taken at bottcher_phi's tolerance.
+    measured anew on first read, and phi is taken at bottcher_phi's
+    tolerance.
     """
     if not isinstance(data, dict) or data.get("format") != "henoncover-chart-v1":
         raise ValueError("not a chart document")

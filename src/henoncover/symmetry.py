@@ -107,6 +107,7 @@ from .henon import (
 
 __all__ = [
     "BoundViolated",
+    "ChainOverflow",
     "AffineMap",
     "SymmetryReport",
     "compute_d0",
@@ -127,6 +128,10 @@ COMM_TOL = 1e-9  # find_affine_symmetries: relative size of a zero coefficient
 
 class BoundViolated(HenonError):
     pass
+
+
+class ChainOverflow(HenonError):
+    """A coefficient of the normal-form factor chain overflows a double."""
 
 
 @dataclass(frozen=True)
@@ -246,18 +251,26 @@ def _chain(H: HenonMap):
     module docstring: place n carries pt_i with i = n mod m, where
     pt_i(u) = p_i(u + tau_(i-1)) - tau_i - a_i tau_(i-2), constant-first;
     magnitude j sums the moduli of the terms that formed coefficient j.
+    ChainOverflow if a coefficient or magnitude is not a finite double (on
+    y^3 + 1e110 y^2, tau^3 alone is 3.7e328).
     """
     fs = H.factors
     m = len(fs)
     tau = tuple(-f.p.coeffs[-2] / f.p.degree for f in fs)
     places = []
     for i, f in enumerate(fs):
-        shift = _affine_matrix(f.p.degree + 1, tau[i])
+        try:
+            shift = _affine_matrix(f.p.degree + 1, tau[i])
+        except OverflowError:
+            raise ChainOverflow(f"factor {i}: a power of tau = {tau[i]:.3g} overflows") from None
         c = np.array(f.p.coeffs)
-        coeffs, scale = shift @ c, np.abs(shift) @ np.abs(c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs, scale = shift @ c, np.abs(shift) @ np.abs(c)
         below = (tau[(i + 1) % m], f.a * tau[i - 1])
         coeffs[0] -= sum(below)
         scale[0] += sum(map(abs, below))
+        if not (np.isfinite(coeffs).all() and np.isfinite(scale).all()):
+            raise ChainOverflow(f"factor {i}: a normal-form coefficient overflows")
         coeffs.flags.writeable = scale.flags.writeable = False
         places.append((coeffs, scale))
     return tau, tuple(places) * 2

@@ -501,6 +501,44 @@ def test_product_bound_holds_on_region_boundary_of_random_maps(H, seed):
     assert_product_bound_holds_on_boundary(H, seed)
 
 
+def product_bound_in_floats(H, M, R):
+    """_product_bound's recursion on the moduli themselves: the reference
+    wherever no power |v|^d_i overflows."""
+    u_hi, v_lo, v_hi = R, M * R, M * R
+    degrees = [f.p.degree for f in H.factors]
+    w = 1.0
+    for i, f in enumerate(H.factors):
+        di = degrees[i]
+        e = abs(f.a) * u_hi / v_lo**di + sum(
+            abs(c) * v_lo ** (k - di) for k, c in enumerate(f.p.coeffs[:-1])
+        )
+        if not e < 1.0:
+            return np.inf, False
+        w *= (1.0 + e) ** np.prod(degrees[i + 1 :])
+        u_hi, v_lo, v_hi = v_hi, v_lo**di * (1.0 - e), v_hi**di * (1.0 + e)
+    return w - 1.0, v_lo > M * max(u_hi, R)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.sampled_from([1.0, 2.0, 4.0, 64.0]))
+def test_product_bound_in_logs_matches_the_float_recursion(H, M):
+    R = filtration_radius(H).R
+    bound, invariant = _product_bound(H, M, R)
+    want, want_invariant = product_bound_in_floats(H, M, R)
+    assert invariant == want_invariant
+    assert bound == want or abs(bound - want) <= 1e-13 * (1.0 + want)
+
+
+def test_certify_region_proves_a_region_beyond_double_powers():
+    # y^3 + 1e110 y^2: (MR)^3 is 8e330, past the double range, so the bound
+    # is carried in logs; the region at M = 2 is proved
+    H = make_henon([([0, 0, 1e110, 1], 0.5)])
+    region = certify_region(H)
+    assert (region.M, region.R.R) == (2.0, 1e110)
+    bound, invariant = _product_bound(H, region.M, region.R.R)
+    assert invariant and 0.0 < bound <= 0.5
+
+
 def test_alpha_budget_exceeded_on_bounded_vertex(href, href_radius):
     from henoncover.boettcher import RefinementBudgetExceeded
 

@@ -389,8 +389,9 @@ def test_cli_cover_round_trip(tmp_path, capsys):
     assert main(["cover", "--spec", spec, "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     chart = load_chart(out)
-    assert f"series tail = {chart.meta['series_tail']:.1e})" in printed
-    assert chart.Q.degree == 3 and 0.0 <= chart.meta["series_tail"] <= 1e-12
+    assert printed == (f"wrote {out} (deg Q = 3, Mtilde = {chart.Mtilde:g}, "
+                       f"series tail = {chart.series_tail:.1e})\n")
+    assert 0.0 <= chart.series_tail <= 1e-12 and "meta" not in json.loads(out.read_text())
     # loading reproduces evaluations exactly
     w = CoverPoint(0.3 + 0.1j, 1.9)
     chart2 = load_chart(out)
@@ -476,6 +477,19 @@ def test_cli_verify_full_reports_a_failed_chart_build(tmp_path, capsys):
     assert len(lines) == 13  # 11 fast records, cover.build, the summary
     assert lines[-2].startswith("FAIL  cover.build") and "DecayFailed: Q needs" in lines[-2]
     assert lines[-1].endswith("/12 checks passed")
+
+
+def test_cli_cover_refuses_a_map_beyond_double_range(tmp_path, capsys):
+    # y^3 + 1e110 y^2: the region is proved, but Q_0 is of order 1e330, so
+    # cover exits 1 with one error line and writes nothing
+    huge = {"p": [[0, 0], [0, 0], [1e110, 0], [1, 0]], "a": [0.5, 0]}
+    spec = write_json(tmp_path / "m.json", {"name": "huge", "factors": [huge]})
+    out = tmp_path / "chart.json"
+    with np.errstate(all="ignore"):
+        assert main(["cover", "--spec", spec, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: a coefficient of Q exceeds the double range\n"
 
 
 def test_cli_verify_full_records_an_overflowing_deck_check(tmp_path, capsys):

@@ -228,18 +228,16 @@ def test_psi_end_slope_is_integrand_at_segment_end(rng, href, href_region):
         assert abs(dpsi - w * slope[0]) <= 64 * EPS * abs(w)
 
 
-def test_chart_records_series_tail(href, href_chart, htwo_chart, hcubic_chart, monkeypatch):
+def test_chart_records_series_tail(href, href_chart, htwo_chart, hcubic_chart, monkeypatch,
+                                   fresh_tables):
     # every fixture table decays to rounding in its top half; a torus too
     # coarse for href trips the guard and no chart is built
     for c in (href_chart, htwo_chart, hcubic_chart):
-        assert c.meta["series_tail"] == cover._series_table(c.H)[1] <= 1e-12
+        assert c.series_tail == cover._series_table(c.H)[1] <= 1e-12
     cover._series_table.cache_clear()
     monkeypatch.setattr(cover, "_TORUS_N", 8)
-    try:
-        with pytest.raises(cover.DecayFailed, match="series table tail"):
-            build_chart(href)
-    finally:
-        cover._series_table.cache_clear()
+    with pytest.raises(cover.DecayFailed, match="series table tail"):
+        build_chart(href)
 
 
 def test_psi_tilde_outside_series_bidisc(href, href_chart):
@@ -337,22 +335,31 @@ def test_two_factor_chart_degree(htwo, htwo_chart):
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
-def test_build_chart_solves_lambda_only_on_the_inner_circle(name, request, monkeypatch):
-    # Q comes from the series table's coefficients; the one Newton of a
-    # build is on the Q^- circle at 1.25 MR
+def test_build_chart_runs_no_circle_and_meta_runs_it_once(name, request, monkeypatch,
+                                                         fresh_tables):
+    # Q, R and Mtilde come from the series table's coefficients, so a build
+    # makes no lambda_vec call; the first read of meta makes one, on the
+    # Q^- circle at 1.25 MR, and a second read makes none
     H = request.getfixturevalue(name)
-    calls = []
+    calls, tables = [], []
 
     def recorded(H, x, w, *args):
         calls.append(np.array(w))
         return boettcher.lambda_vec(H, x, w, *args)
 
-    cover._series_table.cache_clear()
+    def counted(H, x, w, *args):
+        tables.append(np.size(x))
+        return dlambda_dy_vec(H, x, w, *args)
+
     monkeypatch.setattr(cover, "lambda_vec", recorded)
+    monkeypatch.setattr(cover, "dlambda_dy_vec", counted)
     chart = build_chart(H)
+    assert calls == [] and tables == [cover._TORUS_N**2]
+    meta = chart.meta
     (w,) = calls
-    assert w.size == chart.meta["circle_samples"]
+    assert w.size == meta["circle_samples"]
     assert np.allclose(np.abs(w), 1.25 * chart.inner_radius, rtol=4 * EPS, atol=0.0)
+    assert chart.meta is meta and len(calls) == 1 and len(tables) == 1
 
 
 def build_circles(H, region):
@@ -814,10 +821,12 @@ def test_chart_dict_format(href_chart):
     doc["region"]["R_samples"] = 4096
     assert chart_from_dict(doc).region == href_chart.region
     # charts saved with a sampled region and Mtilde carry the sampled epsilon
-    # and sample counts; they load to the same chart, whose meta is the map's
+    # and sample counts, and older charts a meta; they load to the same
+    # chart, whose meta is the map's
+    assert "meta" not in doc
     old = json.loads(text)
     old["region"].update(epsilon=0.03558, samples=1400)
-    old["meta"]["mtilde_certification_samples"] = 384
+    old["meta"] = dict(href_chart.meta, tail_purity=1e6, mtilde_certification_samples=384)
     # and charts whose Q came from FFTs on two sample circles carry the
     # first circle's radius
     old["rho"] = 2.0 * href_chart.inner_radius
@@ -831,17 +840,17 @@ def test_chart_dict_format(href_chart):
 @pytest.mark.parametrize("name", ["href", "htwo"])
 @pytest.mark.parametrize("edit", ["removed", "emptied", "tail_purity", "monic_defect"])
 def test_loaded_chart_q_check_measures_the_map(name, edit, request):
-    # the circle check of Q is the map's, whatever the document says of it
+    # the circle check of Q is the map's, whatever an older document's stale
+    # meta says of it; a document written now has its meta removed already
     chart = request.getfixturevalue(f"{name}_chart")
     doc = json.loads(json.dumps(chart_to_dict(chart)))
-    if edit == "removed":
-        del doc["meta"]
-    elif edit == "emptied":
+    assert "meta" not in doc
+    if edit == "emptied":
         doc["meta"] = {}
     elif edit == "tail_purity":
-        doc["meta"]["tail_purity"] *= 1e6
-    else:
-        doc["meta"]["monic_defect"] = 1.0
+        doc["meta"] = dict(chart.meta, tail_purity=chart.meta["tail_purity"] * 1e6)
+    elif edit == "monic_defect":
+        doc["meta"] = dict(chart.meta, monic_defect=1.0)
     loaded = chart_from_dict(doc)
     assert loaded.meta == build_chart(chart.H).meta
     got, want = verification.check_q_structure(loaded), verification.check_q_structure(chart)

@@ -19,16 +19,18 @@ run with -s to see every defect.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from henoncover import make_henon
 from henoncover.verification import (
+    check_boettcher,
     check_green_basics,
     check_iterate_roundtrip,
     print_results,
     run_suite,
 )
 
-from strategies import unit_box_maps
+from strategies import henon_maps, unit_box_maps
 
 KNOWN_FAILURES = {
     "href": set(),
@@ -95,3 +97,26 @@ def test_checks_that_sample_nothing_fail():
     assert roundtrip["note"] == "0 orbits" and zero["note"] == "0 bounded samples"
     for record in (roundtrip, zero):
         assert not record["passed"] and record["defect"] == np.inf
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(henon_maps)
+def test_boettcher_semiconjugacy_holds_on_random_maps(H):
+    # phi(H(z)) = phi(z)^d and log|phi| = G+ on W+_M are exact identities
+    # of every map, so the check's verdict is a planted answer
+    record = check_boettcher(H, n=20)
+    assert record["passed"], record
+
+
+def test_fast_suite_records_a_map_beyond_double_range():
+    # y^3 + 1e110 y^2: R is 1e110, so H(z) of a region point overflows, the
+    # normal form's tau^3 is 3.7e328 and every equivariance sample is
+    # ambiguous; each check still returns its record
+    H = make_henon([([0, 0, 1e110, 1], 0.5)])
+    with np.errstate(all="ignore"):
+        results = run_suite(H, level="fast")
+    assert [r["name"] for r in results] == SUITE_NAMES[:11]
+    notes = {r["name"]: r["note"] for r in results if not r["passed"]}
+    assert notes["boettcher.semiconjugacy"].startswith("NonFinite: ")
+    assert notes["symmetry.group_structure"].startswith("ChainOverflow: ")
+    assert notes["shortc2.equivariance"] == "0 of 50 points unambiguous in 2500 draws"
