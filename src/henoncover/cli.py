@@ -1,8 +1,9 @@
 """Command-line surface: map specs, rendering, persistence, verification.
 
 Subcommands: info, render, verify, cover, symmetries, classify, green.
-All persisted artifacts are JSON (complex numbers as [re, im] pairs);
-images are binary PGM (P5, maxval 65535) built tile by tile (whole rows,
+All persisted artifacts are JSON, read by henon's one reader (a complex
+is a finite number or an [re, im] pair of them); images are binary PGM
+(P5, maxval 65535) built tile by tile (whole rows,
 about TILE_POINTS pixels, one grid-kernel call each; the kernels read a
 tile's coordinates in place, work through a call in blocks of
 green.BLOCK_POINTS, pool the escape loop's long tail and push only the
@@ -20,7 +21,6 @@ thread pool only for --threads > 1.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import sys
 from dataclasses import dataclass
@@ -40,7 +40,10 @@ from .green import (
     green_plus_grid,
     sublevel_grid,
 )
-from .henon import HenonError, HenonMap, Point, _c2l, make_henon
+from .henon import (
+    HenonError, HenonMap, Point, SpecError, _c2l, _complex_from, _count_from, _number_from,
+    map_from_json,
+)
 from .symmetry import compute_d0, find_affine_symmetries, save_report
 
 __all__ = [
@@ -67,12 +70,6 @@ _CLASS_SHADES[[SUBLEVEL_K_PLUS, SUBLEVEL_BELOW, SUBLEVEL_ABOVE]] = [
 ]
 
 
-class SpecError(HenonError):
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
-
-
 @dataclass(frozen=True)
 class MapSpec:
     name: str
@@ -97,83 +94,20 @@ class GridJob:
             raise SpecError("plane", f"unknown plane {self.plane!r}")
         if self.quantity not in ("green_plus", "escape_time", "sublevel"):
             raise SpecError("quantity", f"unknown quantity {self.quantity!r}")
-        numbers = {
-            "window.center": self.center,
-            "window.width": [self.width],
-            "window.height": [self.height],
-            "plane.value": [self.anchor] if self.plane != "real_slice" else [],
-            "quantity.c": [self.c] if self.quantity == "sublevel" else [],
-            "clamp": [self.clamp],
-        }
-        for field, values in numbers.items():
-            if not all(cmath.isfinite(v) for v in values):
-                raise SpecError(field, "must be finite")
         if self.nx <= 0 or self.ny <= 0 or self.nx * self.ny > MAX_PIXELS:
             raise SpecError("resolution", "must be positive and <= 16384^2 pixels")
         if not (self.width > 0 and self.height > 0):
             raise SpecError("window", "width and height must be positive")
         if self.quantity == "sublevel" and not self.c > 0:
             raise SpecError("quantity", "sublevel needs c > 0")
-
-
-def _is_number(v) -> bool:
-    """A JSON number: bool is an int subclass but true and false are not numbers."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _complex_from(v, field: str) -> complex:
-    """A finite number or [re, im] pair as a complex, or a SpecError naming the field."""
-    pair = [v, 0] if _is_number(v) else v
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair))):
-        raise SpecError(field, "expected a number or an [re, im] pair")
-    try:
-        z = complex(*pair)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise SpecError(field, "must be finite") from None
-    if not cmath.isfinite(z):
-        raise SpecError(field, "must be finite")
-    return z
-
-
-def _number_from(v, field: str) -> float:
-    """A JSON number as a float, or a SpecError naming the field: no strings, no booleans."""
-    if not _is_number(v):
-        raise SpecError(field, "expected a number")
-    try:
-        return float(v)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise SpecError(field, "must be finite") from None
-
-
-def _count_from(v, field: str) -> int:
-    """A JSON integer, or a SpecError naming the field: no rounding, no strings."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise SpecError(field, "expected an integer")
+        if not self.clamp > 0:
+            raise SpecError("clamp", "must be positive")
 
 
 def parse_spec(data) -> MapSpec:
     if not isinstance(data, dict):
         raise SpecError("<root>", "spec must be a JSON object")
-    factors = data.get("factors")
-    if not isinstance(factors, list) or not factors:
-        raise SpecError("factors", "need a nonempty list of factors")
-    built = []
-    for i, fac in enumerate(factors):
-        if not isinstance(fac, dict):
-            raise SpecError(f"factors[{i}]", "factor must be an object")
-        p = fac.get("p")
-        if not isinstance(p, list) or len(p) < 3:
-            raise SpecError(
-                f"factors[{i}].p", "need coefficients, constant first, degree >= 2"
-            )
-        coeffs = [_complex_from(cc, f"factors[{i}].p[{j}]") for j, cc in enumerate(p)]
-        a = _complex_from(fac.get("a", 0.0), f"factors[{i}].a")
-        built.append((coeffs, a))
-    try:
-        H = make_henon(built)
-    except HenonError as exc:
-        raise SpecError("factors", str(exc)) from exc
+    H = map_from_json(data.get("factors"))
     name = data.get("name", "")
     if not isinstance(name, str):
         raise SpecError("name", "must be a string")
@@ -297,9 +231,8 @@ def quantize(job: GridJob, values) -> np.ndarray:
     """Clamp and linearly scale to 16-bit gray levels (values is left as given)."""
     if job.quantity == "sublevel":
         return values.astype(">u2")
-    clamp = job.clamp if job.clamp > 0 else 1.0
-    scaled = np.clip(values, 0.0, clamp)
-    scaled *= 65535.0 / clamp
+    scaled = np.clip(values, 0.0, job.clamp)
+    scaled *= 65535.0 / job.clamp
     return np.rint(scaled, out=scaled).astype(">u2")
 
 
@@ -411,11 +344,9 @@ def _parse_point(text: str) -> Point:
     if len(parts) != 4:
         raise SpecError("--point", "expected re(x),im(x),re(y),im(y)")
     try:
-        vals = [float(p) for p in parts]
+        vals = [_number_from(float(p), "--point") for p in parts]
     except ValueError as exc:
         raise SpecError("--point", str(exc)) from exc
-    if not all(cmath.isfinite(v) for v in vals):
-        raise SpecError("--point", "must be finite")
     return Point(complex(vals[0], vals[1]), complex(vals[2], vals[3]))
 
 

@@ -57,11 +57,13 @@ from .henon import (
     HenonMap,
     Point,
     _c2l,
+    _complex_from,
     _factors_json,
-    _l2c,
+    _number_from,
+    _read_key,
     first_component_axis_poly,
     iterate,
-    make_henon,
+    map_from_json,
 )
 
 __all__ = [
@@ -716,35 +718,29 @@ def chart_to_dict(chart: CoverChart) -> dict:
 def chart_from_dict(data: dict) -> CoverChart:
     """CoverChart(H) of a chart_to_dict document.
 
-    The document's Q, region (M and R), t and Mtilde are only compared
-    with the chart's; ValueError names each that is not the map's, and a
-    key that is missing or malformed.  Q must be the table's Q' to
-    sum_n |Q_n - Q'_n| rho^n <= 1e-10 sum_n |Q'_n| rho^n, rho = 2MR: a
-    bound on |Q - Q'| relative to Q' at the absorbing region's inner edge.
-    Another machine's table differs by rounding only: a relative 1e-14 on
-    every torus value moves the measure by at most 1e-14 on the fixtures
-    and on (y^2 - 1, a = 0.5)^3, whose low coefficients alone move by
-    1e-3; an edit of the leading coefficient by 1e-6 reads 1e-6.  Older
-    documents' keys (meta, region.R_samples, region.epsilon, rho,
-    qminus_rho, qminus_samples, series_tol) are ignored: chart.meta is
-    measured anew on first read, and phi is taken at bottcher_phi's
-    tolerance.
+    Its values are read as a map spec's (henon._read_key).  The
+    document's Q, region (M and R), t and Mtilde are only compared with
+    the chart's; ValueError names each that is not the map's, and a key
+    that is missing or malformed, a map that is no Henon map included.
+    Q must be the table's Q' to sum_n |Q_n - Q'_n| rho^n <= 1e-10 sum_n
+    |Q'_n| rho^n, rho = 2MR: a bound on |Q - Q'| relative to Q' at the
+    absorbing region's inner edge.  Another machine's table differs by
+    rounding only: a relative 1e-14 on every torus value moves the
+    measure by at most 1e-14 on the fixtures and on (y^2 - 1, a = 0.5)^3,
+    whose low coefficients alone move by 1e-3; an edit of the leading
+    coefficient by 1e-6 reads 1e-6.  Older documents' keys (meta,
+    region.R_samples, region.epsilon, rho, qminus_rho, qminus_samples,
+    series_tol) are ignored: chart.meta is measured anew on first read,
+    and phi is taken at bottcher_phi's tolerance.
     """
     if not isinstance(data, dict) or data.get("format") != "henoncover-chart-v1":
         raise ValueError("not a chart document")
-
-    def read(key, parse=lambda v: v):
-        try:
-            return parse(data[key])
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValueError(f"chart key {key!r} is missing or malformed ({exc!r})") from None
-
-    H = read("map", lambda m: make_henon(
-        [([_l2c(c) for c in f["p"]], _l2c(f["a"])) for f in m["factors"]]))
-    chart = CoverChart(H)
-    region = read("region", lambda r: {"M": r["M"], "R": r["R"]})
-    stored = dict(region=region, t=read("t"), Mtilde=read("Mtilde"))
-    q, q_table = read("Q", lambda v: np.array([_l2c(c) for c in v])), np.array(chart.Q.coeffs)
+    read = functools.partial(_read_key, "chart", data)
+    chart = CoverChart(read("map", lambda m, _: map_from_json(m["factors"])))
+    region = read("region", lambda r, key: {k: _number_from(r[k], f"{key}.{k}") for k in ("M", "R")})
+    stored = dict(region=region, t=read("t", _number_from), Mtilde=read("Mtilde", _number_from))
+    q = np.array(read("Q", lambda v, key: [_complex_from(c, f"{key}[{n}]") for n, c in enumerate(v)]))
+    q_table = np.array(chart.Q.coeffs)
     w = (2.0 * chart.inner_radius) ** np.arange(q_table.size)
     same_q = q.shape == q_table.shape and np.abs(q - q_table) @ w <= 1e-10 * (np.abs(q_table) @ w)
     bad = [] if same_q else ["Q is not the table's to 1e-10 on |zeta| = 2MR"]

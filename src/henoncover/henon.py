@@ -8,19 +8,24 @@ with p monic of degree >= 2 and a != 0.  The composite has total degree
 d = prod d_i, sub-degree d' = d / d_m and constant Jacobian prod a_i.
 Everything here is plain complex arithmetic (real_form gives a real map
 float coefficients, for stepping float arrays); all types are immutable
-and all operations pure.
+and all operations pure.  So is the one JSON reader and writer of maps
+and numbers, for specs, chart documents and symmetry reports alike: a
+complex is a finite number or an [re, im] pair of them, and a bad value
+is a SpecError naming its field (a ValueError naming a document's key).
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "HenonError",
+    "SpecError",
     "DegreeTooLow",
     "NotMonic",
     "ZeroJacobianFactor",
@@ -30,6 +35,7 @@ __all__ = [
     "HenonMap",
     "Point",
     "make_henon",
+    "map_from_json",
     "apply",
     "apply_inverse",
     "real_form",
@@ -46,6 +52,12 @@ __all__ = [
 
 class HenonError(Exception):
     """Base class for errors raised by this package."""
+
+
+class SpecError(HenonError):
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field}: {message}")
 
 
 class DegreeTooLow(HenonError):
@@ -245,14 +257,76 @@ def _c2l(c: complex):
     return [float(np.real(c)), float(np.imag(c))]
 
 
-def _l2c(v) -> complex:
-    """The inverse of _c2l."""
-    return complex(v[0], v[1])
-
-
 def _factors_json(H: HenonMap) -> list:
     """The map's factors as [{"p": [[re, im], ...], "a": [re, im]}, ...]."""
     return [{"p": [_c2l(c) for c in f.p.coeffs], "a": _c2l(f.a)} for f in H.factors]
+
+
+def _is_number(v) -> bool:
+    """A JSON number: bool is an int subclass but true and false are not numbers."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number_from(v, field: str) -> float:
+    """A finite JSON number (no string, no boolean) as a float, or a SpecError naming the field."""
+    if not _is_number(v):
+        raise SpecError(field, "expected a number")
+    try:
+        x = float(v)
+    except OverflowError:  # a JSON integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise SpecError(field, "must be finite")
+    return x
+
+
+def _complex_from(v, field: str) -> complex:
+    """A finite number or [re, im] pair as a complex, or a SpecError naming the field."""
+    pair = [v, 0] if _is_number(v) else v
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair))):
+        raise SpecError(field, "expected a number or an [re, im] pair")
+    return complex(*(_number_from(x, field) for x in pair))
+
+
+def _count_from(v, field: str) -> int:
+    """A JSON integer, or a SpecError naming the field: no rounding, no strings."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise SpecError(field, "expected an integer")
+
+
+def _object_from(v, field: str) -> dict:
+    """A JSON object, or a SpecError naming the field."""
+    if not isinstance(v, dict):
+        raise SpecError(field, "expected an object")
+    return v
+
+
+def map_from_json(factors) -> HenonMap:
+    """The map of a _factors_json list (a is required), or a SpecError naming the field."""
+    if not isinstance(factors, list) or not factors:
+        raise SpecError("factors", "need a nonempty list of factors")
+    built = []
+    for i, fac in enumerate(factors):
+        if not isinstance(fac, dict):
+            raise SpecError(f"factors[{i}]", "factor must be an object")
+        p = fac.get("p")
+        if not isinstance(p, list) or len(p) < 3:
+            raise SpecError(f"factors[{i}].p", "need coefficients, constant first, degree >= 2")
+        coeffs = [_complex_from(c, f"factors[{i}].p[{j}]") for j, c in enumerate(p)]
+        built.append((coeffs, _complex_from(fac.get("a"), f"factors[{i}].a")))
+    try:
+        return make_henon(built)
+    except (HenonError, ValueError) as exc:  # ValueError: a zero leading coefficient
+        raise SpecError("factors", str(exc)) from exc
+
+
+def _read_key(document: str, data: dict, key: str, parse, default=None):
+    """parse(data[key], key), or a ValueError naming the key; one with a default may be missing."""
+    try:
+        return parse(data[key] if default is None else data.get(key, default), key)
+    except (KeyError, IndexError, TypeError, ValueError, HenonError) as exc:
+        raise ValueError(f"{document} key {key!r} is missing or malformed ({exc!r})") from None
 
 
 def _finite(x: complex, y: complex) -> bool:

@@ -100,7 +100,12 @@ from .henon import (
     HenonMap,
     Point,
     _c2l,
+    _complex_from,
+    _count_from,
     _jacobian,
+    _number_from,
+    _object_from,
+    _read_key,
     apply_xy,
     component_polynomials,
 )
@@ -134,6 +139,10 @@ class ChainOverflow(HenonError):
     """A coefficient of the normal-form factor chain overflows a double."""
 
 
+# an AffineMap's fields, (x, y) -> (e x + f, e' y + f'), and its keys in a report
+_AFFINE_KEYS = ("e", "f", "e_prime", "f_prime")
+
+
 @dataclass(frozen=True)
 class AffineMap:
     e: complex
@@ -142,7 +151,7 @@ class AffineMap:
     f_prime: complex
 
     def __post_init__(self):
-        for name in ("e", "f", "e_prime", "f_prime"):
+        for name in _AFFINE_KEYS:
             object.__setattr__(self, name, complex(getattr(self, name)))
         if self.e == 0 or self.e_prime == 0:
             raise ValueError("affine map must be invertible")
@@ -469,15 +478,7 @@ def verify_cyclic(report: SymmetryReport):
 def report_to_dict(report: SymmetryReport) -> dict:
     return {
         "format": "henoncover-symmetries-v1",
-        "generators": [
-            {
-                "e": _c2l(L.e),
-                "f": _c2l(L.f),
-                "e_prime": _c2l(L.e_prime),
-                "f_prime": _c2l(L.f_prime),
-            }
-            for L in report.generators
-        ],
+        "generators": [{k: _c2l(getattr(L, k)) for k in _AFFINE_KEYS} for L in report.generators],
         "order": report.order,
         "max_commutation_defect": report.max_commutation_defect,
         "details": report.details,
@@ -487,31 +488,26 @@ def report_to_dict(report: SymmetryReport) -> dict:
 def report_from_dict(data: dict) -> SymmetryReport:
     """SymmetryReport of a report_to_dict document.
 
-    ValueError names a key that is missing or malformed, and refuses an
-    order that is not the number of listed generators.
+    Its values are read as a map spec's: complexes and a finite defect,
+    an integer order, an object of details.  ValueError names a key that
+    is missing or malformed, and refuses an order that is not the number
+    of listed generators.
     """
     if not isinstance(data, dict) or data.get("format") != "henoncover-symmetries-v1":
         raise ValueError("not a symmetry report document")
-
-    def read(key, parse, default=None):
-        try:
-            return parse(data[key] if default is None else data.get(key, default))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"symmetry report key {key!r} is missing or malformed ({exc!r})"
-            ) from None
-
-    gens = read("generators", lambda gs: [
-        AffineMap(*(complex(*g[k]) for k in ("e", "f", "e_prime", "f_prime"))) for g in gs
+    read = functools.partial(_read_key, "symmetry report", data)
+    gens = read("generators", lambda gs, key: [
+        AffineMap(*(_complex_from(g[k], f"{key}[{i}].{k}") for k in _AFFINE_KEYS))
+        for i, g in enumerate(gs)
     ])
-    order = read("order", lambda v: v)
+    order = read("order", _count_from)
     if order != len(gens):
         raise ValueError(f"symmetry report order {order!r} is not the {len(gens)} generators listed")
     return SymmetryReport(
         generators=gens,
         order=len(gens),
-        max_commutation_defect=read("max_commutation_defect", float, 0.0),
-        details=read("details", dict, {}),
+        max_commutation_defect=read("max_commutation_defect", _number_from, 0.0),
+        details=read("details", _object_from, {}),
     )
 
 

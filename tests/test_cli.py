@@ -72,6 +72,20 @@ def test_parse_spec_errors():
         parse_spec({"factors": [{"p": [[0, 0], [0, 0], [1, 0]], "a": [0, 0]}]})
 
 
+@pytest.mark.parametrize(
+    "factor, message",
+    [
+        ({"p": [[0, 0], [0, 0], [1, 0]]}, "factors[0].a: expected a number or an [re, im] pair"),
+        ({"p": [[1, 0], [0, 0], [0, 0]], "a": [1, 0]}, "factors: zero leading coefficient"),
+    ],
+    ids=["no-a", "zero-leading-coefficient"],
+)
+def test_cli_factor_error_names_its_field(tmp_path, capsys, factor, message):
+    spec = write_json(tmp_path / "m.json", {"factors": [factor]})
+    assert main(["info", "--spec", spec]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
 def test_cli_info(tmp_path, capsys):
     spec = write_json(tmp_path / "m.json", QUADRATIC)
     assert main(["info", "--spec", spec]) == 0
@@ -176,7 +190,8 @@ def test_cli_bad_tol_exit_2(tmp_path, capsys, tol):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("resolution", ["a", 8]), ("window", {"center": [0, 0], "width": "wide", "height": 5})],
+    [("resolution", ["a", 8]), ("window", {"center": [0, 0], "width": "wide", "height": 5}),
+     ("clamp", 0), ("clamp", -3)],
 )
 def test_cli_non_numeric_job_exit_2(tmp_path, capsys, field, value):
     spec = write_json(tmp_path / "m.json", QUADRATIC)

@@ -880,21 +880,34 @@ def test_stored_series_tol_cannot_move_the_chart(href, tol):
         assert annulus_coordinate(loaded, z) == annulus_coordinate(fresh, z)
 
 
+def _href_map(**edits):
+    """The reference quadratic's chart map, p and a edited."""
+    return {"factors": [{"p": [[-1.1, 0], [0, 0], [1, 0]], "a": [0.8, 0], **edits}]}
+
+
 @pytest.mark.parametrize(
-    "key, value",
-    [("map", None), ("map", {"factors": [{"p": [[1, 0]]}]}), ("region", None),
-     ("region", [2.0]), ("t", None), ("Mtilde", None),
-     ("Q", None), ("Q", "x"), ("Q", [1.0, 2.0])],
+    "key, value, message",
+    [("map", None, None), ("map", {"factors": [{"p": [[1, 0]]}]}, None), ("region", None, None),
+     ("region", [2.0], None), ("t", None, None), ("Mtilde", None, None),
+     ("Q", None, None), ("Q", "x", None),
+     # plain numbers are complexes, just not the table's Q
+     ("Q", [1.0, 2.0], "Q is not the table's"),
+     ("map", _href_map(p=[[-1.1, 0], [0, 0], [True, False]]), None),
+     ("map", _href_map(p=[[-1.1, 0, 99], [0, 0], [1, 0]]), None),
+     ("map", _href_map(p=[[np.nan, 0], [0, 0], [1, 0]]), None),
+     ("map", _href_map(a=[np.inf, 0]), None),
+     ("map", _href_map(p=[[-1.1, 0], [0, 0], [2, 0]]), None)],
     ids=["map-missing", "map-no-a", "region-missing", "region-list", "t-missing",
-         "Mtilde-missing", "Q-missing", "Q-string", "Q-numbers"],
+         "Mtilde-missing", "Q-missing", "Q-string", "Q-numbers", "map-bool-pair",
+         "map-three-element-pair", "map-nan", "map-inf", "map-not-monic"],
 )
-def test_chart_from_dict_names_a_missing_or_malformed_key(href_chart, key, value):
+def test_chart_from_dict_names_a_missing_or_malformed_key(href_chart, key, value, message):
     doc = json.loads(json.dumps(chart_to_dict(href_chart)))
     if value is None:
         del doc[key]
     else:
         doc[key] = value
-    with pytest.raises(ValueError, match=f"'{key}'"):
+    with pytest.raises(ValueError, match=message or f"'{key}'"):
         chart_from_dict(doc)
 
 

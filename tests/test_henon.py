@@ -1,3 +1,5 @@
+import json
+import math
 import pickle
 
 import numpy as np
@@ -16,17 +18,23 @@ from henoncover import (
     iterate,
     make_henon,
 )
+from henoncover.cli import parse_spec
+from henoncover.cover import chart_from_dict, chart_to_dict
 from henoncover.henon import (
     ComplexPolynomial,
+    SpecError,
+    _factors_json,
     apply_inverse_xy,
     apply_xy,
     backward_conjugate,
     component_polynomials,
     first_component_axis_poly,
     inverse_leading_constant,
+    map_from_json,
     real_form,
     second_component_correction,
 )
+from henoncover.symmetry import find_affine_symmetries, report_from_dict, report_to_dict
 from henoncover.verification import check_green_functorial_minus
 
 from strategies import henon_maps
@@ -209,3 +217,51 @@ def test_polynomial_call_matches_textbook_horner(coeffs, rng):
         rp = real_form(make_henon([(coeffs, 0.5)])).factors[0].p
         got, want = rp(y.real), textbook_horner(rp, y.real)
         assert got.dtype == want.dtype == np.float64 and np.array_equal(got, want)
+
+
+def _assert_json_round_trip(H):
+    # through the JSON text too, as a document stores it; float.hex tells
+    # -0.0 from 0.0, so the coefficients come back bit for bit
+    bits = lambda K: [x.hex() for f in K.factors for c in (*f.p.coeffs, f.a) for x in (c.real, c.imag)]
+    for factors in (_factors_json(H), json.loads(json.dumps(_factors_json(H)))):
+        K = map_from_json(factors)
+        assert K == H and bits(K) == bits(H) and K.jacobian == H.jacobian
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(henon_maps)
+def test_map_json_round_trip_is_exact(H):
+    _assert_json_round_trip(H)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_fixture_map_json_round_trip_is_exact(name, request):
+    _assert_json_round_trip(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [True, "1", None, [1], [1, 2, 3], math.nan, math.inf, -math.inf, 10**400],
+    ids=["true", "string", "null", "one-element", "three-element", "nan", "inf", "-inf", "1e400"],
+)
+@pytest.mark.parametrize("placed", ["alone", "real-part"])
+def test_spec_chart_and_report_readers_refuse_the_same_leaves(href_chart, leaf, placed):
+    # one reader of complexes: a spec's factors, a chart's map and Q and a
+    # report's generators refuse a leaf alike, as the value or as its real part
+    v = leaf if placed == "alone" else [leaf, 0]
+    factors = _factors_json(href_chart.H)
+    factors[0]["p"][0] = v
+    with pytest.raises(SpecError, match=r"factors\[0\]\.p\[0\]"):
+        parse_spec({"factors": factors})
+    doc = chart_to_dict(href_chart)
+    doc["map"]["factors"] = factors
+    with pytest.raises(ValueError, match="'map'"):
+        chart_from_dict(doc)
+    doc = chart_to_dict(href_chart)
+    doc["Q"][0] = v
+    with pytest.raises(ValueError, match="'Q'"):
+        chart_from_dict(doc)
+    report = report_to_dict(find_affine_symmetries(href_chart.H))
+    report["generators"][0]["f"] = v
+    with pytest.raises(ValueError, match="'generators'"):
+        report_from_dict(report)

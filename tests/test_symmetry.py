@@ -454,8 +454,21 @@ _ONE = {"e": [1, 0], "f": [0, 0], "e_prime": [1, 0], "f_prime": [0, 0]}
                  id="defect-not-a-number"),
     pytest.param(_report_doc(details=3), "key 'details'", id="details-not-an-object"),
     pytest.param(_report_doc(order=3), "order 3 is not the 8 generators listed", id="order-3-of-8"),
-    pytest.param(_report_doc(order="8"), "order '8' is not the 8 generators listed",
-                 id="order-a-string"),
+    pytest.param(_report_doc(order="8"), "key 'order'", id="order-a-string"),
+    pytest.param(_report_doc(order=8.0), "key 'order'", id="order-a-float"),
+    pytest.param(_report_doc(generators=[dict(_ONE, f=["1"])], order=1), "key 'generators'",
+                 id="generator-f-string"),
+    pytest.param(_report_doc(generators=[dict(_ONE, f=[True, 0])], order=1), "key 'generators'",
+                 id="generator-f-true"),
+    pytest.param(_report_doc(generators=[dict(_ONE, f=[np.nan, 0])], order=1), "key 'generators'",
+                 id="generator-f-nan"),
+    pytest.param(_report_doc(max_commutation_defect="0.5"), "key 'max_commutation_defect'",
+                 id="defect-a-string"),
+    pytest.param(_report_doc(max_commutation_defect=True), "key 'max_commutation_defect'",
+                 id="defect-true"),
+    pytest.param(_report_doc(max_commutation_defect=np.nan), "key 'max_commutation_defect'",
+                 id="defect-nan"),
+    pytest.param(_report_doc(details=[["a", 1]]), "key 'details'", id="details-pairs"),
     pytest.param([], "not a symmetry report document", id="a-list"),
 ])
 def test_report_from_dict_names_a_missing_or_malformed_key(doc, message):
