@@ -6,16 +6,17 @@ is a finite number or an [re, im] pair of them); images are binary PGM
 (P5, maxval 65535) built tile by tile (whole rows,
 about TILE_POINTS pixels, one grid-kernel call each; the kernels read a
 tile's coordinates in place, work through a call in blocks of
-green.BLOCK_POINTS, pool the escape loop's long tail and push only the
-escape records of escaped pixels) into a preallocated buffer, so bytes
-are independent of the worker count.  quantize scales one copy of the
-values in place, and write_pgm writes the header and then that buffer.
+green.BLOCK_POINTS, pool the escape loop's long tail and finish each
+pixel inside that loop, at its escape or at the stop modulus of G+) into
+a preallocated buffer, so bytes are independent of the worker count.
+quantize scales one copy of the values in place, and write_pgm writes
+the header and then that buffer.
 Exit codes: 0 ok, 1 verification failure, 2 input error.
 
 The module imports only what info, render, green and symmetries run
 (henon, filtration, green, symmetry); verify, cover and classify import
 verification, cover and shortc2 when they run, and render imports its
-thread pool only for --threads > 1.
+thread pool only where --threads > 1 and the job has more than one tile.
 """
 
 from __future__ import annotations
@@ -194,12 +195,14 @@ def render_grid(
     The rows are cut into tiles of TILE_POINTS // nx whole rows (at least
     one), and each tile is one call of the elementwise grid kernels: a
     512^2 job is two calls, so two threads still share it.  Within a call
-    the kernels run the first escape steps, the pushes and the sub-level
-    band in blocks of green.BLOCK_POINTS and the rest of the escape loop
-    on the pooled survivors; a pixel meets the same operations in either
-    (green._escape_steps).  A pixel's value depends only on its own
-    coordinates, and the tiles are fixed by the job alone, so the result
-    is the same for any number of worker threads.
+    the kernels run the first escape steps in blocks of green.BLOCK_POINTS
+    and the rest of the escape loop on the pooled points still in play,
+    and each pixel finishes in that loop: at its escape, at its sub-level
+    band, or at the stop modulus of G+ (green._escape_steps); a pixel
+    meets the same operations in either phase.  A pixel's value depends
+    only on its own coordinates, and the tiles are fixed by the job alone,
+    so the result is the same for any number of worker threads.  At most
+    one worker runs per tile, and threads <= 1 runs the tiles in turn.
     """
     out = np.empty((job.ny, job.nx), dtype=float)
     rows = max(1, TILE_POINTS // job.nx)
@@ -216,13 +219,14 @@ def render_grid(
         out[j0:j1] = green_plus_grid(H, xs, ys, budget, tol)[0]
 
     tiles = range(0, job.ny, rows)
-    if threads <= 1:
+    workers = min(threads, len(tiles))
+    if workers <= 1:
         for j0 in tiles:
             fill_tile(j0)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill_tile, tiles))
     return out
 
@@ -284,6 +288,12 @@ def _budget(args) -> int:
     return args.budget
 
 
+def _threads(args) -> int:
+    if args.threads < 1:
+        raise SpecError("--threads", "must be at least 1")
+    return args.threads
+
+
 def _tol(args) -> float:
     if not 0.0 < args.tol < np.inf:
         raise SpecError("--tol", "must be positive and finite")
@@ -297,7 +307,7 @@ def _cmd_render(args) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError("<job>", str(exc)) from exc
     values = render_grid(
-        spec.henon, job, budget=_budget(args), threads=args.threads, tol=_tol(args)
+        spec.henon, job, budget=_budget(args), threads=_threads(args), tol=_tol(args)
     )
     write_pgm(args.out, quantize(job, values))
     if args.csv:

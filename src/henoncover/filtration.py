@@ -62,11 +62,12 @@ def escape_orbit(H: HenonMap, x, y, N_max: int):
     """First n <= N_max with H^n(x, y) in the escape region, with the iterate.
 
     Escape is V+ membership with |y| > 2R, where R = filtration_radius(H).R.
-    Returns (n, x_n, y_n), or None when the orbit misses the region for
-    N_max steps or a coordinate passes BAIL_OUT or is NaN first, as in the
-    grid kernels (a NaN orbit never escapes, so stopping early changes no
-    result).  Backward escape is this test on henon.backward_conjugate(H),
-    the monic conjugate of H^{-1} that green.green_minus iterates.
+    Returns (n, x_n, y_n); None when the orbit misses the region for N_max
+    steps; False when a coordinate passes BAIL_OUT or is NaN first, where
+    the grid kernels give the point up too (a NaN orbit never escapes, and
+    one past BAIL_OUT may escape later).  Backward escape is this test on
+    henon.backward_conjugate(H), the monic conjugate of H^{-1} that
+    green.green_minus iterates.
     """
     R = filtration_radius(H).R
     cutoff = ESCAPE_MARGIN * R
@@ -75,7 +76,7 @@ def escape_orbit(H: HenonMap, x, y, N_max: int):
         if ay >= max(ax, R) and ay > cutoff:
             return n, x, y
         if not (ax <= BAIL_OUT and ay <= BAIL_OUT):  # a NaN stops here too
-            return None
+            return False
         if n < N_max:
             x, y = apply_xy(H, x, y)
     return None

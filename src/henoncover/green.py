@@ -14,39 +14,44 @@ green_plus kernel.
 
 The grid kernels (escape_time_grid, green_plus_grid, sublevel_grid) run
 the escape test of escape_orbit over flat arrays in one loop body,
-_escape_steps.  Each reads R = filtration_radius(H).R from the map, the
-radius that proves the cutoff 2R, the trap filter and escape_band.  It
-runs the first TRAP_EVERY steps over each block of BLOCK_POINTS points,
-where most points escape or are retired, and then the rest of the budget
-once over the pooled survivors of all blocks, so the long tail of
-bounded points costs one pass per step, not one per block.  The inputs
-are only read: each escaped point leaves a compact escape record (its
-index and its coordinates at the escape step), and the pushes of
-_refine_plus and the band test of sublevel_grid run on the records,
-block by block, so the work arrays stay small however many points a call
-brings.  A push writes a point's result once, when the point stops.
-Every operation is elementwise, so no result depends on the blocks, the
-pool or the order of the records.  The full escape test runs only on
-steps where some point lies past the cutoff 2R or past the bail-out.
-Every TRAP_EVERY-th step it retires the points that lie in a certified
-trap of K+: a box inside a polydisc around an attracting fixed point
-that H maps into itself (attracting_traps, whose docstring holds the
-proof, also for float orbits and for the box).  The full loop would
-carry such a point to the budget and call it non-escaping, so every
-result is the same, bit for bit.  Real points of a map with real
-coefficients (real_form) run in float64 rather than complex arithmetic:
-while the orbit stays finite every value equals the real part of the
-complex run's, so the results are the same bytes (_escape_steps has the
-proof), and a call whose float run meets an inf or NaN is run again as
-complex (_flat_escape).
+_escape_steps, and each pixel finishes there, on the step the loop
+handles it: at its escape for escape_time_grid and sublevel_grid, and
+at the stop modulus for green_plus_grid, whose push runs in the same
+loop with green_plus's floats (past the budget where a pixel escapes
+near it).  Each kernel reads R = filtration_radius(H).R from the map,
+the radius that proves the cutoff 2R, the trap filter and escape_band.
+The loop runs the first TRAP_EVERY steps over each block of
+BLOCK_POINTS points, where most points escape or are retired, and then
+the rest once over the pooled points still in play, so the long tail
+of bounded points costs one pass per step, not one per block.  The
+inputs are only read, and a finished point leaves only its step and
+|y| in two arrays of the input's size; it stays in the work arrays,
+masked out of every test, until a quarter of them are finished or its
+modulus grows too large (_escape_steps proves that it stays finite).
+Every operation is elementwise, so no result depends on the blocks,
+the pool or the compaction.  The full escape test runs only on steps
+where some point lies past the cutoff 2R or past the bail-out.  Every
+TRAP_EVERY-th step it retires the points that lie in a certified trap
+of K+: a box inside a polydisc around an attracting fixed point that H
+maps into itself (attracting_traps, whose docstring holds the proof,
+also for float orbits and for the box).  The full loop would carry such
+a point to the budget and call it non-escaping, so every result is the
+same, bit for bit.  Real points of a map with real coefficients
+(real_form) run in float64 rather than complex arithmetic: while the
+orbit stays finite every value equals the real part of the complex
+run's, so the results are the same bytes (_escape_steps has the proof),
+and a call whose float run meets an inf or NaN is run again as complex
+(_flat_escape).
 
 sublevel_grid, the kernel of sub-level renders {G+ < c}, decides which
-side of c an escaped pixel lies on from its escape record, step n and y_n:
+side of c an escaped pixel lies on from its escape step n and |y_n|:
 escape_band(H) is a proved B with |G+ - d^-n log|y_n|| <= d^-n B, which
 also bounds the computed G+ up to a stated slack.  Only the pixels whose
-band contains c are refined, and the classes equal thresholding
-green_plus_grid byte for byte (for the refined pixels by a measured
-guard, see sublevel_grid).
+band contains c get green_plus_grid's value, and the classes equal
+thresholding green_plus_grid byte for byte (for those pixels by a
+measured guard, see sublevel_grid).  An orbit given up on at the 1e150
+bail-out or as NaN reads 0 with an infinite error bound, in green_plus
+and green_plus_grid alike.
 """
 
 from __future__ import annotations
@@ -111,17 +116,26 @@ def _bounded_value(H: HenonMap, N_max: int) -> GreenValue:
     return GreenValue(0.0, err, N_max)
 
 
-def _pushed_value(H: HenonMap, log_y, depth, band: float):
-    """(d^-m log|y_m|, d^-m (band + rounding)) at depth m; scalars or arrays.
+def _pushed_value(log_y, scale, band: float):
+    """(d^-m log|y_m|, d^-m (band + rounding)) at depth m, scale = d^-m; scalars or arrays.
 
-    The value is never negative, so no clamp at 0 is taken.  Every escape
-    record has |y_n| > 2R >= 4 (R >= 2, filtration_radius), and the pushes
+    The value is never negative, so no clamp at 0 is taken.  Every escaped
+    point has |y_n| > 2R >= 4 (R >= 2, filtration_radius), and the pushes
     stop at the first |y_m| >= Y >= 2R, so log|y_m| >= log 4 > 0 (an
     infinite |y_n| gives inf), and d^-m is positive or underflows to +0:
-    the product is at least +0.  A Python float log_y gives Python floats.
+    the product is at least +0.  Python floats give Python floats; the
+    bound of an array is formed in place, with the floats of
+    d^-m * (band + VALUE_ROUNDING * log|y_m|).
     """
-    scale = float(H.d) ** -depth
-    return scale * log_y, scale * (band + VALUE_ROUNDING * log_y)
+    err = VALUE_ROUNDING * log_y
+    err += band
+    err *= scale
+    return scale * log_y, err
+
+
+def _scales(H: HenonMap, depths):
+    """d^-m for each entry m >= 0 of the integer array depths, by numpy's power."""
+    return (float(H.d) ** -np.arange(depths.max(initial=0) + 1.0))[depths]
 
 
 def _stepper(H: HenonMap, x):
@@ -129,58 +143,24 @@ def _stepper(H: HenonMap, x):
     return real_form(H) if x.dtype.kind == "f" else H
 
 
-def _refine_plus(H: HenonMap, x, y, steps, tol: float):
-    """G+ at escape records x, y, steps as (values, error_bounds, depths).
-
-    x[i], y[i] is the orbit of record i at its escape step steps[i] (the
-    records of _escape_steps).  Each point is pushed with H until
-    |y| >= Y = _stop_modulus(H, tol); the value is d^-m log|y_m| at the
-    depth m reached (escape_band's docstring proves the value and its
-    bound).  The records run in blocks of BLOCK_POINTS, pushed and valued
-    block by block, so the work arrays stay small however many points a
-    call brings.  Only the points still below Y are stepped, and a point's
-    |y_m| and depth are written once, on the push where it stops.  Every
-    operation is elementwise, so a point's value, bound and depth do not
-    depend on its block or on the other points.  Float x, y (from
-    _flat_escape) are pushed with real_form(H); the pushes stay finite
-    (_stop_modulus), so the values are those of x + 0j, y + 0j
-    (_escape_steps has the proof).
-    """
-    step = _stepper(H, x)
-    Y, band = _stop_modulus(H, tol)
-    vals, errs = np.empty(x.size), np.empty(x.size)
-    depths = np.array(steps, dtype=np.int64)
-    for b in range(0, x.size, BLOCK_POINTS):
-        block = slice(b, b + BLOCK_POINTS)
-        abs_y, bdepths = np.abs(y[block]), depths[block]
-        live = np.flatnonzero(abs_y < Y)
-        cx, cy = x[block][live], y[block][live]
-        pushes = 0
-        while live.size:
-            cx, cy = apply_xy(step, cx, cy)
-            pushes += 1
-            a = np.abs(cy)
-            go = a < Y
-            if not go.all():
-                stop = ~go
-                done = live[stop]
-                abs_y[done], bdepths[done] = a[stop], bdepths[done] + pushes
-                live, cx, cy = live[go], cx[go], cy[go]
-        vals[block], errs[block] = _pushed_value(H, np.log(abs_y), bdepths.astype(float), band)
-    return vals, errs, depths
-
-
 def green_plus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> GreenValue:
-    """G+(z) with a reported error bound and the orbit depth used."""
+    """G+(z) with a reported error bound and the orbit depth used.
+
+    An orbit that does not escape within N_max steps reads 0 at depth
+    N_max; where it was given up on at BAIL_OUT or as NaN (escape_orbit
+    returns False) the bound is infinite, since it may escape later.
+    """
     hit = escape_orbit(H, complex(z.x), complex(z.y), N_max)
     if hit is None:
         return _bounded_value(H, N_max)
+    if hit is False:
+        return GreenValue(0.0, math.inf, N_max)
     n, x, y = hit
     Y, band = _stop_modulus(H, tol)
-    while abs(y) < Y:  # the scalar form of _refine_plus's push
+    while abs(y) < Y:  # the scalar form of _escape_steps's push
         x, y = apply_xy(H, x, y)
         n += 1
-    value, err = _pushed_value(H, math.log(abs(y)), n, band)
+    value, err = _pushed_value(math.log(abs(y)), float(H.d) ** -n, band)
     return GreenValue(value, err, n)
 
 
@@ -389,57 +369,89 @@ def attracting_traps(H: HenonMap) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Vector grid evaluation (renderer backend).  The forward escape test of
-# escape_orbit and the refinement of green_plus, run over flat arrays with
-# masks; deterministic for a fixed input order.
+# escape_orbit and the push of green_plus, run over flat arrays with masks;
+# deterministic for a fixed input order.
 
-# points per block of _escape_steps's first TRAP_EVERY steps, of the
-# pushes of _refine_plus and of sublevel_grid's band test
+# points per block of _escape_steps's first TRAP_EVERY steps
 BLOCK_POINTS = 16384
+# the _escape_steps code of a point given up on at BAIL_OUT or as NaN
+GAVE_UP = -2
 
 
-def _escape_steps(H: HenonMap, x, y, N_max: int, records: bool = False):
-    """First escape step per point of the flat arrays x, y, or -1.
+def _log_push_limit(H: HenonMap) -> float:
+    """log Ymax, Ymax = (PUSH_CAP / 1.5^(d-1))^(1/d) (_stop_modulus)."""
+    return (math.log(PUSH_CAP) - (H.d - 1) * math.log(1.5)) / H.d
 
-    Iterates compact copies of the points still in play (gathered again
-    only on steps where some point escapes, bails out or is retired); x
-    and y are only read.  With records it returns (steps, hit, ex, ey):
-    one escape record per escaped point, point hit[i] at its escape step
-    steps[hit[i]] lying at (ex[i], ey[i]).  A record is the slice of the
-    compact copies taken on the step its point escapes, so the records
-    come by escape step within each block and then within the pool, not
-    in the order of the points.  While every |x|, |y| is at most both the
-    cutoff 2R and BAIL_OUT, no point can escape or bail out, so the full
-    test is skipped; likewise the bail-out test, while every |x|, |y| is
-    at most BAIL_OUT.  The escape test |y| >= max(|x|, R) and |y| > 2R is
-    taken as |y| >= |x| and |y| > 2R, the same test since 2R >= R.  On a
-    one-factor map the next x is the current y itself, so its modulus is
-    reused rather than taken again, and so is the largest |y| as a bound
-    on the largest |x|: dropping points only lowers the true largest
-    |x|, and a test run where the true moduli would have let it be
-    skipped finds nothing (an escape needs |y| > 2R, a bail-out a modulus
-    past BAIL_OUT), so the bound changes no result.  Every TRAP_EVERY-th step, points
-    inside one of attracting_traps(H) with reach <= R are retired as -1;
-    the attracting_traps docstring proves that the full loop returns -1
-    for them too, so the result is the same.  The traps are built only
-    once some point is still live at the first such step.
+
+def _escape_steps(H: HenonMap, x, y, N_max: int, Y=None):
+    """(steps, mods): the step at which each point of x, y finishes.
+
+    A point escapes on the first step n <= N_max with |y_n| >= max(|x_n|,
+    R) and |y_n| > 2R, and finishes on the first step m >= n with |y_m| >=
+    Y (or NaN): steps[i] = m and mods[i] = |y_m|.  Y None or 0 finishes a
+    point on its escape step; Y = _stop_modulus(H, tol)[0] gives the depth
+    and modulus of green_plus's push, the same floats, so a point that
+    escapes near the budget keeps stepping past N_max until it reaches Y.
+    steps[i] is -1 where the budget runs out first and GAVE_UP where a
+    coordinate passes BAIL_OUT or is NaN first; mods[i] is 1 there, and
+    mods is None for Y None (escape_time_grid reads the steps alone).  x
+    and y are only read.
+
+    The loop steps copies of the points in play, which it compacts from
+    time to time (below).  While every |x|, |y| is at most both the cutoff
+    2R and BAIL_OUT, no point can escape or bail out, so the full test is
+    skipped; likewise the bail-out test, while every |x|, |y| is at most
+    BAIL_OUT.  The escape test |y| >= max(|x|, R) and |y| > 2R is taken as
+    |y| >= |x| and |y| > 2R, the same test since 2R >= R.  On a one-factor
+    map the next x is the current y itself, so its modulus is reused rather
+    than taken again, and so is the largest |y| as a bound on the largest
+    |x|: dropping points only lowers the true largest |x|, and a test run
+    where the true moduli would have let it be skipped finds nothing (an
+    escape needs |y| > 2R, a bail-out a modulus past BAIL_OUT), so the
+    bound changes no result.  Every TRAP_EVERY-th step, points inside one
+    of attracting_traps(H) with reach <= R are retired as -1; the
+    attracting_traps docstring proves that the full loop returns -1 for
+    them too, so the result is the same.  The traps are built only once
+    some point still seeks its escape at the first such step.
 
     The loop body runs in two phases.  Steps 0 ... TRAP_EVERY - 1, which
     end with the first trap test, run over each block of BLOCK_POINTS
     input points in turn, where most points escape or are retired while
-    the arrays stay small.  The survivors of all blocks are then pooled
-    and run once to the budget, so the long tail of bounded points costs
-    one pass per step instead of one per block.  A point's result does not
-    depend on the phase or on the other points of its array: every
-    operation on it is elementwise, and a test skipped because no point
-    of the array lies past the cutoff or the bail-out would have left it
-    in play anyway.  So the steps and escape records are those of one run
-    over all points, for any BLOCK_POINTS, up to the order of the records.
+    the arrays stay small.  The points still in play in all blocks are
+    then pooled and run once to the budget, and past it while some escaped
+    point is below Y, so the long tail of bounded points costs one pass
+    per step instead of one per block.
+
+    Finished points stay in the arrays, masked out of every test, and are
+    stepped with the rest, which saves gathering every array on each step
+    where a few points finish.  The arrays are compacted to the points in
+    play when a quarter of them are finished, at the budget (where every
+    point that has not escaped finishes), and on a step where some
+    modulus exceeds Ymax = exp(_log_push_limit(H)) <= 8.2e149 < BAIL_OUT
+    or is NaN; the rule is checked on every step that runs a test.  A
+    finished point stays finite.  It finished by a trap, and its float
+    orbit stays in the trap (attracting_traps), or it escaped, and lies in
+    the escape region with |y| > 2R: a point given up on has a modulus
+    past BAIL_OUT or a NaN, and the arrays are compacted on that step.  An
+    escaped point's float step stays in the escape region and, from |y| <=
+    Ymax, meets no coordinate above 1.5^(d-1) Ymax^d = PUSH_CAP, times
+    1 + O(eps) (escape_band and _stop_modulus prove both).  A step without
+    a test is quiet: every modulus is at most 2R or BAIL_OUT, so no
+    escaped point is in the arrays then.  So every escaped point that is
+    stepped starts at most at Ymax, every inf or NaN the loop meets
+    belongs to a point in play, and the results are those of a loop that
+    drops each point when it finishes.  A point's result does not depend
+    on the phase, the compaction or the other points of its array: every
+    operation on it is elementwise, and a test skipped because no point of
+    the array lies past the cutoff or the bail-out would have left it in
+    play anyway.  So the results are those of one run over all points, for
+    any BLOCK_POINTS.
 
     x and y are complex, or float64 for a map with real coefficients.  A
     float run steps with real_form(H) and returns what the complex run on
-    x + 0j, y + 0j returns, bit for bit, or None once some live coordinate
-    of a block or of the pool is not finite (_flat_escape then runs all
-    the points again as complex).
+    x + 0j, y + 0j returns, bit for bit, or None once some coordinate of a
+    block or of the pool is not finite (_flat_escape then runs all the
+    points again as complex); a finished point never causes that (above).
     Proof.  Compare the two runs operation by operation while every value
     is finite.  Claim: each complex value has imaginary part +-0 and a real
     part equal to the float value, as a number (a zero may differ in
@@ -452,131 +464,171 @@ def _escape_steps(H: HenonMap, x, y, N_max: int, records: bool = False):
     Zeros of either sign stay zeros under +, - and *, and equal nonzero
     operands give equal results, so the claim carries to every
     intermediate of a step.  Then |re + (+-0) i| = hypot(re, 0) = |re|
-    exactly, so every modulus, test, retired or escaped point and step
-    count is the same in both runs; Trap.holds subtracts the trap centre
-    from a float x as x + 0j, a number equal to the complex run's x, so
-    it forms the same test (for a real centre it subtracts the real part
-    alone, and |(x - re p) + (+-0) i| = |x - re p| exactly).  The escape
-    records are equal as numbers, and everything computed from them
-    (_refine_plus, the band of sublevel_grid) reads them through |.| or
-    compares them, so the outputs are the same bytes.  The argument needs
-    finite values: after a product overflows, inf * 0 puts NaN into the
-    complex run's imaginary part, and a point the float run escapes at inf
-    the complex run drops as NaN.  An inf or NaN never turns finite again under +, - and *, so
-    the first non-finite intermediate shows in a live coordinate at the
-    next far.max(), where the float run gives up.
+    exactly, so every modulus, test, finish, mods entry and step count is
+    the same in both runs; Trap.holds subtracts the trap centre from a
+    float x as x + 0j, a number equal to the complex run's x, so it forms
+    the same test (for a real centre it subtracts the real part alone, and
+    |(x - re p) + (+-0) i| = |x - re p| exactly).  Everything computed
+    from steps and mods (green_plus_grid's values, sublevel_grid's band)
+    is then the same bytes.  The argument needs finite values: after a
+    product overflows, inf * 0 puts NaN into the complex run's imaginary
+    part, and a point the float run escapes at inf the complex run drops
+    as NaN.  An inf or NaN never turns finite again under +, - and *, so
+    the first non-finite intermediate shows in a coordinate at the next
+    max(), where the float run gives up.
     """
     steps = np.full(x.size, -1, dtype=np.int64)
-    hits = []  # escape records (hit, ex, ey), step by step
+    mods = None if Y is None else np.ones(x.size)
     real = x.dtype.kind == "f"
     step = _stepper(H, x)
     R = filtration_radius(H).R
     cutoff = ESCAPE_MARGIN * R
     quiet = min(cutoff, BAIL_OUT)
+    ymax = math.exp(_log_push_limit(H))
     one_factor = len(H.factors) == 1
-    traps = None  # built on the first trap step that has live points
+    traps = None  # built on the first trap step that has a seeking point
 
-    def run(idx, cx, cy, n0, n1):
-        """Steps n0 ... n1 - 1 of the points idx, which lie at cx, cy.
+    def run(idx, cx, cy, push, n, n1):
+        """Steps n ... n1 - 1 (n1 None: until none is in play) of the points idx.
 
-        Returns the points still in play at step n1 as (idx, cx, cy), or
-        None where a float run meets an inf or NaN.
+        They lie at cx, cy, and push marks those that have escaped and are
+        still below Y.  Returns the points in play at step n1 as (idx, cx,
+        cy, push), or None where a float run meets an inf or NaN.
         """
         nonlocal traps
+        seek = ~push  # the points in play that have not escaped
+        npush = int(np.count_nonzero(push))
+        nseek = idx.size - npush
         ax = np.abs(cx)
         top_x = ax.max()
-        for n in range(n0, n1):
+        while n != n1:
             ay = np.abs(cy)
             top_y = ay.max()
-            keep = None  # every point stays in play
+            tested = False  # whether a point may have finished on this step
             if not (top_x <= quiet and top_y <= quiet):
                 if real and not (top_x < np.inf and top_y < np.inf):
                     return None  # inf or NaN: the float run no longer matches
                 # some point may escape or bail out (or is NaN): the full test
-                esc = (ay >= ax) & (ay > cutoff)
-                if esc.any():
-                    hit = idx[esc]
+                esc = ay > cutoff
+                esc &= ay >= ax
+                if nseek < idx.size:
+                    esc &= seek
+                nesc = np.count_nonzero(esc)
+                if nesc:
+                    seek ^= esc  # every escaped point was seeking
+                    nseek -= nesc
+                if npush:
+                    esc |= push
+                if nesc or npush:
+                    if Y:  # without Y a point finishes on its escape
+                        push = esc & (ay < Y)
+                        esc ^= push
+                        npush = np.count_nonzero(push)
+                    hit = idx[esc]  # the points that finish on this step
                     steps[hit] = n
-                    if records:
-                        hits.append((hit, cx[esc], cy[esc]))
-                keep = ~esc
+                    if mods is not None:
+                        mods[hit] = ay[esc]
                 if not (top_x <= BAIL_OUT and top_y <= BAIL_OUT):
-                    keep &= np.maximum(ax, ay) <= BAIL_OUT
+                    gone = seek & ~(np.maximum(ax, ay) <= BAIL_OUT)
+                    steps[idx[gone]] = GAVE_UP
+                    seek ^= gone
+                    nseek -= np.count_nonzero(gone)
+                tested = True
             if n == N_max:
-                break
-            if n % TRAP_EVERY == TRAP_EVERY - 1:
+                seek[:] = False
+                nseek, tested = 0, True
+            elif n % TRAP_EVERY == TRAP_EVERY - 1 and nseek:
                 if traps is None:
                     traps = [t for t in attracting_traps(H) if t.reach <= R]
                 for t in traps:
-                    out = ~t.holds(cx, cy)
-                    keep = out if keep is None else keep & out
-            if keep is not None and not keep.all():
-                idx, cx, cy = idx[keep], cx[keep], cy[keep]
-                if not idx.size:
-                    break
+                    seek &= ~t.holds(cx, cy)
+                nseek, tested = np.count_nonzero(seek), True
+            kept = nseek + npush
+            if tested and kept < idx.size and (
+                n == N_max
+                or 4 * (idx.size - kept) >= idx.size
+                or not (top_x <= ymax and top_y <= ymax)
+            ):
+                if not kept:
+                    return idx[:0], cx[:0], cy[:0], push[:0]
+                # gathered by index, which costs less than a mask per array
+                live = np.flatnonzero(seek | push if npush else seek)
+                idx, cx, cy = idx[live], cx[live], cy[live]
+                push = push[live] if npush else np.zeros(kept, dtype=bool)
+                seek = ~push
                 if one_factor:
-                    ay = ay[keep]
+                    ay = ay[live]
             cx, cy = apply_xy(step, cx, cy)
             if one_factor:  # top_y still bounds the kept moduli
                 ax, top_x = ay, top_y
             else:
                 ax = np.abs(cx)
                 top_x = ax.max()
-        return idx, cx, cy
+            n += 1
+        live = np.flatnonzero(seek | push)
+        return idx[live], cx[live], cy[live], push[live]
 
-    # the first TRAP_EVERY steps block by block, then the survivors pooled
+    # the first TRAP_EVERY steps block by block, then the rest pooled
     pool = []
     for b in range(0, x.size, BLOCK_POINTS):
         bx, by = x[b : b + BLOCK_POINTS], y[b : b + BLOCK_POINTS]
-        live = run(np.arange(b, b + bx.size), bx, by, 0, TRAP_EVERY)
-        if live is None:
+        rest = run(np.arange(b, b + bx.size), bx, by, np.zeros(bx.size, dtype=bool), 0, TRAP_EVERY)
+        if rest is None:
             return None
-        pool.append(live)
-    if N_max >= TRAP_EVERY and pool:
-        idx, cx, cy = (np.concatenate(a) for a in zip(*pool))
-        if idx.size and run(idx, cx, cy, TRAP_EVERY, N_max + 1) is None:
+        pool.append(rest)
+    if pool:
+        idx, cx, cy, push = (np.concatenate(a) for a in zip(*pool))
+        if idx.size and run(idx, cx, cy, push, TRAP_EVERY, None) is None:
             return None
-    if not records:
-        return steps
-    if not hits:
-        return steps, np.empty(0, dtype=np.intp), x[:0], y[:0]
-    return (steps, *(np.concatenate(a) for a in zip(*hits)))
+    return steps, mods
 
 
-def _flat_escape(H: HenonMap, xs, ys, N_max: int, records: bool = False):
-    """(shape, result): _escape_steps's result on flat arrays x, y of xs, ys.
+def _flat_escape(H: HenonMap, xs, ys, N_max: int, Y=None):
+    """(shape, (steps, mods)): _escape_steps on flat arrays x, y of xs, ys.
 
     x and y are float64 where H has real coefficients (real_form) and
     neither xs nor ys is complex, and complex otherwise; they are views of
     xs, ys where the dtype and layout allow, since _escape_steps only
-    reads them.  A float run that meets an inf or NaN is dropped with its
-    records and the points run again as complex, so the result and its
-    RuntimeWarnings are the complex run's.
+    reads them.  A float run that meets an inf or NaN is dropped and the
+    points run again as complex, so the result and its RuntimeWarnings
+    are the complex run's.
     """
     shape = np.shape(xs)
     if real_form(H) is not None and not (np.iscomplexobj(xs) or np.iscomplexobj(ys)):
         x, y = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            result = _escape_steps(H, x, y, N_max, records)
+            result = _escape_steps(H, x, y, N_max, Y)
         if result is not None:
             return shape, result
     x, y = np.asarray(xs, dtype=complex).ravel(), np.asarray(ys, dtype=complex).ravel()
-    return shape, _escape_steps(H, x, y, N_max, records)
+    return shape, _escape_steps(H, x, y, N_max, Y)
 
 
 def escape_time_grid(H: HenonMap, xs, ys, N_max: int):
-    """First escape step per point (N_max where the budget ran out)."""
-    shape, steps = _flat_escape(H, xs, ys, N_max)
+    """First escape step per point; N_max where the budget ran out first,
+    or where the orbit was given up on at BAIL_OUT or as NaN."""
+    shape, (steps, _) = _flat_escape(H, xs, ys, N_max, None)
     return np.where(steps < 0, N_max, steps).reshape(shape)
 
 
 def green_plus_grid(H: HenonMap, xs, ys, N_max: int, tol: float = 1e-10):
-    """G+ over an array of points; returns (values, error_bounds, depths)."""
-    shape, (steps, hit, ex, ey) = _flat_escape(H, xs, ys, N_max, records=True)
-    vals = np.zeros(steps.size)
-    errs = np.full(steps.size, _bounded_value(H, N_max).error_bound)
-    depths = np.full(steps.size, N_max, dtype=np.int64)
-    vals[hit], errs[hit], depths[hit] = _refine_plus(H, ex, ey, steps[hit], tol)
+    """G+ over an array of points; returns (values, error_bounds, depths).
+
+    Each escaped point is pushed to the stop modulus inside the escape
+    loop (_escape_steps with Y = _stop_modulus(H, tol)[0]), with the
+    floats of green_plus's push; the value is d^-m log|y_m| (_pushed_value).
+    A point that does not escape within N_max steps reads 0 at depth N_max,
+    with an infinite error bound where the orbit was given up on at
+    BAIL_OUT or as NaN (it may escape later, or be no point at all).
+    """
+    Y, band = _stop_modulus(H, tol)
+    shape, (depths, mods) = _flat_escape(H, xs, ys, N_max, Y)
+    bounded, given_up = depths < 0, depths == GAVE_UP
+    depths[bounded] = N_max
+    # mods is 1 where no point escaped, so the value there is d^-N_max * 0 = 0
+    vals, errs = _pushed_value(np.log(mods, out=mods), _scales(H, depths), band)
+    errs[bounded] = _bounded_value(H, N_max).error_bound
+    errs[given_up] = np.inf
     return vals.reshape(shape), errs.reshape(shape), depths.reshape(shape)
 
 
@@ -584,15 +636,16 @@ def green_plus_grid(H: HenonMap, xs, ys, N_max: int, tol: float = 1e-10):
 # Sub-level classes {G+ < c} by a proved escape band.  Thresholding
 # green_plus_grid needs only the side of c a pixel lies on, and the band
 # below decides that side from the escape step alone for nearly every
-# escaped pixel; the rest are refined.
+# escaped pixel; the rest get green_plus_grid's value.
 
 # sublevel_grid's allowance for float rounding, in units of d^-n (see escape_band)
 BAND_SLACK = 1e-9
 # the band decides a pixel only where d^-n (log|y_n| - band) exceeds this
 BAND_FLOOR = 2.0**-600
-# a refined value within this relative distance of c (plus twice its error
-# bound) sends the tile through the whole refinement: a guard for rounding
-# that could differ with a point's place in the batch (see sublevel_grid)
+# an undecided pixel's value within this relative distance of c (plus twice
+# its error bound) sends every escaped pixel of the tile through
+# green_plus_grid: a guard for rounding that could differ with a point's
+# place in the batch (see sublevel_grid)
 PATH_WINDOW = 2.0**-30
 # sublevel_classes codes: non-escaping up to the budget, G+ < c, G+ >= c
 SUBLEVEL_K_PLUS, SUBLEVEL_BELOW, SUBLEVEL_ABOVE = 0, 1, 2
@@ -663,7 +716,7 @@ def escape_band(H: HenonMap) -> float:
     Its floor as l grows is the rounding, sum_i D_i g_i / (d - 1) (about
     7e-15 for d = 2).
 
-    The pushed value.  _refine_plus and green_plus push (x_n, y_n) with
+    The pushed value.  green_plus and _escape_steps push (x_n, y_n) with
     float steps of H to the first depth m = n + k with |y_m| >= Y =
     _stop_modulus(H, tol) and return d^-m log|y_m|, which is never
     negative: |y_m| >= min(|y_n|, Y) >= 2R >= 4, so log|y_m| > 0 and
@@ -711,7 +764,7 @@ def _stop_modulus(H: HenonMap, tol: float):
     B evaluated at log Y - 2^-40 and widened by 2^-40 (see escape_band).
     """
     lo = math.log(ESCAPE_MARGIN * filtration_radius(H).R)
-    hi = max(lo, (math.log(PUSH_CAP) - (H.d - 1) * math.log(1.5)) / H.d)
+    hi = max(lo, _log_push_limit(H))
     if _band(H, lo) <= tol:
         hi = lo
     elif _band(H, hi) <= tol:  # bisect with B(lo) > tol >= B(hi)
@@ -732,51 +785,56 @@ def sublevel_classes(vals, depths, N_max: int, c: float):
     return np.where(bounded, SUBLEVEL_K_PLUS, below).astype(np.int8)
 
 
+def _entries(a, flat):
+    """The entries of the array a at the flat (row-major) indices flat, without copying a."""
+    a = np.atleast_1d(a)
+    return a[np.unravel_index(flat, a.shape)]
+
+
 def sublevel_grid(H: HenonMap, xs, ys, N_max: int, c: float, tol: float = 1e-10):
-    """sublevel_classes of green_plus_grid, refining only undecided pixels.
+    """sublevel_classes of green_plus_grid, taking G+ only where the band leaves c open.
 
-    After _escape_steps, an escaped pixel with escape step n and band
-    lo, hi = d^-n (log|y_n| -+ (escape_band(H) + BAND_SLACK)) has a
-    computed G+ in [lo, hi] (escape_band's docstring proves it, rounding
+    _escape_steps leaves each escaped pixel's escape step n and |y_n|, and
+    its band lo, hi = d^-n (log|y_n| -+ (escape_band(H) + BAND_SLACK))
+    holds its computed G+ (escape_band's docstring proves it, rounding
     included), so it is below c if hi < c and above c if lo >= c, provided
-    lo > BAND_FLOOR.  The band is taken on the escape records, block by
-    block (BLOCK_POINTS records), and only the undecided records go
-    through _refine_plus.
+    lo > BAND_FLOOR.  Only the undecided pixels get green_plus_grid's
+    value, from their own coordinates.
 
-    The band decides pixels by proof; that the refined pixels get the
-    classes of green_plus_grid rests on a measurement, not a proof.  The
-    push is elementwise, so a refined point meets the same operations
-    whether it is refined alone, with the undecided pixels or with every
-    escaped pixel, and in whichever block of _refine_plus; that numpy
-    rounds each element alike wherever it sits in an array is measured
-    (the tests compare against thresholding).
+    The band decides pixels by proof; that the undecided pixels get the
+    classes of green_plus_grid over the whole grid rests on a measurement,
+    not a proof.  The escape loop and its push are elementwise, so a
+    pixel meets the same operations whether green_plus_grid takes it alone,
+    with the undecided pixels or with the whole grid; that numpy rounds
+    each element alike wherever it sits in an array is measured (the tests
+    compare against thresholding).
     Should it round the last bits differently, the value moves by a few
     eps relative (PATH_WINDOW is about 1e6 times that), or a flipped push
     test |y| < Y moves it by one push, where both values lie within their
     error bounds of G+ and twice this one's bound stands in for the pair.
-    So if a refined value lies within 2 err + PATH_WINDOW c of c, or is
-    not finite, every escaped pixel is refined as green_plus_grid refines
-    it.
+    So if an undecided pixel's value lies within 2 err + PATH_WINDOW c of
+    c, or is not finite, every escaped pixel takes its class from
+    green_plus_grid over all of them.
     """
-    shape, (steps, hit, ex, ey) = _flat_escape(H, xs, ys, N_max, records=True)
-    out = np.full(steps.size, SUBLEVEL_K_PLUS, dtype=np.int8)
-    n = steps[hit]
-    scales = float(H.d) ** -np.arange(N_max + 1.0)
-    width = escape_band(H) + BAND_SLACK
-    rest = [np.empty(0, dtype=np.intp)]  # undecided records, block by block
-    for b in range(0, hit.size, BLOCK_POINTS):
-        block = slice(b, b + BLOCK_POINTS)
-        scale, log_y = scales[n[block]], np.log(np.abs(ey[block]))
-        lo, hi = scale * (log_y - width), scale * (log_y + width)
-        decided = (lo > BAND_FLOOR) & (hi < np.inf) & ((hi < c) | (lo >= c))
-        out[hit[block]] = np.where(hi < c, SUBLEVEL_BELOW, SUBLEVEL_ABOVE)
-        rest.append(b + np.flatnonzero(~decided))
-    rest = np.concatenate(rest)
+    shape, (steps, mods) = _flat_escape(H, xs, ys, N_max, 0.0)
+    escaped = steps >= 0
+    steps[~escaped] = 0
+    # mods is 1 where no point escaped: log|y| = 0 and lo < 0 there; lo and
+    # hi are d^-n (log|y_n| -+ width), formed in place
+    scale, width = _scales(H, steps), escape_band(H) + BAND_SLACK
+    lo = np.log(mods, out=mods) - width
+    lo *= scale
+    hi = np.add(mods, width, out=mods)
+    hi *= scale
+    decided = (lo > BAND_FLOOR) & (hi < np.inf) & ((hi < c) | (lo >= c))
+    out = np.where(hi < c, np.int8(SUBLEVEL_BELOW), np.int8(SUBLEVEL_ABOVE))
+    out[~escaped] = SUBLEVEL_K_PLUS
+    rest = np.flatnonzero(escaped & ~decided)
     if rest.size:
-        vals, errs, depths = _refine_plus(H, ex[rest], ey[rest], n[rest], tol)
+        vals, errs, depths = green_plus_grid(H, _entries(xs, rest), _entries(ys, rest), N_max, tol)
         exact = np.isfinite(vals) & (np.abs(vals - c) > 2.0 * errs + PATH_WINDOW * c)
-        if not exact.all() and rest.size < hit.size:
-            rest = slice(None)
-            vals, _, depths = _refine_plus(H, ex, ey, n, tol)
-        out[hit[rest]] = sublevel_classes(vals, depths, N_max, c)
+        if not exact.all() and rest.size < np.count_nonzero(escaped):
+            rest = np.flatnonzero(escaped)
+            vals, _, depths = green_plus_grid(H, _entries(xs, rest), _entries(ys, rest), N_max, tol)
+        out[rest] = sublevel_classes(vals, depths, N_max, c)
     return out.reshape(shape)

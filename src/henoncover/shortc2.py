@@ -60,12 +60,13 @@ def classify_sublevel(
 
     Points whose Green value sits within error_bound of the threshold are
     flagged OutsideOmega with the ambiguity marker set rather than being
-    silently resolved.
+    silently resolved; so is an orbit given up on at the bail-out or as
+    NaN, whose 0 carries an infinite bound.
     """
     if not c > 0:
         raise ValueError("c must be positive")
     g = green_plus(H, z, N_max=budget)
-    if g.value == 0.0 and g.depth == budget:
+    if g.value == 0.0 and g.depth == budget and g.error_bound < np.inf:
         return SublevelClass(SublevelTag.IN_K_PLUS_UP_TO_BUDGET, g)
     if abs(g.value - c) <= g.error_bound:
         return SublevelClass(SublevelTag.OUTSIDE_OMEGA, g, ambiguous=True)

@@ -169,6 +169,53 @@ def test_cli_negative_budget_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_render_threads_below_one_exit_2(tmp_path, capsys, threads):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    jobp = write_json(tmp_path / "j.json", JOB)
+    out = tmp_path / "img.pgm"
+    argv = ["render", "--spec", spec, "--job", jobp, "--out", str(out), "--threads", threads]
+    assert main(argv) == 2
+    assert "input error: --threads: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_starts_at_most_one_worker_per_tile(monkeypatch):
+    # a stand-in pool records the worker count and runs the tiles in turn,
+    # so no thread is started however many are asked for
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "TILE_POINTS", 48 * 16)
+    H = parse_spec(QUADRATIC).henon
+    job = parse_grid_job(JOB)  # 48 rows of 48 pixels: three tiles of 16 rows
+    serial = render_grid(H, job, budget=32)
+    for threads, workers in ((1, None), (2, 2), (3, 3), (10**6, 3)):
+        started.clear()
+        assert render_grid(H, job, budget=32, threads=threads).tobytes() == serial.tobytes()
+        assert started == ([] if workers is None else [workers]), threads
+    # a one-tile job runs in turn whatever the thread count
+    monkeypatch.setattr(cli, "TILE_POINTS", 48 * 48)
+    started.clear()
+    assert render_grid(H, job, budget=32, threads=8).tobytes() == serial.tobytes()
+    assert started == []
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_cli_bad_tol_exit_2(tmp_path, capsys, tol):
     spec = write_json(tmp_path / "m.json", QUADRATIC)
@@ -687,6 +734,7 @@ def test_light_commands_load_no_chart_or_verification_module(tmp_path, fresh_pyt
 )
 def test_deferred_imports_run_in_a_fresh_process(tmp_path, fresh_python, argv):
     spec = write_json(tmp_path / "m.json", QUADRATIC)
-    write_json(tmp_path / "j.json", JOB)
+    # two tiles of cli.TILE_POINTS, so two threads start the pool
+    write_json(tmp_path / "j.json", {**JOB, "resolution": [512, 257]})
     run = fresh_python("-m", "henoncover.cli", argv[0], "--spec", spec, *argv[1:])
     assert run.returncode == 0, run.stderr

@@ -21,6 +21,7 @@ from henoncover.boettcher import OutsideRegion, phi_vec
 from henoncover.filtration import BAIL_OUT, ESCAPE_MARGIN, escape_orbit
 from henoncover import filtration, green
 from henoncover.green import (
+    GAVE_UP,
     GreenValue,
     PUSH_CAP,
     TRAP_EVERY,
@@ -28,7 +29,6 @@ from henoncover.green import (
     VALUE_ROUNDING,
     Trap,
     _escape_steps,
-    _refine_plus,
     _stop_modulus,
     attracting_traps,
     escape_band,
@@ -36,7 +36,7 @@ from henoncover.green import (
     green_plus_grid,
     sublevel_grid,
 )
-from henoncover.henon import apply_xy, inverse_leading_constant
+from henoncover.henon import apply_xy, inverse_leading_constant, real_form
 from henoncover.verification import _region_points, check_sublevel_band
 
 from strategies import attracting_map, henon_maps, real_henon_maps
@@ -126,11 +126,11 @@ def test_green_plus_stops_at_a_nan_start(name, request, monkeypatch):
     monkeypatch.setattr(filtration, "apply_xy", lambda *a: calls.append(a) or step(*a))
     got = [green_plus(H, Point(x, y)) for x, y in starts]
     assert not calls
-    full = float(H.d) ** -256 * max(1.0, np.log(ESCAPE_MARGIN * filtration_radius(H).R))
+    # the orbit was given up on, so the 0 carries no finite bound
     xs, ys = (np.array(c, dtype=complex) for c in zip(*starts))
     vals, errs, depths = green_plus_grid(H, xs, ys, 256)
     for g, v, e, n in zip(got, vals, errs, depths):
-        assert g == GreenValue(0.0, full, 256) == GreenValue(v, e, n)
+        assert g == GreenValue(0.0, np.inf, 256) == GreenValue(v, e, n)
 
 
 def test_green_depth_stability(rng, href):
@@ -457,7 +457,7 @@ def test_trap_at_a_tiny_radius(monkeypatch):
     u = np.linspace(-5e-201, 5e-201, 48)
     x, y = np.meshgrid(u, u)
     assert_escape_steps_match_reference(H, x, y, extremes=False)
-    # two runs (with and without records) at each of two block sizes
+    # two runs (to the escape and to the stop modulus) at each of two block sizes
     assert sum(retired) == 4 * x.size
 
 
@@ -500,7 +500,8 @@ def test_trap_proof_holds_on_boundary_of_attracting_maps():
 def reference_escape_steps(H, x, y, R, N_max):
     """The escape loop without traps, compaction or skipped tests.
 
-    Writes each escaped point's coordinates at its escape step into x, y.
+    Writes each escaped point's coordinates at its escape step into x, y;
+    a point given up on at the bail-out or as NaN gets GAVE_UP.
     """
     steps = np.full(x.size, -1, dtype=np.int64)
     live = np.ones(x.size, dtype=bool)
@@ -510,10 +511,41 @@ def reference_escape_steps(H, x, y, R, N_max):
         esc = live & (ay >= np.maximum(ax, R)) & (ay > ESCAPE_MARGIN * R)
         steps[esc] = n
         x[esc], y[esc] = cx[esc], cy[esc]
-        live &= ~esc & (np.maximum(ax, ay) <= BAIL_OUT)
+        live &= ~esc
+        gone = live & ~(np.maximum(ax, ay) <= BAIL_OUT)
+        steps[gone] = GAVE_UP
+        live &= ~gone
         if n < N_max:
             cx[live], cy[live] = apply_xy(H, cx[live], cy[live])
     return steps
+
+
+def reference_green_plus(H, x, y, N_max, tol=1e-10):
+    """green_plus_grid's output by the reference loop, then a push to the stop modulus.
+
+    x and y are complex.  The push steps each escaped point alone of the
+    others until |y| >= Y (or is NaN), as green_plus pushes, and values it
+    d^-m log|y_m| at the depth m reached.
+    """
+    R = filtration_radius(H).R
+    rx, ry = x.copy(), y.copy()
+    steps = reference_escape_steps(H, rx, ry, R, N_max)
+    Y, band = _stop_modulus(H, tol)
+    hit = np.flatnonzero(steps >= 0)
+    cx, cy, depth = rx[hit], ry[hit], steps[hit].copy()
+    live = np.abs(cy) < Y
+    while live.any():
+        cx[live], cy[live] = apply_xy(H, cx[live], cy[live])
+        depth[live] += 1
+        live &= np.abs(cy) < Y
+    bounded = float(H.d) ** -N_max * max(1.0, np.log(ESCAPE_MARGIN * R))
+    vals = np.zeros(x.size)
+    errs = np.where(steps == GAVE_UP, np.inf, bounded)
+    depths = np.full(x.size, N_max, dtype=np.int64)
+    depths[hit] = depth
+    scale, log_y = float(H.d) ** -depth.astype(float), np.log(np.abs(cy))
+    vals[hit], errs[hit] = scale * log_y, scale * (band + VALUE_ROUNDING * log_y)
+    return vals, errs, depths
 
 
 # a small odd block size: test inputs span several escape blocks and a ragged one
@@ -521,7 +553,12 @@ SMALL_BLOCK = 37
 
 
 def assert_escape_steps_match_reference(H, x, y, N_max=64, extremes=True):
-    """_escape_steps at the default and at SMALL_BLOCK points per block."""
+    """_escape_steps at the default and at SMALL_BLOCK points per block.
+
+    Run to the escape (Y = 0), it gives the reference steps and |y_n| bit
+    for bit; run to the stop modulus, green_plus_grid gives the output of
+    reference_green_plus bit for bit.
+    """
     R = filtration_radius(H).R
     x, y = np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel()
     if extremes:  # bail-out and NaN points, which also force the full test
@@ -529,23 +566,18 @@ def assert_escape_steps_match_reference(H, x, y, N_max=64, extremes=True):
         y = np.append(y, [1e200, 1e155, 1.0, 0.0])
     rx, ry = x.copy(), y.copy()
     want = reference_escape_steps(H, rx, ry, R, N_max)
+    hit = want >= 0
+    want_green = [a.tobytes() for a in reference_green_plus(H, x, y, N_max)]
     given = x.tobytes(), y.tobytes()
     for block in (green.BLOCK_POINTS, SMALL_BLOCK):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(green, "BLOCK_POINTS", block)
-            steps, hit, ex, ey = _escape_steps(H, x, y, N_max, records=True)
-            assert np.array_equal(_escape_steps(H, x, y, N_max), steps), block
+            steps, mods = _escape_steps(H, x, y, N_max, 0.0)
+            got_green = [a.tobytes() for a in green_plus_grid(H, x, y, N_max)]
         assert np.array_equal(steps, want), block
-        # the escape records, bit for bit
-        assert_escape_records(steps, hit, ex, ey, rx, ry)
+        assert mods[hit].tobytes() == np.abs(ry[hit]).tobytes(), block
+        assert got_green == want_green, block
         assert (x.tobytes(), y.tobytes()) == given, block
-
-
-def assert_escape_records(steps, hit, ex, ey, rx, ry):
-    """One record per escaped point, at rx, ry of the reference loop bit for bit."""
-    assert hit.dtype == np.intp
-    assert np.array_equal(np.sort(hit), np.flatnonzero(steps >= 0))
-    assert ex.tobytes() == rx[hit].tobytes() and ey.tobytes() == ry[hit].tobytes()
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -591,19 +623,27 @@ def test_escape_steps_match_trap_free_loop_past_the_bail_out(c0):
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
 def test_float_escape_steps_match_trap_free_loop_in_small_blocks(request, monkeypatch, name):
     # float input of a real map: the pooled phase keeps the float run equal
-    # to the complex one (one and two factors, and hcubic's trap)
+    # to the complex one (one and two factors, and hcubic's trap), to the
+    # escape and to the stop modulus
     H = request.getfixturevalue(name)
     R = filtration_radius(H).R
     monkeypatch.setattr(green, "BLOCK_POINTS", SMALL_BLOCK)
     x, y = (a.ravel() for a in np.meshgrid(np.linspace(-2.5, 2.5, 96), np.linspace(-2.5, 2.5, 96)))
     rx, ry = x + 0j, y + 0j
     want = reference_escape_steps(H, rx, ry, R, 64)
-    steps, hit, ex, ey = _escape_steps(H, x, y, 64, records=True)
-    assert np.array_equal(steps, want) and ex.dtype == np.float64
-    # the records, equal as numbers (a zero may differ in sign, see _escape_steps)
-    assert np.array_equal(np.sort(hit), np.flatnonzero(want >= 0))
-    assert np.array_equal(ex, rx[hit].real) and np.array_equal(ey, ry[hit].real)
+    steps, mods = _escape_steps(H, x, y, 64, 0.0)
+    assert np.array_equal(steps, want)
+    # |y_n| exactly: a zero may differ in sign, but not its modulus (see _escape_steps)
+    assert mods[want >= 0].tobytes() == np.abs(ry[want >= 0]).tobytes()
     assert np.count_nonzero(want < 0) > 0 and np.count_nonzero(want >= TRAP_EVERY) > 0
+    Y = _stop_modulus(H, 1e-10)[0]
+    assert _masked_equal(_escape_steps(H, x, y, 64, Y), _escape_steps(H, x + 0j, y + 0j, 64, Y))
+
+
+def _masked_equal(a, b):
+    """Two _escape_steps results with the same steps, and mods equal where they are set."""
+    (sa, ma), (sb, mb) = a, b
+    return sa.tobytes() == sb.tobytes() and ma[sa >= 0].tobytes() == mb[sb >= 0].tobytes()
 
 
 def test_escape_steps_match_trap_free_loop_on_attracting_maps():
@@ -614,6 +654,116 @@ def test_escape_steps_match_trap_free_loop_on_attracting_maps():
         x = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
         y = R * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
         assert_escape_steps_match_reference(H, x, y)
+
+
+def assert_green_plus_grid_matches_reference(H, x, y, N_max=64):
+    """green_plus_grid equals reference_green_plus bit for bit, at both block sizes.
+
+    Complex input, and float input where H is real, which must give the
+    same bytes.  Returns the reference output.
+    """
+    x, y = np.ravel(x), np.ravel(y)
+    want = reference_green_plus(H, x + 0j, y + 0j, N_max)
+    inputs = [(x + 0j, y + 0j)]
+    if real_form(H) is not None and not (np.iscomplexobj(x) or np.iscomplexobj(y)):
+        inputs.append((x, y))
+    for block in (green.BLOCK_POINTS, SMALL_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(green, "BLOCK_POINTS", block)
+            for xs, ys in inputs:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = green_plus_grid(H, xs, ys, N_max)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (block, xs.dtype)
+    return want
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_green_plus_grid_matches_reference_push_on_fixtures(request, name):
+    H = request.getfixturevalue(name)
+    R = filtration_radius(H).R
+    u = np.linspace(-1.2 * R, 1.2 * R, 64)
+    x, y = np.meshgrid(u, u)
+    vals, _, depths = assert_green_plus_grid_matches_reference(H, x, y)
+    assert (vals > 0).sum() > 1000 and (vals == 0).sum() > 10
+    assert_green_plus_grid_matches_reference(H, x + 0.4j * y, y - 0.3j * x)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(henon_maps, st.integers(0, 2**32 - 1))
+def test_green_plus_grid_matches_reference_push_on_random_maps(H, seed):
+    rng = np.random.default_rng(seed)
+    R = filtration_radius(H).R
+    x = R * (rng.uniform(-1.5, 1.5, 300) + 1j * rng.uniform(-1.5, 1.5, 300))
+    y = R * (rng.uniform(-1.5, 1.5, 300) + 1j * rng.uniform(-1.5, 1.5, 300))
+    assert_green_plus_grid_matches_reference(H, x, y)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(real_henon_maps, st.integers(0, 2**32 - 1))
+def test_green_plus_grid_matches_reference_push_on_random_real_maps(H, seed):
+    rng = np.random.default_rng(seed)
+    R = filtration_radius(H).R
+    x, y = R * rng.uniform(-1.5, 1.5, (2, 300))
+    assert_green_plus_grid_matches_reference(H, x, y)
+
+
+@pytest.mark.parametrize("N_max", [3, 8, 9, 64])
+def test_escapes_at_the_budget_finish_past_it(href, N_max):
+    # pixels that escape on step N_max - 1 or N_max below the stop modulus
+    # keep stepping in the escape loop past the budget, in the block phase
+    # (N_max = 3), across its end (8 = TRAP_EVERY, 9) or in the pool (64);
+    # on the real line of (y, y^2 + 0.256 - 0.01 x), orbits that pass the
+    # narrow gate where a fixed point has just vanished escape on every
+    # step up to about 100
+    slow = make_henon([([0.256, 0, 1], 0.01)])
+    u = np.linspace(-2.5, 2.5, 160)
+    grids = [
+        (href, *(a.ravel() for a in np.meshgrid(u, u))),
+        (slow, np.zeros(20000), np.linspace(-0.5, 3.0, 20000)),
+    ]
+    for H, x, y in grids:
+        R = filtration_radius(H).R
+        Y = _stop_modulus(H, 1e-10)[0]
+        rx, ry = x + 0j, y + 0j
+        steps = reference_escape_steps(H, rx, ry, R, N_max)
+        late = ((steps == N_max - 1) | (steps == N_max)) & (np.abs(ry) < Y)
+        # those points, with every other kind of pixel around them
+        pick = np.flatnonzero(late | (np.arange(x.size) % 7 == 0))
+        vals, _, depths = assert_green_plus_grid_matches_reference(H, x[pick], y[pick], N_max)
+        past = depths > N_max
+        at_budget = steps[pick] == N_max
+        assert np.array_equal(past[at_budget], late[pick][at_budget])
+        assert late.sum() >= 5 and past.sum() >= 5 and np.all(vals[past] > 0)
+
+
+def test_float_grid_keeps_finished_points_finite(monkeypatch):
+    # (y, y^2 - 1.1 - 0.01 x) has an attracting 2-cycle and no attracting
+    # fixed point, so no trap: a grid of bounded points with a tenth of
+    # escaping ones keeps the escaped points in its arrays (below a quarter
+    # of them), and they square on every step.  Stepped to the budget they
+    # would overflow and send the float run back to complex arithmetic;
+    # compacted once they pass Ymax, they stay finite
+    H = make_henon([([-1.1, 0, 1], 0.01)])
+    assert attracting_traps(H) == ()
+    rng = np.random.default_rng(113)
+    x = np.concatenate([rng.uniform(-0.05, 0.05, 900), rng.uniform(-1, 1, 100)])
+    y = np.concatenate([rng.uniform(-0.05, 0.05, 900), rng.uniform(10, 20, 100)])
+    R = filtration_radius(H).R
+    rx, ry = x + 0j, y + 0j
+    steps = reference_escape_steps(H, rx.copy(), ry.copy(), R, 64)
+    assert np.all(steps[:900] == -1) and np.all((0 <= steps[900:]) & (steps[900:] <= 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex, ey = x[900:], y[900:]
+        for _ in range(64):
+            ex, ey = apply_xy(real_form(H), ex, ey)
+    assert not np.isfinite(ey).any()  # kept and stepped, they overflow
+    for block in (green.BLOCK_POINTS, SMALL_BLOCK):
+        monkeypatch.setattr(green, "BLOCK_POINTS", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in either run
+            for Y in (0.0, _stop_modulus(H, 1e-10)[0]):
+                assert _masked_equal(_escape_steps(H, x, y, 64, Y), _escape_steps(H, rx, ry, 64, Y))
+            assert assert_float_grid_matches_complex(H, x, y) == np.float64
 
 
 def grid_outputs(H, xs, ys, N_max, c):
@@ -633,18 +783,22 @@ def grid_outputs(H, xs, ys, N_max, c):
 
 
 def assert_float_grid_matches_complex(H, x, y, N_max=64, c=1.0):
-    """Float and complex input give the same bytes; returns the float run's dtype."""
+    """Float and complex input give the same bytes; returns the float run's dtype.
+
+    That is float64 where the float run holds to the end and complex128
+    where it meets an inf or NaN and _flat_escape runs the points again.
+    """
     x, y = np.ravel(x), np.ravel(y)
     assert grid_outputs(H, x, y, N_max, c) == grid_outputs(H, x + 0j, y + 0j, N_max, c)
+    Y = _stop_modulus(H, 1e-10)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # compared above
-        _, (fsteps, fhit, fx, fy) = green._flat_escape(H, x, y, N_max, records=True)
-        _, (csteps, chit, cx, cy) = green._flat_escape(H, x + 0j, y + 0j, N_max, records=True)
-    assert fsteps.tobytes() == csteps.tobytes() and fhit.tobytes() == chit.tobytes()
-    # the escape records, equal as numbers (a zero may differ in sign, see
-    # _escape_steps)
-    assert np.array_equal(fx, cx.real) and np.array_equal(fy, cy.real)
-    assert not (cx.imag.any() or cy.imag.any())
-    return fx.dtype
+        for stop in (0.0, Y):
+            _, got = green._flat_escape(H, x, y, N_max, stop)
+            _, want = green._flat_escape(H, x + 0j, y + 0j, N_max, stop)
+            # |y| at the finish, equal bytes: a zero may differ in sign, not its modulus
+            assert _masked_equal(got, want)
+        held = _escape_steps(H, x, y, N_max) is not None
+    return np.float64 if held else np.complex128
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -680,12 +834,11 @@ def test_float_grid_matches_complex_past_an_overflow_in_the_pooled_phase(monkeyp
     y = np.linspace(1.0, 3.0, 401) * 1e-110
     x = np.zeros_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _escape_steps(H, x, y, TRAP_EVERY + 1, records=True) is not None
-        assert _escape_steps(H, x, y, 64, records=True) is None
-        _, got = green._flat_escape(H, x, y, 64, records=True)
-        _, want = green._flat_escape(H, x + 0j, y + 0j, 64, records=True)
-    assert got[2].dtype == np.complex128 and got[1].size > 0
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert _escape_steps(H, x, y, TRAP_EVERY + 1) is not None
+        assert _escape_steps(H, x, y, 64) is None
+        _, got = green._flat_escape(H, x, y, 64, 0.0)
+        _, want = green._flat_escape(H, x + 0j, y + 0j, 64, 0.0)
+    assert (got[0] >= 0).any() and _masked_equal(got, want)
     assert grid_outputs(H, x, y, 64, 1.0) == grid_outputs(H, x + 0j, y + 0j, 64, 1.0)
 
 
@@ -705,18 +858,41 @@ def test_grid_kernels_leave_read_only_inputs_untouched(request, name):
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
-def test_refine_plus_blocks_match_one_batch(request, monkeypatch, name):
+def test_green_plus_push_blocks_match_one_batch(request, monkeypatch, name):
+    # the pushes run inside the escape loop: block sizes change no bit
     H = request.getfixturevalue(name)
     x, y = np.meshgrid(np.linspace(-2.5, 2.5, 64), np.linspace(-2.5, 2.5, 64))
     for xs, ys in ((x, y), (x + 0j, y + 0j)):
-        _, (steps, hit, ex, ey) = green._flat_escape(H, xs, ys, 64, records=True)
-        assert hit.size > 10 * SMALL_BLOCK
-        args = (H, ex, ey, steps[hit], 1e-10)
-        want = _refine_plus(*args)
+        want = green_plus_grid(H, xs, ys, 64)
+        assert np.count_nonzero(want[2] > escape_time_grid(H, xs, ys, 64)) > 10 * SMALL_BLOCK
         with monkeypatch.context() as mp:
             mp.setattr(green, "BLOCK_POINTS", SMALL_BLOCK)
-            got = _refine_plus(*args)
+            got = green_plus_grid(H, xs, ys, 64)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_bail_out_points_carry_an_infinite_bound(href):
+    # H(1e200, 0) = (0, -1.1 - 8e199) lies in the escape region, so the 0
+    # that the bail-out leaves is no bound on G+ there (G+(1e140, 0) is 161)
+    from henoncover.shortc2 import SublevelTag, classify_sublevel
+
+    assert green_plus(href, Point(1e140, 0)).value > 160
+    starts = [(1e200, 0.0), (float("nan"), 0.0), (1e160, 1e155)]
+    xs, ys = (np.array(c, dtype=complex) for c in zip(*starts))
+    for N_max in (0, 9, 64):
+        vals, errs, depths = green_plus_grid(href, xs, ys, N_max)
+        assert escape_time_grid(href, xs, ys, N_max).tolist() == [N_max] * 3
+        assert sublevel_grid(href, xs, ys, N_max, 1.0).tolist() == [green.SUBLEVEL_K_PLUS] * 3
+        for (x, y), v, e, n in zip(starts, vals, errs, depths):
+            g = green_plus(href, Point(x, y), N_max=N_max)
+            assert g == GreenValue(0.0, np.inf, N_max) == GreenValue(v, e, n)
+    for x, y in starts:
+        cls = classify_sublevel(href, 1.0, Point(x, y))
+        assert cls.ambiguous and cls.tag is SublevelTag.OUTSIDE_OMEGA
+    # a bounded orbit keeps its finite bound and its class
+    cls = classify_sublevel(href, 1.0, Point(0, 0))
+    assert not cls.ambiguous and cls.tag is SublevelTag.IN_K_PLUS_UP_TO_BUDGET
+    assert 0 < cls.green_value.error_bound < 1e-70
 
 
 def test_escape_band_on_fixtures(href, htwo, hcubic):
@@ -749,16 +925,16 @@ def test_sublevel_grid_refines_few_pixels(request, monkeypatch, name):
     H = request.getfixturevalue(name)
     refined = []
 
-    def counting(H, x, y, steps, tol):
+    def counting(H, x, y, N_max, tol):
         refined.append(x.size)
-        return _refine_plus(H, x, y, steps, tol)
+        return green_plus_grid(H, x, y, N_max, tol)
 
-    monkeypatch.setattr(green, "_refine_plus", counting)
+    monkeypatch.setattr(green, "green_plus_grid", counting)
     x, y = np.meshgrid(np.linspace(-2.5, 2.5, 128), np.linspace(-2.5, 2.5, 128))
     xs, ys = x + 0j, y + 0j
     escaped = np.count_nonzero(escape_time_grid(H, xs, ys, 64) < 64)
     sublevel_grid(H, xs, ys, 64, 1.0)
-    assert sum(refined) <= 0.03 * escaped
+    assert sum(refined) <= 0.03 * escaped and len(refined) <= 1
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-6])
