@@ -27,7 +27,9 @@ off the table, and R, which solves (a/d) R(zeta) - R(zeta^d) = Q^-(zeta),
 is one Horner sum in 1/zeta.  So a build is one lambda solve, the
 table's.  Qtilde sampled on |zeta| = 1.25MR checks Q (CoverChart.meta): a
 second lambda solve, run on first read of meta, which verify's
-cover.q_structure makes.
+cover.q_structure makes.  The torus and the circle are closed under
+conjugation, so for a map with real coefficients each solve runs at one
+node of each conjugate pair and conjugates the rest (_series_table).
 Deck transformations rotate zeta by d-power roots of unity and shift z by
 an exactly cancelling Q-difference.
 """
@@ -64,6 +66,7 @@ from .henon import (
     first_component_axis_poly,
     iterate,
     map_from_json,
+    real_form,
 )
 
 __all__ = [
@@ -212,7 +215,11 @@ class CoverChart:
         Run on first read, not by build_chart: nothing in the chart reads
         it, and verify's cover.q_structure does.  Qtilde there takes one
         lambda_vec Newton for lambda(0, zeta) (1/zeta is outside the series
-        bidisc).  Q^- = O(1/zeta), so the non-negative Fourier bins of
+        bidisc).  The circle's n samples sit at rho_q e_k, _unit_roots(n),
+        so they come in exact conjugate pairs, and a real map solves
+        lambda(0, .) at n/2 + 1 of them (129 of 256, 257 of 512) and
+        conjugates the rest, as the table does (_series_table).
+        Q^- = O(1/zeta), so the non-negative Fourier bins of
         Qtilde - Q are rounding; bin n carries the error of Q_n times
         rho_q^n.  decay_max is the largest (DecayFailed above
         1e-6 rho_q^(d+d')); two_radius_agreement is max_n |bin_n| rho_q^-n /
@@ -223,8 +230,8 @@ class CoverChart:
         coeffs = np.array(Q.coeffs)
         n = 1 << max(6, int(np.ceil(np.log2(_SAMPLES_PER_DEGREE * deg))))
         q_rho = 1.25 * self.region.M * self.region.R.R
-        zk = q_rho * np.exp(2j * np.pi * np.arange(n) / n)
-        qt = _qtilde_batch(self.H, zk)
+        zk = q_rho * _unit_roots(n)
+        qt = _qtilde_batch(self.H, zk, (-np.arange(n)) % n)
         bins = np.abs(np.fft.fft(qt - Q(zk))[: n // 2]) / n
         decay_max = float(bins.max())
         if decay_max > 1e-6 * q_rho**deg:
@@ -298,12 +305,50 @@ _SERIES_FRAC = 0.6
 _SERIES_TAIL_MAX = 1e-12
 
 
+def _unit_roots(n: int):
+    """The n-th roots of unity e_k = exp(2 pi i k/n), n even, with
+    e_(n-k) = conj(e_k) exactly: e_0 = 1, e_(n/2) = -1, and the upper half
+    mirrors the lower (np.exp alone misses the pairs in the last bits)."""
+    e = np.exp(2j * np.pi * np.arange(n) / n)
+    e[0], e[n // 2] = 1.0, -1.0
+    e[n // 2 + 1 :] = np.conj(e[n // 2 - 1 : 0 : -1])
+    return e
+
+
 def _torus_nodes(H: HenonMap):
-    """(x, w), each N x N: the table's torus on certify_region(H), row i at sigma = e_i."""
+    """(x, w), each N x N: the table's torus on certify_region(H), row i at
+    sigma = e_i, column j at upsilon = e_j.
+
+    The e_k are _unit_roots, and x and w are products and quotients of
+    them with real scalars, which commute with conj exactly; so node
+    (-i, -j) is exactly the conjugate of node (i, j) (indices mod N).
+    """
     M, R = certify_region(H).M, filtration_radius(H).R
-    e = np.exp(2j * np.pi * np.arange(_TORUS_N) / _TORUS_N)
+    e = _unit_roots(_TORUS_N)
     w = 1.0 / np.broadcast_to(_TORUS_FRAC / (M * R) * e[None, :], (_TORUS_N, _TORUS_N))
     return w * (_TORUS_FRAC / M) * e[:, None], w
+
+
+def _conjugate_pairs(H: HenonMap, mirror):
+    """(rep, fill) for a lambda solve on nodes closed under conjugation.
+
+    Node mirror[k] is the conjugate of node k.  For a real map (real_form)
+    rep holds one node of each pair, those with k <= mirror[k], and
+    fill(v) spreads v, the solve's values at rep, to every node: a rep
+    node keeps its value and its mirror takes the conjugate (_series_table
+    proves the symmetry).  A complex map takes the same path with every
+    node its own representative: rep is every node and fill returns v.
+    """
+    pairs = mirror if real_form(H) is not None else np.arange(mirror.size)
+    rep = np.flatnonzero(np.arange(pairs.size) <= pairs)
+
+    def fill(v):
+        out = np.empty(pairs.size, dtype=complex)
+        out[pairs[rep]] = np.conj(v)
+        out[rep] = v
+        return out
+
+    return rep, fill
 
 
 @functools.lru_cache(maxsize=32)
@@ -319,7 +364,8 @@ def _series_table(H: HenonMap):
     are holomorphic in (sigma, upsilon) on W+_M, whose radii are 4/3 in
     these variables, and extend across u = 0.  One dlambda_dy_vec call on
     the N x N torus |sigma| = |upsilon| = 1 gives h and lambda at every
-    node; fft2 / N^2 of h and of log(lambda/y) are b_jk and g_jk up to
+    node (for a real map, at one node of each conjugate pair; see below);
+    fft2 / N^2 of h and of log(lambda/y) are b_jk and g_jk up to
     aliasing (Trefethen & Weideman, SIAM Rev. 56, 2014).  With
     sigma(t) = t / (y r_s), int_0^x sigma(t)^j dt = x sigma(x)^j / (j + 1),
     so
@@ -347,14 +393,46 @@ def _series_table(H: HenonMap):
     B = log 2/(d - 1) wherever (x, lambda) lies in W+_M.  As r -> 4/3 the
     bound tends to 4.8e-3 B.  It is far above the error the tail measures,
     which reaches rounding by K = 16, so the build gates on the tail.
+
+    Conjugate pairs.  If H has real coefficients (real_form), the solve
+    runs at 514 of the 1,024 nodes, one of each of the 510 conjugate pairs
+    and the 4 self-conjugate nodes (sigma, upsilon in {1, -1}), and each
+    mirror node takes the conjugate values (_conjugate_pairs).  Why that
+    is the full solve:
+      - The symmetry.  H(conj z) = conj H(z), so each factor 1 + w_n of
+        the orbit product is conjugated, and log(1 + w), |w| <= 1/2, is a
+        power series with real coefficients; so phi(conj x, conj y) =
+        conj phi(x, y) on W+_M, which |x| and |y| define and conj maps
+        onto itself.  lambda(x, .) inverts phi(x, .) on its slice of W+_M,
+        so lambda(conj x, conj w) = conj lambda(x, w).  Differentiating
+        phi(conj x, conj y) = conj phi(x, y) in y gives the same law for
+        dphi/dy and so for dlambda/dy = 1/(dphi/dy).  And lambda/w =
+        exp(-S(x, lambda)) with |Im S| <= pi/6 on W+_M (alpha_of_loop), off
+        the negative axis, where the principal log commutes with conj.  The
+        torus is closed under conj (_torus_nodes), so h and lambda at
+        node (-i, -j) are the conjugates of those at (i, j).
+      - The residual test.  Newton stops at |phi(x, y) - w| <= tol |w|.
+        At (conj x, conj w) the point conj y has residual conj(phi(x, y)
+        - w), of the same modulus, so a converged node's mirror meets the
+        same test with the mirrored value.
+      - Floats.  Measured, the float run commutes with conj bit for bit:
+        a full-torus solve returns at node (-i, -j) exactly the conjugate
+        of node (i, j) on the fixtures, on 40 draws of real maps, and on
+        meta's circles (numpy 2.4).  IEEE +, -, * and / are symmetric in
+        the sign of an imaginary part, and numpy's complex exp and log are
+        odd in it.  A libm that broke that symmetry would move the table
+        by rounding only, since both values pass the residual test.
+    A complex map solves every node through the same code.
     """
     N, K = _TORUS_N, _TORUS_N // 2
     x, w = _torus_nodes(H)
-    h, ok, lam = dlambda_dy_vec(H, x.ravel(), w.ravel(), _INNER_TOL)
+    m = (-np.arange(N)) % N
+    rep, fill = _conjugate_pairs(H, (m[:, None] * N + m).ravel())
+    h, ok, lam = dlambda_dy_vec(H, x.ravel()[rep], w.ravel()[rep], _INNER_TOL)
     if not ok.all():
         raise NoConvergence(_LAMBDA_MAX_ITER)
-    b = np.fft.fft2(h.reshape(N, N)) / N**2
-    g = np.fft.fft2(np.log(lam.reshape(N, N) / w)) / N**2
+    b = np.fft.fft2(fill(h).reshape(N, N)) / N**2
+    g = np.fft.fft2(np.log(fill(lam).reshape(N, N) / w)) / N**2
     tail = max(float(np.abs(c[K:]).max()) for c in (b, g, b.T, g.T))
     if tail > _SERIES_TAIL_MAX:
         raise DecayFailed(f"series table tail {tail:.3e} > {_SERIES_TAIL_MAX:g}")
@@ -399,18 +477,23 @@ def _series_eval(H: HenonMap, X, W):
 # ---------------------------------------------------------------------------
 # chart construction
 
-def _qtilde_batch(H: HenonMap, zetas):
-    """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d), psi from the table.
+def _qtilde_batch(H: HenonMap, zetas, mirror=None):
+    """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d) on a 1-D array of
+    zetas, psi from the table.
 
     lambda(0, zeta) is solved by lambda_vec: meta's circle at 1.25MR lies
     below the series bidisc, and verify's check of R wants a solve
-    that bypasses the table's lambda.
+    that bypasses the table's lambda.  With mirror, zetas[mirror[k]] being
+    exactly conj(zetas[k]), a real map solves one zeta of each pair and
+    takes the other's lambda by conjugation (_conjugate_pairs); without
+    it every zeta is solved.
     """
-    zetas = np.asarray(zetas, dtype=complex)
-    lam0, ok = lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL)
+    zetas = np.asarray(zetas, dtype=complex).ravel()
+    rep, fill = _conjugate_pairs(H, np.arange(zetas.size) if mirror is None else mirror)
+    lam0, ok = lambda_vec(H, np.zeros(rep.size, dtype=complex), zetas[rep], _INNER_TOL)
     if not ok.all():
         raise NoConvergence(_LAMBDA_MAX_ITER)
-    x0 = first_component_axis_poly(H)(lam0)
+    x0 = first_component_axis_poly(H)(fill(lam0))
     return _series_eval(H, x0, zetas**H.d)[0]
 
 
@@ -435,9 +518,14 @@ def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
 
     Q_n is the t^(d+d'-n) coefficient of S and q_m its t^(d+d'+m) one.
     Table orders j, k >= K are taken as 0, which makes S the series of an
-    entire function S_T; products are truncated after order d + d' + N,
-    which leaves every lower order exact, so Q does not depend on N (Q
-    needs d + d' < K; build_chart checks).
+    entire function S_T (and E's recurrence sums only k < K); products are
+    truncated after order d + d' + N, which leaves every lower order
+    exact, so Q does not depend on N (Q needs d + d' < K; build_chart
+    checks).  For a real map the table's torus values come in exact
+    conjugate pairs (_series_table), so C, Q and the q_m are real up to
+    the FFT's rounding: max |Im Q_n| reads 3.3e-15 on htwo, against
+    3.0e-12 from a torus whose nodes were np.exp's, a few ulps off the
+    pairs.
 
     Truncation bound: the same composition on the coefficients' moduli at
     t = 1/rho', rho' = MR/3, majorises S_T, so |q_m| <= A rho'^m with
@@ -457,13 +545,15 @@ def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
     d, e, D = H.d, H.d - H.d_prime, H.d + H.d_prime
     n = D + 1 + N
     r_s, r_u = _TORUS_FRAC / M, _TORUS_FRAC / (M * R)
-    # E = exp(G) by the recurrence m E_m = sum_k k G_k E_(m-k), from E' = G'E
-    G = np.zeros(max(n, K), dtype=complex)
-    G[:K] = C[0, 2 * K :] * r_u ** -np.arange(K)
+    # E = exp(G) by the recurrence m E_m = sum_k k G_k E_(m-k), from E' = G'E;
+    # G_k = 0 for k >= K, so the sum stops at k = K - 1
+    G = C[0, 2 * K :] * r_u ** -np.arange(K)
+    kG = np.arange(K) * G
     E = np.zeros(n, dtype=complex)
     E[0] = np.exp(G[0])
     for m in range(1, n):
-        E[m] = (np.arange(1, m + 1) * G[1 : m + 1]) @ E[m - 1 :: -1] / m
+        top = min(m, K - 1)
+        E[m] = kG[1 : top + 1] @ E[m - 1 :: -1][:top] / m
     # X = sum_i p_i E^i t^(d'-i) by Horner in E, then S / X by Horner in X
     p = first_component_axis_poly(H).coeffs
     X, S = np.zeros_like(E), np.zeros_like(E)
@@ -477,7 +567,7 @@ def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
     S = np.convolve(X, S)[:n]
     # the majorant at tau = 1/rho'
     tau, jk = np.float64(1.0 / (_MAJORANT_FRAC * M * R)), np.arange(K)
-    Eh = np.exp(np.abs(G[:K]) @ tau**jk)
+    Eh = np.exp(np.abs(G) @ tau**jk)
     Xh = sum(abs(c) * Eh**i * tau ** (len(p) - 1 - i) for i, c in enumerate(p))
     a = np.abs(C[:, :K]) * (r_s ** -jk)[:, None] * r_u ** -jk
     A = float(Xh * ((Xh * tau**e) ** jk @ a @ tau ** (d * jk)) * tau**-D)

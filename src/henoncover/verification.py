@@ -471,16 +471,25 @@ def check_annulus_modulus(chart, n: int = 100, seed: int = 59):
 
 @_check("cli.render_determinism", 0.0)
 def check_render_determinism(H: HenonMap, size: int = 256):
-    from .cli import GridJob, quantize, render_grid
+    """Render bytes of one green_plus job at 1, 1 and 8 threads agree.
 
+    The job is size pixels wide and one and a half tiles high
+    (cli.TILE_POINTS // size rows per tile), with square pixels 4/size
+    across on the real slice: two tiles, so the 8-thread render runs a
+    pool of two workers, and one of them takes a ragged tile.
+    """
+    from .cli import TILE_POINTS, GridJob, quantize, render_grid
+
+    rows = max(1, TILE_POINTS // size)
+    ny = rows + max(1, rows // 2)
     job = GridJob(
         plane="real_slice",
         anchor=0j,
         center=(0.0, 0.0),
         width=4.0,
-        height=4.0,
+        height=4.0 * ny / size,
         nx=size,
-        ny=size,
+        ny=ny,
         quantity="green_plus",
         c=0.0,
         clamp=3.0,
@@ -488,7 +497,7 @@ def check_render_determinism(H: HenonMap, size: int = 256):
     b1, b2, b3 = (
         quantize(job, render_grid(H, job, budget=48, threads=t)).tobytes() for t in (1, 1, 8)
     )
-    return (0.0 if b1 == b2 == b3 else 1.0), f"{size}x{size}, 1 vs 8 threads"
+    return (0.0 if b1 == b2 == b3 else 1.0), f"{size}x{ny} in 2 tiles, 1 vs 8 threads"
 
 
 @_check("core.iterate_roundtrip", 1e-12)

@@ -128,5 +128,5 @@ def test_criterion_10_short_c2_laws():
 
 
 def test_criterion_11_render_determinism():
-    criterion(11, "render determinism (256x256, 1 vs 8 threads)",
+    criterion(11, "render determinism (256 wide, two tiles, 1 vs 8 threads)",
               check_render_determinism(H_REF, size=256))

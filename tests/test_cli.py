@@ -307,13 +307,45 @@ def test_cli_non_integer_resolution_exit_2(tmp_path, capsys, resolution):
     assert not out.exists()
 
 
-def test_render_deterministic_across_runs_and_threads(tmp_path):
+@pytest.fixture()
+def pools(monkeypatch):
+    """max_workers of each pool render_grid starts; each is a real ThreadPoolExecutor."""
+    import concurrent.futures
+
+    real, started = concurrent.futures.ThreadPoolExecutor, []
+
+    def recording(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    return started
+
+
+def test_render_deterministic_across_runs_and_threads(monkeypatch, pools):
+    # 48 rows in three tiles of 16: the 8-thread render runs a real pool of
+    # three workers, one per tile, and the serial ones start none
+    monkeypatch.setattr(cli, "TILE_POINTS", 48 * 16)
     spec = parse_spec(QUADRATIC)
     job = parse_grid_job(JOB)
     a = quantize(job, render_grid(spec.henon, job, budget=48, threads=1)).tobytes()
     b = quantize(job, render_grid(spec.henon, job, budget=48, threads=1)).tobytes()
+    assert pools == []
     c = quantize(job, render_grid(spec.henon, job, budget=48, threads=8)).tobytes()
+    assert pools == [3]
     assert a == b == c
+
+
+def test_render_determinism_check_runs_a_pool_of_two(monkeypatch, pools):
+    # the check's job is one and a half tiles high, so its 8-thread render
+    # starts two workers whatever the tile size
+    from henoncover.verification import check_render_determinism
+
+    H = parse_spec(QUADRATIC).henon
+    monkeypatch.setattr(cli, "TILE_POINTS", 48 * 16)
+    record = check_render_determinism(H, size=48)
+    assert record["passed"] and pools == [2], (record, pools)
+    assert record["note"] == "48x24 in 2 tiles, 1 vs 8 threads"
 
 
 @pytest.mark.parametrize("plane", ["fix_x", "fix_y", "real_slice"])

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from henoncover import (
@@ -40,7 +40,7 @@ from henoncover.cover import (
     chart_to_dict,
     in_absorbing_region,
 )
-from henoncover.henon import first_component_axis_poly
+from henoncover.henon import first_component_axis_poly, real_form
 from henoncover.shortc2 import annulus_coordinate
 from henoncover.verification import (
     check_chart_semiconjugacy,
@@ -49,7 +49,7 @@ from henoncover.verification import (
     check_deck_additivity,
     check_r_series,
 )
-from strategies import henon_maps, unit_box_maps
+from strategies import henon_maps, real_henon_maps, unit_box_maps
 
 
 def sample_domain_points(chart, rng, n, depth=(1.0, 4.0)):
@@ -196,8 +196,17 @@ def test_series_eval_batch_matches_single_points(name, request):
             assert np.array_equal(got, ref[:n])
 
 
+def torus_solve_size(H):
+    """Nodes the table's one solve takes: all N^2 for a complex map; for a
+    real one, one node of each of the (N^2 - 4)/2 conjugate pairs and the 4
+    self-conjugate nodes."""
+    N = cover._TORUS_N
+    return N**2 if real_form(H) is None else (N**2 - 4) // 2 + 4
+
+
 def test_series_table_is_built_once_per_map(href, href_region, monkeypatch):
-    # one batched solve over the whole torus, then no solve per point
+    # one batched solve over the torus (half of it: href is real), then no
+    # solve per point
     cover._series_table.cache_clear()
     sizes = []
 
@@ -209,7 +218,116 @@ def test_series_table_is_built_once_per_map(href, href_region, monkeypatch):
     X, W = bidisc_points(href_region, np.random.default_rng(5), 8)
     for x, w in zip(X, W):
         cover._series_eval(href, [x], [w])
-    assert sizes == [cover._TORUS_N**2]
+    assert sizes == [torus_solve_size(href)] == [514]
+
+
+def meta_circle(H):
+    """(zetas, mirror): CoverChart.meta's circle at 1.25 MR, zetas[mirror[k]] = conj(zetas[k])."""
+    region = certify_region(H)
+    n, _ = build_circles(H, region)
+    return 1.25 * region.M * region.R.R * cover._unit_roots(n), (-np.arange(n)) % n
+
+
+@pytest.mark.parametrize("name, reps", [("href", 129), ("htwo", 257), ("hcubic", 129)])
+def test_node_sets_are_conjugation_closed(name, reps, request):
+    # node (-i, -j) of the torus and sample -k of meta's circle are exactly
+    # the conjugates of node (i, j) and sample k, and the nodes are np.exp's
+    # to rounding; a real map solves 514 torus nodes and n/2 + 1 samples
+    H = request.getfixturevalue(name)
+    N, m = cover._TORUS_N, (-np.arange(cover._TORUS_N)) % cover._TORUS_N
+    x, w = cover._torus_nodes(H)
+    assert np.array_equal(x[m][:, m], np.conj(x)) and np.array_equal(w[m][:, m], np.conj(w))
+    e = np.exp(2j * np.pi * np.arange(N) / N)
+    assert np.abs(cover._unit_roots(N) - e).max() <= 4 * EPS
+    assert cover._conjugate_pairs(H, (m[:, None] * N + m).ravel())[0].size == 514
+    zetas, mirror = meta_circle(H)
+    assert np.array_equal(zetas[mirror], np.conj(zetas))
+    assert cover._conjugate_pairs(H, mirror)[0].size == reps == zetas.size // 2 + 1
+
+
+def assert_pairs_match_full_solve(H, monkeypatch):
+    """A real map's table and meta circle against the same solves over every node.
+
+    A solved node and its mirror both pass the Newton's residual test, so
+    they agree to rounding; the bound is 16 eps of each block's largest
+    value (the float run is in fact bitwise symmetric here)."""
+    assert real_form(H) is not None
+    cover._series_table(H)  # cached: both circles evaluate psi from one table
+    C, tail = cover._series_table.__wrapped__(H)
+    zetas, mirror = meta_circle(H)
+    qt = cover._qtilde_batch(H, zetas, mirror)
+    with monkeypatch.context() as m:
+        m.setattr(cover, "real_form", lambda H: None)
+        C_full, tail_full = cover._series_table.__wrapped__(H)
+        qt_full = cover._qtilde_batch(H, zetas, mirror)
+    K = C.shape[0]
+    for blk in range(3):
+        got, ref = C[:, blk * K : (blk + 1) * K], C_full[:, blk * K : (blk + 1) * K]
+        assert np.abs(got - ref).max() <= 16 * EPS * np.abs(ref).max()
+    assert abs(tail - tail_full) <= 16 * EPS
+    assert np.abs(qt - qt_full).max() <= 16 * EPS * np.abs(qt_full).max()
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_real_table_matches_full_torus_solve(name, request, monkeypatch):
+    assert_pairs_match_full_solve(request.getfixturevalue(name), monkeypatch)
+
+
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(real_henon_maps)
+def test_real_table_matches_full_torus_solve_on_random_maps(H):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_pairs_match_full_solve(H, monkeypatch)
+
+
+def recorded_solves(monkeypatch):
+    """Sizes of the torus (dlambda_dy_vec) and circle (lambda_vec) solves cover makes."""
+    sizes = {"torus": [], "circle": []}
+
+    def torus(H, x, w, *args):
+        sizes["torus"].append(np.size(x))
+        return dlambda_dy_vec(H, x, w, *args)
+
+    def circle(H, x, w, *args):
+        sizes["circle"].append(np.size(x))
+        return lambda_vec(H, x, w, *args)
+
+    monkeypatch.setattr(cover, "dlambda_dy_vec", torus)
+    monkeypatch.setattr(cover, "lambda_vec", circle)
+    return sizes
+
+
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(henon_maps)
+def test_complex_maps_solve_every_node(H):
+    assume(real_form(H) is None)
+    zetas, mirror = meta_circle(H)
+    cover._series_table(H)  # cached, so the circle's series evaluation solves no torus
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sizes = recorded_solves(monkeypatch)
+        cover._series_table.__wrapped__(H)
+        cover._qtilde_batch(H, zetas, mirror)
+    assert sizes == {"torus": [cover._TORUS_N**2], "circle": [zetas.size]}
+
+
+def test_near_real_map_takes_the_full_path_to_the_same_q(htwo_chart, monkeypatch, fresh_tables):
+    # htwo with a = 0.9 + 1e-13i is complex: every node is solved, and its Q
+    # is the real htwo's to chart_from_dict's 1e-10, so either chart's
+    # document loads with the other's Q
+    near = make_henon([([-0.1, 0, 1], 1.0), ([0.05, 0, 1], 0.9 + 1e-13j)])
+    assert real_form(near) is None
+    sizes = recorded_solves(monkeypatch)
+    chart = build_chart(near)
+    meta = chart.meta
+    assert sizes == {"torus": [cover._TORUS_N**2], "circle": [meta["circle_samples"]]}
+    real_q = chart_to_dict(htwo_chart)["Q"]
+    doc = chart_to_dict(chart)
+    assert doc["Q"] != real_q
+    doc["Q"] = real_q
+    assert chart_from_dict(doc).Q == chart.Q
+    doc = chart_to_dict(htwo_chart)
+    doc["Q"] = chart_to_dict(chart)["Q"]
+    assert chart_from_dict(doc).Q == htwo_chart.Q
 
 
 def test_psi_end_slope_is_integrand_at_segment_end(rng, href, href_region):
@@ -261,7 +379,8 @@ def test_psi_tilde_outside_series_bidisc(href, href_chart):
 
 def test_inverse_newton_takes_no_separate_slope_solve(monkeypatch, href_chart):
     # the Newton of an inversion takes d(lambda)/dy from the table: the one
-    # dlambda_dy_vec call is the batched torus solve that builds the table
+    # dlambda_dy_vec call is the batched torus solve that builds the table,
+    # over one node of each conjugate pair for the real href
     calls = []
 
     def counted(H, x, w, tol=1e-12):
@@ -272,7 +391,7 @@ def test_inverse_newton_takes_no_separate_slope_solve(monkeypatch, href_chart):
     monkeypatch.setattr(cover, "dlambda_dy_vec", counted)
     zeta = href_chart.Mtilde * 1.5 * np.exp(0.4j)
     psi_tilde_inverse(href_chart, CoverPoint(0.1 * href_chart.t * abs(zeta) ** 2, zeta))
-    assert calls == [cover._TORUS_N**2]
+    assert calls == [torus_solve_size(href_chart.H)]
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -339,7 +458,9 @@ def test_build_chart_runs_no_circle_and_meta_runs_it_once(name, request, monkeyp
                                                          fresh_tables):
     # Q, R and Mtilde come from the series table's coefficients, so a build
     # makes no lambda_vec call; the first read of meta makes one, on the
-    # Q^- circle at 1.25 MR, and a second read makes none
+    # Q^- circle at 1.25 MR, and a second read makes none.  The fixtures are
+    # real, so each solve takes one node of each conjugate pair: the upper
+    # half circle, ends included
     H = request.getfixturevalue(name)
     calls, tables = [], []
 
@@ -354,11 +475,12 @@ def test_build_chart_runs_no_circle_and_meta_runs_it_once(name, request, monkeyp
     monkeypatch.setattr(cover, "lambda_vec", recorded)
     monkeypatch.setattr(cover, "dlambda_dy_vec", counted)
     chart = build_chart(H)
-    assert calls == [] and tables == [cover._TORUS_N**2]
+    assert calls == [] and tables == [torus_solve_size(H)]
     meta = chart.meta
     (w,) = calls
-    assert w.size == meta["circle_samples"]
+    assert w.size == meta["circle_samples"] // 2 + 1
     assert np.allclose(np.abs(w), 1.25 * chart.inner_radius, rtol=4 * EPS, atol=0.0)
+    assert np.all(w.imag >= 0.0) and w.real.max() > 0.0 > w.real.min()
     assert chart.meta is meta and len(calls) == 1 and len(tables) == 1
 
 
