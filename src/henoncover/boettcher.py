@@ -9,25 +9,22 @@ computed as an orbit product
 q = pi_2(H) - y^d, with principal logarithms (each factor satisfies
 |q/y^d| <= 1/2 inside the working region, enforced step by step).
 
-phi_series is the one product loop.  dphi/dy comes from it too: it can
-carry the tangent of the orbit in y alongside phi (forward-mode
-differentiation).  Each factor is one call of _phi_step, which works on
-arrays and on Python complex scalars alike; only the bookkeeping of
-retired points differs between its two drivers:
+phi_series is the one product loop on arrays, and it always carries the
+y-tangent of the orbit alongside phi (forward-mode differentiation): its
+callers, the lambda Newton and dphi_dy_vec, need dphi/dy.  Each factor
+is one call of _phi_step, on arrays or on Python complex scalars:
 
-- a batch iterates compact copies of its live points and writes a
-  point's results back once, when it retires (tail below tol, a bad
-  factor, or |y| past the y^d cap).  A point's batch result does not
-  depend on the other points of the batch.
-- a call with exactly one point runs the step on Python complex scalars,
-  which costs about a tenth of a numpy call on one point.  phi_series's
-  one-point case (Newton rounds with one point left among them) and
-  bottcher_phi share that driver, _phi_point.  bottcher_phi calls it
-  itself, with no arrays to pack or unpack, and forms phi = y exp(S) with
-  the ufuncs np.multiply and np.exp, as phi_vec forms it: the product
-  taken with Python's * or a numpy scalar's * rounds some points
-  differently (Python's * matched 1,476 of 1,995 seeded htwo points), and
-  the ufuncs keep bottcher_phi equal to phi_vec bit for bit.
+- _phi_batch, behind phi_series, iterates compact copies of its live
+  points and writes a point's results back once, when it retires (tail
+  below tol, a bad factor, or |y| past the y^d cap).  A point's result
+  does not depend on the other points of the call.
+- _phi_point, bottcher_phi's alone, runs one point on Python complex
+  scalars, about a tenth of a numpy call's cost, and returns S, ok and
+  bad_step: no tangent and no tail bound.  bottcher_phi forms
+  phi = y exp(S) with the ufuncs np.multiply and np.exp, which from equal
+  S give the arrays' y * np.exp(S) bit for bit; Python's * or a numpy
+  scalar's * does not (Python's * matched 1,476 of 1,995 seeded htwo
+  points).
 
 The two drivers take the log term log(1 + w) differently, each the
 cheapest accurate form for its number type.  On arrays it is
@@ -35,18 +32,17 @@ log1p(u (2 + u) + v^2) / 2 + i arctan2(v, 1 + u) for w = u + iv: numpy's
 complex log costs 115-165 ns a point for |w| <= 1/2, about ten times the
 real log1p and arctan2, and rounding 1 + w first leaves an absolute error
 of up to eps however small w is.  On scalars it is cmath.log(1.0 + w),
-one C call, where the same formula in Python costs several times as much.  y^d is a product of
-repeated squares on arrays (_ipow: numpy's complex ** runs an
-element-wise cpow for d >= 3) and CPython's ** on scalars, which
+one C call, where the same formula in Python costs several times as much.
+y^d is a product of repeated squares on arrays (_ipow: numpy's complex **
+runs an element-wise cpow for d >= 3) and CPython's ** on scalars, which
 multiplies in the same order.
 
 The scalar path does the same additions and multiplications, so it pushes
 the same orbit, but its complex division and logarithm are CPython's, not
 numpy's.  Against the batch result for the same point, ok and bad_step
-are equal, S is within 4 eps and y dS within 64 eps (eps = 2^-52;
-measured at most 1.3 eps and 6.5 eps over 400 points on each fixture and
-60 on each of 100 seeded random maps), and err still bounds the scalar
-tail.  A zero divisor or log(0) reruns the point on arrays, which follow
+are equal and S is within 4 eps (eps = 2^-52; measured at most 1.3 eps
+over 400 points on each fixture and 60 on each of 100 seeded random
+maps).  A zero divisor or log(0) reruns the point on arrays, which follow
 IEEE arithmetic.  A NaN coordinate gives a NaN |w|, which counts as a bad
 factor at its first step.
 
@@ -84,7 +80,6 @@ __all__ = [
     "bottcher_phi",
     "alpha_of_loop",
     "phi_series",
-    "phi_vec",
     "dphi_dy_vec",
     "lambda_vec",
     "dlambda_dy_vec",
@@ -170,17 +165,16 @@ def _log1p_scalar(w: complex) -> complex:
     return cmath.log(1.0 + w)
 
 
-def _phi_step(factors, d, x, y, tx, ty, mag, scale, log1p, power, maximum):
+def _phi_step(factors, d, x, y, tx, ty, scale, log1p, power):
     """One factor of the orbit product at (x, y), on arrays or on scalars.
 
     Pushes (x, y) through H and, when tx is not None, the y-tangent
-    (tx, ty) as (dx, dy) -> (dy, p'(y) dy - a dx).  mag is |y|.  Returns
-    (nx, ny, ntx, nty, |w|, term, dterm, c_est) with w = ny / y^d - 1, the
-    log term scale * log(1 + w), its y-derivative dterm (None without a
-    tangent) and the tail constant c_est = |w| |y| = |q| / |y|^(d-1).
-    log1p(w) = log(1 + w), power(y, d) = y^d and maximum are _log1p_array,
-    _ipow and np.maximum on arrays and _log1p_scalar, pow and max on
-    scalars (see the module docstring).
+    (tx, ty) as (dx, dy) -> (dy, p'(y) dy - a dx).  Returns
+    (nx, ny, ntx, nty, |w|, term, dterm) with w = ny / y^d - 1, the log term
+    scale * log(1 + w) and its y-derivative dterm (None without a tangent).
+    log1p(w) = log(1 + w) and power(y, d) = y^d are _log1p_array and _ipow
+    on arrays and _log1p_scalar and pow on scalars (see the module
+    docstring).
     """
     nx, ny, ntx, nty = x, y, tx, ty
     for p, dp, a in factors:
@@ -188,10 +182,9 @@ def _phi_step(factors, d, x, y, tx, ty, mag, scale, log1p, power, maximum):
         if tx is not None:
             ntx, nty = nty, dp(nx) * nty - a * ntx
     w = ny / power(y, d) - 1.0
-    aw = abs(w)
     term = scale * log1p(w)
     dterm = None if tx is None else scale * (nty / ny - d * ty / y)
-    return nx, ny, ntx, nty, aw, term, dterm, maximum(aw * mag, 1e-300)
+    return nx, ny, ntx, nty, abs(w), term, dterm
 
 
 def _next_term_bound(c0: float, d: int, scale: float, mag):
@@ -207,58 +200,50 @@ def _next_term_bound(c0: float, d: int, scale: float, mag):
     return 2.0 * c0 * scale / d / mag
 
 
-def _phi_one(H: HenonMap, x: complex, y: complex, tol: float, dy: bool):
-    """phi_series on one point in Python complex arithmetic.
+def _phi_one(H: HenonMap, x: complex, y: complex, tol: float):
+    """The orbit product of one point in Python complex arithmetic.
 
-    Returns (S, err, ok, bad_step, dS) as scalars; dS is 0 without dy.
-    Division by zero, log(0) or an overflowing |.| raise instead of giving
-    IEEE infinities; _phi_point then reruns the point on arrays.
+    Returns (S, ok, bad_step) as scalars.  Division by zero, log(0) or an
+    overflowing |.| raise instead of giving IEEE infinities; _phi_point
+    then reruns the point on arrays.
     """
     c0, factors = _series_consts(H)
-    c_est = c0
     d = H.d
     ycap = 10.0 ** (280.0 / d)
-    S = dS = 0j
-    tx, ty = (0j, 1 + 0j) if dy else (None, None)
+    S = 0j
     mag = abs(y)
     for j in range(PHI_MAX_STEPS):
-        scale = float(d) ** -(j + 1)
         if mag > ycap:
-            return S, scale * 2.0 * c_est / mag, True, -1, dS
-        x, y, tx, ty, aw, term, dterm, c = _phi_step(
-            factors, d, x, y, tx, ty, mag, scale, _log1p_scalar, pow, max
-        )
+            break
+        scale = float(d) ** -(j + 1)
+        x, y, _, _, aw, term, _ = _phi_step(factors, d, x, y, None, None, scale, _log1p_scalar, pow)
         if not aw <= PRODUCT_BOUND:  # a NaN |w| is a bad factor too
-            return S, 0.0, False, j, dS
+            return S, False, j
         mag = abs(y)
         S += term
-        c_est = c
-        if dy:
-            dS += dterm
-        tail = max(abs(term), _next_term_bound(c0, d, scale, mag))
-        if tail < tol:
-            return S, 2.0 * tail, True, -1, dS
-    return S, float(d) ** -(PHI_MAX_STEPS + 1), True, -1, dS
+        if max(abs(term), _next_term_bound(c0, d, scale, mag)) < tol:
+            break
+    return S, True, -1
 
 
-def _phi_point(H: HenonMap, x: complex, y: complex, tol: float, dy: bool):
-    """phi_series on one point: (S, err, ok, bad_step, dS) as scalars.
+def _phi_point(H: HenonMap, x: complex, y: complex, tol: float):
+    """(S, ok, bad_step) of one point, bottcher_phi's driver.
 
     _phi_one, or where it meets exceptional arithmetic (a zero divisor,
-    log(0), an overflowing |.|) the array body, which gives IEEE values.
+    log(0), an overflowing |.|) the batch driver, which gives IEEE values.
     """
     try:
-        return _phi_one(H, x, y, tol, dy)
+        return _phi_one(H, x, y, tol)
     except (ArithmeticError, ValueError):
-        out = _phi_batch(H, np.array([x]), np.array([y]), tol, dy)
-        return tuple(None if a is None else a[0] for a in out)
+        S, _, ok, bad_step, _ = _phi_batch(H, np.array([x]), np.array([y]), tol)
+        return S[0], ok[0], bad_step[0]
 
 
 def _take(keep, *arrays):
-    return tuple(None if a is None else a[keep] for a in arrays)
+    return tuple(a[keep] for a in arrays)
 
 
-def _phi_batch(H: HenonMap, x, y, tol: float, dy: bool):
+def _phi_batch(H: HenonMap, x, y, tol: float):
     """phi_series on flat arrays, iterating compact copies of the live points.
 
     live maps the copies back to output indices; S/err/ok/bad_step/dS are
@@ -272,18 +257,16 @@ def _phi_batch(H: HenonMap, x, y, tol: float, dy: bool):
     err = np.zeros(n, dtype=float)
     ok = np.ones(n, dtype=bool)
     bad_step = np.full(n, -1, dtype=int)
-    dS = np.zeros(n, dtype=complex) if dy else None
+    dS = np.zeros(n, dtype=complex)
 
     live = np.arange(n)
-    s, c_est = S.copy(), np.full(n, c0)
-    ds = dS.copy() if dy else None
-    tx, ty = (np.zeros(n, dtype=complex), np.ones(n, dtype=complex)) if dy else (None, None)
+    s, ds, c_est = S.copy(), dS.copy(), np.full(n, c0)
+    tx, ty = np.zeros(n, dtype=complex), np.ones(n, dtype=complex)
 
     def retire(mask):
         idx = live[mask]
         S[idx] = s[mask]
-        if dy:
-            dS[idx] = ds[mask]
+        dS[idx] = ds[mask]
         return idx
 
     # a bad factor may divide by zero or take log(0); it is reported in ok
@@ -304,9 +287,11 @@ def _phi_batch(H: HenonMap, x, y, tol: float, dy: bool):
                 if live.size == 0:
                     break
 
-            x, y, tx, ty, aw, term, dterm, c_est = _phi_step(
-                factors, d, x, y, tx, ty, mag, scale, _log1p_array, _ipow, np.maximum
+            x, y, tx, ty, aw, term, dterm = _phi_step(
+                factors, d, x, y, tx, ty, scale, _log1p_array, _ipow
             )
+            # the tail constant |w| |y| = |q| / |y|^(d-1), for the y^d cap
+            c_est = np.maximum(aw * mag, 1e-300)
             mag = np.abs(y)
             bad = ~(aw <= PRODUCT_BOUND)  # a NaN |w| is a bad factor too
             if bad.any():
@@ -314,8 +299,7 @@ def _phi_batch(H: HenonMap, x, y, tol: float, dy: bool):
                 ok[idx] = False
                 bad_step[idx] = j
             s = s + term
-            if dy:
-                ds = ds + dterm
+            ds = ds + dterm
 
             # stop once the current term and the bound on the next are
             # below tol; twice the larger bounds the remaining tail
@@ -334,48 +318,30 @@ def _phi_batch(H: HenonMap, x, y, tol: float, dy: bool):
     return S, err, ok, bad_step, dS
 
 
-def phi_series(H: HenonMap, x, y, tol: float = 1e-12, dy: bool = False):
-    """Accumulated log-product S with phi = y * exp(S).
+def phi_series(H: HenonMap, x, y, tol: float = 1e-12):
+    """Accumulated log-product S with phi = y * exp(S), and dS = dS/dy.
 
-    Returns (S, err, ok, bad_step) as arrays matching x/y.  err bounds the
-    truncation tail of S; ok is False where some factor violated
+    Returns (S, err, ok, bad_step, dS) as arrays matching x/y.  err bounds
+    the truncation tail of S; ok is False where some factor violated
     |q/y^d| <= 1/2 (bad_step records the first offending step, -1 if none).
-
-    With dy=True the tangent (dx, dy) of the orbit in the initial y is
-    pushed through each factor as (dx, dy) -> (dy, p'(y) dy - a dx), and a
-    fifth array dS = dS/dy is accumulated over the same factors, so that
-    dphi/dy = exp(S) * (1 + y dS) (forward-mode differentiation).  It is
-    off by default: the tangent adds 50-100 % to the cost, and the Green's
-    function and render paths need S alone.
-
-    A call with one point runs in Python complex arithmetic; its S and dS
-    can differ from the same point's batch value in the last bits (see the
-    module docstring).
+    The y-tangent of the orbit is pushed through each factor as
+    (dx, dy) -> (dy, p'(y) dy - a dx), so dphi/dy = exp(S) * (1 + y dS).
+    A point's values do not depend on the other points of the call.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.size == 1:
-        one = _phi_point(H, x.item(), y.item(), tol, dy)
-        return tuple(np.array(v, ndmin=x.ndim) for v in one[: 4 + dy])
-    out = _phi_batch(H, x.ravel(), y.ravel(), tol, dy)
-    return tuple(a.reshape(x.shape) for a in out[: 4 + dy])
-
-
-def phi_vec(H: HenonMap, x, y, tol: float = 1e-12):
-    """Vector phi; returns (phi, err, ok, bad_step)."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    S, err, ok, bad = phi_series(H, x, y, tol)
-    return y * np.exp(S), err, ok, bad
+    out = _phi_batch(H, x.ravel(), y.ravel(), tol)
+    return tuple(a.reshape(x.shape) for a in out)
 
 
 def bottcher_phi(H: HenonMap, z: Point, tol: float = 1e-12) -> complex:
     """phi(z) to tail tolerance tol; OutsideRegion on a bad product factor.
 
-    phi_vec's value at z, bit for bit (see the module docstring).
+    From the scalar driver: S is within 4 eps of phi_series's S at z, with
+    ok and bad_step equal (see the module docstring).
     """
     y = complex(z.y)
-    S, _, ok, bad, _ = _phi_point(H, complex(z.x), y, tol, False)
+    S, ok, bad = _phi_point(H, complex(z.x), y, tol)
     if not ok:
         raise OutsideRegion(int(bad))
     return complex(np.multiply(y, np.exp(S)))
@@ -454,7 +420,7 @@ def certify_region(H: HenonMap) -> BoettcherRegion:
 def dphi_dy_vec(H: HenonMap, x, y, tol: float = 1e-12):
     """dphi/dy from the tangent pass of phi_series; returns (dphi, ok)."""
     y = np.asarray(y, dtype=complex)
-    S, _, ok, _, dS = phi_series(H, x, y, tol, dy=True)
+    S, _, ok, _, dS = phi_series(H, x, y, tol)
     return np.exp(S) * (1.0 + y * dS), ok
 
 
@@ -478,7 +444,7 @@ def _lambda_start(H: HenonMap, x, w):
 _LAMBDA_MAX_ITER = 50
 
 
-def _lambda_newton(H: HenonMap, x, w, tol: float, max_iter: int = _LAMBDA_MAX_ITER):
+def _lambda_newton(H: HenonMap, x, w, tol: float):
     """Solve phi(x, y) = w for y, vectorized Newton from _lambda_start.
 
     Each round takes phi and its exact slope dphi/dy from one tangent pass
@@ -492,12 +458,12 @@ def _lambda_newton(H: HenonMap, x, w, tol: float, max_iter: int = _LAMBDA_MAX_IT
     dphi = np.full_like(y, np.nan)
     ok = np.ones(w.shape, dtype=bool)
     active = np.ones(w.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_LAMBDA_MAX_ITER):
         if not active.any():
             break
         idx = np.flatnonzero(active)
         yi = y[idx]
-        S, _, pok, _, dS = phi_series(H, x[idx], yi, tol, dy=True)
+        S, _, pok, _, dS = phi_series(H, x[idx], yi, tol)
         e = np.exp(S)
         slope = e * (1.0 + yi * dS)
         dphi[idx] = slope
@@ -513,9 +479,9 @@ def _lambda_newton(H: HenonMap, x, w, tol: float, max_iter: int = _LAMBDA_MAX_IT
     return y, ok, dphi
 
 
-def lambda_vec(H: HenonMap, x, w, tol: float = 1e-12, max_iter: int = _LAMBDA_MAX_ITER):
+def lambda_vec(H: HenonMap, x, w, tol: float = 1e-12):
     """Solve phi(x, y) = w for y by Newton from _lambda_start; returns (y, ok)."""
-    y, ok, _ = _lambda_newton(H, x, w, tol, max_iter)
+    y, ok, _ = _lambda_newton(H, x, w, tol)
     return y, ok
 
 

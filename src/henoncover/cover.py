@@ -418,10 +418,14 @@ def _series_table(H: HenonMap):
       - Floats.  Measured, the float run commutes with conj bit for bit:
         a full-torus solve returns at node (-i, -j) exactly the conjugate
         of node (i, j) on the fixtures, on 40 draws of real maps, and on
-        meta's circles (numpy 2.4).  IEEE +, -, * and / are symmetric in
-        the sign of an imaginary part, and numpy's complex exp and log are
-        odd in it.  A libm that broke that symmetry would move the table
-        by rounding only, since both values pass the residual test.
+        meta's circles (numpy 2.4), and the tests assert it exactly.
+        Every Newton round runs phi_series's batch driver, whose value at
+        a node does not depend on the other nodes of the round, so a node
+        and its mirror take the same arithmetic however many nodes are
+        still active.  IEEE +, -, * and / are symmetric in the sign of an
+        imaginary part, and numpy's complex exp and log are odd in it.  A
+        libm that broke that symmetry would move the table by rounding
+        only, since both values pass the residual test.
     A complex map solves every node through the same code.
     """
     N, K = _TORUS_N, _TORUS_N // 2

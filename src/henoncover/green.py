@@ -75,7 +75,6 @@ from .henon import (
     _jacobian,
     apply_xy,
     backward_conjugate,
-    component_polynomials,
     real_form,
 )
 from .symmetry import fixed_points
@@ -261,11 +260,11 @@ def _step_rounding(H: HenonMap, m: float) -> float:
 
 def _trap_radius(H: HenonMap, p: Point, T: np.ndarray, S: np.ndarray):
     """The largest proved r = 2^-k <= 1 for D_r around p, with its reach, or None."""
-    P1, P2 = component_polynomials(H)
     g1, g2 = BivariatePoly.var_x(), BivariatePoly.var_y()
     A = g1 * T[0, 0] + g2 * T[0, 1] + p.x
     B = g1 * T[1, 0] + g2 * T[1, 1] + p.y
-    F1, F2 = P1(A, B) - p.x, P2(A, B) - p.y
+    H1, H2 = apply_xy(H, A, B)
+    F1, F2 = H1 - p.x, H2 - p.y
     # |G_ij| per component of G, and the total degree i + j of each entry
     G = [np.abs((F1 * S[i, 0] + F2 * S[i, 1]).c) for i in (0, 1)]
     deg = [np.add.outer(np.arange(g.shape[0]), np.arange(g.shape[1])) for g in G]

@@ -346,9 +346,9 @@ def iterate(H: HenonMap, z: Point, s: int) -> Point:
 
 # ---------------------------------------------------------------------------
 # Symbolic bivariate expansion of the composed map: apply_xy run on
-# polynomials.  Used to check the expanded coefficients against numeric
-# evaluation, for the monic axis polynomial pi_1(H(0, .)), and for exact
-# commutation checks in the symmetry search.
+# polynomials.  Used for the monic axis polynomial pi_1(H(0, .)), the
+# bound on the product correction q, the expansion of H about a fixed
+# point for its trap, and exact commutation checks in the symmetry search.
 
 class BivariatePoly:
     """Dense bivariate polynomial: coeffs[i, j] multiplies x^i y^j."""
@@ -413,19 +413,6 @@ class BivariatePoly:
         if rows.size == 0:
             return BivariatePoly([[0.0]])
         return BivariatePoly(c[: rows[-1] + 1, : cols[-1] + 1])
-
-    def __call__(self, x, y):
-        # Horner in y per x-row, then Horner in x.
-        c = self.c
-        acc = None
-        for i in range(c.shape[0] - 1, -1, -1):
-            row = c[i, -1]
-            if isinstance(y, np.ndarray):
-                row = np.full_like(y, row, dtype=complex)
-            for j in range(c.shape[1] - 2, -1, -1):
-                row = row * y + c[i, j]
-            acc = row if acc is None else acc * x + row
-        return acc
 
 
 @functools.lru_cache(maxsize=64)

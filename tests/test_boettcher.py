@@ -4,6 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval2d
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,12 +29,12 @@ from henoncover.boettcher import (
     in_region_xy,
     lambda_vec,
     phi_series,
-    phi_vec,
 )
 from henoncover.cover import _INNER_TOL
 from henoncover.filtration import filtration_radius
 from henoncover.henon import apply_xy, second_component_correction
 
+from oracles import phi_vec
 from strategies import henon_maps
 
 
@@ -67,7 +68,7 @@ def test_q_matches_symbolic_expansion(rng, htwo):
     for _ in range(20):
         z = Point(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
         direct = apply_xy(htwo, z.x, z.y)[1] - z.y**htwo.d
-        symbolic = q(z.x, z.y)
+        symbolic = polyval2d(z.x, z.y, q.c)
         assert abs(direct - symbolic) <= 1e-12 * max(1.0, abs(symbolic))
 
 
@@ -109,7 +110,7 @@ def test_phi_outside_region_raises():
     assert exc.value.step == 0
     # y = 0 divides by zero in the scalar driver; the array rerun reports it
     with pytest.raises(ZeroDivisionError):
-        boettcher._phi_one(H, 1.0 + 0j, 0j, 1e-12, False)
+        boettcher._phi_one(H, 1.0 + 0j, 0j, 1e-12)
     with pytest.raises(OutsideRegion) as exc:
         bottcher_phi(H, Point(1.0, 0.0))
     assert exc.value.step == 0
@@ -218,9 +219,10 @@ def test_lambda_start_agrees_on_random_maps(H):
         assert_starts_agree(monkeypatch, H, X.ravel(), W.ravel(), 1e-12)
 
 
-def test_lambda_no_convergence():
+def test_lambda_no_convergence(monkeypatch):
     H = make_henon([([0, 0, 1], 1.0)])
-    _, ok = lambda_vec(H, [0.5], [100.0], tol=1e-15, max_iter=1)
+    monkeypatch.setattr(boettcher, "_LAMBDA_MAX_ITER", 1)
+    _, ok = lambda_vec(H, [0.5], [100.0], tol=1e-15)
     assert not ok[0]
 
 
@@ -289,28 +291,41 @@ def spread_points(H, n, seed):
 
 
 def assert_one_point_matches_batch(H, n, seed):
-    """phi_series on single points against one batch call, dy off and on."""
+    """phi_series on single points, halves and reversed order against one call.
+
+    Each point gets the same bits however the call is cut.  The scalar
+    driver (bottcher_phi's) gives the same ok and bad_step and S within
+    4 eps of the batch, and bottcher_phi forms y exp(S) as arrays do.
+    """
     x, y = spread_points(H, n, seed)
     # tol = 0 runs every orbit to the cap: a tail far below rounding
     S_ref = phi_series(H, x, y, tol=0.0)[0]
-    for tol, dy in ((1e-12, False), (1e-12, True), (1e-6, False)):
-        batch = phi_series(H, x, y, tol, dy=dy)
-        single = [phi_series(H, x[i : i + 1], y[i : i + 1], tol, dy=dy) for i in range(n)]
-        S, err, ok, bad, *dS = (np.concatenate(a) for a in zip(*single))
-        assert np.array_equal(ok, batch[2]) and np.array_equal(bad, batch[3])
-        assert np.all(np.abs(S - batch[0]) <= 4 * EPS)
+    half = n // 2
+    rev = slice(None, None, -1)
+    for tol in (1e-12, 1e-6):
+        batch = phi_series(H, x, y, tol)
+        single = [phi_series(H, x[i : i + 1], y[i : i + 1], tol) for i in range(n)]
+        halves = [phi_series(H, x[k], y[k], tol) for k in (slice(None, half), slice(half, None))]
+        reverse = phi_series(H, x[rev], y[rev], tol)
+        for k, want in enumerate(batch):
+            assert np.array_equal(np.concatenate([one[k] for one in single]), want)
+            assert np.array_equal(np.concatenate([part[k] for part in halves]), want)
+            assert np.array_equal(reverse[k][rev], want)
+        S, err, ok, bad, _ = batch
         assert np.all(np.abs(S - S_ref)[ok] <= err[ok] + 4 * EPS)
         assert np.all(err[:2] > 0) and np.all(S[:2] == 0)
-        if dy:
-            assert np.all(np.abs(y * (dS[0] - batch[4]))[ok] <= 64 * EPS)
-    # bottcher_phi is phi_vec's one-point value, bit for bit
-    for xi, yi in zip(x, y):
-        phi, _, ok1, _ = phi_vec(H, [xi], [yi])
-        if ok1[0]:
-            assert bottcher_phi(H, Point(xi, yi)) == complex(phi[0])
-        else:
-            with pytest.raises(OutsideRegion):
-                bottcher_phi(H, Point(xi, yi))
+        scalar = [boettcher._phi_point(H, complex(xi), complex(yi), tol) for xi, yi in zip(x, y)]
+        S1, ok1, bad1 = (np.array(a) for a in zip(*scalar))
+        assert np.array_equal(ok1, ok) and np.array_equal(bad1, bad)
+        assert np.all(np.abs(S1 - S) <= 4 * EPS) and np.all(S1[:2] == 0)
+        # bottcher_phi is y exp(S) of the scalar S, formed as on arrays
+        for xi, yi, Si, oki in zip(x, y, S1, ok1):
+            if oki:
+                want = (np.array([yi]) * np.exp(np.array([Si])))[0]
+                assert bottcher_phi(H, Point(xi, yi), tol) == complex(want)
+            else:
+                with pytest.raises(OutsideRegion):
+                    bottcher_phi(H, Point(xi, yi), tol)
     return ok
 
 
@@ -329,20 +344,24 @@ def test_phi_series_one_point_matches_batch_on_random_maps(H, seed):
 def test_phi_series_runs_past_a_vanishing_first_term(hcubic):
     # on (y, y^3 - x/2) the first factor is exactly 1 at x = 0 (q = -x/2),
     # while the second is 1 - y^-8/2: the product must not stop at the
-    # first term, in one point or in a batch, nor at x so small that its
-    # first term falls below tol
+    # first term, in one point, in a batch or in the scalar driver, nor at
+    # x so small that its first term falls below tol
     region = certify_region(hcubic)
     y = region.M * region.R.R * np.array([1.25, 2.0, 4.0]) * np.exp(0.7j)
     for x in (np.zeros(3), 1e-3 * EPS * y):
         S_ref = phi_series(hcubic, x, y, tol=0.0)[0]
         assert np.all(np.abs(S_ref) > 1e-13)
         for tol in (1e-12, _INNER_TOL):
-            S, err, ok, _ = phi_series(hcubic, x, y, tol)
+            S, err, ok, _, _ = phi_series(hcubic, x, y, tol)
             single = [phi_series(hcubic, x[i : i + 1], y[i : i + 1], tol) for i in range(3)]
             S1, err1 = np.concatenate([a[0] for a in single]), np.concatenate([a[1] for a in single])
             assert ok.all()
             assert np.all(np.abs(S - S_ref) <= err + 4 * EPS)
             assert np.all(np.abs(S1 - S_ref) <= err1 + 4 * EPS)
+            # the scalar driver takes the same stop rule
+            scalar = [boettcher._phi_point(hcubic, complex(xi), complex(yi), tol) for xi, yi in zip(x, y)]
+            assert all(ok_i for _, ok_i, _ in scalar)
+            assert np.all(np.abs(np.array([s for s, _, _ in scalar]) - S) <= 4 * EPS)
 
 
 def test_log1p_array_matches_decimal_reference():
@@ -418,12 +437,11 @@ def reference_phi_series(H, x, y, tol):
 
 def assert_batch_matches_reference(H, n, seed):
     x, y = spread_points(H, n, seed)
-    S, _, ok, bad, dS = phi_series(H, x, y, dy=True)
+    S, _, ok, bad, dS = phi_series(H, x, y)
     S_ref, ok_ref, bad_ref, dS_ref = reference_phi_series(H, x, y, 1e-12)
     assert np.array_equal(ok, ok_ref) and np.array_equal(bad, bad_ref)
     assert np.all(np.abs(S - S_ref) <= 4 * EPS)
     assert np.all(np.abs(y * (dS - dS_ref))[ok] <= 64 * EPS)
-    assert np.array_equal(phi_series(H, x, y)[0], S)
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -443,21 +461,21 @@ def test_phi_series_nan_is_a_bad_factor(name, request):
     x, y = spread_points(H, 40, 61)
     nan = complex(np.nan, 0.0)
     for xi, yi in ((nan, 5.0 + 0j), (0.5 + 0j, nan), (nan, nan)):
-        _, _, ok, bad = phi_series(H, [xi], [yi])
-        assert not ok[0] and bad[0] == 0
+        _, ok, bad = boettcher._phi_point(H, xi, yi, 1e-12)
+        assert not ok and bad == 0
         xb, yb = x.copy(), y.copy()
         xb[7], yb[7] = xi, yi
-        S, err, okb, badb = phi_series(H, xb, yb)
-        assert not okb[7] and badb[7] == 0
+        out = phi_series(H, xb, yb)
+        assert not out[2][7] and out[3][7] == 0
         keep = np.arange(40) != 7
-        for got, ref in zip((S, err, okb, badb), phi_series(H, x[keep], y[keep])):
+        for got, ref in zip(out, phi_series(H, x[keep], y[keep])):
             assert np.array_equal(got[keep], ref)
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
 def test_dlambda_dy_is_inverse_slope_at_solved_point(name, request):
-    # one Newton solve gives the slope the two-step definition computes;
-    # one-point calls, so both sides run phi_series's scalar body
+    # one Newton solve gives the slope the two-step definition computes,
+    # on one-point calls
     H = request.getfixturevalue(name)
     region = certify_region(H)
     for z in region_samples(np.random.default_rng(43), region, 40):

@@ -249,8 +249,9 @@ def assert_pairs_match_full_solve(H, monkeypatch):
     """A real map's table and meta circle against the same solves over every node.
 
     A solved node and its mirror both pass the Newton's residual test, so
-    they agree to rounding; the bound is 16 eps of each block's largest
-    value (the float run is in fact bitwise symmetric here)."""
+    they agree to rounding; in fact the float run is symmetric under conj
+    bit for bit (_series_table), and a node's Newton rounds do not depend
+    on which other nodes are still active, so the two agree exactly."""
     assert real_form(H) is not None
     cover._series_table(H)  # cached: both circles evaluate psi from one table
     C, tail = cover._series_table.__wrapped__(H)
@@ -260,12 +261,8 @@ def assert_pairs_match_full_solve(H, monkeypatch):
         m.setattr(cover, "real_form", lambda H: None)
         C_full, tail_full = cover._series_table.__wrapped__(H)
         qt_full = cover._qtilde_batch(H, zetas, mirror)
-    K = C.shape[0]
-    for blk in range(3):
-        got, ref = C[:, blk * K : (blk + 1) * K], C_full[:, blk * K : (blk + 1) * K]
-        assert np.abs(got - ref).max() <= 16 * EPS * np.abs(ref).max()
-    assert abs(tail - tail_full) <= 16 * EPS
-    assert np.abs(qt - qt_full).max() <= 16 * EPS * np.abs(qt_full).max()
+    assert np.array_equal(C, C_full) and tail == tail_full
+    assert np.array_equal(qt, qt_full)
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -492,7 +489,7 @@ def build_circles(H, region):
 
 
 def newton_lambda0(H, zetas):
-    lam, ok = boettcher.lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL, 100)
+    lam, ok = boettcher.lambda_vec(H, np.zeros_like(zetas), zetas, _INNER_TOL)
     assert ok.all()
     return lam
 

@@ -17,7 +17,7 @@ from henoncover import (
     green_plus,
     make_henon,
 )
-from henoncover.boettcher import OutsideRegion, phi_vec
+from henoncover.boettcher import OutsideRegion
 from henoncover.filtration import BAIL_OUT, ESCAPE_MARGIN, escape_orbit
 from henoncover import filtration, green
 from henoncover.green import (
@@ -39,6 +39,7 @@ from henoncover.green import (
 from henoncover.henon import apply_xy, inverse_leading_constant, real_form
 from henoncover.verification import _region_points, check_sublevel_band
 
+from oracles import phi_vec
 from strategies import attracting_map, henon_maps, real_henon_maps
 
 

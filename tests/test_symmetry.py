@@ -196,17 +196,19 @@ def test_generic_affine_fails_commutation_and_green(rng, href):
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
 def test_commutation_defect_matches_horner_substitution(name, request, rng):
     # commutes_with_power substitutes L by binomial matrices; the reference
-    # substitutes by Horner in the bivariate ring
+    # runs H^k on L's linear forms in the bivariate ring
     H = request.getfixturevalue(name)
     for k in (1, 2):
         for _ in range(3):
             z = rng.normal(size=4)
             L = AffineMap(cmath.exp(1j * z[0]), z[1] + 0.3j, cmath.exp(1j * z[2]), z[3])
-            ax = BivariatePoly.var_x() * L.e + BivariatePoly.const(L.f)
-            by = BivariatePoly.var_y() * L.e_prime + BivariatePoly.const(L.f_prime)
+            hx = BivariatePoly.var_x() * L.e + BivariatePoly.const(L.f)
+            hy = BivariatePoly.var_y() * L.e_prime + BivariatePoly.const(L.f_prime)
+            for _ in range(k):
+                hx, hy = apply_xy(H, hx, hy)
             ref = 0.0
-            for P, s, t in zip(component_polynomials(H, k), (L.e, L.e_prime), (L.f, L.f_prime)):
-                a, b = (P * s + BivariatePoly.const(t))._padded_pair(P(ax, by))
+            for P, HL, s, t in zip(component_polynomials(H, k), (hx, hy), (L.e, L.e_prime), (L.f, L.f_prime)):
+                a, b = (P * s + BivariatePoly.const(t))._padded_pair(HL)
                 scale = max(1.0, abs(a).max(), abs(b).max())
                 ref = max(ref, abs(a - b).max() / scale)
             assert abs(commutes_with_power(H, L, k)[1] - ref) <= 1e-14
