@@ -16,8 +16,12 @@ is one call of _phi_step, on arrays or on Python complex scalars:
 
 - _phi_batch, behind phi_series, iterates compact copies of its live
   points and writes a point's results back once, when it retires (tail
-  below tol, a bad factor, or |y| past the y^d cap).  A point's result
-  does not depend on the other points of the call.
+  below tol, a bad factor, or |y| past the y^d cap).  One reduction per
+  step decides each of the three tests, and the live copies are compacted
+  only after a step where some but not all points retire (none, in the
+  fixtures' chart builds: every torus node stops at the same step).  The
+  lambda Newton carries its active nodes compactly in the same way.  A
+  point's result does not depend on the other points of the call.
 - _phi_point, bottcher_phi's alone, runs one point on Python complex
   scalars, about a tenth of a numpy call's cost, and returns S, ok and
   bad_step: no tangent and no tail bound.  bottcher_phi forms
@@ -247,7 +251,25 @@ def _phi_batch(H: HenonMap, x, y, tol: float):
     """phi_series on flat arrays, iterating compact copies of the live points.
 
     live maps the copies back to output indices; S/err/ok/bad_step/dS are
-    written once per point, when it retires.
+    written once per point, when it retires: before a step if its |y| is
+    past the y^d cap, after a step on a bad factor (|w| > 1/2 or NaN) or
+    once its tail is below tol.  One reduction over the live points decides
+    each test (max |y| for the cap, max |w| for a bad factor, min tail for
+    the stop), and the masks are formed only when it says some point is
+    affected; so is the cap's tail constant, from the previous factor's |w|
+    and |y|.  The tail itself is formed only once the bound at max |y| is
+    below tol.  keep marks the points that go on once some have stopped;
+    the live copies are compacted only then, at the start of the next step
+    and together with the cap's retirements, and when none go on the loop
+    ends.
+
+    S and dS accumulate in place, but no product writes over one of its own
+    operands: on numpy 2.4.6, np.multiply(t, b, out=t), c * t into t and
+    t * t into t each round differently from the out-of-place product on
+    one-element complex arrays (862 to 1,347 of 3,000 seeded products per
+    form), while sizes 2-69, 127-129, 1023, 4097 and 16385 matched, and so
+    did in-place sums at every size.  One-point calls reach this driver
+    through _phi_point's fallback and the tests.
     """
     c0, factors = _series_consts(H)
     d = H.d
@@ -259,8 +281,10 @@ def _phi_batch(H: HenonMap, x, y, tol: float):
     bad_step = np.full(n, -1, dtype=int)
     dS = np.zeros(n, dtype=complex)
 
+    if not n:
+        return S, err, ok, bad_step, dS
     live = np.arange(n)
-    s, ds, c_est = S.copy(), dS.copy(), np.full(n, c0)
+    s, ds = S.copy(), dS.copy()
     tx, ty = np.zeros(n, dtype=complex), np.ones(n, dtype=complex)
 
     def retire(mask):
@@ -272,49 +296,47 @@ def _phi_batch(H: HenonMap, x, y, tol: float):
     # a bad factor may divide by zero or take log(0); it is reported in ok
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = np.abs(y)
+        top, keep = mag.max(), None  # keep: the live points that go on, once some stop
         for j in range(PHI_MAX_STEPS):
-            if live.size == 0:
-                break
             scale = float(d) ** -(j + 1)
 
-            # points too large for another y^d: bound the tail and retire them
-            huge = mag > ycap
-            if huge.any():
-                err[retire(huge)] = scale * 2.0 * c_est[huge] / mag[huge]
-                live, x, y, tx, ty, s, ds, c_est, mag = _take(
-                    ~huge, live, x, y, tx, ty, s, ds, c_est, mag
-                )
-                if live.size == 0:
+            # points too large for another y^d: bound the tail by the previous
+            # factor's |w| |y| = |q| / |y|^(d-1) (c0 before the first), retire them
+            if not top <= ycap:  # a NaN max forms the mask too
+                huge = mag > ycap if keep is None else keep & (mag > ycap)
+                c = c0 if j == 0 else np.maximum(aw[huge] * mag_in[huge], 1e-300)
+                err[retire(huge)] = scale * 2.0 * c / mag[huge]
+                keep = ~huge if keep is None else keep & ~huge
+            if keep is not None:
+                if not keep.any():
                     break
+                live, x, y, tx, ty, s, ds, mag = _take(keep, live, x, y, tx, ty, s, ds, mag)
+                keep = None
 
+            mag_in = mag
             x, y, tx, ty, aw, term, dterm = _phi_step(
                 factors, d, x, y, tx, ty, scale, _log1p_array, _ipow
             )
-            # the tail constant |w| |y| = |q| / |y|^(d-1), for the y^d cap
-            c_est = np.maximum(aw * mag, 1e-300)
             mag = np.abs(y)
-            bad = ~(aw <= PRODUCT_BOUND)  # a NaN |w| is a bad factor too
-            if bad.any():
-                idx = retire(bad)
-                ok[idx] = False
-                bad_step[idx] = j
-            s = s + term
-            ds = ds + dterm
+            top = mag.max()
+            if not aw.max() <= PRODUCT_BOUND:  # a NaN |w| is a bad factor too
+                keep = aw <= PRODUCT_BOUND
+                idx = retire(~keep)
+                ok[idx], bad_step[idx] = False, j
+            s += term
+            ds += dterm
 
-            # stop once the current term and the bound on the next are
-            # below tol; twice the larger bounds the remaining tail
-            tail = np.maximum(np.abs(term), _next_term_bound(c0, d, scale, mag))
-            done = ~bad & (tail < tol)
-            if done.any():
-                err[retire(done)] = 2.0 * tail[done]
-            stop = bad | done
-            if stop.any():
-                live, x, y, tx, ty, s, ds, c_est, mag = _take(
-                    ~stop, live, x, y, tx, ty, s, ds, c_est, mag
-                )
-
-    if live.size:
-        err[retire(slice(None))] = float(d) ** -(PHI_MAX_STEPS + 1)
+            # stop once the current term and the bound on the next are below
+            # tol (none is while the bound at max |y| is not; no tail is NaN
+            # without a bad factor); twice the larger bounds the remaining tail
+            if not _next_term_bound(c0, d, scale, top) >= tol:
+                tail = np.maximum(np.abs(term), _next_term_bound(c0, d, scale, mag))
+                if keep is not None or tail.min() < tol:
+                    done = tail < tol if keep is None else keep & (tail < tol)
+                    err[retire(done)] = 2.0 * tail[done]
+                    keep = ~done if keep is None else keep & ~done
+        else:
+            err[retire(slice(None) if keep is None else keep)] = float(d) ** -(PHI_MAX_STEPS + 1)
     return S, err, ok, bad_step, dS
 
 
@@ -450,32 +472,36 @@ def _lambda_newton(H: HenonMap, x, w, tol: float):
     Each round takes phi and its exact slope dphi/dy from one tangent pass
     of phi_series.  Returns (y, ok, dphi), where dphi is the slope from the
     last round that evaluated each point; at a converged point that round
-    evaluated exactly the returned y.
+    evaluated exactly the returned y.  The active nodes are carried as
+    compact x, w, |w| and y arrays: a node retires, and its y and slope are
+    written out, in the round whose phi meets the residual test or has a
+    bad factor, and the arrays are compacted only in a round where some but
+    not all nodes retire.  Updates are out-of-place, as in _phi_batch.
     """
     x = np.asarray(x, dtype=complex)
     w = np.asarray(w, dtype=complex)
     y = _lambda_start(H, x, w)
     dphi = np.full_like(y, np.nan)
     ok = np.ones(w.shape, dtype=bool)
-    active = np.ones(w.shape, dtype=bool)
+    idx, xa, wa, wabs, ya = np.arange(w.size), x, w, np.maximum(np.abs(w), 1e-300), y
     for _ in range(_LAMBDA_MAX_ITER):
-        if not active.any():
+        if not idx.size:
             break
-        idx = np.flatnonzero(active)
-        yi = y[idx]
-        S, _, pok, _, dS = phi_series(H, x[idx], yi, tol)
+        S, _, pok, _, dS = phi_series(H, xa, ya, tol)
         e = np.exp(S)
-        slope = e * (1.0 + yi * dS)
-        dphi[idx] = slope
-        f = yi * e - w[idx]
-        res = np.abs(f) / np.maximum(np.abs(w[idx]), 1e-300)
-        conv = res <= tol
-        bad = ~pok
-        ok[idx[bad]] = False
-        active[idx[bad | conv]] = False
-        upd = ~(bad | conv)
-        y[idx[upd]] = yi[upd] - f[upd] / slope[upd]
-    ok &= ~active
+        slope = e * (1.0 + ya * dS)
+        f = ya * e - wa
+        go = pok & ~(np.abs(f) / wabs <= tol)
+        if not go.all():
+            stop = ~go
+            y[idx[stop]], dphi[idx[stop]] = ya[stop], slope[stop]
+            ok[idx[~pok]] = False
+            if stop.all():
+                break
+            idx, xa, wa, wabs, ya, f, slope = _take(go, idx, xa, wa, wabs, ya, f, slope)
+        ya = ya - f / slope
+    else:  # out of rounds: the last iterates, with the slopes at the ones before
+        y[idx], dphi[idx], ok[idx] = ya, slope, False
     return y, ok, dphi
 
 

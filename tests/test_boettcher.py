@@ -400,23 +400,28 @@ def test_ipow_is_cpython_power_on_scalars():
 
 
 def reference_phi_series(H, x, y, tol):
-    """(S, ok, bad_step, dS) by np.log(1.0 + w) and numpy's y**d.
+    """(S, err, ok, bad_step, dS) by np.log(1.0 + w) and numpy's y**d.
 
     The orbit product on whole arrays with a live mask: the oracle for
-    phi_series's log1p/arctan2 log term and its repeated-squaring y^d.
+    phi_series's log1p/arctan2 log term, its repeated-squaring y^d and its
+    tail bounds (twice the tail at a stop; past the y^d cap, the bound from
+    the previous factor's |w| |y|, c0 before the first).
     """
     d, n = H.d, x.size
     c0 = 1.0 + float(np.abs(second_component_correction(H).c).sum())
     consts = [(f.p, f.p.derivative(), f.a) for f in H.factors]
     ycap = 10.0 ** (280.0 / d)
     S, dS = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    err, c_est = np.zeros(n), np.full(n, c0)
     ok, bad_step = np.ones(n, dtype=bool), np.full(n, -1)
     tx, ty = np.zeros(n, dtype=complex), np.ones(n, dtype=complex)
     live = np.ones(n, dtype=bool)
     with np.errstate(all="ignore"):
         for j in range(64):
             scale = float(d) ** -(j + 1)
-            live &= ~(np.abs(y) > ycap)
+            huge = live & (np.abs(y) > ycap)
+            err[huge] = scale * 2.0 * c_est[huge] / np.abs(y[huge])
+            live &= ~huge
             nx, ny, ntx, nty = x, y, tx, ty
             for p, dp, a in consts:
                 nx, ny = ny, p(ny) - a * nx
@@ -424,24 +429,31 @@ def reference_phi_series(H, x, y, tol):
             w = ny / y**d - 1.0
             term = scale * np.log(1.0 + w)
             dterm = scale * (nty / ny - d * ty / y)
+            c_est = np.maximum(np.abs(w) * np.abs(y), 1e-300)
             bad = live & ~(np.abs(w) <= 0.5)
             ok[bad], bad_step[bad] = False, j
             live &= ~bad
             S[live] += term[live]
             dS[live] += dterm[live]
             # stop on the current term and the a-priori bound on the next
-            live &= ~(np.maximum(np.abs(term), 2.0 * c0 * scale / d / np.abs(ny)) < tol)
+            tail = np.maximum(np.abs(term), 2.0 * c0 * scale / d / np.abs(ny))
+            done = live & (tail < tol)
+            err[done] = 2.0 * tail[done]
+            live &= ~done
             x, y, tx, ty = nx, ny, ntx, nty
-    return S, ok, bad_step, dS
+        err[live] = float(d) ** -65
+    return S, err, ok, bad_step, dS
 
 
 def assert_batch_matches_reference(H, n, seed):
     x, y = spread_points(H, n, seed)
-    S, _, ok, bad, dS = phi_series(H, x, y)
-    S_ref, ok_ref, bad_ref, dS_ref = reference_phi_series(H, x, y, 1e-12)
+    S, err, ok, bad, dS = phi_series(H, x, y)
+    S_ref, err_ref, ok_ref, bad_ref, dS_ref = reference_phi_series(H, x, y, 1e-12)
     assert np.array_equal(ok, ok_ref) and np.array_equal(bad, bad_ref)
     assert np.all(np.abs(S - S_ref) <= 4 * EPS)
     assert np.all(np.abs(y * (dS - dS_ref))[ok] <= 64 * EPS)
+    # the reference's log term is off by up to eps absolute, its y^d by rounding
+    assert np.all(np.abs(err - err_ref) <= 1e-9 * err_ref + 4 * EPS)
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -470,6 +482,55 @@ def test_phi_series_nan_is_a_bad_factor(name, request):
         keep = np.arange(40) != 7
         for got, ref in zip(out, phi_series(H, x[keep], y[keep])):
             assert np.array_equal(got[keep], ref)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_lambda_point_independent(H, x, w):
+    """dlambda_dy_vec gives each node the same (dl, ok, y) bits in one call,
+    alone (every 8th node), in two halves and in reversed order."""
+    full = dlambda_dy_vec(H, x, w, _INNER_TOL)
+    half = x.size // 2
+    rev = slice(None, None, -1)
+    halves = [dlambda_dy_vec(H, x[k], w[k], _INNER_TOL) for k in (slice(None, half), slice(half, None))]
+    reverse = dlambda_dy_vec(H, x[rev], w[rev], _INNER_TOL)
+    for k, want in enumerate(full):
+        assert same_bits(np.concatenate([part[k] for part in halves]), want)
+        assert same_bits(reverse[k][rev], want)
+    for i in range(0, x.size, 8):
+        alone = dlambda_dy_vec(H, x[i : i + 1], w[i : i + 1], _INNER_TOL)
+        assert all(same_bits(got, want[i : i + 1]) for got, want in zip(alone, full))
+    return full
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_lambda_is_point_independent_on_the_table_torus(name, request):
+    # the series table's one solve: a node's lambda does not depend on how
+    # many nodes are still active (cover._series_table relies on it)
+    H = request.getfixturevalue(name)
+    x, w = cover._torus_nodes(H)
+    m = (-np.arange(cover._TORUS_N)) % cover._TORUS_N
+    rep, _ = cover._conjugate_pairs(H, (m[:, None] * cover._TORUS_N + m).ravel())
+    assert rep.size == 514
+    _, ok, _ = assert_lambda_point_independent(H, x.ravel()[rep], w.ravel()[rep])
+    assert ok.all()
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(henon_maps)
+def test_lambda_is_point_independent_when_nodes_stop_on_different_rounds(H):
+    # every torus node, a node outside W+_M and a NaN node, which retires
+    # on the first round while the others run on
+    X, W = cover._torus_nodes(H)
+    region = certify_region(H)
+    outside = region.R.R / 4.0 * np.exp(0.3j)
+    x = np.append(X.ravel(), [0.0, np.nan])
+    w = np.append(W.ravel(), [outside, W[0, 0]])
+    assert not in_region_xy(0.0, outside, region.M, region.R.R)
+    _, ok, _ = assert_lambda_point_independent(H, x, w)
+    assert ok[:-2].all() and not ok[-1]
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
