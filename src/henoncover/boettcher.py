@@ -123,12 +123,14 @@ class BoettcherRegion:
 
 @functools.lru_cache(maxsize=64)
 def _series_consts(H: HenonMap):
-    """(c0, ((p, p', a) per factor)) for phi_series, built once per map.
+    """(c0, ycap, ((p, p', a) per factor)) for phi_series, built once per map.
 
     c0 bounds |q(x, y)| <= c0 * max(|x|, |y|)^(d-1); q has total degree d-1.
+    ycap = 10^(280/d) caps |y| before a step, so that y^d stays below 1e280.
     """
     c0 = 1.0 + float(np.abs(second_component_correction(H).c).sum())
-    return c0, tuple((f.p, f.p.derivative(), f.a) for f in H.factors)
+    ycap = 10.0 ** (280.0 / H.d)
+    return c0, ycap, tuple((f.p, f.p.derivative(), f.a) for f in H.factors)
 
 
 def _ipow(y, d: int):
@@ -211,9 +213,8 @@ def _phi_one(H: HenonMap, x: complex, y: complex, tol: float):
     overflowing |.| raise instead of giving IEEE infinities; _phi_point
     then reruns the point on arrays.
     """
-    c0, factors = _series_consts(H)
+    c0, ycap, factors = _series_consts(H)
     d = H.d
-    ycap = 10.0 ** (280.0 / d)
     S = 0j
     mag = abs(y)
     for j in range(PHI_MAX_STEPS):
@@ -271,10 +272,9 @@ def _phi_batch(H: HenonMap, x, y, tol: float):
     did in-place sums at every size.  One-point calls reach this driver
     through _phi_point's fallback and the tests.
     """
-    c0, factors = _series_consts(H)
+    c0, ycap, factors = _series_consts(H)
     d = H.d
     n = x.size
-    ycap = 10.0 ** (280.0 / d)
     S = np.zeros(n, dtype=complex)
     err = np.zeros(n, dtype=float)
     ok = np.ones(n, dtype=bool)

@@ -52,7 +52,7 @@ from .boettcher import (
     dlambda_dy_vec,
     lambda_vec,
 )
-from .filtration import filtration_radius
+from .filtration import BAIL_OUT, filtration_radius
 from .henon import (
     ComplexPolynomial,
     HenonError,
@@ -787,7 +787,7 @@ def covering_map(chart: CoverChart, w: CoverPoint, budget: int = 20) -> Point:
             return iterate(chart.H, pt, -n)
         if n == budget:
             break
-        if abs(cur.zeta) ** chart.H.d > 1e150 or abs(cur.z) > 1e150:
+        if abs(cur.zeta) ** chart.H.d > BAIL_OUT or abs(cur.z) > BAIL_OUT:
             raise BudgetExceeded(
                 "model orbit overflow before entering the absorbing region"
             )

@@ -435,7 +435,6 @@ def first_component_axis_poly(H: HenonMap) -> ComplexPolynomial:
     return ComplexPolynomial(tuple(p1.c[0, :]))
 
 
-@functools.lru_cache(maxsize=64)
 def second_component_correction(H: HenonMap) -> BivariatePoly:
     """pi_2 H - y^d expanded (the oracle form of the product correction)."""
     _, p2 = component_polynomials(H)
@@ -447,7 +446,6 @@ def second_component_correction(H: HenonMap) -> BivariatePoly:
     return BivariatePoly(pad).trim()
 
 
-@functools.lru_cache(maxsize=64)
 def inverse_leading_constant(H: HenonMap) -> complex:
     """kappa with pi_1(H^{-1}(x,y)) ~ x^d / kappa as |x| -> infinity.
 

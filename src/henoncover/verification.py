@@ -231,13 +231,21 @@ def check_boettcher(H: HenonMap, n: int = 100, seed: int = 29):
     return worst, f"{n} points"
 
 
+def _chart_points(chart, n: int, seed, depth=(1.0, 4.0)):
+    """n seeded points of the chart domain: |y|/(2 r_in) uniform in depth,
+    |x| uniform in [0, |y|/(3M)], drawn y then x point by point."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        y = _polar(rng, *depth, 2.0 * chart.inner_radius)
+        out.append(Point(_polar(rng, 0.0, abs(y) / (3.0 * chart.region.M)), y))
+    return out
+
+
 @_check("cover.semiconjugacy", 1e-6)
 def check_chart_semiconjugacy(chart, n: int = 50, seed: int = 31):
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
-        y = _polar(rng, 1.0, 4.0, 2.0 * chart.inner_radius)
-        z = Point(_polar(rng, 0.0, abs(y) / (3.0 * chart.region.M)), y)
+    for z in _chart_points(chart, n, seed):
         w1 = psi_tilde(chart, apply(chart.H, z))
         worst = max(worst, _cover_defect(w1, lift_H(chart, psi_tilde(chart, z))))
     return worst, f"{n} points"

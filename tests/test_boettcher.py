@@ -33,26 +33,16 @@ from henoncover.boettcher import (
 from henoncover.cover import _INNER_TOL
 from henoncover.filtration import filtration_radius
 from henoncover.henon import apply_xy, second_component_correction
+from henoncover.verification import _region_points, check_boettcher
 
 from oracles import phi_vec
 from strategies import henon_maps
 
 
-def region_samples(rng, region, n):
-    M, R = region.M, region.R.R
-    out = []
-    for _ in range(n):
-        y = M * R * rng.uniform(1.5, 8.0) * np.exp(2j * np.pi * rng.uniform())
-        x = rng.uniform(0, abs(y) / (2 * M)) * np.exp(2j * np.pi * rng.uniform())
-        out.append(Point(x, y))
-    return out
-
-
-def region_arrays(rng, region, n):
-    """region_samples as complex arrays (x, y)."""
-    pts = region_samples(rng, region, n)
-    return (np.array([z.x for z in pts], dtype=complex),
-            np.array([z.y for z in pts], dtype=complex))
+def xy_arrays(points):
+    """A list of Points as complex arrays (x, y)."""
+    return (np.array([z.x for z in points], dtype=complex),
+            np.array([z.y for z in points], dtype=complex))
 
 
 def test_q_simple_map():
@@ -72,11 +62,8 @@ def test_q_matches_symbolic_expansion(rng, htwo):
         assert abs(direct - symbolic) <= 1e-12 * max(1.0, abs(symbolic))
 
 
-def test_phi_semiconjugacy(rng, href, href_region):
-    for z in region_samples(rng, href_region, 50):
-        p = bottcher_phi(href, z)
-        p2 = bottcher_phi(href, apply(href, z))
-        assert abs(p2 - p**href.d) <= 1e-8 * abs(p) ** href.d
+def test_phi_semiconjugacy(rng, href):
+    assert check_boettcher(href, n=50, seed=rng)["passed"]
 
 
 def test_phi_near_identity_with_tail_oracle():
@@ -97,8 +84,8 @@ def test_phi_near_identity_with_tail_oracle():
     assert abs(p / 1e6 - 1.0) <= 1e-4
 
 
-def test_phi_log_is_green(rng, href, href_region):
-    for z in region_samples(rng, href_region, 30):
+def test_phi_log_is_green(rng, href):
+    for z in _region_points(href, 30, rng):
         g = green_plus(href, z)
         assert abs(np.log(abs(bottcher_phi(href, z))) - g.value) <= 1e-8
 
@@ -116,15 +103,15 @@ def test_phi_outside_region_raises():
     assert exc.value.step == 0
 
 
-def test_lambda_inverse_pair(rng, href, href_region):
-    x, y = region_arrays(rng, href_region, 50)
+def test_lambda_inverse_pair(rng, href):
+    x, y = xy_arrays(_region_points(href, 50, rng))
     lam, ok = lambda_vec(href, x, phi_vec(href, x, y)[0])
     assert ok.all() and np.all(np.abs(lam - y) <= 1e-9 * np.abs(y))
 
 
-def test_lambda_close_to_identity(rng, href, href_region):
+def test_lambda_close_to_identity(rng, href):
     eps = 0.035
-    x, w = region_arrays(rng, href_region, 30)  # any target in the region works
+    x, w = xy_arrays(_region_points(href, 30, rng))  # any target in the region works
     lam, ok = lambda_vec(href, x, w)
     assert ok.all() and np.all(np.abs(np.abs(lam / w) - 1) <= eps)
 
@@ -226,17 +213,17 @@ def test_lambda_no_convergence(monkeypatch):
     assert not ok[0]
 
 
-def test_derivative_bounds(rng, href, href_region):
+def test_derivative_bounds(rng, href):
     eps = 0.035
-    x, y = region_arrays(rng, href_region, 20)
+    x, y = xy_arrays(_region_points(href, 20, rng))
     dp, ok = dphi_dy_vec(href, x, y)
     assert ok.all() and np.all(np.abs(np.abs(dp) - 1) <= eps)
     dl, ok, _ = dlambda_dy_vec(href, x, phi_vec(href, x, y)[0])
     assert ok.all() and np.all(np.abs(dp * dl - 1.0) <= 1e-9)
 
 
-def test_derivative_matches_finite_difference(rng, href, href_region):
-    x, y = region_arrays(rng, href_region, 15)
+def test_derivative_matches_finite_difference(rng, href):
+    x, y = xy_arrays(_region_points(href, 15, rng))
     dp, ok = dphi_dy_vec(href, x, y)
     h = 1e-5 * np.abs(y)
     fd = (phi_vec(href, x, y + h)[0] - phi_vec(href, x, y - h)[0]) / (2 * h)
@@ -254,7 +241,7 @@ def cauchy_dphi_dy(H, x, y, M):
 
 def assert_tangent_matches_cauchy(H, n, seed):
     region = certify_region(H)
-    x, y = region_arrays(np.random.default_rng(seed), region, n)
+    x, y = xy_arrays(_region_points(H, n, seed))
     dp, ok = dphi_dy_vec(H, x, y)
     ref, ref_ok = cauchy_dphi_dy(H, x, y, region.M)
     assert ok.all() and ref_ok.all()
@@ -538,8 +525,7 @@ def test_dlambda_dy_is_inverse_slope_at_solved_point(name, request):
     # one Newton solve gives the slope the two-step definition computes,
     # on one-point calls
     H = request.getfixturevalue(name)
-    region = certify_region(H)
-    for z in region_samples(np.random.default_rng(43), region, 40):
+    for z in _region_points(H, 40, 43):
         y, ok = lambda_vec(H, [z.x], [z.y])
         dl, dl_ok, dl_y = dlambda_dy_vec(H, [z.x], [z.y])
         dp, dp_ok = dphi_dy_vec(H, [z.x], y)

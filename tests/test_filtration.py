@@ -49,12 +49,12 @@ def escape_step(H, z, N_max):
     return None if hit is None else hit[0]
 
 
-def test_classify_deep_point_escapes_immediately(href, href_radius):
+def test_escape_orbit_deep_point_escapes_at_step_zero(href, href_radius):
     z = Point(0, 10 * href_radius.R)
     assert escape_orbit(href, z.x, z.y, 50) == (0, z.x, z.y)
 
 
-def test_classify_fixed_point_bounded():
+def test_escape_orbit_fixed_point_never_escapes():
     H = make_henon([([0, 0, 1], 1.0)])
     assert escape_orbit(H, 0j, 0j, 64) is None
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from henoncover import (
     Point,
-    apply,
     apply_inverse,
     bottcher_phi,
     certify_region,
@@ -37,7 +36,12 @@ from henoncover.green import (
     sublevel_grid,
 )
 from henoncover.henon import apply_xy, inverse_leading_constant, real_form
-from henoncover.verification import _region_points, check_sublevel_band
+from henoncover.verification import (
+    _region_points,
+    check_green_functorial,
+    check_green_functorial_minus,
+    check_sublevel_band,
+)
 
 from oracles import phi_vec
 from strategies import attracting_map, henon_maps, real_henon_maps
@@ -62,28 +66,11 @@ def test_green_deep_value_matches_bottcher_oracle():
 
 
 def test_green_functorial(rng, href):
-    checked = 0
-    while checked < 200:
-        z = Point(complex(*rng.uniform(-8, 8, 2)), complex(*rng.uniform(-8, 8, 2)))
-        g = green_plus(href, z)
-        if g.value <= 0.01:
-            continue
-        checked += 1
-        g2 = green_plus(href, apply(href, z))
-        assert abs(g2.value - href.d * g.value) <= 1e-6 * max(1.0, href.d * g.value)
+    assert check_green_functorial(href, n=200, seed=rng)["passed"]
 
 
 def test_green_minus_mirrors(rng, href):
-    d = href.d
-    checked = 0
-    while checked < 60:
-        z = Point(complex(*rng.uniform(-8, 8, 2)), complex(*rng.uniform(-8, 8, 2)))
-        g = green_minus(href, z)
-        if g.value <= 0.01:
-            continue
-        checked += 1
-        g2 = green_minus(href, apply_inverse(href, z))
-        assert abs(g2.value - d * g.value) <= 1e-6 * max(1.0, d * g.value)
+    assert check_green_functorial_minus(href, n=60, seed=rng)["passed"]
 
 
 def test_green_minus_deep_scale():

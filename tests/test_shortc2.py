@@ -5,22 +5,12 @@ from henoncover import (
     Point,
     SublevelTag,
     annulus_coordinate,
-    apply,
     classify_sublevel,
-    green_plus,
     make_henon,
 )
+from henoncover.green import escaping_samples
 from henoncover.shortc2 import NotEscaping
-
-
-def escaping_points(rng, H, n, g_min=0.02):
-    out = []
-    while len(out) < n:
-        z = Point(complex(*rng.uniform(-8, 8, 2)), complex(*rng.uniform(-8, 8, 2)))
-        g = green_plus(H, z)
-        if g.value > g_min:
-            out.append((z, g.value))
-    return out
+from henoncover.verification import check_annulus_modulus, check_sublevel_equivariance
 
 
 def test_fixed_point_in_k_plus():
@@ -32,7 +22,7 @@ def test_fixed_point_in_k_plus():
 
 
 def test_classification_follows_green(rng, href):
-    for z, g in escaping_points(rng, href, 25):
+    for z, g in escaping_samples(href, 25, rng, N_max=256):
         below = classify_sublevel(href, 2.0 * g, z)
         above = classify_sublevel(href, 0.5 * g, z)
         assert below.tag is SublevelTag.IN_OMEGA_PRIME
@@ -49,14 +39,14 @@ def test_deep_point_outside_small_sublevel(href, href_radius):
 
 
 def test_ambiguous_band_flagged(rng, href):
-    (z, g), = escaping_points(rng, href, 1)
+    (z, g), = escaping_samples(href, 1, rng, N_max=256)
     cls = classify_sublevel(href, g, z)
     assert cls.tag is SublevelTag.OUTSIDE_OMEGA
     assert cls.ambiguous
 
 
 def test_monotone_in_threshold(rng, href):
-    for z, g in escaping_points(rng, href, 15):
+    for z, g in escaping_samples(href, 15, rng, N_max=256):
         c1 = classify_sublevel(href, 1.2 * g, z)
         c2 = classify_sublevel(href, 2.4 * g, z)
         if c1.tag is SublevelTag.IN_OMEGA_PRIME and not c2.ambiguous:
@@ -64,7 +54,7 @@ def test_monotone_in_threshold(rng, href):
 
 
 def test_annulus_modulus_is_green(rng, href, href_chart):
-    for z, g in escaping_points(rng, href, 30):
+    for z, g in escaping_samples(href, 30, rng, N_max=256):
         zeta = annulus_coordinate(href_chart, z)
         assert abs(abs(zeta) - np.exp(g)) <= 1e-8 * np.exp(g)
 
@@ -73,7 +63,7 @@ def test_annulus_range_inside_sublevel(rng, href, href_chart):
     c = 1.5
     found = 0
     while found < 15:
-        pts = escaping_points(rng, href, 10)
+        pts = escaping_samples(href, 10, rng, N_max=256)
         for z, g in pts:
             cls = classify_sublevel(href, c, z)
             if cls.tag is SublevelTag.IN_OMEGA_PRIME:
@@ -82,24 +72,12 @@ def test_annulus_range_inside_sublevel(rng, href, href_chart):
                 assert 1.0 < abs(zeta) < np.exp(c)
 
 
-def test_annulus_power_law(rng, href, href_chart):
-    for z, _ in escaping_points(rng, href, 40):
-        z1 = annulus_coordinate(href_chart, z)
-        z2 = annulus_coordinate(href_chart, apply(href, z))
-        assert abs(abs(z2) - abs(z1) ** href.d) <= 1e-8 * abs(z1) ** href.d
+def test_annulus_power_law(rng, href_chart):
+    assert check_annulus_modulus(href_chart, n=40, seed=rng)["passed"]
 
 
 def test_sublevel_equivariance(rng, href):
-    c = 0.8
-    used = 0
-    while used < 60:
-        z = Point(complex(*rng.uniform(-6, 6, 2)), complex(*rng.uniform(-6, 6, 2)))
-        c1 = classify_sublevel(href, c, z, budget=128)
-        c2 = classify_sublevel(href, href.d * c, apply(href, z), budget=128)
-        if c1.ambiguous or c2.ambiguous:
-            continue
-        used += 1
-        assert c1.tag is c2.tag
+    assert check_sublevel_equivariance(href, n=60, c=0.8, seed=rng, half_width=6.0)["passed"]
 
 
 def test_not_escaping_raises(href_chart):
