@@ -6,8 +6,8 @@ The chart is assembled in three steps on the region W~+_M:
     E2(x, y) = (psi(x, y), y),  psi = y * int_0^x dlambda/dy(t, y) dt
     E3(x, y) = (x - R(y), y)                  kill the Laurent tail
 
-E2 is evaluated from one table per map, on W+_M = certify_region(H): the
-Taylor coefficients in s = x/y and u = 1/y of dlambda/dy and of
+E2 is evaluated from the chart's series table on W+_M = certify_region(H):
+the Taylor coefficients in s = x/y and u = 1/y of dlambda/dy and of
 log(lambda/y), which are holomorphic on the bidisc of W+_M and extend
 across u = 0 (Hubbard & Oberste-Vorth, Publ. Math. IHES 79, 1994).  One
 batched lambda solve on a torus and a 2-D FFT give them (the trapezoidal
@@ -24,12 +24,13 @@ with Q monic of degree d + d'.  Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d)
 is Q plus a tail Q^- = O(1/zeta), holomorphic in 1/zeta.  One truncated
 power-series computation in 1/zeta reads Q and Q^-'s Laurent coefficients
 off the table, and R, which solves (a/d) R(zeta) - R(zeta^d) = Q^-(zeta),
-is one Horner sum in 1/zeta.  So a build is one lambda solve, the
-table's.  Qtilde sampled on |zeta| = 1.25MR checks Q (CoverChart.meta): a
-second lambda solve, run on first read of meta, which verify's
-cover.q_structure makes.  The torus and the circle are closed under
-conjugation, so for a map with real coefficients each solve runs at one
-node of each conjugate pair and conjugates the rest (_series_table).
+is one Horner sum in 1/zeta.  CoverChart(H) derives all of this once, in
+its constructor, so a build is one lambda solve, the table's.  Qtilde
+sampled on |zeta| = 1.25MR checks Q (CoverChart.meta): a second lambda
+solve, run on first read of meta, which verify's cover.q_structure makes.
+The torus and the circle are closed under conjugation, so for a map with
+real coefficients each solve runs at one node of each conjugate pair and
+conjugates the rest (_series_table).
 Deck transformations rotate zeta by d-power roots of unity and shift z by
 an exactly cancelling Q-difference.
 """
@@ -52,7 +53,7 @@ from .boettcher import (
     dlambda_dy_vec,
     lambda_vec,
 )
-from .filtration import BAIL_OUT, filtration_radius
+from .filtration import BAIL_OUT
 from .henon import (
     ComplexPolynomial,
     HenonError,
@@ -146,76 +147,67 @@ class CoverPoint:
 
 @dataclass(frozen=True)
 class CoverChart:
-    """The chart of one map H.
+    """The chart of one map H, derived in full when it is constructed.
 
-    Everything is derived from H on first use and cached: the region W+_M,
-    the lift polynomial Q, the aspect t, R's Laurent coefficients
-    (_r_laurent, per map) and the radius Mtilde of the absorbing region
-    S_{Mtilde, t} = {|zeta| >= Mtilde, |z| < t |zeta|^2}.  These come from
-    the series table alone.  meta, the circle check of Q, is the one
-    derived value that solves lambda again; no chart function reads it.
+    CoverChart(H) derives, once: the region W+_M = certify_region(H), the
+    series table and its tail (_series_table), the lift polynomial Q with
+    Q^-'s Laurent coefficients and their majorant A (_q_from_series), R's
+    Laurent coefficients (_r_laurent), the aspect t = 1/(4M) and the
+    radius Mtilde of the absorbing region S_{Mtilde, t} = {|zeta| >=
+    Mtilde, |z| < t |zeta|^2}.  So every gate fires in the constructor:
+    DecayFailed if the table's K = 16 orders cannot hold Q, if the table's
+    tail exceeds 1e-12 or if no Mtilde is proved; NoConvergence if a torus
+    node fails; Overflow if a coefficient of Q is not a finite double;
+    MonicityFailed if |leading(Q) - 1| > 1e-6.  H is the one field, so a
+    second CoverChart(H) is an equal chart with the same bits.  meta, the
+    circle check of Q, is the one value left to its first read: it solves
+    lambda again, and no chart function reads it.
     """
 
     H: HenonMap
 
-    @functools.cached_property
-    def region(self) -> BoettcherRegion:
-        """W+_M = certify_region(H), the region the chart is built on."""
-        return certify_region(self.H)
-
-    @property
-    def inner_radius(self) -> float:
-        return self.region.M * self.region.R.R
-
-    @functools.cached_property
-    def t(self) -> float:
-        """1/(4M), the aspect of the absorbing region S_{Mtilde, t}."""
-        return 1.0 / (4.0 * self.region.M)
-
-    @functools.cached_property
-    def Mtilde(self) -> float:
-        """The first 2MR * 2^k at which _r_series_bound proves |R| < t |zeta|^2.
-
-        The bound falls as |zeta| grows while t |zeta|^2 rises, so the one
-        check at Mtilde covers every |zeta| >= Mtilde.  DecayFailed if no
-        k < 13 proves it.
-        """
-        Mtilde = 2.0 * self.inner_radius
-        for _ in range(13):
-            if _r_series_bound(self, Mtilde) < self.t * Mtilde**2:
-                return Mtilde
-            Mtilde *= 2.0
-        raise DecayFailed("no Mtilde up to 2^13 * 2MR proved |R| < |zeta|^2/(4M)")
-
-    @functools.cached_property
-    def Q(self) -> ComplexPolynomial:
-        """The monic degree-(d+d') polynomial of _q_from_series: DecayFailed if
-        the table's K = 16 orders cannot hold it, Overflow if a coefficient
-        is not a finite double, MonicityFailed if |leading - 1| > 1e-6."""
-        deg, K = self.H.d + self.H.d_prime, _TORUS_N // 2
+    def __post_init__(self):
+        H = self.H
+        deg, K = H.d + H.d_prime, _TORUS_N // 2
         if deg >= K:
             raise DecayFailed(f"Q needs d + d' + 1 = {deg + 1} series orders; the table has {K}")
-        coeffs = _q_from_series(self.H)[0]
+        region = certify_region(H)
+        table, tail = _series_table(H, region)
+        coeffs, q, A = _q_from_series(H, region, table)
         if not np.isfinite(coeffs).all():
             raise Overflow("a coefficient of Q exceeds the double range")
         monic_defect = abs(coeffs[-1] - 1.0)
         if monic_defect > 1e-6:
             raise MonicityFailed(float(monic_defect))
-        return ComplexPolynomial(tuple(coeffs))
-
-    @property
-    def series_tail(self) -> float:
-        """The series table's largest dropped bin (_series_table), at most 1e-12."""
-        return _series_table(self.H)[1]
+        r = _r_laurent(H, q)
+        inner = region.M * region.R.R
+        # frozen: the derived values go straight into the instance dict
+        vars(self).update(
+            region=region, inner_radius=inner, t=1.0 / (4.0 * region.M), series_tail=tail,
+            Q=ComplexPolynomial(tuple(coeffs)), _table=table, _A=A, _r=r,
+            # r_series' domain edge and Horner coefficients (r_N, ..., r_1)
+            _r_horner=(1.5 * inner, tuple(complex(c) for c in r[::-1])),
+        )
+        # the first 2MR * 2^k at which _r_series_bound proves |R| < t |zeta|^2:
+        # the bound falls as |zeta| grows while t |zeta|^2 rises, so the one
+        # check at Mtilde covers every |zeta| >= Mtilde
+        Mtilde = 2.0 * inner
+        for _ in range(13):
+            if _r_series_bound(self, Mtilde) < self.t * Mtilde**2:
+                break
+            Mtilde *= 2.0
+        else:
+            raise DecayFailed("no Mtilde up to 2^13 * 2MR proved |R| < |zeta|^2/(4M)")
+        vars(self)["Mtilde"] = Mtilde
 
     @functools.cached_property
     def meta(self) -> dict:
         """The check of Q on one circle, |zeta| = rho_q = 1.25MR.
 
-        Run on first read, not by build_chart: nothing in the chart reads
-        it, and verify's cover.q_structure does.  Qtilde there takes one
-        lambda_vec Newton for lambda(0, zeta) (1/zeta is outside the series
-        bidisc).  The circle's n samples sit at rho_q e_k, _unit_roots(n),
+        Run on first read, not by the constructor: nothing in the chart
+        reads it, and verify's cover.q_structure does.  Qtilde there takes
+        one lambda_vec Newton for lambda(0, zeta) (1/zeta is outside the
+        series bidisc).  The circle's n samples sit at rho_q e_k, _unit_roots(n),
         so they come in exact conjugate pairs, and a real map solves
         lambda(0, .) at n/2 + 1 of them (129 of 256, 257 of 512) and
         conjugates the rest, as the table does (_series_table).
@@ -231,7 +223,7 @@ class CoverChart:
         n = 1 << max(6, int(np.ceil(np.log2(_SAMPLES_PER_DEGREE * deg))))
         q_rho = 1.25 * self.region.M * self.region.R.R
         zk = q_rho * _unit_roots(n)
-        qt = _qtilde_batch(self.H, zk, (-np.arange(n)) % n)
+        qt = _qtilde_batch(self, zk, (-np.arange(n)) % n)
         bins = np.abs(np.fft.fft(qt - Q(zk))[: n // 2]) / n
         decay_max = float(bins.max())
         if decay_max > 1e-6 * q_rho**deg:
@@ -248,11 +240,6 @@ class CoverChart:
             "tail_purity": purity,
             "series_tail": self.series_tail,
         }
-
-    @functools.cached_property
-    def _r_horner(self) -> tuple:
-        """(1.5MR, (r_N, ..., r_1)): r_series' domain edge and Horner coefficients."""
-        return 1.5 * self.inner_radius, tuple(complex(c) for c in _r_laurent(self.H)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +302,15 @@ def _unit_roots(n: int):
     return e
 
 
-def _torus_nodes(H: HenonMap):
-    """(x, w), each N x N: the table's torus on certify_region(H), row i at
+def _torus_nodes(region: BoettcherRegion):
+    """(x, w), each N x N: the table's torus on the region W+_M, row i at
     sigma = e_i, column j at upsilon = e_j.
 
     The e_k are _unit_roots, and x and w are products and quotients of
     them with real scalars, which commute with conj exactly; so node
     (-i, -j) is exactly the conjugate of node (i, j) (indices mod N).
     """
-    M, R = certify_region(H).M, filtration_radius(H).R
+    M, R = region.M, region.R.R
     e = _unit_roots(_TORUS_N)
     w = 1.0 / np.broadcast_to(_TORUS_FRAC / (M * R) * e[None, :], (_TORUS_N, _TORUS_N))
     return w * (_TORUS_FRAC / M) * e[:, None], w
@@ -351,9 +338,8 @@ def _conjugate_pairs(H: HenonMap, mirror):
     return rep, fill
 
 
-@functools.lru_cache(maxsize=32)
-def _series_table(H: HenonMap):
-    """(C, tail): Taylor coefficients of the chart on W+_M, from one solve.
+def _series_table(H: HenonMap, region: BoettcherRegion):
+    """(C, tail): Taylor coefficients of the chart on W+_M = region, from one solve.
 
     With r_s = 0.75/M, r_u = 0.75/(MR) and scaled variables
     sigma = s/r_s, upsilon = u/r_u (s = x/y, u = 1/y), the functions
@@ -429,7 +415,7 @@ def _series_table(H: HenonMap):
     A complex map solves every node through the same code.
     """
     N, K = _TORUS_N, _TORUS_N // 2
-    x, w = _torus_nodes(H)
+    x, w = _torus_nodes(region)
     m = (-np.arange(N)) % N
     rep, fill = _conjugate_pairs(H, (m[:, None] * N + m).ravel())
     h, ok, lam = dlambda_dy_vec(H, x.ravel()[rep], w.ravel()[rep], _INNER_TOL)
@@ -446,8 +432,8 @@ def _series_table(H: HenonMap):
     return C, tail
 
 
-def _series_eval(H: HenonMap, X, W):
-    """(psi, dlambda/dy, lambda) at the points (X_i, W_i) from the table.
+def _series_eval(chart: CoverChart, X, W):
+    """(psi, dlambda/dy, lambda) at the points (X_i, W_i) from the chart's table.
 
     The points must lie in the series bidisc M*max(|X|, R) <= 0.6|W|;
     OutsideChartDomain otherwise, a NaN coordinate counting as outside (a
@@ -457,15 +443,14 @@ def _series_eval(H: HenonMap, X, W):
     per point), so its values do not depend on the other points of the call.
     """
     X, W = np.asarray(X, dtype=complex).ravel(), np.asarray(W, dtype=complex).ravel()
-    region = certify_region(H)  # one cache lookup: this runs per chart evaluation
-    M, R = region.M, region.R.R
+    M, R = chart.region.M, chart.region.R.R
     if X.size == 1:
         inside = M * max(abs(X.item()), R) <= _SERIES_FRAC * abs(W.item())
     else:
         inside = (M * np.maximum(np.abs(X), R) <= _SERIES_FRAC * np.abs(W)).all()
     if not inside:
         raise OutsideChartDomain("point outside the series bidisc M*max(|x|, R) <= 0.6|y|")
-    C, _ = _series_table(H)
+    C = chart._table
     K = C.shape[0]
     # per point, powers 0 .. K-1 of sigma = (X/W)/r_s and of
     # upsilon = (1/W)/r_u, one row each
@@ -481,7 +466,7 @@ def _series_eval(H: HenonMap, X, W):
 # ---------------------------------------------------------------------------
 # chart construction
 
-def _qtilde_batch(H: HenonMap, zetas, mirror=None):
+def _qtilde_batch(chart: CoverChart, zetas, mirror=None):
     """Qtilde(zeta) = psi(P1(lambda(0, zeta)), zeta^d) on a 1-D array of
     zetas, psi from the table.
 
@@ -492,13 +477,14 @@ def _qtilde_batch(H: HenonMap, zetas, mirror=None):
     takes the other's lambda by conjugation (_conjugate_pairs); without
     it every zeta is solved.
     """
+    H = chart.H
     zetas = np.asarray(zetas, dtype=complex).ravel()
     rep, fill = _conjugate_pairs(H, np.arange(zetas.size) if mirror is None else mirror)
     lam0, ok = lambda_vec(H, np.zeros(rep.size, dtype=complex), zetas[rep], _INNER_TOL)
     if not ok.all():
         raise NoConvergence(_LAMBDA_MAX_ITER)
     x0 = first_component_axis_poly(H)(fill(lam0))
-    return _series_eval(H, x0, zetas**H.d)[0]
+    return _series_eval(chart, x0, zetas**H.d)[0]
 
 
 # Laurent orders of Q^- and R, and rho'/MR of the majorant past them
@@ -506,11 +492,11 @@ _LAURENT_N = _TORUS_N
 _MAJORANT_FRAC = 1.0 / 3.0
 
 
-@functools.lru_cache(maxsize=32)
 @np.errstate(over="ignore", invalid="ignore")
-def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
+def _q_from_series(H: HenonMap, region: BoettcherRegion, C, N: int = _LAURENT_N):
     """(Q, q, A): Q's coefficients, constant first, Q^-'s Laurent
-    coefficients q_1 .. q_N, and the constant A of the bound past N.
+    coefficients q_1 .. q_N, and the constant A of the bound past N, from
+    the series table C of _series_table on W+_M = region.
 
     In t = 1/zeta the table gives lambda(0, zeta) = zeta E(t) with
     E = exp(sum_k g_0k (t/r_u)^k), so x0 = P1(lambda(0, zeta)) = t^(-d') X(t)
@@ -524,7 +510,7 @@ def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
     Table orders j, k >= K are taken as 0, which makes S the series of an
     entire function S_T (and E's recurrence sums only k < K); products are
     truncated after order d + d' + N, which leaves every lower order
-    exact, so Q does not depend on N (Q needs d + d' < K; build_chart
+    exact, so Q does not depend on N (Q needs d + d' < K; CoverChart
     checks).  For a real map the table's torus values come in exact
     conjugate pairs (_series_table), so C, Q and the q_m are real up to
     the FFT's rounding: max |Im Q_n| reads 3.3e-15 on htwo, against
@@ -541,10 +527,9 @@ def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
     (A reads 20 on href, 7.7 on hcubic, 86 on htwo, 5.2e4 on
     (y^2 - 1, a = 0.5)^3).  A is inf if the majorant overflows, and a
     coefficient is inf or NaN where the composition overflows a double (Q_0
-    of y^3 + 1e110 y^2 is of order 1e330); CoverChart.Q refuses such a Q.
+    of y^3 + 1e110 y^2 is of order 1e330); CoverChart refuses such a Q.
     """
-    C, _ = _series_table(H)
-    M, R = certify_region(H).M, filtration_radius(H).R
+    M, R = region.M, region.R.R
     K = C.shape[0]
     d, e, D = H.d, H.d - H.d_prime, H.d + H.d_prime
     n = D + 1 + N
@@ -580,14 +565,12 @@ def _q_from_series(H: HenonMap, N: int = _LAURENT_N):
     return Q, q, A if np.isfinite(A) else np.inf
 
 
-@functools.lru_cache(maxsize=32)
-def _r_laurent(H: HenonMap):
-    """R's Laurent coefficients r_1 .. r_N.
+def _r_laurent(H: HenonMap, q):
+    """R's Laurent coefficients r_1 .. r_N from Q^-'s, q_1 .. q_N.
 
     R = sum_i (d/a)^(i+1) Q^-(zeta^(d^i)) solves (a/d) R(zeta) - R(zeta^d)
     = Q^-(zeta), so r_m = (d/a)(q_m + r_(m/d)), r_(m/d) only when d | m.
     """
-    q = _q_from_series(H)[1]
     r, ratio = np.zeros(q.size + 1, dtype=complex), H.d / H.jacobian
     for m in range(1, q.size + 1):
         r[m] = ratio * (q[m - 1] + (r[m // H.d] if m % H.d == 0 else 0.0))
@@ -601,13 +584,10 @@ _SAMPLES_PER_DEGREE = 64
 
 
 def build_chart(H: HenonMap) -> CoverChart:
-    """CoverChart(H) with Q and Mtilde read, so that the table's tail gate,
-    Q's degree and monicity gates and Mtilde's proof fire here, not on
-    first use.  The circle check (meta) is not run: it is a check of Q, not
-    an input of the chart, and verify's cover.q_structure runs it."""
-    chart = CoverChart(H)
-    chart.Q, chart.Mtilde
-    return chart
+    """CoverChart(H): the chart with every gate of its build passed.  The
+    circle check (meta) is not run: it is a check of Q, not an input of
+    the chart, and verify's cover.q_structure runs it."""
+    return CoverChart(H)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +625,7 @@ def _r_series_bound(chart: CoverChart, s: float) -> float:
     term_i q_i / (1 - q_i).  Terms are taken in logs; inf if q_i stays
     above 1/2 for 64 terms.
     """
-    r, A = _r_laurent(chart.H), _q_from_series(chart.H)[2]
+    r, A = chart._r, chart._A
     N, d = r.size, chart.H.d
     total = float(np.abs(r) @ float(s) ** -np.arange(1.0, N + 1))
     log_ratio, log_s = np.log(abs(d / chart.H.jacobian)), np.log(s)
@@ -669,7 +649,7 @@ def psi_tilde(chart: CoverChart, z: Point) -> CoverPoint:
     OutsideChartDomain otherwise.
     """
     phi = bottcher_phi(chart.H, z)
-    psi_val = complex(_series_eval(chart.H, [z.x], [phi])[0][0])
+    psi_val = complex(_series_eval(chart, [z.x], [phi])[0][0])
     # the tail correction enters with the sign that makes the series
     # identity (a/d) R - R(.^d) = Q^- cancel the Laurent tail of the lift
     return CoverPoint(psi_val + r_series(chart, phi), phi)
@@ -700,7 +680,7 @@ def psi_tilde_inverse(chart: CoverChart, w: CoverPoint) -> Point:
     x = z_target / zeta
     scale = max(abs(z_target), abs(zeta))
     for _ in range(_INVERSE_MAX_ITER):
-        val, slope, y = _series_eval(chart.H, [x], [zeta])
+        val, slope, y = _series_eval(chart, [x], [zeta])
         f = complex(val[0]) - z_target
         if abs(f) <= _INVERSE_TOL * scale:
             return Point(x, complex(y[0]))
@@ -778,7 +758,8 @@ def covering_map(chart: CoverChart, w: CoverPoint, budget: int = 20) -> Point:
     """Project a cover point to U+ through the first absorbed lift.
 
     Applies the model map until the point enters S_{Mtilde, t}, inverts the
-    chart there, and pulls back with H^{-n}.
+    chart there, and pulls back with H^{-n}.  BudgetExceeded if it does not
+    enter within budget steps, or if |zeta|^d or |z| passes BAIL_OUT first.
     """
     cur = w
     for n in range(budget + 1):
@@ -787,7 +768,12 @@ def covering_map(chart: CoverChart, w: CoverPoint, budget: int = 20) -> Point:
             return iterate(chart.H, pt, -n)
         if n == budget:
             break
-        if abs(cur.zeta) ** chart.H.d > BAIL_OUT or abs(cur.z) > BAIL_OUT:
+        # past the double range a numpy power warns and a Python one raises
+        try:
+            zeta_d = float(abs(cur.zeta)) ** chart.H.d
+        except OverflowError:
+            zeta_d = np.inf
+        if zeta_d > BAIL_OUT or abs(cur.z) > BAIL_OUT:
             raise BudgetExceeded(
                 "model orbit overflow before entering the absorbing region"
             )
@@ -810,12 +796,13 @@ def chart_to_dict(chart: CoverChart) -> dict:
 
 
 def chart_from_dict(data: dict) -> CoverChart:
-    """CoverChart(H) of a chart_to_dict document.
+    """CoverChart(H) of a chart_to_dict document, built from H alone.
 
-    Its values are read as a map spec's (henon._read_key).  The
-    document's Q, region (M and R), t and Mtilde are only compared with
-    the chart's; ValueError names each that is not the map's, and a key
-    that is missing or malformed, a map that is no Henon map included.
+    Its values are read as a map spec's (henon._read_key), all of them
+    before the chart is built, so a missing or malformed key (a map that is
+    no Henon map included) raises ValueError naming it, not a build error.
+    The document's Q, region (M and R), t and Mtilde are only compared with
+    the chart's; ValueError names each that is not the map's.
     Q must be the table's Q' to sum_n |Q_n - Q'_n| rho^n <= 1e-10 sum_n
     |Q'_n| rho^n, rho = 2MR: a bound on |Q - Q'| relative to Q' at the
     absorbing region's inner edge.  Another machine's table differs by
@@ -830,10 +817,11 @@ def chart_from_dict(data: dict) -> CoverChart:
     if not isinstance(data, dict) or data.get("format") != "henoncover-chart-v1":
         raise ValueError("not a chart document")
     read = functools.partial(_read_key, "chart", data)
-    chart = CoverChart(read("map", lambda m, _: map_from_json(m["factors"])))
+    H = read("map", lambda m, _: map_from_json(m["factors"]))
     region = read("region", lambda r, key: {k: _number_from(r[k], f"{key}.{k}") for k in ("M", "R")})
     stored = dict(region=region, t=read("t", _number_from), Mtilde=read("Mtilde", _number_from))
     q = np.array(read("Q", lambda v, key: [_complex_from(c, f"{key}[{n}]") for n, c in enumerate(v)]))
+    chart = CoverChart(H)
     q_table = np.array(chart.Q.coeffs)
     w = (2.0 * chart.inner_radius) ** np.arange(q_table.size)
     same_q = q.shape == q_table.shape and np.abs(q - q_table) @ w <= 1e-10 * (np.abs(q_table) @ w)

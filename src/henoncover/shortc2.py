@@ -9,6 +9,7 @@ the modulus exponent by d.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 
@@ -81,15 +82,18 @@ def annulus_coordinate(chart: CoverChart, z: Point, budget: int = 64) -> complex
     Pushes z forward until the chart's region W+_M absorbs it, takes the
     principal d^n-th root of phi there, at bottcher_phi's tolerance as
     psi_tilde does (one deck-equivalent branch).  NotEscaping when the
-    push budget runs out, or when a coordinate of the orbit passes
-    ESCAPE_GUARD first; the message names the stop that fired.  The region
-    test is in_region_xy's on Python scalars: a NaN |x| is max's first
-    operand, so a NaN coordinate counts as outside.
+    push budget runs out, when a coordinate of the orbit passes
+    ESCAPE_GUARD, or when one is not finite (a push that overflows to inf,
+    or a NaN); the message names the stop that fired.  The finiteness test
+    comes first: one push can take y from below ESCAPE_GUARD to inf, which
+    the region test would take in.
     """
     H = chart.H
     M, R = chart.region.M, chart.region.R.R
     x, y = complex(z.x), complex(z.y)
     for n in range(budget + 1):
+        if not (cmath.isfinite(x) and cmath.isfinite(y)):
+            raise NotEscaping(f"orbit coordinate not finite at ({x}, {y}) after {n} pushes")
         if abs(y) > M * max(abs(x), R):
             phi = bottcher_phi(H, Point(x, y))
             log_phi = np.log(abs(phi)) + 1j * np.angle(phi)

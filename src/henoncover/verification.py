@@ -324,7 +324,7 @@ def check_r_series(chart, n: int = 50, seed: int = 47):
     H, rng = chart.H, np.random.default_rng(seed)
     z = np.array([_polar(rng, 1.0, 3.0, 2.0 * chart.inner_radius) for _ in range(n)])
     lhs = [(H.jacobian / H.d) * r_series(chart, v) - r_series(chart, v**H.d) for v in z]
-    qt = _qtilde_batch(H, z)
+    qt = _qtilde_batch(chart, z)
     defect = np.abs(lhs - (qt - chart.Q(z))) / (np.finfo(float).eps * np.abs(qt))
     return float(defect.max()), f"{n} points, in units of eps |Qtilde|"
 

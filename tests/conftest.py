@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import henoncover
-from henoncover import build_chart, certify_region, cover, filtration_radius, make_henon
+from henoncover import build_chart, certify_region, filtration_radius, make_henon
 
 
 @pytest.fixture(scope="session")
@@ -51,22 +51,6 @@ def htwo_chart(htwo):
 @pytest.fixture(scope="session")
 def hcubic_chart(hcubic):
     return build_chart(hcubic)
-
-
-@pytest.fixture()
-def fresh_tables():
-    """Clear every cache derived from the series table, before the test and after.
-
-    _q_from_series and _r_laurent read _series_table, so a test that changes
-    the table (say, by monkeypatching _TORUS_N) must clear all three: a
-    cached Q would otherwise skip the table and its gates.
-    """
-    caches = (cover._series_table, cover._q_from_series, cover._r_laurent)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
 
 
 @pytest.fixture()

@@ -191,7 +191,7 @@ def test_lambda_start_saves_rounds_on_torus_rows(href, htwo, hcubic, monkeypatch
     # its rows tie.)
     rounds = []
     for H in (href, htwo, hcubic):
-        X, W = cover._torus_nodes(H)
+        X, W = cover._torus_nodes(certify_region(H))
         rounds += [assert_starts_agree(monkeypatch, H, x, w, _INNER_TOL) for x, w in zip(X, W)]
     assert all(new <= old for new, old in rounds)
     assert sum(new for new, _ in rounds) < sum(old for _, old in rounds)
@@ -201,7 +201,7 @@ def test_lambda_start_saves_rounds_on_torus_rows(href, htwo, hcubic, monkeypatch
 @given(henon_maps)
 def test_lambda_start_agrees_on_random_maps(H):
     # the whole torus in one solve, as the series table runs it
-    X, W = cover._torus_nodes(H)
+    X, W = cover._torus_nodes(certify_region(H))
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_starts_agree(monkeypatch, H, X.ravel(), W.ravel(), 1e-12)
 
@@ -497,7 +497,7 @@ def test_lambda_is_point_independent_on_the_table_torus(name, request):
     # the series table's one solve: a node's lambda does not depend on how
     # many nodes are still active (cover._series_table relies on it)
     H = request.getfixturevalue(name)
-    x, w = cover._torus_nodes(H)
+    x, w = cover._torus_nodes(certify_region(H))
     m = (-np.arange(cover._TORUS_N)) % cover._TORUS_N
     rep, _ = cover._conjugate_pairs(H, (m[:, None] * cover._TORUS_N + m).ravel())
     assert rep.size == 514
@@ -510,8 +510,8 @@ def test_lambda_is_point_independent_on_the_table_torus(name, request):
 def test_lambda_is_point_independent_when_nodes_stop_on_different_rounds(H):
     # every torus node, a node outside W+_M and a NaN node, which retires
     # on the first round while the others run on
-    X, W = cover._torus_nodes(H)
     region = certify_region(H)
+    X, W = cover._torus_nodes(region)
     outside = region.R.R / 4.0 * np.exp(0.3j)
     x = np.append(X.ravel(), [0.0, np.nan])
     w = np.append(W.ravel(), [outside, W[0, 0]])

@@ -5,12 +5,21 @@ from henoncover import (
     Point,
     SublevelTag,
     annulus_coordinate,
+    bottcher_phi,
     classify_sublevel,
     make_henon,
+    psi_tilde,
 )
 from henoncover.green import escaping_samples
+from henoncover.henon import apply_xy
 from henoncover.shortc2 import NotEscaping
-from henoncover.verification import check_annulus_modulus, check_sublevel_equivariance
+from henoncover.verification import (
+    _chart_points,
+    check_annulus_modulus,
+    check_sublevel_equivariance,
+)
+
+EPS = np.finfo(float).eps
 
 
 def test_fixed_point_in_k_plus():
@@ -91,3 +100,44 @@ def test_not_escaping_names_the_modulus_guard(href_chart):
     # a point past the guard stops there, not at the push budget
     with pytest.raises(NotEscaping, match=r"1\.000e\+141 > 1e\+140 after 0 pushes"):
         annulus_coordinate(href_chart, Point(1e141, 0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_not_escaping_names_a_non_finite_orbit(hcubic, hcubic_chart):
+    # one push takes y from |y| = 2.5e107, below the guard, to inf, which
+    # the region test would take in: the orbit stops there instead
+    z = Point(3.8499236533119386e131 - 2.2889799063503086e131j,
+              -2.3075321023333743e107 + 1.0763208677274094e107j)
+    with pytest.raises(NotEscaping, match="not finite at .* after 1 pushes"):
+        annulus_coordinate(hcubic_chart, z)
+    # a finite point of the region beyond the guard still takes its root
+    y = 1e150 * np.exp(0.7j)
+    z = Point(0.1 * y / hcubic_chart.region.M, y)
+    phi = bottcher_phi(hcubic, z)
+    assert abs(annulus_coordinate(hcubic_chart, z) - phi) <= 1e-13 * abs(phi)
+
+
+@pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
+def test_annulus_coordinate_is_the_principal_root(name, request):
+    # zeta is the principal d^n-th root of phi(H^n z), n the pushes that
+    # bring z into W+_M: d^n arg zeta is arg phi(H^n z) itself, not that
+    # plus a multiple of 2 pi.  n is counted here with the region test of
+    # annulus_coordinate
+    chart = request.getfixturevalue(f"{name}_chart")
+    H, M, R = chart.H, chart.region.M, chart.region.R.R
+    pushes = []
+    for z, _ in escaping_samples(H, 40, np.random.default_rng(31), N_max=256):
+        x, y, n = complex(z.x), complex(z.y), 0
+        while not abs(y) > M * max(abs(x), R):
+            x, y = apply_xy(H, x, y)
+            n += 1
+        if n == 0:
+            continue
+        pushes.append(n)
+        zeta, phi = annulus_coordinate(chart, z), bottcher_phi(H, Point(x, y))
+        assert abs(H.d**n * np.angle(zeta) - np.angle(phi)) <= 4 * H.d**n * EPS, (z, n)
+    assert len(pushes) >= 30 and max(pushes) >= 2
+    # on the series bidisc, where no push is needed, zeta is psi_tilde's
+    for z in _chart_points(chart, 10, np.random.default_rng(32)):
+        zeta = psi_tilde(chart, z).zeta
+        assert abs(annulus_coordinate(chart, z) - zeta) <= 4 * EPS * abs(zeta)
