@@ -45,7 +45,7 @@ from .henon import (
     HenonError, HenonMap, Point, SpecError, _c2l, _complex_from, _count_from, _number_from,
     map_from_json,
 )
-from .symmetry import compute_d0, find_affine_symmetries, save_report
+from .symmetry import compute_d0, find_affine_symmetries, save_report, symmetry_order_bound
 
 __all__ = [
     "SpecError",
@@ -265,7 +265,7 @@ def _cmd_info(args) -> int:
         "jacobian": _c2l(H.jacobian),
         "filtration_radius": filtration_radius(H).R,
         "d0": compute_d0(H.d, H.d_prime),
-        "symmetry_order_bound": (H.d + H.d_prime) * (H.d - 1),
+        "symmetry_order_bound": symmetry_order_bound(H.d, H.d_prime),
         "attracting_traps": [
             {
                 "fixed_point": [_c2l(t.point.x), _c2l(t.point.y)],

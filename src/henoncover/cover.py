@@ -156,12 +156,22 @@ class CoverChart:
     radius Mtilde of the absorbing region S_{Mtilde, t} = {|zeta| >=
     Mtilde, |z| < t |zeta|^2}.  So every gate fires in the constructor:
     DecayFailed if the table's K = 16 orders cannot hold Q, if the table's
-    tail exceeds 1e-12 or if no Mtilde is proved; NoConvergence if a torus
-    node fails; Overflow if a coefficient of Q is not a finite double;
-    MonicityFailed if |leading(Q) - 1| > 1e-6.  H is the one field, so a
-    second CoverChart(H) is an equal chart with the same bits.  meta, the
-    circle check of Q, is the one value left to its first read: it solves
-    lambda again, and no chart function reads it.
+    tail exceeds 1e-12 or if _r_series_bound is not finite at 2MR;
+    NoConvergence if a torus node fails; Overflow if a coefficient of Q is
+    not a finite double; MonicityFailed if |leading(Q) - 1| > 1e-6.  H is
+    the one field, so a second CoverChart(H) is an equal chart with the
+    same bits.  meta, the circle check of Q, is the one value left to its
+    first read: it solves lambda again, and no chart function reads it.
+
+    Mtilde is the first s = 2MR 2^k with B(s) < t s^2, B = _r_series_bound.
+    The search ends once B(2MR) = b is finite: for s >= s0 = 2MR,
+    B(s) <= 2 (s0 / s) b, so the check holds by the first s with
+    t s^3 > 2 s0 b.  Each term of B falls at least like 1/s: |r_m| s^-m
+    with m >= 1, and the tail terms c_i x_i^(k_i + 1) / (1 - x_i), whose
+    x_i = rho'/s^(d^i) falls and stays below rho'/s0 = 1/6.  q_i falls
+    with s, so B(s) stops at an index I(s) <= I(s0): its terms up to I(s)
+    are at most s0/s times b's, and its remainder term_I q_I / (1 - q_I)
+    <= term_I (q_I <= 1/2) at most s0/s times one of b's terms.
     """
 
     H: HenonMap
@@ -190,14 +200,13 @@ class CoverChart:
         )
         # the first 2MR * 2^k at which _r_series_bound proves |R| < t |zeta|^2:
         # the bound falls as |zeta| grows while t |zeta|^2 rises, so the one
-        # check at Mtilde covers every |zeta| >= Mtilde
+        # check at Mtilde covers every |zeta| >= Mtilde, and a finite bound
+        # at 2MR ends the search (docstring)
         Mtilde = 2.0 * inner
-        for _ in range(13):
-            if _r_series_bound(self, Mtilde) < self.t * Mtilde**2:
-                break
+        if not np.isfinite(_r_series_bound(self, Mtilde)):
+            raise DecayFailed("_r_series_bound is not finite at 2MR: no Mtilde is proved")
+        while _r_series_bound(self, Mtilde) >= self.t * Mtilde**2:
             Mtilde *= 2.0
-        else:
-            raise DecayFailed("no Mtilde up to 2^13 * 2MR proved |R| < |zeta|^2/(4M)")
         vars(self)["Mtilde"] = Mtilde
 
     @functools.cached_property

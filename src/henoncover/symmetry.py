@@ -116,6 +116,7 @@ __all__ = [
     "AffineMap",
     "SymmetryReport",
     "compute_d0",
+    "symmetry_order_bound",
     "commutes_with_power",
     "factor_chain_witness",
     "find_affine_symmetries",
@@ -203,6 +204,11 @@ def compute_d0(d: int, d_prime: int) -> int:
     while (g := math.gcd(s, d)) > 1:
         s //= g
     return s
+
+
+def symmetry_order_bound(d: int, d_prime: int) -> int:
+    """(d + d')(d - 1), which the order of the affine symmetry group divides."""
+    return (d + d_prime) * (d - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +430,7 @@ def find_affine_symmetries(H: HenonMap) -> SymmetryReport:
     first.  max_commutation_defect is the largest factor_chain_witness
     defect over the group.
     """
-    N = (H.d + H.d_prime) * (H.d - 1)
+    N = symmetry_order_bound(H.d, H.d_prime)
     tau, chain = _chain(H)
     d1 = H.factors[0].p.degree
     # alpha = e'^pa and beta = e'^pb with (pa, pb) = (d_1, 1) at odd places

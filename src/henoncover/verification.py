@@ -69,6 +69,7 @@ from .symmetry import (
     compute_d0,
     factor_chain_witness,
     find_affine_symmetries,
+    symmetry_order_bound,
     verify_cyclic,
 )
 
@@ -367,7 +368,7 @@ def symmetry_structure_record(H: HenonMap, report=None):
     if report is None:
         report = find_affine_symmetries(H)
     cyclic, order = verify_cyclic(report)
-    bound = (H.d + H.d_prime) * (H.d - 1)
+    bound = symmetry_order_bound(H.d, H.d_prime)
     witness = [factor_chain_witness(H, L) for L in report.generators]
     ok = (
         cyclic and order >= 1 and report.order == order and bound % order == 0

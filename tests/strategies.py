@@ -1,12 +1,34 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies, seeded map draws and the spec corpus shared by the tests."""
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 from henoncover import AffineMap, make_henon
+from henoncover.cli import parse_spec
+
+# the spec corpus: each map spec and grid job that a test or the CI
+# console-script step runs, one JSON file each, as the CLI reads them
+SPECS = Path(__file__).resolve().parent / "specs"
+
+
+def spec_file(name):
+    """Path of the corpus file tests/specs/<name>.json."""
+    return SPECS / f"{name}.json"
+
+
+def spec_doc(name):
+    """The JSON document of a corpus map spec or grid job."""
+    return json.loads(spec_file(name).read_text())
+
+
+def spec_map(name):
+    """The HenonMap of a corpus map spec."""
+    return parse_spec(spec_doc(name)).henon
 
 # a coefficient or Jacobian factor with modulus in [1e-2, 1e2] and any phase
 _coefficient = st.builds(

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from henoncover import AffineMap, build_chart, find_affine_symmetries, make_henon
+from henoncover import AffineMap, build_chart, find_affine_symmetries
 from henoncover.verification import (
     check_annulus_modulus,
     check_boettcher,
@@ -26,7 +26,9 @@ from henoncover.verification import (
     symmetry_structure_record,
 )
 
-H_REF = make_henon([([-1.1, 0, 1], 0.8)])
+from strategies import spec_map
+
+H_REF = spec_map("ref")
 
 _chart_cache = {}
 
@@ -107,7 +109,7 @@ def test_criterion_8_d0_arithmetic():
 
 def test_criterion_9_symmetry_finder():
     t0 = time.perf_counter()
-    cubic = make_henon([([0, 0, 0, 1], 0.5)])
+    cubic = spec_map("cubic")
     cubic_rep, ref_rep = (find_affine_symmetries(H) for H in (cubic, H_REF))
     records = [symmetry_structure_record(cubic, cubic_rep),
                symmetry_structure_record(H_REF, ref_rep)]

@@ -36,7 +36,7 @@ from henoncover.henon import apply_xy, second_component_correction
 from henoncover.verification import _region_points, check_boettcher
 
 from oracles import phi_vec
-from strategies import henon_maps
+from strategies import henon_maps, spec_map
 
 
 def xy_arrays(points):
@@ -597,7 +597,7 @@ def test_product_bound_in_logs_matches_the_float_recursion(H, M):
 def test_certify_region_proves_a_region_beyond_double_powers():
     # y^3 + 1e110 y^2: (MR)^3 is 8e330, past the double range, so the bound
     # is carried in logs; the region at M = 2 is proved
-    H = make_henon([([0, 0, 1e110, 1], 0.5)])
+    H = spec_map("huge")
     region = certify_region(H)
     assert (region.M, region.R.R) == (2.0, 1e110)
     bound, invariant = _product_bound(H, region.M, region.R.R)

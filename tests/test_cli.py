@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from henoncover import (
     CoverPoint,
     DeckLabel,
+    Point,
+    bottcher_phi,
     deck,
     green,
     lift_H,
@@ -25,11 +28,11 @@ from henoncover.cli import (
 )
 from henoncover.green import escape_time_grid, green_plus_grid
 from henoncover.henon import _factors_json, apply_xy
+from henoncover.verification import check_q_structure
 
-QUADRATIC = {
-    "name": "reference quadratic",
-    "factors": [{"p": [[-1.1, 0], [0, 0], [1, 0]], "a": [0.8, 0]}],
-}
+from strategies import spec_doc, spec_file, spec_map
+
+QUADRATIC = spec_doc("ref")
 
 TWO_DEGREES = {
     "name": "degrees 2 and 3",
@@ -60,6 +63,13 @@ def test_parse_spec_round_trip():
     again = parse_spec({"name": spec.name, "factors": factors})
     assert again.henon == spec.henon and again.name == spec.name
     assert _factors_json(again.henon) == factors  # stable canonical form
+
+
+@pytest.mark.parametrize("name, fixture", [("ref", "href"), ("htwo", "htwo"), ("cubic", "hcubic")])
+def test_corpus_specs_are_the_conftest_fixtures(request, name, fixture):
+    # conftest writes its three maps as make_henon calls, which perfbench's
+    # self-test reads as literals; their corpus files must be the same maps
+    assert spec_map(name) == request.getfixturevalue(fixture)
 
 
 def test_parse_spec_errors():
@@ -112,15 +122,24 @@ def test_cli_info_lists_attracting_traps(tmp_path, capsys):
 
 def test_cli_info_and_render_with_an_overflowing_fixed_point(tmp_path, capsys):
     # the fixed point near y = -1e110 of (y, y^3 + 1e110 y^2 - x/2) overflows H
-    spec = write_json(
-        tmp_path / "m.json", {"factors": [{"p": [[0, 0], [0, 0], [1e110, 0], [1, 0]], "a": [0.5, 0]}]}
-    )
+    spec = str(spec_file("huge"))
     assert main(["info", "--spec", spec]) == 0
     assert isinstance(json.loads(capsys.readouterr().out)["attracting_traps"], list)
-    job = {**JOB, "window": {"center": [0.0, 0.0], "width": 1e-200, "height": 1e-200},
-           "resolution": [64, 64]}
-    jobp = write_json(tmp_path / "j.json", job)
+    jobp = str(spec_file("tiny"))  # a 1e-200 window about the origin
     assert main(["render", "--spec", spec, "--job", jobp, "--out", str(tmp_path / "t.pgm")]) == 0
+
+
+def test_cli_info_traps_four_fixed_points_of_three_factors(capsys):
+    # three's fixed points come from one eigenproblem; four attract, and
+    # the one at (-1/2, -1/2) gets a trap of radius 1/4
+    assert main(["info", "--spec", str(spec_file("three"))]) == 0
+    traps = json.loads(capsys.readouterr().out)["attracting_traps"]
+    assert len(traps) == 4
+    assert any(
+        np.abs(np.subtract(t["fixed_point"], [[-0.5, 0], [-0.5, 0]])).max() <= 1e-12
+        and t["r"] == 0.25
+        for t in traps
+    ), traps
 
 
 def test_cli_info_composed_degrees(tmp_path, capsys):
@@ -470,6 +489,30 @@ def test_render_sublevel_three_levels(href):
     assert len(levels) >= 2  # the window straddles the boundary
 
 
+@pytest.mark.parametrize("budget", [3, 9])
+@pytest.mark.parametrize(
+    "name, gp, sub", [("htwo", "gp", "sub"), ("cubic", "fy_gp", "fy_sub")],
+    ids=["htwo-real-slice", "cubic-fix_y"],
+)
+def test_cli_render_at_small_budgets(tmp_path, budget, name, gp, sub):
+    # sub-level classes and G+ finish in the escape loop, also for points
+    # that escape near the budget: the CSVs are the kernel's values and
+    # the bands of those values
+    csv = {job: tmp_path / f"{job}.csv" for job in (gp, sub)}
+    for job, path in csv.items():
+        argv = ["render", "--spec", str(spec_file(name)), "--job", str(spec_file(job)),
+                "--out", str(tmp_path / "g.pgm"), "--csv", str(path), "--budget", str(budget)]
+        assert main(argv) == 0
+    g, s = (np.loadtxt(csv[job], delimiter=",") for job in (gp, sub))
+    shade = cli.SUBLEVEL_SHADES
+    c = parse_grid_job(spec_doc(sub)).c
+    bands = np.select([g == 0, g < c], [shade["k_plus"], shade["omega_prime"]], shade["outside"])
+    assert np.array_equal(s, bands) and len(np.unique(s)) == 3, np.unique(s)
+    job = parse_grid_job(spec_doc(gp))
+    xs, ys = cli._tile_points(job, 0, job.ny)
+    assert np.array_equal(g, green_plus_grid(spec_map(name), xs + 0j, ys + 0j, budget)[0])
+
+
 def test_resolution_cap():
     bad = dict(JOB)
     bad["resolution"] = [20000, 20000]
@@ -499,18 +542,30 @@ def test_cli_cover_round_trip(tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+# (Mtilde, M, number of Q's coefficients) of the cover documents
+COVER_PINS = {"cubic": (10.0, 2.0, 5), "htwo": (12.4, 2.0, 7)}
+
+
+@pytest.mark.parametrize("name", ["htwo", "htwo_near", "cubic", "three", "six", "cplx"])
+def test_cli_cover_writes_a_chart_of_its_map(tmp_path, capsys, name):
+    # real maps, a near-real and a complex one that solve every torus node,
+    # and a two-factor d = 6 chart: each document loads to the spec's map,
+    # and its Q passes the circle check
+    out = tmp_path / "chart.json"
+    assert main(["cover", "--spec", str(spec_file(name)), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert not {"meta", "qminus_rho", "qminus_samples", "series_tol"} & set(doc), sorted(doc)
+    chart = load_chart(out)
+    assert chart.H == spec_map(name) and chart.series_tail <= 1e-12
+    assert check_q_structure(chart)["passed"]
+    if name in COVER_PINS:
+        assert (chart.Mtilde, chart.region.M, len(chart.Q.coeffs)) == COVER_PINS[name]
+        assert chart.meta["two_radius_agreement"] <= 1e-7
+
+
 def test_cli_symmetries_cubic(tmp_path, capsys):
-    spec = write_json(
-        tmp_path / "m.json",
-        {
-            "name": "odd cubic",
-            "factors": [
-                {"p": [[0, 0], [0, 0], [0, 0], [1, 0]], "a": [0.5, 0]}
-            ],
-        },
-    )
     out = tmp_path / "sym.json"
-    assert main(["symmetries", "--spec", spec, "--out", str(out)]) == 0
+    assert main(["symmetries", "--spec", str(spec_file("cubic")), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     # (w^3 x, w y) with w = e^(2 pi i / 8) commutes with H^2, so the group
     # has order 8 and holds (-x, -y)
@@ -533,13 +588,35 @@ def test_cli_classify_and_green(tmp_path, capsys):
     assert abs(out["value"] - np.log(100.0)) < 1e-2
 
 
+def test_cli_classify_one_point_per_sublevel_class(capsys):
+    spec = str(spec_file("cubic"))
+    got = []
+    for y in ("0", "1.2", "100"):
+        assert main(["classify", "--spec", spec, "--c", "1.0", "--point", f"0,0,{y},0"]) == 0
+        got.append(json.loads(capsys.readouterr().out))
+    kplus, omega, outside = got
+    assert [r["tag"] for r in got] == ["InKPlusUpToBudget", "InOmegaPrime", "OutsideOmega"]
+    assert abs(omega["green_value"] - 0.168) <= 1e-3
+    assert abs(outside["green_value"] - math.log(100)) <= 1e-9
+
+
+def test_cli_green_and_classify_agree_with_the_bottcher_coordinate(capsys):
+    # at (0, 40) on htwo, G+ = log|phi| and the point lies outside Omega
+    spec = str(spec_file("htwo"))
+    assert main(["green", "--spec", spec, "--point", "0,0,40,0"]) == 0
+    g = json.loads(capsys.readouterr().out)
+    assert main(["classify", "--spec", spec, "--c", "1.0", "--point", "0,0,40,0"]) == 0
+    c = json.loads(capsys.readouterr().out)
+    want = math.log(abs(bottcher_phi(spec_map("htwo"), Point(0, 40))))
+    assert abs(g["value"] - want) <= g["error_bound"] + 1e-12
+    assert c["tag"] == "OutsideOmega" and c["green_value"] == g["value"]
+
+
 def test_cli_green_minus_deep_point_has_a_positive_bound(tmp_path, capsys):
     # the CI console-script point: on the axis x = 0 of a monomial factor
     # the first Bottcher product term is exactly 0, and the product's stop
     # rule once reported error_bound 0 there although its tail is not 0
-    cubic = {"name": "odd cubic", "factors": [{"p": [[0, 0], [0, 0], [0, 0], [1, 0]], "a": [0.5, 0]}]}
-    spec = write_json(tmp_path / "cubic.json", cubic)
-    argv = ["green", "--spec", spec, "--direction", "minus", "--point", "1e8,0,0,0"]
+    argv = ["green", "--spec", str(spec_file("cubic")), "--direction", "minus", "--point", "1e8,0,0,0"]
     assert main(argv) == 0
     g = json.loads(capsys.readouterr().out)
     assert abs(g["value"] - (np.log(1e8) - np.log(0.5) / 2)) <= 1e-9
@@ -561,12 +638,9 @@ def test_cli_verify_full(tmp_path, capsys):
     assert "cover.semiconjugacy" in out and "cover.deck_relation" in out
 
 
-def test_cli_verify_full_reports_a_failed_chart_build(tmp_path, capsys):
+def test_cli_verify_full_reports_a_failed_chart_build(capsys):
     # d + d' = 27 needs more orders than the series table holds
-    cubic = {"p": [[0, 0], [0, 0], [0, 0], [1, 0]], "a": [0.5, 0]}
-    quadratic = {"p": [[-1, 0], [0, 0], [1, 0]], "a": [0.5, 0]}
-    spec = write_json(tmp_path / "m.json", {"name": "3.3.2", "factors": [cubic, cubic, quadratic]})
-    assert main(["verify", "--spec", spec, "--level", "full"]) == 1
+    assert main(["verify", "--spec", str(spec_file("beyond")), "--level", "full"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 13  # 11 fast records, cover.build, the summary
     assert lines[-2].startswith("FAIL  cover.build") and "DecayFailed: Q needs" in lines[-2]
@@ -576,26 +650,32 @@ def test_cli_verify_full_reports_a_failed_chart_build(tmp_path, capsys):
 def test_cli_cover_refuses_a_map_beyond_double_range(tmp_path, capsys):
     # y^3 + 1e110 y^2: the region is proved, but Q_0 is of order 1e330, so
     # cover exits 1 with one error line and writes nothing
-    huge = {"p": [[0, 0], [0, 0], [1e110, 0], [1, 0]], "a": [0.5, 0]}
-    spec = write_json(tmp_path / "m.json", {"name": "huge", "factors": [huge]})
     out = tmp_path / "chart.json"
     with np.errstate(all="ignore"):
-        assert main(["cover", "--spec", spec, "--out", str(out)]) == 1
+        assert main(["cover", "--spec", str(spec_file("huge")), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == "error: a coefficient of Q exceeds the double range\n"
 
 
-def test_cli_verify_full_records_an_overflowing_deck_check(tmp_path, capsys):
-    quadratic = {"p": [[-1, 0], [0, 0], [1, 0]], "a": [0.5, 0]}
-    spec = write_json(tmp_path / "m.json", {"name": "2.2.2", "factors": [quadratic] * 3})
-    assert main(["verify", "--spec", spec, "--level", "full"]) == 1
+def test_cli_verify_full_records_an_overflowing_deck_check(capsys):
+    assert main(["verify", "--spec", str(spec_file("three")), "--level", "full"]) == 1
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
-    assert len(lines) == 20  # 19 records, the summary
+    assert len(lines) == 20 and lines[-1].endswith("/19 checks passed")  # 19 records, the summary
     deck_lines = [line for line in lines if line.startswith("FAIL  cover.deck_relation")]
     assert len(deck_lines) == 1 and "Overflow: " in deck_lines[0]
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_verify_full_on_a_two_factor_degree_six_map(capsys):
+    # d = 6 end to end: green.zero_on_bounded (no bounded sample),
+    # deck_additivity and projection fail, and the chart's identities pass
+    assert main(["verify", "--spec", str(spec_file("six")), "--level", "full"]) == 1
+    captured = capsys.readouterr()
+    passed = {line.split()[1] for line in captured.out.splitlines() if line.startswith("PASS ")}
+    want = {"cover.q_structure", "cover.semiconjugacy", "cover.series_identity", "shortc2.modulus_law"}
+    assert want <= passed and "Traceback" not in captured.out + captured.err, captured.out
 
 
 def test_cli_builds_only_the_invoked_subcommand(tmp_path, monkeypatch):

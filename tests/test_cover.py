@@ -1,6 +1,5 @@
 import dataclasses
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,7 +50,7 @@ from henoncover.verification import (
     check_q_structure,
     check_r_series,
 )
-from strategies import henon_maps, real_henon_maps, unit_box_maps
+from strategies import henon_maps, real_henon_maps, spec_map, unit_box_maps
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +237,15 @@ def assert_pairs_match_full_solve(H, monkeypatch):
     bit for bit (_series_table), and a node's Newton rounds do not depend
     on which other nodes are still active, so the two agree exactly."""
     assert real_form(H) is not None
-    region = certify_region(H)
-    C, tail = cover._series_table(H, region)
-    # the circle reads the chart's H, region and table alone, and a random
-    # map's table builds where its Q or Mtilde may fail a gate; both circles
-    # evaluate psi from this one table
-    table_only = SimpleNamespace(H=H, region=region, _table=C)
+    chart = build_chart(H)
+    # both circles evaluate psi from the chart's one table
     zetas, mirror = meta_circle(H)
-    qt = cover._qtilde_batch(table_only, zetas, mirror)
+    qt = cover._qtilde_batch(chart, zetas, mirror)
     with monkeypatch.context() as m:
         m.setattr(cover, "real_form", lambda H: None)
-        C_full, tail_full = cover._series_table(H, region)
-        qt_full = cover._qtilde_batch(table_only, zetas, mirror)
-    assert np.array_equal(C, C_full) and tail == tail_full
+        C_full, tail_full = cover._series_table(H, chart.region)
+        qt_full = cover._qtilde_batch(chart, zetas, mirror)
+    assert np.array_equal(chart._table, C_full) and chart.series_tail == tail_full
     assert np.array_equal(qt, qt_full)
 
 
@@ -300,7 +295,7 @@ def test_near_real_map_takes_the_full_path_to_the_same_q(htwo_chart, monkeypatch
     # htwo with a = 0.9 + 1e-13i is complex: every node is solved, and its Q
     # is the real htwo's to chart_from_dict's 1e-10, so either chart's
     # document loads with the other's Q
-    near = make_henon([([-0.1, 0, 1], 1.0), ([0.05, 0, 1], 0.9 + 1e-13j)])
+    near = spec_map("htwo_near")
     assert real_form(near) is None
     sizes = recorded_solves(monkeypatch)
     chart = build_chart(near)
@@ -530,22 +525,18 @@ def test_two_factor_unit_box_draws_build_semiconjugate_charts(draw):
     assert check_chart_semiconjugacy(chart)["passed"]
 
 
-@pytest.mark.parametrize(
-    "factors",
-    [[([-1, 0, 1], 0.5)] * 3, [([0, 0, 0, 1], 0.5)] * 2],
-    ids=["quadratic-cubed", "cubic-squared"],
-)
-def test_degree_twelve_charts_have_a_pure_tail(factors):
+@pytest.mark.parametrize("name", ["three", "cubic_squared"], ids=["quadratic-cubed", "cubic-squared"])
+def test_degree_twelve_charts_have_a_pure_tail(name):
     # Q^- = O(1/zeta): Qtilde - Q has no non-negative Fourier content on the
     # 1.25 MR circle above the samples' rounding
-    H = make_henon(factors)
+    H = spec_map(name)
     chart = build_chart(H)
     assert chart.Q.degree == H.d + H.d_prime == 12
     assert check_q_structure(chart)["passed"]
 
 
 def test_chart_beyond_the_table_orders_raises_before_sampling(monkeypatch):
-    H = make_henon([([0, 0, 0, 1], 0.5), ([0, 0, 0, 1], 0.5), ([-1, 0, 1], 0.5)])
+    H = spec_map("beyond")
     assert (H.d, H.d_prime) == (18, 9)
 
     def sampled(*args):
@@ -655,7 +646,7 @@ def test_r_coefficients_built_once_per_chart(htwo_chart, rng, monkeypatch):
 def dissipative_chart():
     # p(y) = y^2 - 1.1, a = 0.01: at 2MR = 12.44 the bound on |R| reads 282,
     # above t (2MR)^2 = 19.3, so Mtilde doubles once, to 24.88
-    return build_chart(make_henon([([-1.1, 0, 1], 0.01)]))
+    return build_chart(spec_map("dissipative"))
 
 
 @pytest.mark.parametrize(
@@ -687,6 +678,17 @@ def test_r_series_bound_covers_r_from_the_domain_edge(name, request):
         zetas = s * (1 + 1e-12) * np.exp(2j * np.pi * np.arange(256) / 256)
         top = max(abs(r_series(chart, z)) for z in zetas)
         assert top <= _r_series_bound(chart, s) <= 1.5 * top
+
+
+def test_mtilde_search_ends_where_the_bound_at_2mr_says():
+    # d = 9, M = 8, R = 105: R's Laurent coefficients reach 4.8e84, so the
+    # first radius that proves |R| < t |zeta|^2 is 2^17 * 2MR; the search
+    # stops by the first s with t s^3 > 2 (2MR) B(2MR) (CoverChart)
+    chart = build_chart(make_henon([([-1, -1, -100, 1], -1), ([-1, -1, -1, 1], -1)]))
+    s0, t, M = 2.0 * chart.inner_radius, chart.t, chart.Mtilde
+    assert M == s0 * 2**17
+    assert _r_series_bound(chart, M) < t * M**2 and _r_series_bound(chart, M / 2) >= t * (M / 2) ** 2
+    assert t * (M / 2) ** 3 <= 2.0 * s0 * _r_series_bound(chart, s0)
 
 
 def test_series_truncation_stability(href_chart, htwo_chart, hcubic_chart):
@@ -897,7 +899,7 @@ def test_covering_map_overflow_is_budget_exceeded():
     # on the d = 6 map [3, -2, 1], [1, 3, -3, 1] this model orbit's |zeta|^6
     # passes the double range: a Python complex and a numpy complex point
     # both stop with BudgetExceeded, with no OverflowError and no warning
-    chart = build_chart(make_henon([([3, -2, 1], 1), ([1, 3, -3, 1], 1)]))
+    chart = build_chart(spec_map("six"))
     z, zeta = 8.350803577394216e121 - 5.098951276417805e121j, -0.13073683385772875 - 1.0092051672423976j
     for w in (CoverPoint(z, zeta), CoverPoint(np.complex128(z), np.complex128(zeta))):
         with pytest.raises(BudgetExceeded, match="overflow"):

@@ -44,7 +44,7 @@ from henoncover.verification import (
 )
 
 from oracles import phi_vec
-from strategies import attracting_map, henon_maps, real_henon_maps
+from strategies import attracting_map, henon_maps, real_henon_maps, spec_map
 
 
 def test_green_zero_at_fixed_point():
@@ -426,7 +426,7 @@ def test_trap_box_lies_in_polydisc_of_attracting_maps():
 def test_trap_at_a_tiny_radius(monkeypatch):
     # p(y) = y^3 + 1e110 y^2, a = 1/2: the origin attracts with multipliers
     # +-i / sqrt 2, but its 1e110 coefficient needs r near 1e-111
-    H = make_henon([([0, 0, 1e110, 1], 0.5)])
+    H = spec_map("huge")
     (t,) = attracting_traps(H)
     assert t.point == Point(0, 0) and 1e-112 < t.r < 1e-110
     assert abs(t.spectral_radius - np.sqrt(0.5)) <= 1e-12
@@ -454,7 +454,7 @@ def test_fixture_traps(href, htwo, hcubic):
     assert abs(t.point.x + 0.482) < 1e-3 and abs(t.point.y + 0.482) < 1e-3
     assert t.r >= 0.0625 and abs(t.spectral_radius - np.sqrt(0.8)) < 1e-12
     (t,) = attracting_traps(hcubic)
-    assert t.point == Point(0, 0) and t.r >= 0.25
+    assert t.point == Point(0, 0) and t.r == 0.25
     assert attracting_traps(htwo) == ()
 
 
@@ -731,7 +731,7 @@ def test_float_grid_keeps_finished_points_finite(monkeypatch):
     # of them), and they square on every step.  Stepped to the budget they
     # would overflow and send the float run back to complex arithmetic;
     # compacted once they pass Ymax, they stay finite
-    H = make_henon([([-1.1, 0, 1], 0.01)])
+    H = spec_map("dissipative")
     assert attracting_traps(H) == ()
     rng = np.random.default_rng(113)
     x = np.concatenate([rng.uniform(-0.05, 0.05, 900), rng.uniform(-1, 1, 100)])

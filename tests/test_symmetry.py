@@ -35,6 +35,7 @@ from strategies import (
     henon_maps,
     planted_attracting_map,
     planted_symmetric_maps,
+    spec_map,
 )
 
 
@@ -74,7 +75,7 @@ def test_fixed_points_cubic(hcubic):
 
 def test_fixed_points_keep_the_last_finite_iterate_of_an_overflowing_polish():
     # p(y) = y^3 + 1e110 y^2: H overflows at the fixed point near y = -1e110
-    pts = fixed_points(make_henon([([0, 0, 1e110, 1], 0.5)]))
+    pts = fixed_points(spec_map("huge"))
     assert len(pts) == 3 and all(np.isfinite([p.x, p.y]).all() for p in pts)
     assert Point(0j, 0j) in pts
     assert min(abs(p.y + 1e110) for p in pts) <= 1e96
@@ -258,19 +259,19 @@ def test_report_closure(hcubic):
 
 _T = 0.6
 _C, _A = -0.7, 0.4
-# (factors, group order) of maps with nontrivial groups.  The translated
+# (H, group order) of maps with nontrivial groups.  The translated
 # cubic is y^3 shifted by T, so its group is hcubic's conjugated by the
 # translation and every element but the identity moves the origin.  The
 # shifted odd cubic is u^3 + C u under the same translation: the linear
 # term leaves only the involution.
 SYMMETRIC_MAPS = {
     "odd_cubic_shifted": (
-        [([-(_T**3) - _C * _T + _T + _A * _T, 3 * _T**2 + _C, -3 * _T, 1], _A)], 2
+        make_henon([([-(_T**3) - _C * _T + _T + _A * _T, 3 * _T**2 + _C, -3 * _T, 1], _A)]), 2
     ),
-    "hcubic": ([([0, 0, 0, 1], 0.5)], 8),
-    "quartic": ([([0, 0, 0, 0, 1], 0.7)], 15),
-    "translated_cubic": ([([_T**3 - 1.5 * _T, 3 * _T**2, 3 * _T, 1], 0.5)], 8),
-    "square_square": ([([0, 0, 1], 0.5), ([0, 0, 1], 0.8)], 3),
+    "hcubic": (spec_map("cubic"), 8),
+    "quartic": (make_henon([([0, 0, 0, 0, 1], 0.7)]), 15),
+    "translated_cubic": (make_henon([([_T**3 - 1.5 * _T, 3 * _T**2, 3 * _T, 1], 0.5)]), 8),
+    "square_square": (make_henon([([0, 0, 1], 0.5), ([0, 0, 1], 0.8)]), 3),
 }
 
 
@@ -278,8 +279,7 @@ SYMMETRIC_MAPS = {
 def test_reported_maps_preserve_green_on_fresh_samples(name):
     # every element commutes exactly with H^2; G+ and G- invariance is the
     # consequence proved in the symmetry module docstring
-    factors, order = SYMMETRIC_MAPS[name]
-    H = make_henon(factors)
+    H, order = SYMMETRIC_MAPS[name]
     rep = find_affine_symmetries(H)
     assert rep.order == order
     if name == "translated_cubic":
@@ -351,9 +351,9 @@ def test_structure_record_accepts_the_order_five_group_at_degree_six():
     # of order 5 on which the expanded H^2 coefficients cancel only to about
     # 1e-8, above commutes_with_power's tol; the factor chain stays at
     # rounding, and the record passes
-    H = make_henon([([3, -2, 1], 1), ([1, 3, -3, 1], 1)])
+    H = spec_map("six")
     rep = find_affine_symmetries(H)
-    assert (H.d, rep.order) == (6, 5)
+    assert (H.d, rep.order) == (6, 5) and rep.max_commutation_defect <= 1e-12
     assert max(commutes_with_power(H, L, 2)[1] for L in rep.generators) > 1e-9
     rec = symmetry_structure_record(H, rep)
     assert rec["passed"] and "factor-chain witness=" in rec["note"]
@@ -430,7 +430,7 @@ def test_report_json_round_trip(tmp_path, hcubic):
 
 
 def _report_doc(**edits):
-    doc = report_to_dict(find_affine_symmetries(make_henon([([0, 0, 0, 1], 0.5)])))
+    doc = report_to_dict(find_affine_symmetries(spec_map("cubic")))
     for key, value in edits.items():
         if value is None:
             del doc[key]
@@ -499,10 +499,10 @@ def test_group_is_complete(name, request):
     # normal-form translation, exactly the reported group commutes with H^2
     # (a map commuting with H commutes with H^2)
     if name in SYMMETRIC_MAPS:
-        H = make_henon(SYMMETRIC_MAPS[name][0])
+        H = SYMMETRIC_MAPS[name][0]
     else:
         H = request.getfixturevalue(name)
-    N = (H.d + H.d_prime) * (H.d - 1)
+    N = symmetry.symmetry_order_bound(H.d, H.d_prime)
     assert N <= 18
     tau = [-f.p.coeffs[-2] / f.p.degree for f in H.factors]
     roots = [cmath.exp(2j * cmath.pi * k / N) for k in range(N)]

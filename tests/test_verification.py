@@ -30,7 +30,7 @@ from henoncover.verification import (
     run_suite,
 )
 
-from strategies import henon_maps, unit_box_maps
+from strategies import henon_maps, spec_map, unit_box_maps
 
 KNOWN_FAILURES = {
     "href": set(),
@@ -76,7 +76,7 @@ def test_full_suite_fails_only_known_checks(name, request):
 
 @pytest.mark.parametrize(
     "H",
-    [unit_box_maps()[5], make_henon([([-1, 0, 1], 0.5)] * 3)],
+    [unit_box_maps()[5], spec_map("three")],
     ids=["unit-box-5", "quadratic-cubed"],
 )
 def test_full_suite_records_an_overflowing_deck_check(H):
@@ -112,7 +112,7 @@ def test_fast_suite_records_a_map_beyond_double_range():
     # y^3 + 1e110 y^2: R is 1e110, so H(z) of a region point overflows, the
     # normal form's tau^3 is 3.7e328 and every equivariance sample is
     # ambiguous; each check still returns its record
-    H = make_henon([([0, 0, 1e110, 1], 0.5)])
+    H = spec_map("huge")
     with np.errstate(all="ignore"):
         results = run_suite(H, level="fast")
     assert [r["name"] for r in results] == SUITE_NAMES[:11]

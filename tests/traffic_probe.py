@@ -8,8 +8,8 @@ Line-traces every function of ``src/henoncover`` (``sys.settrace``, and
 - ``perfbench/run.py``'s ``run_workload`` at ``TINY`` scale for each
   workload, untraced and then with the span tracer (the module is imported
   as it is, nothing under ``perfbench/`` is edited), and
-- every CLI subcommand on every map spec that ``.github/workflows/tier1.yml``
-  writes, and ``render`` on every grid job it writes, once with two threads.
+- every CLI subcommand on every map spec of the corpus ``tests/specs``,
+  and ``render`` on every grid job there, once with two threads.
 
 Then it prints, for each module, the functions that were never called and
 the statements of called functions that never ran.  Module and class bodies
@@ -26,7 +26,6 @@ import importlib.util
 import inspect
 import io
 import json
-import re
 import sys
 import tempfile
 import threading
@@ -35,7 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "henoncover"
-WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+SPECS = ROOT / "tests" / "specs"
 
 # CO_OPTIMIZED: set on function, lambda and comprehension code, not on
 # module or class bodies
@@ -153,15 +152,11 @@ def report(path: Path, hits: dict) -> list[str]:
     return out
 
 
-def _workflow_files(workdir: Path):
-    """The spec and job JSON files that the CI workflow echoes, written to workdir."""
+def _corpus():
+    """The corpus's map specs and grid jobs: a spec is a file with factors."""
     specs, jobs = [], []
-    for body, name in re.findall(r"echo '(\{.*\})' > (\S+\.json)", WORKFLOW.read_text()):
-        path = workdir / name
-        if path.exists():
-            continue
-        path.write_text(body)
-        (specs if '"factors"' in body else jobs).append(path)
+    for path in sorted(SPECS.glob("*.json")):
+        (specs if "factors" in json.loads(path.read_text()) else jobs).append(path)
     return specs, jobs
 
 
@@ -177,7 +172,7 @@ def run_cli(workdir: Path):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.main([str(a) for a in argv])
 
-    specs, jobs = _workflow_files(workdir)
+    specs, jobs = _corpus()
     out = workdir / "out"
     for spec in specs:
         main("info", "--spec", spec, "--out", out)
