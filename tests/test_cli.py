@@ -658,6 +658,15 @@ def test_cli_cover_refuses_a_map_beyond_double_range(tmp_path, capsys):
     assert captured.err == "error: a coefficient of Q exceeds the double range\n"
 
 
+def test_cli_verify_records_a_map_beyond_double_range(capsys):
+    # the same map through verify: every fast check is recorded, none raises
+    with np.errstate(all="ignore"):
+        assert main(["verify", "--spec", str(spec_file("huge"))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].endswith("/11 checks passed")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cli_verify_full_records_an_overflowing_deck_check(capsys):
     assert main(["verify", "--spec", str(spec_file("three")), "--level", "full"]) == 1
     captured = capsys.readouterr()
