@@ -29,8 +29,8 @@ its constructor, so a build is one lambda solve, the table's.  Qtilde
 sampled on |zeta| = 1.25MR checks Q (CoverChart.meta): a second lambda
 solve, run on first read of meta, which verify's cover.q_structure makes.
 The torus and the circle are closed under conjugation, so for a map with
-real coefficients each solve runs at one node of each conjugate pair and
-conjugates the rest (_series_table).
+real coefficients (H.is_real) each solve runs at one node of each
+conjugate pair and conjugates the rest (_series_table).
 Deck transformations rotate zeta by d-power roots of unity and shift z by
 an exactly cancelling Q-difference.
 """
@@ -67,7 +67,6 @@ from .henon import (
     first_component_axis_poly,
     iterate,
     map_from_json,
-    real_form,
 )
 
 __all__ = [
@@ -328,14 +327,14 @@ def _torus_nodes(region: BoettcherRegion):
 def _conjugate_pairs(H: HenonMap, mirror):
     """(rep, fill) for a lambda solve on nodes closed under conjugation.
 
-    Node mirror[k] is the conjugate of node k.  For a real map (real_form)
+    Node mirror[k] is the conjugate of node k.  For a real map (H.is_real)
     rep holds one node of each pair, those with k <= mirror[k], and
     fill(v) spreads v, the solve's values at rep, to every node: a rep
     node keeps its value and its mirror takes the conjugate (_series_table
     proves the symmetry).  A complex map takes the same path with every
     node its own representative: rep is every node and fill returns v.
     """
-    pairs = mirror if real_form(H) is not None else np.arange(mirror.size)
+    pairs = mirror if H.is_real else np.arange(mirror.size)
     rep = np.flatnonzero(np.arange(pairs.size) <= pairs)
 
     def fill(v):
@@ -389,7 +388,7 @@ def _series_table(H: HenonMap, region: BoettcherRegion):
     bound tends to 4.8e-3 B.  It is far above the error the tail measures,
     which reaches rounding by K = 16, so the build gates on the tail.
 
-    Conjugate pairs.  If H has real coefficients (real_form), the solve
+    Conjugate pairs.  If H has real coefficients (H.is_real), the solve
     runs at 514 of the 1,024 nodes, one of each of the 510 conjugate pairs
     and the 4 self-conjugate nodes (sigma, upsilon in {1, -1}), and each
     mirror node takes the conjugate values (_conjugate_pairs).  Why that

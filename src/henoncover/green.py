@@ -37,11 +37,11 @@ maps into itself (attracting_traps, whose docstring holds the proof,
 also for float orbits and for the box).  The full loop would carry such
 a point to the budget and call it non-escaping, so every result is the
 same, bit for bit.  Real points of a map with real coefficients
-(real_form) run in float64 rather than complex arithmetic: while the
-orbit stays finite every value equals the real part of the complex
-run's, so the results are the same bytes (_escape_steps has the proof),
-and a call whose float run meets an inf or NaN is run again as complex
-(_flat_escape).
+(H.is_real: the map stores them as floats) run in float64 rather than
+complex arithmetic: while the orbit stays finite every value equals the
+real part of the complex run's, so the results are the same bytes
+(_escape_steps has the proof), and a call whose float run meets an inf
+or NaN is run again as complex (_flat_escape).
 
 sublevel_grid, the kernel of sub-level renders {G+ < c}, decides which
 side of c an escaped pixel lies on from its escape step n and |y_n|:
@@ -75,7 +75,6 @@ from .henon import (
     _jacobian,
     apply_xy,
     backward_conjugate,
-    real_form,
 )
 from .symmetry import fixed_points
 
@@ -135,11 +134,6 @@ def _pushed_value(log_y, scale, band: float):
 def _scales(H: HenonMap, depths):
     """d^-m for each entry m >= 0 of the integer array depths, by numpy's power."""
     return (float(H.d) ** -np.arange(depths.max(initial=0) + 1.0))[depths]
-
-
-def _stepper(H: HenonMap, x):
-    """The map that steps the array x: real_form(H) for float x, else H."""
-    return real_form(H) if x.dtype.kind == "f" else H
 
 
 def green_plus(H: HenonMap, z: Point, tol: float = 1e-10, N_max: int = 256) -> GreenValue:
@@ -446,15 +440,17 @@ def _escape_steps(H: HenonMap, x, y, N_max: int, Y=None):
     play anyway.  So the results are those of one run over all points, for
     any BLOCK_POINTS.
 
-    x and y are complex, or float64 for a map with real coefficients.  A
-    float run steps with real_form(H) and returns what the complex run on
-    x + 0j, y + 0j returns, bit for bit, or None once some coordinate of a
-    block or of the pool is not finite (_flat_escape then runs all the
-    points again as complex); a finished point never causes that (above).
+    x and y are complex, or float64 for a map with real coefficients.  H
+    stores those as floats, so a float run stays float64, and it returns
+    what the complex run on x + 0j, y + 0j returns, bit for bit, or None
+    once some coordinate of a block or of the pool is not finite
+    (_flat_escape then runs all the points again as complex); a finished
+    point never causes that (above).
     Proof.  Compare the two runs operation by operation while every value
     is finite.  Claim: each complex value has imaginary part +-0 and a real
     part equal to the float value, as a number (a zero may differ in
-    sign).  The inputs x + 0j and the real coefficients c + 0i hold it.
+    sign).  The inputs x + 0j and the coefficients, which numpy promotes
+    from c to c + 0i in the complex run, hold it.
     Complex + and - act on the parts one by one: the real part is the
     float sum, the imaginary part (+-0) +- (+-0) = +-0.  A complex product
     (a + b i)(c + d i) with b, d = +-0 and a, c finite has the imaginary
@@ -479,7 +475,6 @@ def _escape_steps(H: HenonMap, x, y, N_max: int, Y=None):
     steps = np.full(x.size, -1, dtype=np.int64)
     mods = None if Y is None else np.ones(x.size)
     real = x.dtype.kind == "f"
-    step = _stepper(H, x)
     R = filtration_radius(H).R
     cutoff = ESCAPE_MARGIN * R
     quiet = min(cutoff, BAIL_OUT)
@@ -557,7 +552,7 @@ def _escape_steps(H: HenonMap, x, y, N_max: int, Y=None):
                 seek = ~push
                 if one_factor:
                     ay = ay[live]
-            cx, cy = apply_xy(step, cx, cy)
+            cx, cy = apply_xy(H, cx, cy)
             if one_factor:  # top_y still bounds the kept moduli
                 ax, top_x = ay, top_y
             else:
@@ -585,22 +580,24 @@ def _escape_steps(H: HenonMap, x, y, N_max: int, Y=None):
 def _flat_escape(H: HenonMap, xs, ys, N_max: int, Y=None):
     """(shape, (steps, mods)): _escape_steps on flat arrays x, y of xs, ys.
 
-    x and y are float64 where H has real coefficients (real_form) and
-    neither xs nor ys is complex, and complex otherwise; they are views of
-    xs, ys where the dtype and layout allow, since _escape_steps only
-    reads them.  A float run that meets an inf or NaN is dropped and the
-    points run again as complex, so the result and its RuntimeWarnings
-    are the complex run's.
+    x and y are float64 where H.is_real and neither xs nor ys is complex,
+    and complex otherwise; they are views of xs, ys where the dtype and
+    layout allow, since _escape_steps only reads them.  A float run that
+    meets an inf or NaN is dropped and the points run again as complex,
+    so the result is the complex run's.  Both runs ignore overflow and
+    invalid values: an orbit that overflows or turns NaN is given up on
+    (GAVE_UP), and that give-up is already in the result, so neither
+    emits a RuntimeWarning.
     """
     shape = np.shape(xs)
-    if real_form(H) is not None and not (np.iscomplexobj(xs) or np.iscomplexobj(ys)):
-        x, y = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if H.is_real and not (np.iscomplexobj(xs) or np.iscomplexobj(ys)):
+            x, y = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
             result = _escape_steps(H, x, y, N_max, Y)
-        if result is not None:
-            return shape, result
-    x, y = np.asarray(xs, dtype=complex).ravel(), np.asarray(ys, dtype=complex).ravel()
-    return shape, _escape_steps(H, x, y, N_max, Y)
+            if result is not None:
+                return shape, result
+        x, y = np.asarray(xs, dtype=complex).ravel(), np.asarray(ys, dtype=complex).ravel()
+        return shape, _escape_steps(H, x, y, N_max, Y)
 
 
 def escape_time_grid(H: HenonMap, xs, ys, N_max: int):
@@ -819,12 +816,14 @@ def sublevel_grid(H: HenonMap, xs, ys, N_max: int, c: float, tol: float = 1e-10)
     escaped = steps >= 0
     steps[~escaped] = 0
     # mods is 1 where no point escaped: log|y| = 0 and lo < 0 there; lo and
-    # hi are d^-n (log|y_n| -+ width), formed in place
+    # hi are d^-n (log|y_n| -+ width), formed in place.  An infinite width
+    # or |y_n| can give inf - inf or inf * 0: the NaN decides nothing
     scale, width = _scales(H, steps), escape_band(H) + BAND_SLACK
-    lo = np.log(mods, out=mods) - width
-    lo *= scale
-    hi = np.add(mods, width, out=mods)
-    hi *= scale
+    with np.errstate(invalid="ignore"):
+        lo = np.log(mods, out=mods) - width
+        lo *= scale
+        hi = np.add(mods, width, out=mods)
+        hi *= scale
     decided = (lo > BAND_FLOOR) & (hi < np.inf) & ((hi < c) | (lo >= c))
     out = np.where(hi < c, np.int8(SUBLEVEL_BELOW), np.int8(SUBLEVEL_ABOVE))
     out[~escaped] = SUBLEVEL_K_PLUS

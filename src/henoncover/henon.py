@@ -4,14 +4,15 @@ A generalized Henon map is a finite composition of simple factors
 
     (x, y) -> (y, p(y) - a*x)
 
-with p monic of degree >= 2 and a != 0.  The composite has total degree
-d = prod d_i, sub-degree d' = d / d_m and constant Jacobian prod a_i.
-Everything here is plain complex arithmetic (real_form gives a real map
-float coefficients, for stepping float arrays); all types are immutable
-and all operations pure.  So is the one JSON reader and writer of maps
-and numbers, for specs, chart documents and symmetry reports alike: a
-complex is a finite number or an [re, im] pair of them, and a bad value
-is a SpecError naming its field (a ValueError naming a document's key).
+with p monic of degree >= 2 and a != 0.  HenonMap(factors) checks the
+factors and derives d = prod d_i, d' = d / d_m and the Jacobian prod a_i.
+A real coefficient is stored as a float, so a real map steps float64
+arrays in float64 and complex ones as with c + 0j.  All types are
+immutable and all operations pure.  So is the one JSON reader and writer
+of maps and numbers, for specs, chart documents and symmetry reports
+alike: a complex is a finite number or an [re, im] pair of them, and a
+bad value is a SpecError naming its field (a ValueError naming a
+document's key).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "map_from_json",
     "apply",
     "apply_inverse",
-    "real_form",
     "apply_xy",
     "apply_inverse_xy",
     "iterate",
@@ -92,33 +92,35 @@ class NonFinite(HenonError):
         super().__init__(f"non-finite value at iteration step {step}")
 
 
+def _stored(c):
+    """c as a complex, or as a float where its imaginary part is 0 (of either sign).
+
+    numpy and CPython promote a float operand of a complex operation to c + 0j.
+    """
+    c = complex(c)
+    return c.real if c.imag == 0 else c
+
+
 @dataclass(frozen=True)
 class ComplexPolynomial:
     """Univariate polynomial, coefficients constant-first, leading != 0.
 
-    __call__ runs a Horner plan that _set_coeffs derives from coeffs, the
-    one place that writes them: whether p is a constant, whether it is
-    monic, its leading coefficient, the middle coefficients c_(n-1) ...
-    c_1 in Horner order, and the constant term.  A form whose coeffs are
-    replaced (real_form) goes through _set_coeffs too, so its plan holds
-    the same numbers as its coeffs.
+    Each coefficient is stored as _stored gives it, a float where it is
+    real.  __call__ runs a Horner plan derived once from coeffs: whether
+    p is a constant, whether it is monic, its leading coefficient, the
+    middle coefficients c_(n-1) ... c_1 in Horner order, and the
+    constant term.
     """
 
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(complex(c) for c in self.coeffs)
+        cs = tuple(_stored(c) for c in self.coeffs)
         if not cs:
             raise ValueError("empty coefficient list")
         if cs[-1] == 0 and len(cs) > 1:
             raise ValueError("zero leading coefficient")
-        self._set_coeffs(cs)
-
-    def _set_coeffs(self, cs: tuple):
-        """Store cs as coeffs, with the Horner plan __call__ runs."""
-        object.__setattr__(self, "coeffs", cs)
-        plan = (len(cs) == 1, cs[-1] == 1, cs[-1], cs[-2:0:-1], cs[0])
-        object.__setattr__(self, "_plan", plan)
+        vars(self).update(coeffs=cs, _plan=(len(cs) == 1, cs[-1] == 1, cs[-1], cs[-2:0:-1], cs[0]))
 
     @property
     def degree(self) -> int:
@@ -149,20 +151,45 @@ class ComplexPolynomial:
 
 @dataclass(frozen=True)
 class SimpleFactor:
+    """The factor (x, y) -> (y, p(y) - a*x); a is stored as _stored gives it."""
+
     p: ComplexPolynomial
     a: complex
+
+    def __post_init__(self):
+        vars(self)["a"] = _stored(self.a)
 
 
 @dataclass(frozen=True)
 class HenonMap:
+    """H = f_m o ... o f_1 for factors = (f_1, ..., f_m), its one field.
+
+    Each factor is checked in turn: p of degree >= 2, monic, a != 0
+    (DegreeTooLow, NotMonic, ZeroJacobianFactor name its index).  Derived:
+    d, d_prime, the complex jacobian, is_real (every coefficient and a is
+    a float) and the hash, taken once for the lru_caches keyed on H.
+    """
+
     factors: tuple
-    d: int
-    d_prime: int
-    jacobian: complex
 
     def __post_init__(self):
-        # every lru_cache keyed on the map hashes it: hash the factors once
-        object.__setattr__(self, "_hash", hash(self.factors))
+        fs = tuple(self.factors)
+        if not fs:
+            raise ValueError("at least one factor required")
+        d, jac = 1, complex(1.0)
+        for i, f in enumerate(fs):
+            if f.p.degree < 2:
+                raise DegreeTooLow(i, f.p.degree)
+            if f.p.coeffs[-1] != 1:
+                raise NotMonic(i, complex(f.p.coeffs[-1]))
+            if f.a == 0:
+                raise ZeroJacobianFactor(i)
+            d *= f.p.degree
+            jac *= f.a
+        vars(self).update(
+            factors=fs, d=d, d_prime=d // fs[-1].p.degree, jacobian=jac, _hash=hash(fs),
+            is_real=all(isinstance(c, float) for f in fs for c in (*f.p.coeffs, f.a)),
+        )
 
     def __hash__(self):
         return self._hash
@@ -175,50 +202,13 @@ class Point:
 
 
 def make_henon(factors) -> HenonMap:
-    """Validate factor data ``[(coeff_list, a), ...]`` and build the map.
+    """The map of factor data ``[(coeff_list, a), ...]``, checked by HenonMap.
 
     Coefficient lists are constant-first; each polynomial must be monic of
     degree >= 2 and each a nonzero.  Raises DegreeTooLow / NotMonic /
     ZeroJacobianFactor naming the offending factor index.
     """
-    if not factors:
-        raise ValueError("at least one factor required")
-    built = []
-    d = 1
-    jac = complex(1.0)
-    for i, (coeffs, a) in enumerate(factors):
-        p = ComplexPolynomial(tuple(complex(c) for c in coeffs))
-        if p.degree < 2:
-            raise DegreeTooLow(i, p.degree)
-        if p.coeffs[-1] != 1:
-            raise NotMonic(i, p.coeffs[-1])
-        a = complex(a)
-        if a == 0:
-            raise ZeroJacobianFactor(i)
-        built.append(SimpleFactor(p, a))
-        d *= p.degree
-        jac *= a
-    d_prime = d // built[-1].p.degree
-    return HenonMap(tuple(built), d, d_prime, jac)
-
-
-@functools.lru_cache(maxsize=64)
-def real_form(H: HenonMap):
-    """H with float coefficients, or None if some coefficient is not real.
-
-    Stepping float arrays with it keeps them float (a complex scalar, even
-    one with zero imaginary part, promotes a float array to complex).  The
-    form compares and hashes equal to H, since 1.0 == 1 + 0j; the caches
-    keyed on a map are still to be given H itself.
-    """
-    if any(c.imag for f in H.factors for c in (*f.p.coeffs, f.a)):
-        return None
-    factors = []
-    for f in H.factors:
-        p = ComplexPolynomial(f.p.coeffs)
-        p._set_coeffs(tuple(c.real for c in f.p.coeffs))
-        factors.append(SimpleFactor(p, f.a.real))
-    return HenonMap(tuple(factors), H.d, H.d_prime, H.jacobian.real)
+    return HenonMap(tuple(SimpleFactor(ComplexPolynomial(tuple(cs)), a) for cs, a in factors))
 
 
 def apply_xy(H: HenonMap, x, y):
@@ -454,7 +444,7 @@ def inverse_leading_constant(H: HenonMap) -> complex:
     kappa = complex(1.0)
     exp = 1
     for f in H.factors:
-        kappa *= f.a**exp
+        kappa *= complex(f.a) ** exp  # repeated products, not the libm pow of a float
         exp *= f.p.degree
     return kappa
 

@@ -12,13 +12,16 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .boettcher import bottcher_phi
-from .cover import CoverChart
 from .green import GreenValue, green_plus
 from .henon import HenonError, HenonMap, Point, apply_xy
+
+if TYPE_CHECKING:  # an annotation only: classify loads no chart module
+    from .cover import CoverChart
 
 __all__ = [
     "NotEscaping",

@@ -271,7 +271,9 @@ def _chain(H: HenonMap):
     """
     fs = H.factors
     m = len(fs)
-    tau = tuple(-f.p.coeffs[-2] / f.p.degree for f in fs)
+    # complex even for a real map: _affine_matrix's powers of tau are then
+    # complex products, and ChainOverflow prints tau as a complex
+    tau = tuple(-complex(f.p.coeffs[-2]) / f.p.degree for f in fs)
     places = []
     for i, f in enumerate(fs):
         try:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,16 @@ def test_cli_info_and_render_with_an_overflowing_fixed_point(tmp_path, capsys):
     assert isinstance(json.loads(capsys.readouterr().out)["attracting_traps"], list)
     jobp = str(spec_file("tiny"))  # a 1e-200 window about the origin
     assert main(["render", "--spec", spec, "--job", jobp, "--out", str(tmp_path / "t.pgm")]) == 0
+
+
+@pytest.mark.parametrize("job", ["gp", "sub", "fy_gp", "fy_sub"])
+def test_cli_renders_a_map_beyond_double_range_without_warnings(tmp_path, job):
+    # huge's orbits overflow and its escape band is infinite: those pixels
+    # are given up on or left undecided, in the values, without a warning
+    argv = ["render", "--spec", str(spec_file("huge")), "--job", str(spec_file(job))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, "--out", str(tmp_path / "g.pgm"), "--csv", str(tmp_path / "g.csv")]) == 0
 
 
 def test_cli_info_traps_four_fixed_points_of_three_factors(capsys):
@@ -841,6 +852,19 @@ def test_light_commands_load_no_chart_or_verification_module(tmp_path, fresh_pyt
     assert [json.loads(line) for line in run.stdout.splitlines()] == [
         [argv[0], 0, []] for argv in commands
     ]
+
+
+def test_classify_loads_no_chart_or_verification_module(tmp_path, fresh_python):
+    spec = write_json(tmp_path / "m.json", QUADRATIC)
+    run = fresh_python("-c", (
+        "import contextlib, io, json, sys; from henoncover import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, 'henoncover.cover' in sys.modules,"
+        " 'henoncover.verification' in sys.modules]))"
+    ), "classify", "--spec", spec, "--c", "0.5", "--point", "0,0,100,0")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [0, False, False]
 
 
 @pytest.mark.parametrize(

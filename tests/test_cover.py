@@ -39,7 +39,7 @@ from henoncover.cover import (
     chart_to_dict,
     in_absorbing_region,
 )
-from henoncover.henon import first_component_axis_poly, real_form
+from henoncover.henon import first_component_axis_poly
 from henoncover.shortc2 import annulus_coordinate
 from henoncover.verification import (
     _chart_points,
@@ -185,7 +185,7 @@ def torus_solve_size(H):
     real one, one node of each of the (N^2 - 4)/2 conjugate pairs and the 4
     self-conjugate nodes."""
     N = cover._TORUS_N
-    return N**2 if real_form(H) is None else (N**2 - 4) // 2 + 4
+    return (N**2 - 4) // 2 + 4 if H.is_real else N**2
 
 
 def test_series_table_is_built_once_per_chart(href, href_region, monkeypatch):
@@ -235,14 +235,17 @@ def assert_pairs_match_full_solve(H, monkeypatch):
     A solved node and its mirror both pass the Newton's residual test, so
     they agree to rounding; in fact the float run is symmetric under conj
     bit for bit (_series_table), and a node's Newton rounds do not depend
-    on which other nodes are still active, so the two agree exactly."""
-    assert real_form(H) is not None
+    on which other nodes are still active, so the two agree exactly.  The
+    full solve makes every node its own mirror, the path a complex map
+    takes."""
+    assert H.is_real
+    pairs = cover._conjugate_pairs
     chart = build_chart(H)
     # both circles evaluate psi from the chart's one table
     zetas, mirror = meta_circle(H)
     qt = cover._qtilde_batch(chart, zetas, mirror)
     with monkeypatch.context() as m:
-        m.setattr(cover, "real_form", lambda H: None)
+        m.setattr(cover, "_conjugate_pairs", lambda H, mirror: pairs(H, np.arange(mirror.size)))
         C_full, tail_full = cover._series_table(H, chart.region)
         qt_full = cover._qtilde_batch(chart, zetas, mirror)
     assert np.array_equal(chart._table, C_full) and chart.series_tail == tail_full
@@ -281,7 +284,7 @@ def recorded_solves(monkeypatch):
 @settings(max_examples=10, deadline=None, database=None, derandomize=True)
 @given(henon_maps)
 def test_complex_maps_solve_every_node(H):
-    assume(real_form(H) is None)
+    assume(not H.is_real)
     zetas, mirror = meta_circle(H)
     chart = build_chart(H)  # so the circle's series evaluation solves no torus
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -296,7 +299,7 @@ def test_near_real_map_takes_the_full_path_to_the_same_q(htwo_chart, monkeypatch
     # is the real htwo's to chart_from_dict's 1e-10, so either chart's
     # document loads with the other's Q
     near = spec_map("htwo_near")
-    assert real_form(near) is None
+    assert not near.is_real
     sizes = recorded_solves(monkeypatch)
     chart = build_chart(near)
     meta = chart.meta

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from henoncover import (
     DegreeTooLow,
+    HenonMap,
     NonFinite,
     NotMonic,
     Point,
+    SimpleFactor,
     ZeroJacobianFactor,
     apply,
     apply_inverse,
@@ -32,13 +35,12 @@ from henoncover.henon import (
     first_component_axis_poly,
     inverse_leading_constant,
     map_from_json,
-    real_form,
     second_component_correction,
 )
 from henoncover.symmetry import find_affine_symmetries, report_from_dict, report_to_dict
 from henoncover.verification import check_green_functorial_minus
 
-from strategies import henon_maps
+from strategies import SPECS, henon_maps, spec_map
 
 
 def test_simple_quadratic_degrees():
@@ -82,6 +84,87 @@ def test_not_monic():
 def test_zero_jacobian_factor():
     with pytest.raises(ZeroJacobianFactor):
         make_henon([([0, 0, 1], 0.0)])
+
+
+def factor(coeffs, a):
+    return SimpleFactor(ComplexPolynomial(tuple(coeffs)), a)
+
+
+@pytest.mark.parametrize(
+    "factors, error, message",
+    [
+        ((), ValueError, "at least one factor required"),
+        ((factor([0, 0, 1], 1.0), factor([0, 1], 1.0)), DegreeTooLow,
+         "factor 1: polynomial degree 1 < 2"),
+        ((factor([0, 0, 2.0], 1.0),), NotMonic, "factor 0: leading coefficient (2+0j) != 1"),
+        ((factor([0, 0, 1], 0.5), factor([0, 0, 0, 1], 0j)), ZeroJacobianFactor, "factor 1: a = 0"),
+        # the checks run factor by factor, each factor's in this order
+        ((factor([0, 3.0], 0.0), factor([0, 0, 2.0], 0.0)), DegreeTooLow,
+         "factor 0: polynomial degree 1 < 2"),
+        ((factor([0, 0, 2.0], 0.0),), NotMonic, "factor 0: leading coefficient (2+0j) != 1"),
+    ],
+    ids=["empty", "degree", "monic", "jacobian", "first-factor-first", "monic-before-jacobian"],
+)
+def test_henon_map_is_the_gate(factors, error, message):
+    # HenonMap itself refuses bad factors; make_henon only builds them
+    with pytest.raises(error) as exc:
+        HenonMap(factors)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json") if "factors" in p.read_text()))
+def test_derived_fields_are_the_factor_products(name):
+    # factors is the one field; d, d' and the Jacobian are derived from it
+    H = spec_map(name)
+    assert [f.name for f in dataclasses.fields(HenonMap)] == ["factors"]
+    degrees = [f.p.degree for f in H.factors]
+    jacobian = complex(1.0)
+    for f in H.factors:
+        jacobian *= complex(f.a)
+    assert (H.d, H.d_prime) == (math.prod(degrees), math.prod(degrees[:-1]))
+    bits = lambda z: (z.real.hex(), z.imag.hex())
+    assert type(H.jacobian) is complex and bits(H.jacobian) == bits(jacobian)
+    assert H.is_real == all(c.imag == 0 for f in H.factors for c in (*f.p.coeffs, f.a))
+
+
+def test_real_input_as_complex_builds_the_same_map():
+    H = make_henon([([-0.1, 0, 1], 0.8), ([0.05, 0, 0, 1], -2.0)])
+    K = make_henon([([-0.1 + 0j, 0j, 1 + 0j], 0.8 + 0j), ([0.05 + 0j, 0j, 0j, 1 + 0j], -2.0 + 0j)])
+    assert H == K and hash(H) == hash(K) and H.is_real and K.is_real
+    assert all(type(c) is float for f in K.factors for c in (*f.p.coeffs, f.a))
+    C = make_henon([([-0.1, 0.2j, 1], 0.8)])
+    assert not C.is_real and [type(c) for c in C.factors[0].p.coeffs] == [float, complex, float]
+
+
+def complex_step(H, x, y):
+    """One step of H with every coefficient an explicit complex constant: Horner
+    from y under the leading 1, skipping zero coefficients, as ComplexPolynomial."""
+    for f in H.factors:
+        cs = [complex(c) for c in f.p.coeffs]
+        acc = y
+        for c in cs[-2:0:-1]:
+            if c:
+                acc = acc + c
+            acc = acc * y
+        x, y = y, (acc + cs[0] if cs[0] else acc) - complex(f.a) * x
+    return x, y
+
+
+@pytest.mark.parametrize("name", ["ref", "htwo", "cubic", "three", "six"])
+def test_real_map_steps_floats_as_floats_and_complexes_as_with_complex_constants(name, rng):
+    H = spec_map(name)
+    assert H.is_real
+    x, y = rng.normal(size=(2, 200))
+    fx, fy = apply_xy(H, x, y)
+    assert fx.dtype == fy.dtype == np.float64
+    cx, cy = x + 1j * rng.normal(size=200), y - 1j * rng.normal(size=200)
+    for got, want in zip(apply_xy(H, cx, cy), complex_step(H, cx, cy)):
+        assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+    bits = lambda z: (z.real.hex(), z.imag.hex())
+    for u, v in zip(cx[:20].tolist() + x[:5].astype(complex).tolist(), cy[:20].tolist() + [0j] * 5):
+        got, want = apply_xy(H, u, v), complex_step(H, u, v)
+        assert [type(c) for c in got] == [complex, complex]
+        assert list(map(bits, got)) == list(map(bits, want))
 
 
 def test_apply_simple():
@@ -213,10 +296,10 @@ def test_polynomial_call_matches_textbook_horner(coeffs, rng):
         for v in y[:20]:
             got, want = q(complex(v)), textbook_horner(q, complex(v))
             assert got == want and type(got) is type(want)
-    if len(coeffs) > 2 and coeffs[-1] == 1 and not any(np.iscomplex(coeffs)):
-        # the real form's plan holds float coefficients: float64 stays float64
-        rp = real_form(make_henon([(coeffs, 0.5)])).factors[0].p
-        got, want = rp(y.real), textbook_horner(rp, y.real)
+    if len(coeffs) > 1 and not any(np.iscomplex(coeffs)):
+        # real coefficients are stored as floats: float64 stays float64
+        assert all(type(c) is float for c in p.coeffs)
+        got, want = p(y.real), textbook_horner(p, y.real)
         assert got.dtype == want.dtype == np.float64 and np.array_equal(got, want)
 
 
