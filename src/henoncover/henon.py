@@ -285,13 +285,6 @@ def _count_from(v, field: str) -> int:
     raise SpecError(field, "expected an integer")
 
 
-def _object_from(v, field: str) -> dict:
-    """A JSON object, or a SpecError naming the field."""
-    if not isinstance(v, dict):
-        raise SpecError(field, "expected an object")
-    return v
-
-
 def map_from_json(factors) -> HenonMap:
     """The map of a _factors_json list (a is required), or a SpecError naming the field."""
     if not isinstance(factors, list) or not factors:

@@ -89,7 +89,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +104,6 @@ from .henon import (
     _count_from,
     _jacobian,
     _number_from,
-    _object_from,
     _read_key,
     apply_xy,
     component_polynomials,
@@ -185,12 +184,21 @@ class AffineMap:
         return AffineMap(1, 0, 1, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymmetryReport:
-    generators: list
-    order: int
-    max_commutation_defect: float = 0.0
-    details: dict = field(default_factory=dict)
+    """Every element of an affine symmetry group, identity first.
+
+    The document format names them generators; order is their number."""
+
+    generators: tuple
+    max_commutation_defect: float
+
+    def __post_init__(self):
+        vars(self)["generators"] = tuple(self.generators)
+
+    @property
+    def order(self) -> int:
+        return len(self.generators)
 
 
 def compute_d0(d: int, d_prime: int) -> int:
@@ -448,12 +456,7 @@ def find_affine_symmetries(H: HenonMap) -> SymmetryReport:
     for n in range(g):
         e, e_prime = (complex(np.exp(2j * np.pi * (k % g) / g)) for k in (n * d1, n))
         group.append(AffineMap(e, tau[-1] * (1 - e), e_prime, tau[0] * (1 - e_prime)))
-    return SymmetryReport(
-        generators=group,
-        order=g,
-        max_commutation_defect=max(factor_chain_witness(H, L)[1] for L in group),
-        details={"order_bound": N},
-    )
+    return SymmetryReport(group, max(factor_chain_witness(H, L)[1] for L in group))
 
 
 def verify_cyclic(report: SymmetryReport):
@@ -489,7 +492,6 @@ def report_to_dict(report: SymmetryReport) -> dict:
         "generators": [{k: _c2l(getattr(L, k)) for k in _AFFINE_KEYS} for L in report.generators],
         "order": report.order,
         "max_commutation_defect": report.max_commutation_defect,
-        "details": report.details,
     }
 
 
@@ -497,9 +499,9 @@ def report_from_dict(data: dict) -> SymmetryReport:
     """SymmetryReport of a report_to_dict document.
 
     Its values are read as a map spec's: complexes and a finite defect,
-    an integer order, an object of details.  ValueError names a key that
-    is missing or malformed, and refuses an order that is not the number
-    of listed generators.
+    an integer order.  ValueError names a key that is missing or
+    malformed, and refuses an order that is not the number of listed
+    generators.  It ignores the keys it does not read.
     """
     if not isinstance(data, dict) or data.get("format") != "henoncover-symmetries-v1":
         raise ValueError("not a symmetry report document")
@@ -511,12 +513,7 @@ def report_from_dict(data: dict) -> SymmetryReport:
     order = read("order", _count_from)
     if order != len(gens):
         raise ValueError(f"symmetry report order {order!r} is not the {len(gens)} generators listed")
-    return SymmetryReport(
-        generators=gens,
-        order=len(gens),
-        max_commutation_defect=read("max_commutation_defect", _number_from, 0.0),
-        details=read("details", _object_from, {}),
-    )
+    return SymmetryReport(gens, read("max_commutation_defect", _number_from, 0.0))
 
 
 def save_report(report: SymmetryReport, path):

@@ -14,6 +14,8 @@ from henoncover.cli import parse_spec
 # the spec corpus: each map spec and grid job that a test or the CI
 # console-script step runs, one JSON file each, as the CLI reads them
 SPECS = Path(__file__).resolve().parent / "specs"
+# the names of its map specs, the files with factors
+CORPUS_MAPS = sorted(p.stem for p in SPECS.glob("*.json") if "factors" in p.read_text())
 
 
 def spec_file(name):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import warnings
 
@@ -22,6 +23,7 @@ from henoncover import symmetry
 from henoncover.henon import BivariatePoly, apply_xy, component_polynomials
 from henoncover.green import _step_rounding, escaping_samples
 from henoncover.symmetry import (
+    SymmetryReport,
     fixed_points,
     load_report,
     report_from_dict,
@@ -31,6 +33,7 @@ from henoncover.symmetry import (
 from henoncover.verification import brute_force_d0, symmetry_structure_record
 
 from strategies import (
+    CORPUS_MAPS,
     PLANTED_FAMILIES,
     henon_maps,
     planted_attracting_map,
@@ -298,18 +301,14 @@ def test_reported_maps_preserve_green_on_fresh_samples(name):
 
 
 def test_verify_cyclic_identity_only():
-    from henoncover.symmetry import SymmetryReport
-
-    rep = SymmetryReport([AffineMap.identity()], 1, 0.0)
+    rep = SymmetryReport([AffineMap.identity()], 0.0)
     assert verify_cyclic(rep) == (True, 1)
 
 
 def test_structure_record_rejects_a_wrong_generator(hcubic):
     # {id, (-x, y)} is cyclic of an order dividing the bound 8, but (-x, y)
     # does not commute with H^2: only the factor-chain witness catches it
-    from henoncover.symmetry import SymmetryReport
-
-    wrong = SymmetryReport([AffineMap.identity(), AffineMap(-1, 0, 1, 0)], 2, 0.0)
+    wrong = SymmetryReport([AffineMap.identity(), AffineMap(-1, 0, 1, 0)], 0.0)
     assert verify_cyclic(wrong) == (True, 2)
     assert not symmetry_structure_record(hcubic, wrong)["passed"]
     right = find_affine_symmetries(hcubic)
@@ -318,16 +317,16 @@ def test_structure_record_rejects_a_wrong_generator(hcubic):
     # its powers, and hcubic's group with g_2 replaced by a second g_1 lists
     # a duplicate; every element of the second commutes with H^2
     w = cmath.exp(2j * cmath.pi / 3)
-    odd = SymmetryReport([AffineMap.identity(), AffineMap(w, 0, w, 0), AffineMap(2, 0, 2, 0)], 3)
+    odd = SymmetryReport(
+        [AffineMap.identity(), AffineMap(w, 0, w, 0), AffineMap(2, 0, 2, 0)], 0.0
+    )
     assert verify_cyclic(odd) == (False, 3)
     gens = list(right.generators)
     gens[2] = gens[1]
-    duplicate = SymmetryReport(gens, 8)
+    duplicate = SymmetryReport(gens, 0.0)
     assert verify_cyclic(duplicate) == (False, 8)
     assert all(symmetry.factor_chain_witness(hcubic, L)[0] for L in gens)
     assert not symmetry_structure_record(hcubic, duplicate)["passed"]
-    # the whole group of 8 reported as order 3
-    assert not symmetry_structure_record(hcubic, SymmetryReport(right.generators, 3))["passed"]
 
 
 @pytest.mark.parametrize("name", ["href", "htwo", "hcubic"])
@@ -367,14 +366,12 @@ def test_structure_record_rejects_a_wrong_element_at_degree_nine(data):
     # The planted group is {id, T(-x, -y)T^-1}; moving its translation gives
     # another involution, so {id, wrong} is cyclic of an order dividing the
     # bound, and only the witness catches it
-    from henoncover.symmetry import SymmetryReport
-
     H, order, L = data.draw(planted_symmetric_maps("two_odd_cubics"))
     assert H.d**2 > symmetry.SYMBOLIC_DEGREE_CAP and order == 2
     rec = symmetry_structure_record(H, find_affine_symmetries(H))
     assert rec["passed"] and "factor-chain witness" in rec["note"]
     wrong = AffineMap(L.e, L.f + 1.0, L.e_prime, L.f_prime)
-    report = SymmetryReport([AffineMap.identity(), wrong], 2, 0.0)
+    report = SymmetryReport([AffineMap.identity(), wrong], 0.0)
     assert verify_cyclic(report) == (True, 2)
     assert not symmetry_structure_record(H, report)["passed"]
 
@@ -429,6 +426,38 @@ def test_report_json_round_trip(tmp_path, hcubic):
     assert loaded.max_commutation_defect == rep.max_commutation_defect
 
 
+def test_report_is_frozen_and_its_order_is_the_count_of_its_elements():
+    fields = [f.name for f in dataclasses.fields(SymmetryReport)]
+    assert fields == ["generators", "max_commutation_defect"]
+    rep = SymmetryReport([AffineMap.identity(), AffineMap(-1, 0, -1, 0)], 0.0)
+    assert rep.generators == (AffineMap.identity(), AffineMap(-1, 0, -1, 0)) and rep.order == 2
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, ())
+
+
+@pytest.mark.parametrize("name", CORPUS_MAPS)
+def test_corpus_reports_list_their_group_as_a_tuple(name):
+    # only huge.json's chain overflows (tau^3 alone is 3.7e328)
+    try:
+        rep = find_affine_symmetries(spec_map(name))
+    except symmetry.ChainOverflow:
+        assert name == "huge"
+        return
+    assert isinstance(rep.generators, tuple) and rep.order == len(rep.generators) >= 1
+    assert rep.generators[0].is_identity(0.0)
+    assert report_from_dict(json.loads(json.dumps(report_to_dict(rep)))) == rep
+
+
+@pytest.mark.parametrize("details", [{"order_bound": 8}, 3, [["a", 1]], None],
+                         ids=["order-bound", "number", "pairs", "null"])
+def test_report_from_dict_ignores_details(details):
+    # documents written while the report kept details still load
+    doc = _report_doc()
+    doc["details"] = details
+    assert report_from_dict(doc) == report_from_dict(_report_doc())
+
+
 def _report_doc(**edits):
     doc = report_to_dict(find_affine_symmetries(spec_map("cubic")))
     for key, value in edits.items():
@@ -454,7 +483,6 @@ _ONE = {"e": [1, 0], "f": [0, 0], "e_prime": [1, 0], "f_prime": [0, 0]}
                  id="generator-not-invertible"),
     pytest.param(_report_doc(max_commutation_defect="x"), "key 'max_commutation_defect'",
                  id="defect-not-a-number"),
-    pytest.param(_report_doc(details=3), "key 'details'", id="details-not-an-object"),
     pytest.param(_report_doc(order=3), "order 3 is not the 8 generators listed", id="order-3-of-8"),
     pytest.param(_report_doc(order="8"), "key 'order'", id="order-a-string"),
     pytest.param(_report_doc(order=8.0), "key 'order'", id="order-a-float"),
@@ -470,7 +498,6 @@ _ONE = {"e": [1, 0], "f": [0, 0], "e_prime": [1, 0], "f_prime": [0, 0]}
                  id="defect-true"),
     pytest.param(_report_doc(max_commutation_defect=np.nan), "key 'max_commutation_defect'",
                  id="defect-nan"),
-    pytest.param(_report_doc(details=[["a", 1]]), "key 'details'", id="details-pairs"),
     pytest.param([], "not a symmetry report document", id="a-list"),
 ])
 def test_report_from_dict_names_a_missing_or_malformed_key(doc, message):
@@ -488,7 +515,8 @@ def test_finder_recovers_planted_groups(family, data):
     k = 1 if len(H.factors) % 2 == 0 or L.e == L.e_prime else 2
     assert commutes_with_power(H, L, k)[1] <= 1e-9
     rep = find_affine_symmetries(H)
-    assert rep.order == order
+    assert rep.order == order == len(rep.generators)
+    assert isinstance(rep.generators, tuple) and rep.generators[0].is_identity(0.0)
     scale = 1.0 + abs(L.f) + abs(L.f_prime)
     assert any(L.distance(g) <= 1e-12 * scale for g in rep.generators)
 

@@ -111,12 +111,19 @@ def test_boettcher_semiconjugacy_holds_on_random_maps(H):
 def test_fast_suite_records_a_map_beyond_double_range():
     # y^3 + 1e110 y^2: R is 1e110, so H(z) of a region point overflows, the
     # normal form's tau^3 is 3.7e328 and every equivariance sample is
-    # ambiguous; each check still returns its record
+    # ambiguous; each check still returns its record, although the test
+    # configuration makes a RuntimeWarning an error
     H = spec_map("huge")
-    with np.errstate(all="ignore"):
-        results = run_suite(H, level="fast")
+    results = run_suite(H, level="fast")
     assert [r["name"] for r in results] == SUITE_NAMES[:11]
     notes = {r["name"]: r["note"] for r in results if not r["passed"]}
     assert notes["boettcher.semiconjugacy"].startswith("NonFinite: ")
     assert notes["symmetry.group_structure"].startswith("ChainOverflow: ")
     assert notes["shortc2.equivariance"] == "0 of 50 points unambiguous in 2500 draws"
+
+
+def test_full_suite_records_the_chart_build_of_a_map_beyond_double_range():
+    # Q_0 of y^3 + 1e110 y^2 is of order 1e330: the build fails as a record
+    results = run_suite(spec_map("huge"), level="full")
+    assert [r["name"] for r in results] == SUITE_NAMES[:11] + ["cover.build"]
+    assert results[-1]["note"] == "Overflow: a coefficient of Q exceeds the double range"
